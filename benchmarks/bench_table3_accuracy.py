@@ -12,7 +12,8 @@ def test_table3_accuracy(benchmark, reference_setup, save_output):
     text = format_rows(
         rows,
         title="Table III: perplexity + synthetic zero-shot accuracy "
-        "(synthetic reference model; see EXPERIMENTS.md for the paper values)",
+        "(synthetic reference model; see repro.bench.tables.table3_accuracy for "
+        "what each column stands in for)",
     )
     save_output("table3_accuracy", text)
 

@@ -1,11 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-section (see DESIGN.md for the experiment index).  Heavy fixtures are session
-scoped so the reference evaluation model and its calibration data are built
-once; each benchmark writes its formatted output to ``benchmarks/output/`` so
-the regenerated tables can be inspected after the run (and are quoted in
-EXPERIMENTS.md).
+section (see ``benchmarks/README.md`` and the module docstrings for the
+index).  Heavy fixtures are session scoped so the reference evaluation model
+and its calibration data are built once; each benchmark writes its formatted
+output to ``benchmarks/output/`` so the regenerated tables can be inspected
+after the run.
 
 Set the environment variable ``LIGHTMAMBA_BENCH_SCALE`` (default ``1``) to an
 integer to multiply the number of task examples / evaluation sequences used

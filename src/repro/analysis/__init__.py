@@ -13,9 +13,10 @@ baseline workflow):
   functions annotated ``# integer-resident`` may not materialize float
   tensors except at ``# quant-point:``-sanctioned sites.
 - **Static overflow prover** (:mod:`repro.analysis.overflow`, ``OV3xx``):
-  every registered integer contraction is proven safe for its accumulator
-  width symbolically, with a reported margin -- the offline generalization
-  of ``grouped_integer_matmul``'s runtime guard.
+  every registered integer contraction -- and every pre-aligned product of
+  the tiled decode step's fused shift re-quantization -- is proven safe for
+  its accumulator width symbolically, with a reported margin: the offline
+  generalization of ``grouped_integer_matmul``'s runtime guard.
 """
 
 from repro.analysis.core import (
@@ -32,6 +33,7 @@ from repro.analysis.core import (
 from repro.analysis.dtypeflow import count_quant_points
 from repro.analysis.overflow import (
     ContractionSpec,
+    ShiftAccumulatorSpec,
     default_registry,
     prove,
     prove_default_registry,
@@ -43,6 +45,7 @@ __all__ = [
     "Baseline",
     "ContractionSpec",
     "Finding",
+    "ShiftAccumulatorSpec",
     "SourceModule",
     "analyze_paths",
     "analyze_repo",

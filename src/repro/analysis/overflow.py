@@ -16,6 +16,15 @@ agree by construction: :attr:`ContractionSpec.overflows` is true precisely
 for the configurations on which ``grouped_integer_matmul`` raises
 :class:`OverflowError` (the acceptance contract, pinned by tests).
 
+The tiled decode step (:meth:`QuantizedSSMStep._step_integer
+<repro.quant.ssm_quant.QuantizedSSMStep._step_integer>`) holds a second kind
+of INT32 value: the *pre-aligned* code products of its fused shift
+re-quantization (:class:`ShiftAccumulatorSpec`).  Nothing accumulates across
+elements there; the bound is :func:`repro.quant.pot.aligned_product_bound`,
+the very function the runtime picks its accumulator dtype from
+(:func:`repro.quant.pot.shift_accumulator_dtype`), so again the static
+verdict and the runtime choice cannot disagree.
+
 The prover reports a margin for every contraction (headroom between the
 worst-case partial sum and the accumulator capacity, also expressed in
 bits), and emits an ``OV301`` finding for any contraction that can provably
@@ -26,20 +35,59 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.analysis.core import Finding
 
 __all__ = [
     "ContractionSpec",
+    "ShiftAccumulatorSpec",
     "default_registry",
     "prove",
     "prove_default_registry",
 ]
 
 
+class _AccumulatorBound:
+    """Verdict arithmetic shared by every spec with ``worst_case`` / ``acc_bits``."""
+
+    @property
+    def acc_max(self) -> int:
+        """Largest magnitude the accumulator holds without wrapping."""
+        return 2 ** (self.acc_bits - 1) - 1
+
+    @property
+    def overflows(self) -> bool:
+        """Provable overflow -- the exact predicate of the runtime guard.
+
+        ``grouped_integer_matmul`` raises when ``worst_case >= 2**31``; for a
+        symbolic accumulator width that is ``worst_case > acc_max``.
+        """
+        return self.worst_case > self.acc_max
+
+    @property
+    def margin(self) -> float:
+        """How many times the worst case fits the accumulator (> 1 is safe)."""
+        return self.acc_max / self.worst_case
+
+    @property
+    def headroom_bits(self) -> float:
+        """Margin expressed in bits (negative means provable overflow)."""
+        return math.log2(self.margin)
+
+    def _verdict_json(self) -> Dict[str, object]:
+        return {
+            "acc_bits": self.acc_bits,
+            "worst_case": self.worst_case,
+            "acc_max": self.acc_max,
+            "overflows": self.overflows,
+            "margin": self.margin,
+            "headroom_bits": round(self.headroom_bits, 3),
+        }
+
+
 @dataclass(frozen=True)
-class ContractionSpec:
+class ContractionSpec(_AccumulatorBound):
     """One integer contraction, described symbolically.
 
     Attributes
@@ -81,30 +129,6 @@ class ContractionSpec:
         """Largest partial-sum magnitude any data can produce."""
         return self.group_len * self.x_qmax * self.w_qmax
 
-    @property
-    def acc_max(self) -> int:
-        """Largest magnitude the accumulator holds without wrapping."""
-        return 2 ** (self.acc_bits - 1) - 1
-
-    @property
-    def overflows(self) -> bool:
-        """Provable overflow -- the exact predicate of the runtime guard.
-
-        ``grouped_integer_matmul`` raises when ``worst_case >= 2**31``; for a
-        symbolic accumulator width that is ``worst_case > acc_max``.
-        """
-        return self.worst_case > self.acc_max
-
-    @property
-    def margin(self) -> float:
-        """How many times the worst case fits the accumulator (> 1 is safe)."""
-        return self.acc_max / self.worst_case
-
-    @property
-    def headroom_bits(self) -> float:
-        """Margin expressed in bits (negative means provable overflow)."""
-        return math.log2(self.margin)
-
     def to_json(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -112,12 +136,48 @@ class ContractionSpec:
             "x_bits": self.x_bits,
             "w_bits": self.w_bits,
             "group_len": self.group_len,
-            "acc_bits": self.acc_bits,
-            "worst_case": self.worst_case,
-            "acc_max": self.acc_max,
-            "overflows": self.overflows,
-            "margin": self.margin,
-            "headroom_bits": round(self.headroom_bits, 3),
+            **self._verdict_json(),
+        }
+
+
+@dataclass(frozen=True)
+class ShiftAccumulatorSpec(_AccumulatorBound):
+    """One pre-aligned product of the tiled decode step's fused shift requant.
+
+    ``B_bar (.) x`` and ``h (.) C`` multiply two ``bits``-wide codes and
+    align the product by ``2**(R - r)`` so one uniform half-even right shift
+    by ``R`` re-quantizes it.  Because the destination exponent is derived
+    from the group absmax, the product on the destination grid is at most
+    ``qmax``; the aligned value is bounded by ``qmax * 2**R`` plus the
+    ``2**(R - 1)`` rounding bias, whatever the group size (nothing
+    accumulates across elements -- the group only selects the exponent).
+
+    Attributes
+    ----------
+    bits:
+        Signed symmetric code width of both operands.
+    acc_bits:
+        Width of the accumulator the aligned product lives in.
+    """
+
+    name: str
+    origin: str
+    bits: int
+    acc_bits: int = 32
+
+    @property
+    def worst_case(self) -> int:
+        """The bound the runtime derives its accumulator dtype from."""
+        from repro.quant.pot import aligned_product_bound
+
+        return aligned_product_bound(self.bits)
+
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "origin": self.origin,
+            "bits": self.bits,
+            **self._verdict_json(),
         }
 
 
@@ -167,6 +227,31 @@ def _ssm_specs() -> List[ContractionSpec]:
                 )
             )
     return specs
+
+
+def _ssm_step_specs() -> List[ShiftAccumulatorSpec]:
+    """The tiled decode step's pre-aligned products, on INT32 accumulators.
+
+    One entry per fused re-quantization (``B_bar (.) x``, ``h (.) C``) and
+    committed SSM code width: the :class:`SSMQuantConfig` default (INT8) and
+    the INT4 variant the bit-identity tests pin.  The bound does not depend
+    on the group size, so each entry covers the committed group sizes
+    (8, 32, 128) at once.
+    """
+    from repro.quant.ssm_quant import SSMQuantConfig
+
+    return [
+        ShiftAccumulatorSpec(
+            name=(
+                f"ssm-decode-step/{product} aligned product lightmamba* "
+                f"INT{bits} g8/g32/g128"
+            ),
+            origin="ssm-decode-step",
+            bits=bits,
+        )
+        for bits in sorted({4, SSMQuantConfig().bits})
+        for product in ("B_bar.x", "h.C")
+    ]
 
 
 def _max_d_state() -> int:
@@ -249,16 +334,19 @@ def _mmu_specs() -> List[ContractionSpec]:
     return specs
 
 
-def default_registry() -> List[ContractionSpec]:
-    """Every integer contraction the committed configurations can execute."""
-    return _ssm_specs() + _qlinear_specs() + _mmu_specs()
+AccumulatorSpec = Union[ContractionSpec, ShiftAccumulatorSpec]
+
+
+def default_registry() -> List[AccumulatorSpec]:
+    """Every integer accumulator the committed configurations can exercise."""
+    return _ssm_specs() + _ssm_step_specs() + _qlinear_specs() + _mmu_specs()
 
 
 # ----------------------------------------------------------------------
 # Proving
 # ----------------------------------------------------------------------
 def prove(
-    specs: List[ContractionSpec],
+    specs: List[AccumulatorSpec],
 ) -> Tuple[List[Finding], List[Dict[str, object]]]:
     """Check every spec; returns (findings, per-contraction margin table)."""
     findings: List[Finding] = []

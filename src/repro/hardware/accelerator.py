@@ -13,7 +13,10 @@ configuration it produces
 - power and energy efficiency via :mod:`repro.hardware.power`.
 
 The defaults are calibrated against the published VCK190 / U280 operating
-points; EXPERIMENTS.md records measured-vs-paper values.
+points: ``tests/test_accelerator.py`` pins them to within 15%,
+:func:`repro.bench.tables.table4_hardware` prints modelled next to published
+throughput, and ``benchmarks/e2e`` reports ``accelerator.err_vs_paper.*`` on
+every run.
 """
 
 from __future__ import annotations

@@ -9,9 +9,23 @@ shift, which is what makes the quantized SSMU cheap on FPGA (Fig. 3).
 This module provides the PoT scale snapping, a per-group PoT fake quantizer,
 and an integer-exact :func:`shift_requantize` that demonstrates the shift
 implementation is bit-exact against the reference divide-and-round.
+
+It also holds the arithmetic of the *fused* re-quantization the tiled SSMU
+decode step (:meth:`repro.quant.ssm_quant.QuantizedSSMStep._step_integer`)
+runs: instead of shifting every group of a state-sized product by its own
+exponent difference ``r``, the small per-group operand is pre-aligned by
+``2**(R - r)`` (:func:`alignment_multiplier`, ``R`` =
+:func:`requant_shift`) so the whole tile takes one *uniform* half-even right
+shift by ``R`` (:func:`shift_right_half_even`, the rounding kernel
+:func:`shift_requantize` shares).  The aligned product is bounded by
+:func:`aligned_product_bound`, from which :func:`shift_accumulator_dtype`
+picks the accumulator width -- INT32 for the INT4/INT8 SSM, the same bound
+the ``repro.analysis.overflow`` prover registers.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +40,11 @@ __all__ = [
     "absmax_requant_exponents",
     "shift_requantize",
     "requantize_reference",
+    "requant_shift",
+    "aligned_product_bound",
+    "shift_accumulator_dtype",
+    "alignment_multiplier",
+    "shift_right_half_even",
 ]
 
 
@@ -143,6 +162,96 @@ def requantize_reference(
     return out.astype(np.int64)
 
 
+def requant_shift(bits: int) -> int:
+    """The uniform right shift ``R`` of the fused SSMU re-quantization.
+
+    ``R = 2 * bits`` (16 for the INT8 SSM): a product of two ``bits``-wide
+    codes is below ``2**(2 * bits - 2)``, so a group whose exponent
+    difference exceeds ``R`` re-quantizes to all-zero and needs no alignment
+    at all -- every other group aligns with a non-negative left shift
+    ``R - r``.
+    """
+    return 2 * bits
+
+
+def aligned_product_bound(bits: int) -> int:
+    """Largest magnitude a pre-aligned SSMU accumulator can hold.
+
+    The destination exponent of every fused re-quantization is derived from
+    the group absmax (:func:`absmax_requant_exponents`), so the product
+    scaled onto the destination grid is at most ``qmax``; aligned by ``R``
+    bits that is ``qmax * 2**R``, plus the ``2**(R - 1)`` rounding bias of
+    :func:`shift_right_half_even`.
+    """
+    shift = requant_shift(bits)
+    return IntSpec(bits).qmax * 2**shift + 2 ** (shift - 1)
+
+
+def shift_accumulator_dtype(bits: int) -> Optional[type]:
+    """Narrowest numpy integer type that holds :func:`aligned_product_bound`.
+
+    ``np.int32`` for the INT4/INT8 SSM, ``np.int64`` for wider codes, and
+    ``None`` when not even INT64 is wide enough (the caller then has no
+    integer datapath and runs the fake-quant oracle).  The predicate is the
+    one ``repro.analysis.overflow`` proves offline.
+    """
+    bound = aligned_product_bound(bits)
+    for dtype in (np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return None
+
+
+def alignment_multiplier(
+    absmax: np.ndarray, shift: np.ndarray, bits: int
+) -> np.ndarray:
+    """Per-group pre-alignment multipliers ``2**(R - shift)`` (INT64).
+
+    ``shift`` is the per-group exponent difference ``dst - src`` of a
+    re-quantization whose destination was derived from ``absmax`` (the
+    group's largest source magnitude).  Multiplying the group -- or, for an
+    outer product, its small operand -- by the result turns the per-group
+    shift into the uniform shift by ``R = requant_shift(bits)``.  Groups that
+    are all-zero (``absmax == 0``: their destination sits at the ``2**-39``
+    floor, arbitrarily far from the source grid) or whose shift exceeds ``R``
+    (every product rounds to zero) get multiplier 0, which is both exact and
+    keeps the shift count in range.
+    """
+    full = requant_shift(bits)
+    shift = np.asarray(shift, dtype=np.int64)
+    live = (np.asarray(absmax) > 0) & (shift <= full)
+    return np.where(live, np.int64(1) << np.where(live, full - shift, 0), 0)
+
+
+def shift_right_half_even(
+    acc: np.ndarray, shift: int | np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """In place ``acc <- round_half_even(acc / 2**shift)`` on integer codes.
+
+    One biased arithmetic shift: adding ``half - 1 + lsb(quotient)`` before
+    the floor shift carries exactly when the dropped remainder exceeds half,
+    or ties with an odd quotient -- identical to ``np.round(acc / 2**shift)``
+    for every sign (the remainder of an arithmetic shift is non-negative).
+    Five passes over ``acc``, no allocation: ``scratch`` is a same-shape,
+    same-dtype work buffer.  ``shift`` is a non-negative Python int (the
+    SSMU's uniform shift) or an integer array broadcasting against ``acc``;
+    zero shift counts leave their elements untouched.
+    """
+    if isinstance(shift, (int, np.integer)):
+        live = 1 if shift > 0 else 0
+        bias = (1 << (shift - 1)) - 1 if shift > 0 else 0
+    else:
+        shift = np.asarray(shift, dtype=acc.dtype)
+        live = (shift > 0).astype(acc.dtype)
+        bias = (live << np.maximum(shift - 1, 0)) - live
+    np.right_shift(acc, shift, out=scratch)
+    np.bitwise_and(scratch, live, out=scratch)
+    np.add(acc, scratch, out=acc)
+    np.add(acc, bias, out=acc)
+    np.right_shift(acc, shift, out=acc)
+    return acc
+
+
 def shift_requantize(
     values: np.ndarray,
     src_exponent: int | np.ndarray,
@@ -160,8 +269,8 @@ def shift_requantize(
 
     The exponents may be scalars or integer arrays broadcasting against
     ``values`` (per-group grids: one exponent per quantization group), which
-    is how the integer-resident decode step applies a whole tensor's worth of
-    per-group re-quantizations in one call.
+    is how the integer chunk body aligns a whole tensor's worth of per-token
+    operand grids in one call.
 
     ``rounding`` selects the tie-breaking rule of the right shift:
 
@@ -169,9 +278,10 @@ def shift_requantize(
       :func:`requantize_reference` (the shift-vs-multiplier equivalence
       demonstration).
     - ``"half_even"`` -- round half to even, bit-exact with ``np.round`` on
-      the real-valued ratio; this is the mode the integer decode path uses so
-      shifted codes land exactly where the fake-quant oracle's ``np.round``
-      would put them.
+      the real-valued ratio (:func:`shift_right_half_even`, the kernel the
+      tiled decode step runs with a uniform shift); this is the mode the
+      integer paths use so shifted codes land exactly where the fake-quant
+      oracle's ``np.round`` would put them.
     """
     spec = IntSpec(bits)
     values = np.asarray(values, dtype=np.int64)
@@ -192,22 +302,18 @@ def shift_requantize(
         return np.clip(shifted, spec.qmin, spec.qmax).astype(np.int64, copy=False)
     right = np.maximum(diff, 0)
     left = np.maximum(-diff, 0)
-    # Offset/half of the right shift; forced to 0 where no right shift happens
-    # so the rounding adjustments below are no-ops there.
-    half = np.where(right > 0, np.int64(1) << np.maximum(right - 1, 0), np.int64(0))
     if rounding == "half_away":
+        # Half of the right shift; forced to 0 where no right shift happens
+        # so the rounding adjustment is a no-op there.
+        half = np.where(right > 0, np.int64(1) << np.maximum(right - 1, 0), np.int64(0))
         magnitude = (np.abs(values) + half) >> right
         shifted = np.sign(values) * magnitude
     elif rounding == "half_even":
-        # Single biased arithmetic shift: adding ``half - 1 + lsb(quotient)``
-        # before the floor shift carries exactly when the dropped remainder
-        # exceeds half, or ties with an odd quotient -- identical to
-        # ``np.round(values / 2**right)`` for every sign (the remainder of an
-        # arithmetic shift is non-negative), in one pass instead of a
-        # quotient/remainder/tie comparison chain.
-        bias = np.where(right > 0, half - 1 + ((values >> right) & np.int64(1)), 0)
-        shifted = (values + bias) >> right
+        shifted = np.empty(np.broadcast_shapes(values.shape, diff.shape), dtype=np.int64)
+        shifted[...] = values
+        shift_right_half_even(shifted, right, np.empty_like(shifted))
     else:
         raise ValueError("rounding must be 'half_away' or 'half_even'")
-    shifted = shifted << left
+    if left.any():
+        shifted = shifted << left
     return np.clip(shifted, spec.qmin, spec.qmax).astype(np.int64, copy=False)

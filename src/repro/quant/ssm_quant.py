@@ -38,21 +38,40 @@ float scales:
   codes + PoT scales between decode steps (a
   :class:`~repro.mamba.cache.QuantizedSSMState` inside a
   :class:`~repro.mamba.cache.QuantizedLayerCache`).  With it, the decode
-  step runs the **all-integer iteration**: x/B/C are quantized once at the
+  step runs the **all-integer iteration**
+  (:meth:`QuantizedSSMStep._step_integer`): x/B/C are quantized once at the
   in-projection boundary and from there to the readout no float tensor is
-  materialized.  The ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x``
-  products fold their per-head float scalar into the re-quantization
-  multiplier (a PoT shift plus one scalar multiply on hardware -- the EM
-  units of Fig. 3), while the code-by-code products (``B_bar (.) x``,
-  ``h (.) C``) re-quantize with :func:`repro.quant.pot.shift_requantize`
-  alone: a bit shift by the exponent difference, rounding half-to-even so
-  shifted codes land exactly where the oracle's ``np.round`` would put
-  them.  The step is therefore **bit-identical** to the fake-quant oracle
-  under PoT scales -- pinned by ``tests/test_int_state.py`` and enforced
-  statically by the DT2xx dtype-flow lint over the ``# integer-resident``
-  regions (every surviving float materialization carries a
-  ``# quant-point:`` sanction, and the sanction budget can only ratchet
-  down).
+  materialized.  It is organised like the paper's SSMU -- *tiled and fused*:
+
+  - **narrow**: codes and code-by-code products live in INT32 (a product of
+    two INT8 codes is below ``2**14``); the accumulator width follows from
+    the code width through the bound the ``repro.analysis`` overflow prover
+    registers (:func:`repro.quant.pot.shift_accumulator_dtype`).  Only the
+    state add, whose addends sit on different PoT grids, runs on a wide
+    (float64) accumulator.
+  - **fused**: the ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x``
+    products fold their per-head float scalar into the re-quantization
+    multiplier (a PoT shift plus one scalar multiply on hardware -- the EM
+    units of Fig. 3).  The code-by-code products (``B_bar (.) x``,
+    ``h (.) C``) re-quantize by a bit shift alone, and the per-group shift
+    count ``r`` is folded into the *small* operand: the x codes are
+    pre-aligned by ``2**(R - r)`` before the outer product, so the
+    state-sized product takes one uniform half-even right shift by ``R``
+    (:func:`repro.quant.pot.shift_right_half_even`) instead of a per-group
+    broadcast shift.
+  - **tiled**: the per-group exponent math is batched, but the state-sized
+    work runs one batch row -- one ``(nheads, headdim, d_state)`` tile of
+    codes -- at a time through reused scratch, so the working set stays
+    cache-resident and step time no longer grows with the bytes of the
+    whole batch.
+
+  Shifts round half-to-even, so shifted codes land exactly where the
+  oracle's ``np.round`` would put them: the step is **bit-identical** to the
+  fake-quant oracle under PoT scales -- pinned by ``tests/test_int_state.py``
+  and ``tests/test_ssmu_tiled.py``, and enforced statically by the DT2xx
+  dtype-flow lint over the ``# integer-resident`` regions (every surviving
+  float materialization carries a ``# quant-point:`` sanction, and the
+  sanction budget can only ratchet down).
 - ``integer_chunk_body=True`` runs the prefill chunk body's two ``d_state``
   contractions (the ``C B^T`` interaction matrix and the carried-state
   ``h . C`` readout) on true INT32 accumulators over the raw codes --
@@ -86,7 +105,15 @@ from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _validate_seq_lens, ssm_decay, ssm_scan
 from repro.quant.dtypes import Granularity, IntSpec
-from repro.quant.pot import absmax_requant_exponents, pot_exponent, shift_requantize
+from repro.quant.pot import (
+    absmax_requant_exponents,
+    alignment_multiplier,
+    pot_exponent,
+    requant_shift,
+    shift_accumulator_dtype,
+    shift_requantize,
+    shift_right_half_even,
+)
 from repro.quant.qlinear import grouped_integer_matmul
 from repro.quant.quantizer import (
     QuantizedTensor,
@@ -243,6 +270,46 @@ def _common_group_exponents(
     return gmax, per_element
 
 
+def _tile_scratch(tile: Tuple[int, ...], acc_dtype: type) -> Tuple[np.ndarray, ...]:
+    """Work buffers of one SSMU tile: three accumulators, three wide ones.
+
+    ``tile`` is the ``(nheads, headdim, n_groups, group)`` shape of one batch
+    row's state codes.  The integer buffers hold the aligned code products
+    (``acc_dtype`` from :func:`repro.quant.pot.shift_accumulator_dtype`); the
+    float64 ones are the wide accumulator of the state add and the readout
+    decode, plus the ping-pong pair of :func:`_group_absmax`.  They are
+    register files of the datapath, not tensors of the recurrence: nothing in
+    them outlives the step that allocated them.
+    """
+    return tuple(np.empty(tile, dtype=acc_dtype) for _ in range(3)) + tuple(
+        np.empty(tile, dtype=np.float64) for _ in range(3)
+    )
+
+
+def _group_absmax(tile: np.ndarray, work_a: np.ndarray, work_b: np.ndarray) -> np.ndarray:
+    """Per-group ``max |tile|`` over the trailing axis, by window doubling.
+
+    ``tile.max(-1)`` over a 32-long group axis costs as much as eight
+    element-wise passes (one reduction call per group).  Instead the absolute
+    values are maxed against themselves shifted by 1, 2, 4, ... positions
+    along the *flattened* tile -- whole-tile contiguous passes, ping-ponged
+    between the two same-shape work buffers -- until element ``i`` holds the
+    maximum of ``[i, i + group)``; the group maxima sit at every ``group``-th
+    position.  ``tile`` is left untouched.
+    """
+    group = tile.shape[-1]
+    np.abs(tile, out=work_a)
+    src, dst = work_a.reshape(-1), work_b.reshape(-1)
+    span, window = src.size, 1
+    while window < group:
+        step = min(window, group - window)
+        span -= step
+        np.maximum(src[:span], src[step : step + span], out=dst[:span])
+        src, dst = dst, src
+        window += step
+    return src[::group].reshape(tile.shape[:-1]).copy()
+
+
 class QuantizedSSMStep:
     """Quantized drop-in replacement for the SSM decode step.
 
@@ -273,6 +340,10 @@ class QuantizedSSMStep:
         # When set, prefill_scan ignores integer_chunk_body and runs the
         # float fake-quant chunk body (see fallback_fake_quant).
         self._fake_quant_fallback = False
+        # Accumulator of the tiled integer step's aligned products: INT32
+        # for INT4/INT8 codes, INT64 for wider ones, None when the bound
+        # fits neither (the step then runs the oracle).
+        self._acc_dtype = shift_accumulator_dtype(config.bits)
 
     @contextmanager
     def fallback_fake_quant(self) -> Iterator["QuantizedSSMStep"]:
@@ -407,14 +478,17 @@ class QuantizedSSMStep:
         all-integer iteration :meth:`_step_integer` -- no float tensor
         between the entry quantizations and the readout -- unless product
         re-quantization is disabled, scales are not PoT (shifts need PoT
-        grids), or the fake-quant degradation fallback is active; those
-        cases run the float oracle :meth:`_step_oracle`.  Under PoT scales
+        grids), the codes are too wide for any integer accumulator
+        (:func:`repro.quant.pot.shift_accumulator_dtype`), or the fake-quant
+        degradation fallback is active; those cases run the float oracle
+        :meth:`_step_oracle`.  Under PoT scales
         the two paths are bit-identical.
         """
         if (
             isinstance(state, QuantizedSSMState)
             and self.config.quantize_products
             and self.config.pot_scale
+            and self._acc_dtype is not None
             and not self._fake_quant_fallback
         ):
             return self._step_integer(params, x, B, C, dt, state)
@@ -477,7 +551,7 @@ class QuantizedSSMStep:
         dt: np.ndarray,
         state: QuantizedSSMState,
     ) -> Tuple[np.ndarray, QuantizedSSMState]:
-        """The all-integer decode iteration (codes in, codes out).
+        """The all-integer decode iteration (codes in, codes out), tiled.
 
         From the three entry quantizations at the in-projection boundary to
         the ``d_state`` readout reduction, every tensor is an integer code
@@ -485,47 +559,87 @@ class QuantizedSSMStep:
         float scalars (``Delta``, ``A_bar``, ``D`` -- outputs of the
         dedicated non-linear units) fold into the re-quantization
         multipliers; the code-by-code products (``B_bar (.) x``,
-        ``h (.) C``) re-quantize with :func:`repro.quant.pot.shift_requantize`
-        alone.  Bit-identical to :meth:`_step_oracle` by construction: every
-        destination exponent replicates the oracle's absmax -> scale
-        derivation float-op for float-op (:func:`absmax_requant_exponents`),
-        the shifts round half-to-even exactly like the oracle's ``np.round``,
-        and PoT rescaling commutes with float rounding.
+        ``h (.) C``) re-quantize by shifts alone.  Bit-identical to
+        :meth:`_step_oracle` by construction: every destination exponent
+        replicates the oracle's absmax -> scale derivation float-op for
+        float-op (:func:`absmax_requant_exponents`), the shifts round
+        half-to-even exactly like the oracle's ``np.round``, and PoT
+        rescaling commutes with float rounding.
+
+        The per-group exponent math (everything shaped like the operands or
+        like one value per quantization group) is batched; the state-sized
+        work runs as the SSMU does, one batch row -- one
+        ``(nheads, headdim, d_state)`` tile -- at a time through reused
+        scratch (:func:`_tile_scratch`), so the working set stays
+        cache-resident whatever the batch.  Per tile:
+
+        1. ``B_bar (.) x``: the x codes are pre-aligned by ``2**(R - r)``
+           per ``(head, channel, group)`` *before* the outer product
+           (:func:`repro.quant.pot.alignment_multiplier`), so the product
+           needs one uniform half-even right shift by ``R``
+           (:func:`repro.quant.pot.shift_right_half_even`) instead of a
+           per-group shift.  Its destination grid needs no pass over the
+           product: the group absmax of an outer product factors into the
+           operands' absmaxes.
+        2. ``A_bar (.) h`` rounds on the wide accumulator, which then adds
+           the two addends -- they sit on different PoT grids -- relative to
+           the ``A_bar (.) h`` grid: ``s * 2**-e5 = c5 + c4 * 2**(e4 - e5)``
+           is the same exact power-of-two realignment as summing the decoded
+           addends (the float64 mantissa holds every aligned sum clipped
+           codes can produce), and saves a pass.
+        3. The sum re-quantizes onto the fresh per-group grid that becomes
+           the resident state.
+        4. ``h (.) C``: one broadcast multiply aligns the code-by-code
+           product, the same uniform shift rounds it, and the exact decode of
+           the shifted codes feeds the ``d_state`` reduction (the padded tail
+           is trimmed first so the sum sees exactly the oracle's operand).
+
+        None of the state-sized re-quantizations clips: each destination
+        exponent is derived from the absmax of what it re-quantizes, so the
+        rounded codes cannot exceed ``qmax`` -- the invariant that also
+        bounds the aligned products by ``qmax * 2**R`` and lets them live in
+        INT32 (:func:`repro.quant.pot.shift_accumulator_dtype`).
         """
+        if not all(
+            np.isfinite(operand).all() for operand in (x, B, C, dt, state.scales)
+        ):
+            # A poisoned operand (e.g. fault-injected non-finite conv taps)
+            # has no integer code and a non-PoT NaN scale, which the exponent
+            # extraction would reject for the whole batch -- so it is caught
+            # here, before any entry quantization casts it.  The float oracle
+            # instead carries the poison through row-independent arithmetic,
+            # so the serving supervisor's health check attributes the
+            # corruption to exactly the affected rows -- healthy rows stay
+            # bit-identical.  A poisoned row's resident codes are undefined
+            # (it is its NaN scales that mark it corrupt), hence the silenced
+            # NaN -> int cast.
+            with np.errstate(invalid="ignore"):
+                return self._step_oracle(params, x, B, C, dt, state)
+
         qmin, qmax = self._qcfg.spec.qmin, self._qcfg.spec.qmax
         bits = self.config.bits
         gsz = self.config.group_size
-        headdim, n = state.codes.shape[-2], state.codes.shape[-1]
+        full_shift = requant_shift(bits)
+        acc_dtype = self._acc_dtype
+        nheads, headdim, n = state.codes.shape[-3:]
+        lead = state.codes.shape[:-3]
 
-        # Entry quantization: the only absmax/round passes of the step.
+        # Entry quantization: the only absmax/round passes over float operands.
         x_qt = quantize(np.asarray(x, dtype=np.float64), self._qcfg)  # quant-point: x entry
         b_qt = quantize(np.asarray(B, dtype=np.float64), self._qcfg)  # quant-point: B entry
         c_qt = quantize(np.asarray(C, dtype=np.float64), self._qcfg)  # quant-point: C entry
 
-        if not (
-            np.isfinite(x_qt.scales).all()
-            and np.isfinite(b_qt.scales).all()
-            and np.isfinite(c_qt.scales).all()
-            and np.isfinite(state.scales).all()
-            and np.isfinite(dt).all()
-        ):
-            # A poisoned operand (e.g. fault-injected non-finite conv taps)
-            # yields a non-PoT NaN scale, which the exponent extraction would
-            # reject for the whole batch.  The float oracle instead carries
-            # the poison through row-independent arithmetic, so the serving
-            # supervisor's health check attributes the corruption to exactly
-            # the affected rows -- healthy rows stay bit-identical.
-            return self._step_oracle(params, x, B, C, dt, state)
-
-        cx = x_qt.codes.astype(np.int64)                      # (..., h, p)
+        cx = x_qt.codes                                        # (..., h, p)
         ex = pot_exponent(x_qt.scales)[..., 0]                # (..., h, Gp)
         ex_el = _per_element_exponents(x_qt.scales, headdim, gsz)  # (..., h, p)
-        cb_g, _, _ = _group_reshape(b_qt.codes.astype(np.int64), gsz)  # (..., Gn, gn)
+        cb_g, _, _ = _group_reshape(b_qt.codes, gsz)          # (..., Gn, gn)
         e_b = pot_exponent(b_qt.scales)[..., 0]               # (..., Gn)
-        cc_g, _, _ = _group_reshape(c_qt.codes.astype(np.int64), gsz)  # (..., Gn, gn)
+        cc_g, _, _ = _group_reshape(c_qt.codes, gsz)          # (..., Gn, gn)
         e_c = pot_exponent(c_qt.scales)[..., 0]               # (..., Gn)
         ch_g, _, _ = _group_reshape(state.codes, gsz)         # (..., h, p, Gn, gn)
         e_h = pot_exponent(state.scales)[..., 0]              # (..., h, p, Gn)
+        tile = ch_g.shape[-4:]
+        acc, tmp, tmp2, wide, wide2, wide3 = _tile_scratch(tile, acc_dtype)
 
         # Non-linear operators stay in floating point (dedicated FPGA units).
         delta, a_bar = ssm_decay(params, dt)                  # (..., h) each
@@ -542,56 +656,80 @@ class QuantizedSSMStep:
         )                                                     # (..., h, Gn)
         m3 = np.ldexp(delta[..., :, None], e_b[..., None, :] - e3)
         c3 = np.clip(np.round(cb_g[..., None, :, :] * m3[..., :, :, None]), qmin, qmax)
-        c3 = c3.astype(np.int64)                              # (..., h, Gn, gn)
+        c3 = c3.astype(np.int32)                              # (..., h, Gn, gn)
 
-        # B_bar (.) x: code-by-code product; pure shift re-quantization (the
-        # product exponent is the sum of the operand exponents).  The group
-        # absmax of the outer product factors into the operands' absmaxes
-        # (max |a_i * b| = max |a_i| * |b|), so the destination grid comes
-        # from two small reductions instead of a pass over the product.
-        p4 = c3[..., :, None, :, :] * cx[..., :, :, None, None]  # (..., h, p, Gn, gn)
+        # B_bar (.) x alignment: the product exponent is the sum of the
+        # operand exponents, and max |a_i * b| = max |a_i| * |b|.
         e4_src = e3[..., :, None, :] + ex_el[..., :, :, None]    # (..., h, p, Gn)
-        amax4 = np.max(np.abs(c3), axis=-1)[..., :, None, :] * np.abs(cx)[..., :, :, None]
-        e4 = absmax_requant_exponents(amax4 * np.exp2(e4_src), bits)
-        c4 = shift_requantize(p4, e4_src[..., None], e4[..., None], bits, "half_even")
+        amax3 = np.max(np.abs(c3), axis=-1).astype(np.int64)  # (..., h, Gn)
+        amax4 = amax3[..., :, None, :] * np.abs(cx)[..., :, :, None]
+        e4 = absmax_requant_exponents(np.ldexp(amax4, e4_src), bits)
+        cx_al = cx[..., :, :, None] * alignment_multiplier(amax4, e4 - e4_src, bits)
 
-        # A_bar (.) h: scalar fold again (a_bar in (0, 1]).
-        amax_h = np.max(np.abs(ch_g), axis=-1)                # (..., h, p, Gn)
+        # A_bar (.) h grid: scalar fold again (a_bar in (0, 1]).
+        ch_rows = ch_g.reshape((-1,) + tile)
+        n_rows = ch_rows.shape[0]
+        amax_h = np.empty((n_rows,) + tile[:-1], dtype=np.int64)
+        for row in range(n_rows):
+            amax_h[row] = _group_absmax(ch_rows[row], acc, tmp)
+        amax_h = amax_h.reshape(e_h.shape)                    # (..., h, p, Gn)
         e5 = absmax_requant_exponents(
-            a_bar[..., :, None, None] * amax_h * np.exp2(e_h), bits
+            np.ldexp(a_bar[..., :, None, None] * amax_h, e_h), bits
         )
         m5 = np.ldexp(a_bar[..., :, None, None], e_h - e5)
-        c5 = np.clip(np.round(ch_g * m5[..., None]), qmin, qmax)  # (..., h, p, Gn, gn)
 
-        # State update: the two addends sit on different PoT grids, so the
-        # add runs on the wide accumulator (multiplying by an exp2 scale is
-        # the same exact power-of-two realignment as ldexp, at a fraction of
-        # the cost; the float64 mantissa holds every aligned sum clipped
-        # codes can produce), and the sum re-quantizes onto the fresh
-        # per-group grid that becomes the resident state -- multiplying by
-        # 2**-e6 is the exact PoT division of the oracle's quantize.
-        s = c5 * np.exp2(e5)[..., None] + c4 * np.exp2(e4)[..., None]
-        e6 = absmax_requant_exponents(np.max(np.abs(s), axis=-1), bits)
-        scale6 = np.exp2(e6)[..., None]
-        codes6 = np.clip(np.round(s * np.exp2(-e6)[..., None]), qmin, qmax)
+        # Row-major views of the batched operands, shaped to broadcast
+        # against one (h, p, Gn, gn) tile.  Exponents that meet a tile in
+        # ldexp are narrowed to INT32: numpy's INT64-exponent ldexp loop is
+        # several times slower per element.
+        c3_rows = c3.reshape((n_rows, nheads, 1) + tile[-2:])
+        cx_al_rows = cx_al.astype(acc_dtype).reshape((n_rows,) + tile[:-1] + (1,))
+        m5_rows = m5.reshape(cx_al_rows.shape)
+        e45_rows = (e4 - e5).astype(np.int32).reshape(cx_al_rows.shape)
+        e5_rows = e5.reshape((n_rows,) + tile[:-1])
+        cc_rows = cc_g.reshape((n_rows,) + tile[-2:])
+        e_c_rows = e_c.reshape((n_rows, -1))
+        codes_out = np.empty((n_rows, nheads, headdim, n), dtype=np.int32)
+        e6_out = np.empty((n_rows,) + tile[:-1], dtype=np.int64)
+        y_rows = []
+
+        for row in range(n_rows):
+            # 1. B_bar (.) x on the pre-aligned x codes, uniform shift -> c4.
+            np.multiply(c3_rows[row], cx_al_rows[row], out=acc)
+            shift_right_half_even(acc, full_shift, tmp)
+            # 2. A_bar (.) h -> c5, then the wide add on the e5 grid.
+            np.multiply(ch_rows[row], m5_rows[row], out=wide)
+            np.rint(wide, out=wide)
+            np.ldexp(acc, e45_rows[row], out=wide2)
+            np.add(wide, wide2, out=wide)
+            # 3. Fresh state grid from the sum's group absmax -> codes6.
+            e5_row = e5_rows[row]
+            e6 = absmax_requant_exponents(
+                np.ldexp(_group_absmax(wide, wide2, wide3), e5_row), bits
+            )
+            e6_out[row] = e6
+            np.ldexp(wide, (e5_row - e6).astype(np.int32)[..., None], out=wide)
+            np.rint(wide, out=wide)
+            np.copyto(tmp, wide, casting="unsafe")
+            codes_out[row] = tmp.reshape(nheads, headdim, -1)[..., :n]
+            # 4. h (.) C: align, uniform shift -> c7, decode, reduce.
+            np.multiply(tmp, cc_rows[row], out=acc)
+            e7_src = e6 + e_c_rows[row]
+            amax7 = _group_absmax(acc, tmp, tmp2)
+            e7 = absmax_requant_exponents(np.ldexp(amax7, e7_src), bits)
+            align7 = alignment_multiplier(amax7, e7 - e7_src, bits).astype(acc_dtype)
+            np.multiply(acc, align7[..., None], out=acc)
+            shift_right_half_even(acc, full_shift, tmp)
+            np.ldexp(acc, e7.astype(np.int32)[..., None], out=wide)
+            y_rows.append(np.sum(wide.reshape(nheads, headdim, -1)[..., :n], axis=-1))
+
         out_state = QuantizedSSMState(
-            codes=_ungroup(codes6, n).astype(np.int32),
-            scales=scale6,
+            codes=codes_out.reshape(lead + codes_out.shape[1:]),
+            scales=np.exp2(e6_out).reshape(state.scales.shape),
             group_size=gsz,
             bits=bits,
         )
-
-        # h (.) C readout: code-by-code product, pure shift, then the exact
-        # ldexp decode of the shifted codes feeds the d_state reduction (the
-        # padded tail is trimmed first so the sum sees exactly the oracle's
-        # n-element operand).
-        p7 = codes6.astype(np.int64) * cc_g[..., None, None, :, :]  # (..., h, p, Gn, gn)
-        e7_src = e6 + e_c[..., None, None, :]                 # (..., h, p, Gn)
-        e7 = absmax_requant_exponents(
-            np.max(np.abs(p7), axis=-1) * np.exp2(e7_src), bits
-        )
-        c7 = shift_requantize(p7, e7_src[..., None], e7[..., None], bits, "half_even")
-        y_ssm = np.sum(_ungroup(c7 * np.exp2(e7)[..., None], n), axis=-1)
+        y_ssm = np.stack(y_rows).reshape(lead + (nheads, headdim))
 
         # D (.) x skip: signed scalar fold of the per-head skip coefficient.
         cx_g, _, _ = _group_reshape(cx, gsz)                  # (..., h, Gp, gp)

@@ -19,6 +19,7 @@ from repro.analysis import (
     AnalysisReport,
     Baseline,
     ContractionSpec,
+    ShiftAccumulatorSpec,
     analyze_paths,
     analyze_repo,
     default_registry,
@@ -27,6 +28,12 @@ from repro.analysis import (
     repo_root,
 )
 from repro.analysis.cli import main
+from repro.quant.pot import (
+    alignment_multiplier,
+    requant_shift,
+    shift_accumulator_dtype,
+    shift_right_half_even,
+)
 from repro.quant.qlinear import grouped_integer_matmul
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
@@ -291,7 +298,12 @@ def test_prove_emits_ov301_for_provable_overflow():
 
 def test_default_registry_is_proven_safe_with_margin():
     specs = default_registry()
-    assert {s.origin for s in specs} == {"ssm-chunk-body", "qlinear", "mmu"}
+    assert {s.origin for s in specs} == {
+        "ssm-chunk-body",
+        "ssm-decode-step",
+        "qlinear",
+        "mmu",
+    }
     findings, margins = prove_default_registry()
     assert findings == []
     assert len(margins) == len(specs)
@@ -344,6 +356,47 @@ def test_full_chunk_contractions_registered_and_agree_with_guard():
             assert raised == candidate.overflows, candidate.name
             verdicts[candidate.overflows] += 1
     assert verdicts[True] == 6 and verdicts[False] == 6
+
+
+def test_decode_step_accumulators_registered_and_agree_with_runtime():
+    """The tiled decode step's pre-aligned products are in the registry for
+    every committed code width, proven to fit INT32; the runtime picks its
+    accumulator from the same bound, so it widens exactly where the INT32
+    spec reports an overflow (INT16 codes), and the worst-case product really
+    survives the fused shift in the selected dtype."""
+    specs = [s for s in default_registry() if s.origin == "ssm-decode-step"]
+    assert {(s.bits, s.acc_bits) for s in specs} == {(4, 32), (8, 32)}
+    assert len(specs) == 4  # two fused requantizations x two code widths
+    assert not any(s.overflows for s in specs)
+
+    verdicts = {True: 0, False: 0}
+    for bits in (4, 8, 16):
+        narrow = ShiftAccumulatorSpec(name=f"INT{bits}", origin="test", bits=bits)
+        dtype = shift_accumulator_dtype(bits)
+        assert (dtype is not np.int32) == narrow.overflows, bits
+        verdicts[narrow.overflows] += 1
+        selected = ShiftAccumulatorSpec(
+            name=f"INT{bits} selected",
+            origin="test",
+            bits=bits,
+            acc_bits=8 * np.dtype(dtype).itemsize,
+        )
+        assert not selected.overflows
+        # Worst case through the kernel: both codes at qmax, re-quantized
+        # onto the grid its own absmax selects (|product| / 2**r <= qmax).
+        qmax = 2 ** (bits - 1) - 1
+        shift = bits - 1  # smallest r with qmax * qmax / 2**r <= qmax
+        aligned = (qmax * alignment_multiplier(qmax * qmax, shift, bits)).astype(dtype)
+        acc = (aligned * np.array([qmax, -qmax], dtype=dtype)).astype(dtype)
+        assert int(np.abs(acc).max()) + 2 ** (requant_shift(bits) - 1) <= selected.worst_case
+        shift_right_half_even(acc, requant_shift(bits), np.empty_like(acc))
+        expected = int(np.round(qmax * qmax / 2.0**shift))
+        np.testing.assert_array_equal(acc, [expected, -expected])
+    assert verdicts == {True: 1, False: 2}
+    # No integer accumulator is wide enough past INT21 codes: the step then
+    # has no integer datapath and runs the oracle.
+    assert shift_accumulator_dtype(21) is np.int64
+    assert shift_accumulator_dtype(22) is None
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,8 @@ Pins this PR's contracts:
   alongside the state codes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,11 @@ class TestIntegerStepBitIdentity:
         y_clean, _ = step(params, x, B, C, dt, state)
         x_bad = x.copy()
         x_bad[1] = np.nan
-        y, out = step(params, x_bad, B, C, dt, state)
+        # The poison must be caught before any entry quantization casts it
+        # to an integer code (a RuntimeWarning and platform-defined codes).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, out = step(params, x_bad, B, C, dt, state)
         assert np.isnan(y[1]).any()
         np.testing.assert_array_equal(y[0], y_clean[0])
         np.testing.assert_array_equal(y[2], y_clean[2])

@@ -1,0 +1,195 @@
+"""Tests of the tiled INT32 SSMU decode step and its fused shift kernel.
+
+Pins the contracts the tiled rewrite of ``QuantizedSSMStep._step_integer``
+adds on top of the bit-identity suite in ``test_int_decode_iter.py``:
+
+- the *fused* re-quantization -- small operand pre-aligned by
+  ``2**(R - r)``, one uniform half-even right shift by ``R`` -- equals both
+  ``np.round`` on the real-valued ratio and the INT64 per-group
+  ``shift_requantize(..., "half_even")`` over the full exponent range,
+  without ever leaving the accumulator dtype the overflow bound selects;
+- the window-doubling group absmax equals ``abs().max(-1)`` for every group
+  length (powers of two or not), integer and float;
+- tiling is invisible: row *i* of a batched step is bit-identical (output,
+  codes, scales) to the solo step on row *i*, for batch 1..8 and for
+  clamped / padded / multi-group state shapes;
+- the accumulator width follows the code width: INT32 for the INT4/INT8
+  SSM, INT64 for INT16 codes, the oracle past what INT64 holds -- each still
+  bit-identical to the fake-quant oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.mamba.ssm import SSMParams
+from repro.quant import QuantizedChunkedScan, SSMQuantConfig
+from repro.quant.pot import (
+    absmax_requant_exponents,
+    alignment_multiplier,
+    requant_shift,
+    shift_accumulator_dtype,
+    shift_requantize,
+    shift_right_half_even,
+)
+from repro.quant.ssm_quant import _group_absmax
+
+
+# ----------------------------------------------------------------------
+# The fused uniform-shift kernel
+# ----------------------------------------------------------------------
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fused_uniform_shift_matches_round_and_int64_shift(data):
+    """``(b * (a * 2**(R - r))) >> R`` with half-even rounding is the
+    re-quantization of the outer product ``a * b`` -- over all-zero groups
+    (destination at the ``2**-39`` floor, so arbitrarily large left or right
+    shift counts, past the INT64 kernel's saturation caps), destinations
+    coarser than the absmax grid (right shifts up to and past ``R``), and
+    both committed code widths."""
+    bits = data.draw(st.sampled_from([4, 8]), label="bits")
+    qmax = 2 ** (bits - 1) - 1
+    full = requant_shift(bits)
+    groups = data.draw(st.integers(1, 6), label="groups")
+    length = data.draw(st.integers(1, 32), label="group length")
+    codes = st.integers(-qmax, qmax)
+    # One small-operand code and one source exponent per group; an all-zero
+    # group arises from a zero small operand or an all-zero vector.
+    small = data.draw(hnp.arrays(np.int64, (groups,), elements=codes), label="a")
+    vector = data.draw(hnp.arrays(np.int64, (groups, length), elements=codes), label="b")
+    src = data.draw(
+        hnp.arrays(np.int64, (groups,), elements=st.integers(-70, 70)), label="src"
+    )
+    coarsen = data.draw(
+        hnp.arrays(
+            np.int64,
+            (groups,),
+            elements=st.sampled_from([0, 0, 0, 1, 3, full - 1, full, full + 1, 40]),
+        ),
+        label="extra right shift",
+    )
+    product = small[:, None] * vector
+    absmax = np.abs(product).max(axis=-1)
+    dst = absmax_requant_exponents(np.ldexp(absmax, src), bits) + coarsen
+
+    dtype = shift_accumulator_dtype(bits)
+    assert dtype is np.int32
+    aligned = (small * alignment_multiplier(absmax, dst - src, bits)).astype(dtype)
+    acc = aligned[:, None] * vector.astype(dtype)
+    assert acc.dtype == dtype
+    # The invariant that makes INT32 enough: |aligned product| <= qmax * 2**R.
+    assert np.abs(acc.astype(np.int64)).max() <= qmax * 2**full
+    shift_right_half_even(acc, full, np.empty_like(acc))
+
+    real = np.round(np.ldexp(product.astype(np.float64), (src - dst)[:, None]))
+    np.testing.assert_array_equal(acc, np.clip(real, -qmax, qmax))
+    np.testing.assert_array_equal(
+        acc, shift_requantize(product, src[:, None], dst[:, None], bits, "half_even")
+    )
+    # No clip was applied and none was needed.
+    assert np.abs(acc).max() <= qmax
+
+
+@given(
+    hnp.arrays(np.int64, (5, 7), elements=st.integers(-(2**40), 2**40)),
+    hnp.arrays(np.int64, (5, 1), elements=st.integers(0, 45)),
+)
+@settings(max_examples=100, deadline=None)
+def test_shift_right_half_even_array_shifts(values, shifts):
+    """Per-group shift counts (the ``shift_requantize`` mode), zero included."""
+    expected = np.round(np.ldexp(values.astype(np.float64), -shifts)).astype(np.int64)
+    acc = values.copy()
+    out = shift_right_half_even(acc, shifts, np.empty_like(acc))
+    assert out is acc
+    np.testing.assert_array_equal(acc, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+@pytest.mark.parametrize("group", [1, 2, 3, 7, 8, 24, 32])
+def test_group_absmax_matches_reduction(rng, dtype, group):
+    tile = (rng.normal(size=(3, 5, 2, group)) * 1000).astype(dtype)
+    before = tile.copy()
+    got = _group_absmax(tile, np.empty_like(tile), np.empty_like(tile))
+    np.testing.assert_array_equal(got, np.abs(tile).max(axis=-1))
+    np.testing.assert_array_equal(tile, before)
+    assert got.dtype == tile.dtype and got.flags.owndata
+
+
+# ----------------------------------------------------------------------
+# Tiling: a batched step is its rows, stepped alone
+# ----------------------------------------------------------------------
+def _params(rng, h):
+    return SSMParams(
+        A_log=np.log(rng.uniform(1, 8, size=h)),
+        D=rng.normal(1.0, 0.1, size=h),
+        dt_bias=rng.normal(size=h),
+    )
+
+
+def _inputs(rng, lead, h, p, n):
+    # Per-row magnitudes spread over decades so rows land on different grids.
+    gain = 10.0 ** rng.integers(-3, 4, size=lead + (1,))
+    return (
+        rng.normal(size=lead + (h, p)) * gain[..., None],
+        rng.normal(size=lead + (n,)) * gain,
+        rng.normal(size=lead + (n,)),
+        rng.normal(size=lead + (h,)),
+    )
+
+
+@pytest.mark.parametrize(
+    "n,group",
+    [
+        (24, 32),  # clamped: one 24-long group (the suite's padded-config shape)
+        (24, 16),  # padded: two groups, the second half zero padding
+        (24, 8),   # three full groups
+    ],
+)
+@pytest.mark.parametrize("batch", range(1, 9))
+def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
+    h, p = 4, 8
+    step = QuantizedChunkedScan(SSMQuantConfig(group_size=group, persistent_state=True))
+    params = _params(rng, h)
+    state = step.quantize_state_codes(rng.normal(size=(batch, h, p, n)))
+    state.codes[0] = 0  # an all-zero row rides along
+    for _ in range(3):
+        x, B, C, dt = _inputs(rng, (batch,), h, p, n)
+        y, new_state = step._step_integer(params, x, B, C, dt, state)
+        assert new_state.codes.dtype == np.int32
+        assert new_state.codes.shape == state.codes.shape
+        assert new_state.scales.shape == state.scales.shape
+        for row in range(batch):
+            y_row, state_row = step._step_integer(
+                params, x[row], B[row], C[row], dt[row], state.row(row)
+            )
+            np.testing.assert_array_equal(y[row], y_row)
+            np.testing.assert_array_equal(new_state.codes[row], state_row.codes)
+            np.testing.assert_array_equal(new_state.scales[row], state_row.scales)
+        state = new_state
+
+
+# ----------------------------------------------------------------------
+# Accumulator width follows the code width
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "bits,acc_dtype", [(4, np.int32), (8, np.int32), (16, np.int64), (22, None)]
+)
+def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
+    """INT16 codes select the wide accumulator; past INT64's reach the
+    resident call runs the oracle.  Every width stays bit-identical."""
+    step = QuantizedChunkedScan(
+        SSMQuantConfig(bits=bits, group_size=8, persistent_state=True)
+    )
+    assert step._acc_dtype is acc_dtype
+    h, p, n = 4, 8, 24
+    params = _params(rng, h)
+    state_int = step.quantize_state_codes(rng.normal(size=(2, h, p, n)))
+    state_orc = state_int.copy()
+    for _ in range(4):
+        x, B, C, dt = _inputs(rng, (2,), h, p, n)
+        y_int, state_int = step(params, x, B, C, dt, state_int)
+        y_orc, state_orc = step._step_oracle(params, x, B, C, dt, state_orc)
+        np.testing.assert_array_equal(y_int, y_orc)
+        assert state_int.exact_equal(state_orc)
