@@ -571,28 +571,12 @@ class QuantizedSSMStep:
         work runs as the SSMU does, one batch row -- one
         ``(nheads, headdim, d_state)`` tile -- at a time through reused
         scratch (:func:`_tile_scratch`), so the working set stays
-        cache-resident whatever the batch.  Per tile:
-
-        1. ``B_bar (.) x``: the x codes are pre-aligned by ``2**(R - r)``
-           per ``(head, channel, group)`` *before* the outer product
-           (:func:`repro.quant.pot.alignment_multiplier`), so the product
-           needs one uniform half-even right shift by ``R``
-           (:func:`repro.quant.pot.shift_right_half_even`) instead of a
-           per-group shift.  Its destination grid needs no pass over the
-           product: the group absmax of an outer product factors into the
-           operands' absmaxes.
-        2. ``A_bar (.) h`` rounds on the wide accumulator, which then adds
-           the two addends -- they sit on different PoT grids -- relative to
-           the ``A_bar (.) h`` grid: ``s * 2**-e5 = c5 + c4 * 2**(e4 - e5)``
-           is the same exact power-of-two realignment as summing the decoded
-           addends (the float64 mantissa holds every aligned sum clipped
-           codes can produce), and saves a pass.
-        3. The sum re-quantizes onto the fresh per-group grid that becomes
-           the resident state.
-        4. ``h (.) C``: one broadcast multiply aligns the code-by-code
-           product, the same uniform shift rounds it, and the exact decode of
-           the shifted codes feeds the ``d_state`` reduction (the padded tail
-           is trimmed first so the sum sees exactly the oracle's operand).
+        cache-resident whatever the batch.  Each code-by-code product is
+        aligned so that one uniform half-even right shift by
+        ``R = requant_shift(bits)`` re-quantizes the whole tile
+        (:func:`repro.quant.pot.alignment_multiplier`,
+        :func:`repro.quant.pot.shift_right_half_even`); the numbered comments
+        in the row loop walk through the four stages.
 
         None of the state-sized re-quantizations clips: each destination
         exponent is derived from the absmax of what it re-quantizes, so the
@@ -694,15 +678,23 @@ class QuantizedSSMStep:
         y_rows = []
 
         for row in range(n_rows):
-            # 1. B_bar (.) x on the pre-aligned x codes, uniform shift -> c4.
+            # 1. B_bar (.) x: the x codes were pre-aligned per (head,
+            # channel, group) before the outer product, so the product takes
+            # the uniform shift instead of a per-group one -> c4.
             np.multiply(c3_rows[row], cx_al_rows[row], out=acc)
             shift_right_half_even(acc, full_shift, tmp)
-            # 2. A_bar (.) h -> c5, then the wide add on the e5 grid.
+            # 2. A_bar (.) h rounds on the wide accumulator -> c5, which then
+            # adds the two addends (they sit on different PoT grids) relative
+            # to the e5 grid: s * 2**-e5 = c5 + c4 * 2**(e4 - e5) is the same
+            # exact power-of-two realignment as summing the decoded addends
+            # (the float64 mantissa holds every aligned sum clipped codes can
+            # produce), and saves a pass.
             np.multiply(ch_rows[row], m5_rows[row], out=wide)
             np.rint(wide, out=wide)
             np.ldexp(acc, e45_rows[row], out=wide2)
             np.add(wide, wide2, out=wide)
-            # 3. Fresh state grid from the sum's group absmax -> codes6.
+            # 3. The sum re-quantizes onto the fresh per-group grid that
+            # becomes the resident state -> codes6.
             e5_row = e5_rows[row]
             e6 = absmax_requant_exponents(
                 np.ldexp(_group_absmax(wide, wide2, wide3), e5_row), bits
@@ -712,7 +704,11 @@ class QuantizedSSMStep:
             np.rint(wide, out=wide)
             np.copyto(tmp, wide, casting="unsafe")
             codes_out[row] = tmp.reshape(nheads, headdim, -1)[..., :n]
-            # 4. h (.) C: align, uniform shift -> c7, decode, reduce.
+            # 4. h (.) C: one broadcast multiply aligns the code-by-code
+            # product, the uniform shift rounds it -> c7, and the exact decode
+            # of the shifted codes feeds the d_state reduction (the padded
+            # tail is trimmed first so the sum sees exactly the oracle's
+            # n-element operand).
             np.multiply(tmp, cc_rows[row], out=acc)
             e7_src = e6 + e_c_rows[row]
             amax7 = _group_absmax(acc, tmp, tmp2)
