@@ -7,8 +7,9 @@ baseline workflow):
 
 - **Guarded-by lock discipline** (:mod:`repro.analysis.locks`, ``GB1xx``):
   attributes annotated ``# guarded-by: <lock>`` must only be touched inside
-  ``with self.<lock>:`` or in methods annotated ``# lock-held:`` /
-  ``# loop-thread-only``; ``Condition.wait``/``notify`` usage is checked too.
+  ``with self.<lock>:`` or in methods annotated ``# lock-held:``;
+  ``Condition.wait``/``notify`` usage is checked too, and state or methods
+  annotated ``# <name>-thread-only`` must stay on their declared thread.
 - **Integer-path dtype flow** (:mod:`repro.analysis.dtypeflow`, ``DT2xx``):
   functions annotated ``# integer-resident`` may not materialize float
   tensors except at ``# quant-point:``-sanctioned sites.

@@ -49,6 +49,8 @@ CODES: Dict[str, str] = {
     "GB102": "Condition.wait() outside a predicate while-loop",
     "GB103": "Condition wait/notify without holding the owning lock",
     "GB104": "guarded-by annotation names an unknown lock attribute",
+    "GB105": "thread-owned state touched outside its declared thread",
+    "GB106": "thread-only method called directly from another thread's method",
     "CB401": "user callback invoked while holding a contract lock",
     "DT201": "float64 cast/materialization in an integer-resident region",
     "DT202": "float-dtype array allocation in an integer-resident region",

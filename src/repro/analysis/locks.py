@@ -14,9 +14,14 @@ into machine-checked annotations:
 - ``# lock-held: <lock>[, <lock>...]`` -- trailing comment on a ``def`` line
   documents that the method is only called with those locks already held
   (the caller's responsibility); accesses inside it are treated as guarded.
-- ``# loop-thread-only`` -- trailing comment on a ``def`` line documents
-  that the method runs exclusively on the single consumer/engine thread as
-  part of an explicit threading contract; GB101 is not applied inside it.
+- ``# <name>-thread-only`` (``# loop-thread-only``, ``# engine-thread-only``)
+  -- the single-thread contract.  On a ``def`` line it declares that the
+  method runs exclusively on the named thread; on the statement introducing
+  an attribute it declares that the attribute is that thread's private state;
+  with a member list (``self.engine = engine  # engine-thread-only: step,
+  cancel``) it declares that those members of the attribute belong to the
+  thread while the rest of the object stays shared.  Lock-guarded attributes
+  are the state threads *share*, so a thread-only method still needs the lock.
 - ``# user-callback: <name>`` -- comment on (or directly above) a ``def``
   line declares that ``<name>`` -- a parameter or ``self`` attribute -- is a
   *user-supplied* callback: arbitrary foreign code the class promises never
@@ -29,8 +34,8 @@ callback:
 ``GB101``
     A read or write of a guarded ``self.<attr>`` that is not lexically inside
     ``with self.<lock>:`` (multi-item ``with`` statements count) and not in a
-    ``lock-held`` / ``loop-thread-only`` method.  ``__init__`` is exempt:
-    construction happens before the object is published to other threads.
+    ``lock-held`` method.  ``__init__`` is exempt: construction happens
+    before the object is published to other threads.
 ``GB102``
     ``self.<cond>.wait(...)`` outside a predicate ``while`` loop -- a bare
     ``wait`` misses both spurious wakeups and a sibling consumer draining the
@@ -43,6 +48,14 @@ callback:
     A ``guarded-by`` annotation whose lock is never discovered as a
     ``threading.Lock`` / ``RLock`` / ``Condition`` attribute of the class
     (catches typos in the annotations themselves).
+``GB105``
+    Thread-owned state (an attribute, or a listed member of one) touched in
+    a method that is not declared to run on the owning thread.
+``GB106``
+    A direct ``self.<method>(...)`` call of a thread-only method from a
+    method not declared to run on the same thread.  Handing the bound method
+    to the other thread (``loop.call_soon_threadsafe(self._deliver, ...)``)
+    is a reference, not a call, and is exactly the sanctioned hand-off.
 ``CB401``
     A declared user callback invoked while any of the class's locks is
     lexically held (including locks declared held via ``lock-held``) -- the
@@ -52,7 +65,8 @@ The analysis is lexical (it proves containment in a ``with`` block, not a
 whole-program happens-before relation), which is exactly the discipline the
 serving layer promises: every access site names its lock in the enclosing
 source.  Nested functions are conservatively treated as running without the
-enclosing locks, since they may escape and run later.
+enclosing locks and on no declared thread, since they may escape and run
+later.
 """
 
 from __future__ import annotations
@@ -68,7 +82,9 @@ __all__ = ["check_lock_discipline"]
 
 _GUARDED_BY_RE = re.compile(r"guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 _LOCK_HELD_RE = re.compile(r"lock-held:\s*([A-Za-z0-9_,\s]+)")
-_LOOP_THREAD_RE = re.compile(r"loop-thread-only")
+_THREAD_ONLY_RE = re.compile(
+    r"([a-z][a-z0-9_]*)-thread-only(?::\s*([A-Za-z_][A-Za-z0-9_,\s]*))?"
+)
 _USER_CALLBACK_RE = re.compile(r"user-callback:\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 #: ``threading`` factories whose result makes an attribute a known lock.
@@ -128,6 +144,10 @@ class _ClassContract:
     locks: Set[str] = field(default_factory=set)
     conditions: Set[str] = field(default_factory=set)
     callbacks: Set[str] = field(default_factory=set)
+    #: attribute (or ``(attribute, member)``) -> owning thread name
+    owners: Dict[object, str] = field(default_factory=dict)
+    #: method name -> the thread it is declared to run on
+    method_threads: Dict[str, str] = field(default_factory=dict)
 
 
 def _collect_contract(module: SourceModule, cls: ast.ClassDef) -> _ClassContract:
@@ -145,6 +165,13 @@ def _collect_contract(module: SourceModule, cls: ast.ClassDef) -> _ClassContract
         if match is not None:
             contract.guards[attr] = match.group(1)
             contract.guard_lines[attr] = line
+        match = module.marker(_THREAD_ONLY_RE, line)
+        if match is not None and match.group(2) is None:
+            contract.owners[attr] = match.group(1)
+        elif match is not None:
+            for member in match.group(2).split(","):
+                if member.strip():
+                    contract.owners[(attr, member.strip())] = match.group(1)
 
     # Class body: dataclass fields, class-level assignments, GUARDED_BY map.
     for stmt in cls.body:
@@ -178,6 +205,9 @@ def _collect_contract(module: SourceModule, cls: ast.ClassDef) -> _ClassContract
         match = module.marker(_USER_CALLBACK_RE, method.lineno)
         if match is not None:
             contract.callbacks.add(match.group(1))
+        match = module.marker(_THREAD_ONLY_RE, method.lineno)
+        if match is not None:
+            contract.method_threads[method.name] = match.group(1)
         for node in ast.walk(method):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 attr = _assigned_attr(node.targets[0])
@@ -193,14 +223,13 @@ def _collect_contract(module: SourceModule, cls: ast.ClassDef) -> _ClassContract
     return contract
 
 
-def _method_markers(module: SourceModule, method: ast.AST) -> tuple:
-    """(held_locks, loop_thread_only) declared on a ``def`` line."""
+def _held_locks(module: SourceModule, method: ast.AST) -> frozenset:
+    """The locks a ``def`` line declares held (``# lock-held: a, b``)."""
     held: Set[str] = set()
     match = module.marker(_LOCK_HELD_RE, method.lineno)
     if match is not None:
         held.update(name.strip() for name in match.group(1).split(",") if name.strip())
-    loop_only = module.marker(_LOOP_THREAD_RE, method.lineno) is not None
-    return frozenset(held), loop_only
+    return frozenset(held)
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:
@@ -219,12 +248,12 @@ class _MethodChecker:
         contract: _ClassContract,
         method: ast.AST,
         held: frozenset,
-        loop_thread_only: bool,
     ):
         self.module = module
         self.contract = contract
         self.method = method
-        self.loop_thread_only = loop_thread_only
+        #: the thread this method is declared to run on (None: any thread)
+        self.thread: Optional[str] = contract.method_threads.get(method.name)
         self.findings: List[Finding] = []
         self.qualname = f"{contract.name}.{method.name}"
         self._initial_held = held
@@ -240,13 +269,26 @@ class _MethodChecker:
             self.module.finding(code, message, node, symbol=self.qualname)
         )
 
+    def _check_owner(self, key: object, what: str, node: ast.AST) -> None:
+        owner = self.contract.owners.get(key)
+        if owner is not None and owner != self.thread:
+            self._report(
+                "GB105",
+                f"'{what}' belongs to the {owner} thread but is touched in "
+                f"{self.qualname}, which is not declared '{owner}-thread-only'",
+                node,
+            )
+
     def _visit(self, node: ast.AST, held: frozenset, in_predicate_while: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             # A nested function may escape the lock scope; treat its body as
-            # running with no locks held (its own `with` blocks still count).
+            # running with no locks held (its own `with` blocks still count)
+            # and on no declared thread.
             body = node.body if isinstance(node.body, list) else [node.body]
+            thread, self.thread = self.thread, None
             for child in body:
                 self._visit(child, frozenset(), in_predicate_while=False)
+            self.thread = thread
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             acquired = set()
@@ -273,7 +315,12 @@ class _MethodChecker:
             self._check_call(node, held, in_predicate_while)
             # Fall through to generic traversal for arguments and receiver.
         attr = _self_attr(node)
-        if attr is not None and not self.loop_thread_only:
+        if attr is None and isinstance(node, ast.Attribute):
+            base = _self_attr(node.value)
+            if base is not None:
+                self._check_owner((base, node.attr), f"self.{base}.{node.attr}", node)
+        if attr is not None:
+            self._check_owner(attr, f"self.{attr}", node)
             lock = self.contract.guards.get(attr)
             if lock is not None and lock not in held:
                 self._report(
@@ -289,17 +336,22 @@ class _MethodChecker:
         self, node: ast.Call, held: frozenset, in_predicate_while: bool
     ) -> None:
         func = node.func
-        callback = None
-        if isinstance(func, ast.Name):
-            callback = func.id
-        elif isinstance(func, ast.Attribute):
-            callback = _self_attr(func)
+        method = _self_attr(func)  # the `m` of a `self.m(...)` call, else None
+        callback = func.id if isinstance(func, ast.Name) else method
         if callback in self.contract.callbacks and held:
             locks = ", ".join(f"'self.{lock}'" for lock in sorted(held))
             self._report(
                 "CB401",
                 f"user callback '{callback}' invoked while holding {locks} in "
                 f"{self.qualname} (drop engine locks before running user code)",
+                node,
+            )
+        target = self.contract.method_threads.get(method)
+        if target is not None and target != self.thread:
+            self._report(
+                "GB106",
+                f"'{method}' is {target}-thread-only but called directly "
+                f"from {self.qualname} (hand it to the {target} thread instead)",
                 node,
             )
         if not isinstance(func, ast.Attribute):
@@ -334,7 +386,10 @@ def check_lock_discipline(module: SourceModule) -> List[Finding]:
         if not isinstance(node, ast.ClassDef):
             continue
         contract = _collect_contract(module, node)
-        if not contract.guards and not contract.callbacks:
+        if not (
+            contract.guards or contract.callbacks or contract.owners
+            or contract.method_threads
+        ):
             continue
         for attr, lock in sorted(contract.guards.items()):
             if lock not in contract.locks:
@@ -359,7 +414,6 @@ def check_lock_discipline(module: SourceModule) -> List[Finding]:
             if method.name in ("__init__", "__post_init__"):
                 # Construction happens-before publication to other threads.
                 continue
-            held, loop_only = _method_markers(module, method)
-            checker = _MethodChecker(module, contract, method, held, loop_only)
+            checker = _MethodChecker(module, contract, method, _held_locks(module, method))
             findings.extend(checker.run())
     return findings

@@ -442,7 +442,9 @@ class InferenceEngine:
 
         ``submit`` is thread-safe (producers may call it from other threads,
         matching the queue's contract); :meth:`step` and :meth:`cancel` belong
-        to the single consumer thread driving the engine.
+        to the single consumer thread driving the engine.  Under
+        :class:`~repro.serving.server.MambaServer` the producer is the event
+        loop and the consumer is the server's ``mamba-engine`` thread.
         """
         vocab = self.model.config.vocab_size
         if min(request.prompt) < 0 or max(request.prompt) >= vocab:
@@ -475,6 +477,11 @@ class InferenceEngine:
         completion -- with any tokens generated so far -- is delivered by the
         next :meth:`step`), ``False`` if it is unknown or already finished.
         Cancelling an in-flight request frees its slot immediately.
+
+        Consumer-thread only, like :meth:`step` (it edits the slot table the
+        step iterates): :class:`~repro.serving.server.MambaServer` never calls
+        it from the event loop but posts the cancel to its ``mamba-engine``
+        thread, which applies it between steps.
 
         A cancel that races the request's *final* decode iteration (e.g. an
         ``on_token`` callback cancelling a request whose just-streamed token

@@ -32,25 +32,45 @@ Endpoints
 
 Concurrency model
 -----------------
-Everything engine-facing runs on the event-loop thread: the background
-engine loop calls :meth:`InferenceEngine.step` synchronously (it never
-awaits mid-step), and connection handlers call ``submit`` / ``cancel``
-between steps -- asyncio's cooperative scheduling is the lock.  This keeps
-the engine's single-consumer contract without adding locks around the hot
-path; a CPU-heavy model simply makes individual loop turns longer.  Client
-disconnects are observed as EOF on the request socket and translate into
-:meth:`InferenceEngine.cancel`, freeing the slot (finish reason
-``cancelled``); the server sweeps finished latency records every step
-(completions carry their own copies), so a disconnect leaks neither a slot
-nor a record.
+Two threads, one direction each (the split is declared to ``python -m
+repro.analysis`` with ``# loop-thread-only`` / ``# engine-thread-only`` /
+``# guarded-by:``, not just described here).  The **engine thread**
+(``mamba-engine``) owns every engine-consumer call -- ``step``, ``cancel``,
+``clear_finished_latencies``, the manual-clock advance -- and blocks on a
+condition when idle.  The **event loop** does only I/O: it calls the
+thread-safe :meth:`InferenceEngine.submit` itself and posts everything else
+(cancels, bench-mode "step once", stop) to an inbox the engine thread drains
+between steps; each command's future is resolved back on the loop.
+
+Tokens travel the other way as they are selected: ``on_token`` encodes the SSE
+frame on the engine thread and hands it to the loop *per token* (a prefill's
+first token does not wait for the same step's decode), where a callback writes
+it straight to the stream's transport -- no per-stream queue, no relay task.
+``call_soon_threadsafe`` is FIFO, which is every ordering guarantee the
+protocol needs: a request's frames arrive in selection order with ``done``
+last; frames posted before a stream is registered still find it (``submit``
+and registration share one loop turn); and in bench mode every token /
+``step`` marker / ``done`` frame of step N is on its transport before the
+``/bench/step`` reply, posted after them by the same thread, is written --
+which keeps the live load harness bit-reproducible.
+
+The transport's write buffer is the only per-stream buffer, so policy bounds
+it: past ``_MAX_STREAM_BUFFER_BYTES`` unsent bytes the stream is a slow
+consumer -- request cancelled (``slow_consumer_cancels``), connection aborted.
+A client disconnect is EOF on the request socket and cancels the same way
+(``disconnect_cancels``); finished latency records are swept after every
+retiring step, so neither leaks a slot or a record.  Malformed request heads
+get ``400`` and oversize bodies ``413`` without touching the engine.
 
 Graceful drain
 --------------
-:meth:`MambaServer.shutdown` stops accepting work (new generates get 503),
-keeps stepping until in-flight requests retire (bounded by
-``drain_grace_s``), lets their streams flush their ``done`` events, and only
-then tears the listener down -- every accepted request completes exactly
-once, on the wire, even across shutdown.
+:meth:`MambaServer.shutdown` stops accepting work (new generates get 503) and
+posts a stop command: the engine thread keeps stepping -- in bench mode too --
+until in-flight requests retire (bounded by ``drain_grace_s``), reports idle
+and exits.  The report queues behind every frame the thread produced, so when
+``shutdown`` resumes each ``done`` event is on its transport; it joins the
+thread, lets the handlers close their sockets and only then tears the listener
+down -- every accepted request completes exactly once, on the wire.
 """
 
 from __future__ import annotations
@@ -72,14 +92,13 @@ __all__ = ["MambaServer", "ServerConfig", "serve_in_thread"]
 class ServerConfig:
     """Front-end configuration (the engine itself is passed separately).
 
-    ``bench_mode`` disables the free-running engine loop: the engine only
+    ``bench_mode`` stops the engine thread free-running: the engine only
     advances via ``POST /bench/step`` (and during drain), giving the load
     harness lockstep control over iteration timing.  ``manual_clock_step``
     advances the engine queue's injected clock by that many ticks after every
-    step -- pair it with a
-    :class:`~repro.serving.resilience.ManualClock` so deadlines submitted
-    over the wire are measured in engine iterations (deterministic) instead
-    of wall seconds.
+    step -- pair it with a :class:`~repro.serving.resilience.ManualClock` so
+    deadlines submitted over the wire are measured in engine iterations
+    (deterministic) instead of wall seconds.
     """
 
     host: str = "127.0.0.1"
@@ -87,12 +106,45 @@ class ServerConfig:
     bench_mode: bool = False
     manual_clock_step: Optional[float] = None
     drain_grace_s: float = 30.0
-    idle_poll_s: float = 0.05
     max_body_bytes: int = 1 << 20
 
 
 _REASON = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
-           503: "Service Unavailable"}
+           413: "Payload Too Large", 503: "Service Unavailable"}
+_SSE_HEAD = (b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+             b"Cache-Control: no-cache\r\nConnection: close\r\n\r\n")
+_LATENCY_FIELDS = ("submitted_step", "admitted_step", "first_token_step", "finished_step",
+                   "decode_iterations", "queue_wait_iterations", "ttft_iterations")
+#: Slow-consumer bound: unsent bytes one stream's transport may hold.
+_MAX_STREAM_BUFFER_BYTES = 1 << 18
+
+
+class _HttpError(Exception):
+    """``(status, message)``: a request head answered with an error and closed."""
+
+
+@dataclass
+class _Stream:
+    """Loop-side sink of one accepted request; ``transport`` is None when the
+    reply is not streamed (token events collect in ``events`` instead)."""
+
+    transport: Optional[asyncio.Transport]
+    done: asyncio.Future
+    events: List[Dict[str, Any]] = field(default_factory=list)
+
+
+def _sse_frame(event: str, data: Dict[str, Any]) -> bytes:
+    return f"event: {event}\ndata: {json.dumps(data)}\n\n".encode("utf-8")
+
+
+def _settle(future: asyncio.Future, result: Any, error: Optional[BaseException] = None) -> None:
+    """Resolve a command future on the loop (its waiter may be gone already)."""
+    if future.done():
+        return
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
 
 
 class MambaServer:
@@ -109,140 +161,169 @@ class MambaServer:
         config: Optional[ServerConfig] = None,
         tokenizer=None,
     ):
-        self.engine = engine
+        # The loop may submit and read occupancy; consumer calls are the engine thread's.
+        self.engine = engine  # engine-thread-only: step, cancel, clear_finished_latencies
         self.config = config or ServerConfig()
         self.tokenizer = tokenizer
         self.address: Optional[Tuple[str, int]] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._engine_task: Optional[asyncio.Task] = None
-        self._streams: Dict[int, asyncio.Queue] = {}
-        self._connections: set = set()
-        self._wake: Optional[asyncio.Event] = None
-        self._accepting = False
-        self._stopping = False
+        self._engine_thread: Optional[threading.Thread] = None  # loop-thread-only
+        self._cond = threading.Condition()
+        # Commands for the engine thread: (kind, argument, future).
+        self._inbox: List[Tuple[str, Any, asyncio.Future]] = []  # guarded-by: _cond
+        self._gone: Optional[BaseException] = None  # guarded-by: _cond
+        self._streams: Dict[int, _Stream] = {}  # loop-thread-only
+        self._connections: set = set()  # loop-thread-only
+        self._accepting = False  # loop-thread-only
         self._started_at = 0.0
-        # server-side counters (event-loop thread only)
-        self.requests_accepted = 0
-        self.requests_rejected = 0
-        self.disconnect_cancels = 0
-        self.finish_reasons: Dict[str, int] = {}
+        self.requests_accepted = 0  # loop-thread-only
+        self.requests_rejected = 0  # loop-thread-only
+        self.disconnect_cancels = 0  # loop-thread-only
+        self.slow_consumer_cancels = 0  # loop-thread-only
+        self.finish_reasons: Dict[str, int] = {}  # loop-thread-only
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind the listener and start the background engine loop."""
+    async def start(self) -> Tuple[str, int]:  # loop-thread-only
+        """Bind the listener and start the engine thread."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._wake = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         self._accepting = True
         self._started_at = time.monotonic()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         self.address = self._server.sockets[0].getsockname()[:2]
-        self._engine_task = asyncio.create_task(self._engine_loop())
+        self._engine_thread = threading.Thread(
+            target=self._engine_main, name="mamba-engine", daemon=True
+        )
+        self._engine_thread.start()
         return self.address
 
-    async def shutdown(self, drain: bool = True) -> None:
+    async def shutdown(self, drain: bool = True) -> None:  # loop-thread-only
         """Stop accepting, drain in-flight work, flush streams, tear down.
 
-        With ``drain=True`` (default) the engine keeps stepping until every
-        in-flight and queued request retires (bounded by
+        With ``drain=True`` (default) the engine thread keeps stepping until
+        every in-flight and queued request retires (bounded by
         ``config.drain_grace_s``); their SSE streams receive their ``done``
         events before sockets close.  With ``drain=False`` outstanding
         requests are cancelled first, which still delivers exactly one
         terminal event per accepted request (``finish_reason="cancelled"``).
+        The engine thread has been joined when this returns.
         """
         self._accepting = False
         if self._server is not None:
             self._server.close()
-        if not drain:
-            for request_id in list(self._streams):
-                self.engine.cancel(request_id)
         deadline = time.monotonic() + self.config.drain_grace_s
-        while self.engine.has_work and time.monotonic() < deadline:
-            self._step_once()
-            # Yield so stream coroutines can flush the events just queued.
-            await asyncio.sleep(0)
-        self._stopping = True
-        if self._wake is not None:
-            self._wake.set()
-        if self._engine_task is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._engine_task
-        if self._connections:
-            await asyncio.wait(
-                list(self._connections),
-                timeout=max(0.0, deadline - time.monotonic()) + 1.0,
-            )
-        if self._server is not None:
-            await self._server.wait_closed()
+        thread, self._engine_thread = self._engine_thread, None
+        try:
+            if thread is not None:
+                if not drain:
+                    for request_id in list(self._streams):
+                        self._post("cancel", request_id)
+                await self._post("stop", deadline)  # resolves once the thread is idle
+        finally:
+            if thread is not None:
+                thread.join()
+            if self._connections:
+                grace = max(0.0, deadline - time.monotonic()) + 1.0
+                await asyncio.wait(list(self._connections), timeout=grace)
+            if self._server is not None:
+                await self._server.wait_closed()
 
-    async def _engine_loop(self) -> None:
-        """Free-running drive loop (idle-waits in bench mode)."""
-        poll = self.config.idle_poll_s
-        while not self._stopping:
-            if not self.config.bench_mode and self.engine.has_work:
-                self._step_once()
-                # One cooperative yield per iteration: accepts, stream
-                # writers and disconnect watchers run between engine steps.
-                await asyncio.sleep(0)
-                continue
-            self._wake.clear()
-            if self._stopping:
-                break
-            if not self.config.bench_mode and self.engine.has_work:
-                continue  # a submit raced the clear
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._wake.wait(), timeout=poll)
+    def _post(self, kind: str, arg: Any = None) -> asyncio.Future:  # loop-thread-only
+        """Queue one command for the engine thread; the future gets its result."""
+        future = self._loop.create_future()
+        with self._cond:
+            if self._gone is not None:
+                future.set_exception(self._gone)
+            else:
+                self._inbox.append((kind, arg, future))
+                self._cond.notify()
+        return future
 
-    def _step_once(self) -> List[Completion]:
-        """One engine iteration + completion fan-out (event-loop thread)."""
+    # ------------------------------------------------------------------
+    # Engine thread
+    # ------------------------------------------------------------------
+    def _engine_main(self) -> None:  # engine-thread-only
+        """Drain the inbox, step while there is work, block when idle."""
+        post = self._loop.call_soon_threadsafe
+        free_running = not self.config.bench_mode
+        commands: List[Tuple[str, Any, asyncio.Future]] = []
+        stop = None  # the stop command, once received: (kind, deadline, future)
+        gone: BaseException = RuntimeError("the engine thread has stopped")
+        try:
+            while True:
+                with self._cond:
+                    while stop is None and not (
+                        self._inbox or (free_running and self.engine.has_work)
+                    ):
+                        self._cond.wait()
+                    commands, self._inbox = self._inbox, []
+                for command in commands:
+                    kind, arg, future = command
+                    if kind == "stop":  # drain: free-run, in bench mode too
+                        stop, free_running = command, True
+                    elif kind == "cancel":
+                        post(_settle, future, self.engine.cancel(arg))
+                    else:  # bench-mode "step once"
+                        completed = [c.request_id for c in self._step_once()]
+                        post(_settle, future, {
+                            "engine_step": self.engine.stats.engine_steps,
+                            "completed": completed, "has_work": self.engine.has_work,
+                        })
+                if stop is not None and not (
+                    self.engine.has_work and time.monotonic() < stop[1]
+                ):
+                    post(_settle, stop[2], None)  # idle: behind every frame posted
+                    return
+                if free_running and self.engine.has_work:
+                    self._step_once()
+        except BaseException as exc:  # a raising model without a supervisor
+            gone = exc
+            raise
+        finally:  # whatever is (or will be) posted gets the reason, not a hang
+            with self._cond:
+                self._gone = gone
+                commands, self._inbox = commands + self._inbox, []
+            # Commands already answered settle first (FIFO); this one is a no-op for them.
+            for _, _, future in commands + ([stop] if stop else []):
+                post(_settle, future, None, gone)
+
+    def _step_once(self) -> List[Completion]:  # engine-thread-only
+        """One engine iteration + completion fan-out to the loop."""
+        post = self._loop.call_soon_threadsafe
+        # `engine.step` is looked up per call: tracers wrap it on the instance.
         completions = self.engine.step(on_token=self._on_token)
-        for completion in completions:
-            self.finish_reasons[completion.finish_reason] = (
-                self.finish_reasons.get(completion.finish_reason, 0) + 1
-            )
-            queue = self._streams.pop(completion.request_id, None)
-            if queue is not None:
-                queue.put_nowait(("done", self._done_payload(completion)))
-        if self.config.bench_mode:
-            # Lockstep marker: clients read each open stream until they see
-            # this step's marker, so "everything the engine emitted by step
-            # N" is observable without wall-clock timeouts.
-            for queue in self._streams.values():
-                queue.put_nowait(
-                    ("step", {"step": self.engine.stats.engine_steps})
-                )
         if completions:
-            # Completions carry their own latency records; sweeping here
-            # bounds the table so long-lived servers (and disconnects) never
-            # leak records.
+            # Completions carry their own latency records; sweeping here (before
+            # `done` is on the wire) keeps servers and disconnects from leaking them.
             self.engine.clear_finished_latencies()
+        for completion in completions:
+            payload = self._done_payload(completion)
+            post(self._deliver_done, completion.request_id, payload, _sse_frame("done", payload))
+        if self.config.bench_mode:
+            # Lockstep marker: clients read each open stream up to this step's
+            # marker, so "everything emitted by step N" needs no timeouts.
+            post(self._deliver_marker,
+                 _sse_frame("step", {"step": self.engine.stats.engine_steps}))
         clock_step = self.config.manual_clock_step
         if clock_step is not None:
             self.engine.queue.clock.advance(clock_step)
         return completions
 
-    def _on_token(self, request_id: int, token: int, logprob: float) -> None:
-        queue = self._streams.get(request_id)
-        if queue is None:
-            return
+    def _on_token(self, request_id, token, logprob) -> None:  # engine-thread-only
         stats = self.engine.stats
-        queue.put_nowait(
-            (
-                "token",
-                {
-                    "token": int(token),
-                    "logprob": float(logprob),
-                    "step": stats.engine_steps,
-                    "processed_tokens": stats.prefilled_tokens + stats.decoded_tokens,
-                },
-            )
+        data = {"token": int(token), "logprob": float(logprob), "step": stats.engine_steps,
+                "processed_tokens": stats.prefilled_tokens + stats.decoded_tokens}
+        self._loop.call_soon_threadsafe(
+            self._deliver_token, request_id, data, _sse_frame("token", data)
         )
 
-    def _done_payload(self, completion: Completion) -> Dict[str, Any]:
+    def _done_payload(self, completion: Completion) -> dict:  # engine-thread-only
         latency = completion.latency
         stats = self.engine.stats
         payload: Dict[str, Any] = {
@@ -255,29 +336,62 @@ class MambaServer:
         if completion.error is not None:
             payload["error"] = completion.error
         if latency is not None:
-            payload["latency"] = {
-                "submitted_step": latency.submitted_step,
-                "admitted_step": latency.admitted_step,
-                "first_token_step": latency.first_token_step,
-                "finished_step": latency.finished_step,
-                "decode_iterations": latency.decode_iterations,
-                "queue_wait_iterations": latency.queue_wait_iterations,
-                "ttft_iterations": latency.ttft_iterations,
-            }
+            payload["latency"] = {name: getattr(latency, name) for name in _LATENCY_FIELDS}
         return payload
+
+    # ------------------------------------------------------------------
+    # Loop-side delivery (call_soon_threadsafe targets: keep them tiny)
+    # ------------------------------------------------------------------
+    def _deliver_token(self, request_id, data, frame) -> None:  # loop-thread-only
+        stream = self._streams.get(request_id)
+        if stream is None:
+            return  # disconnected, or cancelled as a slow consumer
+        transport = stream.transport
+        if transport is None:
+            stream.events.append(data)
+            return
+        transport.write(frame)
+        if transport.get_write_buffer_size() > _MAX_STREAM_BUFFER_BYTES:
+            # Slow consumer: the write buffer is the only buffer, so bound it.
+            self.slow_consumer_cancels += 1
+            self._drop(request_id)
+            transport.abort()
+            stream.done.set_result(None)
+
+    def _deliver_done(self, request_id, payload, frame) -> None:  # loop-thread-only
+        reason = payload["finish_reason"]
+        self.finish_reasons[reason] = self.finish_reasons.get(reason, 0) + 1
+        stream = self._streams.pop(request_id, None)
+        if stream is not None:
+            if stream.transport is not None:
+                stream.transport.write(frame)
+            stream.done.set_result(payload)
+
+    def _deliver_marker(self, frame: bytes) -> None:  # loop-thread-only
+        for stream in self._streams.values():
+            if stream.transport is not None:
+                stream.transport.write(frame)
+
+    def _drop(self, request_id: int) -> None:  # loop-thread-only
+        """Forget a stream whose client is gone (or too slow); cancel its request."""
+        if self._streams.pop(request_id, None) is not None:
+            # Fire and forget; a stopped engine's refusal counts as retrieved.
+            self._post("cancel", request_id).add_done_callback(asyncio.Future.exception)
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
+    async def _handle_connection(self, reader, writer) -> None:  # loop-thread-only
         task = asyncio.current_task()
         self._connections.add(task)
         try:
             parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, headers, body = parsed
-            await self._route(method, path, headers, body, reader, writer)
+            if parsed is not None:
+                await self._route(*parsed, reader, writer)
+        except _HttpError as exc:
+            status, message = exc.args
+            with contextlib.suppress(ConnectionError):
+                await self._send_json(writer, status, {"error": message})
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -287,27 +401,28 @@ class MambaServer:
                 await writer.wait_closed()
 
     async def _read_request(self, reader):
-        request_line = await reader.readline()
-        if not request_line:
-            return None
+        """Parse one request head + body; :class:`_HttpError` on a hostile one."""
         try:
+            request_line = await reader.readline()
+            if not request_line:
+                return None
             method, path, _ = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            return None
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > self.config.max_body_bytes:
-            raise ConnectionError("request body too large")
+            headers: Dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:  # over-limit line, bad request line, bad length
+            raise _HttpError(400, "malformed request head") from None
+        if not 0 <= length <= self.config.max_body_bytes:
+            raise _HttpError(400 if length < 0 else 413, f"Content-Length {length} not accepted")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 
-    async def _route(self, method, path, headers, body, reader, writer) -> None:
+    async def _route(self, method, path, headers, body, reader, writer):  # loop-thread-only
         if method == "GET" and path == "/healthz":
             await self._send_json(writer, 200, self._health())
         elif method == "GET" and path == "/stats":
@@ -321,7 +436,7 @@ class MambaServer:
         else:
             await self._send_json(writer, 404, {"error": f"no route {method} {path}"})
 
-    def _health(self) -> Dict[str, Any]:
+    def _health(self) -> Dict[str, Any]:  # loop-thread-only
         return {
             "status": "ok" if self._accepting else "draining",
             "waiting": self.engine.num_waiting,
@@ -329,16 +444,12 @@ class MambaServer:
             "prefilling": self.engine.num_prefilling,
         }
 
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """The ``/stats`` payload (also handy in-process for tests)."""
-        stats = self.engine.stats
-        engine_counters = {
-            name: getattr(stats, name) for name in vars(stats)
-        }
+    def stats_snapshot(self) -> Dict[str, Any]:  # loop-thread-only
+        """The ``/stats`` payload (from other threads: only once :meth:`shutdown` returned)."""
         return {
             "uptime_s": time.monotonic() - self._started_at,
             "accepting": self._accepting,
-            "engine": engine_counters,
+            "engine": dict(vars(self.engine.stats)),
             "queue_depth": self.engine.num_waiting,
             "active_slots": self.engine.num_active,
             "prefilling": self.engine.num_prefilling,
@@ -347,6 +458,7 @@ class MambaServer:
             "requests_accepted": self.requests_accepted,
             "requests_rejected": self.requests_rejected,
             "disconnect_cancels": self.disconnect_cancels,
+            "slow_consumer_cancels": self.slow_consumer_cancels,
             "finish_reasons": dict(self.finish_reasons),
         }
 
@@ -359,24 +471,20 @@ class MambaServer:
             prompt = tuple(self.tokenizer.encode(str(payload["text"])))
         else:
             raise ValueError('body must carry "prompt" (token ids) or "text"')
+
+        def optional(key: str, cast):
+            return cast(payload[key]) if payload.get(key) is not None else None
+
         return Request(
             prompt=prompt,
             max_new_tokens=int(payload.get("max_new_tokens", 16)),
-            temperature=(
-                float(payload["temperature"])
-                if payload.get("temperature") is not None
-                else None
-            ),
-            top_k=(int(payload["top_k"]) if payload.get("top_k") is not None else None),
-            stop_token=(
-                int(payload["stop_token"])
-                if payload.get("stop_token") is not None
-                else None
-            ),
-            seed=(int(payload["seed"]) if payload.get("seed") is not None else None),
+            temperature=optional("temperature", float),
+            top_k=optional("top_k", int),
+            stop_token=optional("stop_token", int),
+            seed=optional("seed", int),
         )
 
-    async def _handle_generate(self, headers, body, reader, writer) -> None:
+    async def _handle_generate(self, headers, body, reader, writer):  # loop-thread-only
         if not self._accepting:
             self.requests_rejected += 1
             await self._send_json(writer, 503, {"error": "server is draining"})
@@ -387,137 +495,65 @@ class MambaServer:
             priority = int(headers.get("x-priority", payload.get("priority", 0)))
             deadline_s = headers.get("x-deadline-s", payload.get("deadline_s"))
             timeout = float(deadline_s) if deadline_s is not None else None
-            stream = bool(payload.get("stream", True))
+            streamed = bool(payload.get("stream", True))
+            request_id = self.engine.submit(request, priority=priority, timeout=timeout)
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
             await self._send_json(writer, 400, {"error": str(exc)})
             return
-        queue: asyncio.Queue = asyncio.Queue()
-        # No await between submit and stream registration: the engine loop
-        # (same thread, cooperative) cannot step in between, so the stream
-        # never misses a token.
-        try:
-            request_id = self.engine.submit(request, priority=priority, timeout=timeout)
-        except ValueError as exc:
-            await self._send_json(writer, 400, {"error": str(exc)})
-            return
-        self._streams[request_id] = queue
+        # No await between submit and registration: frames the engine thread
+        # has already posted for this request run as later loop callbacks, so
+        # the stream never misses a token.
+        done = self._loop.create_future()
+        stream = _Stream(writer.transport if streamed else None, done)
+        self._streams[request_id] = stream
         self.requests_accepted += 1
-        self._wake.set()
-        start = {
-            "request_id": request_id,
-            "submitted_step": self.engine.stats.engine_steps,
-        }
-        if stream:
-            await self._stream_sse(reader, writer, request_id, queue, start)
-        else:
-            await self._respond_blocking(writer, queue, start)
-
-    async def _stream_sse(self, reader, writer, request_id, queue, start) -> None:
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        self._write_event(writer, "start", start)
-        # EOF on the request socket is the disconnect signal: a client that
-        # goes away mid-generation cancels its request and frees the slot.
+        with self._cond:
+            self._cond.notify()
+        start = {"request_id": request_id, "submitted_step": self.engine.stats.engine_steps}
+        if streamed:
+            writer.write(_SSE_HEAD + _sse_frame("start", start))
+        # The delivery callbacks write the frames; this task only holds the
+        # connection.  EOF on the request socket is the disconnect signal: a
+        # client that goes away mid-generation cancels its request.
         watcher = asyncio.ensure_future(reader.read(1))
+        watcher.add_done_callback(lambda t: t.cancelled() or t.exception())
         try:
-            await writer.drain()
-            while True:
-                getter = asyncio.ensure_future(queue.get())
-                done, _ = await asyncio.wait(
-                    {getter, watcher}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if getter not in done:
-                    getter.cancel()
-                    self._disconnected(request_id)
-                    return
-                event, data = getter.result()
-                self._write_event(writer, event, data)
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    self._disconnected(request_id)
-                    return
-                if event == "done":
-                    return
-                if watcher.done():
-                    self._disconnected(request_id)
-                    return
+            await asyncio.wait({done, watcher}, return_when=asyncio.FIRST_COMPLETED)
         finally:
             watcher.cancel()
-            self._streams.pop(request_id, None)
-
-    def _disconnected(self, request_id: int) -> None:
-        self._streams.pop(request_id, None)
-        if self.engine.cancel(request_id):
+        if not done.done():
             self.disconnect_cancels += 1
-            self._wake.set()
+            self._drop(request_id)
+        elif not streamed:
+            reply = dict(done.result(), token_events=stream.events, **start)
+            await self._send_json(writer, 200, reply)
 
-    async def _respond_blocking(self, writer, queue, start) -> None:
-        events = []
-        while True:
-            event, data = await queue.get()
-            if event == "token":
-                events.append(data)
-            if event == "done":
-                data = dict(data)
-                data["submitted_step"] = start["submitted_step"]
-                data["token_events"] = events
-                await self._send_json(writer, 200, data)
-                return
-
-    async def _handle_cancel(self, path: str, writer) -> None:
+    async def _handle_cancel(self, path: str, writer) -> None:  # loop-thread-only
         try:
             request_id = int(path.rsplit("/", 1)[1])
         except ValueError:
             await self._send_json(writer, 400, {"error": "bad request id"})
             return
-        cancelled = self.engine.cancel(request_id)
-        if cancelled:
-            self._wake.set()
+        cancelled = await self._post("cancel", request_id)
         await self._send_json(writer, 200, {"request_id": request_id, "cancelled": cancelled})
 
-    async def _handle_bench_step(self, writer) -> None:
+    async def _handle_bench_step(self, writer) -> None:  # loop-thread-only
         if not self.config.bench_mode:
-            await self._send_json(
-                writer, 409, {"error": "bench stepping requires bench_mode=True"}
-            )
+            await self._send_json(writer, 409, {"error": "bench stepping requires bench_mode=True"})
             return
-        completions = self._step_once()
-        await self._send_json(
-            writer,
-            200,
-            {
-                "engine_step": self.engine.stats.engine_steps,
-                "completed": [c.request_id for c in completions],
-                "has_work": self.engine.has_work,
-            },
-        )
+        await self._send_json(writer, 200, await self._post("step"))
 
     # ------------------------------------------------------------------
     # Wire helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _write_event(writer, event: str, data: Dict[str, Any]) -> None:
-        writer.write(
-            f"event: {event}\ndata: {json.dumps(data)}\n\n".encode("utf-8")
-        )
-
-    @staticmethod
     async def _send_json(writer, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {_REASON.get(status, 'OK')}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("latin-1")
+        head = (
+            f"HTTP/1.1 {status} {_REASON.get(status, 'OK')}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
         )
-        writer.write(body)
+        writer.write(head.encode("latin-1") + body)
         await writer.drain()
 
 
@@ -533,9 +569,7 @@ class ServerHandle:
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
         """Gracefully shut the server down and join its thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.shutdown(drain=drain), self._loop
-        )
+        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(drain=drain), self._loop)
         future.result(timeout=timeout)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=timeout)
@@ -559,16 +593,11 @@ def serve_in_thread(
     box: Dict[str, Any] = {}
 
     def _run() -> None:
-        loop = asyncio.new_event_loop()
+        loop = box["loop"] = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
-        box["loop"] = loop
-
-        async def _start() -> None:
-            box["address"] = await server.start()
-            started.set()
-
         try:
-            loop.run_until_complete(_start())
+            box["address"] = loop.run_until_complete(server.start())
+            started.set()
             loop.run_forever()
         finally:
             with contextlib.suppress(Exception):
@@ -579,9 +608,7 @@ def serve_in_thread(
     if not started.wait(timeout=startup_timeout_s):
         raise RuntimeError("server failed to start within the startup timeout")
     host, port = box["address"]
-    handle = ServerHandle(
-        server=server, host=host, port=port, _loop=box["loop"], _thread=thread
-    )
+    handle = ServerHandle(server=server, host=host, port=port, _loop=box["loop"], _thread=thread)
     try:
         yield handle
     finally:

@@ -23,7 +23,9 @@ class GoodCounter:
         return self._count
 
     def drain(self):  # loop-thread-only
-        return self._count + 1
+        # Guarded state is what threads share: a thread-only method still locks.
+        with self._lock:
+            return self._count + 1
 
     def consume(self):
         with self._cond:

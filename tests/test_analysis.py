@@ -101,6 +101,53 @@ def test_checker_rediscovers_unguarded_latency_pattern(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Single-thread contract (GB105 / GB106)
+# ----------------------------------------------------------------------
+def test_threads_bad_fixture_fires_every_thread_rule():
+    findings = analyze_paths([FIXTURES / "threads_bad.py"])
+    active = [(f.code, f.symbol) for f in findings if not f.suppressed]
+    assert active == [
+        ("GB101", "BadSplit._engine_main"),  # thread-only is not a lock
+        ("GB105", "BadSplit._engine_main"),  # loop state from the engine thread
+        ("GB106", "BadSplit._engine_main"),  # direct cross-thread call
+        ("GB105", "BadSplit._deliver"),  # engine-thread member from the loop
+        ("GB105", "BadSplit.snapshot"),  # no declared thread
+        ("GB105", "BadSplit._on_token"),  # an escaping lambda has no thread
+    ]
+    member = next(f for f in findings if f.symbol == "BadSplit._deliver")
+    assert "self.engine.cancel" in member.message and "engine thread" in member.message
+    suppressed = [f for f in findings if f.suppressed]
+    assert [(f.code, f.symbol) for f in suppressed] == [
+        ("GB105", "BadSplit.snapshot_suppressed")
+    ]
+
+
+def test_threads_ok_fixture_is_quiet():
+    assert analyze_paths([FIXTURES / "threads_ok.py"]) == []
+
+
+def test_server_split_is_declared_and_checked(tmp_path):
+    """The live server carries the contract, and breaking it is caught: an
+    engine call moved onto the loop, loop state touched from the engine
+    thread, and the inbox read without its condition each produce a finding."""
+    server = repo_root() / "src" / "repro" / "serving" / "server.py"
+    source = server.read_text(encoding="utf-8")
+    assert analyze_paths([server]) == []
+    mutations = {
+        "GB105": ('self._post("cancel", request_id)\n', "self.engine.cancel(request_id)\n"),
+        "GB106": ("self._loop.call_soon_threadsafe(\n            self._deliver_token,",
+                  "self._deliver_token(\n            "),
+        "GB101": ("with self._cond:\n                    while stop is None",
+                  "if True:\n                    while stop is None"),
+    }
+    for code, (old, new) in mutations.items():
+        assert old in source, code
+        path = tmp_path / f"server_{code}.py"
+        path.write_text(source.replace(old, new, 1), encoding="utf-8")
+        assert code in {f.code for f in analyze_paths([path])}, code
+
+
+# ----------------------------------------------------------------------
 # User-callback lock discipline (CB401)
 # ----------------------------------------------------------------------
 def test_callback_bad_fixture_fires_cb401_for_every_shape():
