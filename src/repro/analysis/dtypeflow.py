@@ -29,7 +29,8 @@ Checks inside registered regions (nested functions inherit the region):
     dtype or with no dtype at all (numpy's default is float64).
 ``DT203``
     A fake-quant round-trip: calls to ``quantize`` / ``dequantize`` /
-    ``quantize_dequantize``, the step helpers ``self._q`` / ``self._qp``, or
+    ``quantize_dequantize`` (or its fused kernels ``_fake_quant_into`` /
+    ``_round_to_grid``), the step helpers ``self._q`` / ``self._qp``, or
     a ``.dequantize()`` method on a resident state container.
 
 Float *arithmetic* on values that are already float (the softplus/exp decay
@@ -61,7 +62,15 @@ _FLOAT_ALLOCATORS = {
     "empty_like",
     "full_like",
 }
-_ROUND_TRIP_NAMES = {"quantize", "dequantize", "quantize_dequantize", "_q", "_qp"}
+_ROUND_TRIP_NAMES = {
+    "quantize",
+    "dequantize",
+    "quantize_dequantize",
+    "_fake_quant_into",
+    "_round_to_grid",
+    "_q",
+    "_qp",
+}
 _INT_DTYPE_RE = re.compile(r"int|bool")
 
 

@@ -54,6 +54,22 @@ def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _rolled_conv_window(window: np.ndarray, inputs: np.ndarray, length: int) -> np.ndarray:
+    """The convolution window after ``length`` more inputs, in cache layout.
+
+    ``window`` is the ``(..., channels, k)`` rolling state and ``inputs`` the
+    ``(..., seq_len, channels)`` segment just processed.  The new window is
+    the last ``k`` samples of *previous window + first ``length`` inputs*:
+    read straight from the tail of ``inputs``, joined to what survives of the
+    old window only when the segment is shorter than the kernel.
+    """
+    k = window.shape[-1]
+    tail = np.swapaxes(inputs[..., max(length - k, 0) : length, :], -1, -2)
+    if length < k:
+        tail = np.concatenate([window[..., length:], tail], axis=-1)
+    return np.ascontiguousarray(tail)
+
+
 @dataclass
 class MambaBlock:
     """One Mamba2 block with explicit numpy parameters."""
@@ -379,11 +395,15 @@ class MambaBlock:
                 final_state = state
 
         y = y_heads.reshape(u.shape[:-1] + (cfg.d_inner,))
-        gated = self.gated_norm(y, z)
+        # The scan output is dead after the gate, so the gated norm may
+        # overwrite it -- unless the caller collects it.
+        reuse = collect is None and y.flags.c_contiguous
+        gated = self.gated_norm(y, z, out=y if reuse else None)
         gated_q = self.pre_out_proj(gated)
         out = gated_q @ self.out_proj_weight.T
         if self.out_proj_bias is not None:
             out = out + self.out_proj_bias
+        hidden = np.add(residual, out, out=out)
 
         if cache is not None:
             if isinstance(cache.ssm_state, QuantizedSSMState) and not isinstance(
@@ -394,17 +414,16 @@ class MambaBlock:
                 # on-grid PoT re-quantization is the identity).
                 final_state = self.ssm_impl.quantize_state_codes(final_state)
             cache.ssm_state = final_state
-            # Roll the convolution window forward: the last d_conv samples of
-            # previous-window + new inputs, taken at each row's true length.
-            k = cfg.d_conv
-            prev = np.swapaxes(cache.conv_state, -1, -2)       # (..., k, conv_dim)
-            combined = np.concatenate([prev, xbc], axis=-2)    # (..., k + T, conv_dim)
+            # Roll the convolution window forward to each row's true length.
             if seq_lens is None:
-                window = combined[..., -k:, :]
+                cache.conv_state = _rolled_conv_window(cache.conv_state, xbc, seq_len)
             else:
-                rows = np.arange(u.shape[0])[:, None]
-                window = combined[rows, seq_lens[:, None] + np.arange(k)[None, :]]
-            cache.conv_state = np.ascontiguousarray(np.swapaxes(window, -1, -2))
+                cache.conv_state = np.stack(
+                    [
+                        _rolled_conv_window(cache.conv_state[i], xbc[i], int(length))
+                        for i, length in enumerate(seq_lens)
+                    ]
+                )
 
         if collect is not None:
             collect["in_proj_input"] = r
@@ -415,8 +434,8 @@ class MambaBlock:
             collect["C"] = c
             collect["dt"] = dt
             collect["ssm_output"] = y
-            collect["block_output"] = residual + out
-        return residual + out
+            collect["block_output"] = hidden
+        return hidden
 
     __call__ = forward
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mamba.ops import silu
+from repro.mamba.ops import row_tiles, silu, tile_rows
 
 __all__ = ["CausalConv1d"]
 
@@ -81,7 +81,7 @@ class CausalConv1d:
         seq_len = x.shape[-2]
         k = self.kernel_size
         if initial_state is None:
-            pad = np.zeros(x.shape[:-2] + (k - 1, self.channels))
+            context = np.zeros(x.shape[:-2] + (k - 1, self.channels))
         else:
             initial_state = np.asarray(initial_state, dtype=np.float64)
             if initial_state.shape != x.shape[:-2] + (self.channels, k):
@@ -90,15 +90,39 @@ class CausalConv1d:
                     f"{x.shape[:-2] + (self.channels, k)}, got {initial_state.shape}"
                 )
             # The window's last k-1 samples are the left context of token 0.
-            pad = np.swapaxes(initial_state[..., 1:], -1, -2)
-        padded = np.concatenate([pad, x], axis=-2)
-        # Sliding window over time + per-channel dot over the kernel taps in a
-        # single contraction (one pass, no per-tap (seq_len, channels)
-        # temporaries -- this is on the prefill hot path).
-        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=-2)
-        out = np.einsum("...tck,ck->...tc", windows, self.weight) + self.bias
-        if self.activation:
-            out = silu(out)
+            context = np.swapaxes(initial_state[..., 1:], -1, -2)
+        out = np.empty(x.shape)
+        if not x.size:
+            return out
+        # One token tile at a time: k tap multiply-adds (tap j reads the tile
+        # shifted back by k-1-j tokens, summed in tap order like the window
+        # dot product), the bias and the SiLU, all into cache-resident
+        # buffers -- no padded copy of the sequence, no window view.  Only
+        # a tile that reaches back past token 0 needs the left context joined
+        # on.
+        taps = self.weight.T                                   # (k, channels)
+        row_elems = x.size // seq_len
+        work = np.empty(x.shape[:-2] + (min(seq_len, tile_rows(row_elems)), self.channels))
+        acc = np.empty_like(work) if self.activation else None
+        for rows in row_tiles(seq_len, row_elems):
+            count = rows.stop - rows.start
+            reach = rows.start - (k - 1)
+            if reach < 0:
+                window = np.concatenate(
+                    [context[..., reach:, :], x[..., : rows.stop, :]], axis=-2
+                )
+            else:
+                window = x[..., reach : rows.stop, :]
+            dest = out[..., rows, :]
+            total = acc[..., :count, :] if self.activation else dest
+            product = work[..., :count, :]
+            np.multiply(window[..., :count, :], taps[0], out=total)
+            for j in range(1, k):
+                np.multiply(window[..., j : j + count, :], taps[j], out=product)
+                np.add(total, product, out=total)
+            np.add(total, self.bias, out=total)
+            if self.activation:
+                silu(total, out=dest)
         return out
 
     def step(self, x_t: np.ndarray, conv_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

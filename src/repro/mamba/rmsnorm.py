@@ -13,12 +13,22 @@ Two variants are used in Mamba2 (Fig. 1 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.mamba.ops import rms_normalize, silu
+from repro.mamba.ops import TILE_ELEMS, rms_normalize, row_tiles, silu, tile_rows
 
 __all__ = ["RMSNorm", "GatedRMSNorm"]
+
+
+def _output_buffer(out: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """``out`` checked for the tiled kernels (C-contiguous float64), or a fresh buffer."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
 
 
 @dataclass
@@ -41,13 +51,24 @@ class RMSNorm:
         return self.weight.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Apply the normalisation along the last axis."""
+        """Apply the normalisation along the last axis.
+
+        Runs a token tile at a time, so a prompt-sized input is normalised
+        without prompt-sized temporaries.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(
                 f"input last dim {x.shape[-1]} does not match norm dim {self.dim}"
             )
-        return rms_normalize(x, eps=self.eps) * self.weight
+        out = np.empty(x.shape)
+        if x.size <= TILE_ELEMS:  # a decode step or a short prompt: one tile
+            return np.multiply(rms_normalize(x, eps=self.eps, out=out), self.weight, out=out)
+        src, dst = x.reshape(-1, self.dim), out.reshape(-1, self.dim)
+        for rows in row_tiles(src.shape[0], self.dim):
+            rms_normalize(src[rows], eps=self.eps, out=dst[rows])
+            np.multiply(dst[rows], self.weight, out=dst[rows])
+        return out
 
     __call__ = forward
 
@@ -78,8 +99,15 @@ class GatedRMSNorm:
     def dim(self) -> int:
         return self.weight.shape[0]
 
-    def forward(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Gate ``x`` with ``silu(z)`` and normalise along the last axis."""
+    def forward(
+        self, x: np.ndarray, z: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Gate ``x`` with ``silu(z)`` and normalise along the last axis.
+
+        One fused pass per token tile -- SiLU, gate, mean square, divide,
+        scale -- through a tile-sized work buffer into ``out`` (allocated
+        when omitted; it may be ``x``).
+        """
         x = np.asarray(x, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
         if x.shape != z.shape:
@@ -88,8 +116,26 @@ class GatedRMSNorm:
             raise ValueError(
                 f"input last dim {x.shape[-1]} does not match norm dim {self.dim}"
             )
-        gated = x * silu(z)
-        return rms_normalize(gated, eps=self.eps) * self.weight
+        out = _output_buffer(out, x.shape)
+        if x.size <= TILE_ELEMS:  # a decode step or a short prompt: one tile
+            return self._gate_and_normalize(x, z, np.empty(x.shape), out)
+        src, gate = x.reshape(-1, self.dim), z.reshape(-1, self.dim)
+        dst = out.reshape(-1, self.dim)
+        work = np.empty((tile_rows(self.dim), self.dim))
+        for rows in row_tiles(src.shape[0], self.dim):
+            self._gate_and_normalize(
+                src[rows], gate[rows], work[: rows.stop - rows.start], dst[rows]
+            )
+        return out
+
+    def _gate_and_normalize(
+        self, x: np.ndarray, z: np.ndarray, work: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """One tile: ``out <- rmsnorm(x * silu(z)) * weight`` through ``work``."""
+        gated = silu(z, out=work)
+        np.multiply(x, gated, out=gated)
+        rms_normalize(gated, eps=self.eps, out=gated)
+        return np.multiply(gated, self.weight, out=out)
 
     __call__ = forward
 

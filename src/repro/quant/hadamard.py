@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.mamba.ops import row_tiles, tile_rows
+
 __all__ = [
     "sylvester",
     "paley_construction",
@@ -194,23 +196,45 @@ def fast_hadamard_transform(x: np.ndarray, normalized: bool = True) -> np.ndarra
     Equivalent to ``x @ sylvester(n)`` (optionally normalised by
     ``1/sqrt(n)``) but computed with the O(n log n) butterfly network -- the
     algorithm the paper's 128-point HTU implements in seven pipeline stages.
+
+    The rows are transformed a token tile at a time
+    (:func:`repro.mamba.ops.row_tiles`) in *transposed* layout: with the
+    ``n`` points of a tile laid out as ``n`` contiguous rows of tile-length,
+    the stage of span ``s`` adds and subtracts blocks of ``s`` whole rows --
+    long contiguous passes ping-ponging between two cache-resident buffers,
+    where the row-major butterfly strides element by element through its
+    first stages.  The pairing and order of the butterflies are those of the
+    textbook in-place network (span 1, 2, 4, ...), so every output is the
+    same sequence of roundings, to the bit.
     """
-    x = np.array(x, dtype=np.float64, copy=True)
+    x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if n & (n - 1):
         raise ValueError(f"FWHT length must be a power of two, got {n}")
-    span = 1
-    while span < n:
-        shaped = x.reshape(*x.shape[:-1], n // (2 * span), 2, span)
-        upper = shaped[..., 0, :] + shaped[..., 1, :]
-        lower = shaped[..., 0, :] - shaped[..., 1, :]
-        shaped[..., 0, :] = upper
-        shaped[..., 1, :] = lower
-        x = shaped.reshape(*x.shape[:-1], n)
-        span *= 2
-    if normalized:
-        x /= np.sqrt(n)
-    return x
+    out = np.empty(x.shape)
+    if not x.size:
+        return out
+    rows_in, rows_out = x.reshape(-1, n), out.reshape(-1, n)
+    tile_size = n * min(rows_in.shape[0], tile_rows(n))
+    ping, pong = np.empty(tile_size), np.empty(tile_size)
+    root = np.sqrt(n)
+    for rows in row_tiles(rows_in.shape[0], n):
+        count = rows.stop - rows.start
+        src, dst = ping[: n * count], pong[: n * count]
+        np.copyto(src.reshape(n, count), rows_in[rows].T)
+        span = 1
+        while span < n:
+            pairs = (n // (2 * span), 2, span * count)
+            upper, lower = src.reshape(pairs)[:, 0], src.reshape(pairs)[:, 1]
+            np.add(upper, lower, out=dst.reshape(pairs)[:, 0])
+            np.subtract(upper, lower, out=dst.reshape(pairs)[:, 1])
+            src, dst = dst, src
+            span *= 2
+        if normalized:
+            np.divide(src.reshape(n, count).T, root, out=rows_out[rows])
+        else:
+            rows_out[rows] = src.reshape(n, count).T
+    return out
 
 
 def apply_hadamard(x: np.ndarray, order: int | None = None, normalized: bool = True) -> np.ndarray:

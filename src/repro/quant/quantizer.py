@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mamba.ops import row_tiles
 from repro.quant.dtypes import Granularity, IntSpec, INT8
 
 __all__ = [
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+#: Below this many elements the per-group reduction call overhead of
+#: ``max(axis=-1)`` is cheaper than the passes of the pairwise maximum.
+_PAIRWISE_MIN_ELEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,10 @@ def _group_reshape(x: np.ndarray, group_size: int) -> tuple[np.ndarray, int, int
     """Reshape the last axis into groups, padding with zeros if necessary.
 
     Returns ``(reshaped, n_groups, pad)`` where ``reshaped`` has shape
-    ``(..., n_groups, group_size)``.
+    ``(..., n_groups, group)``; an empty last axis gives zero groups.
     """
     last = x.shape[-1]
-    group = min(group_size, last)
+    group = max(1, min(group_size, last))
     n_groups = -(-last // group)
     pad = n_groups * group - last
     if pad:
@@ -122,6 +127,48 @@ def _group_reshape(x: np.ndarray, group_size: int) -> tuple[np.ndarray, int, int
         x = np.pad(x, pad_width)
     reshaped = x.reshape(*x.shape[:-1], n_groups, group)
     return reshaped, n_groups, pad
+
+
+def _ungroup(grouped: np.ndarray, length: int) -> np.ndarray:
+    """Flatten a ``(..., G, g)`` grouped tensor back to ``(..., length)``.
+
+    Inverse of :func:`_group_reshape`: collapse the group axes and trim the
+    zero padding of the last partial group.
+    """
+    flat = grouped.reshape(*grouped.shape[:-2], grouped.shape[-2] * grouped.shape[-1])
+    return flat[..., :length]
+
+
+def _group_max(magnitudes: np.ndarray, group: int) -> np.ndarray:
+    """Maxima of consecutive ``group``-long runs of ``magnitudes``, flat.
+
+    ``magnitudes`` holds ``|x|`` with the groups along the trailing axis and
+    a size that is a multiple of ``group``.  ``max(axis=-1)`` pays a reduction
+    call per group, which for 32-long groups costs several element-wise
+    passes over the tile; once there are enough groups to matter the maximum
+    is instead taken pairwise -- adjacent elements, then adjacent pair
+    maxima, ... -- in long strided passes that halve the data each time.
+    ``np.maximum`` is exact, order-free and propagates NaN exactly like the
+    reduction, so both routes give the same values.
+    """
+    if magnitudes.size < _PAIRWISE_MIN_ELEMS:
+        return magnitudes.reshape(-1, group).max(axis=-1)
+    current = magnitudes.reshape(-1)
+    while group % 2 == 0:
+        pairs = current.reshape(-1, 2)
+        current = np.maximum(pairs[:, 0], pairs[:, 1])
+        group //= 2
+    if group > 1:
+        current = current.reshape(-1, group).max(axis=-1)
+    return current
+
+
+def _scales_from_absmax(absmax: np.ndarray, config: QuantizerConfig) -> np.ndarray:
+    """The quantization scales of groups whose absolute maxima are ``absmax``."""
+    scales = np.maximum(absmax * config.clip_ratio, _EPS) / config.spec.qmax
+    if config.pot_scale:
+        scales = _pot_round(scales, config.pot_rounding)
+    return scales
 
 
 def compute_scales(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
@@ -133,42 +180,42 @@ def compute_scales(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     group-reshaped view of ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
-    qmax = config.spec.qmax
     gran = config.granularity
 
     if gran is Granularity.PER_TENSOR:
         absmax = np.max(np.abs(x)) if x.size else 0.0
-        scales = np.asarray(absmax, dtype=np.float64).reshape(())
+        absmax = np.asarray(absmax, dtype=np.float64).reshape(())
     elif gran in (Granularity.PER_CHANNEL, Granularity.PER_TOKEN):
         if x.ndim == 1:
             absmax = np.max(np.abs(x)) if x.size else 0.0
-            scales = np.asarray(absmax, dtype=np.float64).reshape(())
+            absmax = np.asarray(absmax, dtype=np.float64).reshape(())
         else:
-            scales = np.max(np.abs(x), axis=-1, keepdims=True)
+            absmax = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
     elif gran is Granularity.PER_GROUP:
         grouped, _, _ = _group_reshape(x, config.group_size)
-        scales = np.max(np.abs(grouped), axis=-1, keepdims=True)
+        absmax = _group_max(np.abs(grouped), grouped.shape[-1])
+        absmax = absmax.reshape(grouped.shape[:-1] + (1,))
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown granularity {gran}")
-
-    scales = np.maximum(scales * config.clip_ratio, _EPS) / qmax
-    if config.pot_scale:
-        scales = _pot_round(scales, config.pot_rounding)
-    return scales
+    return _scales_from_absmax(absmax, config)
 
 
 def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
-    """Quantize ``x`` to integer codes under ``config``."""
+    """Quantize ``x`` to integer codes under ``config``.
+
+    The codes-out entry point, for callers that consume the codes (the
+    integer decode step, the resident state, the MMU contractions); the
+    float-in / float-out simulation is :func:`quantize_dequantize`, which
+    never materializes them.
+    """
     x = np.asarray(x, dtype=np.float64)
     scales = compute_scales(x, config)
     spec = config.spec
 
     if config.granularity is Granularity.PER_GROUP:
-        grouped, _, pad = _group_reshape(x, config.group_size)
+        grouped, _, _ = _group_reshape(x, config.group_size)
         codes = np.clip(np.round(grouped / scales), spec.qmin, spec.qmax)
-        codes = codes.reshape(*grouped.shape[:-2], -1)
-        if pad:
-            codes = codes[..., : x.shape[-1]]
+        codes = _ungroup(codes, x.shape[-1])
     else:
         codes = np.clip(np.round(x / scales), spec.qmin, spec.qmax)
     return QuantizedTensor(
@@ -181,20 +228,94 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     config = qt.config
     codes = qt.codes.astype(np.float64)
     if config.granularity is Granularity.PER_GROUP:
-        grouped, _, pad = _group_reshape(codes, config.group_size)
-        values = grouped * qt.scales
-        values = values.reshape(*grouped.shape[:-2], -1)
-        if pad:
-            values = values[..., : qt.shape[-1]]
-        return values
+        grouped, _, _ = _group_reshape(codes, config.group_size)
+        return _ungroup(grouped * qt.scales, qt.shape[-1])
     return codes * qt.scales
 
 
+def _round_to_grid(
+    values: np.ndarray, scales: np.ndarray, spec: IntSpec, out: np.ndarray
+) -> np.ndarray:
+    """``out <- clip(rint(values / scales)) * scales``, one pass per operator.
+
+    The rounding half of the fake-quant round trip without its integer
+    detour: the clipped ``rint`` values *are* the codes, held as floats.
+    ``out`` may be ``values``.
+    """
+    np.divide(values, scales, out=out)
+    np.rint(out, out=out)
+    np.clip(out, spec.qmin, spec.qmax, out=out)
+    # Integer codes have no signed zero but rint does (-0.3 -> -0.0).
+    np.add(out, 0.0, out=out)
+    np.multiply(out, scales, out=out)
+    return out
+
+
+def _fake_quant_tile(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> None:
+    """Fake-quantize one cache-resident tile ``x`` into ``out`` (not ``x``).
+
+    ``out`` doubles as the scratch of the absmax pass, so the whole round
+    trip touches two tile-sized buffers: abs -> group max -> scale (+ PoT
+    snap) -> divide -> rint -> clip -> multiply.  ``x`` may have any strides
+    (splitting its last axis into groups never copies).
+    """
+    np.abs(x, out=out)
+    if config.granularity is not Granularity.PER_GROUP:
+        if config.granularity is Granularity.PER_TENSOR or x.ndim <= 1:
+            absmax = out.max()
+        else:
+            absmax = out.max(axis=-1, keepdims=True)
+        _round_to_grid(x, _scales_from_absmax(absmax, config), config.spec, out)
+        return
+    last = x.shape[-1]
+    group = min(config.group_size, last)
+    grouped = x.shape[:-1] + (last // group, group)
+    scales = _scales_from_absmax(_group_max(out, group), config)
+    # One scale per element, expanded once: a (..., G, 1) operand would make
+    # the divide and the multiply below broadcast in group-length inner loops.
+    scales = np.repeat(scales, group).reshape(x.shape)
+    _round_to_grid(x, scales, config.spec, out)
+
+
+def _fake_quant_into(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
+    """Fake-quantize float64 ``x`` into the C-contiguous float64 ``out`` (not ``x``).
+
+    Walks the leading axis in token tiles (:func:`repro.mamba.ops.row_tiles`)
+    so every pass of :func:`_fake_quant_tile` runs on cache-resident data;
+    quantization grids live on the trailing axis, so tiling the leading one
+    cannot change a value.  Per-tensor grids need the global maximum and run
+    as one tile.  A ragged last group is quantized on a zero-padded copy,
+    like :func:`quantize` does.  A non-finite input poisons its quantization
+    group like in ``dequantize(quantize(x))`` -- NaN to the same NaN pattern
+    -- but silently: there is no integer cast left to warn.
+    """
+    if not x.size:
+        return out
+    per_group = config.granularity is Granularity.PER_GROUP
+    pad = -x.shape[-1] % min(config.group_size, x.shape[-1]) if per_group else 0
+    with np.errstate(invalid="ignore"):
+        if pad:
+            padded = np.zeros(x.shape[:-1] + (x.shape[-1] + pad,))
+            padded[..., : x.shape[-1]] = x
+            out[...] = _fake_quant_into(padded, config, np.empty_like(padded))[..., : x.shape[-1]]
+        elif x.ndim < 2 or config.granularity is Granularity.PER_TENSOR:
+            _fake_quant_tile(x, config, out)
+        else:
+            for rows in row_tiles(x.shape[0], x.size // x.shape[0]):
+                _fake_quant_tile(x[rows], config, out[rows])
+    return out
+
+
 def quantize_dequantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
-    """Fake-quantization round trip: ``dequantize(quantize(x))``.
+    """Fake-quantization round trip, bit for bit ``dequantize(quantize(x))``.
 
     This is the numerical model of quantized inference used throughout the
     library; the integer-exact path in :mod:`repro.quant.qlinear` verifies
-    its equivalence.
+    its equivalence.  It is computed fused and tiled rather than composed:
+    one pass per operator (abs, group max, scale, divide, rint, clip,
+    multiply) over a cache-resident token tile, written into a single result
+    buffer -- no integer codes, no prompt-sized temporaries.  The
+    composition itself stays the oracle the tests pin this against.
     """
-    return dequantize(quantize(x, config))
+    x = np.asarray(x, dtype=np.float64)
+    return _fake_quant_into(x, config, np.empty(x.shape))

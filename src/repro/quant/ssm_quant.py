@@ -20,7 +20,11 @@ Two inference engines are provided:
   at the same operator interfaces.  It advertises ``supports_prefill_scan``,
   which :meth:`MambaBlock.forward <repro.mamba.block.MambaBlock.forward>`
   routes the ``scan_impl="chunked"`` prefill through -- this is how the
-  LightMamba* configurations inherit the chunked prefill fast path.
+  LightMamba* configurations inherit the chunked prefill fast path.  Like
+  the decode step it is tiled and fused: the chunk is the tile, operands are
+  staged per chunk through reused head-major scratch, and every
+  element-wise stage is one fused pass that materializes integer codes only
+  where something reads them.
 
 Fake-quant vs. integer-resident execution
 -----------------------------------------
@@ -96,6 +100,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -118,7 +123,12 @@ from repro.quant.qlinear import grouped_integer_matmul
 from repro.quant.quantizer import (
     QuantizedTensor,
     QuantizerConfig,
+    _fake_quant_into,
+    _group_max,
     _group_reshape,
+    _round_to_grid,
+    _scales_from_absmax,
+    _ungroup,
     dequantize,
     quantize,
     quantize_dequantize,
@@ -208,16 +218,6 @@ class SSMQuantConfig:
             pot_scale=self.pot_scale,
             pot_rounding="ceil",
         )
-
-
-def _ungroup(grouped: np.ndarray, length: int) -> np.ndarray:
-    """Flatten a ``(..., G, g)`` grouped tensor back to ``(..., length)``.
-
-    Inverse of :func:`repro.quant.quantizer._group_reshape`: collapse the
-    group axes and trim the zero padding of the last partial group.
-    """
-    flat = grouped.reshape(grouped.shape[:-2] + (-1,))
-    return flat[..., :length]
 
 
 def _per_element_exponents(scales: np.ndarray, length: int, group_size: int) -> np.ndarray:
@@ -754,10 +754,10 @@ class QuantizedChunkedScan(QuantizedSSMStep):
     points of :class:`QuantizedSSMStep` fixed at the operator interfaces,
     the FastMamba / ViM-Q recipe for chunk-parallel quantized Mamba blocks:
 
-    - the inputs ``x`` / ``B`` / ``C`` are fake-quantized on entry exactly as
-      the sequential step quantizes them per token (per-group grids live on
-      the trailing axis, so quantizing a whole chunk at once is bit-identical
-      to quantizing each token alone);
+    - the inputs ``x`` / ``B`` / ``C`` are fake-quantized chunk by chunk,
+      exactly as the sequential step quantizes them per token (per-group
+      grids live on the trailing axis, so quantizing a whole chunk at once
+      is bit-identical to quantizing each token alone);
     - the ``Delta (.) B`` and ``D (.) x`` element-wise products are
       re-quantized at the SSMU interfaces, bit-identically to the step;
     - the recurrent state is quantized at chunk *boundaries* (entry and every
@@ -813,11 +813,33 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         container again, keeping segmented serving prefills integer-resident
         end to end.
 
+        **The tiled datapath.**  ``chunk_size`` is the tile: everything the
+        scan does to a tensor operand -- the x / B / C entry quantization,
+        the ``D (.) x`` and ``Delta (.) B`` re-quantizations, the four chunk
+        contractions, the hand-off and the boundary state quantization --
+        happens inside the chunk loop on one ``(chunk, nheads, .)`` tile,
+        through scratch allocated once per call (:meth:`_chunk_scratch`), so
+        the working set is a few tile-sized buffers whatever the prompt
+        length.  Per-group grids live on the trailing axis only, so staging
+        an operand chunk by chunk is bit-identical to quantizing the whole
+        sequence (or each token alone).  The tile is kept head-major
+        ``(nheads, chunk, .)``: the contractions then read and write
+        contiguous per-head matrices, and the output is transposed into the
+        caller's token-major layout once per chunk.  Every element-wise
+        stage is one fused pass (:func:`repro.quant.quantizer._fake_quant_into`):
+        the float chunk body reads no integer codes, so none are
+        materialized -- only the final resident state (and the ``seq_lens``
+        snapshots) is quantized to codes.  ``Delta (.) B`` takes its grid
+        from ``Delta * max|B|`` per group instead of an absmax pass over the
+        product: multiplication by the positive ``Delta`` is monotone in
+        floating point too, so that *is* the product's absmax.
+
         With ``integer_chunk_body`` the two ``d_state`` contractions of the
         chunk body (the dense ``C B^T`` interaction and the carried-state
         ``h . C`` readout) run on INT32 accumulators over the raw codes via
         :func:`repro.quant.qlinear.grouped_integer_matmul` -- the MMU
-        execution model, including its static overflow guard.  Under PoT
+        execution model, including its static overflow guard -- and the
+        staging keeps the codes those contractions read.  Under PoT
         scales every partial product is exactly representable, so the
         integer body agrees with the float chunk body to the last bit of the
         accumulation order.
@@ -833,6 +855,11 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         scale; the alignment shifts and gate quantization are additional
         rounding points, so this mode is a further approximation of the float
         chunk scan (the INT32 accumulation itself stays exact).
+
+        Unlike :func:`repro.mamba.ssm.ssd_chunked_scan`, whose FP body
+        contracts one head-independent ``C B^T`` matrix per chunk, every
+        contraction here is per head: folding ``Delta`` and the requant into
+        ``Delta (.) B`` gives ``B`` a head axis.
 
         Returns ``(y, final_state)`` with ``y`` shaped like ``x``.
         """
@@ -884,39 +911,16 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 final = self.quantize_state_codes(final)
             return y, final
 
-        A, d_col = params.A, self._d_col(params)
         quantize_state = self.config.quantize_state
         integer_body = self.config.integer_chunk_body and not self._fake_quant_fallback
         integer_full = integer_body and self.config.integer_full_chunk
+        group = self._qcfg.group_size
 
-        # Operand quantization at the SSMU interfaces.  Per-group grids are
-        # computed along the trailing axis only, so quantizing the whole
-        # sequence at once is bit-identical to the step's per-token _q.  The
-        # integer chunk body keeps the raw codes of C and of the re-quantized
-        # Delta (.) B product next to their float views; the full-integer
-        # chunk additionally keeps the x codes for the gate @ x contraction.
-        if integer_full:
-            x_qt = quantize(x, self._qcfg)  # quant-point: x codes (kept for the MMU body)
-            qx = dequantize(x_qt)  # quant-point: x float view
-        else:
-            x_qt = None
-            qx = self._q(x)  # quant-point: x chunk quantization
-        qB = self._q(B)  # quant-point: B chunk quantization
-        c_qt = quantize(C, self._qcfg)  # quant-point: C codes (kept for the MMU body)
-        qC = dequantize(c_qt)  # quant-point: C float view
-        delta = softplus(dt + params.dt_bias)               # (..., T, h)
-        log_decay = delta * A                               # (..., T, h), negative
-        # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
-        if integer_body:
-            # quant-point: Delta (.) B requant, keeping codes for the MMU body
-            db_qt = quantize(delta[..., None] * qB[..., None, :], self._qcfg)
-            qdB = dequantize(db_qt)  # quant-point: float view (..., T, h, n)
-        else:
-            db_qt = None
-            # quant-point: Delta (.) B requant (..., T, h, n)
-            qdB = self._qp(delta[..., None] * qB[..., None, :])
-        # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
-        y = self._qp(d_col * qx)  # quant-point: x (.) D skip
+        # The decay chain stays in floating point (dedicated FPGA units); it
+        # is per head and per token -- tiny -- so it is computed for the whole
+        # prompt, head-major like the tiles.
+        delta = np.ascontiguousarray(np.swapaxes(softplus(dt + params.dt_bias), -1, -2))
+        log_decay = delta * params.A[:, None]               # (..., h, T), negative
 
         state_qt: Optional[QuantizedTensor] = None
         if resident:
@@ -928,163 +932,137 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 shape=initial_state.shape,
             )
         elif quantize_state:
-            state_qt = quantize(state, self._qcfg)  # quant-point: chunk-entry quantization
-            state = dequantize(state_qt)  # quant-point: chunk-entry float view
+            state_qt = self._stage(state.copy(), state, integer_body)
         if seq_lens is not None:
             snapshot = np.zeros_like(state)  # quant-point: seq_lens snapshot buffer
 
-        # The loop below deliberately mirrors (rather than shares) the chunk
-        # body of ssd_chunked_scan: the FP scan contracts one head-independent
-        # C B^T matrix per chunk, a factorization that quantization breaks --
-        # folding Delta and the requant into qdB gives B a head axis, so every
-        # contraction here is per-head.  Keep the two bodies in sync when
-        # touching either.
-        qmax = self._qcfg.spec.qmax
-        group = self._qcfg.group_size
+        y = np.empty(x.shape)  # quant-point: the float output the gated norm consumes
         chunk = min(chunk_size, seq_len)
-        if integer_full:
-            # Per-element PoT grid exponents of the per-token operands, in
-            # the integer form the alignment shifts consume.
-            ex_el = _per_element_exponents(x_qt.scales, headdim, group)  # (..., T, h, p)
-            edb_el = _per_element_exponents(db_qt.scales, d_state, group)  # (..., T, h, n)
         # quant-point: the causal mask is a float constant, not a tensor operand
         causal_full = np.tril(np.ones((chunk, chunk), dtype=np.float64))
+        full_tile = self._chunk_scratch(lead, nheads, chunk, headdim, d_state)
         for start in range(0, seq_len, chunk):
             stop = min(start + chunk, seq_len)
             q_len = stop - start
-            xc = qx[..., start:stop, :, :]                  # (..., Q, h, p)
-            bc = qdB[..., start:stop, :, :]                 # (..., Q, h, n)
-            cc = qC[..., start:stop, :]                     # (..., Q, n)
-            lc = np.cumsum(log_decay[..., start:stop, :], axis=-2)  # (..., Q, h)
+            tile = (
+                full_tile
+                if q_len == chunk
+                else self._chunk_scratch(lead, nheads, q_len, headdim, d_state)
+            )
+            xq, bq, cq, db = tile.xq, tile.bq, tile.cq, tile.db
+
+            # Operand quantization at the SSMU interfaces, on this chunk's
+            # tile.  The MMU bodies keep the codes they contract next to the
+            # float views; the float body stages floats only.
+            x_qt = self._stage(
+                np.moveaxis(x[..., start:stop, :, :], -3, -2), xq, integer_full
+            )                                               # (..., h, Q, p)
+            self._stage(B[..., start:stop, :], bq, False)   # (..., Q, n)
+            c_qt = self._stage(C[..., start:stop, :], cq, integer_body)
+            # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
+            np.multiply(params.D[:, None, None], xq, out=tile.work)
+            if self.config.quantize_products:
+                # quant-point: D (.) x requant, fused
+                _fake_quant_into(tile.work, self._qcfg, tile.skip)
+            else:
+                np.copyto(tile.skip, tile.work)
+            # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
+            db_qt = self._stage_delta_b(delta[..., start:stop], bq, db, integer_body)
+            lc = np.cumsum(log_decay[..., start:stop], axis=-1)  # (..., h, Q)
 
             # Dense decay-weighted interaction on the quantized operands:
-            #   G[t, s, head] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
+            #   G[head, t, s] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
             # The d_state contraction runs on the MMU-style wide accumulator:
             # in float mode that is the float64 matmul below; in integer mode
             # the raw codes accumulate in a true INT32 per quantization group
             # (grouped_integer_matmul, with the static overflow guard).  L is
             # decreasing so causal entries have diff <= 0, and clamping keeps
             # the masked upper triangle finite.
-            bh = np.moveaxis(bc, -2, -3)                    # (..., h, Q, n)
             if integer_body:
-                cc_codes = c_qt.codes[..., start:stop, :]                # (..., Q, n)
-                cc_scales = c_qt.scales[..., start:stop, :, 0]           # (..., Q, G)
-                bh_codes = np.moveaxis(db_qt.codes[..., start:stop, :, :], -2, -3)
-                bh_scales = np.moveaxis(db_qt.scales[..., start:stop, :, :, 0], -2, -3)
-                cb = np.moveaxis(
-                    grouped_integer_matmul(
-                        cc_codes[..., None, :, :],
-                        cc_scales[..., None, :, :],
-                        bh_codes,
-                        bh_scales,
-                        group_size=group,
-                        x_qmax=qmax,
-                        w_qmax=qmax,
-                    ),
-                    -3,
-                    -1,
-                )                                           # (..., Q, Q, h)
+                cc_codes = c_qt.codes[..., None, :, :]      # (..., 1, Q, n)
+                cc_scales = c_qt.scales[..., None, :, :, 0]  # (..., 1, Q, G)
+                tile.gate[...] = self._mmu(
+                    cc_codes, cc_scales, db_qt.codes, db_qt.scales[..., 0]
+                )
             else:
-                cb = np.moveaxis(
-                    cc[..., None, :, :] @ np.swapaxes(bh, -1, -2), -3, -1
-                )                                           # (..., Q, Q, h)
-            causal = causal_full if q_len == chunk else causal_full[:q_len, :q_len]
-            diff = lc[..., :, None, :] - lc[..., None, :, :]
-            gate = cb * np.exp(np.minimum(diff, 0.0)) * causal[..., :, :, None]
+                np.matmul(cq[..., None, :, :], np.swapaxes(db, -1, -2), out=tile.gate)
+            np.subtract(lc[..., :, None], lc[..., None, :], out=tile.decay)
+            np.minimum(tile.decay, 0.0, out=tile.decay)
+            np.exp(tile.decay, out=tile.decay)
+            np.multiply(tile.gate, tile.decay, out=tile.gate)
+            np.multiply(tile.gate, causal_full[:q_len, :q_len], out=tile.gate)
             if integer_full:
                 # Decay-gated interaction on the INT32 accumulator: the gate
                 # (decay folded in) re-quantizes onto a PoT grid along the
                 # contraction axis, and the per-token x codes shift-align to
                 # one exponent per accumulator group (pure right shifts, so
                 # the qmax bound and the overflow guard still hold).
-                gate_h = np.moveaxis(gate, -1, -3)          # (..., h, Q, Q)
-                g_qt = quantize(gate_h, self._qcfg)  # quant-point: gate requant (decay folded)
-                xh_codes = np.moveaxis(
-                    x_qt.codes[..., start:stop, :, :], -3, -1
-                ).astype(np.int64)                          # (..., h, p, Q)
-                xh_exp = np.moveaxis(ex_el[..., start:stop, :, :], -3, -1)
-                x_ge, x_el = _common_group_exponents(xh_exp, group)
-                xh_al = shift_requantize(
-                    xh_codes, xh_exp, x_el, self.config.bits, "half_even"
+                g_qt = quantize(tile.gate, self._qcfg)  # quant-point: gate requant (decay folded)
+                tile.out[...] = self._mmu_aligned(
+                    g_qt,
+                    np.swapaxes(x_qt.codes, -1, -2),        # (..., h, p, Q)
+                    np.swapaxes(_per_element_exponents(x_qt.scales, headdim, group), -1, -2),
                 )
-                yc = np.moveaxis(
-                    grouped_integer_matmul(
-                        g_qt.codes,
-                        g_qt.scales[..., 0],
-                        xh_al,
-                        np.ldexp(1.0, x_ge),
-                        group_size=group,
-                        x_qmax=qmax,
-                        w_qmax=qmax,
-                    ),
-                    -3,
-                    -2,
-                )                                           # (..., Q, h, p)
             else:
-                yc = np.moveaxis(
-                    np.moveaxis(gate, -1, -3) @ np.moveaxis(xc, -2, -3), -3, -2
-                )                                           # (..., Q, h, p)
+                np.matmul(tile.gate, xq, out=tile.out)      # (..., h, Q, p)
             # Carried-in state readout (h_in . C per head, decayed to t).
             if integer_body:
-                readout = grouped_integer_matmul(
-                    state_qt.codes,
-                    state_qt.scales[..., 0],
-                    cc_codes[..., None, :, :],
-                    cc_scales[..., None, :, :],
-                    group_size=group,
-                    x_qmax=qmax,
-                    w_qmax=qmax,
-                )                                           # (..., h, p, Q)
+                tile.readout[...] = self._mmu(
+                    state_qt.codes, state_qt.scales[..., 0], cc_codes, cc_scales
+                )
             else:
-                readout = state @ np.swapaxes(cc, -1, -2)[..., None, :, :]  # (..., h, p, Q)
-            yc += np.exp(lc)[..., None] * np.moveaxis(readout, -1, -3)
-            y[..., start:stop, :, :] += yc
+                np.matmul(state, np.swapaxes(cq, -1, -2)[..., None, :, :], out=tile.readout)
+            np.multiply(
+                np.exp(lc)[..., None], np.swapaxes(tile.readout, -1, -2), out=tile.work
+            )
+            np.add(tile.out, tile.work, out=tile.out)
+            np.add(tile.skip, tile.out, out=tile.out)
+            y[..., start:stop, :, :] = np.moveaxis(tile.out, -3, -2)
 
             if seq_lens is not None:
                 # Snapshot rows whose true last token falls inside the chunk:
                 # the hand-off formula truncated at the row's local position.
                 for row in np.nonzero((seq_lens > start) & (seq_lens <= stop))[0]:
                     j = int(seq_lens[row]) - 1 - start
-                    carry_j = np.exp(lc[row, j][None, :] - lc[row, : j + 1])  # (j+1, h)
-                    wx_j = np.moveaxis(carry_j[:, :, None] * xc[row, : j + 1], 0, -1)
+                    carry_j = np.exp(lc[row, :, j, None] - lc[row, :, : j + 1])  # (h, j+1)
+                    wx_j = carry_j[..., None] * xq[row, :, : j + 1]              # (h, j+1, p)
                     row_state = (
-                        np.exp(lc[row, j])[:, None, None] * state[row]
-                        + wx_j @ np.moveaxis(bc[row, : j + 1], -2, -3)
+                        np.exp(lc[row, :, j])[:, None, None] * state[row]
+                        + np.swapaxes(wx_j, -1, -2) @ db[row, :, : j + 1]
                     )
                     # quant-point: row snapshot requant
                     snapshot[row] = self._q(row_state) if quantize_state else row_state
+                if stop == seq_len:
+                    break  # the snapshots are the result; no hand-off follows
 
-            # Chunk hand-off, then the chunk-boundary state quantization (kept
-            # as codes when the next chunk's readout or the caller needs them).
-            last = lc[..., -1, :]                           # (..., h)
-            carry = np.exp(last[..., None, :] - lc)         # (..., Q, h)
-            wx = np.moveaxis(carry[..., None] * xc, -3, -1)  # (..., h, p, Q)
+            # Chunk hand-off, then the chunk-boundary state quantization:
+            # codes only where they are read -- by the next chunk's MMU
+            # readout, or by the caller of a resident scan after the last
+            # chunk; the float body's boundaries stay fused fake-quant.
+            last = lc[..., -1]                              # (..., h)
+            np.multiply(np.exp(last[..., None] - lc)[..., None], xq, out=tile.work)
+            wx = np.swapaxes(tile.work, -1, -2)             # (..., h, p, Q)
             if integer_full:
                 # State hand-off on the INT32 accumulator: the decay-carried
                 # x re-quantizes onto a PoT grid along the token axis and
                 # contracts against the shift-aligned Delta (.) B codes.
                 w_qt = quantize(wx, self._qcfg)  # quant-point: decay-carried x requant
-                bh_t = np.swapaxes(bh_codes, -1, -2).astype(np.int64)  # (..., h, n, Q)
-                bh_exp = np.moveaxis(edb_el[..., start:stop, :, :], -3, -1)
-                b_ge, b_el = _common_group_exponents(bh_exp, group)
-                bh_al = shift_requantize(
-                    bh_t, bh_exp, b_el, self.config.bits, "half_even"
+                tile.handoff[...] = self._mmu_aligned(
+                    w_qt,
+                    np.swapaxes(db_qt.codes, -1, -2),       # (..., h, n, Q)
+                    np.swapaxes(_per_element_exponents(db_qt.scales, d_state, group), -1, -2),
                 )
-                handoff = grouped_integer_matmul(
-                    w_qt.codes,
-                    w_qt.scales[..., 0],
-                    bh_al,
-                    np.ldexp(1.0, b_ge),
-                    group_size=group,
-                    x_qmax=qmax,
-                    w_qmax=qmax,
-                )                                           # (..., h, p, n)
-                state = np.exp(last)[..., :, None, None] * state + handoff
             else:
-                state = np.exp(last)[..., :, None, None] * state + wx @ bh
-            if quantize_state:
-                state_qt = quantize(state, self._qcfg)  # quant-point: chunk boundary
-                state = dequantize(state_qt)  # quant-point: boundary float view
+                np.matmul(wx, db, out=tile.handoff)         # (..., h, p, n)
+            np.multiply(state, np.exp(last)[..., None, None], out=state)
+            np.add(state, tile.handoff, out=tile.handoff)
+            if not quantize_state:
+                np.copyto(state, tile.handoff)
+            elif resident and stop == seq_len:
+                # quant-point: the final resident state, quantized to codes
+                state_qt = quantize(tile.handoff, self._qcfg)
+            else:
+                state_qt = self._stage(tile.handoff, state, integer_body)
 
         if seq_lens is not None:
             if resident:
@@ -1105,3 +1083,120 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 bits=self.config.bits,
             )
         return y, state
+
+    # ------------------------------------------------------------------
+    # Chunk-tile helpers of prefill_scan
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _chunk_scratch(  # integer-resident
+        lead: Tuple[int, ...], nheads: int, q_len: int, headdim: int, d_state: int
+    ) -> SimpleNamespace:
+        """The work buffers of one ``q_len``-token chunk tile, head-major.
+
+        Registers of the chunk datapath, reused by every chunk of a scan:
+        the staged operands (``xq``, ``bq``, ``cq``, ``db``), the ``D (.) x``
+        skip term, the interaction matrix and its decay mask, the chunk
+        output, the carried-state readout, the hand-off product and one
+        ``(h, Q, p)`` work tile.
+        """
+        per_head = lead + (nheads, q_len)
+        shapes = {
+            "xq": per_head + (headdim,),
+            "skip": per_head + (headdim,),
+            "out": per_head + (headdim,),
+            "work": per_head + (headdim,),
+            "bq": lead + (q_len, d_state),
+            "cq": lead + (q_len, d_state),
+            "db": per_head + (d_state,),
+            "gate": per_head + (q_len,),
+            "decay": per_head + (q_len,),
+            "readout": lead + (nheads, headdim, q_len),
+            "handoff": lead + (nheads, headdim, d_state),
+        }
+        # quant-point: float scratch of the chunk tile (wide accumulators + staged views)
+        return SimpleNamespace(**{name: np.empty(shape) for name, shape in shapes.items()})
+
+    def _stage(  # integer-resident
+        self, values: np.ndarray, out: np.ndarray, keep_codes: bool
+    ) -> Optional[QuantizedTensor]:
+        """Fake-quantize an operand tile into ``out``.
+
+        The float chunk body never reads codes, so it gets the fused round
+        trip (``out`` must not be ``values``); the MMU bodies contract the
+        codes, so for them the tile is quantized to codes (returned) and
+        ``out`` -- which may then be ``values`` -- is their float view.
+        """
+        if not keep_codes:
+            _fake_quant_into(values, self._qcfg, out)  # quant-point: operand tile, fused
+            return None
+        qt = quantize(values, self._qcfg)  # quant-point: operand codes (kept for the MMU body)
+        out[...] = dequantize(qt)  # quant-point: float view of the kept codes
+        return qt
+
+    def _stage_delta_b(  # integer-resident
+        self, delta: np.ndarray, bq: np.ndarray, out: np.ndarray, keep_codes: bool
+    ) -> Optional[QuantizedTensor]:
+        """``out <- requant(Delta (.) qB)``, head-major ``(..., h, Q, n)``.
+
+        ``delta`` is ``(..., h, Q)`` and ``bq`` the staged ``(..., Q, n)``
+        tile.  The product's per-group absmax is separable -- ``Delta`` is a
+        positive per-(head, token) scalar and floating-point multiplication
+        by it is monotone, so ``max_j |Delta * b_j| = Delta * max_j |b_j|``
+        exactly (all-zero groups reach the same epsilon floor) -- which
+        replaces the absmax pass over the largest tensor of the scan with
+        one over ``bq``.
+        """
+        np.multiply(delta[..., None], bq[..., None, :, :], out=out)
+        if keep_codes:
+            return self._stage(out, out, True)
+        if not self.config.quantize_products:
+            return None
+        d_state = bq.shape[-1]
+        group = min(self._qcfg.group_size, d_state)
+        if d_state % group:
+            out[...] = self._qp(out)  # quant-point: Delta (.) B requant, ragged last group
+            return None
+        b_max = _group_max(np.abs(bq), group).reshape(bq.shape[:-1] + (-1,))  # (..., Q, G)
+        scales = _scales_from_absmax(delta[..., None] * b_max[..., None, :, :], self._qcfg)
+        scales = np.repeat(scales, group, axis=-1)          # per element, like out
+        # quant-point: Delta (.) B requant on the separable grid, in place
+        _round_to_grid(out, scales, self._qcfg.spec, out)
+        return None
+
+    def _mmu(  # integer-resident
+        self,
+        x_codes: np.ndarray,
+        x_scales: np.ndarray,
+        w_codes: np.ndarray,
+        w_scales: np.ndarray,
+    ) -> np.ndarray:
+        """``x @ w^T`` over codes on the per-group INT32 accumulator."""
+        qmax = self._qcfg.spec.qmax
+        return grouped_integer_matmul(
+            x_codes,
+            x_scales,
+            w_codes,
+            w_scales,
+            group_size=self._qcfg.group_size,
+            x_qmax=qmax,
+            w_qmax=qmax,
+        )
+
+    def _mmu_aligned(  # integer-resident
+        self, left: QuantizedTensor, codes: np.ndarray, exponents: np.ndarray
+    ) -> np.ndarray:
+        """``left @ codes^T`` where ``codes`` sit on per-element PoT grids.
+
+        The contraction axis of ``codes`` mixes per-token grids, so its
+        members are first shift-aligned (pure right shifts, half-even) onto
+        the maximum exponent of their accumulator group
+        (:func:`_common_group_exponents`), which gives the MMU the one scale
+        per group it needs.
+        """
+        group_exp, element_exp = _common_group_exponents(exponents, self._qcfg.group_size)
+        aligned = shift_requantize(
+            codes.astype(np.int64), exponents, element_exp, self.config.bits, "half_even"
+        )
+        return self._mmu(
+            left.codes, left.scales[..., 0], aligned, np.ldexp(1.0, group_exp)
+        )
