@@ -9,8 +9,9 @@ between steps (the FPGA's on-chip state buffer execution model), and every
 per-token requantization is a shift on resident codes instead of a
 dequantize / absmax / round pass over float tensors.  The iteration is the
 paper's tiled, fused SSMU datapath: one batch row -- one cache-resident tile
-of INT32 codes -- at a time, the small operand of each code-by-code product
-pre-aligned so the whole tile takes one uniform half-even right shift.  No
+of codes stored as INT8 -- at a time, the small operand of each code-by-code
+product pre-aligned so the whole tile takes one uniform half-even right shift
+on its INT32 accumulator.  No
 float tensor is materialized between in-projection and readout (enforced by
 the ``repro.analysis`` DT20x lint and its sanction-budget ratchet).  Outputs
 are bit-identical to the fake-quant oracle under PoT scaling (scaling

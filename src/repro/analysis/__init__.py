@@ -34,6 +34,7 @@ from repro.analysis.core import (
 from repro.analysis.dtypeflow import count_quant_points
 from repro.analysis.overflow import (
     ContractionSpec,
+    NarrowCodeSpec,
     ShiftAccumulatorSpec,
     default_registry,
     prove,
@@ -47,6 +48,7 @@ __all__ = [
     "ContractionSpec",
     "Finding",
     "ShiftAccumulatorSpec",
+    "NarrowCodeSpec",
     "SourceModule",
     "analyze_paths",
     "analyze_repo",

@@ -23,7 +23,11 @@ re-quantization (:class:`ShiftAccumulatorSpec`).  Nothing accumulates across
 elements there; the bound is :func:`repro.quant.pot.aligned_product_bound`,
 the very function the runtime picks its accumulator dtype from
 (:func:`repro.quant.pot.shift_accumulator_dtype`), so again the static
-verdict and the runtime choice cannot disagree.
+verdict and the runtime choice cannot disagree.  The same step also holds
+values *narrower* than that accumulator (:class:`NarrowCodeSpec`): the
+resident codes it stores at their true width and the ``h (.) C``
+code-by-code product in the ``2 * bits`` type, both in the dtype
+:func:`repro.quant.pot.code_storage_dtype` picks.
 
 The prover reports a margin for every contraction (headroom between the
 worst-case partial sum and the accumulator capacity, also expressed in
@@ -42,6 +46,7 @@ from repro.analysis.core import Finding
 __all__ = [
     "ContractionSpec",
     "ShiftAccumulatorSpec",
+    "NarrowCodeSpec",
     "default_registry",
     "prove",
     "prove_default_registry",
@@ -181,6 +186,48 @@ class ShiftAccumulatorSpec(_AccumulatorBound):
         }
 
 
+@dataclass(frozen=True)
+class NarrowCodeSpec(_AccumulatorBound):
+    """A value the tiled decode step holds narrower than its accumulator.
+
+    ``factors`` codes of ``bits`` multiplied together: 1 is the code store
+    (the re-quantized state, at most ``qmax`` because its grid comes from
+    its own absmax, written straight into the resident array), 2 the
+    ``h (.) C`` code-by-code product, which stays in the ``2 * bits`` type
+    through its group absmax until the alignment multiply widens it.  The
+    bound is ``qmax ** factors``, whatever the group size.
+
+    Attributes
+    ----------
+    bits:
+        Signed symmetric code width of every factor.
+    factors:
+        How many codes are multiplied (1: a stored code, 2: a product).
+    acc_bits:
+        Width of the integer type holding the value (the registry takes it
+        from the runtime's :func:`repro.quant.pot.code_storage_dtype`).
+    """
+
+    name: str
+    origin: str
+    bits: int
+    factors: int
+    acc_bits: int
+
+    @property
+    def worst_case(self) -> int:
+        return (2 ** (self.bits - 1) - 1) ** self.factors
+
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "origin": self.origin,
+            "bits": self.bits,
+            "factors": self.factors,
+            **self._verdict_json(),
+        }
+
+
 # ----------------------------------------------------------------------
 # Registry enumeration
 # ----------------------------------------------------------------------
@@ -229,29 +276,44 @@ def _ssm_specs() -> List[ContractionSpec]:
     return specs
 
 
-def _ssm_step_specs() -> List[ShiftAccumulatorSpec]:
-    """The tiled decode step's pre-aligned products, on INT32 accumulators.
+def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
+    """The tiled decode step's integer values, each at the width it is held.
 
-    One entry per fused re-quantization (``B_bar (.) x``, ``h (.) C``) and
-    committed SSM code width: the :class:`SSMQuantConfig` default (INT8) and
-    the INT4 variant the bit-identity tests pin.  The bound does not depend
-    on the group size, so each entry covers the committed group sizes
+    Per committed SSM code width -- the :class:`SSMQuantConfig` default
+    (INT8) and the INT4 variant the bit-identity tests pin -- one INT32
+    entry per fused re-quantization (the ``B_bar (.) x`` and ``h (.) C``
+    pre-aligned products) and one narrow entry each for the ``h (.) C``
+    product before alignment and for the code store.  No bound depends on
+    the group size, so each entry covers the committed group sizes
     (8, 32, 128) at once.
     """
+    import numpy as np
+
+    from repro.quant.pot import code_storage_dtype
     from repro.quant.ssm_quant import SSMQuantConfig
 
-    return [
-        ShiftAccumulatorSpec(
-            name=(
-                f"ssm-decode-step/{product} aligned product lightmamba* "
-                f"INT{bits} g8/g32/g128"
-            ),
-            origin="ssm-decode-step",
-            bits=bits,
-        )
-        for bits in sorted({4, SSMQuantConfig().bits})
-        for product in ("B_bar.x", "h.C")
-    ]
+    specs: List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]] = []
+    for bits in sorted({4, SSMQuantConfig().bits}):
+        suffix = f"lightmamba* INT{bits} g8/g32/g128"
+        for product in ("B_bar.x", "h.C"):
+            specs.append(
+                ShiftAccumulatorSpec(
+                    name=f"ssm-decode-step/{product} aligned product {suffix}",
+                    origin="ssm-decode-step",
+                    bits=bits,
+                )
+            )
+        for value, factors in (("h.C code product", 2), ("state code store", 1)):
+            specs.append(
+                NarrowCodeSpec(
+                    name=f"ssm-decode-step/{value} {suffix}",
+                    origin="ssm-decode-step",
+                    bits=bits,
+                    factors=factors,
+                    acc_bits=np.iinfo(code_storage_dtype(factors * bits)).bits,
+                )
+            )
+    return specs
 
 
 def _max_d_state() -> int:
@@ -334,7 +396,7 @@ def _mmu_specs() -> List[ContractionSpec]:
     return specs
 
 
-AccumulatorSpec = Union[ContractionSpec, ShiftAccumulatorSpec]
+AccumulatorSpec = Union[ContractionSpec, ShiftAccumulatorSpec, NarrowCodeSpec]
 
 
 def default_registry() -> List[AccumulatorSpec]:

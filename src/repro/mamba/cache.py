@@ -42,13 +42,18 @@ class QuantizedSSMState:
 
     This is the software twin of the FPGA's on-chip state buffer: between
     decode steps the state exists only as ``codes`` (INT ``bits`` values
-    stored in an int32 array) and ``scales`` (one power-of-two scale per
-    ``group_size`` run along the trailing ``d_state`` axis, shaped
-    ``(..., nheads, headdim, n_groups, 1)`` so it multiplies the
+    stored at their true width: the narrowest signed integer array that
+    holds ``bits``, ``int8`` for the INT8 SSM -- see
+    :func:`repro.quant.pot.code_storage_dtype`) and ``scales`` (one
+    power-of-two scale per ``group_size`` run along the trailing ``d_state``
+    axis, shaped ``(..., nheads, headdim, n_groups, 1)`` so it multiplies the
     group-reshaped view of ``codes``).  The container is purely mechanical --
     producing codes from floats is the quantizer's job
     (:class:`repro.quant.ssm_quant.QuantizedSSMStep`); here we only hold,
-    copy, and row-shuffle them for the serving engine's admission / eviction.
+    copy, and row-shuffle them for the serving engine's admission / eviction,
+    and refuse to mix containers of different layouts
+    (:meth:`scatter` / :meth:`stack`): an assignment between code arrays of
+    different widths would silently wrap.
 
     ``codes`` has the exact shape a float ``ssm_state`` would have
     (``(nheads, headdim, d_state)``, plus an optional leading batch axis), so
@@ -103,7 +108,17 @@ class QuantizedSSMState:
             self.bits,
         )
 
+    def _require_same_layout(self, other: "QuantizedSSMState", op: str) -> None:
+        mine = (self.codes.dtype, self.bits, self.group_size)
+        theirs = (other.codes.dtype, other.bits, other.group_size)
+        if mine != theirs:
+            raise ValueError(
+                f"{op} needs states of one layout: (codes dtype, bits, group_size) "
+                f"is {mine} here but {theirs} in the source"
+            )
+
     def scatter(self, indices, src: "QuantizedSSMState") -> None:
+        self._require_same_layout(src, "scatter")
         indices = np.asarray(indices, dtype=np.int64)
         self.codes[indices] = src.codes
         self.scales[indices] = src.scales
@@ -119,6 +134,8 @@ class QuantizedSSMState:
     @classmethod
     def stack(cls, states: Sequence["QuantizedSSMState"]) -> "QuantizedSSMState":
         first = states[0]
+        for other in states[1:]:
+            first._require_same_layout(other, "stack")
         return cls(
             codes=np.stack([s.codes for s in states]),
             scales=np.stack([s.scales for s in states]),
@@ -314,8 +331,9 @@ class QuantizedLayerCache(LayerCache):
                 "scatter into a QuantizedLayerCache needs integer-resident "
                 "source rows (QuantizedSSMState), not a float state"
             )
-        self.conv_state[indices] = src.conv_state
+        # The state first: its layout check raises before anything is written.
         self.ssm_state.scatter(indices, src.ssm_state)
+        self.conv_state[indices] = src.conv_state
 
     def row(self, index: int) -> "QuantizedLayerCache":
         self._require_batched("row")

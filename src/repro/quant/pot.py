@@ -43,6 +43,7 @@ __all__ = [
     "requant_shift",
     "aligned_product_bound",
     "shift_accumulator_dtype",
+    "code_storage_dtype",
     "alignment_multiplier",
     "shift_right_half_even",
 ]
@@ -110,13 +111,14 @@ def pot_exponent(scales: np.ndarray | float) -> np.ndarray:
     the complete description of the grid, and re-quantization between grids is
     a shift by the exponent difference (:func:`shift_requantize`).  Extraction
     via ``frexp`` is exact for every representable power of two -- no ``log2``
-    rounding is involved.
+    rounding is involved.  The exponents come back as INT32 (``frexp``'s own
+    type): numpy's ``ldexp`` loop for INT64 exponents is several times slower.
     """
     scales = np.asarray(scales, dtype=np.float64)
     mantissa, exponent = np.frexp(scales)
     if not np.all(mantissa == 0.5):
         raise ValueError("scales must be positive powers of two")
-    return (exponent - 1).astype(np.int64)
+    return exponent - 1
 
 
 def absmax_requant_exponents(absmax: np.ndarray, bits: int = 8) -> np.ndarray:
@@ -133,13 +135,14 @@ def absmax_requant_exponents(absmax: np.ndarray, bits: int = 8) -> np.ndarray:
 
     ``absmax`` is the per-group maximum magnitude as a *float* (for integer
     codes at a known exponent, ``ldexp(int_absmax, src_exponent)`` -- exact,
-    powers of two only rescale the mantissa's exponent field).
+    powers of two only rescale the mantissa's exponent field).  The result is
+    INT32, like :func:`pot_exponent`.
     """
     qmax = float(IntSpec(bits).qmax)
     absmax = np.asarray(absmax, dtype=np.float64)
     scales = np.maximum(absmax, _MIN_SCALE) / qmax
     exponent = np.ceil(np.log2(np.maximum(scales, _MIN_SCALE)))
-    return exponent.astype(np.int64)
+    return exponent.astype(np.int32)
 
 
 def requantize_reference(
@@ -200,6 +203,21 @@ def shift_accumulator_dtype(bits: int) -> Optional[type]:
         if bound <= np.iinfo(dtype).max:
             return dtype
     return None
+
+
+def code_storage_dtype(bits: int) -> type:
+    """Narrowest signed numpy integer type that holds ``bits``-wide values.
+
+    The storage type of resident codes (``np.int8`` for the INT4/INT8 SSM,
+    so the state moves the bytes the on-chip buffer moves) and, called with
+    ``2 * bits``, the type a code-by-code product lives in before alignment
+    widens it to the accumulator: ``|a * b| <= qmax**2 < 2**(2 * bits - 2)``.
+    ``repro.analysis.overflow`` registers both bounds.
+    """
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bits <= np.iinfo(dtype).bits:
+            return dtype
+    raise ValueError(f"no numpy integer type holds {bits}-bit values")
 
 
 def alignment_multiplier(

@@ -47,12 +47,15 @@ float scales:
   in-projection boundary and from there to the readout no float tensor is
   materialized.  It is organised like the paper's SSMU -- *tiled and fused*:
 
-  - **narrow**: codes and code-by-code products live in INT32 (a product of
-    two INT8 codes is below ``2**14``); the accumulator width follows from
-    the code width through the bound the ``repro.analysis`` overflow prover
-    registers (:func:`repro.quant.pot.shift_accumulator_dtype`).  Only the
-    state add, whose addends sit on different PoT grids, runs on a wide
-    (float64) accumulator.
+  - **narrow**: every value lives at the width its bound proves
+    (:func:`repro.quant.pot.code_storage_dtype`).  The resident codes are
+    stored, moved and absmax-reduced as INT8, and a code-by-code product
+    stays INT16 (``qmax**2 < 2**15``) until its alignment widens it to the
+    INT32 accumulator, whose width follows from the bound the
+    ``repro.analysis`` overflow prover registers
+    (:func:`repro.quant.pot.shift_accumulator_dtype`).  Only the state add,
+    whose addends sit on different PoT grids, runs on a wide (float64)
+    accumulator; its rounded sum is cast once, into the output state.
   - **fused**: the ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x``
     products fold their per-head float scalar into the re-quantization
     multiplier (a PoT shift plus one scalar multiply on hardware -- the EM
@@ -113,6 +116,7 @@ from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import (
     absmax_requant_exponents,
     alignment_multiplier,
+    code_storage_dtype,
     pot_exponent,
     requant_shift,
     shift_accumulator_dtype,
@@ -270,35 +274,41 @@ def _common_group_exponents(
     return gmax, per_element
 
 
-def _tile_scratch(tile: Tuple[int, ...], acc_dtype: type) -> Tuple[np.ndarray, ...]:
-    """Work buffers of one SSMU tile: three accumulators, three wide ones.
+def _tile_scratch(tile: Tuple[int, ...], bits: int) -> SimpleNamespace:
+    """Work buffers of one SSMU tile, each at the width its values need.
 
     ``tile`` is the ``(nheads, headdim, n_groups, group)`` shape of one batch
-    row's state codes.  The integer buffers hold the aligned code products
-    (``acc_dtype`` from :func:`repro.quant.pot.shift_accumulator_dtype`); the
-    float64 ones are the wide accumulator of the state add and the readout
-    decode, plus the ping-pong pair of :func:`_group_absmax`.  They are
-    register files of the datapath, not tensors of the recurrence: nothing in
-    them outlives the step that allocated them.
+    row's state codes.  ``hc`` holds the ``h (.) C`` code product, ``acc`` the
+    aligned products and ``shift`` their rounding scratch, ``wide`` the
+    float64 accumulator of the state add and the readout decode; the ``*_a``
+    / ``*_b`` pairs serve :func:`_group_absmax` at each width.  Register files
+    of the datapath, not tensors: nothing outlives the step that allocated it.
     """
-    return tuple(np.empty(tile, dtype=acc_dtype) for _ in range(3)) + tuple(
-        np.empty(tile, dtype=np.float64) for _ in range(3)
-    )
+    code, prod = code_storage_dtype(bits), code_storage_dtype(2 * bits)
+    acc = shift_accumulator_dtype(bits)
+    dtypes = dict(code_a=code, code_b=code, hc=prod, prod_a=prod, prod_b=prod, acc=acc,
+                  shift=acc, wide=np.float64, wide_a=np.float64, wide_b=np.float64)
+    return SimpleNamespace(**{k: np.empty(tile, dtype=v) for k, v in dtypes.items()})
 
 
 def _group_absmax(tile: np.ndarray, work_a: np.ndarray, work_b: np.ndarray) -> np.ndarray:
-    """Per-group ``max |tile|`` over the trailing axis, by window doubling.
+    """Per-group ``max |tile|`` over the trailing axis, in whole-tile passes.
 
     ``tile.max(-1)`` over a 32-long group axis costs as much as eight
     element-wise passes (one reduction call per group).  Instead the absolute
-    values are maxed against themselves shifted by 1, 2, 4, ... positions
-    along the *flattened* tile -- whole-tile contiguous passes, ping-ponged
-    between the two same-shape work buffers -- until element ``i`` holds the
-    maximum of ``[i, i + group)``; the group maxima sit at every ``group``-th
-    position.  ``tile`` is left untouched.
+    values are maxed against themselves on the cheaper of two exact
+    schedules.  4- and 8-byte elements in power-of-two groups (of two or more:
+    a group of one would come back aliasing ``work_a``) take the strided
+    pairwise halving of :func:`repro.quant.quantizer._group_max`.  The rest
+    take *window doubling* along the flattened tile, ping-ponged between the
+    two work buffers: shifts by 1, 2, 4, ... until element ``i`` holds the
+    maximum of ``[i, i + group)`` -- contiguous whole-tile passes, which narrow
+    integers vectorize well enough to win.  ``tile`` is left untouched.
     """
     group = tile.shape[-1]
     np.abs(tile, out=work_a)
+    if tile.itemsize >= 4 and group > 1 and group & (group - 1) == 0:
+        return _group_max(work_a, group).reshape(tile.shape[:-1])
     src, dst = work_a.reshape(-1), work_b.reshape(-1)
     span, window = src.size, 1
     while window < group:
@@ -335,8 +345,8 @@ class QuantizedSSMStep:
     def __init__(self, config: SSMQuantConfig = SSMQuantConfig()):
         self.config = config
         self._qcfg = config.config()
-        # (D array, D[:, None]) derived on first use (see _d_col).
-        self._static_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (D array, D[:, None], |D|[:, None]) derived on first use (see _d_cols).
+        self._static_cache: Optional[Tuple[np.ndarray, ...]] = None
         # When set, prefill_scan ignores integer_chunk_body and runs the
         # float fake-quant chunk body (see fallback_fake_quant).
         self._fake_quant_fallback = False
@@ -344,6 +354,9 @@ class QuantizedSSMStep:
         # for INT4/INT8 codes, INT64 for wider ones, None when the bound
         # fits neither (the step then runs the oracle).
         self._acc_dtype = shift_accumulator_dtype(config.bits)
+        # Storage type of resident codes (INT8 for the INT8 SSM).
+        self._code_int = code_storage_dtype(config.bits)
+        self._qmin, self._qmax = self._qcfg.spec.qmin, self._qcfg.spec.qmax
 
     @contextmanager
     def fallback_fake_quant(self) -> Iterator["QuantizedSSMStep"]:
@@ -402,7 +415,7 @@ class QuantizedSSMStep:
         # quant-point: float state onto the resident codes + scales grid
         qt = quantize(np.asarray(state, dtype=np.float64), self._qcfg)
         return QuantizedSSMState(
-            codes=qt.codes,
+            codes=qt.codes.astype(self._code_int),
             scales=qt.scales,
             group_size=self.config.group_size,
             bits=self.config.bits,
@@ -445,8 +458,8 @@ class QuantizedSSMStep:
             ssm_state=self.quantize_state_codes(state),
         )
 
-    def _d_col(self, params: SSMParams) -> np.ndarray:
-        """The skip coefficient broadcast column ``D[:, None]``, cached.
+    def _d_cols(self, params: SSMParams) -> Tuple[np.ndarray, np.ndarray]:
+        """The skip coefficient columns ``D[:, None]`` and ``|D|[:, None]``, cached.
 
         Keeps the reshape + copy out of the per-token hot loop (``params.A``
         is already cached by :class:`SSMParams`).  Keyed on the ``D`` array
@@ -456,9 +469,10 @@ class QuantizedSSMStep:
         """
         cached = self._static_cache
         if cached is None or cached[0] is not params.D:
-            cached = (params.D, np.ascontiguousarray(params.D[:, None]))
+            d_col = np.ascontiguousarray(params.D[:, None])
+            cached = (params.D, d_col, np.abs(d_col))
             self._static_cache = cached
-        return cached[1]
+        return cached[1:]
 
     def __call__(  # integer-resident
         self,
@@ -511,7 +525,7 @@ class QuantizedSSMStep:
         resident state the returned state is re-quantized into codes at the
         exit (exact -- the new state is on-grid by construction).
         """
-        d_col = self._d_col(params)
+        d_col, _ = self._d_cols(params)
         resident = isinstance(state, QuantizedSSMState)
         x = self._q(np.asarray(x, dtype=np.float64))
         B = self._q(np.asarray(B, dtype=np.float64))
@@ -566,27 +580,24 @@ class QuantizedSSMStep:
         half-to-even exactly like the oracle's ``np.round``, and PoT
         rescaling commutes with float rounding.
 
-        The per-group exponent math (everything shaped like the operands or
-        like one value per quantization group) is batched; the state-sized
-        work runs as the SSMU does, one batch row -- one
-        ``(nheads, headdim, d_state)`` tile -- at a time through reused
-        scratch (:func:`_tile_scratch`), so the working set stays
-        cache-resident whatever the batch.  Each code-by-code product is
-        aligned so that one uniform half-even right shift by
-        ``R = requant_shift(bits)`` re-quantizes the whole tile
-        (:func:`repro.quant.pot.alignment_multiplier`,
+        Organised as the module docstring lays out -- narrow, fused, tiled:
+        the per-group exponent math is batched, the state-sized work runs one
+        batch row at a time through reused scratch (:func:`_tile_scratch`),
+        and each code-by-code product is aligned so that one uniform
+        half-even right shift by ``R = requant_shift(bits)`` re-quantizes the
+        whole tile (:func:`repro.quant.pot.alignment_multiplier`,
         :func:`repro.quant.pot.shift_right_half_even`); the numbered comments
         in the row loop walk through the four stages.
 
         None of the state-sized re-quantizations clips: each destination
         exponent is derived from the absmax of what it re-quantizes, so the
-        rounded codes cannot exceed ``qmax`` -- the invariant that also
-        bounds the aligned products by ``qmax * 2**R`` and lets them live in
+        rounded codes cannot exceed ``qmax`` -- the invariant that lets the
+        new state be cast straight into an array of the storage width, and
+        that bounds the aligned products by ``qmax * 2**R`` so they live in
         INT32 (:func:`repro.quant.pot.shift_accumulator_dtype`).
         """
-        if not all(
-            np.isfinite(operand).all() for operand in (x, B, C, dt, state.scales)
-        ):
+        operands = (x, B, C, dt, state.scales)
+        if not np.isfinite(np.concatenate([np.ravel(v) for v in operands])).all():
             # A poisoned operand (e.g. fault-injected non-finite conv taps)
             # has no integer code and a non-PoT NaN scale, which the exponent
             # extraction would reject for the whole batch -- so it is caught
@@ -600,30 +611,22 @@ class QuantizedSSMStep:
             with np.errstate(invalid="ignore"):
                 return self._step_oracle(params, x, B, C, dt, state)
 
-        qmin, qmax = self._qcfg.spec.qmin, self._qcfg.spec.qmax
-        bits = self.config.bits
-        gsz = self.config.group_size
+        qmin, qmax, bits, gsz = self._qmin, self._qmax, self.config.bits, self.config.group_size
         full_shift = requant_shift(bits)
-        acc_dtype = self._acc_dtype
+        d_col, d_abs = self._d_cols(params)
         nheads, headdim, n = state.codes.shape[-3:]
-        lead = state.codes.shape[:-3]
 
         # Entry quantization: the only absmax/round passes over float operands.
-        x_qt = quantize(np.asarray(x, dtype=np.float64), self._qcfg)  # quant-point: x entry
-        b_qt = quantize(np.asarray(B, dtype=np.float64), self._qcfg)  # quant-point: B entry
-        c_qt = quantize(np.asarray(C, dtype=np.float64), self._qcfg)  # quant-point: C entry
-
-        cx = x_qt.codes                                        # (..., h, p)
-        ex = pot_exponent(x_qt.scales)[..., 0]                # (..., h, Gp)
-        ex_el = _per_element_exponents(x_qt.scales, headdim, gsz)  # (..., h, p)
-        cb_g, _, _ = _group_reshape(b_qt.codes, gsz)          # (..., Gn, gn)
-        e_b = pot_exponent(b_qt.scales)[..., 0]               # (..., Gn)
-        cc_g, _, _ = _group_reshape(c_qt.codes, gsz)          # (..., Gn, gn)
-        e_c = pot_exponent(c_qt.scales)[..., 0]               # (..., Gn)
+        cx_g, ex = self._entry_codes(x)  # quant-point: x entry (..., h, Gp, gp)
+        cb_g, e_b = self._entry_codes(B)  # quant-point: B entry (..., Gn, gn)
+        cc_g, e_c = self._entry_codes(C)  # quant-point: C entry (..., Gn, gn)
+        cx = _ungroup(cx_g, headdim)                          # (..., h, p)
+        ex_el = np.repeat(ex, cx_g.shape[-1], axis=-1)[..., :headdim]
         ch_g, _, _ = _group_reshape(state.codes, gsz)         # (..., h, p, Gn, gn)
         e_h = pot_exponent(state.scales)[..., 0]              # (..., h, p, Gn)
         tile = ch_g.shape[-4:]
-        acc, tmp, tmp2, wide, wide2, wide3 = _tile_scratch(tile, acc_dtype)
+        s = _tile_scratch(tile, bits)
+        acc, wide = s.acc, s.wide
 
         # Non-linear operators stay in floating point (dedicated FPGA units).
         delta, a_bar = ssm_decay(params, dt)                  # (..., h) each
@@ -634,10 +637,9 @@ class QuantizedSSMStep:
         # absmax at the source exponent, so the destination grid is exactly
         # the oracle's.
         amax_b = np.max(np.abs(cb_g), axis=-1)                # (..., Gn)
-        e3 = absmax_requant_exponents(
-            np.ldexp(delta[..., :, None] * amax_b[..., None, :], e_b[..., None, :]),
-            bits,
-        )                                                     # (..., h, Gn)
+        e3 = absmax_requant_exponents(                        # (..., h, Gn)
+            np.ldexp(delta[..., :, None] * amax_b[..., None, :], e_b[..., None, :]), bits
+        )
         m3 = np.ldexp(delta[..., :, None], e_b[..., None, :] - e3)
         c3 = np.clip(np.round(cb_g[..., None, :, :] * m3[..., :, :, None]), qmin, qmax)
         c3 = c3.astype(np.int32)                              # (..., h, Gn, gn)
@@ -650,94 +652,99 @@ class QuantizedSSMStep:
         e4 = absmax_requant_exponents(np.ldexp(amax4, e4_src), bits)
         cx_al = cx[..., :, :, None] * alignment_multiplier(amax4, e4 - e4_src, bits)
 
-        # A_bar (.) h grid: scalar fold again (a_bar in (0, 1]).
+        # A_bar (.) h grid: scalar fold again (a_bar in (0, 1]); the absmax
+        # runs on the stored codes, at their storage width.
         ch_rows = ch_g.reshape((-1,) + tile)
         n_rows = ch_rows.shape[0]
         amax_h = np.empty((n_rows,) + tile[:-1], dtype=np.int64)
         for row in range(n_rows):
-            amax_h[row] = _group_absmax(ch_rows[row], acc, tmp)
+            amax_h[row] = _group_absmax(ch_rows[row], s.code_a, s.code_b)
         amax_h = amax_h.reshape(e_h.shape)                    # (..., h, p, Gn)
-        e5 = absmax_requant_exponents(
-            np.ldexp(a_bar[..., :, None, None] * amax_h, e_h), bits
-        )
+        e5 = absmax_requant_exponents(np.ldexp(a_bar[..., :, None, None] * amax_h, e_h), bits)
         m5 = np.ldexp(a_bar[..., :, None, None], e_h - e5)
 
-        # Row-major views of the batched operands, shaped to broadcast
-        # against one (h, p, Gn, gn) tile.  Exponents that meet a tile in
-        # ldexp are narrowed to INT32: numpy's INT64-exponent ldexp loop is
-        # several times slower per element.
+        # Row views of the batched operands, broadcastable against one tile.
         c3_rows = c3.reshape((n_rows, nheads, 1) + tile[-2:])
-        cx_al_rows = cx_al.astype(acc_dtype).reshape((n_rows,) + tile[:-1] + (1,))
+        cx_al_rows = cx_al.astype(acc.dtype).reshape((n_rows,) + tile[:-1] + (1,))
         m5_rows = m5.reshape(cx_al_rows.shape)
-        e45_rows = (e4 - e5).astype(np.int32).reshape(cx_al_rows.shape)
+        e45_rows = (e4 - e5).reshape(cx_al_rows.shape)
         e5_rows = e5.reshape((n_rows,) + tile[:-1])
-        cc_rows = cc_g.reshape((n_rows,) + tile[-2:])
+        cc_rows = cc_g.astype(s.hc.dtype).reshape((n_rows,) + tile[-2:])
         e_c_rows = e_c.reshape((n_rows, -1))
-        codes_out = np.empty((n_rows, nheads, headdim, n), dtype=np.int32)
-        e6_out = np.empty((n_rows,) + tile[:-1], dtype=np.int64)
-        y_rows = []
+        codes_out = np.empty((n_rows,) + tile, dtype=self._code_int)
+        e6_out = np.empty((n_rows,) + tile[:-1], dtype=np.int32)
+
+        # D (.) x skip: signed scalar fold of the per-head skip coefficient.
+        # It opens the output, one preallocated array the row readouts add to.
+        amax_x = np.max(np.abs(cx_g), axis=-1)                # (..., h, Gp)
+        e8 = absmax_requant_exponents(np.ldexp(d_abs * amax_x, ex), bits)
+        m8 = np.ldexp(d_col, ex - e8)
+        c8 = np.clip(np.round(cx_g * m8[..., None]), qmin, qmax)
+        y = np.ascontiguousarray(_ungroup(c8 * np.exp2(e8)[..., None], headdim))
+        y_rows = y.reshape(n_rows, nheads, headdim)
 
         for row in range(n_rows):
             # 1. B_bar (.) x: the x codes were pre-aligned per (head,
             # channel, group) before the outer product, so the product takes
             # the uniform shift instead of a per-group one -> c4.
             np.multiply(c3_rows[row], cx_al_rows[row], out=acc)
-            shift_right_half_even(acc, full_shift, tmp)
+            shift_right_half_even(acc, full_shift, s.shift)
             # 2. A_bar (.) h rounds on the wide accumulator -> c5, which then
             # adds the two addends (they sit on different PoT grids) relative
             # to the e5 grid: s * 2**-e5 = c5 + c4 * 2**(e4 - e5) is the same
             # exact power-of-two realignment as summing the decoded addends
             # (the float64 mantissa holds every aligned sum clipped codes can
-            # produce), and saves a pass.
-            np.multiply(ch_rows[row], m5_rows[row], out=wide)
+            # produce), and saves a pass.  The codes widen in a contiguous
+            # copy first: a mixed-width broadcast multiply costs more than both.
+            np.copyto(wide, ch_rows[row])
+            np.multiply(wide, m5_rows[row], out=wide)
             np.rint(wide, out=wide)
-            np.ldexp(acc, e45_rows[row], out=wide2)
-            np.add(wide, wide2, out=wide)
+            np.ldexp(acc, e45_rows[row], out=s.wide_a)
+            np.add(wide, s.wide_a, out=wide)
             # 3. The sum re-quantizes onto the fresh per-group grid that
-            # becomes the resident state -> codes6.
+            # becomes the resident state: rounded, then cast once, straight
+            # into the output row that stage 4 reads -> codes6.
             e5_row = e5_rows[row]
             e6 = absmax_requant_exponents(
-                np.ldexp(_group_absmax(wide, wide2, wide3), e5_row), bits
+                np.ldexp(_group_absmax(wide, s.wide_a, s.wide_b), e5_row), bits
             )
             e6_out[row] = e6
-            np.ldexp(wide, (e5_row - e6).astype(np.int32)[..., None], out=wide)
+            np.ldexp(wide, (e5_row - e6)[..., None], out=wide)
             np.rint(wide, out=wide)
-            np.copyto(tmp, wide, casting="unsafe")
-            codes_out[row] = tmp.reshape(nheads, headdim, -1)[..., :n]
-            # 4. h (.) C: one broadcast multiply aligns the code-by-code
-            # product, the uniform shift rounds it -> c7, and the exact decode
-            # of the shifted codes feeds the d_state reduction (the padded
-            # tail is trimmed first so the sum sees exactly the oracle's
-            # n-element operand).
-            np.multiply(tmp, cc_rows[row], out=acc)
+            np.copyto(codes_out[row], wide, casting="unsafe")
+            # 4. h (.) C: the code-by-code product stays in the 2 * bits type
+            # (|a * b| <= qmax**2) through its group absmax (widened to INT64
+            # only because ldexp pairs a narrow integer with a narrow float);
+            # the broadcast alignment multiply widens it to the accumulator,
+            # the uniform shift rounds it -> c7, and the exact decode of the
+            # shifted codes feeds the d_state reduction (the padded tail is
+            # trimmed first so the sum sees the oracle's n-element operand).
+            np.multiply(codes_out[row], cc_rows[row], out=s.hc)
+            amax7 = _group_absmax(s.hc, s.prod_a, s.prod_b).astype(np.int64)
             e7_src = e6 + e_c_rows[row]
-            amax7 = _group_absmax(acc, tmp, tmp2)
             e7 = absmax_requant_exponents(np.ldexp(amax7, e7_src), bits)
-            align7 = alignment_multiplier(amax7, e7 - e7_src, bits).astype(acc_dtype)
-            np.multiply(acc, align7[..., None], out=acc)
-            shift_right_half_even(acc, full_shift, tmp)
-            np.ldexp(acc, e7.astype(np.int32)[..., None], out=wide)
-            y_rows.append(np.sum(wide.reshape(nheads, headdim, -1)[..., :n], axis=-1))
+            align7 = alignment_multiplier(amax7, e7 - e7_src, bits).astype(acc.dtype)
+            np.multiply(s.hc, align7[..., None], out=acc)
+            shift_right_half_even(acc, full_shift, s.shift)
+            np.ldexp(acc, e7[..., None], out=wide)
+            y_ssm = np.sum(wide.reshape(nheads, headdim, -1)[..., :n], axis=-1)
+            np.add(y_rows[row], y_ssm, out=y_rows[row])
 
-        out_state = QuantizedSSMState(
-            codes=codes_out.reshape(lead + codes_out.shape[1:]),
-            scales=np.exp2(e6_out).reshape(state.scales.shape),
-            group_size=gsz,
-            bits=bits,
-        )
-        y_ssm = np.stack(y_rows).reshape(lead + (nheads, headdim))
+        codes = np.ascontiguousarray(_ungroup(codes_out, n)).reshape(state.codes.shape)
+        scales = np.exp2(e6_out).reshape(state.scales.shape)
+        return y, QuantizedSSMState(codes, scales, group_size=gsz, bits=bits)
 
-        # D (.) x skip: signed scalar fold of the per-head skip coefficient.
-        cx_g, _, _ = _group_reshape(cx, gsz)                  # (..., h, Gp, gp)
-        amax_x = np.max(np.abs(cx_g), axis=-1)                # (..., h, Gp)
-        e8 = absmax_requant_exponents(
-            np.ldexp(np.abs(params.D)[..., :, None] * amax_x, ex), bits
-        )
-        m8 = np.ldexp(params.D[..., :, None], ex - e8)
-        c8 = np.clip(np.round(cx_g * m8[..., None]), qmin, qmax)
-        x_mul_d = _ungroup(c8 * np.exp2(e8)[..., None], headdim)
+    def _entry_codes(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Entry quantization in one pass: ``(..., G, g)`` codes, ``(..., G)`` exponents.
 
-        return y_ssm + x_mul_d, out_state
+        The oracle's per-group absmax, ceil-PoT scale, round and clip along
+        the zero-padded trailing axis, the scale kept as its INT32 exponent;
+        ``ldexp`` by the negated exponent *is* the divide by that scale.
+        """
+        grouped, _, _ = _group_reshape(np.asarray(values, dtype=np.float64), self.config.group_size)
+        exponents = absmax_requant_exponents(np.max(np.abs(grouped), axis=-1), self.config.bits)
+        codes = np.rint(np.ldexp(grouped, -exponents[..., None]))
+        return np.clip(codes, self._qmin, self._qmax).astype(np.int32), exponents
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -1060,7 +1067,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 np.copyto(state, tile.handoff)
             elif resident and stop == seq_len:
                 # quant-point: the final resident state, quantized to codes
-                state_qt = quantize(tile.handoff, self._qcfg)
+                return y, self.quantize_state_codes(tile.handoff)
             else:
                 state_qt = self._stage(tile.handoff, state, integer_body)
 
@@ -1072,16 +1079,9 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 return y, self.quantize_state_codes(snapshot)
             return y, snapshot
         if resident:
-            if not quantize_state:
-                # Degenerate configuration (resident container handed to a
-                # scan that does not quantize hand-offs): quantize once here.
-                return y, self.quantize_state_codes(state)
-            return y, QuantizedSSMState(
-                codes=state_qt.codes,
-                scales=state_qt.scales,
-                group_size=self.config.group_size,
-                bits=self.config.bits,
-            )
+            # Degenerate configuration (resident container handed to a scan
+            # that does not quantize hand-offs): quantize once here.
+            return y, self.quantize_state_codes(state)
         return y, state
 
     # ------------------------------------------------------------------

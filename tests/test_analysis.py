@@ -14,11 +14,13 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.analysis import (
     AnalysisReport,
     Baseline,
     ContractionSpec,
+    NarrowCodeSpec,
     ShiftAccumulatorSpec,
     analyze_paths,
     analyze_repo,
@@ -30,6 +32,7 @@ from repro.analysis import (
 from repro.analysis.cli import main
 from repro.quant.pot import (
     alignment_multiplier,
+    code_storage_dtype,
     requant_shift,
     shift_accumulator_dtype,
     shift_right_half_even,
@@ -354,7 +357,10 @@ def test_default_registry_is_proven_safe_with_margin():
     findings, margins = prove_default_registry()
     assert findings == []
     assert len(margins) == len(specs)
-    assert all(m["margin"] > 1 for m in margins)
+    # Every accumulator has headroom; only a code store may fill its type
+    # exactly (INT8 codes in an int8 array: qmax is the type's maximum).
+    assert all(m["margin"] > 1 or "code store" in m["name"] for m in margins)
+    assert all(m["margin"] >= 1 for m in margins)
 
 
 def test_full_chunk_contractions_registered_and_agree_with_guard():
@@ -411,7 +417,8 @@ def test_decode_step_accumulators_registered_and_agree_with_runtime():
     accumulator from the same bound, so it widens exactly where the INT32
     spec reports an overflow (INT16 codes), and the worst-case product really
     survives the fused shift in the selected dtype."""
-    specs = [s for s in default_registry() if s.origin == "ssm-decode-step"]
+    specs = [s for s in default_registry() if isinstance(s, ShiftAccumulatorSpec)]
+    assert {s.origin for s in specs} == {"ssm-decode-step"}
     assert {(s.bits, s.acc_bits) for s in specs} == {(4, 32), (8, 32)}
     assert len(specs) == 4  # two fused requantizations x two code widths
     assert not any(s.overflows for s in specs)
@@ -468,6 +475,35 @@ def test_count_quant_points_counts_only_registered_regions(tmp_path):
     from repro.analysis import SourceModule, count_quant_points
 
     assert count_quant_points(SourceModule.parse(path, root=tmp_path)) == 3
+
+
+def test_decode_step_narrow_values_registered_and_agree_with_runtime():
+    """The values the tiled step holds narrower than its accumulator -- the
+    `h (.) C` product in the `2 * bits` type and the code store -- sit in the
+    registry beside the aligned products, at the width the runtime picks, and
+    one type narrower would provably overflow (INT8 codes need INT16 for the
+    product; the INT4 product fits INT8, which is already the narrowest)."""
+    specs = [s for s in default_registry() if isinstance(s, NarrowCodeSpec)]
+    assert {s.origin for s in specs} == {"ssm-decode-step"}
+    assert {(s.bits, s.factors, s.acc_bits) for s in specs} == {
+        (4, 1, 8), (4, 2, 8), (8, 1, 8), (8, 2, 16),
+    }
+    assert not any(s.overflows for s in specs)
+    for spec in specs:
+        dtype = code_storage_dtype(spec.factors * spec.bits)
+        assert spec.acc_bits == np.iinfo(dtype).bits
+        worst = np.full(spec.factors, 2 ** (spec.bits - 1) - 1, dtype=dtype)
+        assert int(np.prod(worst, dtype=dtype)) == spec.worst_case  # no wrap
+        if spec.acc_bits > 8:
+            halved = NarrowCodeSpec("narrower", "test", spec.bits, spec.factors, spec.acc_bits // 2)
+            assert halved.overflows
+    # From INT9 on the product no longer fits INT16.
+    assert NarrowCodeSpec("INT9 product", "test", 9, 2, 16).overflows
+    assert not NarrowCodeSpec("INT9 product", "test", 9, 2, 32).overflows
+    findings, _ = prove([NarrowCodeSpec("INT8 product in INT8", "test", 8, 2, 8)])
+    assert [f.code for f in findings] == ["OV301"]
+    with pytest.raises(ValueError, match="no numpy integer type"):
+        code_storage_dtype(65)
 
 
 def test_sanction_budget_finding_is_a_one_way_ratchet():

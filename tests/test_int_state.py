@@ -186,6 +186,33 @@ class TestQuantizedCacheLifecycle:
         with pytest.raises(TypeError, match="integer-resident"):
             cache.layers[0].scatter([0], LayerCache.zeros(tiny_model.config, batch_size=1))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("codes", None), ("bits", 4), ("group_size", 16)],
+    )
+    def test_scatter_and_stack_reject_a_layout_mismatch(self, persistent, field, value):
+        """A source whose codes are held wider than the pool's (or whose grid
+        differs) must raise: numpy would otherwise narrow it silently on
+        assignment and wrap whatever does not fit."""
+        cache = self._batched_cache(persistent)
+        pool, src = cache.layers[0], cache.gather([0, 1]).layers[0]
+        assert pool.ssm_state.codes.dtype == np.int8
+        if field == "codes":
+            src.ssm_state.codes = src.ssm_state.codes.astype(np.int32) + 1000
+        else:
+            setattr(src.ssm_state, field, value)
+        before = pool.copy()
+        with pytest.raises(ValueError, match="one layout"):
+            pool.scatter([2, 3], src)
+        with pytest.raises(ValueError, match="one layout"):
+            cache.scatter([2, 3], InferenceCache([src] + cache.gather([0, 1]).layers[1:]))
+        assert pool.state_equal(before)  # nothing was written, conv window included
+        rows = [pool.row(0), src.row(0)]
+        with pytest.raises(ValueError, match="one layout"):
+            QuantizedLayerCache.stack(rows)
+        with pytest.raises(ValueError, match="one layout"):
+            InferenceCache.stack([InferenceCache([row]) for row in rows])
+
     def test_engine_admission_eviction_matches_solo(self, persistent):
         rng = np.random.default_rng(23)
         vocab = persistent.config.vocab_size
@@ -445,6 +472,30 @@ class TestQuantizedStateMemoryModel:
             layer.ssm_state.num_bytes() for layer in cache.layers
         )
         assert footprint.ssm_state_bytes + footprint.ssm_scale_bytes == live_state_bytes
+
+    @pytest.mark.parametrize("w_bits,a_bits", [(4, 4), (8, 8)])
+    def test_numpy_holds_the_bytes_the_model_counts(self, tiny_model, w_bits, a_bits):
+        """Counted work reconciles with the accelerator, first assertion: the
+        bytes numpy holds for a lightmamba* cache's state codes are the code
+        term of the cache's own accounting and of the on-chip buffer model --
+        one byte per INT8 code, in the slot pool and after real decode."""
+        from repro.hardware import QuantizedStateMemoryModel
+
+        model = _star(tiny_model, w_bits, a_bits, persistent_state=True)
+        config = model.config
+        ssm = model.blocks[0].ssm_impl.config
+        memory = QuantizedStateMemoryModel(state_bits=ssm.bits, group_size=ssm.group_size)
+        prompts = np.random.default_rng(3).integers(0, config.vocab_size, size=(3, 6))
+        _, decoded = model.prefill(prompts)
+        model.step(prompts[:, 0], decoded)
+        for cache in (model.new_cache(batch_size=3), decoded):
+            held = sum(layer.ssm_state.codes.nbytes for layer in cache.layers)
+            footprint = memory.quantized_footprint(config, batch_size=3)
+            assert held == footprint.ssm_state_bytes
+            conv = sum(layer.conv_state.size for layer in cache.layers) * 2.0
+            scales = sum(layer.ssm_state.scales.size for layer in cache.layers) * 1.0
+            assert held == cache.resident_state_bytes() - conv - scales
+            assert cache.resident_state_bytes() == footprint.total_bytes
 
     def test_allocations_and_max_batch(self, tiny_config):
         from repro.hardware import QuantizedStateMemoryModel, VCK190

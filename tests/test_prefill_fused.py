@@ -382,7 +382,7 @@ def _reference_prefill_scan(
             final = scan.quantize_state_codes(final)
         return y, final
 
-    A, d_col = params.A, scan._d_col(params)
+    A, d_col = params.A, scan._d_cols(params)[0]
     quantize_state = scan.config.quantize_state
     integer_body = scan.config.integer_chunk_body and not scan._fake_quant_fallback
     integer_full = integer_body and scan.config.integer_full_chunk

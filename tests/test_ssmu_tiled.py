@@ -8,14 +8,17 @@ adds on top of the bit-identity suite in ``test_int_decode_iter.py``:
   ``np.round`` on the real-valued ratio and the INT64 per-group
   ``shift_requantize(..., "half_even")`` over the full exponent range,
   without ever leaving the accumulator dtype the overflow bound selects;
-- the window-doubling group absmax equals ``abs().max(-1)`` for every group
-  length (powers of two or not), integer and float;
+- the group absmax equals ``abs().max(-1)`` for every group length (powers
+  of two or not, padded or not) and element type, on both of its schedules
+  (window doubling for narrow codes, pairwise halving for wide elements);
 - tiling is invisible: row *i* of a batched step is bit-identical (output,
   codes, scales) to the solo step on row *i*, for batch 1..8 and for
   clamped / padded / multi-group state shapes;
-- the accumulator width follows the code width: INT32 for the INT4/INT8
-  SSM, INT64 for INT16 codes, the oracle past what INT64 holds -- each still
-  bit-identical to the fake-quant oracle.
+- every width follows the code width: the resident codes are stored in the
+  narrowest integer type that holds them (by every producer), the
+  ``h (.) C`` product lives in the ``2 * bits`` type, the accumulator is
+  INT32 for the INT4/INT8 SSM, INT64 for INT16 codes, and past what INT64
+  holds the oracle runs -- each still bit-identical to the fake-quant oracle.
 """
 
 import numpy as np
@@ -24,17 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.mamba import Mamba2Config
 from repro.mamba.ssm import SSMParams
 from repro.quant import QuantizedChunkedScan, SSMQuantConfig
 from repro.quant.pot import (
     absmax_requant_exponents,
     alignment_multiplier,
+    code_storage_dtype,
     requant_shift,
     shift_accumulator_dtype,
     shift_requantize,
     shift_right_half_even,
 )
-from repro.quant.ssm_quant import _group_absmax
+from repro.quant.ssm_quant import _group_absmax, _tile_scratch
 
 
 # ----------------------------------------------------------------------
@@ -111,10 +116,42 @@ def test_shift_right_half_even_array_shifts(values, shifts):
 def test_group_absmax_matches_reduction(rng, dtype, group):
     tile = (rng.normal(size=(3, 5, 2, group)) * 1000).astype(dtype)
     before = tile.copy()
-    got = _group_absmax(tile, np.empty_like(tile), np.empty_like(tile))
+    work = np.empty_like(tile), np.empty_like(tile)
+    got = _group_absmax(tile, *work)
     np.testing.assert_array_equal(got, np.abs(tile).max(axis=-1))
     np.testing.assert_array_equal(tile, before)
-    assert got.dtype == tile.dtype and got.flags.owndata
+    # The result must survive the next use of the work buffers.
+    assert got.dtype == tile.dtype and not any(np.shares_memory(got, w) for w in work)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_group_absmax_every_width_and_group(data):
+    """Both schedules of ``_group_absmax`` -- window doubling (narrow codes,
+    non-power-of-two groups) and pairwise halving (4- and 8-byte elements with
+    a power-of-two group) -- against the plain reduction: every storage width
+    the step uses, extreme codes included, and zero-padded last groups as
+    ``_group_reshape`` builds them."""
+    dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.float64]), label="dtype")
+    group = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32, 3, 6, 7, 24]), label="group")
+    shape = data.draw(
+        st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3)), label="lead"
+    )
+    pad = data.draw(st.integers(0, group - 1), label="zero padding of the last group")
+    if dtype is np.float64:
+        elements = st.floats(-1e6, 1e6, allow_nan=False)
+    else:
+        # Symmetric codes: the most negative value is never a code.
+        elements = st.integers(-np.iinfo(dtype).max, np.iinfo(dtype).max)
+    tile = data.draw(hnp.arrays(dtype, shape + (group,), elements=elements), label="tile")
+    if pad:
+        tile[..., -1, group - pad :] = 0
+    before = tile.copy()
+    work = np.empty_like(tile), np.empty_like(tile)
+    got = _group_absmax(tile, *work)
+    np.testing.assert_array_equal(got, np.abs(tile).max(axis=-1))
+    np.testing.assert_array_equal(tile, before)
+    assert got.dtype == tile.dtype and not any(np.shares_memory(got, w) for w in work)
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +194,8 @@ def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
     for _ in range(3):
         x, B, C, dt = _inputs(rng, (batch,), h, p, n)
         y, new_state = step._step_integer(params, x, B, C, dt, state)
-        assert new_state.codes.dtype == np.int32
-        assert new_state.codes.shape == state.codes.shape
+        assert new_state.codes.dtype == state.codes.dtype == np.int8
+        assert new_state.codes.shape == state.codes.shape and new_state.codes.flags.c_contiguous
         assert new_state.scales.shape == state.scales.shape
         for row in range(batch):
             y_row, state_row = step._step_integer(
@@ -174,15 +211,26 @@ def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
 # Accumulator width follows the code width
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "bits,acc_dtype", [(4, np.int32), (8, np.int32), (16, np.int64), (22, None)]
+    "bits,acc_dtype",
+    [(4, np.int32), (8, np.int32), (9, np.int32), (16, np.int64), (22, None)],
 )
 def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
     """INT16 codes select the wide accumulator; past INT64's reach the
-    resident call runs the oracle.  Every width stays bit-identical."""
+    resident call runs the oracle.  The ``h (.) C`` product is INT8 / INT16
+    for INT4 / INT8 codes, already INT32 for INT9 (where it shares the
+    accumulator's width), and INT32 below the INT64 accumulator for INT16.
+    Every width stays bit-identical."""
     step = QuantizedChunkedScan(
         SSMQuantConfig(bits=bits, group_size=8, persistent_state=True)
     )
     assert step._acc_dtype is acc_dtype
+    assert step._code_int is code_storage_dtype(bits)
+    if acc_dtype is not None:
+        scratch = _tile_scratch((1, 1, 1, 8), bits)
+        product = {4: np.int8, 8: np.int16, 9: np.int32, 16: np.int32}[bits]
+        assert (scratch.hc.dtype, scratch.acc.dtype, scratch.code_a.dtype) == (
+            product, acc_dtype, step._code_int,
+        )
     h, p, n = 4, 8, 24
     params = _params(rng, h)
     state_int = step.quantize_state_codes(rng.normal(size=(2, h, p, n)))
@@ -193,3 +241,45 @@ def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
         y_orc, state_orc = step._step_oracle(params, x, B, C, dt, state_orc)
         np.testing.assert_array_equal(y_int, y_orc)
         assert state_int.exact_equal(state_orc)
+
+
+# ----------------------------------------------------------------------
+# The resident codes are stored at their true width, by every producer
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bits,storage", [(4, np.int8), (8, np.int8), (16, np.int16)])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_every_producer_emits_the_storage_dtype(rng, bits, storage, lead):
+    h, p, n = 4, 8, 24
+    step = QuantizedChunkedScan(
+        SSMQuantConfig(bits=bits, group_size=8, persistent_state=True)
+    )
+    assert code_storage_dtype(bits) is storage
+    params = _params(rng, h)
+    config = Mamba2Config(d_model=16, n_layer=1, vocab_size=8, d_state=n, headdim=p)
+
+    produced = {
+        "quantize_state_codes": step.quantize_state_codes(rng.normal(size=lead + (h, p, n))),
+        "zeros_cache": step.zeros_cache(config, *lead).ssm_state,
+    }
+    x, B, C, dt = _inputs(rng, lead, h, p, n)
+    state = produced["quantize_state_codes"]
+    _, produced["_step_integer"] = step(params, x, B, C, dt, state)
+    _, produced["_step_oracle"] = step._step_oracle(params, x, B, C, dt, state)
+    seq = 5
+    xs, Bs, Cs, dts = (
+        np.stack([v] * seq, axis=len(lead)) for v in _inputs(rng, lead, h, p, n)
+    )
+    _, produced["prefill_scan"] = step.prefill_scan(
+        params, xs, Bs, Cs, dts, initial_state=state, chunk_size=4
+    )
+    _, produced["prefill_scan chunk_size=1"] = step.prefill_scan(
+        params, xs, Bs, Cs, dts, initial_state=state, chunk_size=1
+    )
+    if lead:
+        _, produced["prefill_scan seq_lens"] = step.prefill_scan(
+            params, xs, Bs, Cs, dts, initial_state=state, chunk_size=4,
+            seq_lens=np.array([1, 4, 5]),
+        )
+    for name, out in produced.items():
+        assert out.codes.dtype == storage, name
+        assert out.bits == bits and np.abs(out.codes).max() <= 2 ** (bits - 1) - 1, name
