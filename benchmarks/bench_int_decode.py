@@ -2,8 +2,9 @@
 
 The fake-quant decode round-trips every per-token tensor through floats:
 quantize the incoming float state, compute in float, quantize the outgoing
-state, store floats.  The persistent-state mode
-(``SSMQuantConfig.persistent_state=True``) runs the *all-integer* iteration:
+state, store floats -- what a lightmamba* model does when it is handed a
+float cache.  On the cache it builds for itself (``model.new_cache()``) the
+same model runs the *all-integer* iteration:
 the recurrent state ``h`` stays resident as INT codes + PoT shift exponents
 between steps (the FPGA's on-chip state buffer execution model), and every
 per-token requantization is a shift on resident codes instead of a
@@ -23,7 +24,8 @@ tensors while the integer step stays in cache, the ratio grows with batch.
 This benchmark measures pure decode tokens/sec (prefill excluded: the prompt
 is summarised once untimed, then a fresh copy of the cache is advanced
 ``decode_tokens`` steps) for the lightmamba* configurations at paper-scale
-SSM dims, fake-quant vs persistent, across batch sizes.  Speedups are ratios
+SSM dims, one model per bit width timed on a float cache (the oracle) and on
+its own integer-resident cache, across batch sizes.  Speedups are ratios
 on the same machine, so the committed record is portable and feeds the CI
 regression gate (``check_regression.py``).
 
@@ -44,11 +46,12 @@ import numpy as np
 
 from repro.bench import format_series
 from repro.mamba import InitConfig, Mamba2Config, Mamba2Model
-from repro.quant import QuantConfig, QuantMethod, SSMQuantConfig, quantize_model
+from repro.mamba.cache import InferenceCache
+from repro.quant import QuantConfig, QuantMethod, quantize_model
 
 #: Decode benchmark configuration with the published-scale SSM state dims
 #: (d_state 128, headdim 64): the recurrent state is the largest per-step
-#: tensor, which is exactly what the persistent mode stops re-quantizing.
+#: tensor, which is exactly what the resident codes stop re-quantizing.
 INT_DECODE_BENCH_CONFIG = Mamba2Config(
     name="int-decode-bench",
     d_model=256,
@@ -59,41 +62,42 @@ INT_DECODE_BENCH_CONFIG = Mamba2Config(
 )
 
 #: The quantized configurations under test (the paper's lightmamba* points).
-#: The SSM itself is INT8 in both; the persistent variant only changes where
-#: the state lives between steps.
+#: The SSM itself is INT8 in both.
 QUANT_CONFIGS = (
-    ("W8A8", lambda ssm: QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR, ssm=ssm)),
-    ("W4A4", lambda ssm: QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR, ssm=ssm)),
+    ("W8A8", QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR)),
+    ("W4A4", QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR)),
 )
 
 
-def _paired_best_step(models, batch_size, decode_tokens, repeats, seed=0):
-    """Best per-step decode seconds for each model, interleaved step by step.
+def _paired_best_step(model, batch_size, decode_tokens, repeats, seed=0):
+    """Best per-step decode seconds on a float and on a resident cache.
 
-    Each model's prompt batch is prefilled once (untimed) and its cache then
-    advances continuously; the timed region is exactly one ``model.step``
-    call -- the decode hot path the persistent state changes.  The models
-    take turns *every step* (A, B, A, B, ...), so both sample the same
-    machine conditions at millisecond granularity and sustained
-    CPU-frequency / scheduler drift divides out of the ratio.  One untimed warmup
-    step per model precedes the clock (allocator and BLAS thread-pool
-    state otherwise bias whichever path is measured first).
+    The state's type selects the arithmetic, so one model gives both series:
+    a float cache runs the fake-quant oracle, ``model.new_cache()`` the
+    all-integer iteration.  The prompt batch is prefilled once into each
+    cache (untimed), which then advances continuously; the timed region is
+    exactly one ``model.step`` call.  The two caches take turns *every step*
+    (A, B, A, B, ...), so both sample the same machine conditions at
+    millisecond granularity and sustained CPU-frequency / scheduler drift
+    divides out of the ratio.  One untimed warmup step per cache precedes
+    the clock (allocator and BLAS thread-pool state otherwise bias whichever
+    path is measured first).  Returns ``(float_seconds, resident_seconds)``.
     """
     rng = np.random.default_rng(seed)
     prompts = np.stack(
-        [rng.integers(0, models[0].config.vocab_size, size=8) for _ in range(batch_size)]
+        [rng.integers(0, model.config.vocab_size, size=8) for _ in range(batch_size)]
     )
     lanes = []
-    for model in models:
-        logits, cache = model.prefill(prompts)
-        lanes.append({"model": model, "tokens": np.argmax(logits, axis=-1), "cache": cache})
+    for cache in (InferenceCache.zeros(model.config, batch_size), model.new_cache(batch_size)):
+        logits, cache = model.prefill(prompts, cache=cache)
+        lanes.append({"tokens": np.argmax(logits, axis=-1), "cache": cache})
     for lane in lanes:  # untimed warmup
-        lane["model"].step(lane["tokens"], lane["cache"])
-    best = [np.inf] * len(models)
+        model.step(lane["tokens"], lane["cache"])
+    best = [np.inf] * len(lanes)
     for _ in range(repeats * decode_tokens):
         for i, lane in enumerate(lanes):
             start = time.perf_counter()
-            logits = lane["model"].step(lane["tokens"], lane["cache"])
+            logits = model.step(lane["tokens"], lane["cache"])
             best[i] = min(best[i], time.perf_counter() - start)
             lane["tokens"] = np.argmax(logits, axis=-1)
     return best
@@ -105,25 +109,22 @@ def bench_int_decode(
     config: Mamba2Config = INT_DECODE_BENCH_CONFIG,
     repeats: int = 3,
 ):
-    """Measure fake-quant vs persistent integer-state decode tokens/sec.
+    """Measure fake-quant vs resident integer-state decode tokens/sec.
 
     Returns a dict with a ``series`` entry per measurement (tokens/sec keyed
     by batch size) and a ``speedup`` entry per quantized configuration
-    (persistent over fake-quant at equal batch size).
+    (resident over fake-quant at equal batch size).
     """
-    model = Mamba2Model.from_config(config, InitConfig(seed=0))
+    fp_model = Mamba2Model.from_config(config, InitConfig(seed=0))
 
     series: dict = {}
     speedup: dict = {}
-    for label, make_config in QUANT_CONFIGS:
-        fake = quantize_model(model, make_config(SSMQuantConfig()))
-        persistent = quantize_model(
-            model, make_config(SSMQuantConfig(persistent_state=True))
-        )
+    for label, quant_config in QUANT_CONFIGS:
+        model = quantize_model(fp_model, quant_config)
         fake_tps, persistent_tps = {}, {}
         for batch_size in batch_sizes:
             fake_s, persistent_s = _paired_best_step(
-                (fake, persistent), batch_size, decode_tokens, repeats
+                model, batch_size, decode_tokens, repeats
             )
             # Steady-state decode throughput: batch tokens per best step.
             fake_tps[batch_size] = batch_size / fake_s

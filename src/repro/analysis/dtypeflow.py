@@ -7,8 +7,8 @@ tensor between in-projection and readout" end state).  This lint makes that
 claim a property of the source:
 
 - ``# integer-resident`` -- trailing comment on a ``def`` line registers the
-  function as an integer-resident region (the ``persistent_state`` decode
-  step, the ``integer_chunk_body`` prefill scan, ``grouped_integer_matmul``).
+  function as an integer-resident region (the quantized SSM's decode step
+  and prefill scan, ``grouped_integer_matmul``).
 - ``# quant-point: <label>`` -- trailing comment on a statement marks a
   *sanctioned* float materialization: a tracked fake-quant call site (the
   ROADMAP's remaining per-token x/B/C quantizations), a scale-application

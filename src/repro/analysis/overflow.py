@@ -5,11 +5,11 @@ the worst-case per-group partial sum ``group_len * x_qmax * w_qmax`` is
 checked against the INT32 accumulator range on every call, so an unsafe
 configuration fails deterministically on first use.  This module generalizes
 that guard into an *offline* prover: it enumerates every integer contraction
-the repository's registered configurations can execute -- the lightmamba*
-:class:`~repro.quant.ssm_quant.SSMQuantConfig` family across its committed
-group sizes, the :class:`~repro.quant.qlinear.QuantizedLinear` W4A4/W8A8
-paths over the model presets, and the per-platform MMU shapes from
-:mod:`repro.hardware` -- and proves INT32/INT16 accumulator safety
+the repository's registered configurations can execute -- the
+:class:`~repro.quant.qlinear.QuantizedLinear` W4A4/W8A8 paths over the model
+presets and the per-platform MMU shapes from :mod:`repro.hardware` (the
+quantized SSM's chunk-parallel prefill contracts floats, so it registers
+none) -- and proves INT32/INT16 accumulator safety
 symbolically from bit widths and group lengths alone.  No kernel is
 executed; the bound arithmetic is exactly the runtime guard's, so the two
 agree by construction: :attr:`ContractionSpec.overflows` is true precisely
@@ -100,8 +100,7 @@ class ContractionSpec(_AccumulatorBound):
     name:
         Human-readable identifier (also the baseline fingerprint anchor).
     origin:
-        Which subsystem the contraction belongs to (``ssm-chunk-body``,
-        ``qlinear``, ``mmu``).
+        Which subsystem the contraction belongs to (``qlinear``, ``mmu``).
     x_bits / w_bits:
         Signed symmetric code widths of the two operands
         (``qmax = 2**(bits-1) - 1``).
@@ -231,51 +230,6 @@ class NarrowCodeSpec(_AccumulatorBound):
 # ----------------------------------------------------------------------
 # Registry enumeration
 # ----------------------------------------------------------------------
-def _ssm_specs() -> List[ContractionSpec]:
-    """The lightmamba* SSM chunk-body contractions.
-
-    Both ``d_state`` contractions of the integer chunk body (the ``C B^T``
-    interaction matrix and the carried-state ``h . C`` readout) accumulate at
-    most one quantization group per partial sum; ``group_len = group_size``
-    is the conservative bound (the runtime clamps to ``min(group, d_state)``,
-    which is never larger).  The ``integer_full_chunk`` extension adds the
-    two remaining intra-chunk matmuls -- ``gate @ x`` and the state hand-off
-    ``wx^T @ B`` -- which contract over the *token* axis; their runtime group
-    is ``min(group_size, q_len)``, so ``group_len = group_size`` is again the
-    worst case.  The group sizes are the committed ones: the
-    :class:`SSMQuantConfig` default (32) and the variants the tests and
-    benchmarks pin (8, 128).
-    """
-    from repro.quant.ssm_quant import SSMQuantConfig
-
-    specs: List[ContractionSpec] = []
-    group_sizes = sorted({8, SSMQuantConfig().group_size, 128})
-    for group in group_sizes:
-        config = SSMQuantConfig(
-            group_size=group, integer_chunk_body=True, persistent_state=True
-        )
-        for contraction, group_len in (
-            ("CB^T interaction", min(group, _max_d_state())),
-            ("h.C readout", min(group, _max_d_state())),
-            ("gate@x intra-chunk", group),
-            ("state hand-off", group),
-        ):
-            specs.append(
-                ContractionSpec(
-                    name=(
-                        f"ssm-chunk-body/{contraction} lightmamba* "
-                        f"INT{config.bits} g{group}"
-                    ),
-                    origin="ssm-chunk-body",
-                    x_bits=config.bits,
-                    w_bits=config.bits,
-                    group_len=group_len,
-                    acc_bits=32,
-                )
-            )
-    return specs
-
-
 def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
     """The tiled decode step's integer values, each at the width it is held.
 
@@ -314,12 +268,6 @@ def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
                 )
             )
     return specs
-
-
-def _max_d_state() -> int:
-    from repro.mamba.config import MODEL_PRESETS
-
-    return max(preset.d_state for preset in MODEL_PRESETS.values())
 
 
 def _qlinear_specs() -> List[ContractionSpec]:
@@ -401,7 +349,7 @@ AccumulatorSpec = Union[ContractionSpec, ShiftAccumulatorSpec, NarrowCodeSpec]
 
 def default_registry() -> List[AccumulatorSpec]:
     """Every integer accumulator the committed configurations can exercise."""
-    return _ssm_specs() + _ssm_step_specs() + _qlinear_specs() + _mmu_specs()
+    return _ssm_step_specs() + _qlinear_specs() + _mmu_specs()
 
 
 # ----------------------------------------------------------------------

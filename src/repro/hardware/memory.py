@@ -178,7 +178,8 @@ class StateFootprint:
 class QuantizedStateMemoryModel:
     """Sizes the on-chip footprint of the integer-resident decode state.
 
-    The persistent-state decode (``SSMQuantConfig.persistent_state``) keeps
+    The lightmamba* decode (:meth:`QuantizedSSMStep._step_integer
+    <repro.quant.ssm_quant.QuantizedSSMStep._step_integer>`) keeps
     the recurrent state ``h`` on-chip as INT codes plus one power-of-two
     scale exponent per quantization group, exactly as the FPGA state buffer
     stores it; the convolution window stays FP16.  This model converts a

@@ -32,7 +32,7 @@ from repro.mamba.ssm import (
     selective_state_update,
 )
 from repro.mamba.cache import LayerCache, InferenceCache, QuantizedLayerCache, QuantizedSSMState
-from repro.mamba.block import MambaBlock
+from repro.mamba.block import MambaBlock, SSMImpl
 from repro.mamba.model import Mamba2Model
 from repro.mamba.generation import greedy_decode, sample_decode, GenerationResult
 from repro.mamba.sampling import log_softmax, top_k_filter, greedy_select, sample_select
@@ -59,6 +59,7 @@ __all__ = [
     "QuantizedLayerCache",
     "QuantizedSSMState",
     "MambaBlock",
+    "SSMImpl",
     "Mamba2Model",
     "greedy_decode",
     "sample_decode",

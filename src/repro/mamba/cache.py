@@ -14,8 +14,8 @@ rows, e.g. to evict finished requests) and :meth:`scatter` (write rows back,
 e.g. to admit a freshly prefilled request into a running batch);
 :meth:`stack` / :meth:`row` convert between batched and per-request caches.
 
-Quantized models with a *persistent integer state* (the FPGA keeps ``h``
-resident on-chip as INT codes, Sec. V of the paper) use
+Quantized lightmamba* models keep the state integer-resident (the FPGA keeps
+``h`` on-chip as INT codes, Sec. V of the paper) in a
 :class:`QuantizedLayerCache`: its ``ssm_state`` holds a
 :class:`QuantizedSSMState` -- integer codes plus per-group scales -- instead of
 a float array, and all of the request-lifetime operations above move the codes
@@ -285,12 +285,12 @@ class QuantizedLayerCache(LayerCache):
 
     ``conv_state`` stays a float array (the short convolution window is tiny
     and not quantized between steps); ``ssm_state`` holds a
-    :class:`QuantizedSSMState` instead of floats.  A model whose blocks carry
-    a persistent-state quantized ``ssm_impl``
-    (:class:`repro.quant.ssm_quant.QuantizedSSMStep` with
-    ``persistent_state=True``) builds these through
-    :meth:`Mamba2Model.new_cache <repro.mamba.model.Mamba2Model.new_cache>`;
-    the serving engine's gather / scatter / stack / row then carry codes, not
+    :class:`QuantizedSSMState` instead of floats.  Every default lightmamba*
+    model builds these through :meth:`Mamba2Model.new_cache
+    <repro.mamba.model.Mamba2Model.new_cache>` (its quantized ``ssm_impl``
+    decides: :meth:`repro.quant.ssm_quant.QuantizedSSMStep.zeros_cache`), and
+    holding one is what makes the decode step run on integer codes; the
+    serving engine's gather / scatter / stack / row then carry codes, not
     floats, exactly like the FPGA's on-chip state buffer.
     """
 

@@ -168,23 +168,23 @@ class Mamba2Model:
     def new_cache(self, batch_size: Optional[int] = None) -> InferenceCache:
         """A fresh zero inference cache matching each block's state layout.
 
-        Blocks whose ``ssm_impl`` keeps the recurrent state integer-resident
-        (``state_resident`` capability -- the persistent-state quantized step)
-        receive a :class:`~repro.mamba.cache.QuantizedLayerCache` holding zero
-        codes; all other blocks get the float
-        :class:`~repro.mamba.cache.LayerCache`.  This is the factory every
-        decode entry point (:meth:`prefill`, the serving engine's slot pool)
-        uses, so the resident representation is threaded through admission /
-        eviction automatically.
+        A block with an installed ``ssm_impl`` gets the cache that
+        implementation decodes on (``impl.zeros_cache``: an integer-resident
+        :class:`~repro.mamba.cache.QuantizedLayerCache` for every default
+        lightmamba* model, floats for the Fig. 3 ablation configurations);
+        FP blocks get the float :class:`~repro.mamba.cache.LayerCache`.  This
+        is the factory every decode entry point (:meth:`prefill`, the serving
+        engine's slot pool) uses, so the resident representation is threaded
+        through admission / eviction automatically.
         """
-        layers = []
-        for block in self.blocks:
-            impl = block.ssm_impl
-            if impl is not None and getattr(impl, "state_resident", False):
-                layers.append(impl.zeros_cache(self.config, batch_size))
-            else:
-                layers.append(LayerCache.zeros(self.config, batch_size))
-        return InferenceCache(layers=layers)
+        return InferenceCache(
+            layers=[
+                LayerCache.zeros(self.config, batch_size)
+                if block.ssm_impl is None
+                else block.ssm_impl.zeros_cache(self.config, batch_size)
+                for block in self.blocks
+            ]
+        )
 
     def prefill(
         self,

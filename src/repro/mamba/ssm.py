@@ -438,7 +438,9 @@ def ssd_chunked_scan(
         snapshot = np.zeros_like(state)
     y = np.zeros_like(x)
 
-    chunk = min(chunk_size, seq_len)
+    # At least 1, so a zero-length sequence is an empty loop: like ssm_scan it
+    # returns an empty y and the entry state.
+    chunk = max(min(chunk_size, seq_len), 1)
     # One causal mask shared by every full chunk (the ragged tail slices it).
     causal_full = np.tril(np.ones((chunk, chunk), dtype=np.float64))
     for start in range(0, seq_len, chunk):

@@ -19,14 +19,14 @@ Weights are fake-quantized in place; activations are quantized at run time by
 hooks installed on each block (``pre_in_proj`` / ``pre_out_proj``), composed
 with the method's runtime transformation (OS+ shift, online Hadamard).
 
-For the ``lightmamba*`` configurations the SSM execution mode is selected by
-the ``ssm`` field of :class:`QuantConfig` (see
-:class:`~repro.quant.ssm_quant.SSMQuantConfig`): the defaults give the
-fake-quant simulation used for accuracy studies, while
-``persistent_state=True`` (integer-resident decode state, bit-identical
-under PoT) and ``integer_chunk_body=True`` (INT32-accumulator prefill chunk
-contractions) move serving runs onto the FPGA's integer execution model --
-``Mamba2Model.new_cache`` then builds integer-resident caches automatically.
+For the ``lightmamba*`` configurations the ``ssm`` field of
+:class:`QuantConfig` (:class:`~repro.quant.ssm_quant.SSMQuantConfig`) holds
+the SSM grid only -- there is no execution mode to select.  The model decodes
+on whatever state its cache holds: ``Mamba2Model.new_cache`` builds
+integer-resident caches for every default configuration (the FPGA's integer
+datapath, bit-identical to the fake-quant reference under PoT) and float
+caches for the Fig. 3 ablations; hand a default model a float cache to run
+the fake-quant reference itself.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ def quantize_model(
 
         if method.quantizes_ssm:
             # The chunk-parallel quantized scan: decodes exactly like the
-            # plain QuantizedSSMStep and serves scan_impl="chunked" prefills
-            # through its SSD-style prefill_scan (supports_prefill_scan).
+            # plain QuantizedSSMStep and serves every prefill through its
+            # SSD-style prefill_scan (chunk size 1 for scan_impl="sequential").
             block.ssm_impl = QuantizedChunkedScan(config.ssm)
             block.conv.weight = quantize_dequantize(block.conv.weight, conv_weight_cfg)
 

@@ -204,7 +204,7 @@ def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
     """Quantize ``x`` to integer codes under ``config``.
 
     The codes-out entry point, for callers that consume the codes (the
-    integer decode step, the resident state, the MMU contractions); the
+    integer decode step, the resident state, the integer linear layers); the
     float-in / float-out simulation is :func:`quantize_dequantize`, which
     never materializes them.
     """

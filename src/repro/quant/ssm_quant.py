@@ -7,108 +7,87 @@ in floating point -- on the FPGA they are implemented with dedicated units --
 while every multiplicative operand and every element-wise product is
 fake-quantized on the INT8 PoT grid.
 
-Two inference engines are provided:
+Two classes implement it:
 
 - :class:`QuantizedSSMStep` is a drop-in replacement for
-  :func:`repro.mamba.ssm.ssm_step` (it matches the ``ssm_impl`` signature of
-  :class:`repro.mamba.block.MambaBlock`) and advances the quantized
-  recurrence one token at a time -- the decode engine, and the sequential
-  prefill oracle.
+  :func:`repro.mamba.ssm.ssm_step` and advances the quantized recurrence one
+  token at a time -- the decode engine.
 - :class:`QuantizedChunkedScan` extends it with a chunk-parallel prefill scan
   (``prefill_scan``) mirroring the intra/inter-chunk SSD decomposition of
   :func:`repro.mamba.ssm.ssd_chunked_scan`, with the quantization points kept
-  at the same operator interfaces.  It advertises ``supports_prefill_scan``,
-  which :meth:`MambaBlock.forward <repro.mamba.block.MambaBlock.forward>`
-  routes the ``scan_impl="chunked"`` prefill through -- this is how the
-  LightMamba* configurations inherit the chunked prefill fast path.  Like
-  the decode step it is tiled and fused: the chunk is the tile, operands are
-  staged per chunk through reused head-major scratch, and every
-  element-wise stage is one fused pass that materializes integer codes only
-  where something reads them.
+  at the same operator interfaces.  It is the
+  :class:`~repro.mamba.block.SSMImpl` that
+  :func:`~repro.quant.qmodel.quantize_model` installs on every lightmamba*
+  block.  Like the decode step the scan is tiled and fused: the chunk is the
+  tile, operands are staged per chunk through reused head-major scratch, and
+  every element-wise stage is one fused fake-quant pass.
 
-Fake-quant vs. integer-resident execution
------------------------------------------
+One datapath: the state's type selects the arithmetic
+-----------------------------------------------------
 
-The *fake-quant oracle* runs every operand through its integer grid but
-stores and combines floats: quantize, dequantize, multiply, repeat.  It is
-the numerical reference for accuracy studies, and every integer mode below
-is pinned bit-identical (or integer-exact) against it.
+There is no execution flag.  A recurrent state that arrives as integer codes
+(a :class:`~repro.mamba.cache.QuantizedSSMState`) is advanced by the
+**all-integer iteration** :meth:`QuantizedSSMStep._step_integer` and leaves
+as codes; a state that arrives as a float array is advanced by the
+**fake-quant oracle** :meth:`QuantizedSSMStep._step_oracle` -- every operand
+through its integer grid, stored and combined as floats -- and leaves as
+floats.  Under PoT scales the two are bit-identical, which
+``tests/test_int_state.py`` and ``tests/test_ssmu_tiled.py`` pin.
+:meth:`QuantizedSSMStep.zeros_cache` decides which one a model decodes on: it
+hands out an integer-resident
+:class:`~repro.mamba.cache.QuantizedLayerCache` exactly when the
+configuration can run the integer iteration (PoT scales, state and product
+re-quantization on, codes narrow enough for an integer accumulator) -- every
+default lightmamba* model -- and a float
+:class:`~repro.mamba.cache.LayerCache` for the Fig. 3 ablation
+configurations.  To run the oracle on a default model, hand it a float cache.
 
-The *integer-resident* modes execute the same arithmetic the way the FPGA
-does -- on codes, with power-of-two scale *exponents* threaded instead of
-float scales:
+The integer iteration is organised like the paper's SSMU: x/B/C are quantized
+once at the in-projection boundary and from there to the readout no float
+tensor is materialized.  It is *tiled and fused*:
 
-- ``persistent_state=True`` keeps the recurrent state ``h`` resident as INT
-  codes + PoT scales between decode steps (a
-  :class:`~repro.mamba.cache.QuantizedSSMState` inside a
-  :class:`~repro.mamba.cache.QuantizedLayerCache`).  With it, the decode
-  step runs the **all-integer iteration**
-  (:meth:`QuantizedSSMStep._step_integer`): x/B/C are quantized once at the
-  in-projection boundary and from there to the readout no float tensor is
-  materialized.  It is organised like the paper's SSMU -- *tiled and fused*:
+- **narrow**: every value lives at the width its bound proves
+  (:func:`repro.quant.pot.code_storage_dtype`).  The resident codes are
+  stored, moved and absmax-reduced as INT8, and a code-by-code product stays
+  INT16 (``qmax**2 < 2**15``) until its alignment widens it to the INT32
+  accumulator, whose width follows from the bound the ``repro.analysis``
+  overflow prover registers (:func:`repro.quant.pot.shift_accumulator_dtype`).
+  Only the state add, whose addends sit on different PoT grids, runs on a
+  wide (float64) accumulator; its rounded sum is cast once, into the output
+  state.
+- **fused**: the ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x`` products
+  fold their per-head float scalar into the re-quantization multiplier (a PoT
+  shift plus one scalar multiply on hardware -- the EM units of Fig. 3).  The
+  code-by-code products (``B_bar (.) x``, ``h (.) C``) re-quantize by a bit
+  shift alone, and the per-group shift count ``r`` is folded into the *small*
+  operand: the x codes are pre-aligned by ``2**(R - r)`` before the outer
+  product, so the state-sized product takes one uniform half-even right shift
+  by ``R`` (:func:`repro.quant.pot.shift_right_half_even`) instead of a
+  per-group broadcast shift.
+- **tiled**: the per-group exponent math is batched, but the state-sized work
+  runs one batch row -- one ``(nheads, headdim, d_state)`` tile of codes -- at
+  a time through reused scratch, so the working set stays cache-resident and
+  step time no longer grows with the bytes of the whole batch.
 
-  - **narrow**: every value lives at the width its bound proves
-    (:func:`repro.quant.pot.code_storage_dtype`).  The resident codes are
-    stored, moved and absmax-reduced as INT8, and a code-by-code product
-    stays INT16 (``qmax**2 < 2**15``) until its alignment widens it to the
-    INT32 accumulator, whose width follows from the bound the
-    ``repro.analysis`` overflow prover registers
-    (:func:`repro.quant.pot.shift_accumulator_dtype`).  Only the state add,
-    whose addends sit on different PoT grids, runs on a wide (float64)
-    accumulator; its rounded sum is cast once, into the output state.
-  - **fused**: the ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x``
-    products fold their per-head float scalar into the re-quantization
-    multiplier (a PoT shift plus one scalar multiply on hardware -- the EM
-    units of Fig. 3).  The code-by-code products (``B_bar (.) x``,
-    ``h (.) C``) re-quantize by a bit shift alone, and the per-group shift
-    count ``r`` is folded into the *small* operand: the x codes are
-    pre-aligned by ``2**(R - r)`` before the outer product, so the
-    state-sized product takes one uniform half-even right shift by ``R``
-    (:func:`repro.quant.pot.shift_right_half_even`) instead of a per-group
-    broadcast shift.
-  - **tiled**: the per-group exponent math is batched, but the state-sized
-    work runs one batch row -- one ``(nheads, headdim, d_state)`` tile of
-    codes -- at a time through reused scratch, so the working set stays
-    cache-resident and step time no longer grows with the bytes of the
-    whole batch.
-
-  Shifts round half-to-even, so shifted codes land exactly where the
-  oracle's ``np.round`` would put them: the step is **bit-identical** to the
-  fake-quant oracle under PoT scales -- pinned by ``tests/test_int_state.py``
-  and ``tests/test_ssmu_tiled.py``, and enforced statically by the DT2xx
-  dtype-flow lint over the ``# integer-resident`` regions (every surviving
-  float materialization carries a ``# quant-point:`` sanction, and the
-  sanction budget can only ratchet down).
-- ``integer_chunk_body=True`` runs the prefill chunk body's two ``d_state``
-  contractions (the ``C B^T`` interaction matrix and the carried-state
-  ``h . C`` readout) on true INT32 accumulators over the raw codes --
-  the MMU execution model, sharing
-  :func:`repro.quant.qlinear.grouped_integer_matmul` and its static overflow
-  guard with the quantized linear layers (requires ``quantize_products``).
-- ``integer_full_chunk=True`` extends the INT32 accumulation to the two
-  remaining intra-chunk matmuls -- the decay-gated ``gate @ x`` output
-  contraction and the ``wx @ bh`` state hand-off -- with the decay folded
-  into PoT re-quantization of the gated operands and per-token operand
-  exponents shift-aligned to a common per-group grid so the contraction
-  scales are constant within each accumulator group.
-
-Use fake-quant (the defaults) for algorithm/accuracy work; enable the
-integer-resident modes when the run should mirror the hardware datapath --
-serving benchmarks, the URAM/BRAM state-footprint study
-(:class:`repro.hardware.memory.QuantizedStateMemoryModel`), or any test of
-the accelerator's integer semantics.
+Shifts round half-to-even, so shifted codes land exactly where the oracle's
+``np.round`` would put them; the DT2xx dtype-flow lint enforces the rest
+statically over the ``# integer-resident`` regions (every surviving float
+materialization carries a ``# quant-point:`` sanction, and the sanction
+budget can only ratchet down).  The chunk-parallel prefill contracts floats
+on the fake-quant grids whatever the state's type (a compiled integer GEMM
+would be needed to beat BLAS here; see ROADMAP) and converts a resident
+state at its entry and exit only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.mamba.cache import QuantizedLayerCache, QuantizedSSMState
+from repro.mamba.cache import LayerCache, QuantizedLayerCache, QuantizedSSMState
 from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _validate_seq_lens, ssm_decay, ssm_scan
@@ -120,12 +99,9 @@ from repro.quant.pot import (
     pot_exponent,
     requant_shift,
     shift_accumulator_dtype,
-    shift_requantize,
     shift_right_half_even,
 )
-from repro.quant.qlinear import grouped_integer_matmul
 from repro.quant.quantizer import (
-    QuantizedTensor,
     QuantizerConfig,
     _fake_quant_into,
     _group_max,
@@ -133,7 +109,6 @@ from repro.quant.quantizer import (
     _round_to_grid,
     _scales_from_absmax,
     _ungroup,
-    dequantize,
     quantize,
     quantize_dequantize,
 )
@@ -163,26 +138,11 @@ class SSMQuantConfig:
         Re-quantize every element-wise product (the re-quantization whose
         hardware cost Fig. 3 analyses).  Disabling keeps products at high
         precision until the output.
-    persistent_state:
-        Keep the recurrent state resident as INT codes + PoT scales between
-        steps (the on-chip state buffer execution model).  Bit-identical to
-        the fake-quant decode -- PoT re-quantization of an on-grid state is
-        idempotent -- but removes the per-token state round trip.  Requires
-        ``quantize_state`` and ``pot_scale``.
-    integer_chunk_body:
-        Run the prefill chunk body's ``C B^T`` and ``h . C`` contractions on
-        INT32 accumulators over the raw codes (the MMU execution model, with
-        its static overflow guard).  Requires ``quantize_products``.
-    integer_full_chunk:
-        Also run the remaining intra-chunk matmuls (``gate @ x`` and the
-        ``wx @ bh`` state hand-off) on INT32 accumulators: the decay-gated
-        operands are re-quantized onto PoT grids (folding the decay into the
-        shift re-quantization) and the per-token operand exponents are
-        shift-aligned per accumulator group.  Unlike ``integer_chunk_body``
-        this *changes* the scan numerics (alignment and gate quantization
-        are additional rounding points); the INT32 accumulation itself is
-        still exact, pinned against the float matmul on the same aligned
-        codes.  Requires ``integer_chunk_body``.
+
+    These five numbers are the whole configuration: *how* the recurrence is
+    executed -- on integer codes or on the fake-quant float view -- follows
+    from the type of the state handed to the step (see the module docstring),
+    not from a field here.
     """
 
     bits: int = 8
@@ -190,28 +150,6 @@ class SSMQuantConfig:
     pot_scale: bool = True
     quantize_state: bool = True
     quantize_products: bool = True
-    persistent_state: bool = False
-    integer_chunk_body: bool = False
-    integer_full_chunk: bool = False
-
-    def __post_init__(self) -> None:
-        if self.persistent_state and not (self.quantize_state and self.pot_scale):
-            raise ValueError(
-                "persistent_state keeps h as INT codes + PoT scales; it requires "
-                "quantize_state=True and pot_scale=True"
-            )
-        if self.integer_chunk_body and not (self.quantize_products and self.quantize_state):
-            raise ValueError(
-                "integer_chunk_body contracts the raw codes of the re-quantized "
-                "products and of the carried state; it requires "
-                "quantize_products=True and quantize_state=True"
-            )
-        if self.integer_full_chunk and not self.integer_chunk_body:
-            raise ValueError(
-                "integer_full_chunk extends the integer chunk body's INT32 "
-                "accumulation to the gate @ x and state hand-off matmuls; it "
-                "requires integer_chunk_body=True"
-            )
 
     def config(self, granularity: Granularity = Granularity.PER_GROUP) -> QuantizerConfig:
         """Build the underlying :class:`QuantizerConfig`."""
@@ -222,56 +160,6 @@ class SSMQuantConfig:
             pot_scale=self.pot_scale,
             pot_rounding="ceil",
         )
-
-
-def _per_element_exponents(scales: np.ndarray, length: int, group_size: int) -> np.ndarray:
-    """Per-element PoT grid exponents from a quantizer scales tensor.
-
-    ``scales`` is the ``(..., G, 1)`` per-group scales of a tensor whose
-    trailing data axis holds ``length`` elements in groups of
-    ``min(group_size, length)``; the result is the ``(..., length)`` integer
-    exponent of each element's grid -- the form the shift re-quantization
-    threads through the integer-resident step.
-    """
-    exponents = pot_exponent(scales)[..., 0]
-    group = min(group_size, length)
-    return np.repeat(exponents, group, axis=-1)[..., :length]
-
-
-def _common_group_exponents(
-    exponents: np.ndarray, group_size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Common per-accumulator-group exponent and its per-element broadcast.
-
-    The integer matmuls contract along an axis whose elements may sit on
-    different PoT grids (per-token operand exponents), while
-    :func:`repro.quant.qlinear.grouped_integer_matmul` needs one scale per
-    accumulator group.  The common exponent is the group *maximum*: aligning
-    every member onto it is a pure right shift, which never magnifies a code,
-    so the aligned operand still respects its qmax bound (and with it the
-    static overflow guard).  Grouping matches the matmul's
-    ``min(group_size, K)`` convention; padding positions (zero codes) are
-    excluded from the maximum.
-
-    Returns ``(group_exponents, per_element_exponents)`` shaped
-    ``(..., n_groups)`` and ``(..., K)``.
-    """
-    length = exponents.shape[-1]
-    group = min(group_size, length)
-    n_groups = -(-length // group)
-    pad = n_groups * group - length
-    exponents = np.asarray(exponents, dtype=np.int64)
-    if pad:
-        fill = np.full(
-            exponents.shape[:-1] + (pad,), np.iinfo(np.int64).min, dtype=np.int64
-        )
-        padded = np.concatenate([exponents, fill], axis=-1)
-    else:
-        padded = exponents
-    grouped = padded.reshape(exponents.shape[:-1] + (n_groups, group))
-    gmax = np.max(grouped, axis=-1)
-    per_element = np.repeat(gmax, group, axis=-1)[..., :length]
-    return gmax, per_element
 
 
 def _tile_scratch(tile: Tuple[int, ...], bits: int) -> SimpleNamespace:
@@ -327,70 +215,36 @@ class QuantizedSSMStep:
     named element-wise multiplication is computed on fake-quantized operands
     and its output is re-quantized before feeding the next operator.
 
-    A leading batch axis is accepted on every tensor argument
-    (``supports_batched``); because the quantization grid is per-group along
-    the trailing axis, every batch row quantizes exactly as it would alone,
-    so batched stepping is bit-identical to per-row stepping.
+    A leading batch axis is accepted on every tensor argument; because the
+    quantization grid is per-group along the trailing axis, every batch row
+    quantizes exactly as it would alone, so batched stepping is bit-identical
+    to per-row stepping.
     """
 
-    #: Advertises the optional leading batch axis to the block's prefill /
-    #: decode dispatch (single token loop instead of a per-row Python loop).
+    # Read by benchmarks/e2e only -- nothing in src/ looks at them (see
+    # ROADMAP item 1: they go with the next benchmark-archetype PR).
     supports_batched = True
-
-    #: The plain step has no chunk-parallel prefill engine; the block's
-    #: prefill then falls back to the per-token loop.  See
-    #: :class:`QuantizedChunkedScan` for the implementation that sets it.
     supports_prefill_scan = False
+    state_resident = property(lambda self: self._resident)
 
     def __init__(self, config: SSMQuantConfig = SSMQuantConfig()):
         self.config = config
         self._qcfg = config.config()
         # (D array, D[:, None], |D|[:, None]) derived on first use (see _d_cols).
         self._static_cache: Optional[Tuple[np.ndarray, ...]] = None
-        # When set, prefill_scan ignores integer_chunk_body and runs the
-        # float fake-quant chunk body (see fallback_fake_quant).
-        self._fake_quant_fallback = False
-        # Accumulator of the tiled integer step's aligned products: INT32
-        # for INT4/INT8 codes, INT64 for wider ones, None when the bound
-        # fits neither (the step then runs the oracle).
-        self._acc_dtype = shift_accumulator_dtype(config.bits)
         # Storage type of resident codes (INT8 for the INT8 SSM).
         self._code_int = code_storage_dtype(config.bits)
         self._qmin, self._qmax = self._qcfg.spec.qmin, self._qcfg.spec.qmax
-
-    @contextmanager
-    def fallback_fake_quant(self) -> Iterator["QuantizedSSMStep"]:
-        """Temporarily run the fake-quant chunk body instead of the MMU path.
-
-        The serving supervisor's graceful-degradation hook: inside the
-        context :meth:`QuantizedChunkedScan.prefill_scan` skips the
-        ``integer_chunk_body`` INT32 kernels (whose static overflow guard can
-        legitimately raise :class:`OverflowError`) and computes the same
-        contractions on the float fake-quant path -- the numerics every
-        integer run is verified against, so a degraded request is still
-        served on the model's reference grid.  Decode likewise routes to the
-        fake-quant oracle :meth:`_step_oracle` inside the context instead of
-        the shift-requantized :meth:`_step_integer`; the two are bit-identical
-        under PoT scales, so degrading never changes decoded tokens.
-        Re-entrant; restores the previous mode on exit.
-        """
-        previous = self._fake_quant_fallback
-        self._fake_quant_fallback = True
-        try:
-            yield self
-        finally:
-            self._fake_quant_fallback = previous
-
-    @property
-    def state_resident(self) -> bool:
-        """Whether this step keeps the recurrent state as integer codes.
-
-        :meth:`Mamba2Model.new_cache <repro.mamba.model.Mamba2Model.new_cache>`
-        checks this capability to decide between a float
-        :class:`~repro.mamba.cache.LayerCache` and an integer-resident
-        :class:`~repro.mamba.cache.QuantizedLayerCache` for the block.
-        """
-        return self.config.persistent_state
+        # Whether zeros_cache hands out codes: exactly when _step_integer can
+        # advance them -- shifts need PoT grids, a state and products that are
+        # re-quantized, and an integer accumulator that holds the aligned
+        # products (INT32 for INT4/INT8 codes, INT64 up to INT16, none beyond).
+        self._resident = (
+            config.pot_scale
+            and config.quantize_state
+            and config.quantize_products
+            and shift_accumulator_dtype(config.bits) is not None
+        )
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         """Fake-quantize a tensor on the configured grid."""
@@ -439,24 +293,26 @@ class QuantizedSSMStep:
 
     def zeros_cache(  # integer-resident
         self, config: Mamba2Config, batch_size: Optional[int] = None
-    ) -> QuantizedLayerCache:
-        """A fresh integer-resident layer cache (zero codes, epsilon scales).
+    ) -> LayerCache:
+        """A fresh zero layer cache in the representation this step decodes on.
+
+        Integer-resident (zero codes, epsilon scales) when the configuration
+        can run :meth:`_step_integer` -- every default lightmamba* model --
+        and a float :class:`~repro.mamba.cache.LayerCache` otherwise (the
+        Fig. 3 ablations: non-PoT scales, no state / product re-quantization,
+        codes too wide for an integer accumulator).  This is the one place
+        the execution is chosen; :meth:`__call__` only follows the state.
 
         An all-zero state quantizes to all-zero codes with the quantizer's
         well-defined minimum scale (see :func:`repro.quant.quantizer.compute_scales`
         and the all-zero-group handling of :func:`repro.quant.pot.pot_quantize_scale`),
         so the zero cache decodes back to exact zeros.
         """
-        lead = () if batch_size is None else (batch_size,)
-        state = np.zeros(  # quant-point: zero state buffer, quantized to codes below
-            lead + (config.nheads, config.headdim, config.d_state), dtype=np.float64
-        )
-        return QuantizedLayerCache(
-            conv_state=np.zeros(  # quant-point: conv taps stay float (not SSM-quantized)
-                lead + (config.conv_dim, config.d_conv), dtype=np.float64
-            ),
-            ssm_state=self.quantize_state_codes(state),
-        )
+        # quant-point: float zeros (the conv taps stay float; the state is quantized below)
+        zeros = LayerCache.zeros(config, batch_size)
+        if not self._resident:
+            return zeros
+        return QuantizedLayerCache(zeros.conv_state, self.quantize_state_codes(zeros.ssm_state))
 
     def _d_cols(self, params: SSMParams) -> Tuple[np.ndarray, np.ndarray]:
         """The skip coefficient columns ``D[:, None]`` and ``|D|[:, None]``, cached.
@@ -483,28 +339,18 @@ class QuantizedSSMStep:
         dt: np.ndarray,
         state: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance the quantized recurrence one token (``ssm_impl`` signature).
+        """Advance the quantized recurrence one token (the ``SSMImpl`` step).
 
-        ``state`` may be a float array (fake-quant mode: re-quantized on
-        entry when ``quantize_state`` is set) or a resident
-        :class:`~repro.mamba.cache.QuantizedSSMState` (integer-resident
-        mode: codes in, codes out).  A resident state dispatches to the
-        all-integer iteration :meth:`_step_integer` -- no float tensor
-        between the entry quantizations and the readout -- unless product
-        re-quantization is disabled, scales are not PoT (shifts need PoT
-        grids), the codes are too wide for any integer accumulator
-        (:func:`repro.quant.pot.shift_accumulator_dtype`), or the fake-quant
-        degradation fallback is active; those cases run the float oracle
-        :meth:`_step_oracle`.  Under PoT scales
-        the two paths are bit-identical.
+        The state's type selects the arithmetic: a resident
+        :class:`~repro.mamba.cache.QuantizedSSMState` runs the all-integer
+        iteration :meth:`_step_integer` (codes in, codes out -- no float
+        tensor between the entry quantizations and the readout); a float
+        array runs the fake-quant oracle :meth:`_step_oracle` (re-quantized
+        on entry when ``quantize_state`` is set, floats out).  Bit-identical
+        under PoT scales.  :meth:`zeros_cache` only hands out codes to
+        configurations the integer iteration can run.
         """
-        if (
-            isinstance(state, QuantizedSSMState)
-            and self.config.quantize_products
-            and self.config.pot_scale
-            and self._acc_dtype is not None
-            and not self._fake_quant_fallback
-        ):
+        if isinstance(state, QuantizedSSMState):
             return self._step_integer(params, x, B, C, dt, state)
         return self._step_oracle(params, x, B, C, dt, state)
 
@@ -774,20 +620,17 @@ class QuantizedChunkedScan(QuantizedSSMStep):
 
     Two of the step's per-token re-quantization points (``B_bar (.) x`` and
     ``h (.) C``) therefore collapse into the chunk matmuls; with
-    ``chunk_size=1`` the scan dispatches to the exact per-token step loop
-    (shared code with :class:`QuantizedSSMStep`), making the reduction to the
-    sequential quantized oracle bit-identical by construction.  At larger
-    chunk sizes the scan is the fast approximation whose quality the eval
-    harness pins (perplexity shift < 0.1 vs. the sequential oracle).
+    ``chunk_size=1`` -- what :meth:`MambaBlock.forward
+    <repro.mamba.block.MambaBlock.forward>` passes for
+    ``scan_impl="sequential"`` -- the scan runs the exact per-token loop over
+    :meth:`_step_oracle`, the sequential quantized oracle.  At larger chunk
+    sizes the scan is the fast approximation whose quality the eval harness
+    pins (perplexity shift < 0.1 vs. the sequential oracle).
 
-    Decode is inherited unchanged from :class:`QuantizedSSMStep`, so a model
-    carrying this implementation decodes bit-identically to one carrying the
-    plain step.
+    Decode is inherited unchanged from :class:`QuantizedSSMStep`.
     """
 
-    #: Tells MambaBlock.forward to route a ``scan_impl="chunked"`` prefill
-    #: through :meth:`prefill_scan` instead of the per-token loop.
-    supports_prefill_scan = True
+    supports_prefill_scan = True  # read by benchmarks/e2e only, like the base's
 
     def prefill_scan(  # integer-resident
         self,
@@ -818,7 +661,14 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         grid already, so the chunk-entry quantization is skipped -- and the
         returned final state (or per-row ``seq_lens`` snapshot) is a resident
         container again, keeping segmented serving prefills integer-resident
-        end to end.
+        end to end.  The state comes back in the container it came in, for
+        every ``chunk_size``; a zero-length sequence returns an empty ``y``
+        and the entry state on its grid.
+
+        ``chunk_size=1`` is the sequential oracle: :func:`ssm_scan
+        <repro.mamba.ssm.ssm_scan>` drives :meth:`_step_oracle` token by
+        token on the float view (a resident state is re-quantized to codes at
+        the exit -- exact, it is on-grid), so no chunk body runs.
 
         **The tiled datapath.**  ``chunk_size`` is the tile: everything the
         scan does to a tensor operand -- the x / B / C entry quantization,
@@ -840,28 +690,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         from ``Delta * max|B|`` per group instead of an absmax pass over the
         product: multiplication by the positive ``Delta`` is monotone in
         floating point too, so that *is* the product's absmax.
-
-        With ``integer_chunk_body`` the two ``d_state`` contractions of the
-        chunk body (the dense ``C B^T`` interaction and the carried-state
-        ``h . C`` readout) run on INT32 accumulators over the raw codes via
-        :func:`repro.quant.qlinear.grouped_integer_matmul` -- the MMU
-        execution model, including its static overflow guard -- and the
-        staging keeps the codes those contractions read.  Under PoT
-        scales every partial product is exactly representable, so the
-        integer body agrees with the float chunk body to the last bit of the
-        accumulation order.
-
-        With ``integer_full_chunk`` the remaining two intra-chunk matmuls
-        also run on the INT32 accumulator: the decay-gated interaction
-        (``gate @ x``) quantizes the gate onto a PoT grid (folding the decay
-        into that re-quantization) and contracts it against the x codes, and
-        the ``wx @ bh`` state hand-off quantizes the decay-carried x and
-        contracts it against the ``Delta (.) B`` codes.  The per-token
-        operand exponents are shift-aligned to the per-group maximum
-        (:func:`_common_group_exponents`) so every accumulator group has one
-        scale; the alignment shifts and gate quantization are additional
-        rounding points, so this mode is a further approximation of the float
-        chunk scan (the INT32 accumulation itself stays exact).
 
         Unlike :func:`repro.mamba.ssm.ssd_chunked_scan`, whose FP body
         contracts one head-independent ``C B^T`` matrix per chunk, every
@@ -904,24 +732,23 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         if seq_lens is not None:
             seq_lens = _validate_seq_lens(seq_lens, batched, x.shape[0], seq_len)
 
+        if seq_len == 0:
+            # Nothing to scan, whatever the chunk size: an empty y (x has no
+            # tokens) and the entry state on its grid.
+            return x.copy(), initial_state.copy() if resident else self._state_values(state)
+
         if chunk_size == 1:
-            # The per-token loop: ssm_scan driving this object's own step, so
-            # the chunk_size=1 reduction to the sequential quantized oracle
-            # is bit-identical by construction (shared step code, shared
-            # token loop and seq_lens snapshot bookkeeping).  The token loop
-            # runs on the float view; a resident caller gets the final state
-            # re-quantized back into codes (exact -- the state is on-grid).
-            y, final = ssm_scan(
+            # The per-token loop: ssm_scan driving this object's own step on
+            # the float view -- the fake-quant oracle, token by token (shared
+            # step code, shared token loop and seq_lens snapshot bookkeeping).
+            # A resident caller gets the final state re-quantized back into
+            # codes (exact -- the state is on-grid).
+            y, state = ssm_scan(
                 params, x, B, C, dt, initial_state=state, seq_lens=seq_lens, step_fn=self
             )
-            if resident:
-                final = self.quantize_state_codes(final)
-            return y, final
+            return y, self.quantize_state_codes(state) if resident else state
 
         quantize_state = self.config.quantize_state
-        integer_body = self.config.integer_chunk_body and not self._fake_quant_fallback
-        integer_full = integer_body and self.config.integer_full_chunk
-        group = self._qcfg.group_size
 
         # The decay chain stays in floating point (dedicated FPGA units); it
         # is per head and per token -- tiny -- so it is computed for the whole
@@ -929,17 +756,9 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         delta = np.ascontiguousarray(np.swapaxes(softplus(dt + params.dt_bias), -1, -2))
         log_decay = delta * params.A[:, None]               # (..., h, T), negative
 
-        state_qt: Optional[QuantizedTensor] = None
-        if resident:
-            # The incoming codes are the chunk-entry quantization.
-            state_qt = QuantizedTensor(
-                codes=initial_state.codes,
-                scales=initial_state.scales,
-                config=self._qcfg,
-                shape=initial_state.shape,
-            )
-        elif quantize_state:
-            state_qt = self._stage(state.copy(), state, integer_body)
+        if quantize_state and not resident:
+            # Chunk-entry quantization (resident codes are on the grid already).
+            self._stage(state.copy(), state)
         if seq_lens is not None:
             snapshot = np.zeros_like(state)  # quant-point: seq_lens snapshot buffer
 
@@ -958,14 +777,10 @@ class QuantizedChunkedScan(QuantizedSSMStep):
             )
             xq, bq, cq, db = tile.xq, tile.bq, tile.cq, tile.db
 
-            # Operand quantization at the SSMU interfaces, on this chunk's
-            # tile.  The MMU bodies keep the codes they contract next to the
-            # float views; the float body stages floats only.
-            x_qt = self._stage(
-                np.moveaxis(x[..., start:stop, :, :], -3, -2), xq, integer_full
-            )                                               # (..., h, Q, p)
-            self._stage(B[..., start:stop, :], bq, False)   # (..., Q, n)
-            c_qt = self._stage(C[..., start:stop, :], cq, integer_body)
+            # Operand quantization at the SSMU interfaces, on this chunk's tile.
+            self._stage(np.moveaxis(x[..., start:stop, :, :], -3, -2), xq)  # (..., h, Q, p)
+            self._stage(B[..., start:stop, :], bq)          # (..., Q, n)
+            self._stage(C[..., start:stop, :], cq)          # (..., Q, n)
             # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
             np.multiply(params.D[:, None, None], xq, out=tile.work)
             if self.config.quantize_products:
@@ -974,51 +789,23 @@ class QuantizedChunkedScan(QuantizedSSMStep):
             else:
                 np.copyto(tile.skip, tile.work)
             # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
-            db_qt = self._stage_delta_b(delta[..., start:stop], bq, db, integer_body)
+            self._stage_delta_b(delta[..., start:stop], bq, db)
             lc = np.cumsum(log_decay[..., start:stop], axis=-1)  # (..., h, Q)
 
             # Dense decay-weighted interaction on the quantized operands:
             #   G[head, t, s] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
-            # The d_state contraction runs on the MMU-style wide accumulator:
-            # in float mode that is the float64 matmul below; in integer mode
-            # the raw codes accumulate in a true INT32 per quantization group
-            # (grouped_integer_matmul, with the static overflow guard).  L is
-            # decreasing so causal entries have diff <= 0, and clamping keeps
-            # the masked upper triangle finite.
-            if integer_body:
-                cc_codes = c_qt.codes[..., None, :, :]      # (..., 1, Q, n)
-                cc_scales = c_qt.scales[..., None, :, :, 0]  # (..., 1, Q, G)
-                tile.gate[...] = self._mmu(
-                    cc_codes, cc_scales, db_qt.codes, db_qt.scales[..., 0]
-                )
-            else:
-                np.matmul(cq[..., None, :, :], np.swapaxes(db, -1, -2), out=tile.gate)
+            # The d_state contraction runs on the MMU-style wide accumulator
+            # (the float64 matmul).  L is decreasing so causal entries have
+            # diff <= 0, and clamping keeps the masked upper triangle finite.
+            np.matmul(cq[..., None, :, :], np.swapaxes(db, -1, -2), out=tile.gate)
             np.subtract(lc[..., :, None], lc[..., None, :], out=tile.decay)
             np.minimum(tile.decay, 0.0, out=tile.decay)
             np.exp(tile.decay, out=tile.decay)
             np.multiply(tile.gate, tile.decay, out=tile.gate)
             np.multiply(tile.gate, causal_full[:q_len, :q_len], out=tile.gate)
-            if integer_full:
-                # Decay-gated interaction on the INT32 accumulator: the gate
-                # (decay folded in) re-quantizes onto a PoT grid along the
-                # contraction axis, and the per-token x codes shift-align to
-                # one exponent per accumulator group (pure right shifts, so
-                # the qmax bound and the overflow guard still hold).
-                g_qt = quantize(tile.gate, self._qcfg)  # quant-point: gate requant (decay folded)
-                tile.out[...] = self._mmu_aligned(
-                    g_qt,
-                    np.swapaxes(x_qt.codes, -1, -2),        # (..., h, p, Q)
-                    np.swapaxes(_per_element_exponents(x_qt.scales, headdim, group), -1, -2),
-                )
-            else:
-                np.matmul(tile.gate, xq, out=tile.out)      # (..., h, Q, p)
+            np.matmul(tile.gate, xq, out=tile.out)          # (..., h, Q, p)
             # Carried-in state readout (h_in . C per head, decayed to t).
-            if integer_body:
-                tile.readout[...] = self._mmu(
-                    state_qt.codes, state_qt.scales[..., 0], cc_codes, cc_scales
-                )
-            else:
-                np.matmul(state, np.swapaxes(cq, -1, -2)[..., None, :, :], out=tile.readout)
+            np.matmul(state, np.swapaxes(cq, -1, -2)[..., None, :, :], out=tile.readout)
             np.multiply(
                 np.exp(lc)[..., None], np.swapaxes(tile.readout, -1, -2), out=tile.work
             )
@@ -1043,24 +830,12 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                     break  # the snapshots are the result; no hand-off follows
 
             # Chunk hand-off, then the chunk-boundary state quantization:
-            # codes only where they are read -- by the next chunk's MMU
-            # readout, or by the caller of a resident scan after the last
-            # chunk; the float body's boundaries stay fused fake-quant.
+            # fused fake-quant between chunks, codes only for the caller of a
+            # resident scan after the last chunk.
             last = lc[..., -1]                              # (..., h)
             np.multiply(np.exp(last[..., None] - lc)[..., None], xq, out=tile.work)
             wx = np.swapaxes(tile.work, -1, -2)             # (..., h, p, Q)
-            if integer_full:
-                # State hand-off on the INT32 accumulator: the decay-carried
-                # x re-quantizes onto a PoT grid along the token axis and
-                # contracts against the shift-aligned Delta (.) B codes.
-                w_qt = quantize(wx, self._qcfg)  # quant-point: decay-carried x requant
-                tile.handoff[...] = self._mmu_aligned(
-                    w_qt,
-                    np.swapaxes(db_qt.codes, -1, -2),       # (..., h, n, Q)
-                    np.swapaxes(_per_element_exponents(db_qt.scales, d_state, group), -1, -2),
-                )
-            else:
-                np.matmul(wx, db, out=tile.handoff)         # (..., h, p, n)
+            np.matmul(wx, db, out=tile.handoff)             # (..., h, p, n)
             np.multiply(state, np.exp(last)[..., None, None], out=state)
             np.add(state, tile.handoff, out=tile.handoff)
             if not quantize_state:
@@ -1069,20 +844,14 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 # quant-point: the final resident state, quantized to codes
                 return y, self.quantize_state_codes(tile.handoff)
             else:
-                state_qt = self._stage(tile.handoff, state, integer_body)
+                self._stage(tile.handoff, state)
 
         if seq_lens is not None:
-            if resident:
-                # Rows were quantized one by one above; per-group grids live
-                # on the trailing axis, so re-quantizing the stacked snapshot
-                # into codes is exact (idempotent on-grid requantization).
-                return y, self.quantize_state_codes(snapshot)
-            return y, snapshot
-        if resident:
-            # Degenerate configuration (resident container handed to a scan
-            # that does not quantize hand-offs): quantize once here.
-            return y, self.quantize_state_codes(state)
-        return y, state
+            # Rows were quantized one by one above; per-group grids live on
+            # the trailing axis, so re-quantizing the stacked snapshot into
+            # codes below is exact (idempotent on-grid requantization).
+            state = snapshot
+        return y, self.quantize_state_codes(state) if resident else state
 
     # ------------------------------------------------------------------
     # Chunk-tile helpers of prefill_scan
@@ -1116,26 +885,17 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         # quant-point: float scratch of the chunk tile (wide accumulators + staged views)
         return SimpleNamespace(**{name: np.empty(shape) for name, shape in shapes.items()})
 
-    def _stage(  # integer-resident
-        self, values: np.ndarray, out: np.ndarray, keep_codes: bool
-    ) -> Optional[QuantizedTensor]:
-        """Fake-quantize an operand tile into ``out``.
+    def _stage(self, values: np.ndarray, out: np.ndarray) -> None:  # integer-resident
+        """Fake-quantize an operand tile into ``out`` (one fused round trip).
 
-        The float chunk body never reads codes, so it gets the fused round
-        trip (``out`` must not be ``values``); the MMU bodies contract the
-        codes, so for them the tile is quantized to codes (returned) and
-        ``out`` -- which may then be ``values`` -- is their float view.
+        The chunk body contracts floats, so no codes are materialized;
+        ``out`` must not be ``values``.
         """
-        if not keep_codes:
-            _fake_quant_into(values, self._qcfg, out)  # quant-point: operand tile, fused
-            return None
-        qt = quantize(values, self._qcfg)  # quant-point: operand codes (kept for the MMU body)
-        out[...] = dequantize(qt)  # quant-point: float view of the kept codes
-        return qt
+        _fake_quant_into(values, self._qcfg, out)  # quant-point: operand tile, fused
 
     def _stage_delta_b(  # integer-resident
-        self, delta: np.ndarray, bq: np.ndarray, out: np.ndarray, keep_codes: bool
-    ) -> Optional[QuantizedTensor]:
+        self, delta: np.ndarray, bq: np.ndarray, out: np.ndarray
+    ) -> None:
         """``out <- requant(Delta (.) qB)``, head-major ``(..., h, Q, n)``.
 
         ``delta`` is ``(..., h, Q)`` and ``bq`` the staged ``(..., Q, n)``
@@ -1147,56 +907,15 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         one over ``bq``.
         """
         np.multiply(delta[..., None], bq[..., None, :, :], out=out)
-        if keep_codes:
-            return self._stage(out, out, True)
         if not self.config.quantize_products:
-            return None
+            return
         d_state = bq.shape[-1]
         group = min(self._qcfg.group_size, d_state)
         if d_state % group:
             out[...] = self._qp(out)  # quant-point: Delta (.) B requant, ragged last group
-            return None
+            return
         b_max = _group_max(np.abs(bq), group).reshape(bq.shape[:-1] + (-1,))  # (..., Q, G)
         scales = _scales_from_absmax(delta[..., None] * b_max[..., None, :, :], self._qcfg)
         scales = np.repeat(scales, group, axis=-1)          # per element, like out
         # quant-point: Delta (.) B requant on the separable grid, in place
         _round_to_grid(out, scales, self._qcfg.spec, out)
-        return None
-
-    def _mmu(  # integer-resident
-        self,
-        x_codes: np.ndarray,
-        x_scales: np.ndarray,
-        w_codes: np.ndarray,
-        w_scales: np.ndarray,
-    ) -> np.ndarray:
-        """``x @ w^T`` over codes on the per-group INT32 accumulator."""
-        qmax = self._qcfg.spec.qmax
-        return grouped_integer_matmul(
-            x_codes,
-            x_scales,
-            w_codes,
-            w_scales,
-            group_size=self._qcfg.group_size,
-            x_qmax=qmax,
-            w_qmax=qmax,
-        )
-
-    def _mmu_aligned(  # integer-resident
-        self, left: QuantizedTensor, codes: np.ndarray, exponents: np.ndarray
-    ) -> np.ndarray:
-        """``left @ codes^T`` where ``codes`` sit on per-element PoT grids.
-
-        The contraction axis of ``codes`` mixes per-token grids, so its
-        members are first shift-aligned (pure right shifts, half-even) onto
-        the maximum exponent of their accumulator group
-        (:func:`_common_group_exponents`), which gives the MMU the one scale
-        per group it needs.
-        """
-        group_exp, element_exp = _common_group_exponents(exponents, self._qcfg.group_size)
-        aligned = shift_requantize(
-            codes.astype(np.int64), exponents, element_exp, self.config.bits, "half_even"
-        )
-        return self._mmu(
-            left.codes, left.scales[..., 0], aligned, np.ldexp(1.0, group_exp)
-        )

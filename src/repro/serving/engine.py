@@ -69,7 +69,6 @@ from repro.serving.resilience import (
     ResilienceLog,
     StateCorruptionError,
     cache_unhealthy,
-    sequential_fallback,
     unhealthy_rows,
 )
 from repro.serving.scheduler import (
@@ -390,9 +389,9 @@ class InferenceEngine:
         self._parked: Dict[int, _PrefillProgress] = {}
         self._latency: Dict[int, RequestLatency] = {}  # guarded-by: _submit_lock
         self._pending_completions: List[Completion] = []
-        # The model's own cache factory: quantized models with a persistent
-        # integer state get a codes-resident slot pool, so admission and
-        # eviction move integer codes rather than floats.
+        # The model's own cache factory: lightmamba* models get a
+        # codes-resident slot pool, so admission and eviction move integer
+        # codes rather than floats.
         self._cache = model.new_cache(batch_size=max_batch_size)
         self._pending_logits = np.zeros(
             (max_batch_size, model.config.vocab_size), dtype=np.float64
@@ -972,15 +971,12 @@ class InferenceEngine:
                 else nullcontext()
             )
             try:
+                call = partial(self.model.prefill, segment, cache=progress.cache)
                 if request_id in self._degraded:
-                    # Graceful degradation: the per-token sequential oracle on
-                    # the fake-quant path (no chunked scan, no integer MMU
-                    # kernels), still integer-resident at the store.
-                    call = partial(
-                        self._degraded_prefill, segment, progress.cache
-                    )
-                else:
-                    call = partial(self.model.prefill, segment, cache=progress.cache)
+                    # Graceful degradation: the per-token sequential oracle
+                    # (the fake-quant step, no chunked scan), still
+                    # integer-resident at the store.
+                    call = partial(call, scan_impl="sequential")
                 with guard:
                     logits, _ = self._model_call("prefill", [request_id], call)
                 if not np.isfinite(logits).all() or cache_unhealthy(progress.cache):
@@ -1094,11 +1090,6 @@ class InferenceEngine:
                     layer.conv_state[...] = np.nan
             self._log("corrupt", request_id=request_ids[row], site=site)
         return rows
-
-    def _degraded_prefill(self, segment: np.ndarray, cache: InferenceCache):
-        """Prefill one segment on the sequential-oracle fallback path."""
-        with sequential_fallback(self.model):
-            return self.model.prefill(segment, cache=cache, scan_impl="sequential")
 
     def _supervised_decode(
         self, slot_indices: List[int], tokens: np.ndarray
@@ -1337,9 +1328,10 @@ class InferenceEngine:
         parked progress and ``prefill_pos`` preserved, held invisible to the
         scheduler until its backoff elapses -- or retires with
         ``finish_reason="error"`` once its attempt budget is exhausted.  An
-        ``OverflowError`` (the MMU's static overflow guard -- retrying cannot
-        fix it) or ``degrade_after`` cumulative failures switch the request
-        to the sequential-oracle fallback for all its remaining prefill work.
+        ``OverflowError`` (an integer kernel's static overflow guard --
+        retrying cannot fix it) or ``degrade_after`` cumulative failures
+        switch the request to the sequential-oracle fallback for all its
+        remaining prefill work.
         """
         progress = self._prefilling.pop(slot_idx)
         request_id = progress.request_id

@@ -188,8 +188,8 @@ class BatchedGenerator:
         row's logits at its true last token and snapshots its recurrent state
         there, so one model call covers every request regardless of length
         (pad positions are never observed -- the model is causal).  Quantized
-        lightmamba* models take the same path: their ``ssm_impl`` serves the
-        chunked scan chunk-parallel instead of token by token.
+        lightmamba* models take the same path through their own
+        chunk-parallel quantized scan.
         """
         lengths = np.array([prompt.shape[0] for prompt in prompts], dtype=np.int64)
         max_len = int(lengths.max())

@@ -30,7 +30,6 @@ fault placement is exact and deterministic -- no monkeypatching, no races.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,7 +49,6 @@ __all__ = [
     "ResilienceLog",
     "StateCorruptionError",
     "cache_unhealthy",
-    "sequential_fallback",
     "unhealthy_rows",
 ]
 
@@ -349,9 +347,10 @@ class ResilienceConfig:
         deterministic backoff, testable without wall time.
     ``degrade_after``
         Prefill failures after which the request falls back to the
-        sequential oracle (``scan_impl="sequential"`` plus the quantized
-        scan's fake-quant fallback); an ``OverflowError`` -- the MMU's static
-        overflow guard, which retrying cannot fix -- degrades immediately.
+        sequential oracle (``scan_impl="sequential"``: for a quantized model
+        the per-token fake-quant step, no chunked scan); an ``OverflowError``
+        -- an integer kernel's static overflow guard, which retrying cannot
+        fix -- degrades immediately.
     ``watchdog_budget_s``
         Wall-clock budget per supervised model call (measured on the queue's
         injected clock); a call exceeding it fails with
@@ -500,22 +499,3 @@ def cache_unhealthy(cache: InferenceCache) -> bool:
         elif not np.isfinite(state).all():
             return True
     return False
-
-
-@contextmanager
-def sequential_fallback(model) -> Iterator[None]:
-    """Enter every block's fake-quant fallback (graceful degradation).
-
-    Inside the context a quantized chunk-parallel scan runs its chunk body on
-    the float fake-quant path instead of the integer MMU kernels (see
-    :meth:`repro.quant.ssm_quant.QuantizedSSMStep.fallback_fake_quant`); the
-    engine combines this with ``scan_impl="sequential"`` to serve a request
-    whose chunked/integer prefill keeps failing.  A no-op for float models.
-    """
-    with ExitStack() as stack:
-        for block in getattr(model, "blocks", ()):
-            impl = getattr(block, "ssm_impl", None)
-            fallback = getattr(impl, "fallback_fake_quant", None)
-            if fallback is not None:
-                stack.enter_context(fallback())
-        yield

@@ -13,10 +13,6 @@ Pins this PR's contracts:
   to it;
 - a non-finite (fault-injected) operand routes the step to the float oracle
   so corruption stays attributable per row;
-- ``integer_full_chunk`` extends INT32 accumulation to the ``gate @ x`` and
-  state hand-off matmuls: the integer accumulation is exact (bit-identical
-  to a float matmul over the same aligned codes), the mode requires the
-  integer chunk body, and it stays close to the chunk-body scan;
 - the quantized-state memory model accounts for the operand codes resident
   alongside the state codes.
 """
@@ -144,7 +140,7 @@ class TestIntegerStepBitIdentity:
         self, rng, bits, group, lead
     ):
         step = QuantizedChunkedScan(
-            SSMQuantConfig(bits=bits, group_size=group, persistent_state=True)
+            SSMQuantConfig(bits=bits, group_size=group)
         )
         params, *_ = _step_inputs(rng, lead=lead)
         state_int = step.quantize_state_codes(rng.normal(size=lead + (4, 8, 24)))
@@ -164,9 +160,7 @@ class TestIntegerStepBitIdentity:
         assert np.issubdtype(state_int.codes.dtype, np.integer)
 
     def test_zero_rows_stay_exactly_zero(self, rng):
-        step = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, persistent_state=True)
-        )
+        step = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
         params, x, B, C, dt = _step_inputs(rng, lead=(2,))
         x[0] = 0.0
         state = step.quantize_state_codes(
@@ -178,9 +172,7 @@ class TestIntegerStepBitIdentity:
         np.testing.assert_array_equal(out.codes[0], 0)
 
     def test_resident_call_dispatches_to_integer_path(self, rng, monkeypatch):
-        step = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, persistent_state=True)
-        )
+        step = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
         params, x, B, C, dt = _step_inputs(rng)
         state = step.quantize_state_codes(rng.normal(size=(4, 8, 24)))
         calls = []
@@ -192,9 +184,7 @@ class TestIntegerStepBitIdentity:
         )
         step(params, x, B, C, dt, state)
         assert calls == [1]
-        # The degradation fallback and a float state both take the oracle.
-        with step.fallback_fake_quant():
-            step(params, x, B, C, dt, state)
+        # A float state takes the oracle: the state's type is the only switch.
         step(params, x, B, C, dt, rng.normal(size=(4, 8, 24)))
         assert calls == [1]
 
@@ -202,9 +192,7 @@ class TestIntegerStepBitIdentity:
         """A poisoned row (fault-injected NaN) must not raise batch-wide;
         the step degrades to the float oracle, which keeps healthy rows
         bit-identical and confines the poison to the corrupted row."""
-        step = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, persistent_state=True)
-        )
+        step = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
         params, x, B, C, dt = _step_inputs(rng, lead=(3,))
         state = step.quantize_state_codes(rng.normal(size=(3, 4, 8, 24)))
         y_clean, _ = step(params, x, B, C, dt, state)
@@ -219,99 +207,6 @@ class TestIntegerStepBitIdentity:
         np.testing.assert_array_equal(y[0], y_clean[0])
         np.testing.assert_array_equal(y[2], y_clean[2])
         assert isinstance(out, QuantizedSSMState)
-
-
-# ----------------------------------------------------------------------
-# integer_full_chunk: INT32 accumulation on gate @ x and the hand-off
-# ----------------------------------------------------------------------
-def _scan_inputs(rng, T, h=4, p=8, n=24, lead=()):
-    params = SSMParams(
-        A_log=np.log(rng.uniform(1, 8, size=h)),
-        D=rng.normal(1.0, 0.1, size=h),
-        dt_bias=rng.normal(size=h),
-    )
-    x = rng.normal(size=lead + (T, h, p))
-    B = rng.normal(size=lead + (T, n))
-    C = rng.normal(size=lead + (T, n))
-    dt = rng.normal(size=lead + (T, h))
-    return params, x, B, C, dt
-
-
-def _float_matmul_reference(x_codes, x_scales, w_codes, w_scales, *, group_size, x_qmax, w_qmax):
-    """Dequantize-then-matmul reference with the same per-group accumulation
-    order as `grouped_integer_matmul` (INT32 exactness check)."""
-    x_codes = np.asarray(x_codes, dtype=np.float64)
-    w_codes = np.asarray(w_codes, dtype=np.float64)
-    x_scales = np.asarray(x_scales, dtype=np.float64)
-    w_scales = np.asarray(w_scales, dtype=np.float64)
-    K = x_codes.shape[-1]
-    group = min(group_size, K)
-    acc = None
-    for index, start in enumerate(range(0, K, group)):
-        stop = min(start + group, K)
-        xs = x_codes[..., :, start:stop] * x_scales[..., :, index : index + 1]
-        ws = w_codes[..., :, start:stop] * w_scales[..., :, index : index + 1]
-        term = xs @ np.swapaxes(ws, -1, -2)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-class TestIntegerFullChunk:
-    def test_config_requires_integer_chunk_body(self):
-        with pytest.raises(ValueError, match="integer_full_chunk"):
-            SSMQuantConfig(integer_full_chunk=True)
-        config = SSMQuantConfig(integer_chunk_body=True, integer_full_chunk=True)
-        assert config.integer_full_chunk
-
-    def test_int32_accumulation_is_exact(self, rng, monkeypatch):
-        """Swapping the INT32 kernel for a float matmul over the identical
-        aligned codes changes nothing: the integer accumulation is exact."""
-        import repro.quant.ssm_quant as sq
-
-        params, x, B, C, dt = _scan_inputs(rng, 37, lead=(2,))
-        full = QuantizedChunkedScan(
-            SSMQuantConfig(
-                group_size=8, integer_chunk_body=True, integer_full_chunk=True
-            )
-        )
-        y_int, s_int = full.prefill_scan(params, x, B, C, dt, chunk_size=16)
-        monkeypatch.setattr(sq, "grouped_integer_matmul", _float_matmul_reference)
-        y_ref, s_ref = full.prefill_scan(params, x, B, C, dt, chunk_size=16)
-        np.testing.assert_array_equal(y_int, y_ref)
-        np.testing.assert_array_equal(s_int, s_ref)
-
-    def test_full_chunk_close_to_chunk_body(self, rng):
-        """The gate requant and operand alignment are the mode's only new
-        rounding points; the scan stays within quantization-level error."""
-        params, x, B, C, dt = _scan_inputs(rng, 30, lead=(3,))
-        seq_lens = np.array([6, 17, 30])
-        body = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, integer_chunk_body=True)
-        )
-        full = QuantizedChunkedScan(
-            SSMQuantConfig(
-                group_size=8, integer_chunk_body=True, integer_full_chunk=True
-            )
-        )
-        yb, sb = body.prefill_scan(params, x, B, C, dt, chunk_size=8, seq_lens=seq_lens)
-        yf, sf = full.prefill_scan(params, x, B, C, dt, chunk_size=8, seq_lens=seq_lens)
-        assert np.linalg.norm(yf - yb) / np.linalg.norm(yb) < 0.05
-        assert np.linalg.norm(np.asarray(sf, dtype=np.float64) - np.asarray(sb, dtype=np.float64)) / max(
-            np.linalg.norm(np.asarray(sb, dtype=np.float64)), 1e-12
-        ) < 0.05
-
-    def test_overflow_guard_trips_on_unsafe_full_chunk(self, rng):
-        params, x, B, C, dt = _scan_inputs(rng, 16, n=128)
-        unsafe = QuantizedChunkedScan(
-            SSMQuantConfig(
-                bits=16,
-                group_size=128,
-                integer_chunk_body=True,
-                integer_full_chunk=True,
-            )
-        )
-        with pytest.raises(OverflowError, match="INT32 accumulator"):
-            unsafe.prefill_scan(params, x, B, C, dt, chunk_size=8)
 
 
 # ----------------------------------------------------------------------

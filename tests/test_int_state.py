@@ -1,17 +1,16 @@
-"""Tests of the persistent integer-state decode and integer-exact chunk body.
+"""Tests of the integer-resident decode state and the one dispatch rule.
 
-Pins the PR's contracts:
+Pins the contracts:
 
-- persistent-state decode (``SSMQuantConfig.persistent_state``) is
-  *bit-identical* to the fake-quant decode under PoT while keeping the
-  recurrent state resident as codes (``QuantizedSSMState`` inside a
-  ``QuantizedLayerCache``);
+- the state's type selects the arithmetic, and nothing else does: a default
+  lightmamba* model decodes on resident codes (``QuantizedSSMState`` inside
+  a ``QuantizedLayerCache``), the Fig. 3 ablation configurations on floats,
+  and one model run on both kinds of cache is *bit-identical* under PoT;
 - the integer-resident cache survives the full serving lifecycle --
   gather / scatter / stack / row under admission, eviction and
   preempted-then-resumed prefills -- bit-identically to solo decode;
-- the integer-exact chunk body matches the float chunk body bit-for-bit
-  under PoT scales and trips the shared INT32 overflow guard on unsafe
-  configurations;
+- the shared INT32 kernel (``grouped_integer_matmul``) matches the dense
+  matmul and trips its overflow guard on unsafe widths;
 - all-zero quantization groups are well-defined everywhere (no warnings,
   exact-zero reconstruction);
 - the quantized-state memory model sizes the URAM/BRAM residency;
@@ -19,6 +18,8 @@ Pins the PR's contracts:
   decode iteration, the regression gate's zero-metric fallback) behave.
 """
 
+import copy
+import dataclasses
 import importlib.util
 import warnings
 from pathlib import Path
@@ -68,53 +69,99 @@ def _assert_states_equal(a: InferenceCache, b: InferenceCache):
         np.testing.assert_array_equal(_state_values(layer_a), _state_values(layer_b))
 
 
-@pytest.fixture(scope="module")
-def fake_quant(tiny_model):
-    return _star(tiny_model)
+def _on_float_caches(model):
+    """The same model (blocks shared), handed float caches by every entry point.
+
+    Its quantized SSM then runs the fake-quant oracle: this is how the
+    reference numerics are reached now that no flag selects them.
+    """
+    twin = copy.copy(model)
+    twin.new_cache = lambda batch_size=None: InferenceCache.zeros(model.config, batch_size)
+    return twin
 
 
 @pytest.fixture(scope="module")
 def persistent(tiny_model):
-    return _star(tiny_model, persistent_state=True)
+    """The default lightmamba* model: decodes on integer-resident caches."""
+    return _star(tiny_model)
+
+
+@pytest.fixture(scope="module")
+def fake_quant(persistent):
+    return _on_float_caches(persistent)
+
+
+class TestOneDispatchRule:
+    def test_config_is_the_five_numeric_fields(self):
+        assert {f.name for f in dataclasses.fields(SSMQuantConfig)} == {
+            "bits", "group_size", "pot_scale", "quantize_state", "quantize_products"
+        }
+
+    @pytest.mark.parametrize(
+        "ssm_kwargs",
+        [
+            {"pot_scale": False},
+            {"quantize_state": False},
+            {"quantize_products": False},
+            {"bits": 24},  # no integer accumulator holds the aligned products
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_ablation_configs_decode_on_floats(self, tiny_model, monkeypatch, ssm_kwargs):
+        model = _star(tiny_model, **ssm_kwargs)
+        assert all(type(layer) is LayerCache for layer in model.new_cache(2).layers)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("_step_integer entered on a float-state configuration")
+
+        monkeypatch.setattr(QuantizedChunkedScan, "_step_integer", forbidden)
+        prompt = np.random.default_rng(3).integers(0, tiny_model.config.vocab_size, size=9)
+        for scan_impl in ("chunked", "sequential"):
+            logits, cache = model.prefill(prompt, scan_impl=scan_impl)
+            logits = model.step(int(np.argmax(logits)), cache)
+            assert np.isfinite(logits).all()
+            assert all(type(layer) is LayerCache for layer in cache.layers)
 
 
 class TestPersistentDecodeBitIdentity:
-    def test_new_cache_is_integer_resident(self, persistent, fake_quant, tiny_model):
-        cache = persistent.new_cache(batch_size=3)
-        assert all(isinstance(layer, QuantizedLayerCache) for layer in cache.layers)
-        state = cache.layers[0].ssm_state
-        assert isinstance(state, QuantizedSSMState)
-        assert np.issubdtype(state.codes.dtype, np.integer)
-        np.testing.assert_array_equal(state.codes, 0)
-        np.testing.assert_array_equal(state.dequantize(), 0.0)
-        # Non-persistent models keep the float cache.
-        assert all(
-            type(layer) is LayerCache for layer in fake_quant.new_cache().layers
-        )
+    def test_new_cache_is_integer_resident(self, tiny_model):
+        for w_bits, a_bits in ((8, 8), (4, 4)):  # every default lightmamba* model
+            cache = _star(tiny_model, w_bits, a_bits).new_cache(batch_size=3)
+            assert all(isinstance(layer, QuantizedLayerCache) for layer in cache.layers)
+            state = cache.layers[0].ssm_state
+            assert isinstance(state, QuantizedSSMState)
+            assert np.issubdtype(state.codes.dtype, np.integer)
+            np.testing.assert_array_equal(state.codes, 0)
+            np.testing.assert_array_equal(state.dequantize(), 0.0)
+        # FP models keep the float cache.
         assert all(
             type(layer) is LayerCache for layer in tiny_model.new_cache().layers
         )
 
     @pytest.mark.parametrize("w_bits,a_bits", [(8, 8), (4, 4)])
     def test_decode_bit_identical_to_fake_quant(self, tiny_model, w_bits, a_bits):
-        fake = _star(tiny_model, w_bits, a_bits)
-        pers = _star(tiny_model, w_bits, a_bits, persistent_state=True)
+        """One model, two caches: floats in run the oracle, codes in the
+        integer iteration, and every byte agrees."""
+        model = _star(tiny_model, w_bits, a_bits)
         rng = np.random.default_rng(3)
         prompt = rng.integers(0, tiny_model.config.vocab_size, size=17)
 
-        logits_f, cache_f = fake.prefill(prompt)
-        logits_p, cache_p = pers.prefill(prompt)
-        np.testing.assert_array_equal(logits_f, logits_p)
+        logits_f, cache_f = model.prefill(prompt, cache=InferenceCache.zeros(model.config))
+        logits_p, cache_p = model.prefill(prompt)
+        assert logits_f.tobytes() == logits_p.tobytes()
         _assert_states_equal(cache_f, cache_p)
 
         token = int(np.argmax(logits_f))
-        for _ in range(12):
-            step_f = fake.step(token, cache_f)
-            step_p = pers.step(token, cache_p)
-            np.testing.assert_array_equal(step_f, step_p)
+        for _ in range(16):
+            step_f = model.step(token, cache_f)
+            step_p = model.step(token, cache_p)
+            assert step_f.tobytes() == step_p.tobytes()
             token = int(np.argmax(step_f))
-        # The state stayed integer-resident the whole way.
-        assert isinstance(cache_p.layers[0].ssm_state, QuantizedSSMState)
+        # Each cache kept its representation the whole way, and they agree.
+        for layer_f, layer_p in zip(cache_f.layers, cache_p.layers):
+            assert type(layer_f) is LayerCache and type(layer_p) is QuantizedLayerCache
+            assert layer_f.ssm_state.tobytes() == layer_p.ssm_state.dequantize().tobytes()
+            assert layer_f.conv_state.tobytes() == layer_p.conv_state.tobytes()
 
     def test_greedy_decode_end_to_end(self, fake_quant, persistent):
         rng = np.random.default_rng(5)
@@ -131,6 +178,7 @@ class TestPersistentDecodeBitIdentity:
         logits_p, cache_p = persistent.prefill(prompt, scan_impl="sequential")
         np.testing.assert_array_equal(logits_f, logits_p)
         _assert_states_equal(cache_f, cache_p)
+        assert type(cache_f.layers[0]) is LayerCache
         assert isinstance(cache_p.layers[0].ssm_state, QuantizedSSMState)
 
     def test_ragged_batched_prefill_matches_fake(self, fake_quant, persistent):
@@ -144,12 +192,6 @@ class TestPersistentDecodeBitIdentity:
         logits_p, cache_p = persistent.prefill(padded, seq_lens=lengths)
         np.testing.assert_array_equal(logits_f, logits_p)
         _assert_states_equal(cache_f, cache_p)
-
-    def test_persistent_state_config_validation(self):
-        with pytest.raises(ValueError, match="persistent_state"):
-            SSMQuantConfig(persistent_state=True, pot_scale=False)
-        with pytest.raises(ValueError, match="persistent_state"):
-            SSMQuantConfig(persistent_state=True, quantize_state=False)
 
 
 class TestQuantizedCacheLifecycle:
@@ -252,7 +294,7 @@ class TestQuantizedCacheLifecycle:
 
         config = replace(tiny_config, name="tiny-chunk4", chunk_size=4)
         model = Mamba2Model.from_config(config, InitConfig(seed=0))
-        pers = _star(model, persistent_state=True)
+        pers = _star(model)
         rng = np.random.default_rng(13)
         vocab = config.vocab_size
         engine = InferenceEngine(
@@ -339,68 +381,7 @@ class TestZeroGroups:
         np.testing.assert_array_equal(values, 0.0)
 
 
-def _scan_inputs(rng, T, h=4, p=8, n=24, lead=()):
-    params = SSMParams(
-        A_log=np.log(rng.uniform(1, 8, size=h)),
-        D=rng.normal(1.0, 0.1, size=h),
-        dt_bias=rng.normal(size=h),
-    )
-    x = rng.normal(size=lead + (T, h, p))
-    B = rng.normal(size=lead + (T, n))
-    C = rng.normal(size=lead + (T, n))
-    dt = rng.normal(size=lead + (T, h))
-    return params, x, B, C, dt
-
-
-class TestIntegerChunkBody:
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_pot_integer_body_bit_identical_to_float(self, rng, lead):
-        params, x, B, C, dt = _scan_inputs(rng, 37, lead=lead)
-        float_body = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
-        int_body = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, integer_chunk_body=True)
-        )
-        yf, sf = float_body.prefill_scan(params, x, B, C, dt, chunk_size=16)
-        yi, si = int_body.prefill_scan(params, x, B, C, dt, chunk_size=16)
-        np.testing.assert_array_equal(yf, yi)
-        np.testing.assert_array_equal(sf, si)
-
-    def test_ragged_and_warm_state(self, rng):
-        params, x, B, C, dt = _scan_inputs(rng, 30, lead=(3,))
-        warm = rng.normal(size=(3, 4, 8, 24))
-        seq_lens = np.array([6, 17, 30])
-        float_body = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
-        int_body = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, integer_chunk_body=True)
-        )
-        yf, sf = float_body.prefill_scan(
-            params, x, B, C, dt, initial_state=warm, chunk_size=8, seq_lens=seq_lens
-        )
-        yi, si = int_body.prefill_scan(
-            params, x, B, C, dt, initial_state=warm, chunk_size=8, seq_lens=seq_lens
-        )
-        np.testing.assert_array_equal(yf, yi)
-        np.testing.assert_array_equal(sf, si)
-
-    def test_non_pot_integer_body_matches_closely(self, rng):
-        params, x, B, C, dt = _scan_inputs(rng, 29)
-        float_body = QuantizedChunkedScan(SSMQuantConfig(group_size=8, pot_scale=False))
-        int_body = QuantizedChunkedScan(
-            SSMQuantConfig(group_size=8, pot_scale=False, integer_chunk_body=True)
-        )
-        yf, _ = float_body.prefill_scan(params, x, B, C, dt, chunk_size=8)
-        yi, _ = int_body.prefill_scan(params, x, B, C, dt, chunk_size=8)
-        np.testing.assert_allclose(yi, yf, rtol=1e-12, atol=1e-12)
-
-    def test_overflow_guard_trips_on_unsafe_configuration(self, rng):
-        """INT16 codes with 128-long groups exceed the INT32 accumulator."""
-        params, x, B, C, dt = _scan_inputs(rng, 16, n=128)
-        unsafe = QuantizedChunkedScan(
-            SSMQuantConfig(bits=16, group_size=128, integer_chunk_body=True)
-        )
-        with pytest.raises(OverflowError, match="INT32 accumulator"):
-            unsafe.prefill_scan(params, x, B, C, dt, chunk_size=8)
-
+class TestGroupedIntegerMatmul:
     def test_shared_helper_matches_dense_matmul(self, rng):
         """grouped_integer_matmul == plain matmul once the scales are folded."""
         codes_a = rng.integers(-127, 128, size=(5, 32))
@@ -426,22 +407,6 @@ class TestIntegerChunkBody:
             grouped_integer_matmul(
                 codes, np.ones((2, 3)), codes, scales, group_size=8, x_qmax=127, w_qmax=127
             )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="integer_chunk_body"):
-            SSMQuantConfig(integer_chunk_body=True, quantize_products=False)
-        with pytest.raises(ValueError, match="integer_chunk_body"):
-            SSMQuantConfig(integer_chunk_body=True, quantize_state=False)
-
-    def test_decode_step_unchanged_by_integer_body(self, rng):
-        params, x, B, C, dt = _scan_inputs(rng, 1)
-        plain = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
-        integer = QuantizedChunkedScan(SSMQuantConfig(group_size=8, integer_chunk_body=True))
-        state = rng.normal(size=(4, 8, 24))
-        y1, s1 = plain(params, x[0], B[0], C[0], dt[0], state)
-        y2, s2 = integer(params, x[0], B[0], C[0], dt[0], state)
-        np.testing.assert_array_equal(y1, y2)
-        np.testing.assert_array_equal(s1, s2)
 
 
 class TestQuantizedStateMemoryModel:
@@ -481,7 +446,7 @@ class TestQuantizedStateMemoryModel:
         one byte per INT8 code, in the slot pool and after real decode."""
         from repro.hardware import QuantizedStateMemoryModel
 
-        model = _star(tiny_model, w_bits, a_bits, persistent_state=True)
+        model = _star(tiny_model, w_bits, a_bits)
         config = model.config
         ssm = model.blocks[0].ssm_impl.config
         memory = QuantizedStateMemoryModel(state_bits=ssm.bits, group_size=ssm.group_size)

@@ -13,14 +13,20 @@ import numpy as np
 import pytest
 
 from repro.mamba import InitConfig, Mamba2Model, get_preset, greedy_decode
-from repro.mamba.cache import InferenceCache
+from repro.mamba.cache import InferenceCache, QuantizedSSMState
 from repro.serving import BatchedGenerator, InferenceEngine, Request
+
+
+def _state_values(layer):
+    """The layer's SSM state as floats, whichever representation holds it."""
+    state = layer.ssm_state
+    return state.dequantize() if isinstance(state, QuantizedSSMState) else state
 
 
 def _caches_allclose(a: InferenceCache, b: InferenceCache, atol=1e-10):
     for layer_a, layer_b in zip(a.layers, b.layers):
         np.testing.assert_allclose(layer_a.conv_state, layer_b.conv_state, atol=atol)
-        np.testing.assert_allclose(layer_a.ssm_state, layer_b.ssm_state, atol=atol)
+        np.testing.assert_allclose(_state_values(layer_a), _state_values(layer_b), atol=atol)
 
 
 class TestScanImplSwitch:
@@ -218,19 +224,30 @@ class TestServingFastPath:
 
 
 class TestQuantizedBatchedStepping:
-    def test_batched_prefill_matches_per_row(self, tiny_model):
-        """The batch-vectorized quantized token loop must be exact per row."""
-        from repro.quant import QuantConfig, QuantMethod, quantize_model
+    def test_batched_prefill_matches_per_row(self, tiny_model, monkeypatch):
+        """The batch-vectorized quantized token loop must be exact per row,
+        and really is vectorized: one step call per token for the whole batch."""
+        from repro.quant import QuantConfig, QuantizedChunkedScan, QuantMethod, quantize_model
 
         quantized = quantize_model(tiny_model, QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR))
-        assert getattr(quantized.blocks[0].ssm_impl, "supports_batched", False)
+        steps = []
+        step_oracle = QuantizedChunkedScan._step_oracle
+        monkeypatch.setattr(
+            QuantizedChunkedScan,
+            "_step_oracle",
+            lambda self, *a: steps.append(1) or step_oracle(self, *a),
+        )
         rng = np.random.default_rng(11)
         prompts = rng.integers(0, quantized.config.vocab_size, size=(3, 8))
-        logits, cache = quantized.prefill(prompts)
-        for i in range(3):
-            logits_i, cache_i = quantized.prefill(prompts[i])
-            np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
-            _caches_allclose(cache.row(i), cache_i)
+        for scan_impl in ("chunked", "sequential"):
+            del steps[:]
+            logits, cache = quantized.prefill(prompts, scan_impl=scan_impl)
+            # 8 tokens: one batched step each under "sequential", none under "chunked".
+            assert len(steps) == (8 * len(quantized.blocks) if scan_impl == "sequential" else 0)
+            for i in range(3):
+                logits_i, cache_i = quantized.prefill(prompts[i], scan_impl=scan_impl)
+                np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
+                _caches_allclose(cache.row(i), cache_i)
 
     def test_ragged_quantized_prefill_matches_per_row(self, tiny_model):
         from repro.quant import QuantConfig, QuantMethod, quantize_model

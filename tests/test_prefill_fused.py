@@ -9,7 +9,6 @@ verbatim copy of the whole-sequence ``prefill_scan`` -- and compares bytes.
 """
 
 import warnings
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -36,10 +35,6 @@ from repro.quant import (
     quantize_model,
 )
 from repro.quant.hadamard import sylvester
-from repro.quant.pot import shift_requantize
-from repro.quant.qlinear import grouped_integer_matmul
-from repro.quant.quantizer import QuantizedTensor
-from repro.quant.ssm_quant import _common_group_exponents, _per_element_exponents
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -161,7 +156,7 @@ def test_delta_b_separable_grid_matches_requantized_product(rng, bits, group, d_
     b[0, 3] = 0.0  # all-zero groups
     bq = quantize_dequantize(b, config)
     out = np.empty(lead + (heads, q_len, d_state))
-    assert scan._stage_delta_b(delta, bq, out, False) is None
+    scan._stage_delta_b(delta, bq, out)
     product = delta[..., None] * bq[..., None, :, :]
     assert _same_bytes(out, _composed(config, product))
 
@@ -286,8 +281,7 @@ def star_model():
         name="fused-test", d_model=64, n_layer=2, vocab_size=96, d_state=32, headdim=16
     )
     fp = Mamba2Model.from_config(config, InitConfig(seed=3))
-    ssm = SSMQuantConfig(persistent_state=True)
-    return quantize_model(fp, QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR, ssm=ssm))
+    return quantize_model(fp, QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR))
 
 
 @pytest.mark.parametrize("seq_len", [1, 2, 3, 4, 9])
@@ -332,7 +326,8 @@ def _reference_prefill_scan(
     Whole-sequence operand staging, token-major chunk body with ``moveaxis``
     views, codes materialized at every quantization point.  Only the
     bindings changed: ``self`` is ``scan`` and the ``_q`` / ``_qp`` helpers
-    are the ``dequantize(quantize(x))`` composition they used to be.
+    are the ``dequantize(quantize(x))`` composition they used to be.  (The
+    INT32 MMU branches the body once carried went with the modes they served.)
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -384,48 +379,24 @@ def _reference_prefill_scan(
 
     A, d_col = params.A, scan._d_cols(params)[0]
     quantize_state = scan.config.quantize_state
-    integer_body = scan.config.integer_chunk_body and not scan._fake_quant_fallback
-    integer_full = integer_body and scan.config.integer_full_chunk
 
     # Operand quantization at the SSMU interfaces.  Per-group grids are
     # computed along the trailing axis only, so quantizing the whole
-    # sequence at once is bit-identical to the step's per-token _q.  The
-    # integer chunk body keeps the raw codes of C and of the re-quantized
-    # Delta (.) B product next to their float views; the full-integer
-    # chunk additionally keeps the x codes for the gate @ x contraction.
-    if integer_full:
-        x_qt = quantize(x, scan._qcfg)  # quant-point: x codes (kept for the MMU body)
-        qx = dequantize(x_qt)  # quant-point: x float view
-    else:
-        x_qt = None
-        qx = _composed_operand(scan, x)  # quant-point: x chunk quantization
+    # sequence at once is bit-identical to the step's per-token _q.
+    qx = _composed_operand(scan, x)  # quant-point: x chunk quantization
     qB = _composed_operand(scan, B)  # quant-point: B chunk quantization
-    c_qt = quantize(C, scan._qcfg)  # quant-point: C codes (kept for the MMU body)
-    qC = dequantize(c_qt)  # quant-point: C float view
+    qC = _composed_operand(scan, C)  # quant-point: C chunk quantization
     delta = softplus(dt + params.dt_bias)               # (..., T, h)
     log_decay = delta * A                               # (..., T, h), negative
     # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
-    if integer_body:
-        # quant-point: Delta (.) B requant, keeping codes for the MMU body
-        db_qt = quantize(delta[..., None] * qB[..., None, :], scan._qcfg)
-        qdB = dequantize(db_qt)  # quant-point: float view (..., T, h, n)
-    else:
-        db_qt = None
-        # quant-point: Delta (.) B requant (..., T, h, n)
-        qdB = _composed_product(scan, delta[..., None] * qB[..., None, :])
+    # quant-point: Delta (.) B requant (..., T, h, n)
+    qdB = _composed_product(scan, delta[..., None] * qB[..., None, :])
     # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
     y = _composed_product(scan, d_col * qx)  # quant-point: x (.) D skip
 
-    state_qt: Optional[QuantizedTensor] = None
-    if resident:
-        # The incoming codes are the chunk-entry quantization.
-        state_qt = QuantizedTensor(
-            codes=initial_state.codes,
-            scales=initial_state.scales,
-            config=scan._qcfg,
-            shape=initial_state.shape,
-        )
-    elif quantize_state:
+    state_qt = None
+    if quantize_state and not resident:
+        # (Resident codes are the chunk-entry quantization already.)
         state_qt = quantize(state, scan._qcfg)  # quant-point: chunk-entry quantization
         state = dequantize(state_qt)  # quant-point: chunk-entry float view
     if seq_lens is not None:
@@ -437,14 +408,7 @@ def _reference_prefill_scan(
     # folding Delta and the requant into qdB gives B a head axis, so every
     # contraction here is per-head.  Keep the two bodies in sync when
     # touching either.
-    qmax = scan._qcfg.spec.qmax
-    group = scan._qcfg.group_size
     chunk = min(chunk_size, seq_len)
-    if integer_full:
-        # Per-element PoT grid exponents of the per-token operands, in
-        # the integer form the alignment shifts consume.
-        ex_el = _per_element_exponents(x_qt.scales, headdim, group)  # (..., T, h, p)
-        edb_el = _per_element_exponents(db_qt.scales, d_state, group)  # (..., T, h, n)
     # quant-point: the causal mask is a float constant, not a tensor operand
     causal_full = np.tril(np.ones((chunk, chunk), dtype=np.float64))
     for start in range(0, seq_len, chunk):
@@ -457,84 +421,21 @@ def _reference_prefill_scan(
 
         # Dense decay-weighted interaction on the quantized operands:
         #   G[t, s, head] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
-        # The d_state contraction runs on the MMU-style wide accumulator:
-        # in float mode that is the float64 matmul below; in integer mode
-        # the raw codes accumulate in a true INT32 per quantization group
-        # (grouped_integer_matmul, with the static overflow guard).  L is
-        # decreasing so causal entries have diff <= 0, and clamping keeps
-        # the masked upper triangle finite.
+        # The d_state contraction runs on the MMU-style wide accumulator
+        # (the float64 matmul below).  L is decreasing so causal entries
+        # have diff <= 0, and clamping keeps the masked upper triangle finite.
         bh = np.moveaxis(bc, -2, -3)                    # (..., h, Q, n)
-        if integer_body:
-            cc_codes = c_qt.codes[..., start:stop, :]                # (..., Q, n)
-            cc_scales = c_qt.scales[..., start:stop, :, 0]           # (..., Q, G)
-            bh_codes = np.moveaxis(db_qt.codes[..., start:stop, :, :], -2, -3)
-            bh_scales = np.moveaxis(db_qt.scales[..., start:stop, :, :, 0], -2, -3)
-            cb = np.moveaxis(
-                grouped_integer_matmul(
-                    cc_codes[..., None, :, :],
-                    cc_scales[..., None, :, :],
-                    bh_codes,
-                    bh_scales,
-                    group_size=group,
-                    x_qmax=qmax,
-                    w_qmax=qmax,
-                ),
-                -3,
-                -1,
-            )                                           # (..., Q, Q, h)
-        else:
-            cb = np.moveaxis(
-                cc[..., None, :, :] @ np.swapaxes(bh, -1, -2), -3, -1
-            )                                           # (..., Q, Q, h)
+        cb = np.moveaxis(
+            cc[..., None, :, :] @ np.swapaxes(bh, -1, -2), -3, -1
+        )                                               # (..., Q, Q, h)
         causal = causal_full if q_len == chunk else causal_full[:q_len, :q_len]
         diff = lc[..., :, None, :] - lc[..., None, :, :]
         gate = cb * np.exp(np.minimum(diff, 0.0)) * causal[..., :, :, None]
-        if integer_full:
-            # Decay-gated interaction on the INT32 accumulator: the gate
-            # (decay folded in) re-quantizes onto a PoT grid along the
-            # contraction axis, and the per-token x codes shift-align to
-            # one exponent per accumulator group (pure right shifts, so
-            # the qmax bound and the overflow guard still hold).
-            gate_h = np.moveaxis(gate, -1, -3)          # (..., h, Q, Q)
-            g_qt = quantize(gate_h, scan._qcfg)  # quant-point: gate requant (decay folded)
-            xh_codes = np.moveaxis(
-                x_qt.codes[..., start:stop, :, :], -3, -1
-            ).astype(np.int64)                          # (..., h, p, Q)
-            xh_exp = np.moveaxis(ex_el[..., start:stop, :, :], -3, -1)
-            x_ge, x_el = _common_group_exponents(xh_exp, group)
-            xh_al = shift_requantize(
-                xh_codes, xh_exp, x_el, scan.config.bits, "half_even"
-            )
-            yc = np.moveaxis(
-                grouped_integer_matmul(
-                    g_qt.codes,
-                    g_qt.scales[..., 0],
-                    xh_al,
-                    np.ldexp(1.0, x_ge),
-                    group_size=group,
-                    x_qmax=qmax,
-                    w_qmax=qmax,
-                ),
-                -3,
-                -2,
-            )                                           # (..., Q, h, p)
-        else:
-            yc = np.moveaxis(
-                np.moveaxis(gate, -1, -3) @ np.moveaxis(xc, -2, -3), -3, -2
-            )                                           # (..., Q, h, p)
+        yc = np.moveaxis(
+            np.moveaxis(gate, -1, -3) @ np.moveaxis(xc, -2, -3), -3, -2
+        )                                               # (..., Q, h, p)
         # Carried-in state readout (h_in . C per head, decayed to t).
-        if integer_body:
-            readout = grouped_integer_matmul(
-                state_qt.codes,
-                state_qt.scales[..., 0],
-                cc_codes[..., None, :, :],
-                cc_scales[..., None, :, :],
-                group_size=group,
-                x_qmax=qmax,
-                w_qmax=qmax,
-            )                                           # (..., h, p, Q)
-        else:
-            readout = state @ np.swapaxes(cc, -1, -2)[..., None, :, :]  # (..., h, p, Q)
+        readout = state @ np.swapaxes(cc, -1, -2)[..., None, :, :]  # (..., h, p, Q)
         yc += np.exp(lc)[..., None] * np.moveaxis(readout, -1, -3)
         y[..., start:stop, :, :] += yc
 
@@ -557,29 +458,7 @@ def _reference_prefill_scan(
         last = lc[..., -1, :]                           # (..., h)
         carry = np.exp(last[..., None, :] - lc)         # (..., Q, h)
         wx = np.moveaxis(carry[..., None] * xc, -3, -1)  # (..., h, p, Q)
-        if integer_full:
-            # State hand-off on the INT32 accumulator: the decay-carried
-            # x re-quantizes onto a PoT grid along the token axis and
-            # contracts against the shift-aligned Delta (.) B codes.
-            w_qt = quantize(wx, scan._qcfg)  # quant-point: decay-carried x requant
-            bh_t = np.swapaxes(bh_codes, -1, -2).astype(np.int64)  # (..., h, n, Q)
-            bh_exp = np.moveaxis(edb_el[..., start:stop, :, :], -3, -1)
-            b_ge, b_el = _common_group_exponents(bh_exp, group)
-            bh_al = shift_requantize(
-                bh_t, bh_exp, b_el, scan.config.bits, "half_even"
-            )
-            handoff = grouped_integer_matmul(
-                w_qt.codes,
-                w_qt.scales[..., 0],
-                bh_al,
-                np.ldexp(1.0, b_ge),
-                group_size=group,
-                x_qmax=qmax,
-                w_qmax=qmax,
-            )                                           # (..., h, p, n)
-            state = np.exp(last)[..., :, None, None] * state + handoff
-        else:
-            state = np.exp(last)[..., :, None, None] * state + wx @ bh
+        state = np.exp(last)[..., :, None, None] * state + wx @ bh
         if quantize_state:
             state_qt = quantize(state, scan._qcfg)  # quant-point: chunk boundary
             state = dequantize(state_qt)  # quant-point: boundary float view
@@ -637,9 +516,7 @@ _SCAN_CONFIGS = {
     "non-pot": SSMQuantConfig(pot_scale=False),
     "no-product-requant": SSMQuantConfig(quantize_products=False),
     "no-state-quant": SSMQuantConfig(quantize_state=False),
-    "resident": SSMQuantConfig(persistent_state=True),
-    "mmu-body": SSMQuantConfig(persistent_state=True, integer_chunk_body=True),
-    "mmu-full": SSMQuantConfig(integer_chunk_body=True, integer_full_chunk=True),
+    "resident": SSMQuantConfig(),  # the same scan, handed codes instead of floats
 }
 
 
@@ -647,7 +524,7 @@ _SCAN_CONFIGS = {
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 200])
 def test_prefill_scan_matches_the_replaced_body(rng, name, chunk_size):
     scan = QuantizedChunkedScan(_SCAN_CONFIGS[name])
-    resident = scan.config.persistent_state
+    resident = name == "resident"
     # Solo, from the zero state.
     params, x, B, C, dt = _scan_inputs(rng, 131)
     zero = scan.quantize_state_codes(np.zeros((4, 16, 32))) if resident else None
@@ -668,7 +545,7 @@ def test_prefill_scan_matches_the_replaced_body(rng, name, chunk_size):
 
 def test_prefill_scan_at_the_serving_shape(rng):
     """The e2e benchmark's dims: 8 heads of 64, d_state 128, 64-token chunks, resident state."""
-    scan = QuantizedChunkedScan(SSMQuantConfig(persistent_state=True))
+    scan = QuantizedChunkedScan(SSMQuantConfig())
     for seq_len in (1, 63, 64, 65, 389):
         params, x, B, C, dt = _scan_inputs(rng, seq_len, h=8, p=64, n=128)
         zero = scan.quantize_state_codes(np.zeros((8, 64, 128)))

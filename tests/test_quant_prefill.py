@@ -18,8 +18,8 @@ import pytest
 
 from repro.eval import ZipfCorpusGenerator, perplexity
 from repro.mamba import greedy_decode
-from repro.mamba.cache import InferenceCache
-from repro.mamba.ssm import SSMParams
+from repro.mamba.cache import InferenceCache, QuantizedSSMState
+from repro.mamba.ssm import SSMParams, ssd_chunked_scan, ssm_scan
 from repro.quant import (
     QuantConfig,
     QuantMethod,
@@ -55,10 +55,16 @@ def _step_reference(step, params, x, B, C, dt, state=None):
     return y, state
 
 
+def _state_values(layer):
+    """The layer's SSM state as floats, whichever representation holds it."""
+    state = layer.ssm_state
+    return state.dequantize() if isinstance(state, QuantizedSSMState) else state
+
+
 def _caches_allclose(a: InferenceCache, b: InferenceCache, atol=1e-10):
     for layer_a, layer_b in zip(a.layers, b.layers):
         np.testing.assert_allclose(layer_a.conv_state, layer_b.conv_state, atol=atol)
-        np.testing.assert_allclose(layer_a.ssm_state, layer_b.ssm_state, atol=atol)
+        np.testing.assert_allclose(_state_values(layer_a), _state_values(layer_b), atol=atol)
 
 
 @pytest.fixture(scope="module")
@@ -163,12 +169,54 @@ class TestKernelBitIdentity:
         np.testing.assert_array_equal(s_scan, s_step)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["solo", "batched"])
+@pytest.mark.parametrize("kind", ["fp", "float-state", "resident"])
+def test_zero_length_sequence_returns_the_entry_state(rng, kind, lead):
+    """No tokens: an empty ``y`` and the entry state -- on its grid, in the
+    container it came in -- at every chunk size, as ``ssm_scan`` always did
+    (the chunked scans used to die on ``range(0, 0, 0)``)."""
+    params, x, B, C, dt = _scan_inputs(rng, 0, lead=lead)
+    scan = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+    warm = rng.normal(size=lead + (4, 8, 16))
+    codes = scan.quantize_state_codes(warm)
+    scan_fn = ssd_chunked_scan if kind == "fp" else scan.prefill_scan
+    entry, expected = {
+        "fp": (warm, warm),
+        "float-state": (warm, codes.dequantize()),
+        "resident": (codes, codes),
+    }[kind]
+    if kind == "fp":
+        np.testing.assert_array_equal(ssm_scan(params, x, B, C, dt, entry)[1], expected)
+    for chunk in (1, 4, 64):
+        y, state = scan_fn(params, x, B, C, dt, entry, chunk_size=chunk)
+        assert y.shape == x.shape and y.size == 0
+        assert state is not entry and type(state) is type(entry)
+        if kind == "resident":
+            assert state.exact_equal(expected)
+        else:
+            np.testing.assert_array_equal(state, expected)
+        # No warm state: the zero state, as floats.
+        np.testing.assert_array_equal(scan_fn(params, x, B, C, dt, chunk_size=chunk)[1], 0.0)
+
+
 class TestModelRouting:
-    def test_star_models_advertise_prefill_scan(self, quantized):
-        assert all(
-            getattr(b.ssm_impl, "supports_prefill_scan", False)
-            for b in quantized.blocks
-        )
+    def test_star_models_advertise_prefill_scan(self, quantized, monkeypatch):
+        """Every block serves a prefill through one ``prefill_scan`` call:
+        the configured chunk for "chunked", chunk size 1 for "sequential"."""
+        chunks = []
+        original = QuantizedChunkedScan.prefill_scan
+
+        def recording(self, *args, **kwargs):
+            chunks.append(kwargs["chunk_size"])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantizedChunkedScan, "prefill_scan", recording)
+        prompt = np.random.default_rng(1).integers(0, quantized.config.vocab_size, size=6)
+        quantized.prefill(prompt)
+        assert chunks == [quantized.config.chunk_size] * len(quantized.blocks)
+        del chunks[:]
+        quantized.prefill(prompt, scan_impl="sequential")
+        assert chunks == [1] * len(quantized.blocks)
 
     def test_chunk_one_prefill_bit_identical_to_sequential(self, quantized):
         rng = np.random.default_rng(0)
@@ -176,30 +224,30 @@ class TestModelRouting:
         logits_seq, cache_seq = quantized.prefill(prompt, scan_impl="sequential")
         logits_one, cache_one = quantized.prefill(prompt, chunk_size=1)
         np.testing.assert_array_equal(logits_one, logits_seq)
-        for a, b in zip(cache_one.layers, cache_seq.layers):
-            np.testing.assert_array_equal(a.ssm_state, b.ssm_state)
-            np.testing.assert_array_equal(a.conv_state, b.conv_state)
+        assert cache_one.state_equal(cache_seq)
 
-    def test_sequential_oracle_still_steps_token_by_token(self, quantized):
-        """scan_impl="sequential" must bypass prefill_scan entirely."""
-        block = quantized.blocks[0]
-        calls = []
-        original = block.ssm_impl.prefill_scan
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        block.ssm_impl.prefill_scan = counting
-        try:
-            rng = np.random.default_rng(1)
-            prompt = rng.integers(0, quantized.config.vocab_size, size=6)
-            quantized.prefill(prompt, scan_impl="sequential")
-            assert calls == []
-            quantized.prefill(prompt)
-            assert calls == [1]
-        finally:
-            del block.ssm_impl.prefill_scan
+    def test_sequential_oracle_still_steps_token_by_token(self, quantized, monkeypatch):
+        """scan_impl="sequential" is the per-token fake-quant oracle: every
+        block runs ``_step_oracle`` once per token and no chunk body."""
+        steps, tiles = [], []
+        step_oracle = QuantizedChunkedScan._step_oracle
+        chunk_scratch = QuantizedChunkedScan._chunk_scratch
+        monkeypatch.setattr(
+            QuantizedChunkedScan,
+            "_step_oracle",
+            lambda self, *a: steps.append(1) or step_oracle(self, *a),
+        )
+        monkeypatch.setattr(
+            QuantizedChunkedScan,
+            "_chunk_scratch",
+            staticmethod(lambda *a: tiles.append(1) or chunk_scratch(*a)),
+        )
+        prompt = np.random.default_rng(1).integers(0, quantized.config.vocab_size, size=6)
+        quantized.prefill(prompt, scan_impl="sequential")
+        assert len(steps) == len(prompt) * len(quantized.blocks) and not tiles
+        del steps[:]
+        quantized.prefill(prompt)
+        assert not steps and len(tiles) == len(quantized.blocks)
 
     def test_batched_prefill_matches_per_row(self, quantized):
         rng = np.random.default_rng(2)
@@ -237,9 +285,7 @@ class TestModelRouting:
                 prompt[start : start + 8], cache=cache, chunk_size=8
             )
         np.testing.assert_allclose(logits, ref_logits, atol=1e-12)
-        for a, b in zip(cache.layers, ref_cache.layers):
-            np.testing.assert_allclose(a.ssm_state, b.ssm_state, atol=1e-12)
-            np.testing.assert_allclose(a.conv_state, b.conv_state, atol=1e-12)
+        _caches_allclose(cache, ref_cache, atol=1e-12)
         # Decode continuation through cache= reproduces greedy_decode when
         # started from the same (default-engine) prefill.
         base_logits, base_cache = quantized.prefill(prompt)

@@ -217,7 +217,7 @@ class TestSnapshotRollback:
         assert cache.snapshot_rows([0, 2]).state_equal(before)
 
     def test_quantized_cache_roundtrip_is_integer_exact(self, tiny_model):
-        model = _star(tiny_model, persistent_state=True)
+        model = _star(tiny_model)
         cache = self._populated_cache(model)
         before = cache.snapshot_rows([1])
         for layer in cache.layers:
@@ -233,7 +233,7 @@ class TestSnapshotRollback:
             assert restored.ssm_state.exact_equal(original.ssm_state)
 
     def test_resident_bytes_positive(self, tiny_model):
-        model = _star(tiny_model, persistent_state=True)
+        model = _star(tiny_model)
         cache = model.new_cache(batch_size=2)
         assert cache.resident_state_bytes() > 0
         assert tiny_model.new_cache(batch_size=2).resident_state_bytes() > 0
@@ -328,7 +328,7 @@ class TestEngineRecovery:
         assert engine.resilience_log.request_ids("degrade") == [0]
 
     def test_quantized_engine_survives_corruption(self, tiny_model):
-        model = _star(tiny_model, persistent_state=True)
+        model = _star(tiny_model)
         reference = {
             c.request_id: list(c.result.tokens) for c in _engine(model).run(_requests())
         }
@@ -499,7 +499,7 @@ class TestChaosSoak:
         assert {r.scheduler for r in reports} == set(SCHEDULER_NAMES)
 
     def test_soak_quantized_model(self, tiny_model):
-        model = _star(tiny_model, persistent_state=True)
+        model = _star(tiny_model)
         reports = run_chaos_soak(model, seeds=range(2), schedulers=("fifo",))
         assert all(r.ok for r in reports), [r.violations for r in reports if not r.ok]
 

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.mamba import Mamba2Config
+from repro.mamba.cache import LayerCache, QuantizedLayerCache
 from repro.mamba.ssm import SSMParams
 from repro.quant import QuantizedChunkedScan, SSMQuantConfig
 from repro.quant.pot import (
@@ -187,7 +188,7 @@ def _inputs(rng, lead, h, p, n):
 @pytest.mark.parametrize("batch", range(1, 9))
 def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
     h, p = 4, 8
-    step = QuantizedChunkedScan(SSMQuantConfig(group_size=group, persistent_state=True))
+    step = QuantizedChunkedScan(SSMQuantConfig(group_size=group))
     params = _params(rng, h)
     state = step.quantize_state_codes(rng.normal(size=(batch, h, p, n)))
     state.codes[0] = 0  # an all-zero row rides along
@@ -215,23 +216,25 @@ def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
     [(4, np.int32), (8, np.int32), (9, np.int32), (16, np.int64), (22, None)],
 )
 def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
-    """INT16 codes select the wide accumulator; past INT64's reach the
-    resident call runs the oracle.  The ``h (.) C`` product is INT8 / INT16
-    for INT4 / INT8 codes, already INT32 for INT9 (where it shares the
-    accumulator's width), and INT32 below the INT64 accumulator for INT16.
-    Every width stays bit-identical."""
-    step = QuantizedChunkedScan(
-        SSMQuantConfig(bits=bits, group_size=8, persistent_state=True)
-    )
-    assert step._acc_dtype is acc_dtype
+    """INT16 codes select the wide accumulator; past INT64's reach no state
+    is handed out as codes, so the step never leaves the oracle.  The
+    ``h (.) C`` product is INT8 / INT16 for INT4 / INT8 codes, already INT32
+    for INT9 (where it shares the accumulator's width), and INT32 below the
+    INT64 accumulator for INT16.  Every width stays bit-identical."""
+    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
+    assert shift_accumulator_dtype(bits) is acc_dtype
     assert step._code_int is code_storage_dtype(bits)
-    if acc_dtype is not None:
-        scratch = _tile_scratch((1, 1, 1, 8), bits)
-        product = {4: np.int8, 8: np.int16, 9: np.int32, 16: np.int32}[bits]
-        assert (scratch.hc.dtype, scratch.acc.dtype, scratch.code_a.dtype) == (
-            product, acc_dtype, step._code_int,
-        )
     h, p, n = 4, 8, 24
+    config = Mamba2Config(d_model=16, n_layer=1, vocab_size=8, d_state=n, headdim=p)
+    if acc_dtype is None:
+        assert type(step.zeros_cache(config)) is LayerCache
+        return
+    assert type(step.zeros_cache(config)) is QuantizedLayerCache
+    scratch = _tile_scratch((1, 1, 1, 8), bits)
+    product = {4: np.int8, 8: np.int16, 9: np.int32, 16: np.int32}[bits]
+    assert (scratch.hc.dtype, scratch.acc.dtype, scratch.code_a.dtype) == (
+        product, acc_dtype, step._code_int,
+    )
     params = _params(rng, h)
     state_int = step.quantize_state_codes(rng.normal(size=(2, h, p, n)))
     state_orc = state_int.copy()
@@ -250,9 +253,7 @@ def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_every_producer_emits_the_storage_dtype(rng, bits, storage, lead):
     h, p, n = 4, 8, 24
-    step = QuantizedChunkedScan(
-        SSMQuantConfig(bits=bits, group_size=8, persistent_state=True)
-    )
+    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
     assert code_storage_dtype(bits) is storage
     params = _params(rng, h)
     config = Mamba2Config(d_model=16, n_layer=1, vocab_size=8, d_state=n, headdim=p)
