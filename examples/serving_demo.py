@@ -3,9 +3,9 @@
 
 This example exercises the ``repro.serving`` subsystem:
 
-1. decode a batch of ragged prompts in one shot with ``BatchedGenerator``
-   (greedy and sampled) and verify the results are identical to per-request
-   single-sequence decoding;
+1. decode a fixed batch of ragged prompts in one shot -- an
+   ``InferenceEngine`` with one slot per request -- greedy and sampled, and
+   verify the results are identical to per-request single-sequence decoding;
 2. serve a stream of requests through the continuous-batching
    ``InferenceEngine`` with fewer batch slots than requests, streaming the
    first request's tokens as they are generated and showing the batching
@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.mamba import ByteTokenizer, InitConfig, Mamba2Model, get_preset, greedy_decode
 from repro.serving import (
-    BatchedGenerator,
     InferenceEngine,
     PagedScheduler,
     PriorityScheduler,
@@ -46,10 +45,16 @@ def main() -> None:
     # 1. Batched generation over ragged prompts.
     # ------------------------------------------------------------------
     texts = ["LightMamba ", "FPGA acceleration: ", "Quantized SSM ", "Batch "]
-    prompts = [tokenizer.encode(t) for t in texts]
-    generator = BatchedGenerator(model)
+    prompts = [tuple(tokenizer.encode(t)) for t in texts]
 
-    results = generator.generate(prompts, max_new_tokens=12, stop_tokens=tokenizer.eos_id)
+    def decode_batch(requests):
+        """One fixed batch: an engine with a slot per request, drained."""
+        done = InferenceEngine(model, max_batch_size=len(requests)).run(requests)
+        return [completion.result for completion in done]
+
+    results = decode_batch(
+        [Request(prompt=p, max_new_tokens=12, stop_token=tokenizer.eos_id) for p in prompts]
+    )
     print("\nbatched greedy generation:")
     for text, result in zip(texts, results):
         solo = greedy_decode(model, tokenizer.encode(text), 12, stop_token=tokenizer.eos_id)
@@ -57,8 +62,11 @@ def main() -> None:
         print(f"  {text!r:24s} -> {tokenizer.decode(result.tokens)!r}  "
               f"({match} single-sequence decode)")
 
-    sampled = generator.generate(
-        prompts, max_new_tokens=12, temperature=0.9, top_k=32, seeds=[7, 8, 9, 10]
+    sampled = decode_batch(
+        [
+            Request(prompt=p, max_new_tokens=12, temperature=0.9, top_k=32, seed=seed)
+            for p, seed in zip(prompts, (7, 8, 9, 10))
+        ]
     )
     print("\nbatched sampling (temperature 0.9, exact top-32, per-request seeds):")
     for text, result in zip(texts, sampled):
@@ -154,7 +162,7 @@ def main() -> None:
         greedy_decode(model, prompt, 32)
     seq_time = time.perf_counter() - start
     start = time.perf_counter()
-    generator.generate(bench_prompts, 32)
+    decode_batch([Request(prompt=tuple(p), max_new_tokens=32) for p in bench_prompts])
     batch_time = time.perf_counter() - start
     total = 8 * 32
     print(f"\nthroughput (8 requests x 32 tokens):")

@@ -3,8 +3,8 @@
 The paper evaluates quantization quality with WikiText2 perplexity and six
 zero-shot tasks through lm-eval-harness (Table III).  Neither pretrained
 checkpoints nor the datasets are available in this offline environment, so
-this package provides faithful *synthetic* substitutes (documented in
-DESIGN.md):
+this package provides faithful *synthetic* substitutes, each documented in
+its own module:
 
 - :mod:`repro.eval.data` -- seeded Zipf / Markov token-corpus generators used
   for calibration, plus sequences sampled from the floating-point reference

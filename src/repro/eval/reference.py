@@ -2,8 +2,9 @@
 
 Table II, Table III, Fig. 2 and Fig. 4b all evaluate quantization quality on
 a Mamba2 checkpoint.  In this offline reproduction the checkpoint is replaced
-by a synthetic *evaluation model* whose statistics are tuned so that the
-phenomena the paper relies on are present (see DESIGN.md):
+by a synthetic *evaluation model* whose statistics are tuned
+(:data:`EVAL_OUTLIER_PROFILE`, :data:`EVAL_INIT` below) so that the phenomena
+the paper relies on are present:
 
 - scattered activation outliers at the output-projection input,
 - token-stable outliers in the residual stream,

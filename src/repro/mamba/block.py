@@ -60,7 +60,7 @@ class SSMImpl(Protocol):
 
     def prefill_scan(
         self, params: SSMParams, x: np.ndarray, B: np.ndarray, C: np.ndarray, dt: np.ndarray,
-        initial_state: Any = None, chunk_size: int = 64, seq_lens: Optional[np.ndarray] = None,
+        initial_state: Any = None, chunk_size: int = 64,
     ) -> Tuple[np.ndarray, Any]:
         """A segment: the :func:`repro.mamba.ssm.ssd_chunked_scan` signature;
         ``chunk_size=1`` is the exact per-token recurrence."""
@@ -73,17 +73,18 @@ def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _rolled_conv_window(window: np.ndarray, inputs: np.ndarray, length: int) -> np.ndarray:
-    """The convolution window after ``length`` more inputs, in cache layout.
+def _rolled_conv_window(window: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The convolution window after the ``inputs`` segment, in cache layout.
 
     ``window`` is the ``(..., channels, k)`` rolling state and ``inputs`` the
     ``(..., seq_len, channels)`` segment just processed.  The new window is
-    the last ``k`` samples of *previous window + first ``length`` inputs*:
-    read straight from the tail of ``inputs``, joined to what survives of the
-    old window only when the segment is shorter than the kernel.
+    the last ``k`` samples of *previous window + inputs*: read straight from
+    the tail of ``inputs``, joined to what survives of the old window only
+    when the segment is shorter than the kernel.
     """
     k = window.shape[-1]
-    tail = np.swapaxes(inputs[..., max(length - k, 0) : length, :], -1, -2)
+    length = inputs.shape[-2]
+    tail = np.swapaxes(inputs[..., max(length - k, 0) :, :], -1, -2)
     if length < k:
         tail = np.concatenate([window[..., length:], tail], axis=-1)
     return np.ascontiguousarray(tail)
@@ -236,7 +237,6 @@ class MambaBlock:
         *,
         scan_impl: Optional[str] = None,
         chunk_size: Optional[int] = None,
-        seq_lens: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Process a full sequence of shape ``(seq_len, d_model)``.
 
@@ -262,11 +262,6 @@ class MambaBlock:
         chunk_size:
             Chunk length of the chunked scan; defaults to
             ``config.chunk_size``.
-        seq_lens:
-            Optional per-row true lengths for a right-padded ragged batch
-            (batched input only).  The cache then receives each row's state at
-            its *true* last token; output positions past a row's length carry
-            garbage, which causality keeps out of every valid position.
         """
         cfg = self.config
         u = np.asarray(u, dtype=np.float64)
@@ -275,20 +270,10 @@ class MambaBlock:
                 f"expected input of shape (seq_len, {cfg.d_model}) or "
                 f"(batch, seq_len, {cfg.d_model}), got {u.shape}"
             )
-        batched = u.ndim == 3
-        seq_len = u.shape[-2]
         impl = scan_impl if scan_impl is not None else cfg.scan_impl
         if impl not in ("chunked", "sequential"):
             raise ValueError("scan_impl must be 'chunked' or 'sequential'")
         chunk = chunk_size if chunk_size is not None else cfg.chunk_size
-        if seq_lens is not None:
-            if not batched:
-                raise ValueError("seq_lens requires batched input")
-            seq_lens = np.asarray(seq_lens, dtype=np.int64)
-            if seq_lens.shape != u.shape[:1]:
-                raise ValueError(f"seq_lens must have shape {u.shape[:1]}, got {seq_lens.shape}")
-            if seq_lens.size and (seq_lens.min() < 1 or seq_lens.max() > seq_len):
-                raise ValueError(f"seq_lens entries must be in [1, {seq_len}]")
 
         residual = u
         r = self.norm(u)
@@ -307,18 +292,16 @@ class MambaBlock:
         if self.ssm_impl is None:
             if impl == "chunked":
                 y_heads, final_state = ssd_chunked_scan(
-                    self.ssm, x_heads, b, c, dt, initial, chunk_size=chunk, seq_lens=seq_lens
+                    self.ssm, x_heads, b, c, dt, initial, chunk_size=chunk
                 )
             else:
-                y_heads, final_state = ssm_scan(
-                    self.ssm, x_heads, b, c, dt, initial, seq_lens=seq_lens
-                )
+                y_heads, final_state = ssm_scan(self.ssm, x_heads, b, c, dt, initial)
         else:
             # One scan call for the whole segment ("sequential" is the scan's
             # exact per-token path); the state returns in the form it went in.
             y_heads, final_state = self.ssm_impl.prefill_scan(
                 self.ssm, x_heads, b, c, dt, initial_state=initial,
-                chunk_size=chunk if impl == "chunked" else 1, seq_lens=seq_lens,
+                chunk_size=chunk if impl == "chunked" else 1,
             )
 
         y = y_heads.reshape(u.shape[:-1] + (cfg.d_inner,))
@@ -334,16 +317,7 @@ class MambaBlock:
 
         if cache is not None:
             cache.ssm_state = final_state
-            # Roll the convolution window forward to each row's true length.
-            if seq_lens is None:
-                cache.conv_state = _rolled_conv_window(cache.conv_state, xbc, seq_len)
-            else:
-                cache.conv_state = np.stack(
-                    [
-                        _rolled_conv_window(cache.conv_state[i], xbc[i], int(length))
-                        for i, length in enumerate(seq_lens)
-                    ]
-                )
+            cache.conv_state = _rolled_conv_window(cache.conv_state, xbc)
 
         if collect is not None:
             collect["in_proj_input"] = r

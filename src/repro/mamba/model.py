@@ -190,7 +190,6 @@ class Mamba2Model:
         self,
         tokens: np.ndarray,
         *,
-        seq_lens: Optional[np.ndarray] = None,
         cache: Optional[InferenceCache] = None,
         scan_impl: Optional[str] = None,
         chunk_size: Optional[int] = None,
@@ -204,12 +203,6 @@ class Mamba2Model:
 
         Parameters
         ----------
-        seq_lens:
-            Optional ``(batch,)`` true prompt lengths for a right-padded
-            ragged batch: every row is prefilled in the same padded model
-            call, its logits are read at its *true* last token and its cache
-            state is the state after that token (pad positions never leak --
-            the model is causal).  Pad token ids just need to be valid.
         cache:
             Optional warm cache to continue from (e.g. the next segment of a
             long prompt processed in chunks); a fresh zero cache is created
@@ -240,24 +233,12 @@ class Mamba2Model:
                 f"cache batch size {cache.batch_size} does not match tokens batch "
                 f"size {batch_size}"
             )
-        if seq_lens is not None:
-            if tokens.ndim != 2:
-                raise ValueError("seq_lens requires batched (batch, seq_len) tokens")
-            seq_lens = np.asarray(seq_lens, dtype=np.int64)
         hidden = self.embed(tokens)
         for i, block in enumerate(self.blocks):
             hidden = block.forward(
-                hidden,
-                cache=cache.layers[i],
-                scan_impl=scan_impl,
-                chunk_size=chunk_size,
-                seq_lens=seq_lens,
+                hidden, cache=cache.layers[i], scan_impl=scan_impl, chunk_size=chunk_size
             )
-        if seq_lens is None:
-            last = hidden[..., -1, :]
-        else:
-            last = hidden[np.arange(tokens.shape[0]), seq_lens - 1, :]
-        logits = self.logits_from_hidden(last)
+        logits = self.logits_from_hidden(hidden[..., -1, :])
         return logits, cache
 
     def step(

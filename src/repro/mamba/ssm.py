@@ -268,18 +268,6 @@ def ssm_step(
 selective_state_update = ssm_step
 
 
-def _validate_seq_lens(seq_lens, batched: bool, batch: int, seq_len: int) -> np.ndarray:
-    """Validate per-row true lengths for a padded (ragged) batched scan."""
-    if not batched:
-        raise ValueError("seq_lens requires a batched input (leading batch axis)")
-    seq_lens = np.asarray(seq_lens, dtype=np.int64)
-    if seq_lens.shape != (batch,):
-        raise ValueError(f"seq_lens must have shape ({batch},), got {seq_lens.shape}")
-    if seq_lens.size and (seq_lens.min() < 1 or seq_lens.max() > seq_len):
-        raise ValueError(f"seq_lens entries must be in [1, {seq_len}]")
-    return seq_lens
-
-
 def ssm_scan(
     params: SSMParams,
     x: np.ndarray,
@@ -287,7 +275,6 @@ def ssm_scan(
     C: np.ndarray,
     dt: np.ndarray,
     initial_state: np.ndarray | None = None,
-    seq_lens: np.ndarray | None = None,
     step_fn=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the SSM recurrence over a full sequence (prefill).
@@ -304,18 +291,11 @@ def ssm_scan(
         Shape ``(seq_len, nheads)`` (``(batch, seq_len, nheads)`` batched).
     initial_state:
         Optional starting hidden state; zeros if omitted.
-    seq_lens:
-        Optional per-row true prompt lengths, shape ``(batch,)`` (batched
-        input only).  Positions at or beyond a row's length are treated as
-        right padding: the returned ``final_state`` row is the state after
-        the row's *true* last token, so ragged prompts can share one padded
-        scan.  ``y`` is still computed at every position (pad positions carry
-        garbage, which is harmless downstream because the model is causal).
     step_fn:
         The per-token step to drive (``ssm_step`` signature, batch-capable
         when the input is batched); defaults to :func:`ssm_step`.  The
-        quantized scan passes its own step here, so the token loop and its
-        ``seq_lens`` snapshot bookkeeping live in exactly one place.
+        quantized scan passes its own step here, so the token loop lives in
+        exactly one place.
 
     Returns
     -------
@@ -344,22 +324,13 @@ def ssm_scan(
         state = np.array(initial_state, dtype=np.float64, copy=True)
         if state.shape != state_shape:
             raise ValueError(f"initial_state must have shape {state_shape}, got {state.shape}")
-    if seq_lens is not None:
-        seq_lens = _validate_seq_lens(seq_lens, batched, x.shape[0], seq_len)
-        final = np.zeros_like(state)
 
     y = np.zeros_like(x)
     for t in range(seq_len):
         if batched:
             y[:, t], state = step(params, x[:, t], B[:, t], C[:, t], dt[:, t], state)
-            if seq_lens is not None:
-                ending = seq_lens == t + 1
-                if ending.any():
-                    final[ending] = state[ending]
         else:
             y[t], state = step(params, x[t], B[t], C[t], dt[t], state)
-    if seq_lens is not None:
-        return y, final
     return y, state
 
 
@@ -371,7 +342,6 @@ def ssd_chunked_scan(
     dt: np.ndarray,
     initial_state: np.ndarray | None = None,
     chunk_size: int = 64,
-    seq_lens: np.ndarray | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Chunked SSD formulation of the prefill scan (Dao & Gu, 2024).
 
@@ -401,11 +371,6 @@ def ssd_chunked_scan(
         Tokens per chunk; clamped to the sequence length, so an oversized
         chunk costs exactly one dense chunk and ``chunk_size == 1`` degrades
         gracefully to the sequential recurrence cost.
-    seq_lens:
-        Optional per-row true prompt lengths, shape ``(batch,)`` (batched
-        input only).  See :func:`ssm_scan`: the returned state rows are
-        snapshots at each row's true length, enabling one padded scan over
-        ragged prompts.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -433,9 +398,6 @@ def ssd_chunked_scan(
         state = np.array(initial_state, dtype=np.float64, copy=True)
         if state.shape != state_shape:
             raise ValueError(f"initial_state must have shape {state_shape}, got {state.shape}")
-    if seq_lens is not None:
-        seq_lens = _validate_seq_lens(seq_lens, batched, x.shape[0], seq_len)
-        snapshot = np.zeros_like(state)
     y = np.zeros_like(x)
 
     # At least 1, so a zero-length sequence is an empty loop: like ssm_scan it
@@ -475,24 +437,10 @@ def ssd_chunked_scan(
         yc += params.D[:, None] * xc
         y[..., start:stop, :, :] = yc
 
-        if seq_lens is not None:
-            # Snapshot rows whose true last token falls inside this chunk:
-            # the state after local position j is the chunk-carry formula
-            # truncated at j (computed from the chunk-entry state).
-            for row in np.nonzero((seq_lens > start) & (seq_lens <= stop))[0]:
-                j = int(seq_lens[row]) - 1 - start
-                carry_j = np.exp(lc[row, j][None, :] - lc[row, : j + 1]) * dc[row, : j + 1]
-                wx_j = np.moveaxis(carry_j[:, :, None] * xc[row, : j + 1], 0, -1)
-                snapshot[row] = (
-                    np.exp(lc[row, j])[:, None, None] * state[row]
-                    + wx_j @ bc[row, : j + 1][None, :, :]
-                )
         # Chunk-final state hand-off:
         #   h_out = exp(L_last) h_in + sum_q carry[q] x_q B_q^T  (per head).
         last = lc[..., -1, :]                           # (..., h)
         carry = np.exp(last[..., None, :] - lc) * dc    # (..., Q, h)
         wx = np.moveaxis(carry[..., :, :, None] * xc, -3, -1)       # (..., h, p, Q)
         state = np.exp(last)[..., :, None, None] * state + wx @ bc[..., None, :, :]
-    if seq_lens is not None:
-        return y, snapshot
     return y, state

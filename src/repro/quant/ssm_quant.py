@@ -90,7 +90,7 @@ import numpy as np
 from repro.mamba.cache import LayerCache, QuantizedLayerCache, QuantizedSSMState
 from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
-from repro.mamba.ssm import SSMParams, _validate_seq_lens, ssm_decay, ssm_scan
+from repro.mamba.ssm import SSMParams, ssm_decay, ssm_scan
 from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import (
     absmax_requant_exponents,
@@ -641,7 +641,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         dt: np.ndarray,
         initial_state: Optional[np.ndarray] = None,
         chunk_size: int = 64,
-        seq_lens: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run the quantized recurrence over a full sequence, chunk-parallel.
 
@@ -649,21 +648,17 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         ``x`` is ``(seq_len, nheads, headdim)`` (optionally with a leading
         batch axis carried by every argument), ``B`` / ``C`` are
         ``(seq_len, d_state)``, ``dt`` is the raw per-head step size (before
-        softplus), ``initial_state`` an optional warm state (copied, then
-        quantized at chunk entry when ``quantize_state`` is set), and
-        ``seq_lens`` optional per-row true lengths of a right-padded ragged
-        batch -- the returned state rows are then snapshots at each row's
-        true last token.
+        softplus) and ``initial_state`` an optional warm state (copied, then
+        quantized at chunk entry when ``quantize_state`` is set).
 
         ``initial_state`` may also be a resident
         :class:`~repro.mamba.cache.QuantizedSSMState` (codes in, codes out):
         the scan then starts from the dequantized codes -- which are on the
         grid already, so the chunk-entry quantization is skipped -- and the
-        returned final state (or per-row ``seq_lens`` snapshot) is a resident
-        container again, keeping segmented serving prefills integer-resident
-        end to end.  The state comes back in the container it came in, for
-        every ``chunk_size``; a zero-length sequence returns an empty ``y``
-        and the entry state on its grid.
+        returned final state is a resident container again, keeping segmented
+        serving prefills integer-resident end to end.  The state comes back in
+        the container it came in, for every ``chunk_size``; a zero-length
+        sequence returns an empty ``y`` and the entry state on its grid.
 
         ``chunk_size=1`` is the sequential oracle: :func:`ssm_scan
         <repro.mamba.ssm.ssm_scan>` drives :meth:`_step_oracle` token by
@@ -685,11 +680,11 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         caller's token-major layout once per chunk.  Every element-wise
         stage is one fused pass (:func:`repro.quant.quantizer._fake_quant_into`):
         the float chunk body reads no integer codes, so none are
-        materialized -- only the final resident state (and the ``seq_lens``
-        snapshots) is quantized to codes.  ``Delta (.) B`` takes its grid
-        from ``Delta * max|B|`` per group instead of an absmax pass over the
-        product: multiplication by the positive ``Delta`` is monotone in
-        floating point too, so that *is* the product's absmax.
+        materialized -- only the final resident state is quantized to codes.
+        ``Delta (.) B`` takes its grid from ``Delta * max|B|`` per group
+        instead of an absmax pass over the product: multiplication by the
+        positive ``Delta`` is monotone in floating point too, so that *is* the
+        product's absmax.
 
         Unlike :func:`repro.mamba.ssm.ssd_chunked_scan`, whose FP body
         contracts one head-independent ``C B^T`` matrix per chunk, every
@@ -729,8 +724,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
                 raise ValueError(
                     f"initial_state must have shape {state_shape}, got {state.shape}"
                 )
-        if seq_lens is not None:
-            seq_lens = _validate_seq_lens(seq_lens, batched, x.shape[0], seq_len)
 
         if seq_len == 0:
             # Nothing to scan, whatever the chunk size: an empty y (x has no
@@ -740,12 +733,9 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         if chunk_size == 1:
             # The per-token loop: ssm_scan driving this object's own step on
             # the float view -- the fake-quant oracle, token by token (shared
-            # step code, shared token loop and seq_lens snapshot bookkeeping).
-            # A resident caller gets the final state re-quantized back into
-            # codes (exact -- the state is on-grid).
-            y, state = ssm_scan(
-                params, x, B, C, dt, initial_state=state, seq_lens=seq_lens, step_fn=self
-            )
+            # step code, shared token loop).  A resident caller gets the final
+            # state re-quantized back into codes (exact -- it is on-grid).
+            y, state = ssm_scan(params, x, B, C, dt, initial_state=state, step_fn=self)
             return y, self.quantize_state_codes(state) if resident else state
 
         quantize_state = self.config.quantize_state
@@ -759,8 +749,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         if quantize_state and not resident:
             # Chunk-entry quantization (resident codes are on the grid already).
             self._stage(state.copy(), state)
-        if seq_lens is not None:
-            snapshot = np.zeros_like(state)  # quant-point: seq_lens snapshot buffer
 
         y = np.empty(x.shape)  # quant-point: the float output the gated norm consumes
         chunk = min(chunk_size, seq_len)
@@ -813,22 +801,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
             np.add(tile.skip, tile.out, out=tile.out)
             y[..., start:stop, :, :] = np.moveaxis(tile.out, -3, -2)
 
-            if seq_lens is not None:
-                # Snapshot rows whose true last token falls inside the chunk:
-                # the hand-off formula truncated at the row's local position.
-                for row in np.nonzero((seq_lens > start) & (seq_lens <= stop))[0]:
-                    j = int(seq_lens[row]) - 1 - start
-                    carry_j = np.exp(lc[row, :, j, None] - lc[row, :, : j + 1])  # (h, j+1)
-                    wx_j = carry_j[..., None] * xq[row, :, : j + 1]              # (h, j+1, p)
-                    row_state = (
-                        np.exp(lc[row, :, j])[:, None, None] * state[row]
-                        + np.swapaxes(wx_j, -1, -2) @ db[row, :, : j + 1]
-                    )
-                    # quant-point: row snapshot requant
-                    snapshot[row] = self._q(row_state) if quantize_state else row_state
-                if stop == seq_len:
-                    break  # the snapshots are the result; no hand-off follows
-
             # Chunk hand-off, then the chunk-boundary state quantization:
             # fused fake-quant between chunks, codes only for the caller of a
             # resident scan after the last chunk.
@@ -846,11 +818,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
             else:
                 self._stage(tile.handoff, state)
 
-        if seq_lens is not None:
-            # Rows were quantized one by one above; per-group grids live on
-            # the trailing axis, so re-quantizing the stacked snapshot into
-            # codes below is exact (idempotent on-grid requantization).
-            state = snapshot
         return y, self.quantize_state_codes(state) if resident else state
 
     # ------------------------------------------------------------------

@@ -4,14 +4,13 @@ Mamba decode has *constant* per-token state (the fixed-size recurrent cache,
 Fig. 9a of the LightMamba paper), which makes large-batch decode cheap: a
 batch of requests is a leading ``(batch, ...)`` axis on the same state
 tensors, and every decode step reads the weights once for the whole batch.
-This package provides the two serving front-ends built on that property:
+This package is the serving stack built on that property:
 
-- :class:`~repro.serving.generator.BatchedGenerator` -- decode a *fixed* set
-  of requests together (vectorized greedy and temperature/top-k sampling,
-  ragged prompts, per-request stop tokens and length budgets, optional token
-  streaming).
 - :class:`~repro.serving.engine.InferenceEngine` -- *continuous batching* over
-  a request stream: an async-capable :class:`~repro.serving.queue.RequestQueue`
+  a request stream (and the one way to decode a fixed batch:
+  ``InferenceEngine(model, max_batch_size=len(requests)).run(requests)``):
+  ragged prompts, per-request stop tokens, length budgets and sampling seeds,
+  optional token streaming.  An async-capable :class:`~repro.serving.queue.RequestQueue`
   (injected clock, priorities, deadlines, cancellation) feeds a pluggable
   admission :class:`~repro.serving.scheduler.Scheduler` --
   :class:`~repro.serving.scheduler.FIFOScheduler` (default, the historical
@@ -33,16 +32,18 @@ This package provides the two serving front-ends built on that property:
 - :mod:`~repro.serving.resilience` -- the fault-injection / self-healing
   layer: a deterministic :class:`~repro.serving.resilience.FaultInjector`
   (seeded :class:`~repro.serving.resilience.FaultPlan` schedules addressable
-  by engine iteration, request, and call site) drives the engine's
-  supervisor, which snapshots integer-resident SSM state before each
-  supervised model call, isolates faulting requests, rolls survivors back
-  bit-exactly, retries with capped exponential backoff, degrades repeat
-  offenders to the sequential oracle, and quarantines hopeless requests with
+  by engine iteration, request, and call site) drives the
+  :class:`~repro.serving.resilience.Supervisor`, a wrapper around the
+  engine's :class:`~repro.serving.runner.ModelRunner` (the one model-call
+  site) that snapshots integer-resident SSM state before each supervised
+  model call, isolates faulting requests, rolls survivors back bit-exactly,
+  retries with capped exponential backoff, degrades repeat offenders to the
+  sequential oracle, and quarantines hopeless requests with
   ``finish_reason="error"``.  :mod:`~repro.serving.chaos` builds randomized
   chaos-soak runs on top and checks the conservation invariants.
 
-Both front-ends reproduce the single-sequence decoders in
-:mod:`repro.mamba.generation` request for request: token selection shares the
+The engine, and so the server over it, reproduces the single-sequence decoders
+in :mod:`repro.mamba.generation` request for request: token selection shares the
 exact same arithmetic, and the model math is numerically equivalent to 1e-10
 (batched BLAS kernels may round differently in the last bits, so a token
 choice could in principle flip at an exact logit tie).  Scheduling policy
@@ -51,12 +52,8 @@ changes *when* work runs, never *what* it produces.
 Example
 -------
 >>> from repro.mamba import InitConfig, Mamba2Model, get_preset
->>> from repro.serving import BatchedGenerator, InferenceEngine, Request
+>>> from repro.serving import InferenceEngine, Request
 >>> model = Mamba2Model.from_config(get_preset("mamba2-tiny"), InitConfig(seed=0))
->>> gen = BatchedGenerator(model)
->>> results = gen.generate([[1, 2, 3], [7, 8]], max_new_tokens=4)
->>> [len(r.tokens) for r in results]
-[4, 4]
 >>> engine = InferenceEngine(model, max_batch_size=2)
 >>> _ = engine.submit(Request(prompt=(1, 2, 3), max_new_tokens=4))
 >>> _ = engine.submit(Request(prompt=(5, 6), max_new_tokens=2, temperature=0.8, top_k=16))
@@ -75,7 +72,6 @@ from repro.serving.engine import (
     Request,
     RequestLatency,
 )
-from repro.serving.generator import BatchedGenerator
 from repro.serving.loadgen import (
     HarnessResult,
     LoadItem,
@@ -112,7 +108,6 @@ from repro.serving.server import MambaServer, ServerConfig, serve_in_thread
 
 __all__ = [
     "AdmissionPlan",
-    "BatchedGenerator",
     "ChaosReport",
     "Completion",
     "EngineStats",

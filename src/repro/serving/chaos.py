@@ -244,8 +244,8 @@ def soak_once(
             f"slot leak: active={engine.num_active} "
             f"prefilling={engine.num_prefilling} queued={len(engine.queue)}"
         )
-    if engine._recovering:  # noqa: SLF001 - invariant check on drained engine
-        violations.append(f"recovery leak: slots {sorted(engine._recovering)}")
+    if engine.runner.retrying:
+        violations.append(f"recovery leak: slots {engine.runner.retrying}")
 
     degraded = engine.resilience_log.request_ids("degrade")
     for completion in completions:

@@ -31,29 +31,20 @@ requests, per-request admission deadlines (expired requests retire with
 ``finish_reason="expired"``), and a streaming ``on_token`` callback fired for
 every generated token as it is selected.
 
-Failure semantics (the resilience supervisor)
----------------------------------------------
-With a :class:`~repro.serving.resilience.ResilienceConfig` (implied by
-passing a :class:`~repro.serving.resilience.FaultInjector`), every model call
-is *supervised*: the affected slots' recurrent state is snapshotted first
-(cheap -- Mamba state is fixed-size, and quantized models checkpoint resident
-integer codes + PoT scales directly), the call runs on a working copy, and on
-failure the faulting request is isolated (direct attribution for detected
-corruption, binary search of the batch for a raising kernel), survivors
-commit bit-exactly, and the culprit retries with capped exponential backoff
--- in place for decode, requeued with its ``prefill_pos`` progress preserved
-for prefill -- until it recovers, degrades to the sequential oracle, or is
-quarantined with ``finish_reason="error"``.  See
-``src/repro/serving/README.md`` for the full state machine.
+Layering: the engine is the *loop* -- slots, queue, latency, completions.
+Model calls go through its :class:`~repro.serving.runner.ModelRunner`, which
+owns the slot-pool cache and the pending logits.  Failure semantics --
+snapshot, isolate, roll back, retry / requeue / degrade / quarantine -- belong
+to the :class:`~repro.serving.resilience.Supervisor` wrapped around the runner
+when a :class:`~repro.serving.resilience.ResilienceConfig` is given; the engine
+only applies its verdicts.  See ``src/repro/serving/README.md``.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -64,13 +55,12 @@ from repro.mamba.sampling import greedy_select, sample_select
 from repro.serving.queue import Clock, QueueEntry, RequestQueue
 from repro.serving.resilience import (
     FaultInjector,
-    IterationTimeout,
     ResilienceConfig,
     ResilienceLog,
-    StateCorruptionError,
-    cache_unhealthy,
-    unhealthy_rows,
+    Supervisor,
+    Verdict,
 )
+from repro.serving.runner import ModelRunner
 from repro.serving.scheduler import (
     AdmissionPlan,
     FIFOScheduler,
@@ -264,24 +254,6 @@ class _Slot:
 
 
 @dataclass
-class _Recovery:
-    """A decoding slot held in the supervisor's retry loop.
-
-    The slot's committed cache row still holds the pre-fault state (failed
-    calls run on working copies); ``snapshot`` is the authoritative 1-row
-    checkpoint retries re-derive from, and ``token`` the already-selected
-    (and already streamed / appended) token whose state advance failed.
-    """
-
-    snapshot: InferenceCache
-    token: int
-    attempts: int
-    retry_step: int
-    corruption: bool = False
-    error: str = ""
-
-
-@dataclass
 class _PrefillProgress:
     """A request whose prompt is being prefilled across engine iterations.
 
@@ -318,38 +290,21 @@ class InferenceEngine:
     seed:
         Base seed for sampled requests that do not carry their own ``seed``
         (request ``i`` then uses ``seed + i``).
-    prefill_chunk_tokens:
-        Back-compat shorthand for ``scheduler=FIFOScheduler(prefill_chunk_tokens=...)``:
-        bounds how many *prompt* tokens the engine processes per iteration
-        (chunked-prefill admission).  A long prompt is then prefilled across
-        several engine steps -- its slot is reserved but in-flight decodes
-        keep advancing every step, so one huge prompt can no longer stall the
-        running batch.  ``None`` (default) prefills each admitted prompt in
-        full at admission time.  For FP models chunked admission is exact
-        regardless of the segment size.  For a quantized chunk-parallel model
-        (lightmamba*), segmentation that lands on the model's ``chunk_size``
-        boundaries is bit-exact with a one-shot prefill (the PoT state
-        re-quantization is idempotent on chunk-aligned states); a
-        chunk-aligned budget keeps a request's segments aligned *when it has
-        the iteration's budget to itself*, but leftover budget shared with
-        another request in the same iteration can still produce an unaligned
-        segment, which shifts that prompt's state-quantization points by
-        quantization-noise scale (an approximation, not an error).
     scheduler:
         The admission policy (see :mod:`repro.serving.scheduler`).  Defaults
         to :class:`~repro.serving.scheduler.FIFOScheduler`, which reproduces
-        the pre-scheduler engine bit-for-bit.  Mutually exclusive with
-        ``prefill_chunk_tokens``.
+        the pre-scheduler engine bit-for-bit (whole-prompt admission; pass
+        ``FIFOScheduler(prefill_chunk_tokens=n)`` for chunked admission).
     clock:
         Time source for the request queue (arrival stamps, deadlines).
         Defaults to :func:`time.monotonic`; tests inject a fake clock.
     resilience:
         Supervisor policy (:class:`~repro.serving.resilience.ResilienceConfig`).
-        When set (or implied by ``fault_injector``), model calls run
-        supervised: snapshot, isolate, roll back, retry/requeue/degrade/
-        quarantine (see the module docstring).  ``None`` (default) keeps the
-        historical fail-fast behavior -- a model exception propagates out of
-        :meth:`step`.
+        When set (or implied by ``fault_injector``), the runner is wrapped
+        in a :class:`~repro.serving.resilience.Supervisor`: model calls are
+        snapshotted, isolated, rolled back and retried / requeued / degraded
+        / quarantined.  ``None`` (default) is fail-fast on the bare runner --
+        a model exception propagates out of :meth:`step`.
     fault_injector:
         Deterministic fault source for chaos testing
         (:class:`~repro.serving.resilience.FaultInjector`).  Implies a
@@ -362,7 +317,6 @@ class InferenceEngine:
         model: Mamba2Model,
         max_batch_size: int = 8,
         seed: int = 0,
-        prefill_chunk_tokens: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
         clock: Optional[Clock] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -370,16 +324,10 @@ class InferenceEngine:
     ):
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if scheduler is not None and prefill_chunk_tokens is not None:
-            raise ValueError("pass prefill_chunk_tokens or scheduler, not both")
         self.model = model
         self.max_batch_size = max_batch_size
         self.seed = seed
-        self.scheduler: Scheduler = (
-            scheduler
-            if scheduler is not None
-            else FIFOScheduler(prefill_chunk_tokens=prefill_chunk_tokens)
-        )
+        self.scheduler: Scheduler = scheduler if scheduler is not None else FIFOScheduler()
         self.stats = EngineStats()
         self.queue = RequestQueue() if clock is None else RequestQueue(clock=clock)
         self._submit_lock = threading.Lock()
@@ -389,36 +337,21 @@ class InferenceEngine:
         self._parked: Dict[int, _PrefillProgress] = {}
         self._latency: Dict[int, RequestLatency] = {}  # guarded-by: _submit_lock
         self._pending_completions: List[Completion] = []
-        # The model's own cache factory: lightmamba* models get a
-        # codes-resident slot pool, so admission and eviction move integer
-        # codes rather than floats.
-        self._cache = model.new_cache(batch_size=max_batch_size)
-        self._pending_logits = np.zeros(
-            (max_batch_size, model.config.vocab_size), dtype=np.float64
-        )
-        # --- resilience supervisor state (consumer-thread only) ---
+        self.resilience_log = ResilienceLog()
         if resilience is None and fault_injector is not None:
             resilience = ResilienceConfig()
-        self.resilience = resilience
-        self.fault_injector = fault_injector
-        self.resilience_log = ResilienceLog()
-        #: decoding slots held in the retry loop (slot_idx -> _Recovery)
-        self._recovering: Dict[int, _Recovery] = {}
-        #: cumulative fault attempts per request (persists across requeues)
-        self._fault_attempts: Dict[int, int] = {}
-        #: requests degraded to the sequential-oracle prefill fallback
-        self._degraded: Set[int] = set()
-        #: slots retired from service after attributed corruption
-        self._quarantined_slots: Set[int] = set()
-
-    @property
-    def _supervised(self) -> bool:
-        return self.resilience is not None
-
-    @property
-    def prefill_chunk_tokens(self) -> Optional[int]:
-        """The FIFO policy's chunk budget, if the scheduler has one."""
-        return getattr(self.scheduler, "prefill_chunk_tokens", None)
+        #: the one model-call site; wrapped in a Supervisor iff supervised
+        self.runner: Union[ModelRunner, Supervisor] = ModelRunner(model, max_batch_size)
+        if resilience is not None:
+            self.runner = Supervisor(
+                self.runner, resilience, fault_injector,
+                stats=self.stats, clock=self.queue.clock, log=self.resilience_log,
+            )
+        # Verdict-driven state: only a Supervisor ever fills these.
+        #: decoding slots sitting out until their retry iteration (slot -> step)
+        self._retry_at: Dict[int, int] = {}
+        #: slots a quarantine verdict retired from service
+        self._retired_slots: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -492,20 +425,14 @@ class InferenceEngine:
         if entry is not None:
             # Waiting (possibly with parked preempted-prefill progress).
             self._parked.pop(request_id, None)
-            self._finish(request_id, "cancelled")
-            self.stats.cancelled += 1
-            self._pending_completions.append(
-                self._completion(request_id, entry.request, [], [], "cancelled")
-            )
+            retired = self._retire(request_id, entry.request, "cancelled")
+            self._pending_completions.append(retired)
             return True
         for slot_idx, progress in list(self._prefilling.items()):
             if progress.request_id == request_id:
                 del self._prefilling[slot_idx]
-                self._finish(request_id, "cancelled")
-                self.stats.cancelled += 1
-                self._pending_completions.append(
-                    self._completion(request_id, progress.request, [], [], "cancelled")
-                )
+                retired = self._retire(request_id, progress.request, "cancelled")
+                self._pending_completions.append(retired)
                 return True
         for slot_idx, slot in enumerate(self._slots):
             if slot is not None and slot.request_id == request_id:
@@ -515,15 +442,7 @@ class InferenceEngine:
                     # true finish reason -- cancelling now would double-retire
                     # the slot and overwrite "stop" with "cancelled".
                     return False
-                self._slots[slot_idx] = None
-                self._recovering.pop(slot_idx, None)
-                self._finish(request_id, "cancelled")
-                self.stats.cancelled += 1
-                self._pending_completions.append(
-                    self._completion(
-                        request_id, slot.request, slot.tokens, slot.logprobs, "cancelled"
-                    )
-                )
+                self._pending_completions.append(self._vacate(slot_idx, "cancelled"))
                 return True
         return False
 
@@ -616,20 +535,14 @@ class InferenceEngine:
         (:attr:`RequestLatency.callback_error`), and streaming is disabled
         for that request only.
 
-        Under a resilience supervisor the step additionally retries faulted
-        slots whose backoff has elapsed (before planning, so freed or
-        recovered slots are visible to the scheduler and rejoin decode in the
-        same iteration) and routes decode through the supervised
-        snapshot/rollback path.
+        Slots a supervisor holds in retry are re-attempted before planning
+        (:meth:`_retry_held`) and sit out select / decode until they recover.
         """
         self.stats.engine_steps += 1
-        completions: List[Completion] = []
-        if self._pending_completions:
-            completions.extend(self._pending_completions)
-            self._pending_completions.clear()
+        completions: List[Completion] = list(self._pending_completions)
+        self._pending_completions.clear()
         completions.extend(self._expire())
-        if self._supervised and self._recovering:
-            completions.extend(self._retry_recoveries())
+        completions.extend(self._retry_held())
         plan = self.scheduler.plan(
             self.queue.entries(engine_step=self.stats.engine_steps), self._context()
         )
@@ -639,11 +552,12 @@ class InferenceEngine:
         active = [
             i
             for i, slot in enumerate(self._slots)
-            if slot is not None and i not in self._recovering
+            if slot is not None and i not in self._retry_at
         ]
         if not active:
             return completions
 
+        on_token = self.runner.streaming(on_token)
         chosen = np.zeros(len(active), dtype=np.int64)
         survivors: List[int] = []
         for row, slot_idx in enumerate(active):
@@ -652,7 +566,7 @@ class InferenceEngine:
                 # Cancelled mid-step by an earlier slot's on_token callback;
                 # its cancelled completion is already pending.
                 continue
-            token, logprob = self._select(slot, self._pending_logits[slot_idx])
+            token, logprob = self._select(slot, self.runner.logits(slot_idx))
             slot.tokens.append(token)
             slot.logprobs.append(logprob)
             chosen[row] = token
@@ -663,36 +577,24 @@ class InferenceEngine:
                     latency.first_token_step = self.stats.engine_steps
                 latency.decode_iterations += 1
             if on_token is not None and not slot.streaming_disabled:
-                if self.fault_injector is not None and self.fault_injector.drop_callback(
-                    self.stats.engine_steps, slot.request_id
-                ):
-                    self.stats.callback_drops += 1
-                    self._log("callback_drop", request_id=slot.request_id)
-                else:
-                    try:
-                        on_token(slot.request_id, token, logprob)
-                    except Exception as exc:
-                        # A user callback must never unwind the engine: record
-                        # the failure and stop streaming this request only.
-                        slot.streaming_disabled = True
-                        self.stats.callback_errors += 1
-                        with self._submit_lock:
-                            self._latency[slot.request_id].callback_error = repr(exc)
-                        self._log(
-                            "callback_error", request_id=slot.request_id, detail=repr(exc)
-                        )
+                try:
+                    on_token(slot.request_id, token, logprob)
+                except Exception as exc:
+                    # A user callback must never unwind the engine: record
+                    # the failure and stop streaming this request only.
+                    slot.streaming_disabled = True
+                    self.stats.callback_errors += 1
+                    with self._submit_lock:
+                        self._latency[slot.request_id].callback_error = repr(exc)
+                    self._log("callback_error", request_id=slot.request_id, detail=repr(exc))
             if self._slots[slot_idx] is not slot:
                 # The callback cancelled this very request: its completion
                 # (including the token just streamed) is already pending;
                 # don't retire it twice or decode it further.
                 continue
-            request = slot.request
-            stopped = request.stop_token is not None and token == request.stop_token
-            done = stopped or len(slot.tokens) >= request.max_new_tokens
-            if done:
-                completions.append(
-                    self._retire(slot_idx, "stop" if stopped else "length")
-                )
+            if self._slot_finished(slot):
+                stopped = token == slot.request.stop_token
+                completions.append(self._vacate(slot_idx, "stop" if stopped else "length"))
             else:
                 survivors.append(row)
 
@@ -701,24 +603,7 @@ class InferenceEngine:
         survivors = [row for row in survivors if self._slots[active[row]] is not None]
         if survivors:
             slot_indices = [active[row] for row in survivors]
-            if self._supervised:
-                completions.extend(
-                    self._supervised_decode(slot_indices, chosen[survivors])
-                )
-            elif len(slot_indices) == self.max_batch_size:
-                # Full batch: every slot survives, so step the slot cache in
-                # place and skip the per-token gather/scatter copies.
-                logits = self.model.step(chosen[survivors], self._cache)
-                self.stats.decode_calls += 1
-                self.stats.decode_call_rows += len(slot_indices)
-                self._pending_logits[slot_indices] = logits
-            else:
-                batch = self._cache.gather(slot_indices)
-                logits = self.model.step(chosen[survivors], batch)
-                self._cache.scatter(slot_indices, batch)
-                self.stats.decode_calls += 1
-                self.stats.decode_call_rows += len(slot_indices)
-                self._pending_logits[slot_indices] = logits
+            completions.extend(self._decode(slot_indices, chosen[survivors]))
         return completions
 
     def run(
@@ -794,57 +679,34 @@ class InferenceEngine:
         generated.  The engine is drained afterwards (``has_work`` is false
         modulo completions already returned).
         """
-        completions: List[Completion] = []
-        if self._pending_completions:
-            completions.extend(self._pending_completions)
-            self._pending_completions.clear()
-        for entry in self.queue.entries():
+        waiting = self.queue.entries()
+        for entry in waiting:
             self.queue.cancel(entry.request_id)
-            self._parked.pop(entry.request_id, None)
-            self._finish(entry.request_id, "error")
-            self.stats.aborted += 1
-            completions.append(
-                self._completion(
-                    entry.request_id, entry.request, [], [], "error", error=message
-                )
-            )
-        for slot_idx, progress in list(self._prefilling.items()):
-            del self._prefilling[slot_idx]
-            self._finish(progress.request_id, "error")
-            self.stats.aborted += 1
-            completions.append(
-                self._completion(
-                    progress.request_id, progress.request, [], [], "error", error=message
-                )
-            )
-        self._recovering.clear()
+        aborted = [
+            self._retire(holder.request_id, holder.request, "error", error=message)
+            for holder in (*waiting, *self._prefilling.values())
+        ]
+        self._parked.clear()
+        self._prefilling.clear()
         for slot_idx, slot in enumerate(self._slots):
-            if slot is None:
-                continue
-            self._slots[slot_idx] = None
-            self._finish(slot.request_id, "error")
-            self.stats.aborted += 1
-            completions.append(
-                self._completion(
-                    slot.request_id, slot.request, slot.tokens, slot.logprobs, "error",
-                    error=message,
-                )
-            )
+            if slot is not None:
+                aborted.append(self._vacate(slot_idx, "error", error=message))
+        self.stats.aborted += len(aborted)
+        completions = self._pending_completions + aborted
+        self._pending_completions = []
         self._log("abort", detail=message)
         return completions
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _free_slots(self) -> List[int]:
+        """Slots a new request may take: empty, unreserved, still in service."""
+        taken = self._prefilling.keys() | self._retired_slots
+        return [i for i, slot in enumerate(self._slots) if slot is None and i not in taken]
+
     def _context(self) -> SchedulerContext:
         """The engine-state snapshot the scheduler plans against."""
-        free = tuple(
-            i
-            for i in range(self.max_batch_size)
-            if self._slots[i] is None
-            and i not in self._prefilling
-            and i not in self._quarantined_slots
-        )
         prefilling = tuple(
             PrefillView(
                 slot=slot_idx,
@@ -858,10 +720,10 @@ class InferenceEngine:
         return SchedulerContext(
             engine_step=self.stats.engine_steps,
             max_batch_size=self.max_batch_size,
-            free_slots=free,
+            free_slots=tuple(self._free_slots()),
             prefilling=prefilling,
             num_decoding=self.num_active,
-            quarantined_slots=tuple(sorted(self._quarantined_slots)),
+            quarantined_slots=tuple(sorted(self._retired_slots)),
         )
 
     def _expire(self) -> List[Completion]:
@@ -869,11 +731,7 @@ class InferenceEngine:
         completions: List[Completion] = []
         for entry in self.queue.take_expired():
             self._parked.pop(entry.request_id, None)
-            self._finish(entry.request_id, "expired")
-            self.stats.expired += 1
-            completions.append(
-                self._completion(entry.request_id, entry.request, [], [], "expired")
-            )
+            completions.append(self._retire(entry.request_id, entry.request, "expired"))
         return completions
 
     def _apply_plan(self, plan: AdmissionPlan) -> List[Completion]:
@@ -882,12 +740,7 @@ class InferenceEngine:
         for slot_idx in plan.preempt:
             if slot_idx not in self._prefilling:
                 raise ValueError(f"plan preempts slot {slot_idx}, which is not prefilling")
-            progress = self._prefilling.pop(slot_idx)
-            self._parked[progress.request_id] = progress
-            # Record the parked position so schedulers budget only the
-            # remaining prompt tokens on re-admission.
-            progress.entry.prefill_pos = progress.pos
-            self.queue.requeue(progress.entry)
+            self._park(slot_idx)
             self.stats.preempted += 1
         for slot_idx, tokens in plan.resume:
             if slot_idx not in self._prefilling:
@@ -895,14 +748,7 @@ class InferenceEngine:
             if tokens is not None and tokens <= 0:
                 raise ValueError("resume token grants must be positive (or None)")
             completions.extend(self._advance_prefill(slot_idx, tokens))
-        free = [
-            i
-            for i in range(self.max_batch_size)
-            if self._slots[i] is None
-            and i not in self._prefilling
-            and i not in self._quarantined_slots
-        ]
-        free_iter = iter(free)
+        free_iter = iter(self._free_slots())
         for request_id, tokens in plan.admit:
             if request_id not in self.queue:
                 raise ValueError(f"plan admits request {request_id}, which is not queued")
@@ -918,11 +764,7 @@ class InferenceEngine:
                     latency.admitted_at = self.queue.clock()
             if entry.request.max_new_tokens == 0:
                 # Degenerate request: completes immediately, never holds a slot.
-                self.stats.completed += 1
-                self._finish(request_id, "length")
-                completions.append(
-                    self._completion(request_id, entry.request, [], [], "length")
-                )
+                completions.append(self._retire(request_id, entry.request, "length"))
                 continue
             try:
                 slot_idx = next(free_iter)
@@ -930,10 +772,25 @@ class InferenceEngine:
                 raise ValueError("plan admits more requests than free slots") from None
             progress = self._parked.pop(request_id, None)
             if progress is None:
-                progress = _PrefillProgress(entry=entry, cache=self.model.new_cache())
+                progress = _PrefillProgress(entry=entry, cache=self.runner.new_cache())
             self._prefilling[slot_idx] = progress
             completions.extend(self._advance_prefill(slot_idx, tokens))
         return completions
+
+    def _park(self, slot_idx: int, hold_until_step: Optional[int] = None) -> _PrefillProgress:
+        """Send an in-flight prefill back to the queue, its progress parked.
+
+        ``prefill_pos`` records how far it got, so schedulers budget only the
+        remaining prompt tokens; ``hold_until_step`` keeps the entry invisible
+        to the scheduler until that iteration (a supervisor's backoff).
+        """
+        progress = self._prefilling.pop(slot_idx)
+        self._parked[progress.request_id] = progress
+        progress.entry.prefill_pos = progress.pos
+        if hold_until_step is not None:
+            progress.entry.hold_until_step = hold_until_step
+        self.queue.requeue(progress.entry)
+        return progress
 
     def _advance_prefill(self, slot_idx: int, tokens: Optional[int]) -> List[Completion]:
         """Consume up to ``tokens`` prompt tokens of one in-flight prefill.
@@ -941,13 +798,9 @@ class InferenceEngine:
         The request's single-sequence cache is continued exactly across
         segments (chunked scan + conv-window carry); when the prompt is
         exhausted the request is installed into its slot with the true
-        last-token logits pending, ready to decode this very iteration.
-
-        Under supervision the segment runs against a pre-call snapshot of the
-        progress cache: a failing segment (kernel raise, detected corruption,
-        watchdog timeout) rolls the cache back and routes through
-        :meth:`_handle_prefill_failure` (requeue with backoff, degrade, or
-        quarantine -- whose completion is returned).
+        last-token logits pending, ready to decode this very iteration.  A
+        supervised segment that fails comes back as a verdict instead
+        (requeue with backoff, or quarantine -- whose completion is returned).
         """
         progress = self._prefilling[slot_idx]
         prompt = np.asarray(progress.request.prompt, dtype=np.int64)
@@ -956,52 +809,18 @@ class InferenceEngine:
         if take <= 0:
             return []
         segment = prompt[progress.pos : progress.pos + take]
-        if not self._supervised:
-            logits, _ = self.model.prefill(segment, cache=progress.cache)
-        else:
-            request_id = progress.request_id
-            snapshot = progress.cache.copy()
-            self._record_snapshot(snapshot)
-            corrupted = self._apply_corruption(
-                "prefill", [request_id], progress.cache
-            )
-            guard = (
-                np.errstate(invalid="ignore", over="ignore")
-                if corrupted
-                else nullcontext()
-            )
-            try:
-                call = partial(self.model.prefill, segment, cache=progress.cache)
-                if request_id in self._degraded:
-                    # Graceful degradation: the per-token sequential oracle
-                    # (the fake-quant step, no chunked scan), still
-                    # integer-resident at the store.
-                    call = partial(call, scan_impl="sequential")
-                with guard:
-                    logits, _ = self._model_call("prefill", [request_id], call)
-                if not np.isfinite(logits).all() or cache_unhealthy(progress.cache):
-                    raise StateCorruptionError(
-                        f"non-finite state or logits after prefill of request "
-                        f"{request_id}"
-                    )
-            except Exception as exc:
-                progress.cache = snapshot
-                self.stats.rollbacks += 1
-                self._log(
-                    "rollback", request_id=request_id, site="prefill", detail=repr(exc)
-                )
-                return self._handle_prefill_failure(slot_idx, exc)
-            if self._fault_attempts.get(request_id):
-                self.stats.recovered += 1
-                self._fault_attempts[request_id] = 0
-                self._log("recovered", request_id=request_id, site="prefill")
+        outcome = self.runner.prefill(
+            segment, progress.cache, slot=slot_idx, request_id=progress.request_id
+        )
+        if isinstance(outcome, Verdict):
+            return self._apply_verdicts([outcome])
+        logits, progress.cache = outcome
         progress.pos += take
         self.stats.prefill_calls += 1
         self.stats.prefilled_tokens += take
         if progress.pos == prompt.shape[0]:
             del self._prefilling[slot_idx]
-            self._cache.scatter([slot_idx], InferenceCache.stack([progress.cache]))
-            self._pending_logits[slot_idx] = logits
+            self.runner.install(slot_idx, progress.cache, logits)
             request = progress.request
             rng = None
             if request.temperature is not None:
@@ -1016,373 +835,66 @@ class InferenceEngine:
             )
         return []
 
+    def _decode(self, slot_indices: List[int], tokens: np.ndarray) -> List[Completion]:
+        """Advance these slots by one token each, in one batched runner call."""
+        request_ids = [self._slots[i].request_id for i in slot_indices]
+        verdicts = self.runner.decode(slot_indices, tokens, request_ids) or ()
+        # One verdict per row that did not advance.
+        advanced = len(slot_indices) - len(verdicts)
+        self.stats.decode_calls += advanced > 0
+        self.stats.decode_call_rows += advanced
+        return self._apply_verdicts(verdicts)
+
     # ------------------------------------------------------------------
-    # Resilience supervisor (consumer-thread only, like step/cancel)
+    # Verdicts (only a Supervisor issues them; see repro.serving.resilience)
     # ------------------------------------------------------------------
-    def _log(
-        self,
-        action: str,
-        request_id: Optional[int] = None,
-        site: Optional[str] = None,
-        detail: str = "",
-    ) -> None:
+    def _retry_held(self) -> List[Completion]:
+        """Decode again, alone, each held slot whose backoff has elapsed.
+
+        The slot's last token was selected (and streamed) before its state
+        advance failed, so it is fed again.  Runs before planning: a
+        recovered slot regains pending logits and rejoins select / decode in
+        the same iteration, and a quarantined slot is visible as free (or
+        retired) to the scheduler.
+        """
+        completions: List[Completion] = []
+        for slot_idx in sorted(self._retry_at):
+            if self._retry_at[slot_idx] <= self.stats.engine_steps:
+                del self._retry_at[slot_idx]
+                last = np.asarray(self._slots[slot_idx].tokens[-1:], dtype=np.int64)
+                completions.extend(self._decode([slot_idx], last))
+        return completions
+
+    def _apply_verdicts(self, verdicts: Sequence[Verdict]) -> List[Completion]:
+        """Mechanically apply a supervisor's verdicts (no policy decisions here)."""
+        completions: List[Completion] = []
+        for verdict in verdicts:
+            slot_idx = verdict.slot
+            if verdict.action == "retry":
+                self._retry_at[slot_idx] = verdict.step
+            elif verdict.action == "requeue":
+                progress = self._park(slot_idx, hold_until_step=verdict.step)
+                detail = (
+                    f"attempt {verdict.attempts}, prefill_pos {progress.pos}, "
+                    f"hold until step {verdict.step}"
+                )
+                self._log("requeue", progress.request_id, site="prefill", detail=detail)
+            else:
+                if verdict.retire_slot:
+                    self._retired_slots.add(slot_idx)
+                progress = self._prefilling.pop(slot_idx, None)
+                if progress is None:
+                    completions.append(self._vacate(slot_idx, "error", verdict.error))
+                    continue
+                request_id, request = progress.request_id, progress.request
+                completions.append(self._retire(request_id, request, "error", error=verdict.error))
+        return completions
+
+    # ------------------------------------------------------------------
+    def _log(self, action: str, request_id: Optional[int] = None, **fields: str) -> None:
         self.resilience_log.record(
-            self.stats.engine_steps, action, request_id=request_id, site=site, detail=detail
+            self.stats.engine_steps, action, request_id=request_id, **fields
         )
-
-    def _record_snapshot(self, snapshot: InferenceCache) -> None:
-        """Account a pre-iteration checkpoint in the stats ledger."""
-        rows = snapshot.batch_size or 1
-        self.stats.snapshot_rows += rows
-        self.stats.snapshot_bytes += snapshot.resident_state_bytes()
-
-    def _model_call(self, site: str, request_ids: List[int], call):
-        """Run one supervised model call: injector hook plus watchdog.
-
-        The injector may stall (advancing an injected clock) or raise before
-        the call; the watchdog then converts a call whose wall time (on the
-        queue's clock) exceeded the budget into an :class:`IterationTimeout`,
-        which flows through the same retry/quarantine path as any failure --
-        a stuck step becomes a timed-out retirement instead of a hung run.
-        """
-        clock = self.queue.clock
-        start = clock()
-        if self.fault_injector is not None:
-            self.fault_injector.on_model_call(site, self.stats.engine_steps, request_ids)
-        result = call()
-        budget = self.resilience.watchdog_budget_s
-        if budget is not None:
-            elapsed = clock() - start
-            if elapsed > budget:
-                self.stats.watchdog_timeouts += 1
-                self._log(
-                    "watchdog",
-                    request_id=request_ids[0] if len(request_ids) == 1 else None,
-                    site=site,
-                    detail=f"elapsed {elapsed:.3f}s > budget {budget:.3f}s",
-                )
-                raise IterationTimeout(
-                    f"supervised {site} call took {elapsed:.3f}s "
-                    f"(watchdog budget {budget:.3f}s)"
-                )
-        return result
-
-    def _apply_corruption(
-        self, site: str, request_ids: List[int], cache: InferenceCache
-    ) -> List[int]:
-        """Poison working-state rows the injector attributes a corruption to.
-
-        The poison (non-finite conv-window taps) is applied to the *working
-        copy* only -- committed slot state is untouched -- and surfaces in
-        the post-call health check (:func:`~repro.serving.resilience.unhealthy_rows`),
-        which gives the supervisor exact per-row attribution.
-        """
-        if self.fault_injector is None:
-            return []
-        rows = self.fault_injector.corrupt_rows(
-            site, self.stats.engine_steps, request_ids
-        )
-        for row in rows:
-            for layer in cache.layers:
-                if layer.conv_state.ndim == 3:
-                    layer.conv_state[row] = np.nan
-                else:
-                    layer.conv_state[...] = np.nan
-            self._log("corrupt", request_id=request_ids[row], site=site)
-        return rows
-
-    def _supervised_decode(
-        self, slot_indices: List[int], tokens: np.ndarray
-    ) -> List[Completion]:
-        """Advance surviving slots under the supervisor.
-
-        Snapshots the affected rows, runs the batched decode on a working
-        copy, and commits (scatter + pending logits) only healthy, successful
-        rows -- so survivors of a faulting batch are bit-identical to a
-        fault-free run by construction.  A raising call is isolated by
-        binary-searching the batch; detected corruption carries its own
-        per-row attribution.  Each faulting slot rolls back to its snapshot
-        and enters the retry loop (:meth:`_retry_recoveries`) or is
-        quarantined once its attempt budget is exhausted.
-        """
-        snapshot = self._cache.snapshot_rows(slot_indices)
-        self._record_snapshot(snapshot)
-        failures: List[Tuple[int, BaseException]] = []
-
-        def solve(positions: List[int]) -> None:
-            rows = [slot_indices[p] for p in positions]
-            request_ids = [self._slots[r].request_id for r in rows]
-            batch = snapshot.gather(positions)
-            corrupted = self._apply_corruption("decode", request_ids, batch)
-            guard = (
-                np.errstate(invalid="ignore", over="ignore")
-                if corrupted
-                else nullcontext()
-            )
-            try:
-                with guard:
-                    logits = self._model_call(
-                        "decode",
-                        request_ids,
-                        partial(self.model.step, tokens[positions], batch),
-                    )
-            except Exception as exc:
-                if len(positions) == 1:
-                    failures.append((positions[0], exc))
-                    return
-                # Isolate the culprit: binary-search the batch.  Healthy
-                # halves commit on their own call; numerics are unchanged
-                # because batch rows are independent (per-row quant grids).
-                # A fault that does not reproduce on the halves was
-                # transient: every row then commits from its snapshot.
-                self._log(
-                    "isolate",
-                    site="decode",
-                    detail=f"{len(positions)} rows, {exc!r}",
-                )
-                mid = len(positions) // 2
-                solve(positions[:mid])
-                solve(positions[mid:])
-                return
-            bad = set(unhealthy_rows(batch, logits))
-            good = [i for i in range(len(positions)) if i not in bad]
-            if good:
-                good_rows = [rows[i] for i in good]
-                self._cache.scatter(good_rows, batch.gather(good))
-                self._pending_logits[good_rows] = logits[good]
-                self.stats.decode_calls += 1
-                self.stats.decode_call_rows += len(good)
-            for i in sorted(bad):
-                failures.append(
-                    (
-                        positions[i],
-                        StateCorruptionError(
-                            f"non-finite state or logits for request {request_ids[i]}"
-                        ),
-                    )
-                )
-
-        solve(list(range(len(slot_indices))))
-        completions: List[Completion] = []
-        for position, exc in failures:
-            slot_idx = slot_indices[position]
-            completions.extend(
-                self._register_decode_failure(
-                    slot_idx,
-                    snapshot.gather([position]),
-                    int(tokens[position]),
-                    exc,
-                )
-            )
-        return completions
-
-    def _register_decode_failure(
-        self,
-        slot_idx: int,
-        row_snapshot: InferenceCache,
-        token: int,
-        exc: BaseException,
-    ) -> List[Completion]:
-        """Roll one faulted decode row back and schedule its retry.
-
-        The already-selected token stays appended (it was produced from the
-        previous, healthy logits); only the state advance is retried.  The
-        attempt budget spans the request's whole life (shared with prefill
-        faults via ``_fault_attempts``); exhausting it quarantines the
-        request immediately.
-        """
-        slot = self._slots[slot_idx]
-        request_id = slot.request_id
-        self.stats.faults += 1
-        self._log("fault", request_id=request_id, site="decode", detail=repr(exc))
-        # The committed row never saw the failed call (it ran on a working
-        # copy), but restore explicitly so the invariant "a faulted slot's
-        # state equals its snapshot" holds unconditionally.
-        self._cache.restore_rows([slot_idx], row_snapshot)
-        self.stats.rollbacks += 1
-        self._log("rollback", request_id=request_id, site="decode")
-        attempts = self._fault_attempts.get(request_id, 0) + 1
-        self._fault_attempts[request_id] = attempts
-        corruption = isinstance(exc, StateCorruptionError)
-        recovery = self._recovering.get(slot_idx)
-        if recovery is not None:
-            recovery.attempts = attempts
-            recovery.corruption = recovery.corruption or corruption
-            recovery.error = repr(exc)
-        else:
-            recovery = _Recovery(
-                snapshot=row_snapshot,
-                token=token,
-                attempts=attempts,
-                retry_step=0,  # set below (quarantine path never reads it)
-                corruption=corruption,
-                error=repr(exc),
-            )
-            self._recovering[slot_idx] = recovery
-        if attempts >= self.resilience.max_attempts:
-            return [self._quarantine_active(slot_idx, exc, recovery.corruption)]
-        backoff = self.resilience.backoff_iterations(attempts)
-        recovery.retry_step = self.stats.engine_steps + backoff
-        self.stats.retries += 1
-        self._log(
-            "backoff",
-            request_id=request_id,
-            site="decode",
-            detail=f"attempt {attempts}, retry at step {recovery.retry_step}",
-        )
-        return []
-
-    def _retry_recoveries(self) -> List[Completion]:
-        """Re-attempt faulted decode slots whose backoff has elapsed.
-
-        Runs before planning, so a recovered slot regains pending logits and
-        rejoins the select/decode path in the same iteration, and a
-        quarantined slot is visible as free (or quarantined) to the
-        scheduler.  Retries re-derive from the slot's bit-exact snapshot,
-        feeding the same already-selected token, so a recovered request's
-        stream is identical to a fault-free run.
-        """
-        completions: List[Completion] = []
-        step_no = self.stats.engine_steps
-        for slot_idx in sorted(self._recovering):
-            recovery = self._recovering[slot_idx]
-            if recovery.retry_step > step_no:
-                continue
-            slot = self._slots[slot_idx]
-            request_id = slot.request_id
-            batch = recovery.snapshot.gather([0])
-            corrupted = self._apply_corruption("decode", [request_id], batch)
-            guard = (
-                np.errstate(invalid="ignore", over="ignore")
-                if corrupted
-                else nullcontext()
-            )
-            token = np.asarray([recovery.token], dtype=np.int64)
-            try:
-                with guard:
-                    logits = self._model_call(
-                        "decode", [request_id], partial(self.model.step, token, batch)
-                    )
-                if unhealthy_rows(batch, logits):
-                    raise StateCorruptionError(
-                        f"non-finite state or logits for request {request_id}"
-                    )
-            except Exception as exc:
-                completions.extend(
-                    self._register_decode_failure(
-                        slot_idx, recovery.snapshot, recovery.token, exc
-                    )
-                )
-                continue
-            self._cache.scatter([slot_idx], batch)
-            self._pending_logits[slot_idx] = logits[0]
-            self.stats.decode_calls += 1
-            self.stats.decode_call_rows += 1
-            del self._recovering[slot_idx]
-            self.stats.recovered += 1
-            self._fault_attempts[request_id] = 0
-            self._log("recovered", request_id=request_id, site="decode")
-        return completions
-
-    def _quarantine_active(
-        self, slot_idx: int, exc: BaseException, corruption: bool
-    ) -> Completion:
-        """Retire a decoding slot's request with ``finish_reason="error"``."""
-        slot = self._slots[slot_idx]
-        self._slots[slot_idx] = None
-        self._recovering.pop(slot_idx, None)
-        request_id = slot.request_id
-        self.stats.quarantined += 1
-        self._finish(request_id, "error")
-        if corruption:
-            self._maybe_quarantine_slot(slot_idx)
-        self._log("quarantine", request_id=request_id, site="decode", detail=repr(exc))
-        return self._completion(
-            request_id, slot.request, slot.tokens, slot.logprobs, "error", error=repr(exc)
-        )
-
-    def _maybe_quarantine_slot(self, slot_idx: int) -> None:
-        """Retire a slot from service after an attributed corruption fault.
-
-        Models a bad memory bank: the slot never re-enters the free list the
-        scheduler sees.  At least one slot always stays in service, so the
-        engine can still drain its queue (slowly) under a corruption storm.
-        """
-        if not self.resilience.quarantine_slots:
-            return
-        if slot_idx in self._quarantined_slots:
-            return
-        if self.max_batch_size - len(self._quarantined_slots) <= 1:
-            return
-        self._quarantined_slots.add(slot_idx)
-        self.stats.slots_quarantined += 1
-        self._log("slot_quarantine", detail=f"slot {slot_idx}")
-
-    def _handle_prefill_failure(
-        self, slot_idx: int, exc: BaseException
-    ) -> List[Completion]:
-        """Requeue (with backoff), degrade, or quarantine a faulted prefill.
-
-        The progress cache was already rolled back by the caller; here the
-        request leaves its reserved slot and either re-enters the queue --
-        parked progress and ``prefill_pos`` preserved, held invisible to the
-        scheduler until its backoff elapses -- or retires with
-        ``finish_reason="error"`` once its attempt budget is exhausted.  An
-        ``OverflowError`` (an integer kernel's static overflow guard --
-        retrying cannot fix it) or ``degrade_after`` cumulative failures
-        switch the request to the sequential-oracle fallback for all its
-        remaining prefill work.
-        """
-        progress = self._prefilling.pop(slot_idx)
-        request_id = progress.request_id
-        self.stats.faults += 1
-        self._log("fault", request_id=request_id, site="prefill", detail=repr(exc))
-        attempts = self._fault_attempts.get(request_id, 0) + 1
-        self._fault_attempts[request_id] = attempts
-        corruption = isinstance(exc, StateCorruptionError)
-        if request_id not in self._degraded and (
-            isinstance(exc, OverflowError) or attempts >= self.resilience.degrade_after
-        ):
-            self._degraded.add(request_id)
-            self.stats.degraded += 1
-            self._log(
-                "degrade",
-                request_id=request_id,
-                site="prefill",
-                detail="sequential-oracle fallback",
-            )
-        if attempts >= self.resilience.max_attempts:
-            self.stats.quarantined += 1
-            self._finish(request_id, "error")
-            if corruption:
-                self._maybe_quarantine_slot(slot_idx)
-            self._log(
-                "quarantine", request_id=request_id, site="prefill", detail=repr(exc)
-            )
-            return [
-                self._completion(
-                    request_id, progress.request, [], [], "error", error=repr(exc)
-                )
-            ]
-        entry = progress.entry
-        entry.prefill_pos = progress.pos
-        entry.hold_until_step = (
-            self.stats.engine_steps + self.resilience.backoff_iterations(attempts)
-        )
-        self._parked[request_id] = progress
-        self.queue.requeue(entry)
-        self.stats.retries += 1
-        self.stats.requeued_faults += 1
-        self._log(
-            "requeue",
-            request_id=request_id,
-            site="prefill",
-            detail=(
-                f"attempt {attempts}, prefill_pos {progress.pos}, "
-                f"hold until step {entry.hold_until_step}"
-            ),
-        )
-        return []
 
     def _select(self, slot: _Slot, logits: np.ndarray) -> Tuple[int, float]:
         """Choose the next token for one slot from its pending logits."""
@@ -1398,26 +910,36 @@ class InferenceEngine:
         )
         return int(picked[0]), float(logprob[0])
 
-    def _finish(self, request_id: int, reason: str) -> None:
+    def _vacate(self, slot_idx: int, reason: str, error: Optional[str] = None) -> Completion:
+        """Free a decoding slot and retire its request, generated tokens kept."""
+        slot = self._slots[slot_idx]
+        self._slots[slot_idx] = None
+        self._retry_at.pop(slot_idx, None)
+        tokens, logprobs = slot.tokens, slot.logprobs
+        return self._retire(slot.request_id, slot.request, reason, tokens, logprobs, error)
+
+    def _retire(
+        self, request_id: int, request: Request, reason: str,
+        tokens: Sequence[int] = (), logprobs: Sequence[float] = (), error: Optional[str] = None,
+    ) -> Completion:
+        """The one way a request leaves the engine.
+
+        Stamps its latency record, lets the runner drop what it kept for the
+        request, counts it, and builds its completion.  ``"error"``
+        retirements are counted by whoever decided them (``quarantined`` by
+        the supervisor, ``aborted`` by the ``run()`` guards).
+        """
         with self._submit_lock:
             latency = self._latency[request_id]
             latency.finished_step = self.stats.engine_steps
             latency.finish_reason = reason
-        # Per-request fault bookkeeping dies with the request.
-        self._fault_attempts.pop(request_id, None)
-        self._degraded.discard(request_id)
-
-    def _completion(
-        self,
-        request_id: int,
-        request: Request,
-        tokens: List[int],
-        logprobs: List[float],
-        reason: str,
-        error: Optional[str] = None,
-    ) -> Completion:
-        with self._submit_lock:
-            latency = self._latency.get(request_id)
+        self.runner.release(request_id)
+        if reason in ("stop", "length"):
+            self.stats.completed += 1
+        elif reason == "cancelled":
+            self.stats.cancelled += 1
+        elif reason == "expired":
+            self.stats.expired += 1
         return Completion(
             request_id=request_id,
             request=request,
@@ -1427,13 +949,4 @@ class InferenceEngine:
             finish_reason=reason,
             latency=latency,
             error=error,
-        )
-
-    def _retire(self, slot_idx: int, reason: str) -> Completion:
-        slot = self._slots[slot_idx]
-        self._slots[slot_idx] = None
-        self.stats.completed += 1
-        self._finish(slot.request_id, reason)
-        return self._completion(
-            slot.request_id, slot.request, slot.tokens, slot.logprobs, reason
         )

@@ -1,7 +1,8 @@
-"""Deterministic fault injection and the engine supervisor's policy objects.
+"""Deterministic fault injection and the supervisor that survives it.
 
-The serving layer's failure semantics are built from three pieces that live
-here so they can be tested (and reasoned about) independently of the engine:
+The serving layer's failure semantics live here, apart from the engine loop
+(:mod:`repro.serving.engine`, mechanics) and the model-call site
+(:mod:`repro.serving.runner`):
 
 - **Fault injection** -- :class:`FaultPlan` / :class:`FaultInjector`: a
   seeded, schedule-addressable description of *when* (engine iteration),
@@ -17,12 +18,16 @@ here so they can be tested (and reasoned about) independently of the engine:
   exponential backoff (in deterministic engine iterations, not wall time),
   the degradation threshold after which a request falls back to the
   sequential oracle, and the iteration watchdog budget.
-- **Accounting** -- :class:`ResilienceLog`: the per-event ledger the engine
-  appends to (rollbacks, retries, requeues, degradations, quarantines), the
-  structured counterpart of the aggregate counters in
-  :class:`~repro.serving.engine.EngineStats`.
+- **The supervisor** -- :class:`Supervisor` wraps a
+  :class:`~repro.serving.runner.ModelRunner`, owns all fault state (attempt
+  counts, held snapshots, degraded requests, retired slots) and hands the
+  engine :class:`Verdict` objects, which the engine applies mechanically, as
+  it applies an :class:`~repro.serving.scheduler.AdmissionPlan`.
+- **Accounting** -- :class:`ResilienceLog`: the per-event ledger (rollbacks,
+  retries, requeues, degradations, quarantines), the structured counterpart of
+  the aggregate counters in :class:`~repro.serving.engine.EngineStats`.
 
-The injector is *passive*: the engine asks it at each model call site whether
+The injector is *passive*: the supervisor asks it at each model call whether
 a fault applies (:meth:`FaultInjector.on_model_call`,
 :meth:`FaultInjector.corrupt_rows`, :meth:`FaultInjector.drop_callback`), so
 fault placement is exact and deterministic -- no monkeypatching, no races.
@@ -30,12 +35,30 @@ fault placement is exact and deterministic -- no monkeypatching, no races.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.mamba.cache import InferenceCache, QuantizedSSMState
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.serving.engine import EngineStats, TokenCallback
+    from repro.serving.queue import Clock
+    from repro.serving.runner import ModelRunner
 
 __all__ = [
     "FAULT_KINDS",
@@ -48,7 +71,8 @@ __all__ = [
     "ResilienceEvent",
     "ResilienceLog",
     "StateCorruptionError",
-    "cache_unhealthy",
+    "Supervisor",
+    "Verdict",
     "unhealthy_rows",
 ]
 
@@ -107,11 +131,11 @@ class FaultSpec:
       :class:`OverflowError`, the MMU guard's exception type) before any
       state is touched.
     - ``"state_corrupt"`` -- the matched request's working cache row is
-      poisoned with non-finite values before the call (the engine applies
-      the poison; the injector only attributes it).
+      poisoned with non-finite values before the call (the supervisor
+      applies the poison; the injector only attributes it).
     - ``"stall"`` -- the call is delayed by ``stall_seconds`` (an injected
       clock is advanced; with a real clock the spec is a no-op), tripping
-      the engine's watchdog if a budget is configured.
+      the supervisor's watchdog if a budget is configured.
     - ``"callback_drop"`` -- the matched request's next ``on_token``
       delivery is suppressed.
     """
@@ -225,7 +249,7 @@ class FaultPlan:
 class FaultInjector:
     """Replays a :class:`FaultPlan` against the engine's model-call sites.
 
-    The engine consults the injector at each supervised call; the injector
+    The supervisor consults the injector at each supervised call; the injector
     decides deterministically (plan order, first-armed-first) which faults
     fire, consumes their ``repeats`` budget, and appends an entry to
     :attr:`trace` for every firing.  ``clock_advance`` (typically
@@ -303,9 +327,9 @@ class FaultInjector:
         """Row positions (within ``request_ids``) to poison before the call.
 
         A spec targeting a specific request poisons that request's row; an
-        untargeted spec poisons row 0 of the call.  The engine applies the
-        actual poison to its *working copy* of the state, so survivors are
-        never touched and rollback is trivial.
+        untargeted spec poisons row 0 of the call.  The supervisor applies
+        the actual poison to state it has snapshotted, so survivors are never
+        touched and rollback is trivial.
         """
         rows: List[int] = []
         for idx, spec in enumerate(self.plan.faults):
@@ -463,39 +487,390 @@ class ResilienceLog:
 
 
 # ----------------------------------------------------------------------
-# State health checks (corruption detection) and degradation plumbing
+# The supervisor: a runner wrapper that turns faults into verdicts
 # ----------------------------------------------------------------------
-def unhealthy_rows(cache: InferenceCache, logits: np.ndarray) -> List[int]:
-    """Rows of a batched cache/logits pair carrying non-finite values.
+@dataclass(frozen=True)
+class Verdict:
+    """What the engine must do about the faulted request at ``slot``.
+
+    Every policy choice (attempt budget, backoff, degradation, slot
+    retirement) is already made; the engine applies a verdict mechanically.
+    ``"retry"``: the decoding request keeps its slot but sits out select /
+    decode until iteration ``step``, when the engine decodes the slot again,
+    alone, with its last token.  ``"requeue"``: the prefilling request goes back to
+    the queue, progress parked and ``prefill_pos`` kept, invisible to the
+    scheduler until iteration ``step`` (``attempts`` goes in the requeue
+    event).  ``"quarantine"``: the request retires with
+    ``finish_reason="error"`` and ``error``; with ``retire_slot`` the slot
+    itself also leaves service.
+    """
+
+    action: str
+    slot: int
+    step: int = 0
+    attempts: int = 0
+    error: str = ""
+    retire_slot: bool = False
+
+
+@dataclass
+class _Recovery:
+    """A decoding slot held in the retry loop.
+
+    The slot's pool row holds the pre-fault state (every failed call is
+    rolled back); ``snapshot`` is the authoritative 1-row checkpoint retries
+    roll back to.  The already-selected (and already streamed / appended)
+    token stays with the engine; only the state advance is retried.
+    """
+
+    request_id: int
+    snapshot: InferenceCache
+    corruption: bool = False
+
+
+class Supervisor:
+    """A :class:`~repro.serving.runner.ModelRunner` with failure semantics.
+
+    Exposes the runner's calls; ``prefill`` and ``decode`` run supervised and
+    answer a fault with :class:`Verdict` objects instead of raising.  The
+    affected state is snapshotted first (cheap -- Mamba state is fixed-size,
+    and quantized models checkpoint resident integer codes + PoT scales
+    directly), so a failed call rolls back bit-exactly: survivors of a
+    faulting batch and recovered requests are identical to a fault-free run.
+    A faulting request is isolated, then retried with capped exponential
+    backoff -- in place for decode, requeued with its progress for prefill --
+    until it recovers, degrades to the sequential oracle, or is quarantined.
+    Consumer-thread only, like the engine's ``step``.  ``stats`` (iteration
+    counter read, resilience counters written), ``clock`` and ``log`` are the
+    engine's.
+    """
+
+    def __init__(
+        self, runner: "ModelRunner", config: ResilienceConfig,
+        injector: Optional[FaultInjector], stats: "EngineStats", clock: "Clock",
+        log: ResilienceLog,
+    ):
+        self.runner = runner
+        self.config = config
+        self.injector = injector if injector is not None else FaultInjector(FaultPlan())
+        self.stats = stats
+        self.clock = clock
+        self.log = log
+        #: decoding slots held in the retry loop (slot -> _Recovery)
+        self._recovering: Dict[int, _Recovery] = {}
+        #: cumulative fault attempts per request (spans prefill, requeues, decode)
+        self._fault_attempts: Dict[int, int] = {}
+        #: requests degraded to the sequential-oracle prefill fallback
+        self._degraded: Set[int] = set()
+        #: slots retired from service after attributed corruption
+        self._quarantined_slots: Set[int] = set()
+
+    # --- the runner's unsupervised calls, passed through ---------------
+    def new_cache(self) -> InferenceCache:
+        return self.runner.new_cache()
+
+    def install(self, slot: int, cache: InferenceCache, logits: np.ndarray) -> None:
+        self.runner.install(slot, cache, logits)
+
+    def logits(self, slots) -> np.ndarray:
+        return self.runner.logits(slots)
+
+    def release(self, request_id: int) -> None:
+        """Per-request fault bookkeeping dies with the request."""
+        self._fault_attempts.pop(request_id, None)
+        self._degraded.discard(request_id)
+        for slot in [s for s, r in self._recovering.items() if r.request_id == request_id]:
+            del self._recovering[slot]
+        self.runner.release(request_id)
+
+    @property
+    def retrying(self) -> List[int]:
+        """Slots whose request is held in the retry loop (none once drained)."""
+        return sorted(self._recovering)
+
+    # user-callback: on_token
+    def streaming(self, on_token: Optional["TokenCallback"]) -> Optional["TokenCallback"]:
+        """``on_token`` with the injector's ``callback_drop`` faults applied."""
+        if on_token is None:
+            return None
+
+        def deliver(request_id: int, token: int, logprob: float) -> None:
+            if self.injector.drop_callback(self.stats.engine_steps, request_id):
+                self.stats.callback_drops += 1
+                self._log("callback_drop", request_id)
+            else:
+                on_token(request_id, token, logprob)
+
+        return deliver
+
+    # --- the supervised calls -------------------------------------------
+    def prefill(
+        self, segment: np.ndarray, cache: InferenceCache, *, slot: int, request_id: int
+    ) -> Union[Tuple[np.ndarray, InferenceCache], Verdict]:
+        """Continue ``cache`` over ``segment`` on a working copy.
+
+        ``cache`` itself is the snapshot: it is untouched unless the segment
+        commits, when the advanced copy is returned with the logits.  A
+        failing segment (kernel raise, detected corruption, watchdog timeout)
+        returns a requeue or quarantine verdict instead.  A degraded request
+        runs the per-token sequential oracle (the fake-quant step, no chunked
+        scan), still integer-resident at the store.
+        """
+        self._record_snapshot(cache)
+        work = cache.copy()
+        call = partial(
+            self.runner.prefill, segment, work, slot=slot, request_id=request_id,
+            scan_impl="sequential" if request_id in self._degraded else None,
+        )
+        try:
+            logits, _ = self._call("prefill", [request_id], work, None, call)
+            if unhealthy_rows(work, logits):
+                raise StateCorruptionError(
+                    f"non-finite state or logits after prefill of request {request_id}"
+                )
+        except Exception as exc:
+            self.stats.rollbacks += 1
+            self._log("rollback", request_id, "prefill", repr(exc))
+            return self._prefill_failure(slot, request_id, exc)
+        self._note_recovered(request_id, "prefill")
+        return logits, work
+
+    def decode(
+        self, slots: Sequence[int], tokens: np.ndarray, request_ids: Sequence[int]
+    ) -> List[Verdict]:
+        """Advance ``slots`` by one token; one verdict per row that did not.
+
+        Snapshots the rows, then decodes them in the pool: a raising call is
+        rolled back and isolated by binary-searching the batch, detected
+        corruption carries its own per-row attribution, and every faulting
+        row is rolled back to its snapshot and enters the retry loop or is
+        quarantined once its attempt budget is exhausted.  A held slot decoded
+        alone is a retry: it re-derives from its held bit-exact snapshot with
+        the same already-selected token, so a recovered request's stream is
+        identical to a fault-free run.
+        """
+        held = self._recovering.get(slots[0]) if len(slots) == 1 else None
+        if held is None:
+            snapshot = self.runner.pool.snapshot_rows(slots)
+            self._record_snapshot(snapshot)
+        else:
+            snapshot = held.snapshot
+        failures, commits = self._decode_rows(slots, tokens, request_ids, snapshot)
+        # The engine counts one decode call per iteration that advanced a
+        # row; isolation may have split it into several committing calls.
+        self.stats.decode_calls += max(0, commits - 1)
+        if held is not None and not failures:
+            del self._recovering[slots[0]]
+            self._note_recovered(held.request_id, "decode")
+        return [
+            self._decode_failure(slots[p], request_ids[p], snapshot.gather([p]), exc)
+            for p, exc in failures
+        ]
+
+    # --- the protocol, written once --------------------------------------
+    def _call(
+        self, site: str, request_ids: Sequence[int], cache: InferenceCache,
+        rows: Optional[Sequence[int]], call: Callable[[], object],
+    ):
+        """One supervised model call on state the caller has snapshotted.
+
+        ``cache`` is what the call advances: rows ``rows`` of the pool, or a
+        private single-sequence working copy (``rows=None``).  The injector's
+        corruption is applied to it first (non-finite conv-window taps, which
+        the caller's :func:`unhealthy_rows` check attributes exactly), with
+        numpy's floating-point warnings silenced for the poisoned call; the
+        injector may then stall (advancing an injected clock) or raise; and
+        the watchdog converts a call whose wall time on ``clock`` exceeded
+        the budget into an :class:`IterationTimeout`, which flows through the
+        same retry / quarantine path as any failure -- a stuck step becomes a
+        timed-out retirement instead of a hung run.  Every exception leaves
+        the rollback to the caller.
+        """
+        step = self.stats.engine_steps
+        poisoned = self.injector.corrupt_rows(site, step, request_ids)
+        for position in poisoned:
+            for layer in cache.layers:
+                layer.conv_state[... if rows is None else rows[position]] = np.nan
+            self._log("corrupt", request_ids[position], site)
+        guard = np.errstate(invalid="ignore", over="ignore") if poisoned else nullcontext()
+        start = self.clock()
+        with guard:
+            self.injector.on_model_call(site, step, request_ids)
+            result = call()
+        budget = self.config.watchdog_budget_s
+        elapsed = self.clock() - start
+        if budget is not None and elapsed > budget:
+            self.stats.watchdog_timeouts += 1
+            self._log(
+                "watchdog", request_ids[0] if len(request_ids) == 1 else None, site,
+                f"elapsed {elapsed:.3f}s > budget {budget:.3f}s",
+            )
+            raise IterationTimeout(
+                f"supervised {site} call took {elapsed:.3f}s (watchdog budget {budget:.3f}s)"
+            )
+        return result
+
+    def _decode_rows(
+        self, slots: Sequence[int], tokens: np.ndarray, request_ids: Sequence[int],
+        snapshot: InferenceCache,
+    ) -> Tuple[List[Tuple[int, BaseException]], int]:
+        """Decode pool rows ``slots`` against their ``snapshot``.
+
+        Returns ``(position, exception)`` per row that was rolled back, and
+        how many calls committed at least one row.  Survivors are
+        bit-identical to a fault-free run: batch rows are independent
+        (per-row quant grids), so neither a neighbour's poison nor the
+        isolation's smaller batches change their numerics.
+        """
+        pool = self.runner.pool
+        failures: List[Tuple[int, BaseException]] = []
+        commits = 0
+
+        def solve(positions: List[int]) -> None:
+            nonlocal commits
+            rows = [slots[p] for p in positions]
+            ids = [request_ids[p] for p in positions]
+            call = partial(self.runner.decode, rows, tokens[positions], ids)
+            try:
+                self._call("decode", ids, pool, rows, call)
+            except Exception as exc:
+                pool.restore_rows(rows, snapshot.gather(positions))
+                if len(positions) == 1:
+                    failures.append((positions[0], exc))
+                    return
+                # Isolate the culprit: binary-search the batch.  Healthy
+                # halves commit on their own call; a fault that does not
+                # reproduce on the halves was transient and every row commits.
+                self._log("isolate", None, "decode", f"{len(positions)} rows, {exc!r}")
+                mid = len(positions) // 2
+                solve(positions[:mid])
+                solve(positions[mid:])
+                return
+            bad = unhealthy_rows(pool, self.runner.logits(rows), rows)
+            commits += len(bad) < len(rows)
+            for i in bad:
+                pool.restore_rows([rows[i]], snapshot.gather([positions[i]]))
+                exc = StateCorruptionError(f"non-finite state or logits for request {ids[i]}")
+                failures.append((positions[i], exc))
+
+        solve(list(range(len(slots))))
+        return failures, commits
+
+    # --- policy: what a failure costs the request -------------------------
+    def _decode_failure(
+        self, slot: int, request_id: int, row_snapshot: InferenceCache, exc: BaseException
+    ) -> Verdict:
+        """Schedule a rolled-back decode row's retry, or quarantine it."""
+        self._log("fault", request_id, "decode", repr(exc))
+        self.stats.rollbacks += 1
+        self._log("rollback", request_id, "decode")
+        attempts = self._count_fault(request_id)
+        held = self._recovering.setdefault(slot, _Recovery(request_id, row_snapshot))
+        held.corruption |= isinstance(exc, StateCorruptionError)
+        if attempts >= self.config.max_attempts:
+            return self._quarantine(slot, request_id, "decode", exc, held.corruption)
+        retry_step = self.stats.engine_steps + self.config.backoff_iterations(attempts)
+        self.stats.retries += 1
+        detail = f"attempt {attempts}, retry at step {retry_step}"
+        self._log("backoff", request_id, "decode", detail)
+        return Verdict("retry", slot, step=retry_step)
+
+    def _prefill_failure(self, slot: int, request_id: int, exc: BaseException) -> Verdict:
+        """Requeue (with backoff), degrade, or quarantine a faulted prefill.
+
+        An ``OverflowError`` (an integer kernel's static overflow guard --
+        retrying cannot fix it) or ``degrade_after`` cumulative failures
+        switch the request to the sequential-oracle fallback for all its
+        remaining prefill work.
+        """
+        self._log("fault", request_id, "prefill", repr(exc))
+        attempts = self._count_fault(request_id)
+        if request_id not in self._degraded and (
+            isinstance(exc, OverflowError) or attempts >= self.config.degrade_after
+        ):
+            self._degraded.add(request_id)
+            self.stats.degraded += 1
+            self._log("degrade", request_id, "prefill", "sequential-oracle fallback")
+        if attempts >= self.config.max_attempts:
+            corruption = isinstance(exc, StateCorruptionError)
+            return self._quarantine(slot, request_id, "prefill", exc, corruption)
+        self.stats.retries += 1
+        self.stats.requeued_faults += 1
+        hold = self.stats.engine_steps + self.config.backoff_iterations(attempts)
+        return Verdict("requeue", slot, step=hold, attempts=attempts)
+
+    def _count_fault(self, request_id: int) -> int:
+        """Charge one failure to the request's whole-life attempt budget."""
+        self.stats.faults += 1
+        attempts = self._fault_attempts.get(request_id, 0) + 1
+        self._fault_attempts[request_id] = attempts
+        return attempts
+
+    def _note_recovered(self, request_id: int, site: str) -> None:
+        if self._fault_attempts.pop(request_id, 0):
+            self.stats.recovered += 1
+            self._log("recovered", request_id, site)
+
+    def _quarantine(
+        self, slot: int, request_id: int, site: str, exc: BaseException, corruption: bool
+    ) -> Verdict:
+        """Give up on a request; after attributed corruption, maybe on its slot.
+
+        Slot retirement models a bad memory bank: the slot never re-enters
+        the free list the scheduler sees.  At least one slot always stays in
+        service, so the engine can still drain its queue (slowly) under a
+        corruption storm.
+        """
+        self.stats.quarantined += 1
+        retire_slot = (
+            corruption
+            and self.config.quarantine_slots
+            and slot not in self._quarantined_slots
+            and self.runner.num_slots - len(self._quarantined_slots) > 1
+        )
+        if retire_slot:
+            self._quarantined_slots.add(slot)
+            self.stats.slots_quarantined += 1
+            self._log("slot_quarantine", detail=f"slot {slot}")
+        self._log("quarantine", request_id, site, repr(exc))
+        return Verdict("quarantine", slot, error=repr(exc), retire_slot=retire_slot)
+
+    def _record_snapshot(self, snapshot: InferenceCache) -> None:
+        """Account a pre-call checkpoint in the stats ledger."""
+        self.stats.snapshot_rows += snapshot.batch_size or 1
+        self.stats.snapshot_bytes += snapshot.resident_state_bytes()
+
+    def _log(
+        self, action: str, request_id: Optional[int] = None, site: Optional[str] = None,
+        detail: str = "",
+    ) -> None:
+        self.log.record(self.stats.engine_steps, action, request_id, site, detail)
+
+
+# ----------------------------------------------------------------------
+# State health check (corruption detection)
+# ----------------------------------------------------------------------
+def unhealthy_rows(
+    cache: InferenceCache, logits: np.ndarray, rows: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Positions of a cache/logits pair carrying non-finite values.
 
     The supervisor's corruption detector: a poisoned row keeps non-finite
     values in its logits or in its post-call state (the conv window rolls the
     poison along for ``d_conv`` steps; quantized states surface it through
     their float scales).  Quantization grids are per-row, so poison cannot
-    leak across rows -- attribution is exact.
+    leak across rows -- attribution is exact.  ``logits`` has one row per
+    checked state row: ``rows`` of a batched ``cache`` (every row when
+    ``None``); a single-sequence cache with its ``(vocab,)`` logits is one row.
     """
+    logits = np.atleast_2d(logits)
     n = logits.shape[0]
-    bad = ~np.isfinite(logits.reshape(n, -1)).all(axis=1)
+    good = np.isfinite(logits).all(axis=1)
     for layer in cache.layers:
-        bad |= ~np.isfinite(layer.conv_state.reshape(n, -1)).all(axis=1)
         state = layer.ssm_state
-        if isinstance(state, QuantizedSSMState):
-            # Codes are integers (always finite); poison shows in the scales.
-            bad |= ~np.isfinite(state.scales.reshape(n, -1)).all(axis=1)
-        else:
-            bad |= ~np.isfinite(state.reshape(n, -1)).all(axis=1)
-    return [int(i) for i in np.nonzero(bad)[0]]
-
-
-def cache_unhealthy(cache: InferenceCache) -> bool:
-    """Whether a single-sequence cache carries non-finite state values."""
-    for layer in cache.layers:
-        if not np.isfinite(layer.conv_state).all():
-            return True
-        state = layer.ssm_state
-        if isinstance(state, QuantizedSSMState):
-            if not np.isfinite(state.scales).all():
-                return True
-        elif not np.isfinite(state).all():
-            return True
-    return False
+        # Codes are integers (always finite); poison shows in the scales.
+        floats = state.scales if isinstance(state, QuantizedSSMState) else state
+        for values in (layer.conv_state, floats):
+            picked = values if rows is None else values[rows]
+            good &= np.isfinite(picked.reshape(n, -1)).all(axis=1)
+    return [int(i) for i in np.nonzero(~good)[0]]

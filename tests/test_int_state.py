@@ -44,7 +44,7 @@ from repro.quant import (
     grouped_integer_matmul,
     quantize_model,
 )
-from repro.serving import BatchedGenerator, InferenceEngine, Request
+from repro.serving import InferenceEngine, Request
 from repro.serving.scheduler import PriorityScheduler
 
 
@@ -181,18 +181,6 @@ class TestPersistentDecodeBitIdentity:
         assert type(cache_f.layers[0]) is LayerCache
         assert isinstance(cache_p.layers[0].ssm_state, QuantizedSSMState)
 
-    def test_ragged_batched_prefill_matches_fake(self, fake_quant, persistent):
-        rng = np.random.default_rng(11)
-        vocab = fake_quant.config.vocab_size
-        lengths = np.array([4, 9, 6])
-        padded = np.zeros((3, 9), dtype=np.int64)
-        for i, n in enumerate(lengths):
-            padded[i, :n] = rng.integers(0, vocab, size=n)
-        logits_f, cache_f = fake_quant.prefill(padded, seq_lens=lengths)
-        logits_p, cache_p = persistent.prefill(padded, seq_lens=lengths)
-        np.testing.assert_array_equal(logits_f, logits_p)
-        _assert_states_equal(cache_f, cache_p)
-
 
 class TestQuantizedCacheLifecycle:
     def _batched_cache(self, persistent, batch=4, seed=2):
@@ -275,15 +263,19 @@ class TestQuantizedCacheLifecycle:
             # in TestPersistentDecodeBitIdentity.
             np.testing.assert_allclose(by_id[rid].result.logprobs, ref.logprobs, atol=1e-10)
 
-    def test_batched_generator_matches_solo(self, persistent, fake_quant):
+    def test_fixed_batch_matches_float_cache_twin(self, persistent, fake_quant):
+        """One ragged batch on integer state == the same model on float caches."""
         rng = np.random.default_rng(29)
         vocab = persistent.config.vocab_size
-        prompts = [rng.integers(0, vocab, size=n) for n in (5, 11, 8)]
-        results = BatchedGenerator(persistent).generate(prompts, 6)
-        reference = BatchedGenerator(fake_quant).generate(prompts, 6)
+        requests = [
+            Request(prompt=tuple(rng.integers(0, vocab, size=n)), max_new_tokens=6)
+            for n in (5, 11, 8)
+        ]
+        results = InferenceEngine(persistent, max_batch_size=3).run(requests)
+        reference = InferenceEngine(fake_quant, max_batch_size=3).run(requests)
         for got, ref in zip(results, reference):
-            assert got.tokens == ref.tokens
-            np.testing.assert_array_equal(got.logprobs, ref.logprobs)
+            assert got.result.tokens == ref.result.tokens
+            np.testing.assert_array_equal(got.result.logprobs, ref.result.logprobs)
 
     def test_preempted_prefill_resumes_bit_identical(self, tiny_config):
         # chunk_size=4 so the 4-token admission budget segments the prompt on
@@ -573,11 +565,6 @@ class TestEmptyPrompts:
         with pytest.raises(ValueError, match="BOS"):
             Request(prompt=(), max_new_tokens=2)
 
-    def test_generator_names_the_offending_request(self, tiny_model):
-        generator = BatchedGenerator(tiny_model)
-        with pytest.raises(ValueError, match=r"prompts\[1\]"):
-            generator.generate([[1, 2], []], 2)
-
     def test_prefill_rejects_zero_length_with_clear_error(self, tiny_model):
         with pytest.raises(ValueError, match="BOS"):
             tiny_model.prefill(np.zeros(0, dtype=np.int64))
@@ -597,8 +584,6 @@ class TestEmptyPrompts:
         assert len(completions[0].result.tokens) == 3
         ref = greedy_decode(tiny_model, prompt, 3)
         assert completions[0].result.tokens == ref.tokens
-        batched = BatchedGenerator(tiny_model).generate([prompt], 3)
-        assert batched[0].tokens == ref.tokens
 
 
 def _load_check_regression():

@@ -4,9 +4,8 @@ The chunked SSD scan is the default prefill engine (``config.scan_impl ==
 "chunked"``); the sequential recurrence stays available as the numerical
 oracle.  These tests pin the agreement between the two across every layer
 that inherits the fast path: ``forward``, ``prefill`` (logits *and* cache,
-including the conv window), padded ragged prefill, segmented prefill
-continuation, the padded ragged :class:`BatchedGenerator` prefill and the
-engine's chunked-prefill admission mode.
+including the conv window), segmented prefill continuation and the engine's
+chunked-prefill admission mode.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 from repro.mamba import InitConfig, Mamba2Model, get_preset, greedy_decode
 from repro.mamba.cache import InferenceCache, QuantizedSSMState
-from repro.serving import BatchedGenerator, InferenceEngine, Request
+from repro.serving import FIFOScheduler, InferenceEngine, Request
 
 
 def _state_values(layer):
@@ -71,45 +70,6 @@ class TestScanImplSwitch:
             get_preset("mamba2-tiny").with_overrides(chunk_size=0)
 
 
-class TestRaggedPaddedPrefill:
-    @pytest.mark.parametrize("scan_impl", ["chunked", "sequential"])
-    def test_matches_per_request_prefill(self, tiny_model, scan_impl):
-        """One padded batched prefill == per-request prefills, row for row."""
-        rng = np.random.default_rng(3)
-        vocab = tiny_model.config.vocab_size
-        lens = np.array([5, 12, 1, 9])
-        prompts = [rng.integers(0, vocab, size=n) for n in lens]
-        padded = np.zeros((len(prompts), int(lens.max())), dtype=np.int64)
-        for i, prompt in enumerate(prompts):
-            padded[i, : len(prompt)] = prompt
-        logits, cache = tiny_model.prefill(padded, seq_lens=lens, scan_impl=scan_impl)
-        for i, prompt in enumerate(prompts):
-            logits_i, cache_i = tiny_model.prefill(prompt, scan_impl=scan_impl)
-            np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
-            _caches_allclose(cache.row(i), cache_i)
-
-    def test_pad_tokens_do_not_leak(self, tiny_model):
-        """Changing the pad contents must not change any valid row state."""
-        rng = np.random.default_rng(4)
-        vocab = tiny_model.config.vocab_size
-        lens = np.array([3, 8])
-        padded = rng.integers(0, vocab, size=(2, 8))
-        logits_a, cache_a = tiny_model.prefill(padded, seq_lens=lens)
-        noisy = padded.copy()
-        noisy[0, 3:] = rng.integers(0, vocab, size=5)  # rewrite row 0's padding
-        logits_b, cache_b = tiny_model.prefill(noisy, seq_lens=lens)
-        np.testing.assert_allclose(logits_a, logits_b, atol=1e-12)
-        _caches_allclose(cache_a, cache_b, atol=1e-12)
-
-    def test_seq_lens_validation(self, tiny_model):
-        rng = np.random.default_rng(5)
-        prompts = rng.integers(0, tiny_model.config.vocab_size, size=(2, 6))
-        with pytest.raises(ValueError):
-            tiny_model.prefill(prompts[0], seq_lens=np.array([3]))  # unbatched
-        with pytest.raises(ValueError):
-            tiny_model.prefill(prompts, seq_lens=np.array([3, 7]))  # too long
-
-
 class TestPrefillContinuation:
     @pytest.mark.parametrize("split", [1, 3, 11])
     def test_segmented_prefill_equals_one_shot(self, tiny_model, split):
@@ -135,42 +95,24 @@ class TestPrefillContinuation:
 
 
 class TestServingFastPath:
-    def test_ragged_generate_uses_one_padded_prefill(self, tiny_model):
-        """Ragged prompts must prefill in a single batched model call."""
-        model = tiny_model.copy()
-        calls = []
-        original = model.prefill
-
-        def counting_prefill(tokens, **kwargs):
-            calls.append(np.asarray(tokens).shape)
-            return original(tokens, **kwargs)
-
-        model.prefill = counting_prefill
-        rng = np.random.default_rng(7)
-        prompts = [rng.integers(0, model.config.vocab_size, size=n) for n in (5, 9, 5, 7)]
-        outs = BatchedGenerator(model).generate(prompts, 3)
-        assert calls == [(4, 9)]
-        for prompt, out in zip(prompts, outs):
-            ref = greedy_decode(tiny_model, prompt, 3)
-            assert out.tokens == ref.tokens
-            np.testing.assert_allclose(out.logprobs, ref.logprobs, atol=1e-10)
-
     def test_quantized_ragged_generate_matches_solo(self, tiny_model):
-        """The padded ragged path must stay exact for quantized models.
+        """A ragged batch must stay exact for quantized models.
 
-        Per-group / per-token quantization grids are row-independent, so the
-        padded batch reproduces each request bit-for-bit.
+        Per-group / per-token quantization grids are row-independent, so
+        decoding in one batch reproduces each request bit-for-bit.
         """
         from repro.quant import QuantConfig, QuantMethod, quantize_model
 
         quantized = quantize_model(tiny_model, QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR))
         rng = np.random.default_rng(8)
         prompts = [rng.integers(0, quantized.config.vocab_size, size=n) for n in (4, 7, 2)]
-        outs = BatchedGenerator(quantized).generate(prompts, 4)
-        for prompt, out in zip(prompts, outs):
+        done = InferenceEngine(quantized, max_batch_size=3).run(
+            [Request(prompt=tuple(p), max_new_tokens=4) for p in prompts]
+        )
+        for prompt, completion in zip(prompts, done):
             ref = greedy_decode(quantized, prompt, 4)
-            assert out.tokens == ref.tokens
-            np.testing.assert_allclose(out.logprobs, ref.logprobs, atol=1e-10)
+            assert completion.result.tokens == ref.tokens
+            np.testing.assert_allclose(completion.result.logprobs, ref.logprobs, atol=1e-10)
 
     @pytest.mark.parametrize("prefill_chunk_tokens", [1, 3, 7, None])
     def test_engine_chunked_admission_matches_solo(self, tiny_model, prefill_chunk_tokens):
@@ -181,7 +123,9 @@ class TestServingFastPath:
             for s, b in zip((23, 5, 40, 9), (4, 6, 3, 5))
         ]
         engine = InferenceEngine(
-            tiny_model, max_batch_size=2, prefill_chunk_tokens=prefill_chunk_tokens
+            tiny_model,
+            max_batch_size=2,
+            scheduler=FIFOScheduler(prefill_chunk_tokens=prefill_chunk_tokens),
         )
         completions = engine.run(requests)
         assert [c.request_id for c in completions] == list(range(len(requests)))
@@ -194,7 +138,9 @@ class TestServingFastPath:
         """A long prompt must spread across iterations, not stall decodes."""
         rng = np.random.default_rng(10)
         vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=2, prefill_chunk_tokens=4)
+        engine = InferenceEngine(
+            tiny_model, max_batch_size=2, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
+        )
         short = Request(prompt=tuple(rng.integers(0, vocab, size=3)), max_new_tokens=8)
         long = Request(prompt=tuple(rng.integers(0, vocab, size=30)), max_new_tokens=2)
         engine.submit(short)
@@ -220,7 +166,7 @@ class TestServingFastPath:
 
     def test_engine_validation(self, tiny_model):
         with pytest.raises(ValueError):
-            InferenceEngine(tiny_model, prefill_chunk_tokens=0)
+            FIFOScheduler(prefill_chunk_tokens=0)
 
 
 class TestQuantizedBatchedStepping:
@@ -248,17 +194,3 @@ class TestQuantizedBatchedStepping:
                 logits_i, cache_i = quantized.prefill(prompts[i], scan_impl=scan_impl)
                 np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
                 _caches_allclose(cache.row(i), cache_i)
-
-    def test_ragged_quantized_prefill_matches_per_row(self, tiny_model):
-        from repro.quant import QuantConfig, QuantMethod, quantize_model
-
-        quantized = quantize_model(tiny_model, QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR))
-        rng = np.random.default_rng(12)
-        vocab = quantized.config.vocab_size
-        lens = np.array([2, 6, 4])
-        padded = rng.integers(0, vocab, size=(3, 6))
-        logits, cache = quantized.prefill(padded, seq_lens=lens)
-        for i, n in enumerate(lens):
-            logits_i, cache_i = quantized.prefill(padded[i, :n])
-            np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
-            _caches_allclose(cache.row(i), cache_i)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.mamba import CausalConv1d, GatedRMSNorm, InitConfig, Mamba2Config, Mamba2Model, RMSNorm
 from repro.mamba.cache import QuantizedSSMState
 from repro.mamba.ops import TILE_ELEMS, rms_normalize, silu, softplus
-from repro.mamba.ssm import SSMParams, _validate_seq_lens, ssm_scan
+from repro.mamba.ssm import SSMParams, ssm_scan
 from repro.quant import (
     INT4,
     INT8,
@@ -286,25 +286,22 @@ def star_model():
 
 @pytest.mark.parametrize("seq_len", [1, 2, 3, 4, 9])
 def test_short_segments_roll_the_conv_window(star_model, rng, seq_len):
-    """``T < k`` keeps the surviving part of the old window; ragged rows end where they end."""
+    """``T < k`` keeps the surviving part of the old window."""
     block = star_model.blocks[0]
     k = block.config.d_conv
     warm = star_model.new_cache(batch_size=3).layers[0]
     warm.conv_state = rng.standard_normal(warm.conv_state.shape)
     u = rng.standard_normal((3, seq_len, block.config.d_model))
-    seq_lens = np.array([seq_len, 1, max(1, seq_len - 1)])
     collected = {}
     block.forward(u, collect=collected)  # the block's own in-projection split
     zxbcdt = block.pre_in_proj(block.norm(u)) @ block.in_proj_weight.T
     xbc = zxbcdt[..., block.config.d_inner : block.config.d_inner + block.config.conv_dim]
-    for lens in (None, seq_lens):
-        cache = warm.copy()
-        block.forward(u, cache=cache, seq_lens=lens)
-        joined = np.concatenate([np.swapaxes(warm.conv_state, -1, -2), xbc], axis=-2)
-        for row in range(3):
-            end = k + (seq_len if lens is None else int(lens[row]))
-            assert np.array_equal(cache.conv_state[row], joined[row, end - k : end].T)
-        assert cache.conv_state.flags.c_contiguous
+    cache = warm.copy()
+    block.forward(u, cache=cache)
+    joined = np.concatenate([np.swapaxes(warm.conv_state, -1, -2), xbc], axis=-2)
+    for row in range(3):
+        assert np.array_equal(cache.conv_state[row], joined[row, seq_len:].T)
+    assert cache.conv_state.flags.c_contiguous
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +316,7 @@ def _composed_product(scan, x):
 
 
 def _reference_prefill_scan(
-    scan, params, x, B, C, dt, initial_state=None, chunk_size=64, seq_lens=None
+    scan, params, x, B, C, dt, initial_state=None, chunk_size=64
 ):
     """The replaced ``QuantizedChunkedScan.prefill_scan`` body, verbatim.
 
@@ -327,7 +324,8 @@ def _reference_prefill_scan(
     views, codes materialized at every quantization point.  Only the
     bindings changed: ``self`` is ``scan`` and the ``_q`` / ``_qp`` helpers
     are the ``dequantize(quantize(x))`` composition they used to be.  (The
-    INT32 MMU branches the body once carried went with the modes they served.)
+    INT32 MMU branches and the padded-ragged-batch snapshots the body once
+    carried went with the modes they served.)
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
@@ -360,19 +358,15 @@ def _reference_prefill_scan(
             raise ValueError(
                 f"initial_state must have shape {state_shape}, got {state.shape}"
             )
-    if seq_lens is not None:
-        seq_lens = _validate_seq_lens(seq_lens, batched, x.shape[0], seq_len)
 
     if chunk_size == 1:
         # The per-token loop: ssm_scan driving this object's own step, so
         # the chunk_size=1 reduction to the sequential quantized oracle
         # is bit-identical by construction (shared step code, shared
-        # token loop and seq_lens snapshot bookkeeping).  The token loop
-        # runs on the float view; a resident caller gets the final state
-        # re-quantized back into codes (exact -- the state is on-grid).
-        y, final = ssm_scan(
-            params, x, B, C, dt, initial_state=state, seq_lens=seq_lens, step_fn=scan
-        )
+        # token loop).  The token loop runs on the float view; a resident
+        # caller gets the final state re-quantized back into codes (exact
+        # -- the state is on-grid).
+        y, final = ssm_scan(params, x, B, C, dt, initial_state=state, step_fn=scan)
         if resident:
             final = scan.quantize_state_codes(final)
         return y, final
@@ -399,8 +393,6 @@ def _reference_prefill_scan(
         # (Resident codes are the chunk-entry quantization already.)
         state_qt = quantize(state, scan._qcfg)  # quant-point: chunk-entry quantization
         state = dequantize(state_qt)  # quant-point: chunk-entry float view
-    if seq_lens is not None:
-        snapshot = np.zeros_like(state)  # quant-point: seq_lens snapshot buffer
 
     # The loop below deliberately mirrors (rather than shares) the chunk
     # body of ssd_chunked_scan: the FP scan contracts one head-independent
@@ -439,20 +431,6 @@ def _reference_prefill_scan(
         yc += np.exp(lc)[..., None] * np.moveaxis(readout, -1, -3)
         y[..., start:stop, :, :] += yc
 
-        if seq_lens is not None:
-            # Snapshot rows whose true last token falls inside the chunk:
-            # the hand-off formula truncated at the row's local position.
-            for row in np.nonzero((seq_lens > start) & (seq_lens <= stop))[0]:
-                j = int(seq_lens[row]) - 1 - start
-                carry_j = np.exp(lc[row, j][None, :] - lc[row, : j + 1])  # (j+1, h)
-                wx_j = np.moveaxis(carry_j[:, :, None] * xc[row, : j + 1], 0, -1)
-                row_state = (
-                    np.exp(lc[row, j])[:, None, None] * state[row]
-                    + wx_j @ np.moveaxis(bc[row, : j + 1], -2, -3)
-                )
-                # quant-point: row snapshot requant
-                snapshot[row] = _composed_operand(scan, row_state) if quantize_state else row_state
-
         # Chunk hand-off, then the chunk-boundary state quantization (kept
         # as codes when the next chunk's readout or the caller needs them).
         last = lc[..., -1, :]                           # (..., h)
@@ -463,13 +441,6 @@ def _reference_prefill_scan(
             state_qt = quantize(state, scan._qcfg)  # quant-point: chunk boundary
             state = dequantize(state_qt)  # quant-point: boundary float view
 
-    if seq_lens is not None:
-        if resident:
-            # Rows were quantized one by one above; per-group grids live
-            # on the trailing axis, so re-quantizing the stacked snapshot
-            # into codes is exact (idempotent on-grid requantization).
-            return y, scan.quantize_state_codes(snapshot)
-        return y, snapshot
     if resident:
         if not quantize_state:
             # Degenerate configuration (resident container handed to a
@@ -534,12 +505,10 @@ def test_prefill_scan_matches_the_replaced_body(rng, name, chunk_size):
     _, x2, B2, C2, dt2 = _scan_inputs(rng, 77)
     _assert_same_scan(scan, params, x2, B2, C2, dt2, state, chunk_size)
     _assert_same_scan(scan, params, x2, B2, C2, dt2, rng.normal(size=(4, 16, 32)), chunk_size)
-    # Ragged batch, warm, rows ending in every chunk position.
+    # Batched, warm.
     params, x, B, C, dt = _scan_inputs(rng, 90, lead=(4,))
     warm = rng.normal(size=(4, 4, 16, 32))
     warm = scan.quantize_state_codes(warm) if resident else warm
-    lens = np.array([90, 1, 64, 37])
-    _assert_same_scan(scan, params, x, B, C, dt, warm, chunk_size, lens)
     _assert_same_scan(scan, params, x, B, C, dt, warm, chunk_size)
 
 

@@ -28,7 +28,7 @@ from repro.quant import (
     SSMQuantConfig,
     quantize_model,
 )
-from repro.serving import InferenceEngine, Request
+from repro.serving import FIFOScheduler, InferenceEngine, Request
 
 
 def _scan_inputs(rng, T, h=4, p=8, n=16, lead=()):
@@ -129,19 +129,6 @@ class TestKernelBitIdentity:
         np.testing.assert_array_equal(np.concatenate([y_a, y_b]), y_full)
         np.testing.assert_array_equal(s_b, s_full)
 
-    def test_ragged_batched_scan_matches_per_row(self, rng):
-        cfg = SSMQuantConfig(group_size=8)
-        params, x, B, C, dt = _scan_inputs(rng, T=21, lead=(3,))
-        lens = np.array([5, 21, 13])
-        scan = QuantizedChunkedScan(cfg)
-        y, snap = scan.prefill_scan(params, x, B, C, dt, chunk_size=8, seq_lens=lens)
-        for i, L in enumerate(lens):
-            y_i, s_i = scan.prefill_scan(
-                params, x[i, :L], B[i, :L], C[i, :L], dt[i, :L], chunk_size=8
-            )
-            np.testing.assert_allclose(y[i, :L], y_i, atol=1e-10)
-            np.testing.assert_allclose(snap[i], s_i, atol=1e-10)
-
     def test_validation(self, rng):
         params, x, B, C, dt = _scan_inputs(rng, T=5)
         scan = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
@@ -155,8 +142,6 @@ class TestKernelBitIdentity:
             scan.prefill_scan(
                 params, x, B, C, dt, initial_state=np.zeros((2, 2, 2))
             )
-        with pytest.raises(ValueError):
-            scan.prefill_scan(params, x, B, C, dt, seq_lens=np.array([3]))
 
     def test_decode_step_inherited_bit_identical(self, rng):
         """The scan object decodes exactly like the plain quantized step."""
@@ -258,17 +243,6 @@ class TestModelRouting:
             np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
             _caches_allclose(cache.row(i), cache_i)
 
-    def test_ragged_prefill_matches_per_row(self, quantized):
-        rng = np.random.default_rng(3)
-        vocab = quantized.config.vocab_size
-        lens = np.array([3, 11, 7])
-        padded = rng.integers(0, vocab, size=(3, 11))
-        logits, cache = quantized.prefill(padded, seq_lens=lens)
-        for i, n in enumerate(lens):
-            logits_i, cache_i = quantized.prefill(padded[i, :n])
-            np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
-            _caches_allclose(cache.row(i), cache_i)
-
     def test_segmented_prefill_then_decode_continuation(self, quantized):
         """Chunk-aligned segmented prefill == one-shot, and decode continues.
 
@@ -338,7 +312,9 @@ class TestQuantizedServingFastPath:
             Request(prompt=tuple(rng.integers(0, vocab, size=s)), max_new_tokens=b)
             for s, b in zip((70, 5, 130), (3, 4, 2))
         ]
-        engine = InferenceEngine(quantized, max_batch_size=2, prefill_chunk_tokens=chunk)
+        engine = InferenceEngine(
+            quantized, max_batch_size=2, scheduler=FIFOScheduler(prefill_chunk_tokens=chunk)
+        )
         completions = engine.run(requests)
         assert [c.request_id for c in completions] == [0, 1, 2]
         for request, completion in zip(requests, completions):

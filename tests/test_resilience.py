@@ -5,7 +5,10 @@ Covers the resilience layer end to end:
 - plan/injector determinism (same seed, same schedule, same firings);
 - snapshot/rollback exactness on both float and integer-resident caches
   (codes + scales compared, never dequantized floats);
-- the supervisor's recovery state machine: retry with backoff, prefill
+- the supervisor's policy against a fake runner (no model, no engine):
+  isolation call sequence, corruption attribution, backoff, the shared
+  attempt budget, immediate degradation on ``OverflowError``;
+- the recovery state machine through the engine: retry with backoff, prefill
   requeue (progress preserved), degradation to the sequential oracle,
   quarantine with ``finish_reason="error"``, watchdog timeouts;
 - ``run()`` liveness guards and ``on_token`` callback hardening;
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mamba.cache import InferenceCache
 from repro.quant import QuantConfig, QuantMethod, SSMQuantConfig, quantize_model
 from repro.serving.chaos import (
     SCHEDULER_NAMES,
@@ -26,13 +30,15 @@ from repro.serving.chaos import (
     run_chaos_soak,
     soak_once,
 )
-from repro.serving.engine import InferenceEngine, Request
+from repro.serving.engine import EngineStats, InferenceEngine, Request
 from repro.serving.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
     ManualClock,
     ResilienceConfig,
+    ResilienceLog,
+    Supervisor,
 )
 
 
@@ -237,6 +243,133 @@ class TestSnapshotRollback:
         cache = model.new_cache(batch_size=2)
         assert cache.resident_state_bytes() > 0
         assert tiny_model.new_cache(batch_size=2).resident_state_bytes() > 0
+
+
+# ----------------------------------------------------------------------
+# Supervisor policy against a fake runner (no model, no engine)
+# ----------------------------------------------------------------------
+class _FakeRunner:
+    """A runner double: a real (model-free) slot pool, scripted model calls.
+
+    ``decode`` raises whenever a request in ``raising`` is in the batch and
+    otherwise advances the rows' state by one; ``prefill`` raises
+    ``prefill_error`` while it is set.  Every call is recorded.
+    """
+
+    def __init__(self, config, num_slots=4):
+        self.num_slots = num_slots
+        self.pool = InferenceCache.zeros(config, num_slots)
+        self._logits = np.zeros((num_slots, 5))
+        self.raising = set()
+        self.prefill_error = None
+        self.decode_sizes = []
+        self.prefill_scans = []
+
+    def decode(self, slots, tokens, request_ids):
+        self.decode_sizes.append(len(slots))
+        if self.raising & set(request_ids):
+            raise RuntimeError("kernel fault")
+        for layer in self.pool.layers:
+            layer.ssm_state[list(slots)] += 1.0
+        self._logits[list(slots)] = np.asarray(tokens, dtype=np.float64)[:, None]
+
+    def logits(self, slots):
+        return self._logits[slots]
+
+    def prefill(self, segment, cache, *, scan_impl=None, slot=None, request_id=None):
+        self.prefill_scans.append(scan_impl)
+        if self.prefill_error is not None:
+            raise self.prefill_error
+        return np.zeros(5), cache
+
+    def release(self, request_id):
+        pass
+
+
+class TestSupervisorPolicy:
+    SLOTS = [0, 1, 2, 3]
+    IDS = [10, 11, 12, 13]
+    TOKENS = np.arange(4, dtype=np.int64)
+
+    def _supervisor(self, tiny_config, *faults, **cfg):
+        runner = _FakeRunner(tiny_config)
+        stats = EngineStats(engine_steps=5)
+        supervisor = Supervisor(
+            runner, ResilienceConfig(**cfg), FaultInjector(FaultPlan(faults=faults)),
+            stats=stats, clock=ManualClock(), log=ResilienceLog(),
+        )
+        return supervisor, runner, stats
+
+    def _advanced(self, runner):
+        return [float(runner.pool.layers[0].ssm_state[slot].max()) for slot in self.SLOTS]
+
+    def test_raising_row_is_isolated_by_bisection(self, tiny_config):
+        supervisor, runner, stats = self._supervisor(tiny_config)
+        runner.raising = {12}
+        verdicts = supervisor.decode(self.SLOTS, self.TOKENS, self.IDS)
+        assert runner.decode_sizes == [4, 2, 2, 1, 1]
+        # Survivors committed; the culprit is rolled back and held for retry.
+        assert self._advanced(runner) == [1.0, 1.0, 0.0, 1.0]
+        assert [(v.action, v.slot) for v in verdicts] == [("retry", 2)]
+        assert supervisor.retrying == [2]
+        assert (stats.faults, stats.rollbacks, stats.retries) == (1, 1, 1)
+        # The engine counts one decode call; isolation committed on two.
+        assert stats.decode_calls == 1
+        # The retry is the same row decoded alone from its held snapshot.
+        runner.raising.clear()
+        assert supervisor.decode([2], self.TOKENS[2:3], [12]) == []
+        assert self._advanced(runner) == [1.0, 1.0, 1.0, 1.0]
+        assert supervisor.retrying == [] and stats.recovered == 1
+
+    def test_poisoned_row_is_attributed_without_bisecting(self, tiny_config):
+        spec = FaultSpec(kind="state_corrupt", step=1, site="decode", request_id=11)
+        supervisor, runner, stats = self._supervisor(tiny_config, spec)
+        verdicts = supervisor.decode(self.SLOTS, self.TOKENS, self.IDS)
+        assert runner.decode_sizes == [4]
+        assert [(v.action, v.slot) for v in verdicts] == [("retry", 1)]
+        assert self._advanced(runner) == [1.0, 0.0, 1.0, 1.0]
+        assert all(np.isfinite(layer.conv_state).all() for layer in runner.pool.layers)
+        assert supervisor.log.request_ids("corrupt", "fault", "rollback") == [11]
+
+    def test_backoff_follows_the_config_schedule(self, tiny_config):
+        config = dict(max_attempts=6, backoff_base_iterations=1, backoff_cap_iterations=4)
+        supervisor, runner, stats = self._supervisor(tiny_config, **config)
+        runner.raising = {10}
+        waits = []
+        for _ in range(5):
+            (verdict,) = supervisor.decode([0], self.TOKENS[:1], [10])
+            waits.append(verdict.step - stats.engine_steps)
+            stats.engine_steps = verdict.step
+        assert waits == [ResilienceConfig(**config).backoff_iterations(k) for k in range(1, 6)]
+        assert waits == [1, 2, 4, 4, 4]
+        (verdict,) = supervisor.decode([0], self.TOKENS[:1], [10])
+        assert verdict.action == "quarantine" and "kernel fault" in verdict.error
+
+    def test_attempt_budget_spans_prefill_and_decode(self, tiny_config):
+        supervisor, runner, stats = self._supervisor(tiny_config, max_attempts=3, degrade_after=9)
+        cache = InferenceCache.zeros(tiny_config)
+        runner.prefill_error = RuntimeError("prefill fault")
+        for attempt in (1, 2):
+            verdict = supervisor.prefill(np.arange(3), cache, slot=0, request_id=10)
+            assert (verdict.action, verdict.attempts) == ("requeue", attempt)
+        runner.raising = {10}
+        (verdict,) = supervisor.decode([0], self.TOKENS[:1], [10])
+        assert verdict.action == "quarantine"
+        assert (stats.faults, stats.requeued_faults, stats.quarantined) == (3, 2, 1)
+        # The request's ledger dies with it.
+        supervisor.release(10)
+        assert supervisor.retrying == []
+
+    def test_overflow_degrades_at_once(self, tiny_config):
+        supervisor, runner, stats = self._supervisor(tiny_config, degrade_after=9)
+        cache = InferenceCache.zeros(tiny_config)
+        runner.prefill_error = OverflowError("static overflow guard")
+        verdict = supervisor.prefill(np.arange(3), cache, slot=1, request_id=11)
+        assert verdict.action == "requeue" and stats.degraded == 1
+        runner.prefill_error = None
+        logits, advanced = supervisor.prefill(np.arange(3), cache, slot=1, request_id=11)
+        assert runner.prefill_scans == [None, "sequential"]
+        assert advanced is not cache and stats.recovered == 1
 
 
 # ----------------------------------------------------------------------

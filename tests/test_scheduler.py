@@ -162,35 +162,24 @@ class TestPolicyEquivalence:
         _check_matches_solo(tiny_model, completions, requests)
 
     def test_explicit_fifo_is_bit_identical_to_default_engine(self, tiny_model):
-        """FIFOScheduler must reproduce the legacy engine exactly: same
-        completions, same prefill segmentation, same stats trajectory."""
+        """The default engine is whole-prompt FIFO: same completions, same
+        prefill segmentation, same stats trajectory as an explicit one."""
         requests = self._requests(tiny_model)
-        for chunk in (None, 1, 3, 7):
-            legacy = InferenceEngine(
-                tiny_model, max_batch_size=2, prefill_chunk_tokens=chunk
-            )
-            explicit = InferenceEngine(
-                tiny_model,
-                max_batch_size=2,
-                scheduler=FIFOScheduler(prefill_chunk_tokens=chunk),
-            )
-            done_a = legacy.run(requests)
-            done_b = explicit.run(requests)
-            for a, b in zip(done_a, done_b):
-                assert a.result.tokens == b.result.tokens
-                assert a.result.logprobs == b.result.logprobs  # bitwise
-            assert legacy.stats == explicit.stats
+        default = InferenceEngine(tiny_model, max_batch_size=2)
+        explicit = InferenceEngine(tiny_model, max_batch_size=2, scheduler=FIFOScheduler())
+        for a, b in zip(default.run(requests), explicit.run(requests)):
+            assert a.result.tokens == b.result.tokens
+            assert a.result.logprobs == b.result.logprobs  # bitwise
+        assert default.stats == explicit.stats
 
     def test_scheduler_protocol_runtime_checkable(self):
         assert isinstance(FIFOScheduler(), Scheduler)
         assert isinstance(PagedScheduler(page_tokens=4), Scheduler)
         assert not isinstance(object(), Scheduler)
 
-    def test_engine_rejects_scheduler_and_chunk_tokens(self, tiny_model):
+    def test_schedulers_reject_non_positive_budgets(self):
         with pytest.raises(ValueError):
-            InferenceEngine(
-                tiny_model, prefill_chunk_tokens=4, scheduler=FIFOScheduler()
-            )
+            FIFOScheduler(prefill_chunk_tokens=0)
         with pytest.raises(ValueError):
             PagedScheduler(page_tokens=0)
         with pytest.raises(ValueError):
@@ -398,7 +387,9 @@ class TestCancellation:
     def test_cancel_mid_prefill_frees_reserved_slot(self, tiny_model):
         rng = np.random.default_rng(19)
         vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=1, prefill_chunk_tokens=4)
+        engine = InferenceEngine(
+            tiny_model, max_batch_size=1, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
+        )
         rid = engine.submit(_mk_request(rng, vocab, 20, 5))
         engine.step()
         assert engine.num_prefilling == 1
@@ -546,21 +537,6 @@ class TestStreaming:
             logprobs = [lp for _, lp in streamed[completion.request_id]]
             assert tokens == completion.result.tokens
             assert logprobs == completion.result.logprobs  # bitwise: same floats
-
-    def test_generator_on_token_matches_results(self, tiny_model):
-        rng = np.random.default_rng(25)
-        vocab = tiny_model.config.vocab_size
-        prompts = [rng.integers(0, vocab, size=s) for s in (4, 6)]
-        from repro.serving import BatchedGenerator
-
-        streamed = {}
-        results = BatchedGenerator(tiny_model).generate(
-            prompts,
-            3,
-            on_token=lambda i, tok, lp: streamed.setdefault(i, []).append(tok),
-        )
-        for i, result in enumerate(results):
-            assert streamed[i] == result.tokens
 
 
 class TestThreadSafety:

@@ -1,11 +1,11 @@
-"""Tests of the serving layer: sampling primitives, BatchedGenerator, engine."""
+"""Tests of the serving layer: sampling primitives and the engine."""
 
 import numpy as np
 import pytest
 
 from repro.mamba import greedy_decode, sample_decode
 from repro.mamba.sampling import greedy_select, log_softmax, sample_select, top_k_filter
-from repro.serving import BatchedGenerator, EngineStats, InferenceEngine, Request
+from repro.serving import EngineStats, InferenceEngine, Request
 
 
 class TestSamplingPrimitives:
@@ -82,36 +82,31 @@ class TestSamplingPrimitives:
             sample_select(logits, rngs * 2, temperature=0.0)
 
 
-class TestBatchedGenerator:
+class TestFixedBatch:
+    """A fixed batch is the engine with one slot per request."""
+
     def _prompts(self, model, sizes, seed=0):
         rng = np.random.default_rng(seed)
-        return [rng.integers(0, model.config.vocab_size, size=s) for s in sizes]
+        return [tuple(rng.integers(0, model.config.vocab_size, size=s)) for s in sizes]
 
     def test_greedy_matches_single_sequence(self, tiny_model):
-        """Ragged prompts, stops and budgets must match per-request decode.
-
-        Prompt lengths (5, 9, 5, 7) include a repeated length, exercising the
-        grouped ragged prefill (one batched model call per length).
-        """
+        """Ragged prompts, per-request stops and budgets in one batch == solo."""
         prompts = self._prompts(tiny_model, (5, 9, 5, 7))
         budgets = [6, 3, 8, 5]
         stops = [None, 2, 10, None]
-        gen = BatchedGenerator(tiny_model)
-        outs = gen.generate(prompts, budgets, stop_tokens=stops)
-        for prompt, budget, stop, out in zip(prompts, budgets, stops, outs):
-            ref = greedy_decode(tiny_model, prompt, budget, stop_token=stop)
-            assert out.tokens == ref.tokens
-            np.testing.assert_allclose(out.logprobs, ref.logprobs, atol=1e-10)
-            assert out.prompt == ref.prompt
-
-    def test_equal_length_prompts_use_batched_prefill(self, tiny_model):
-        prompts = self._prompts(tiny_model, (6, 6, 6))
-        gen = BatchedGenerator(tiny_model)
-        outs = gen.generate(prompts, 4)
-        for prompt, out in zip(prompts, outs):
-            ref = greedy_decode(tiny_model, prompt, 4)
-            assert out.tokens == ref.tokens
-            np.testing.assert_allclose(out.logprobs, ref.logprobs, atol=1e-10)
+        requests = [
+            Request(prompt=p, max_new_tokens=b, stop_token=s)
+            for p, b, s in zip(prompts, budgets, stops)
+        ]
+        done = InferenceEngine(tiny_model, max_batch_size=len(requests)).run(requests)
+        for request, completion in zip(requests, done):
+            ref = greedy_decode(
+                tiny_model, request.prompt, request.max_new_tokens,
+                stop_token=request.stop_token,
+            )
+            assert completion.result.tokens == ref.tokens
+            np.testing.assert_allclose(completion.result.logprobs, ref.logprobs, atol=1e-10)
+            assert completion.result.prompt == ref.prompt
 
     def test_ragged_stop_token_termination(self, tiny_model):
         """A request stopping early must not perturb the others."""
@@ -120,47 +115,30 @@ class TestBatchedGenerator:
         # Pick a stop token that fires early for request 1 only.
         stop = solo[1].tokens[1]
         stops = [None, stop, None]
-        outs = BatchedGenerator(tiny_model).generate(prompts, 10, stop_tokens=stops)
-        for prompt, s, out in zip(prompts, stops, outs):
+        requests = [
+            Request(prompt=p, max_new_tokens=10, stop_token=s) for p, s in zip(prompts, stops)
+        ]
+        done = InferenceEngine(tiny_model, max_batch_size=3).run(requests)
+        for prompt, s, completion in zip(prompts, stops, done):
             ref = greedy_decode(tiny_model, prompt, 10, stop_token=s)
-            assert out.tokens == ref.tokens
-        assert outs[1].tokens[-1] == stop
-        assert len(outs[1]) < len(outs[0])
+            assert completion.result.tokens == ref.tokens
+        assert done[1].finish_reason == "stop" and done[1].result.tokens[-1] == stop
+        assert len(done[1].result) < len(done[0].result)
 
     def test_sampling_matches_single_sequence_with_seeds(self, tiny_model):
         prompts = self._prompts(tiny_model, (5, 8, 6), seed=4)
         seeds = [101, 202, 303]
-        outs = BatchedGenerator(tiny_model).generate(
-            prompts, 7, temperature=0.8, top_k=16, seeds=seeds
-        )
-        for prompt, s, out in zip(prompts, seeds, outs):
+        requests = [
+            Request(prompt=p, max_new_tokens=7, temperature=0.8, top_k=16, seed=s)
+            for p, s in zip(prompts, seeds)
+        ]
+        done = InferenceEngine(tiny_model, max_batch_size=3).run(requests)
+        for prompt, s, completion in zip(prompts, seeds, done):
             ref = sample_decode(
                 tiny_model, prompt, 7, temperature=0.8, top_k=16, seed=s
             )
-            assert out.tokens == ref.tokens
-            np.testing.assert_allclose(out.logprobs, ref.logprobs, atol=1e-10)
-
-    def test_zero_budget_and_empty_batch(self, tiny_model):
-        gen = BatchedGenerator(tiny_model)
-        assert gen.generate([], 5) == []
-        outs = gen.generate(self._prompts(tiny_model, (4, 4)), [0, 3])
-        assert outs[0].tokens == []
-        assert len(outs[1].tokens) == 3
-
-    def test_validation(self, tiny_model):
-        gen = BatchedGenerator(tiny_model)
-        with pytest.raises(ValueError):
-            gen.generate([[]], 3)
-        with pytest.raises(ValueError):
-            gen.generate([[1], [2]], [3])  # budget length mismatch
-        with pytest.raises(ValueError):
-            gen.generate([[1]], 3, temperature=0.0)
-        with pytest.raises(ValueError):
-            gen.generate([[1]], 3, temperature=1.0, seeds=[1, 2])
-        with pytest.raises(ValueError):
-            gen.generate([[1]], 3, top_k=4)  # sampling option without temperature
-        with pytest.raises(ValueError):
-            Request(prompt=(1,), max_new_tokens=1, seed=3)  # seed without temperature
+            assert completion.result.tokens == ref.tokens
+            np.testing.assert_allclose(completion.result.logprobs, ref.logprobs, atol=1e-10)
 
 
 class TestInferenceEngine:
@@ -188,6 +166,31 @@ class TestInferenceEngine:
             )
             assert completion.result.tokens == ref.tokens
             np.testing.assert_allclose(completion.result.logprobs, ref.logprobs, atol=1e-10)
+
+    def test_one_model_step_per_decoding_iteration_and_no_snapshots(
+        self, tiny_model, monkeypatch
+    ):
+        """Unsupervised, the engine is the bare runner: one ``model.step`` per
+        iteration that decodes, and no checkpoint is ever taken."""
+        from repro.mamba.cache import InferenceCache
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("an unsupervised engine took a state checkpoint")
+
+        monkeypatch.setattr(InferenceCache, "copy", forbidden)
+        monkeypatch.setattr(InferenceCache, "snapshot_rows", forbidden)
+        model = tiny_model.copy()
+        steps, original = [], model.step
+        model.step = lambda tokens, cache: steps.append(len(tokens)) or original(tokens, cache)
+        engine = InferenceEngine(model, max_batch_size=2)
+        for request in self._requests(tiny_model):
+            engine.submit(request)
+        while engine.has_work:
+            before = len(steps)
+            engine.step()
+            assert len(steps) - before <= 1
+        assert len(steps) == engine.stats.decode_calls > 0
+        assert sum(steps) == engine.stats.decode_call_rows
 
     def test_slot_reuse_and_stats(self, tiny_model):
         requests = self._requests(tiny_model)
@@ -276,6 +279,8 @@ class TestInferenceEngine:
             Request(prompt=(1,), max_new_tokens=-1)
         with pytest.raises(ValueError):
             Request(prompt=(1,), max_new_tokens=1, temperature=-0.5)
+        with pytest.raises(ValueError):
+            Request(prompt=(1,), max_new_tokens=1, seed=3)  # seed without temperature
         engine = InferenceEngine(tiny_model)
         with pytest.raises(ValueError):
             engine.submit(Request(prompt=(10**9,), max_new_tokens=1))

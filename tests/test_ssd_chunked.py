@@ -122,47 +122,6 @@ class TestBatchedChunkedScan:
         np.testing.assert_allclose(y, y_ref, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(final, final_ref, rtol=1e-9, atol=1e-10)
 
-    @pytest.mark.parametrize("chunk_size", [1, 8, 64])
-    def test_ragged_seq_lens_snapshot_states(self, chunk_size):
-        """Padded ragged batch: state rows must equal per-row truncated scans.
-
-        Lengths straddle chunk boundaries on both sides (and one row uses the
-        full padded length).
-        """
-        params, x, B, C, dt, state = _batched_inputs(batch=4, seq_len=21, seed=3)
-        lens = np.array([5, 21, 8, 16])
-        y, final = ssd_chunked_scan(
-            params, x, B, C, dt, state, chunk_size=chunk_size, seq_lens=lens
-        )
-        for i, n in enumerate(lens):
-            y_i, final_i = ssm_scan(params, x[i, :n], B[i, :n], C[i, :n], dt[i, :n], state[i])
-            np.testing.assert_allclose(y[i, :n], y_i, rtol=1e-9, atol=1e-10)
-            np.testing.assert_allclose(final[i], final_i, rtol=1e-9, atol=1e-10)
-
-    def test_sequential_scan_seq_lens_agree(self):
-        """ssm_scan's seq_lens snapshots must match the chunked scan's."""
-        params, x, B, C, dt, state = _batched_inputs(batch=3, seq_len=13, seed=5)
-        lens = np.array([13, 2, 9])
-        _, final_seq = ssm_scan(params, x, B, C, dt, state, seq_lens=lens)
-        _, final_chunk = ssd_chunked_scan(
-            params, x, B, C, dt, state, chunk_size=4, seq_lens=lens
-        )
-        np.testing.assert_allclose(final_chunk, final_seq, rtol=1e-9, atol=1e-10)
-
-    def test_seq_lens_validation(self):
-        params, x, B, C, dt, state = _batched_inputs()
-        with pytest.raises(ValueError):
-            ssd_chunked_scan(params, x, B, C, dt, state, seq_lens=np.array([1, 2]))
-        with pytest.raises(ValueError):
-            ssd_chunked_scan(params, x, B, C, dt, state, seq_lens=np.array([0, 1, 2]))
-        with pytest.raises(ValueError):
-            ssd_chunked_scan(
-                params, x, B, C, dt, state, seq_lens=np.array([1, 1, x.shape[1] + 1])
-            )
-        single = _inputs()
-        with pytest.raises(ValueError):
-            ssd_chunked_scan(*single[:6], seq_lens=np.array([3]))
-
     def test_no_inf_mask_and_no_warnings(self):
         """The causal gating must not build -inf masks or overflow the exp.
 

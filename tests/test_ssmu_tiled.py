@@ -276,11 +276,6 @@ def test_every_producer_emits_the_storage_dtype(rng, bits, storage, lead):
     _, produced["prefill_scan chunk_size=1"] = step.prefill_scan(
         params, xs, Bs, Cs, dts, initial_state=state, chunk_size=1
     )
-    if lead:
-        _, produced["prefill_scan seq_lens"] = step.prefill_scan(
-            params, xs, Bs, Cs, dts, initial_state=state, chunk_size=4,
-            seq_lens=np.array([1, 4, 5]),
-        )
     for name, out in produced.items():
         assert out.codes.dtype == storage, name
         assert out.bits == bits and np.abs(out.codes).max() <= 2 ** (bits - 1) - 1, name
