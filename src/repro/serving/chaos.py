@@ -16,6 +16,9 @@ invariants:
   token stream of a fault-free reference run (same workload, same scheduler,
   supervisor enabled, no injector).  Recovery is rollback-exact, so even
   requests that faulted and recovered must match bit for bit.
+- **exact streaming** -- the ``on_token`` stream of every request is its
+  completion's tokens with exactly the injected ``callback_drop`` deliveries
+  missing, and ``stats.callback_drops`` counts those firings.
 
 Everything is deterministic: the workload from its seed, the fault schedule
 from its seed, time from a :class:`~repro.serving.resilience.ManualClock`.
@@ -29,6 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+#: ``request id -> [(engine iteration, token), ...]`` as ``on_token`` saw them.
+Streamed = Dict[int, List[Tuple[int, int]]]
 
 import numpy as np
 
@@ -154,7 +160,7 @@ def _run(
     injector: Optional[FaultInjector] = None,
     clock: Optional[ManualClock] = None,
     max_idle_iterations: int = 64,
-) -> Tuple[InferenceEngine, List]:
+) -> Tuple[InferenceEngine, List, Streamed]:
     engine = InferenceEngine(
         model,
         max_batch_size=3,
@@ -165,8 +171,13 @@ def _run(
     )
     for request, priority in zip(requests, priorities):
         engine.submit(request, priority=priority)
-    completions = engine.run(max_idle_iterations=max_idle_iterations)
-    return engine, completions
+    streamed: Streamed = {}
+
+    def on_token(request_id: int, token: int, logprob: float) -> None:
+        streamed.setdefault(request_id, []).append((engine.stats.engine_steps, token))
+
+    completions = engine.run(on_token=on_token, max_idle_iterations=max_idle_iterations)
+    return engine, completions, streamed
 
 
 def soak_once(
@@ -197,7 +208,7 @@ def soak_once(
         seed, vocab_size=model.config.vocab_size, num_requests=num_requests
     )
     if reference_tokens is None:
-        _, ref = _run(model, requests, priorities, scheduler, resilience=resilience)
+        _, ref, _ = _run(model, requests, priorities, scheduler, resilience=resilience)
         reference_tokens = {c.request_id: list(c.result.tokens) for c in ref}
 
     plan = FaultPlan.random(
@@ -208,7 +219,7 @@ def soak_once(
     )
     clock = ManualClock()
     injector = FaultInjector(plan, clock_advance=clock.advance)
-    engine, completions = _run(
+    engine, completions, streamed = _run(
         model,
         requests,
         priorities,
@@ -258,6 +269,26 @@ def soak_once(
             violations.append(
                 f"request {completion.request_id} diverged from the fault-free "
                 f"run: {list(completion.result.tokens)} != {expected}"
+            )
+
+    # Every token is delivered in the iteration that selected it, unless an
+    # injected callback_drop fired for that request in that iteration.
+    drops = [t for t in injector.trace if t["spec"]["kind"] == "callback_drop"]
+    if engine.stats.callback_drops != len(drops):
+        violations.append(
+            f"callback_drops={engine.stats.callback_drops} but {len(drops)} drops fired"
+        )
+    for completion in completions:
+        rid = completion.request_id
+        dropped = [(t["step"], None) for t in drops if t["request_ids"] == [rid]]
+        deliveries = sorted(streamed.get(rid, []) + dropped, key=lambda d: d[0])
+        tokens = list(completion.result.tokens)
+        if len(deliveries) != len(tokens) or any(
+            seen is not None and seen != token for (_, seen), token in zip(deliveries, tokens)
+        ):
+            violations.append(
+                f"request {rid} streamed {streamed.get(rid, [])} with drops at "
+                f"{[step for step, _ in dropped]} for tokens {tokens}"
             )
 
     stats = engine.stats

@@ -137,7 +137,8 @@ class FaultSpec:
       clock is advanced; with a real clock the spec is a no-op), tripping
       the supervisor's watchdog if a budget is configured.
     - ``"callback_drop"`` -- the matched request's next ``on_token``
-      delivery is suppressed.
+      delivery is suppressed (``site`` is ignored: delivery is not a
+      model-call site).
     """
 
     kind: str
@@ -273,7 +274,9 @@ class FaultInjector:
     ) -> bool:
         if self._remaining[idx] <= 0 or step < spec.step:
             return False
-        if spec.site not in ("any", site):
+        # A callback drop happens at token delivery, not at a model-call
+        # site: whatever ``site`` the spec was drawn with does not apply.
+        if spec.kind != "callback_drop" and spec.site not in ("any", site):
             return False
         if spec.request_id is not None and spec.request_id not in request_ids:
             return False
@@ -348,7 +351,7 @@ class FaultInjector:
         for idx, spec in enumerate(self.plan.faults):
             if spec.kind != "callback_drop":
                 continue
-            if self._matches(idx, spec, "any", step, [request_id]):
+            if self._matches(idx, spec, "callback", step, [request_id]):
                 self._consume(idx, spec, "callback", step, [request_id])
                 return True
         return False

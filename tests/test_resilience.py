@@ -177,6 +177,15 @@ class TestFaultInjector:
         assert inj.drop_callback(2, 1)
         assert not inj.drop_callback(3, 1)
 
+    @pytest.mark.parametrize("site", ["any", "prefill", "decode"])
+    def test_drop_callback_ignores_the_spec_site(self, site):
+        """Delivery is not a model-call site: a drop drawn with any ``site``
+        (two of three draws in ``FaultPlan.random``) must still fire."""
+        plan = FaultPlan(faults=(FaultSpec(kind="callback_drop", step=1, site=site),))
+        inj = FaultInjector(plan)
+        assert inj.drop_callback(1, 0)
+        assert inj.trace[0]["site"] == "callback" and inj.exhausted
+
 
 class TestManualClock:
     def test_monotonic(self):
@@ -626,9 +635,13 @@ class TestChaosSoak:
         assert not failures, [
             (r.scheduler, r.seed, r.violations) for r in failures
         ]
-        # The matrix must actually exercise the supervisor, not dodge it.
+        # The matrix must actually exercise the supervisor, not dodge it --
+        # all four fault kinds.
         assert sum(r.stats["faults"] for r in reports) > 0
         assert sum(r.stats["recovered"] for r in reports) > 0
+        fired = {t["spec"]["kind"] for r in reports for t in r.fault_trace}
+        assert fired == {"kernel_raise", "state_corrupt", "stall", "callback_drop"}
+        assert sum(r.stats["callback_drops"] for r in reports) > 0
         assert {r.scheduler for r in reports} == set(SCHEDULER_NAMES)
 
     def test_soak_quantized_model(self, tiny_model):
