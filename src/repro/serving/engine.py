@@ -851,11 +851,10 @@ class InferenceEngine:
     def _retry_held(self) -> List[Completion]:
         """Decode again, alone, each held slot whose backoff has elapsed.
 
-        The slot's last token was selected (and streamed) before its state
-        advance failed, so it is fed again.  Runs before planning: a
-        recovered slot regains pending logits and rejoins select / decode in
-        the same iteration, and a quarantined slot is visible as free (or
-        retired) to the scheduler.
+        Its last token was selected (and streamed) before its state advance
+        failed, so it is fed again.  Runs before planning: a recovered slot
+        rejoins select / decode in the same iteration, and a quarantined one
+        is visible as free (or retired) to the scheduler.
         """
         completions: List[Completion] = []
         for slot_idx in sorted(self._retry_at):
@@ -925,9 +924,8 @@ class InferenceEngine:
         """The one way a request leaves the engine.
 
         Stamps its latency record, lets the runner drop what it kept for the
-        request, counts it, and builds its completion.  ``"error"``
-        retirements are counted by whoever decided them (``quarantined`` by
-        the supervisor, ``aborted`` by the ``run()`` guards).
+        request, counts it, and builds its completion (``"error"`` is counted
+        by whoever decided it: the supervisor, or a ``run()`` guard).
         """
         with self._submit_lock:
             latency = self._latency[request_id]

@@ -612,12 +612,11 @@ class Supervisor:
     ) -> Union[Tuple[np.ndarray, InferenceCache], Verdict]:
         """Continue ``cache`` over ``segment`` on a working copy.
 
-        ``cache`` itself is the snapshot: it is untouched unless the segment
-        commits, when the advanced copy is returned with the logits.  A
-        failing segment (kernel raise, detected corruption, watchdog timeout)
-        returns a requeue or quarantine verdict instead.  A degraded request
-        runs the per-token sequential oracle (the fake-quant step, no chunked
-        scan), still integer-resident at the store.
+        ``cache`` itself is the snapshot: the advanced copy is returned (with
+        the logits) only when the segment commits; a failing one (kernel
+        raise, detected corruption, watchdog timeout) returns a requeue or
+        quarantine verdict.  A degraded request runs the per-token sequential
+        oracle (the fake-quant step, no chunked scan), still integer-resident.
         """
         self._record_snapshot(cache)
         work = cache.copy()
@@ -647,87 +646,23 @@ class Supervisor:
         rolled back and isolated by binary-searching the batch, detected
         corruption carries its own per-row attribution, and every faulting
         row is rolled back to its snapshot and enters the retry loop or is
-        quarantined once its attempt budget is exhausted.  A held slot decoded
-        alone is a retry: it re-derives from its held bit-exact snapshot with
-        the same already-selected token, so a recovered request's stream is
-        identical to a fault-free run.
+        quarantined once its attempt budget is exhausted.  Survivors are
+        bit-identical to a fault-free run: batch rows are independent
+        (per-row quant grids), so neither a neighbour's poison nor the
+        isolation's smaller batches change their numerics.  A held slot
+        decoded alone is a retry: it re-derives from its held bit-exact
+        snapshot with the same already-selected token, so a recovered
+        request's stream is identical to a fault-free run too.
         """
+        pool = self.runner.pool
         held = self._recovering.get(slots[0]) if len(slots) == 1 else None
         if held is None:
-            snapshot = self.runner.pool.snapshot_rows(slots)
+            snapshot = pool.snapshot_rows(slots)
             self._record_snapshot(snapshot)
         else:
             snapshot = held.snapshot
-        failures, commits = self._decode_rows(slots, tokens, request_ids, snapshot)
-        # The engine counts one decode call per iteration that advanced a
-        # row; isolation may have split it into several committing calls.
-        self.stats.decode_calls += max(0, commits - 1)
-        if held is not None and not failures:
-            del self._recovering[slots[0]]
-            self._note_recovered(held.request_id, "decode")
-        return [
-            self._decode_failure(slots[p], request_ids[p], snapshot.gather([p]), exc)
-            for p, exc in failures
-        ]
-
-    # --- the protocol, written once --------------------------------------
-    def _call(
-        self, site: str, request_ids: Sequence[int], cache: InferenceCache,
-        rows: Optional[Sequence[int]], call: Callable[[], object],
-    ):
-        """One supervised model call on state the caller has snapshotted.
-
-        ``cache`` is what the call advances: rows ``rows`` of the pool, or a
-        private single-sequence working copy (``rows=None``).  The injector's
-        corruption is applied to it first (non-finite conv-window taps, which
-        the caller's :func:`unhealthy_rows` check attributes exactly), with
-        numpy's floating-point warnings silenced for the poisoned call; the
-        injector may then stall (advancing an injected clock) or raise; and
-        the watchdog converts a call whose wall time on ``clock`` exceeded
-        the budget into an :class:`IterationTimeout`, which flows through the
-        same retry / quarantine path as any failure -- a stuck step becomes a
-        timed-out retirement instead of a hung run.  Every exception leaves
-        the rollback to the caller.
-        """
-        step = self.stats.engine_steps
-        poisoned = self.injector.corrupt_rows(site, step, request_ids)
-        for position in poisoned:
-            for layer in cache.layers:
-                layer.conv_state[... if rows is None else rows[position]] = np.nan
-            self._log("corrupt", request_ids[position], site)
-        guard = np.errstate(invalid="ignore", over="ignore") if poisoned else nullcontext()
-        start = self.clock()
-        with guard:
-            self.injector.on_model_call(site, step, request_ids)
-            result = call()
-        budget = self.config.watchdog_budget_s
-        elapsed = self.clock() - start
-        if budget is not None and elapsed > budget:
-            self.stats.watchdog_timeouts += 1
-            self._log(
-                "watchdog", request_ids[0] if len(request_ids) == 1 else None, site,
-                f"elapsed {elapsed:.3f}s > budget {budget:.3f}s",
-            )
-            raise IterationTimeout(
-                f"supervised {site} call took {elapsed:.3f}s (watchdog budget {budget:.3f}s)"
-            )
-        return result
-
-    def _decode_rows(
-        self, slots: Sequence[int], tokens: np.ndarray, request_ids: Sequence[int],
-        snapshot: InferenceCache,
-    ) -> Tuple[List[Tuple[int, BaseException]], int]:
-        """Decode pool rows ``slots`` against their ``snapshot``.
-
-        Returns ``(position, exception)`` per row that was rolled back, and
-        how many calls committed at least one row.  Survivors are
-        bit-identical to a fault-free run: batch rows are independent
-        (per-row quant grids), so neither a neighbour's poison nor the
-        isolation's smaller batches change their numerics.
-        """
-        pool = self.runner.pool
-        failures: List[Tuple[int, BaseException]] = []
-        commits = 0
+        failures: List[Tuple[int, BaseException]] = []  # (position, what went wrong)
+        commits = 0  # calls that kept at least one row
 
         def solve(positions: List[int]) -> None:
             nonlocal commits
@@ -757,7 +692,58 @@ class Supervisor:
                 failures.append((positions[i], exc))
 
         solve(list(range(len(slots))))
-        return failures, commits
+        # The engine counts one decode call per iteration that advanced a
+        # row; isolation may have split it into several committing calls.
+        self.stats.decode_calls += max(0, commits - 1)
+        if held is not None and not failures:
+            del self._recovering[slots[0]]
+            self._note_recovered(held.request_id, "decode")
+        return [
+            self._decode_failure(slots[p], request_ids[p], snapshot.gather([p]), exc)
+            for p, exc in failures
+        ]
+
+    # --- the protocol, written once --------------------------------------
+    def _call(
+        self, site: str, request_ids: Sequence[int], cache: InferenceCache,
+        rows: Optional[Sequence[int]], call: Callable[[], object],
+    ):
+        """One supervised model call on state the caller has snapshotted.
+
+        ``cache`` is what the call advances: rows ``rows`` of the pool, or a
+        private single-sequence working copy (``rows=None``).  Injected
+        corruption is applied to it first (non-finite conv-window taps, which
+        the caller's :func:`unhealthy_rows` check attributes exactly; numpy's
+        floating-point warnings are silenced for a poisoned call); the
+        injector may then stall (advancing an injected clock) or raise; and
+        the watchdog turns a call whose wall time on ``clock`` exceeded the
+        budget into an :class:`IterationTimeout`, which takes the same retry
+        / quarantine path as any failure -- a stuck step becomes a timed-out
+        retirement instead of a hung run.  The caller rolls back.
+        """
+        step = self.stats.engine_steps
+        poisoned = self.injector.corrupt_rows(site, step, request_ids)
+        for position in poisoned:
+            for layer in cache.layers:
+                layer.conv_state[... if rows is None else rows[position]] = np.nan
+            self._log("corrupt", request_ids[position], site)
+        guard = np.errstate(invalid="ignore", over="ignore") if poisoned else nullcontext()
+        start = self.clock()
+        with guard:
+            self.injector.on_model_call(site, step, request_ids)
+            result = call()
+        budget = self.config.watchdog_budget_s
+        elapsed = self.clock() - start
+        if budget is not None and elapsed > budget:
+            self.stats.watchdog_timeouts += 1
+            self._log(
+                "watchdog", request_ids[0] if len(request_ids) == 1 else None, site,
+                f"elapsed {elapsed:.3f}s > budget {budget:.3f}s",
+            )
+            raise IterationTimeout(
+                f"supervised {site} call took {elapsed:.3f}s (watchdog budget {budget:.3f}s)"
+            )
+        return result
 
     # --- policy: what a failure costs the request -------------------------
     def _decode_failure(

@@ -2,13 +2,12 @@
 
 :class:`ModelRunner` owns the slot-pool cache and the pending-logits table and
 is the only code under :mod:`repro.serving` that calls ``model.prefill`` /
-``model.step`` / ``model.new_cache``.  It offers the engine loop exactly what
-one iteration needs -- a fresh single-sequence cache, *prefill one segment into
-a private cache*, *install a finished prefill into a slot*, *decode these slots
-with these tokens*, *read a slot's logits* -- and hides the pool layout and the
-in-place-or-gathered choice behind them.  It is the seam a wrapper takes
-(:class:`~repro.serving.resilience.Supervisor` exposes the same calls with
-snapshot / rollback / retry around them) and a test fakes.
+``model.step`` / ``model.new_cache``.  It offers the engine loop what one
+iteration needs -- a fresh single-sequence cache, *prefill one segment into a
+private cache*, *install a finished prefill into a slot*, *decode these slots
+with these tokens*, *read a slot's logits* -- hiding the pool layout and the
+in-place-or-gathered choice.  It is the seam a wrapper takes
+(:class:`~repro.serving.resilience.Supervisor`) and a test fakes.
 """
 
 from __future__ import annotations

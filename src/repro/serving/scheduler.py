@@ -218,18 +218,17 @@ class FIFOScheduler:
     """Arrival-order admission -- the engine's default.
 
     With ``prefill_chunk_tokens=None`` each admitted prompt prefills in full at
-    admission.  A budget bounds how many *prompt* tokens the engine processes
-    per iteration (in-flight prefills resume lowest-slot first, then new
-    requests are admitted in arrival order while budget remains): a long
-    prompt is prefilled across several engine steps -- its slot is reserved
-    but in-flight decodes keep advancing every step, so one huge prompt cannot
-    stall the running batch.  For FP models chunked admission is exact
-    whatever the segment size.  For a quantized chunk-parallel model
-    (lightmamba*), segmentation on the model's ``chunk_size`` boundaries is
-    bit-exact with a one-shot prefill (the PoT state re-quantization is
-    idempotent on chunk-aligned states); a chunk-aligned budget keeps a
-    request's segments aligned *when it has the iteration's budget to itself*,
-    but leftover budget shared with another request in the same iteration can
+    admission.  A budget bounds the *prompt* tokens processed per iteration
+    (in-flight prefills resume lowest-slot first, then new requests are
+    admitted in arrival order while budget remains): a long prompt prefills
+    across several engine steps -- its slot is reserved but in-flight decodes
+    keep advancing, so one huge prompt cannot stall the running batch.  For FP
+    models chunked admission is exact whatever the segment size.  For a
+    quantized chunk-parallel model (lightmamba*), segments on the model's
+    ``chunk_size`` boundaries are bit-exact with a one-shot prefill (the PoT
+    state re-quantization is idempotent on chunk-aligned states); a
+    chunk-aligned budget keeps a request aligned *when it has the iteration's
+    budget to itself*, but leftover budget shared with another request can
     still produce an unaligned segment, which shifts that prompt's
     state-quantization points by quantization-noise scale (an approximation,
     not an error).
