@@ -10,9 +10,10 @@ This package is the serving stack built on that property:
   a request stream (and the one way to decode a fixed batch:
   ``InferenceEngine(model, max_batch_size=len(requests)).run(requests)``):
   ragged prompts, per-request stop tokens, length budgets and sampling seeds,
-  optional token streaming.  An async-capable :class:`~repro.serving.queue.RequestQueue`
-  (injected clock, priorities, deadlines, cancellation) feeds a pluggable
-  admission :class:`~repro.serving.scheduler.Scheduler` --
+  optional token streaming.  An async-capable
+  :class:`~repro.serving.queue.RequestQueue` (injected clock, priorities,
+  deadlines, cancellation) feeds a pluggable admission
+  :class:`~repro.serving.scheduler.Scheduler` --
   :class:`~repro.serving.scheduler.FIFOScheduler` (default, the historical
   behavior), :class:`~repro.serving.scheduler.PriorityScheduler`, or the
   token-budget :class:`~repro.serving.scheduler.PagedScheduler` that

@@ -733,8 +733,7 @@ class Supervisor:
             self.injector.on_model_call(site, step, request_ids)
             result = call()
         budget = self.config.watchdog_budget_s
-        elapsed = self.clock() - start
-        if budget is not None and elapsed > budget:
+        if budget is not None and (elapsed := self.clock() - start) > budget:
             self.stats.watchdog_timeouts += 1
             self._log(
                 "watchdog", request_ids[0] if len(request_ids) == 1 else None, site,
