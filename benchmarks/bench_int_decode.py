@@ -9,10 +9,12 @@ the recurrent state ``h`` stays resident as INT codes + PoT shift exponents
 between steps (the FPGA's on-chip state buffer execution model), and every
 per-token requantization is a shift on resident codes instead of a
 dequantize / absmax / round pass over float tensors.  The iteration is the
-paper's tiled, fused SSMU datapath: one batch row -- one cache-resident tile
-of codes stored as INT8 -- at a time, the small operand of each code-by-code
-product pre-aligned so the whole tile takes one uniform half-even right shift
-on its INT32 accumulator.  No
+paper's tiled, fused SSMU datapath: the state-sized work is one call into the
+compiled tile (``src/repro/quant/ssmu_tile.c``; the record is taken on it, so
+the regression gate's floor fails a silent fallback to the numpy tile), one
+line of INT8 codes at a time, the small operand of each code-by-code product
+pre-aligned so the whole line takes one uniform half-even right shift on its
+INT32 accumulator.  No
 float tensor is materialized between in-projection and readout (enforced by
 the ``repro.analysis`` DT20x lint and its sanction-budget ratchet).  Outputs
 are bit-identical to the fake-quant oracle under PoT scaling (scaling
@@ -47,7 +49,7 @@ import numpy as np
 from repro.bench import format_series
 from repro.mamba import InitConfig, Mamba2Config, Mamba2Model
 from repro.mamba.cache import InferenceCache
-from repro.quant import QuantConfig, QuantMethod, quantize_model
+from repro.quant import QuantConfig, QuantMethod, native, quantize_model
 
 #: Decode benchmark configuration with the published-scale SSM state dims
 #: (d_state 128, headdim 64): the recurrent state is the largest per-step
@@ -171,6 +173,9 @@ def write_json(results, path, smoke_speedup=None) -> None:
         "benchmark": "int_decode",
         "config": results["config"],
         "decode_tokens": results["decode_tokens"],
+        # Which SSMU tile the integer series ran on ("compiled" in the
+        # committed record; a "numpy: ..." run is several times slower).
+        "ssmu_kernel": native.status(),
         "series": {
             name: {str(k): v for k, v in points.items()}
             for name, points in results["series"].items()

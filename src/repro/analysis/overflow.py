@@ -26,8 +26,13 @@ the very function the runtime picks its accumulator dtype from
 verdict and the runtime choice cannot disagree.  The same step also holds
 values *narrower* than that accumulator (:class:`NarrowCodeSpec`): the
 resident codes it stores at their true width and the ``h (.) C``
-code-by-code product in the ``2 * bits`` type, both in the dtype
-:func:`repro.quant.pot.code_storage_dtype` picks.
+code-by-code product, which fits the ``2 * bits`` type
+(:func:`repro.quant.pot.code_storage_dtype`).  The step has two executors of
+these ``ssm-decode-step`` specs: the numpy tile
+``repro.quant.ssm_quant._ssmu_tile`` and the compiled
+``src/repro/quant/ssmu_tile.c``, whose ``<stdint.h>`` types are the registered
+widths (``int8_t`` codes, ``int32_t`` aligned products) and which only takes
+configurations where those are what the two functions above pick.
 
 The prover reports a margin for every contraction (headroom between the
 worst-case partial sum and the accumulator capacity, also expressed in

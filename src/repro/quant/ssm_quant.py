@@ -44,17 +44,21 @@ configurations.  To run the oracle on a default model, hand it a float cache.
 
 The integer iteration is organised like the paper's SSMU: x/B/C are quantized
 once at the in-projection boundary and from there to the readout no float
-tensor is materialized.  It is *tiled and fused*:
+tensor is materialized.  The entry quantizations and the two small scalar-fold
+products (``Delta (.) B``, ``D (.) x``) are batched numpy; everything
+state-sized is **one tile call for the whole batch** -- ``ssmu_tile.c``, built
+and loaded by :mod:`repro.quant.native`, when this machine has a C compiler
+(:func:`repro.quant.native.status` says), the numpy tile :func:`_ssmu_tile`
+otherwise.  The C tile is *narrow, fused, tiled*:
 
 - **narrow**: every value lives at the width its bound proves
   (:func:`repro.quant.pot.code_storage_dtype`).  The resident codes are
-  stored, moved and absmax-reduced as INT8, and a code-by-code product stays
-  INT16 (``qmax**2 < 2**15``) until its alignment widens it to the INT32
-  accumulator, whose width follows from the bound the ``repro.analysis``
-  overflow prover registers (:func:`repro.quant.pot.shift_accumulator_dtype`).
-  Only the state add, whose addends sit on different PoT grids, runs on a
-  wide (float64) accumulator; its rounded sum is cast once, into the output
-  state.
+  read, absmax-reduced and written as INT8, a code-by-code product
+  (``qmax**2 < 2**15``) and its alignment live in the INT32 accumulator whose
+  width follows from the bound the ``repro.analysis`` overflow prover
+  registers (:func:`repro.quant.pot.shift_accumulator_dtype`).  Only the
+  state add, whose addends sit on different PoT grids, runs on a wide
+  (float64) accumulator; its rounded sum is cast once, into the output state.
 - **fused**: the ``Delta (.) B``, ``A_bar (.) h`` and ``D (.) x`` products
   fold their per-head float scalar into the re-quantization multiplier (a PoT
   shift plus one scalar multiply on hardware -- the EM units of Fig. 3).  The
@@ -63,11 +67,20 @@ tensor is materialized.  It is *tiled and fused*:
   operand: the x codes are pre-aligned by ``2**(R - r)`` before the outer
   product, so the state-sized product takes one uniform half-even right shift
   by ``R`` (:func:`repro.quant.pot.shift_right_half_even`) instead of a
-  per-group broadcast shift.
-- **tiled**: the per-group exponent math is batched, but the state-sized work
-  runs one batch row -- one ``(nheads, headdim, d_state)`` tile of codes -- at
-  a time through reused scratch, so the working set stays cache-resident and
-  step time no longer grows with the bytes of the whole batch.
+  per-group broadcast shift.  The four stages of one ``(head, channel)`` line
+  of state -- multiply, align, shift, add, group absmax, re-quantize, readout
+  -- run back to back on a line-sized scratch: one pipeline per tile, as in
+  Sec. IV-B, not a chain of whole-tensor passes.
+- **tiled**: the line (``d_state`` codes, 128 bytes on the benchmark model)
+  is the tile; within it each stage runs across all groups before the next
+  starts, so the serial absmax -> exponent -> pass chains of different groups
+  overlap, and step time grows with the rows of a batch, not faster.
+
+The numpy tile is the same arithmetic written as the plain whole-tensor
+passes it means (~40 of them, each a fresh array): the reference the compiled
+tile is tested against byte for byte, its load-time self-test, and what runs
+where no compiler is found or the codes are wider than INT8 -- about 8x
+slower per state element, nothing else differs.
 
 Shifts round half-to-even, so shifted codes land exactly where the oracle's
 ``np.round`` would put them; the DT2xx dtype-flow lint enforces the rest
@@ -81,9 +94,10 @@ state at its entry and exit only.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,6 +105,7 @@ from repro.mamba.cache import LayerCache, QuantizedLayerCache, QuantizedSSMState
 from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, ssm_decay, ssm_scan
+from repro.quant import native
 from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import (
     absmax_requant_exponents,
@@ -162,50 +177,107 @@ class SSMQuantConfig:
         )
 
 
-def _tile_scratch(tile: Tuple[int, ...], bits: int) -> SimpleNamespace:
-    """Work buffers of one SSMU tile, each at the width its values need.
+def _ssmu_tile(ch, e_h, a_bar, c3, e3, cx, ex, cc, e_c, y, n, bits):  # integer-resident
+    """The SSMU tile in plain numpy: reference and no-compiler fallback.
 
-    ``tile`` is the ``(nheads, headdim, n_groups, group)`` shape of one batch
-    row's state codes.  ``hc`` holds the ``h (.) C`` code product, ``acc`` the
-    aligned products and ``shift`` their rounding scratch, ``wide`` the
-    float64 accumulator of the state add and the readout decode; the ``*_a``
-    / ``*_b`` pairs serve :func:`_group_absmax` at each width.  Register files
-    of the datapath, not tensors: nothing outlives the step that allocated it.
+    What ``ssmu_tile.c`` fuses, written as the whole-tensor passes it means --
+    the tests' reference for the compiled tile (:mod:`repro.quant.native`
+    hands out a callable with this signature) and what
+    :meth:`QuantizedSSMStep._step_integer` runs when there is none.  In, with
+    any leading batch axes: the resident codes ``ch`` ``(..., h, p, G, g)`` and
+    their exponents ``e_h`` ``(..., h, p, G)``, ``a_bar`` ``(..., h)``, the
+    ``Delta (.) B`` codes ``c3`` ``(..., h, G, g)`` at ``e3`` ``(..., h, G)``,
+    the x codes and per-element exponents ``cx`` / ``ex`` ``(..., h, p)``, the
+    C codes ``cc`` ``(..., G, g)`` at ``e_c`` ``(..., G)``.  Out: the new
+    codes and their exponents ``e6``, shaped like ``ch`` / ``e_h``; the
+    ``d_state`` readout over the first ``n`` state elements (the rest is group
+    padding) is added into ``y`` ``(..., h, p)``.  The numbered stages are
+    the ones :meth:`~QuantizedSSMStep._step_integer` describes.
     """
-    code, prod = code_storage_dtype(bits), code_storage_dtype(2 * bits)
-    acc = shift_accumulator_dtype(bits)
-    dtypes = dict(code_a=code, code_b=code, hc=prod, prod_a=prod, prod_b=prod, acc=acc,
-                  shift=acc, wide=np.float64, wide_a=np.float64, wide_b=np.float64)
-    return SimpleNamespace(**{k: np.empty(tile, dtype=v) for k, v in dtypes.items()})
+    full, int_acc = requant_shift(bits), shift_accumulator_dtype(bits)
+    # B_bar (.) x grid: the product exponent is the sum of the operand
+    # exponents, and max |a_i * b| = max |a_i| * |b|.  The per-group shift
+    # count folds into the x code, pre-aligned by 2**(R - r).
+    e4_src = e3[..., :, None, :] + ex[..., :, :, None]            # (..., h, p, G)
+    amax3 = np.abs(c3).max(axis=-1).astype(np.int64)              # (..., h, G)
+    amax4 = amax3[..., :, None, :] * np.abs(cx)[..., :, :, None]
+    e4 = absmax_requant_exponents(np.ldexp(amax4, e4_src), bits)
+    cx_al = cx[..., :, :, None] * alignment_multiplier(amax4, e4 - e4_src, bits)
+    # A_bar (.) h grid: the per-head scalar (a_bar in (0, 1]) folds into the
+    # re-quantization multiplier.
+    amax_h = np.abs(ch).max(axis=-1).astype(np.int64)             # (..., h, p, G)
+    e5 = absmax_requant_exponents(np.ldexp(a_bar[..., :, None, None] * amax_h, e_h), bits)
+    m5 = np.ldexp(a_bar[..., :, None, None], e_h - e5)
+    # 1. B_bar (.) x: one uniform half-even shift by R -> c4.
+    c4 = np.multiply(c3[..., :, None, :, :], cx_al[..., None], dtype=int_acc)
+    shift_right_half_even(c4, full, np.empty_like(c4, dtype=int_acc))
+    # 2. A_bar (.) h rounds on the wide accumulator -> c5, which adds c4
+    # relative to the e5 grid: c5 + c4 * 2**(e4 - e5) is the same exact
+    # power-of-two realignment as summing the decoded addends.
+    wide = np.rint(ch * m5[..., None]) + np.ldexp(c4, (e4 - e5)[..., None])
+    # 3. The sum re-quantizes onto the fresh per-group grid that becomes the
+    # resident state (its absmax's grid, so no code clips) -> codes6.
+    e6 = absmax_requant_exponents(np.ldexp(np.abs(wide).max(axis=-1), e5), bits)
+    codes = np.rint(np.ldexp(wide, (e5 - e6)[..., None])).astype(ch.dtype)
+    # 4. h (.) C: code-by-code product, aligned, shifted by R -> c7; its exact
+    # decode feeds the d_state reduction (np.sum's pairwise order, over the
+    # oracle's n-element operand).
+    hc = np.multiply(codes, cc[..., None, None, :, :], dtype=int_acc)
+    amax7 = np.abs(hc).max(axis=-1).astype(np.int64)
+    e7_src = e6 + e_c[..., None, None, :]
+    e7 = absmax_requant_exponents(np.ldexp(amax7, e7_src), bits)
+    hc *= alignment_multiplier(amax7, e7 - e7_src, bits).astype(int_acc)[..., None]
+    shift_right_half_even(hc, full, np.empty_like(hc, dtype=int_acc))
+    decoded = np.ldexp(hc, e7[..., None])
+    y += np.sum(decoded.reshape(y.shape + (-1,))[..., :n], axis=-1)
+    return codes, e6
 
 
-def _group_absmax(tile: np.ndarray, work_a: np.ndarray, work_b: np.ndarray) -> np.ndarray:
-    """Per-group ``max |tile|`` over the trailing axis, in whole-tile passes.
+#: dtypes of the tile operands, in argument order: ch e_h a_bar c3 e3 cx ex cc e_c
+_TILE_DTYPES = (np.int8, np.int32, np.float64) + (np.int32,) * 6
 
-    ``tile.max(-1)`` over a 32-long group axis costs as much as eight
-    element-wise passes (one reduction call per group).  Instead the absolute
-    values are maxed against themselves on the cheaper of two exact
-    schedules.  4- and 8-byte elements in power-of-two groups (of two or more:
-    a group of one would come back aliasing ``work_a``) take the strided
-    pairwise halving of :func:`repro.quant.quantizer._group_max`.  The rest
-    take *window doubling* along the flattened tile, ping-ponged between the
-    two work buffers: shifts by 1, 2, 4, ... until element ``i`` holds the
-    maximum of ``[i, i + group)`` -- contiguous whole-tile passes, which narrow
-    integers vectorize well enough to win.  ``tile`` is left untouched.
+
+def _tile_shapes(lead: tuple, h: int, p: int, G: int, g: int) -> List[tuple]:
+    """Shapes of the tile operands, in argument order, then of ``y``."""
+    trailing = ((h, p, G, g), (h, p, G), (h,), (h, G, g), (h, G), (h, p), (h, p), (G, g), (G,))
+    return [lead + shape for shape in trailing + ((h, p),)]
+
+
+def _compiled_tile(entry: Callable) -> Callable:  # integer-resident
+    """``ssmu_tile.c``'s entry behind :func:`_ssmu_tile`'s signature.
+
+    The marshalling into the one C call a decode step makes: the operands at
+    the widths the kernel is written for (INT8 codes, INT32 exponents and
+    small-operand codes), C-contiguous, shapes and ranges checked before any
+    pointer is handed over.
     """
-    group = tile.shape[-1]
-    np.abs(tile, out=work_a)
-    if tile.itemsize >= 4 and group > 1 and group & (group - 1) == 0:
-        return _group_max(work_a, group).reshape(tile.shape[:-1])
-    src, dst = work_a.reshape(-1), work_b.reshape(-1)
-    span, window = src.size, 1
-    while window < group:
-        step = min(window, group - window)
-        span -= step
-        np.maximum(src[:span], src[step : step + span], out=dst[:span])
-        src, dst = dst, src
-        window += step
-    return src[::group].reshape(tile.shape[:-1]).copy()
+    entry.restype = ctypes.c_int
+    entry.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_int32] + [ctypes.c_void_p] * 12
+
+    def tile(ch, e_h, a_bar, c3, e3, cx, ex, cc, e_c, y, n, bits):
+        lead, dims = ch.shape[:-4], ch.shape[-4:]
+        operands = [
+            np.ascontiguousarray(a, dtype=t)
+            for a, t in zip((ch, e_h, a_bar, c3, e3, cx, ex, cc, e_c), _TILE_DTYPES)
+        ]
+        in_contract = (
+            [a.shape for a in (*operands, y)] == _tile_shapes(lead, *dims)
+            and 0 < n <= dims[2] * dims[3]
+            and 2 <= bits <= 8
+            and y.dtype == np.float64
+            and y.flags.c_contiguous
+            and y.flags.writeable
+        )
+        if not in_contract:
+            raise ValueError("ssmu_tile: operand shapes, dtypes, n or bits out of contract")
+        codes = np.empty(ch.shape, dtype=np.int8)
+        e6 = np.empty(ch.shape[:-1], dtype=np.int32)
+        pointers = [a.ctypes.data for a in (*operands, codes, e6, y)]
+        if y.size and entry(int(np.prod(lead)), *dims, n, bits, *pointers):
+            raise MemoryError("ssmu_tile: line scratch allocation failed")
+        return codes, e6
+
+    return tile
 
 
 class QuantizedSSMStep:
@@ -244,6 +316,10 @@ class QuantizedSSMStep:
             and config.quantize_state
             and config.quantize_products
             and shift_accumulator_dtype(config.bits) is not None
+        )
+        # The widths ssmu_tile.c is written for: INT8 codes, INT32 accumulator.
+        self._kernel_widths = (
+            self._code_int is np.int8 and shift_accumulator_dtype(config.bits) is np.int32
         )
 
     def _q(self, x: np.ndarray) -> np.ndarray:
@@ -426,14 +502,15 @@ class QuantizedSSMStep:
         half-to-even exactly like the oracle's ``np.round``, and PoT
         rescaling commutes with float rounding.
 
-        Organised as the module docstring lays out -- narrow, fused, tiled:
-        the per-group exponent math is batched, the state-sized work runs one
-        batch row at a time through reused scratch (:func:`_tile_scratch`),
-        and each code-by-code product is aligned so that one uniform
-        half-even right shift by ``R = requant_shift(bits)`` re-quantizes the
-        whole tile (:func:`repro.quant.pot.alignment_multiplier`,
+        The state-sized work is one tile call for the whole batch --
+        :func:`repro.quant.native.kernel` (``ssmu_tile.c``) for INT8 codes on
+        an INT32 accumulator when this machine has built one, the numpy tile
+        :func:`_ssmu_tile` otherwise; both take the same operands and return
+        the same bytes.  Each code-by-code product is aligned so that one
+        uniform half-even right shift by ``R = requant_shift(bits)``
+        re-quantizes it (:func:`repro.quant.pot.alignment_multiplier`,
         :func:`repro.quant.pot.shift_right_half_even`); the numbered comments
-        in the row loop walk through the four stages.
+        in :func:`_ssmu_tile` walk through the four stages.
 
         None of the state-sized re-quantizations clips: each destination
         exponent is derived from the absmax of what it re-quantizes, so the
@@ -442,8 +519,7 @@ class QuantizedSSMStep:
         that bounds the aligned products by ``qmax * 2**R`` so they live in
         INT32 (:func:`repro.quant.pot.shift_accumulator_dtype`).
         """
-        operands = (x, B, C, dt, state.scales)
-        if not np.isfinite(np.concatenate([np.ravel(v) for v in operands])).all():
+        if not all(np.isfinite(v).all() for v in (x, B, C, dt, state.scales)):
             # A poisoned operand (e.g. fault-injected non-finite conv taps)
             # has no integer code and a non-PoT NaN scale, which the exponent
             # extraction would reject for the whole batch -- so it is caught
@@ -458,9 +534,8 @@ class QuantizedSSMStep:
                 return self._step_oracle(params, x, B, C, dt, state)
 
         qmin, qmax, bits, gsz = self._qmin, self._qmax, self.config.bits, self.config.group_size
-        full_shift = requant_shift(bits)
         d_col, d_abs = self._d_cols(params)
-        nheads, headdim, n = state.codes.shape[-3:]
+        headdim, n = state.codes.shape[-2:]
 
         # Entry quantization: the only absmax/round passes over float operands.
         cx_g, ex = self._entry_codes(x)  # quant-point: x entry (..., h, Gp, gp)
@@ -470,9 +545,6 @@ class QuantizedSSMStep:
         ex_el = np.repeat(ex, cx_g.shape[-1], axis=-1)[..., :headdim]
         ch_g, _, _ = _group_reshape(state.codes, gsz)         # (..., h, p, Gn, gn)
         e_h = pot_exponent(state.scales)[..., 0]              # (..., h, p, Gn)
-        tile = ch_g.shape[-4:]
-        s = _tile_scratch(tile, bits)
-        acc, wide = s.acc, s.wide
 
         # Non-linear operators stay in floating point (dedicated FPGA units).
         delta, a_bar = ssm_decay(params, dt)                  # (..., h) each
@@ -490,94 +562,21 @@ class QuantizedSSMStep:
         c3 = np.clip(np.round(cb_g[..., None, :, :] * m3[..., :, :, None]), qmin, qmax)
         c3 = c3.astype(np.int32)                              # (..., h, Gn, gn)
 
-        # B_bar (.) x alignment: the product exponent is the sum of the
-        # operand exponents, and max |a_i * b| = max |a_i| * |b|.
-        e4_src = e3[..., :, None, :] + ex_el[..., :, :, None]    # (..., h, p, Gn)
-        amax3 = np.max(np.abs(c3), axis=-1).astype(np.int64)  # (..., h, Gn)
-        amax4 = amax3[..., :, None, :] * np.abs(cx)[..., :, :, None]
-        e4 = absmax_requant_exponents(np.ldexp(amax4, e4_src), bits)
-        cx_al = cx[..., :, :, None] * alignment_multiplier(amax4, e4 - e4_src, bits)
-
-        # A_bar (.) h grid: scalar fold again (a_bar in (0, 1]); the absmax
-        # runs on the stored codes, at their storage width.
-        ch_rows = ch_g.reshape((-1,) + tile)
-        n_rows = ch_rows.shape[0]
-        amax_h = np.empty((n_rows,) + tile[:-1], dtype=np.int64)
-        for row in range(n_rows):
-            amax_h[row] = _group_absmax(ch_rows[row], s.code_a, s.code_b)
-        amax_h = amax_h.reshape(e_h.shape)                    # (..., h, p, Gn)
-        e5 = absmax_requant_exponents(np.ldexp(a_bar[..., :, None, None] * amax_h, e_h), bits)
-        m5 = np.ldexp(a_bar[..., :, None, None], e_h - e5)
-
-        # Row views of the batched operands, broadcastable against one tile.
-        c3_rows = c3.reshape((n_rows, nheads, 1) + tile[-2:])
-        cx_al_rows = cx_al.astype(acc.dtype).reshape((n_rows,) + tile[:-1] + (1,))
-        m5_rows = m5.reshape(cx_al_rows.shape)
-        e45_rows = (e4 - e5).reshape(cx_al_rows.shape)
-        e5_rows = e5.reshape((n_rows,) + tile[:-1])
-        cc_rows = cc_g.astype(s.hc.dtype).reshape((n_rows,) + tile[-2:])
-        e_c_rows = e_c.reshape((n_rows, -1))
-        codes_out = np.empty((n_rows,) + tile, dtype=self._code_int)
-        e6_out = np.empty((n_rows,) + tile[:-1], dtype=np.int32)
-
         # D (.) x skip: signed scalar fold of the per-head skip coefficient.
-        # It opens the output, one preallocated array the row readouts add to.
+        # It opens the output, the array the tile's readout adds to.
         amax_x = np.max(np.abs(cx_g), axis=-1)                # (..., h, Gp)
         e8 = absmax_requant_exponents(np.ldexp(d_abs * amax_x, ex), bits)
         m8 = np.ldexp(d_col, ex - e8)
         c8 = np.clip(np.round(cx_g * m8[..., None]), qmin, qmax)
         y = np.ascontiguousarray(_ungroup(c8 * np.exp2(e8)[..., None], headdim))
-        y_rows = y.reshape(n_rows, nheads, headdim)
 
-        for row in range(n_rows):
-            # 1. B_bar (.) x: the x codes were pre-aligned per (head,
-            # channel, group) before the outer product, so the product takes
-            # the uniform shift instead of a per-group one -> c4.
-            np.multiply(c3_rows[row], cx_al_rows[row], out=acc)
-            shift_right_half_even(acc, full_shift, s.shift)
-            # 2. A_bar (.) h rounds on the wide accumulator -> c5, which then
-            # adds the two addends (they sit on different PoT grids) relative
-            # to the e5 grid: s * 2**-e5 = c5 + c4 * 2**(e4 - e5) is the same
-            # exact power-of-two realignment as summing the decoded addends
-            # (the float64 mantissa holds every aligned sum clipped codes can
-            # produce), and saves a pass.  The codes widen in a contiguous
-            # copy first: a mixed-width broadcast multiply costs more than both.
-            np.copyto(wide, ch_rows[row])
-            np.multiply(wide, m5_rows[row], out=wide)
-            np.rint(wide, out=wide)
-            np.ldexp(acc, e45_rows[row], out=s.wide_a)
-            np.add(wide, s.wide_a, out=wide)
-            # 3. The sum re-quantizes onto the fresh per-group grid that
-            # becomes the resident state: rounded, then cast once, straight
-            # into the output row that stage 4 reads -> codes6.
-            e5_row = e5_rows[row]
-            e6 = absmax_requant_exponents(
-                np.ldexp(_group_absmax(wide, s.wide_a, s.wide_b), e5_row), bits
-            )
-            e6_out[row] = e6
-            np.ldexp(wide, (e5_row - e6)[..., None], out=wide)
-            np.rint(wide, out=wide)
-            np.copyto(codes_out[row], wide, casting="unsafe")
-            # 4. h (.) C: the code-by-code product stays in the 2 * bits type
-            # (|a * b| <= qmax**2) through its group absmax (widened to INT64
-            # only because ldexp pairs a narrow integer with a narrow float);
-            # the broadcast alignment multiply widens it to the accumulator,
-            # the uniform shift rounds it -> c7, and the exact decode of the
-            # shifted codes feeds the d_state reduction (the padded tail is
-            # trimmed first so the sum sees the oracle's n-element operand).
-            np.multiply(codes_out[row], cc_rows[row], out=s.hc)
-            amax7 = _group_absmax(s.hc, s.prod_a, s.prod_b).astype(np.int64)
-            e7_src = e6 + e_c_rows[row]
-            e7 = absmax_requant_exponents(np.ldexp(amax7, e7_src), bits)
-            align7 = alignment_multiplier(amax7, e7 - e7_src, bits).astype(acc.dtype)
-            np.multiply(s.hc, align7[..., None], out=acc)
-            shift_right_half_even(acc, full_shift, s.shift)
-            np.ldexp(acc, e7[..., None], out=wide)
-            y_ssm = np.sum(wide.reshape(nheads, headdim, -1)[..., :n], axis=-1)
-            np.add(y_rows[row], y_ssm, out=y_rows[row])
-
-        codes = np.ascontiguousarray(_ungroup(codes_out, n)).reshape(state.codes.shape)
-        scales = np.exp2(e6_out).reshape(state.scales.shape)
+        # The state-sized work -- the B_bar (.) x and A_bar (.) h grids and
+        # the four stages -- is one tile call for the whole batch: compiled
+        # when this machine has a kernel for these widths, numpy otherwise.
+        tile = (native.kernel() if self._kernel_widths else None) or _ssmu_tile
+        codes_g, e6 = tile(ch_g, e_h, a_bar, c3, e3, cx, ex_el, cc_g, e_c, y, n, bits)
+        codes = np.ascontiguousarray(_ungroup(codes_g, n)).reshape(state.codes.shape)
+        scales = np.exp2(e6).reshape(state.scales.shape)
         return y, QuantizedSSMState(codes, scales, group_size=gsz, bits=bits)
 
     def _entry_codes(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -83,6 +83,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.quant import native
 from repro.serving.engine import Completion, InferenceEngine, Request
 
 __all__ = ["MambaServer", "ServerConfig", "serve_in_thread"]
@@ -460,6 +461,9 @@ class MambaServer:
             "disconnect_cancels": self.disconnect_cancels,
             "slow_consumer_cancels": self.slow_consumer_cancels,
             "finish_reasons": dict(self.finish_reasons),
+            # Which SSMU tile the integer decode step runs: "compiled", or
+            # "numpy: <why not>" -- a silent fallback would be a 2x slowdown.
+            "ssmu_kernel": native.status(),
         }
 
     def _build_request(self, payload: Dict[str, Any]) -> Request:

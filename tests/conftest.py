@@ -6,6 +6,32 @@ import numpy as np
 import pytest
 
 from repro.mamba import InitConfig, Mamba2Model, get_preset
+from repro.quant import native
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--numpy-tile",
+        action="store_true",
+        help="run every test with the numpy_tile fixture: the integer decode step on the "
+        "numpy SSMU tile, as on a machine without a C compiler",
+    )
+
+
+@pytest.fixture()
+def numpy_tile(monkeypatch):
+    """Patch ``repro.quant.native``'s loader to report no kernel.
+
+    A test seam, not a switch of the program: ``_step_integer`` then runs the
+    numpy reference tile, exactly as it does where no compiler is found.
+    """
+    monkeypatch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
+
+
+@pytest.fixture(autouse=True)
+def _tile_under_test(request):
+    if request.config.getoption("--numpy-tile"):
+        request.getfixturevalue("numpy_tile")
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.mamba.generation import greedy_decode
+from repro.quant import native
 from repro.serving import FIFOScheduler, InferenceEngine, PriorityScheduler
 from repro.serving import server as server_module
 from repro.serving.loadgen import _Conn, _request_json
@@ -131,6 +132,10 @@ class TestWireProtocol:
             ):
                 assert key in stats
             assert stats["accepting"] is True
+            # Which SSMU tile decodes, and why: top level, not an engine counter.
+            assert stats["ssmu_kernel"] == native.status()
+            assert stats["ssmu_kernel"] == "compiled" or stats["ssmu_kernel"].startswith("numpy: ")
+            assert "ssmu_kernel" not in stats["engine"]
             status, payload = _request_json(handle.host, handle.port, "GET", "/nope")
             assert status == 404
             assert "error" in payload

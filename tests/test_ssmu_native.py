@@ -1,0 +1,337 @@
+"""Tests of the compiled SSMU tile (``ssmu_tile.c`` behind ``repro.quant.native``).
+
+The numpy tile ``repro.quant.ssm_quant._ssmu_tile`` is the reference: the
+compiled tile must return the same bytes on the same operands.  Beyond that
+direct comparison the file pins the two derivations whose numpy twins are easy
+to get wrong in C (the destination exponent is ``ceil(log2(.))`` in float64,
+not the binary exponent; the readout is numpy's pairwise sum), and the build /
+cache / fallback machinery: no compiler, concurrent first builds, a cache
+directory somebody else can write, code widths the kernel is not written for.
+Everything except the no-compiler fallback is skipped, with the reason, on a
+machine where no kernel loads.
+"""
+
+import ctypes
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mamba import InitConfig, Mamba2Config, Mamba2Model
+from repro.mamba.generation import greedy_decode
+from repro.mamba.ssm import SSMParams
+from repro.quant import (
+    QuantConfig,
+    QuantizedChunkedScan,
+    QuantMethod,
+    SSMQuantConfig,
+    native,
+    quantize_model,
+)
+from repro.quant.pot import absmax_requant_exponents
+from repro.quant.ssm_quant import _TILE_DTYPES, _ssmu_tile, _tile_shapes
+
+needs_kernel = pytest.mark.skipif(native.kernel() is None, reason=native.status())
+REPO = Path(__file__).resolve().parents[1]
+
+# (groups, group length, n): full power-of-two groups, the suite's clamped
+# shape (group_size 32 over d_state 24 is one 24-long group), a state axis
+# that pads (24 over groups of 16), a non-power-of-two group that pads, the
+# benchmark's shape.
+LAYOUTS = [(3, 8, 24), (1, 24, 24), (2, 16, 24), (3, 7, 20), (4, 32, 128)]
+
+
+@pytest.fixture()
+def fresh_loader():
+    """Let a test re-run the once-per-process load, and restore it afterwards."""
+    native._load.cache_clear()
+    yield
+    native._load.cache_clear()
+
+
+def _library():
+    """The cached shared object, for the two test entries beside ``ssmu_tile``."""
+    lib = ctypes.CDLL(str(native._cache_dir() / native._library_name(native._find_compiler())))
+    lib.ssmu_requant_exponents.restype = None
+    lib.ssmu_requant_exponents.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p]
+    lib.ssmu_pairwise_sum.restype = ctypes.c_double
+    lib.ssmu_pairwise_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    return lib
+
+
+def _operands(rng, bits, lead, heads, dim, layout, spread):
+    """Random in-contract tile operands; exponents ``spread`` apart around a base.
+
+    A tenth of the groups, x codes and whole rows are zero (destination grids
+    at the ``2**-39`` floor, arbitrarily far from the source grid), the group
+    padding past ``n`` is zero as ``_group_reshape`` leaves it, and with a
+    large ``spread`` most groups' shifts exceed ``R`` one way or the other.
+    """
+    groups, glen, n = layout
+    qmax = 2 ** (bits - 1) - 1
+    shapes = _tile_shapes(lead, heads, dim, groups, glen)
+    ops = []
+    for index, (shape, dtype) in enumerate(zip(shapes[:-1], _TILE_DTYPES)):
+        if index == 2:
+            ops.append(rng.uniform(1e-3, 1.0, shape))              # a_bar in (0, 1]
+        elif index in (0, 3, 5, 7):                                # codes
+            codes = rng.integers(-qmax, qmax + 1, shape)
+            small = rng.random(shape) < 0.3                        # shrink some groups' absmax
+            codes = np.where(small, codes // 16, codes)
+            zero = rng.random(shape[:-1] + (1,) if index != 5 else shape) < 0.1
+            codes = np.where(zero, 0, codes)
+            if index != 5:
+                codes.reshape(shape[:-2] + (-1,))[..., n:] = 0     # the padded tail
+            ops.append(codes.astype(dtype))
+        else:                                                      # exponents
+            base = rng.integers(-30, 10)
+            ops.append((base + rng.integers(-spread, spread + 1, shape)).astype(dtype))
+    if lead and rng.random() < 0.5:
+        ops[0][0] = 0                                              # an all-zero row rides along
+    return ops, rng.normal(size=shapes[-1]) * 10.0 ** rng.integers(-3, 4)
+
+
+def _assert_tiles_agree(ops, y, n, bits):
+    got, want = y.copy(), y.copy()
+    codes_c, e6_c = native.kernel()(*ops, got, n, bits)
+    codes_n, e6_n = _ssmu_tile(*ops, want, n, bits)
+    assert codes_c.dtype == codes_n.dtype == np.int8 and e6_c.dtype == e6_n.dtype == np.int32
+    assert e6_c.tobytes() == e6_n.tobytes()
+    assert codes_c.tobytes() == codes_n.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# (a) The compiled tile against the numpy tile, on the same operands
+# ----------------------------------------------------------------------
+@needs_kernel
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.sampled_from([4, 8]),
+    lead=st.sampled_from([(), (1,), (3,), (8,)]),
+    layout=st.sampled_from(LAYOUTS),
+    spread=st.sampled_from([0, 2, 6, 20, 45]),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_tile_matches_numpy_tile(seed, bits, lead, layout, spread):
+    rng = np.random.default_rng(seed)
+    ops, y = _operands(rng, bits, lead, int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                       layout, spread)
+    _assert_tiles_agree(ops, y, layout[2], bits)
+
+
+@needs_kernel
+def test_exponents_past_the_exact_multiply_range(rng):
+    """Source grids more than 1000 binades from the destination, where the
+    kernel leaves its ``2**e``-from-exponent-bits multiply for libm ``ldexp``.
+    Destinations floor at ``2**-39``, so without overflowing float64 only the
+    ends of its range get there: a state scaled ``2**985`` (its addend's grid
+    sits at the floor) or ``2**-1040``, a ``B_bar (.) x`` product at
+    ``2**-1200``, and one near ``2**970`` landing on an all-zero state."""
+    for _ in range(4):
+        ops, y = _operands(rng, 8, (3,), 2, 3, (2, 16, 24), 2)
+        ops[1][0], ops[1][1] = 985, -1040       # e_h
+        ops[0][0] |= 1                          # (a zero group never carries a 2**985 scale)
+        ops[4][:2], ops[6][:2] = -600, -600     # e3, ex: their sum is the product's grid
+        ops[0][2], ops[1][2], ops[4][2], ops[6][2] = 0, -39, 475, 485
+        with np.errstate(over="raise", invalid="raise"):
+            _assert_tiles_agree(ops, y, 24, 8)
+
+
+@needs_kernel
+def test_kernel_rejects_operands_out_of_contract(rng):
+    ops, y = _operands(rng, 8, (2,), 2, 3, (2, 16, 24), 2)
+    tile = native.kernel()
+    with pytest.raises(ValueError):
+        tile(*ops, y, 33, 8)                        # n past the padded line
+    with pytest.raises(ValueError):
+        tile(*ops, y, 24, 9)                        # wider than INT8 codes
+    with pytest.raises(ValueError):
+        tile(*ops[:8], ops[8][..., :1], y, 24, 8)   # a misshapen operand
+    with pytest.raises(ValueError):
+        tile(*ops, y.astype(np.float32), 24, 8)     # y must be the float64 output itself
+
+
+# ----------------------------------------------------------------------
+# (b) The exponent derivation is ceil(log2(.)), not the binary exponent
+# ----------------------------------------------------------------------
+@needs_kernel
+@pytest.mark.parametrize("bits", [4, 8])
+def test_requant_exponent_equals_numpy_derivation(bits):
+    """``2.0**k``, ``qmax * 2.0**k`` and their 40 ``nextafter`` neighbours each
+    way, k in [-60, 60]: float64 ``log2`` rounds to ``k`` for values a few
+    ulps above ``2**k``, so the exact binary exponent is the wrong answer on
+    part of this set -- which the first assertion makes sure it contains."""
+    qmax = 2 ** (bits - 1) - 1
+    values = []
+    for k in range(-60, 61):
+        for centre in (2.0**k, qmax * 2.0**k):
+            up = down = centre
+            values.append(centre)
+            for _ in range(40):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                values += [up, down]
+    absmax = np.array(values + [0.0, 1e-12, 5e-13, 1e300])
+    want = absmax_requant_exponents(absmax, bits)
+    scales = np.maximum(np.maximum(absmax, 1e-12) / qmax, 1e-12)
+    mantissa, binary = np.frexp(scales)
+    assert np.any(np.where(mantissa == 0.5, binary - 1, binary) != want)
+    got = np.empty(absmax.size, dtype=np.int32)
+    _library().ssmu_requant_exponents(absmax.ctypes.data, absmax.size, bits, got.ctypes.data)
+    np.testing.assert_array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# (c) The readout is numpy's pairwise sum
+# ----------------------------------------------------------------------
+@needs_kernel
+@pytest.mark.parametrize("n", [1, 7, 8, 24, 128, 129, 136, 300, 1000])
+def test_readout_sum_equals_numpy_sum(rng, n):
+    """Decoded codes on group grids > 40 binades apart, where the order of a
+    float64 sum shows; rows are runs of a wider padded array, as in the tile."""
+    padded = -(-n // 32) * 32
+    codes = rng.integers(-127, 128, size=(64, padded))
+    exponents = np.repeat(rng.integers(-50, 51, size=(64, padded // 8)), 8, axis=-1)
+    values = np.ldexp(codes.astype(np.float64), exponents)
+    want = np.sum(values[:, :n], axis=-1)
+    if n > 8:  # the set is one where the order matters: a running sum differs
+        assert np.any(want != np.array([sum(row[:n]) for row in values]))
+    lib = _library()
+    got = [lib.ssmu_pairwise_sum(values[i].ctypes.data, n) for i in range(len(values))]
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+@needs_kernel
+@pytest.mark.parametrize("layout", [(1, 24, 24), (4, 32, 128), (5, 32, 136), (10, 32, 300)])
+def test_tile_readout_with_far_apart_group_grids(rng, layout):
+    for _ in range(5):
+        ops, y = _operands(rng, 8, (2,), 2, 3, layout, 45)
+        _assert_tiles_agree(ops, y, layout[2], 8)
+
+
+# ----------------------------------------------------------------------
+# (d) No compiler: the numpy tile, the same bytes, a status that says why
+# ----------------------------------------------------------------------
+def _decode_record():
+    config = Mamba2Config(d_model=32, n_layer=2, vocab_size=64, d_state=24, headdim=8)
+    model = quantize_model(
+        Mamba2Model.from_config(config, InitConfig(seed=3)),
+        QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR),
+    )
+    result = greedy_decode(model, [5, 9, 2, 40, 7], 12)
+    cache = model.new_cache(3)
+    logits = [model.step(np.array([1, 2, 3]) + i, cache) for i in range(6)]
+    state = [(layer.ssm_state.codes.tobytes(), layer.ssm_state.scales.tobytes())
+             for layer in cache.layers]
+    return list(result.tokens), np.stack(logits).tobytes(), state
+
+
+def test_no_compiler_falls_back_to_the_numpy_tile(monkeypatch, fresh_loader):
+    selected = _decode_record()
+    native._load.cache_clear()
+    monkeypatch.setattr(native, "_find_compiler", lambda: None)
+    assert native.kernel() is None
+    assert native.status() == "numpy: no C compiler"
+    assert _decode_record() == selected
+
+
+def test_failed_build_reports_the_first_stderr_line(monkeypatch, fresh_loader, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_find_compiler", lambda: sys.executable)  # not a C compiler
+    assert native.kernel() is None
+    assert native.status().startswith("numpy: build failed: ")
+    assert list((tmp_path / "repro-lightmamba").iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# (e) Concurrent first builds, (f) a cache somebody else can write
+# ----------------------------------------------------------------------
+@needs_kernel
+def test_four_processes_build_one_library(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(REPO / "src"))
+    script = "from repro.quant import native; print(native.status())"
+    workers = [
+        subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
+        for _ in range(4)
+    ]
+    for worker in workers:
+        out, _ = worker.communicate(timeout=120)
+        assert worker.returncode == 0 and out.strip() == "compiled"
+    left = sorted(path.name for path in (tmp_path / "repro-lightmamba").iterdir())
+    assert len(left) == 1 and left[0].endswith(".so")
+
+
+@needs_kernel
+def test_cache_directory_writable_by_others_is_refused(monkeypatch, fresh_loader, tmp_path):
+    shared, fallback = tmp_path / "shared", tmp_path / "tmp"
+    planted = shared / "repro-lightmamba" / native._library_name(native._find_compiler())
+    planted.parent.mkdir(parents=True)
+    planted.parent.chmod(0o770)
+    planted.write_bytes(b"not the kernel")
+    fallback.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(shared))
+    monkeypatch.setattr(tempfile, "tempdir", str(fallback))
+    chosen = native._cache_dir()
+    assert chosen.parent == fallback and chosen.stat().st_mode & 0o777 == 0o700
+    assert native.status() == "compiled"            # built and loaded from the private one
+    assert planted.read_bytes() == b"not the kernel"
+    assert [path.suffix for path in chosen.iterdir()] == [".so"]
+    # With nowhere private left the step falls back rather than trust a shared directory.
+    chosen.chmod(0o777)
+    native._load.cache_clear()
+    assert native.status().startswith("numpy: no private cache directory")
+
+
+# ----------------------------------------------------------------------
+# (g) INT16 codes never reach the kernel
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bits,reaches", [(4, True), (8, True), (9, False), (16, False)])
+def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
+    calls = []
+
+    def spy(*operands):
+        calls.append(operands[0].dtype)
+        return _ssmu_tile(*operands)
+
+    monkeypatch.setattr(native, "_load", lambda: (spy, "compiled"))
+    heads, dim, n = 2, 4, 24
+    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
+    params = SSMParams(
+        A_log=np.log(rng.uniform(1, 8, size=heads)),
+        D=rng.normal(1.0, 0.1, size=heads),
+        dt_bias=rng.normal(size=heads),
+    )
+    state = step.quantize_state_codes(rng.normal(size=(2, heads, dim, n)))
+    x, B, C = rng.normal(size=(2, heads, dim)), rng.normal(size=(2, n)), rng.normal(size=(2, n))
+    dt = rng.normal(size=(2, heads))
+    y, new_state = step(params, x, B, C, dt, state)
+    y_oracle, state_oracle = step._step_oracle(params, x, B, C, dt, state)
+    np.testing.assert_array_equal(y, y_oracle)
+    assert new_state.exact_equal(state_oracle)
+    assert calls == ([np.dtype(np.int8)] if reaches else [])
+
+
+# ----------------------------------------------------------------------
+# The bit-identity suites, on the tile the machine did not select
+# ----------------------------------------------------------------------
+@needs_kernel
+def test_bit_identity_suites_pass_on_the_numpy_tile():
+    """The decode-step suites run above on the compiled tile; here once more
+    with ``--numpy-tile`` (``conftest.py``: the loader patched to report no
+    kernel), so the reference and fallback stays pinned where a compiler exists."""
+    suites = ["test_int_decode_iter.py", "test_int_state.py", "test_ssmu_tiled.py",
+              "test_batched.py", "test_serving.py"]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "--numpy-tile", "-p", "no:cacheprovider",
+         *(str(REPO / "tests" / name) for name in suites)],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

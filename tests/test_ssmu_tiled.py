@@ -1,23 +1,28 @@
 """Tests of the tiled INT32 SSMU decode step and its fused shift kernel.
 
-Pins the contracts the tiled rewrite of ``QuantizedSSMStep._step_integer``
-adds on top of the bit-identity suite in ``test_int_decode_iter.py``:
+Pins the contracts the tiled ``QuantizedSSMStep._step_integer`` adds on top
+of the bit-identity suite in ``test_int_decode_iter.py``.  The step cases run
+on whichever tile this machine selects (``repro.quant.native``: the compiled
+``ssmu_tile.c``, or numpy when there is no compiler); the ``*_on_the_numpy_tile``
+cases run the same bodies with the loader patched to report no kernel, so the
+reference tile is pinned to the oracle wherever the suite runs
+(``tests/test_ssmu_native.py`` compares the two tiles directly):
 
 - the *fused* re-quantization -- small operand pre-aligned by
   ``2**(R - r)``, one uniform half-even right shift by ``R`` -- equals both
   ``np.round`` on the real-valued ratio and the INT64 per-group
   ``shift_requantize(..., "half_even")`` over the full exponent range,
   without ever leaving the accumulator dtype the overflow bound selects;
-- the group absmax equals ``abs().max(-1)`` for every group length (powers
-  of two or not, padded or not) and element type, on both of its schedules
-  (window doubling for narrow codes, pairwise halving for wide elements);
+- the quantizer's group maximum (``repro.quant.quantizer._group_max``, the
+  pairwise-halving schedule the entry quantizations and the prefill share)
+  equals ``abs().max(-1)`` for every group length (powers of two or not,
+  padded or not), element type and size on either side of its threshold;
 - tiling is invisible: row *i* of a batched step is bit-identical (output,
   codes, scales) to the solo step on row *i*, for batch 1..8 and for
   clamped / padded / multi-group state shapes;
 - every width follows the code width: the resident codes are stored in the
-  narrowest integer type that holds them (by every producer), the
-  ``h (.) C`` product lives in the ``2 * bits`` type, the accumulator is
-  INT32 for the INT4/INT8 SSM, INT64 for INT16 codes, and past what INT64
+  narrowest integer type that holds them (by every producer), the accumulator
+  is INT32 for the INT4/INT8 SSM, INT64 for INT16 codes, and past what INT64
   holds the oracle runs -- each still bit-identical to the fake-quant oracle.
 """
 
@@ -40,7 +45,7 @@ from repro.quant.pot import (
     shift_requantize,
     shift_right_half_even,
 )
-from repro.quant.ssm_quant import _group_absmax, _tile_scratch
+from repro.quant.quantizer import _PAIRWISE_MIN_ELEMS, _group_max
 
 
 # ----------------------------------------------------------------------
@@ -115,24 +120,25 @@ def test_shift_right_half_even_array_shifts(values, shifts):
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
 @pytest.mark.parametrize("group", [1, 2, 3, 7, 8, 24, 32])
 def test_group_absmax_matches_reduction(rng, dtype, group):
-    tile = (rng.normal(size=(3, 5, 2, group)) * 1000).astype(dtype)
-    before = tile.copy()
-    work = np.empty_like(tile), np.empty_like(tile)
-    got = _group_absmax(tile, *work)
-    np.testing.assert_array_equal(got, np.abs(tile).max(axis=-1))
-    np.testing.assert_array_equal(tile, before)
-    # The result must survive the next use of the work buffers.
-    assert got.dtype == tile.dtype and not any(np.shares_memory(got, w) for w in work)
+    """Below and above the size where ``_group_max`` switches from the plain
+    reduction to pairwise halving."""
+    for lead in (3, -(-_PAIRWISE_MIN_ELEMS // (10 * group))):
+        tile = (rng.normal(size=(lead, 5, 2, group)) * 1000).astype(dtype)
+        magnitudes = np.abs(tile)
+        before = magnitudes.copy()
+        got = _group_max(magnitudes, group)
+        np.testing.assert_array_equal(got.reshape(tile.shape[:-1]), before.max(axis=-1))
+        np.testing.assert_array_equal(magnitudes, before)
+        assert got.dtype == tile.dtype
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_group_absmax_every_width_and_group(data):
-    """Both schedules of ``_group_absmax`` -- window doubling (narrow codes,
-    non-power-of-two groups) and pairwise halving (4- and 8-byte elements with
-    a power-of-two group) -- against the plain reduction: every storage width
-    the step uses, extreme codes included, and zero-padded last groups as
-    ``_group_reshape`` builds them."""
+    """``_group_max`` against the plain reduction: every storage width the
+    quantized SSM uses, extreme codes included, power-of-two groups (halved
+    all the way), odd ones (halved down to the odd factor) and zero-padded
+    last groups as ``_group_reshape`` builds them."""
     dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.float64]), label="dtype")
     group = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32, 3, 6, 7, 24]), label="group")
     shape = data.draw(
@@ -147,12 +153,12 @@ def test_group_absmax_every_width_and_group(data):
     tile = data.draw(hnp.arrays(dtype, shape + (group,), elements=elements), label="tile")
     if pad:
         tile[..., -1, group - pad :] = 0
-    before = tile.copy()
-    work = np.empty_like(tile), np.empty_like(tile)
-    got = _group_absmax(tile, *work)
-    np.testing.assert_array_equal(got, np.abs(tile).max(axis=-1))
-    np.testing.assert_array_equal(tile, before)
-    assert got.dtype == tile.dtype and not any(np.shares_memory(got, w) for w in work)
+    if data.draw(st.booleans(), label="past the pairwise threshold"):
+        tile = np.tile(tile, (-(-_PAIRWISE_MIN_ELEMS // tile.size), 1, 1, 1))
+    magnitudes = np.abs(tile)
+    got = _group_max(magnitudes, group)
+    np.testing.assert_array_equal(got.reshape(tile.shape[:-1]), magnitudes.max(axis=-1))
+    assert got.dtype == tile.dtype
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +193,16 @@ def _inputs(rng, lead, h, p, n):
 )
 @pytest.mark.parametrize("batch", range(1, 9))
 def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
+    _check_rows_equal_solo_steps(rng, batch, n, group)
+
+
+@pytest.mark.parametrize("n,group", [(24, 32), (24, 16), (24, 8)])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_batched_step_rows_equal_solo_steps_on_the_numpy_tile(rng, numpy_tile, batch, n, group):
+    _check_rows_equal_solo_steps(rng, batch, n, group)
+
+
+def _check_rows_equal_solo_steps(rng, batch, n, group):
     h, p = 4, 8
     step = QuantizedChunkedScan(SSMQuantConfig(group_size=group))
     params = _params(rng, h)
@@ -216,11 +232,19 @@ def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
     [(4, np.int32), (8, np.int32), (9, np.int32), (16, np.int64), (22, None)],
 )
 def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
+    _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
+
+
+@pytest.mark.parametrize("bits,acc_dtype", [(4, np.int32), (8, np.int32)])
+def test_accumulator_width_follows_bits_on_the_numpy_tile(rng, numpy_tile, bits, acc_dtype):
+    """The widths the compiled tile takes, on the reference tile."""
+    _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
+
+
+def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
     """INT16 codes select the wide accumulator; past INT64's reach no state
-    is handed out as codes, so the step never leaves the oracle.  The
-    ``h (.) C`` product is INT8 / INT16 for INT4 / INT8 codes, already INT32
-    for INT9 (where it shares the accumulator's width), and INT32 below the
-    INT64 accumulator for INT16.  Every width stays bit-identical."""
+    is handed out as codes, so the step never leaves the oracle.  Every width
+    stays bit-identical."""
     step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
     assert shift_accumulator_dtype(bits) is acc_dtype
     assert step._code_int is code_storage_dtype(bits)
@@ -230,11 +254,6 @@ def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
         assert type(step.zeros_cache(config)) is LayerCache
         return
     assert type(step.zeros_cache(config)) is QuantizedLayerCache
-    scratch = _tile_scratch((1, 1, 1, 8), bits)
-    product = {4: np.int8, 8: np.int16, 9: np.int32, 16: np.int32}[bits]
-    assert (scratch.hc.dtype, scratch.acc.dtype, scratch.code_a.dtype) == (
-        product, acc_dtype, step._code_int,
-    )
     params = _params(rng, h)
     state_int = step.quantize_state_codes(rng.normal(size=(2, h, p, n)))
     state_orc = state_int.copy()
