@@ -22,19 +22,18 @@ measures, per policy:
   splits (the latency class interactive serving cares about);
 - **decode-stall iterations** -- iterations that charged more than one page of
   prompt tokens while decodes were in flight (an unbounded FIFO admission
-  stalls the running batch for the whole prompt; the paged ledger bounds it);
-- wall-clock tokens/sec (informational only -- machine-dependent, excluded
-  from the CI regression gate).
+  stalls the running batch for the whole prompt; the paged ledger bounds it).
 
-Results are printed as a table, saved to ``benchmarks/output/`` and recorded
-in the repo-root ``BENCH_scheduler.json``.  Because the iteration-space
-metrics are deterministic, the committed JSON doubles as an exact regression
-baseline: ``benchmarks/check_regression.py`` compares a fresh ``--smoke`` run
-against it in CI.
+Results are printed as a table and recorded in the repo-root
+``BENCH_scheduler.json``, which holds the smoke mode beside the full one.
+Because every recorded metric is deterministic, the committed JSON is an
+exact regression baseline: ``tests/test_bench_records.py`` re-runs the smoke
+mode and compares it with the record field for field.  Wall-clock throughput
+belongs to ``benchmarks/e2e``.
 
-Run directly::
+Re-record directly::
 
-    PYTHONPATH=src python benchmarks/bench_scheduler.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_scheduler.py
 
 or through the benchmark harness
 (``pytest benchmarks/bench_scheduler.py``).
@@ -42,9 +41,7 @@ or through the benchmark harness
 
 from __future__ import annotations
 
-import argparse
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
@@ -71,6 +68,13 @@ SHORT_PROMPT_TOKENS = 32
 
 MAX_BATCH_SIZE = 4
 WORKLOAD_SEED = 0
+
+#: mode name -> request count.  The record test replays ``SMOKE_MODES``; the
+#: committed record carries them beside the full mode.
+SMOKE_MODES = {"smoke": 12}
+FULL_MODES = {**SMOKE_MODES, "full": 48}
+
+RECORD = Path(__file__).parent.parent / "BENCH_scheduler.json"
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,7 @@ def run_policy(
 ) -> Dict[str, object]:
     """Serve one workload under one policy; returns metrics + admission trace.
 
-    The ``metrics`` dict contains only iteration-space (machine-independent)
-    quantities; wall-clock throughput is reported separately.
+    Both are iteration-space (machine-independent) quantities.
     """
     engine = InferenceEngine(model, max_batch_size=max_batch_size, scheduler=scheduler)
     idx = 0
@@ -138,7 +141,6 @@ def run_policy(
     # token_clock[s] = cumulative model tokens (prompt + decode) after step s;
     # differences of it convert engine-step intervals into token time.
     token_clock = [0]
-    start = time.perf_counter()
     while idx < len(workload) or engine.has_work:
         while idx < len(workload) and workload[idx].submit_step <= engine.stats.engine_steps:
             engine.submit(workload[idx].request, priority=workload[idx].priority)
@@ -152,7 +154,6 @@ def run_policy(
             max_prefill_per_iteration = max(max_prefill_per_iteration, prefill_delta)
             if prefill_delta > stall_page_tokens:
                 stall_iterations += 1
-    elapsed = time.perf_counter() - start
 
     latencies = [engine.latency(item_id) for item_id in range(len(workload))]
     short = [
@@ -189,7 +190,6 @@ def run_policy(
     }
     return {
         "metrics": metrics,
-        "wallclock_tokens_per_sec": engine.stats.decoded_tokens / elapsed,
         "admission_trace": [
             (lat.request_id, lat.admitted_step, lat.first_token_step)
             for lat in latencies
@@ -208,9 +208,8 @@ def _policies() -> Dict[str, object]:
 def bench_scheduler(modes: Dict[str, int], seed: int = WORKLOAD_SEED) -> Dict[str, object]:
     """Run every policy over every mode's workload size.
 
-    ``modes`` maps a mode name (``"smoke"``, ``"full"``) to its request count;
-    the committed JSON carries both modes so the CI smoke run can be compared
-    exactly against its committed counterpart.
+    ``modes`` maps a mode name to its request count (``SMOKE_MODES``,
+    ``FULL_MODES``).
     """
     model = Mamba2Model.from_config(get_preset("mamba2-tiny"), InitConfig(seed=0))
     results: Dict[str, object] = {
@@ -223,13 +222,10 @@ def bench_scheduler(modes: Dict[str, int], seed: int = WORKLOAD_SEED) -> Dict[st
     }
     for mode, n_requests in modes.items():
         workload = make_workload(model.config.vocab_size, n_requests, seed=seed)
-        policies = {}
-        for name, scheduler in _policies().items():
-            run = run_policy(model, scheduler, workload)
-            policies[name] = {
-                "metrics": run["metrics"],
-                "wallclock_tokens_per_sec": run["wallclock_tokens_per_sec"],
-            }
+        policies = {
+            name: {"metrics": run_policy(model, scheduler, workload)["metrics"]}
+            for name, scheduler in _policies().items()
+        }
         results["modes"][mode] = {"n_requests": n_requests, "policies": policies}
     return results
 
@@ -241,7 +237,6 @@ def format_results(results) -> str:
         for policy, entry in payload["policies"].items():
             row = {"policy": policy}
             row.update(entry["metrics"])
-            row["tok/s (wallclock)"] = entry["wallclock_tokens_per_sec"]
             rows.append(row)
         blocks.append(
             format_rows(
@@ -257,17 +252,12 @@ def format_results(results) -> str:
     return "\n\n".join(blocks)
 
 
-def write_json(results, path) -> None:
-    Path(path).write_text(json.dumps(results, indent=2) + "\n")
-
-
 def test_scheduler_policies(benchmark, save_output):
     results = benchmark.pedantic(
-        lambda: bench_scheduler({"smoke": 12, "full": 48}), rounds=1, iterations=1
+        lambda: bench_scheduler(FULL_MODES), rounds=1, iterations=1
     )
-    text = format_results(results)
-    save_output("scheduler_policies", text)
-    write_json(results, Path(__file__).parent.parent / "BENCH_scheduler.json")
+    save_output("scheduler_policies", format_results(results))
+    RECORD.write_text(json.dumps(results, indent=2) + "\n")
 
     full = results["modes"]["full"]["policies"]
     # The paged ledger bounds per-iteration prompt work to the page, so it
@@ -284,28 +274,7 @@ def test_scheduler_policies(benchmark, save_output):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick CI mode: smoke workload only, no acceptance assertions",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).parent.parent / "BENCH_scheduler.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args()
-
-    modes = {"smoke": 12} if args.smoke else {"smoke": 12, "full": 48}
-    results = bench_scheduler(modes)
+    results = bench_scheduler(FULL_MODES)
     print(format_results(results))
-    # Smoke runs keep their artifacts next to their JSON (benchmarks/output/
-    # fresh/ in CI) so they never clobber the committed full-run records.
-    out_dir = args.output.parent if args.smoke else Path(__file__).parent / "output"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scheduler_policies.txt").write_text(format_results(results) + "\n")
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    write_json(results, args.output)
-    print(f"[saved to {args.output}]")
+    RECORD.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"[saved to {RECORD}]")

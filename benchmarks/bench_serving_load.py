@@ -23,18 +23,19 @@ mid-stream client disconnects -- through two drivers:
 Per mode and policy it reports p50/p99 TTFT, p50/p99 queue wait (engine
 iterations), p50/p99 time-per-output-token in *token time* (model tokens the
 engine processed between consecutive tokens of a request), finish-reason
-counts and total engine steps -- all deterministic given the seed, so the
-committed ``BENCH_serving_load.json`` is an exact regression baseline for
-``benchmarks/check_regression.py``.  Wall-clock tokens/sec-per-slot is
-reported as information only.  Every run is also checked token-for-token
-against the single-sequence reference decoders
+counts, trace hashes and total engine steps -- all deterministic given the
+seed, so the committed ``BENCH_serving_load.json`` (smoke modes beside full
+ones) is an exact regression baseline: ``tests/test_bench_records.py``
+re-runs the smoke modes and compares them with the record field for field.
+Wall-clock throughput belongs to ``benchmarks/e2e``.  Every run is also
+checked token-for-token against the single-sequence reference decoders
 (:func:`~repro.serving.loadgen.verify_against_solo`): completed requests
 must match solo decode exactly and disconnected requests must be exact
 prefixes, end to end through the wire path.
 
-Run directly::
+Re-record directly::
 
-    PYTHONPATH=src python benchmarks/bench_serving_load.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_serving_load.py
 
 or through the benchmark harness
 (``pytest benchmarks/bench_serving_load.py``).
@@ -42,7 +43,6 @@ or through the benchmark harness
 
 from __future__ import annotations
 
-import argparse
 import json
 from pathlib import Path
 from typing import Dict, Sequence
@@ -80,9 +80,9 @@ SHAPES: Dict[str, TrafficShape] = {
     "bursty": TrafficShape(arrival="bursty"),
 }
 
-#: mode name -> (driver, arrival shape, request count).  ``smoke_*`` and
-#: ``live_smoke`` run in CI; ``full_*`` additionally in the committed runs,
-#: so the committed JSON carries the smoke modes for exact comparison.
+#: mode name -> (driver, arrival shape, request count).  The record test
+#: replays ``SMOKE_MODES``; the committed record carries them beside
+#: ``full_*``.
 SMOKE_MODES = {
     "smoke_poisson": ("inprocess", "poisson", 24),
     "smoke_bursty": ("inprocess", "bursty", 24),
@@ -93,6 +93,8 @@ FULL_MODES = {
     "full_poisson": ("inprocess", "poisson", 96),
     "full_bursty": ("inprocess", "bursty", 96),
 }
+
+RECORD = Path(__file__).parent.parent / "BENCH_serving_load.json"
 
 
 def _policies() -> Dict[str, object]:
@@ -166,9 +168,6 @@ def bench_serving_load(
                 "metrics": result.metrics,
                 "trace_hash": result.trace_hash,
                 "tokens_per_slot_iteration": result.info["tokens_per_slot_iteration"],
-                "wallclock_tokens_per_sec_per_slot": result.info[
-                    "wallclock_tokens_per_sec_per_slot"
-                ],
                 "finish_reasons": result.info["finish_reasons"],
             }
         results["modes"][mode] = {
@@ -188,7 +187,6 @@ def format_results(results) -> str:
             row = {"policy": policy}
             row.update(entry["metrics"])
             row["tok/slot-iter"] = entry["tokens_per_slot_iteration"]
-            row["tok/s/slot (wallclock)"] = entry["wallclock_tokens_per_sec_per_slot"]
             rows.append(row)
         blocks.append(
             format_rows(
@@ -203,17 +201,12 @@ def format_results(results) -> str:
     return "\n\n".join(blocks)
 
 
-def write_json(results, path) -> None:
-    Path(path).write_text(json.dumps(results, indent=2) + "\n")
-
-
 def test_serving_load(benchmark, save_output):
     results = benchmark.pedantic(
         lambda: bench_serving_load(FULL_MODES), rounds=1, iterations=1
     )
-    text = format_results(results)
-    save_output("serving_load", text)
-    write_json(results, Path(__file__).parent.parent / "BENCH_serving_load.json")
+    save_output("serving_load", format_results(results))
+    RECORD.write_text(json.dumps(results, indent=2) + "\n")
 
     for mode, payload in results["modes"].items():
         policies = payload["policies"]
@@ -249,27 +242,7 @@ def test_serving_load(benchmark, save_output):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick CI mode: smoke + live workloads only, no acceptance assertions",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).parent.parent / "BENCH_serving_load.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args()
-
-    results = bench_serving_load(SMOKE_MODES if args.smoke else FULL_MODES)
+    results = bench_serving_load(FULL_MODES)
     print(format_results(results))
-    # Smoke runs keep their artifacts next to their JSON (benchmarks/output/
-    # fresh/ in CI) so they never clobber the committed full-run records.
-    out_dir = args.output.parent if args.smoke else Path(__file__).parent / "output"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "serving_load.txt").write_text(format_results(results) + "\n")
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    write_json(results, args.output)
-    print(f"[saved to {args.output}]")
+    RECORD.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"[saved to {RECORD}]")

@@ -3,9 +3,9 @@
 Every benchmark regenerates one table or figure of the paper's evaluation
 section (see ``benchmarks/README.md`` and the module docstrings for the
 index).  Heavy fixtures are session scoped so the reference evaluation model
-and its calibration data are built once; each benchmark writes its formatted
-output to ``benchmarks/output/`` so the regenerated tables can be inspected
-after the run.
+and its calibration data are built once.  Each benchmark writes its
+formatted table to ``benchmarks/output/`` on every run, for inspection
+afterwards; that directory is not committed.
 
 Set the environment variable ``LIGHTMAMBA_BENCH_SCALE`` (default ``1``) to an
 integer to multiply the number of task examples / evaluation sequences used
