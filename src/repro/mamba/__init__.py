@@ -24,13 +24,7 @@ from repro.mamba.config import Mamba2Config, MODEL_PRESETS, get_preset
 from repro.mamba.ops import silu, softplus, rms_normalize
 from repro.mamba.rmsnorm import RMSNorm, GatedRMSNorm
 from repro.mamba.conv1d import CausalConv1d
-from repro.mamba.ssm import (
-    SSMParams,
-    ssm_step,
-    ssm_scan,
-    ssd_chunked_scan,
-    selective_state_update,
-)
+from repro.mamba.ssm import SSMParams, ssm_step, ssm_scan, ssd_chunked_scan
 from repro.mamba.cache import LayerCache, InferenceCache, QuantizedLayerCache, QuantizedSSMState
 from repro.mamba.block import MambaBlock, SSMImpl
 from repro.mamba.model import Mamba2Model
@@ -53,7 +47,6 @@ __all__ = [
     "ssm_step",
     "ssm_scan",
     "ssd_chunked_scan",
-    "selective_state_update",
     "LayerCache",
     "InferenceCache",
     "QuantizedLayerCache",

@@ -24,6 +24,12 @@ the hardware co-design:
   step call, ``forward`` one ``prefill_scan`` call, and the state it is
   handed back goes into the cache as it comes.  ``None`` (the default) is the
   floating-point recurrence of :mod:`repro.mamba.ssm`.
+
+``step`` (one token) and ``forward`` (a segment) share one body: the
+pre-norm + in-projection, and the gated norm + out-projection + residual with
+the ``collect`` writes.  They differ only in the convolution call
+(``conv.step`` / ``conv.forward``) and the SSM call (the step /
+``prefill_scan``), and stay two methods so each is timed on its own.
 """
 
 from __future__ import annotations
@@ -138,22 +144,48 @@ class MambaBlock:
             raise ValueError("norm dimensions do not match the configuration")
 
     # ------------------------------------------------------------------
-    # Projections
+    # The shared halves of step and forward
     # ------------------------------------------------------------------
-    def _split_in_proj(self, zxbcdt: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Split the input-projection output into ``z, xBC, dt`` (last axis)."""
+    def _project_in(self, u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Pre-norm and in-projection: ``(r, z, xBC, dt)``, the last three views of one array."""
         cfg = self.config
+        r = self.norm(u)
+        zxbcdt = self.pre_in_proj(r) @ self.in_proj_weight.T
+        if self.in_proj_bias is not None:
+            zxbcdt = zxbcdt + self.in_proj_bias
         z = zxbcdt[..., : cfg.d_inner]
         xbc = zxbcdt[..., cfg.d_inner : cfg.d_inner + cfg.conv_dim]
-        dt = zxbcdt[..., cfg.d_inner + cfg.conv_dim :]
-        return z, xbc, dt
+        return r, z, xbc, zxbcdt[..., cfg.d_inner + cfg.conv_dim :]
 
     def _split_xbc(self, xbc: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The convolved ``xBC`` as the SSM operands ``x`` (per head), ``B``, ``C``."""
         cfg = self.config
         x = xbc[..., : cfg.d_inner]
         b = xbc[..., cfg.d_inner : cfg.d_inner + cfg.d_bc]
         c = xbc[..., cfg.d_inner + cfg.d_bc :]
-        return x, b, c
+        return x.reshape(x.shape[:-1] + (cfg.nheads, cfg.headdim)), b, c
+
+    def _project_out(
+        self, u: np.ndarray, r: np.ndarray, z: np.ndarray, xbc: np.ndarray, dt: np.ndarray,
+        y_heads: np.ndarray, collect: Optional[Dict[str, np.ndarray]],
+    ) -> np.ndarray:
+        """Gated norm, out-projection and residual; the ``collect`` writes."""
+        y = y_heads.reshape(u.shape[:-1] + (self.config.d_inner,))
+        # The SSM output is dead after the gate, so the gated norm may
+        # overwrite it -- unless the caller collects it.
+        reuse = collect is None and y.flags.c_contiguous
+        gated = self.gated_norm(y, z, out=y if reuse else None)
+        out = self.pre_out_proj(gated) @ self.out_proj_weight.T
+        if self.out_proj_bias is not None:
+            out = out + self.out_proj_bias
+        hidden = np.add(u, out, out=out)
+        if collect is not None:
+            x_heads, b, c = self._split_xbc(xbc)
+            collect.update(
+                in_proj_input=r, out_proj_input=gated, z=z, x=x_heads.reshape(y.shape),
+                B=b, C=c, dt=dt, ssm_output=y, block_output=hidden,
+            )
+        return hidden
 
     # ------------------------------------------------------------------
     # Decode (one token)
@@ -186,45 +218,16 @@ class MambaBlock:
                 f"expected input of shape ({cfg.d_model},) or (batch, {cfg.d_model}), "
                 f"got {u.shape}"
             )
-        batched = u.ndim == 2
-
-        residual = u
-        r = self.norm(u)
-        r_q = self.pre_in_proj(r)
-        zxbcdt = r_q @ self.in_proj_weight.T
-        if self.in_proj_bias is not None:
-            zxbcdt = zxbcdt + self.in_proj_bias
-        z, xbc, dt = self._split_in_proj(zxbcdt)
-        if batched:
+        r, z, xbc, dt = self._project_in(u)
+        if u.ndim == 2:
             # The splits are strided views of zxbcdt; the decode hot loop
             # touches them many times, so contiguous copies pay for themselves.
             z, xbc, dt = z.copy(), xbc.copy(), dt.copy()
-
         xbc_conv, cache.conv_state = self.conv.step(xbc, cache.conv_state)
-        x, b, c = self._split_xbc(xbc_conv)
-        x_heads = x.reshape(x.shape[:-1] + (cfg.nheads, cfg.headdim))
-
+        x_heads, b, c = self._split_xbc(xbc_conv)
         step_fn = self.ssm_impl if self.ssm_impl is not None else ssm_step
         y_heads, cache.ssm_state = step_fn(self.ssm, x_heads, b, c, dt, cache.ssm_state)
-        y = y_heads.reshape(u.shape[:-1] + (cfg.d_inner,))
-
-        gated = self.gated_norm(y, z)
-        gated_q = self.pre_out_proj(gated)
-        out = gated_q @ self.out_proj_weight.T
-        if self.out_proj_bias is not None:
-            out = out + self.out_proj_bias
-
-        if collect is not None:
-            collect["in_proj_input"] = r
-            collect["out_proj_input"] = gated
-            collect["z"] = z
-            collect["x"] = x
-            collect["B"] = b
-            collect["C"] = c
-            collect["dt"] = dt
-            collect["ssm_output"] = y
-            collect["block_output"] = residual + out
-        return residual + out
+        return self._project_out(u, r, z, xbc_conv, dt, y_heads, collect)
 
     # ------------------------------------------------------------------
     # Prefill (full sequence)
@@ -236,7 +239,6 @@ class MambaBlock:
         collect: Optional[Dict[str, np.ndarray]] = None,
         *,
         scan_impl: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> np.ndarray:
         """Process a full sequence of shape ``(seq_len, d_model)``.
 
@@ -253,15 +255,12 @@ class MambaBlock:
         Parameters
         ----------
         scan_impl:
-            ``"chunked"`` (SSD chunked scan, the fast path) or
-            ``"sequential"`` (per-token reference recurrence); defaults to
-            ``config.scan_impl``.  An installed ``ssm_impl`` serves both
-            through one ``prefill_scan`` call: ``"chunked"`` at
-            ``chunk_size``, ``"sequential"`` at chunk size 1 (its exact
-            per-token path -- for the quantized scan, the fake-quant oracle).
-        chunk_size:
-            Chunk length of the chunked scan; defaults to
-            ``config.chunk_size``.
+            ``"chunked"`` (the default: the SSD chunked scan at
+            ``config.chunk_size``, the fast path) or ``"sequential"`` (the
+            per-token reference recurrence).  An installed ``ssm_impl`` serves
+            both through one ``prefill_scan`` call: ``"sequential"`` is its
+            chunk size 1, the exact per-token path -- for the quantized scan,
+            the fake-quant oracle.
         """
         cfg = self.config
         u = np.asarray(u, dtype=np.float64)
@@ -270,65 +269,33 @@ class MambaBlock:
                 f"expected input of shape (seq_len, {cfg.d_model}) or "
                 f"(batch, seq_len, {cfg.d_model}), got {u.shape}"
             )
-        impl = scan_impl if scan_impl is not None else cfg.scan_impl
-        if impl not in ("chunked", "sequential"):
+        if scan_impl not in (None, "chunked", "sequential"):
             raise ValueError("scan_impl must be 'chunked' or 'sequential'")
-        chunk = chunk_size if chunk_size is not None else cfg.chunk_size
+        sequential = scan_impl == "sequential"
 
-        residual = u
-        r = self.norm(u)
-        r_q = self.pre_in_proj(r)
-        zxbcdt = r_q @ self.in_proj_weight.T
-        if self.in_proj_bias is not None:
-            zxbcdt = zxbcdt + self.in_proj_bias
-        z, xbc, dt = self._split_in_proj(zxbcdt)
-
+        r, z, xbc, dt = self._project_in(u)
         conv_initial = None if cache is None else cache.conv_state
         xbc_conv = self.conv.forward(xbc, initial_state=conv_initial)
-        x, b, c = self._split_xbc(xbc_conv)
-        x_heads = x.reshape(x.shape[:-1] + (cfg.nheads, cfg.headdim))
-
+        x_heads, b, c = self._split_xbc(xbc_conv)
         initial = None if cache is None else cache.ssm_state
-        if self.ssm_impl is None:
-            if impl == "chunked":
-                y_heads, final_state = ssd_chunked_scan(
-                    self.ssm, x_heads, b, c, dt, initial, chunk_size=chunk
-                )
-            else:
-                y_heads, final_state = ssm_scan(self.ssm, x_heads, b, c, dt, initial)
-        else:
-            # One scan call for the whole segment ("sequential" is the scan's
-            # exact per-token path); the state returns in the form it went in.
+        if self.ssm_impl is not None:
+            # One scan call for the whole segment; the state returns in the
+            # form it went in.
             y_heads, final_state = self.ssm_impl.prefill_scan(
                 self.ssm, x_heads, b, c, dt, initial_state=initial,
-                chunk_size=chunk if impl == "chunked" else 1,
+                chunk_size=1 if sequential else cfg.chunk_size,
             )
-
-        y = y_heads.reshape(u.shape[:-1] + (cfg.d_inner,))
-        # The scan output is dead after the gate, so the gated norm may
-        # overwrite it -- unless the caller collects it.
-        reuse = collect is None and y.flags.c_contiguous
-        gated = self.gated_norm(y, z, out=y if reuse else None)
-        gated_q = self.pre_out_proj(gated)
-        out = gated_q @ self.out_proj_weight.T
-        if self.out_proj_bias is not None:
-            out = out + self.out_proj_bias
-        hidden = np.add(residual, out, out=out)
+        elif sequential:
+            y_heads, final_state = ssm_scan(self.ssm, x_heads, b, c, dt, initial)
+        else:
+            y_heads, final_state = ssd_chunked_scan(
+                self.ssm, x_heads, b, c, dt, initial, chunk_size=cfg.chunk_size
+            )
+        hidden = self._project_out(u, r, z, xbc_conv, dt, y_heads, collect)
 
         if cache is not None:
             cache.ssm_state = final_state
             cache.conv_state = _rolled_conv_window(cache.conv_state, xbc)
-
-        if collect is not None:
-            collect["in_proj_input"] = r
-            collect["out_proj_input"] = gated
-            collect["z"] = z
-            collect["x"] = x
-            collect["B"] = b
-            collect["C"] = c
-            collect["dt"] = dt
-            collect["ssm_output"] = y
-            collect["block_output"] = hidden
         return hidden
 
     __call__ = forward

@@ -6,22 +6,27 @@ property (Sec. I, Fig. 9a) -- decode cost does not grow with the generated
 sequence length, which is also what makes large-batch decode cheap: a batch of
 requests is just a leading ``(batch, ...)`` axis on the same fixed-size state.
 
-Both cache classes support an optional batch dimension.  ``zeros(config)``
-builds the single-sequence state used by the classic decode API;
+Every cache supports an optional batch dimension.  ``zeros(config)`` builds
+the single-sequence state used by the classic decode API;
 ``zeros(config, batch_size=b)`` prepends a batch axis to every tensor.  The
-serving engine manages request lifetimes with :meth:`gather` (select / compact
-rows, e.g. to evict finished requests) and :meth:`scatter` (write rows back,
-e.g. to admit a freshly prefilled request into a running batch);
-:meth:`stack` / :meth:`row` convert between batched and per-request caches.
+serving engine manages request lifetimes with :meth:`~LayerCache.gather`
+(select / compact rows, e.g. to evict finished requests) and
+:meth:`~LayerCache.scatter` (write rows back, e.g. to admit a freshly
+prefilled request into a running batch); :meth:`~LayerCache.stack` /
+:meth:`~LayerCache.row` convert between batched and per-request caches.
 
-Quantized lightmamba* models keep the state integer-resident (the FPGA keeps
-``h`` on-chip as INT codes, Sec. V of the paper) in a
-:class:`QuantizedLayerCache`: its ``ssm_state`` holds a
-:class:`QuantizedSSMState` -- integer codes plus per-group scales -- instead of
-a float array, and all of the request-lifetime operations above move the codes
-directly, so admission / eviction never round-trips the state through floats.
-The quantization logic itself lives in :mod:`repro.quant.ssm_quant`; this
-module only defines the mechanical containers (pure numpy, no quant imports).
+The SSM state comes in two forms, and :class:`LayerCache` implements each of
+these operations once for both.  A float model's state is a float array.
+Quantized lightmamba* models keep it integer-resident (the FPGA keeps ``h``
+on-chip as INT codes, Sec. V of the paper): a :class:`QuantizedSSMState` --
+integer codes plus per-group scales -- inside a :class:`QuantizedLayerCache`,
+so admission / eviction move the codes directly and never round-trip the
+state through floats.  The resident state owns only what differs from an
+array: taking and putting rows, its layout, codes + scales equality and its
+packed byte count.  One check refuses to mix forms, layouts or row counts
+before anything is written.  The quantization logic itself lives in
+:mod:`repro.quant.ssm_quant`; this module only defines the mechanical
+containers (pure numpy, no quant imports).
 """
 
 from __future__ import annotations
@@ -34,6 +39,41 @@ import numpy as np
 from repro.mamba.config import Mamba2Config
 
 __all__ = ["LayerCache", "InferenceCache", "QuantizedSSMState", "QuantizedLayerCache"]
+
+
+def _resident(state) -> bool:
+    return isinstance(state, QuantizedSSMState)
+
+
+def _form(state) -> str:
+    return "integer-resident (QuantizedSSMState)" if _resident(state) else "float (ndarray)"
+
+
+def _require_compatible(op: str, target, sources: Sequence, rows: Optional[int] = None) -> None:
+    """The one check a row operation makes before it writes or builds anything.
+
+    ``target`` and each of ``sources`` is an SSM state of either form.  A
+    source of the other form raises ``TypeError``; a resident source of
+    another layout, or a source whose batch is not ``rows`` long, raises
+    ``ValueError``.  numpy would otherwise convert, narrow (codes held wider
+    than the target's wrap) or broadcast it silently.
+    """
+    for src in sources:
+        if _form(src) != _form(target):
+            raise TypeError(
+                f"{op} needs one state form: {_form(target)} here but {_form(src)} in the source"
+            )
+        if _resident(src) and src.layout != target.layout:
+            raise ValueError(
+                f"{op} needs states of one layout: (codes dtype, bits, group_size) "
+                f"is {target.layout} here but {src.layout} in the source"
+            )
+        batch = src.shape[0] if len(src.shape) == 4 else None
+        if rows is not None and batch != rows:
+            raise ValueError(
+                f"{op} needs one src row per index: {rows} indices "
+                f"but src batch size is {batch}"
+            )
 
 
 @dataclass
@@ -50,14 +90,12 @@ class QuantizedSSMState:
     group-reshaped view of ``codes``).  The container is purely mechanical --
     producing codes from floats is the quantizer's job
     (:class:`repro.quant.ssm_quant.QuantizedSSMStep`); here we only hold,
-    copy, and row-shuffle them for the serving engine's admission / eviction,
-    and refuse to mix containers of different layouts
-    (:meth:`scatter` / :meth:`stack`): an assignment between code arrays of
-    different widths would silently wrap.
+    copy, and row-shuffle them for the serving engine's admission / eviction.
 
     ``codes`` has the exact shape a float ``ssm_state`` would have
     (``(nheads, headdim, d_state)``, plus an optional leading batch axis), so
-    every batched row operation is a plain leading-axis index on both arrays.
+    rows are taken and put like an array's: ``state[rows]`` and
+    ``state[rows] = src``, the latter checked like every row write.
     """
 
     codes: np.ndarray
@@ -70,9 +108,14 @@ class QuantizedSSMState:
         return self.codes.shape
 
     @property
-    def batch_size(self) -> Optional[int]:
-        """Leading batch dimension, or ``None`` for a single-sequence state."""
-        return self.codes.shape[0] if self.codes.ndim == 4 else None
+    def size(self) -> int:
+        """Scalars held by the resident state (codes plus scales)."""
+        return int(self.codes.size + self.scales.size)
+
+    @property
+    def layout(self) -> tuple:
+        """What two states must share to exchange rows: (codes dtype, bits, group_size)."""
+        return (self.codes.dtype, self.bits, self.group_size)
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the float state (``codes * scales``, group-wise).
@@ -99,43 +142,22 @@ class QuantizedSSMState:
             self.codes.copy(), self.scales.copy(), self.group_size, self.bits
         )
 
-    def gather(self, indices) -> "QuantizedSSMState":
-        indices = np.asarray(indices, dtype=np.int64)
-        return QuantizedSSMState(
-            self.codes[indices].copy(),
-            self.scales[indices].copy(),
-            self.group_size,
-            self.bits,
-        )
+    def __getitem__(self, index) -> "QuantizedSSMState":
+        """Rows ``index``, as an array indexes them: an index array copies, an int gives views."""
+        return QuantizedSSMState(self.codes[index], self.scales[index], self.group_size, self.bits)
 
-    def _require_same_layout(self, other: "QuantizedSSMState", op: str) -> None:
-        mine = (self.codes.dtype, self.bits, self.group_size)
-        theirs = (other.codes.dtype, other.bits, other.group_size)
-        if mine != theirs:
-            raise ValueError(
-                f"{op} needs states of one layout: (codes dtype, bits, group_size) "
-                f"is {mine} here but {theirs} in the source"
-            )
-
-    def scatter(self, indices, src: "QuantizedSSMState") -> None:
-        self._require_same_layout(src, "scatter")
+    def __setitem__(self, indices, src: "QuantizedSSMState") -> None:
+        """Write the rows of batched ``src`` into rows ``indices``, checked first."""
         indices = np.asarray(indices, dtype=np.int64)
+        _require_compatible("scatter", self, [src], rows=indices.size)
         self.codes[indices] = src.codes
         self.scales[indices] = src.scales
 
-    def row(self, index: int) -> "QuantizedSSMState":
-        return QuantizedSSMState(
-            self.codes[index].copy(),
-            self.scales[index].copy(),
-            self.group_size,
-            self.bits,
-        )
-
     @classmethod
     def stack(cls, states: Sequence["QuantizedSSMState"]) -> "QuantizedSSMState":
+        """Single-sequence states stacked into one batched state, checked first."""
         first = states[0]
-        for other in states[1:]:
-            first._require_same_layout(other, "stack")
+        _require_compatible("stack", first, states[1:])
         return cls(
             codes=np.stack([s.codes for s in states]),
             scales=np.stack([s.scales for s in states]),
@@ -159,11 +181,7 @@ class QuantizedSSMState:
             and np.array_equal(self.scales, other.scales)
         )
 
-    def num_elements(self) -> int:
-        """Scalars held by the resident state (codes plus scales)."""
-        return int(self.codes.size + self.scales.size)
-
-    def num_bytes(self) -> float:
+    def resident_bytes(self) -> float:
         """Resident footprint: packed codes plus one exponent byte per scale.
 
         PoT scales are stored as a signed power-of-two exponent, one byte
@@ -175,7 +193,7 @@ class QuantizedSSMState:
 
 @dataclass
 class LayerCache:
-    """Recurrent state of one Mamba2 block.
+    """Recurrent state of one Mamba2 block, for either SSM state form.
 
     Attributes
     ----------
@@ -184,7 +202,12 @@ class LayerCache:
         ``(batch, conv_dim, d_conv)`` for a batched cache.
     ssm_state:
         SSM hidden state ``h``, shape ``(nheads, headdim, d_state)`` -- or
-        ``(batch, nheads, headdim, d_state)`` for a batched cache.
+        ``(batch, nheads, headdim, d_state)`` for a batched cache: a float
+        array, or a :class:`QuantizedSSMState` in a
+        :class:`QuantizedLayerCache`.
+
+    Every operation below returns a cache of the caller's class that owns its
+    memory, and every row write is checked before anything is written.
     """
 
     conv_state: np.ndarray
@@ -206,42 +229,39 @@ class LayerCache:
         return self.conv_state.shape[0] if self.conv_state.ndim == 3 else None
 
     def copy(self) -> "LayerCache":
-        return LayerCache(self.conv_state.copy(), self.ssm_state.copy())
+        return type(self)(self.conv_state.copy(), self.ssm_state.copy())
 
     def gather(self, indices) -> "LayerCache":
         """Return a new batched cache holding rows ``indices`` (in order)."""
         self._require_batched("gather")
         indices = np.asarray(indices, dtype=np.int64)
-        return LayerCache(self.conv_state[indices].copy(), self.ssm_state[indices].copy())
+        # Indexing with an array copies: the rows are copied once.
+        return type(self)(self.conv_state[indices], self.ssm_state[indices])
 
     def scatter(self, indices, src: "LayerCache") -> None:
         """Write the rows of batched cache ``src`` into rows ``indices`` of self."""
         self._require_batched("scatter")
         indices = np.asarray(indices, dtype=np.int64)
-        if src.batch_size != indices.size:
-            raise ValueError(
-                f"scatter needs one src row per index: {indices.size} indices "
-                f"but src batch size is {src.batch_size}"
-            )
+        _require_compatible("scatter", self.ssm_state, [src.ssm_state], rows=indices.size)
         self.conv_state[indices] = src.conv_state
         self.ssm_state[indices] = src.ssm_state
 
     def row(self, index: int) -> "LayerCache":
         """Extract one request's state as a single-sequence (unbatched) cache."""
         self._require_batched("row")
-        return LayerCache(self.conv_state[index].copy(), self.ssm_state[index].copy())
+        return type(self)(self.conv_state[index], self.ssm_state[index]).copy()
 
     @classmethod
     def stack(cls, caches: Sequence["LayerCache"]) -> "LayerCache":
-        """Stack single-sequence caches into one batched cache."""
+        """Stack single-sequence caches into one batched cache of their class."""
         if not caches:
             raise ValueError("cannot stack an empty sequence of caches")
         if any(c.batch_size is not None for c in caches):
             raise ValueError("stack expects single-sequence (unbatched) caches")
-        return cls(
-            conv_state=np.stack([c.conv_state for c in caches]),
-            ssm_state=np.stack([c.ssm_state for c in caches]),
-        )
+        states = [c.ssm_state for c in caches]
+        _require_compatible("stack", states[0], states[1:])
+        stack_states = QuantizedSSMState.stack if _resident(states[0]) else np.stack
+        return type(caches[0])(np.stack([c.conv_state for c in caches]), stack_states(states))
 
     def _require_batched(self, op: str) -> None:
         if self.batch_size is None:
@@ -252,15 +272,16 @@ class LayerCache:
     def state_equal(self, other: "LayerCache") -> bool:
         """Exact value equality of the recurrent state (no tolerance).
 
-        Float arrays compare with :func:`numpy.array_equal`; the quantized
-        subclass compares resident codes + scales instead (see
-        :meth:`QuantizedLayerCache.state_equal`).  ``NaN`` never compares
-        equal, so a corrupted state is never "equal" to a healthy snapshot.
+        Float arrays compare with :func:`numpy.array_equal`; a resident state
+        compares codes + scales (:meth:`QuantizedSSMState.exact_equal`), never
+        dequantized floats.  ``NaN`` never compares equal, so a corrupted
+        state is never "equal" to a healthy snapshot.
         """
-        if type(other) is not type(self):
+        mine, theirs = self.ssm_state, other.ssm_state
+        if type(other) is not type(self) or _form(mine) != _form(theirs):
             return False
-        return np.array_equal(self.conv_state, other.conv_state) and np.array_equal(
-            self.ssm_state, other.ssm_state
+        return np.array_equal(self.conv_state, other.conv_state) and (
+            mine.exact_equal(theirs) if _resident(mine) else np.array_equal(mine, theirs)
         )
 
     def num_elements(self) -> int:
@@ -271,12 +292,14 @@ class LayerCache:
         """Checkpoint footprint of this layer's state, in bytes.
 
         Matches the accounting of
-        :class:`repro.hardware.memory.QuantizedStateMemoryModel`: a float
-        cache is stored at FP16 (2 bytes per element); the quantized subclass
-        stores packed codes plus one PoT exponent byte per scale (see
-        :meth:`QuantizedLayerCache.resident_bytes`).
+        :class:`repro.hardware.memory.QuantizedStateMemoryModel`: the conv
+        window and a float state are stored at FP16 (2 bytes per element); a
+        resident state as packed codes plus one PoT exponent byte per scale
+        (:meth:`QuantizedSSMState.resident_bytes`).
         """
-        return float(self.num_elements()) * 2.0
+        state = self.ssm_state
+        state_bytes = state.resident_bytes() if _resident(state) else float(state.size) * 2.0
+        return float(self.conv_state.size) * 2.0 + state_bytes
 
 
 @dataclass
@@ -291,10 +314,9 @@ class QuantizedLayerCache(LayerCache):
     decides: :meth:`repro.quant.ssm_quant.QuantizedSSMStep.zeros_cache`), and
     holding one is what makes the decode step run on integer codes; the
     serving engine's gather / scatter / stack / row then carry codes, not
-    floats, exactly like the FPGA's on-chip state buffer.
+    floats, exactly like the FPGA's on-chip state buffer.  Those operations
+    are :class:`LayerCache`'s own; the class exists to name the form.
     """
-
-    # ``ssm_state`` (inherited field) holds a QuantizedSSMState here.
 
     @classmethod
     def zeros(cls, config: Mamba2Config, batch_size: Optional[int] = None) -> "LayerCache":
@@ -303,69 +325,6 @@ class QuantizedLayerCache(LayerCache):
             "zeros_cache(...) (see Mamba2Model.new_cache): only the quantizer "
             "knows the state grid, so LayerCache.zeros cannot construct one"
         )
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        return self.conv_state.shape[0] if self.conv_state.ndim == 3 else None
-
-    def copy(self) -> "QuantizedLayerCache":
-        return QuantizedLayerCache(self.conv_state.copy(), self.ssm_state.copy())
-
-    def gather(self, indices) -> "QuantizedLayerCache":
-        self._require_batched("gather")
-        indices = np.asarray(indices, dtype=np.int64)
-        return QuantizedLayerCache(
-            self.conv_state[indices].copy(), self.ssm_state.gather(indices)
-        )
-
-    def scatter(self, indices, src: "LayerCache") -> None:
-        self._require_batched("scatter")
-        indices = np.asarray(indices, dtype=np.int64)
-        if src.batch_size != indices.size:
-            raise ValueError(
-                f"scatter needs one src row per index: {indices.size} indices "
-                f"but src batch size is {src.batch_size}"
-            )
-        if not isinstance(src.ssm_state, QuantizedSSMState):
-            raise TypeError(
-                "scatter into a QuantizedLayerCache needs integer-resident "
-                "source rows (QuantizedSSMState), not a float state"
-            )
-        # The state first: its layout check raises before anything is written.
-        self.ssm_state.scatter(indices, src.ssm_state)
-        self.conv_state[indices] = src.conv_state
-
-    def row(self, index: int) -> "QuantizedLayerCache":
-        self._require_batched("row")
-        return QuantizedLayerCache(
-            self.conv_state[index].copy(), self.ssm_state.row(index)
-        )
-
-    @classmethod
-    def stack(cls, caches: Sequence["LayerCache"]) -> "QuantizedLayerCache":
-        if not caches:
-            raise ValueError("cannot stack an empty sequence of caches")
-        if any(c.batch_size is not None for c in caches):
-            raise ValueError("stack expects single-sequence (unbatched) caches")
-        return cls(
-            conv_state=np.stack([c.conv_state for c in caches]),
-            ssm_state=QuantizedSSMState.stack([c.ssm_state for c in caches]),
-        )
-
-    def state_equal(self, other: "LayerCache") -> bool:
-        """Exact resident equality: codes + scales compared, not floats."""
-        if type(other) is not type(self):
-            return False
-        return np.array_equal(self.conv_state, other.conv_state) and self.ssm_state.exact_equal(
-            other.ssm_state
-        )
-
-    def num_elements(self) -> int:
-        return int(self.conv_state.size) + self.ssm_state.num_elements()
-
-    def resident_bytes(self) -> float:
-        """FP16 conv window plus the resident integer state's packed bytes."""
-        return float(self.conv_state.size) * 2.0 + self.ssm_state.num_bytes()
 
 
 @dataclass
@@ -418,12 +377,7 @@ class InferenceCache:
         if any(len(c.layers) != n_layer for c in caches):
             raise ValueError("all caches must have the same layer count")
         return cls(
-            layers=[
-                # Dispatch on the concrete layer class so a QuantizedLayerCache
-                # stacks into a QuantizedLayerCache (codes stay codes).
-                type(caches[0].layers[i]).stack([c.layers[i] for c in caches])
-                for i in range(n_layer)
-            ]
+            layers=[LayerCache.stack([c.layers[i] for c in caches]) for i in range(n_layer)]
         )
 
     # ------------------------------------------------------------------
@@ -445,11 +399,7 @@ class InferenceCache:
         self.scatter(indices, snapshot)
 
     def state_equal(self, other: "InferenceCache") -> bool:
-        """Exact state equality across all layers (see :meth:`LayerCache.state_equal`).
-
-        Quantized layers compare resident codes + scales, never dequantized
-        floats -- the bit-exact rollback check.
-        """
+        """Exact state equality across all layers (see :meth:`LayerCache.state_equal`)."""
         if len(other.layers) != len(self.layers):
             return False
         return all(
@@ -469,10 +419,6 @@ class InferenceCache:
         quantized-footprint terms for the recurrent state (packed codes, one
         exponent byte per PoT scale, FP16 conv taps); for a float cache it is
         the FP16 baseline.  The serving supervisor uses it to account
-        snapshot bytes in ``EngineStats``.
+        snapshot bytes in ``EngineStats``.  It is the one footprint figure.
         """
         return sum(layer.resident_bytes() for layer in self.layers)
-
-    def num_bytes(self, bytes_per_element: int = 2) -> int:
-        """Cache footprint in bytes (default FP16 storage)."""
-        return self.num_elements() * bytes_per_element

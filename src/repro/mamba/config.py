@@ -4,7 +4,8 @@ The LightMamba paper evaluates the Mamba2 family (130M ... 2.7B).  The presets
 here record the published architecture hyper-parameters; the ``tiny`` /
 ``small`` / ``medium`` presets are scaled-down configurations with identical
 structure that run quickly on a CPU and are used throughout the tests,
-examples and algorithm-level benchmarks.
+examples and algorithm-level benchmarks.  Each setting has one home: the
+prefill chunk length is a field here, the per-token scan a per-call argument.
 """
 
 from __future__ import annotations
@@ -43,18 +44,11 @@ class Mamba2Config:
         Epsilon of the RMSNorm layers.
     tie_embeddings:
         Whether the LM head shares the embedding matrix.
-    scan_impl:
-        Default prefill scan engine: ``"chunked"`` (the SSD chunked scan,
-        matrix-matrix parallel within a chunk -- the production fast path) or
-        ``"sequential"`` (the per-token reference recurrence, kept as the
-        numerical oracle / escape hatch).  Forward/prefill calls may override
-        it per call.  The LightMamba* configurations serve the ``"chunked"``
-        path through their own quantized chunk-parallel scan;
-        ``"sequential"`` is their per-token fake-quant oracle (the same scan
-        at chunk size 1).
     chunk_size:
-        Tokens per chunk of the chunked scan (clamped to the sequence
-        length at run time).
+        Tokens per chunk of the chunked prefill scan (clamped to the sequence
+        length at run time) -- the one place the chunk length is set.  The
+        per-token recurrence is the per-call ``scan_impl="sequential"`` of
+        :meth:`~repro.mamba.model.Mamba2Model.prefill` / ``forward``.
     """
 
     name: str = "custom"
@@ -68,7 +62,6 @@ class Mamba2Config:
     ngroups: int = 1
     norm_eps: float = 1e-5
     tie_embeddings: bool = True
-    scan_impl: str = "chunked"
     chunk_size: int = 64
 
     def __post_init__(self) -> None:
@@ -78,8 +71,6 @@ class Mamba2Config:
             raise ValueError("expand, headdim and d_state must be positive")
         if self.d_conv < 1:
             raise ValueError("d_conv must be at least 1")
-        if self.scan_impl not in ("chunked", "sequential"):
-            raise ValueError("scan_impl must be 'chunked' or 'sequential'")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         if (self.expand * self.d_model) % self.headdim != 0:
@@ -153,15 +144,11 @@ class Mamba2Config:
         return replace(self, **kwargs)
 
 
-def _preset(**kwargs) -> Mamba2Config:
-    return Mamba2Config(**kwargs)
-
-
 #: Published Mamba2 model-family presets (as evaluated in Fig. 9b of the paper)
 #: plus scaled-down presets for CPU-speed experiments.
 MODEL_PRESETS: Dict[str, Mamba2Config] = {
     # Scaled-down presets (structurally identical, CPU-friendly).
-    "mamba2-tiny": _preset(
+    "mamba2-tiny": Mamba2Config(
         name="mamba2-tiny",
         d_model=64,
         n_layer=2,
@@ -170,7 +157,7 @@ MODEL_PRESETS: Dict[str, Mamba2Config] = {
         headdim=16,
         d_conv=4,
     ),
-    "mamba2-small": _preset(
+    "mamba2-small": Mamba2Config(
         name="mamba2-small",
         d_model=128,
         n_layer=4,
@@ -179,7 +166,7 @@ MODEL_PRESETS: Dict[str, Mamba2Config] = {
         headdim=32,
         d_conv=4,
     ),
-    "mamba2-medium": _preset(
+    "mamba2-medium": Mamba2Config(
         name="mamba2-medium",
         d_model=256,
         n_layer=6,
@@ -189,19 +176,19 @@ MODEL_PRESETS: Dict[str, Mamba2Config] = {
         d_conv=4,
     ),
     # Published family (architecture hyper-parameters of Mamba2).
-    "mamba2-130m": _preset(
+    "mamba2-130m": Mamba2Config(
         name="mamba2-130m", d_model=768, n_layer=24, vocab_size=50288
     ),
-    "mamba2-370m": _preset(
+    "mamba2-370m": Mamba2Config(
         name="mamba2-370m", d_model=1024, n_layer=48, vocab_size=50288
     ),
-    "mamba2-780m": _preset(
+    "mamba2-780m": Mamba2Config(
         name="mamba2-780m", d_model=1536, n_layer=48, vocab_size=50288
     ),
-    "mamba2-1.3b": _preset(
+    "mamba2-1.3b": Mamba2Config(
         name="mamba2-1.3b", d_model=2048, n_layer=48, vocab_size=50288
     ),
-    "mamba2-2.7b": _preset(
+    "mamba2-2.7b": Mamba2Config(
         name="mamba2-2.7b", d_model=2560, n_layer=64, vocab_size=50288
     ),
 }

@@ -123,7 +123,6 @@ class Mamba2Model:
         collect: Optional[List[Dict[str, np.ndarray]]] = None,
         *,
         scan_impl: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> np.ndarray:
         """Evaluate the model on a token sequence.
 
@@ -134,13 +133,11 @@ class Mamba2Model:
         collect:
             Optional list; if provided it receives one dictionary of captured
             activations per block.
-        scan_impl, chunk_size:
-            Optional per-call override of the prefill scan engine (defaults
-            to ``config.scan_impl`` / ``config.chunk_size``; see
-            :meth:`MambaBlock.forward <repro.mamba.block.MambaBlock.forward>`).
-            Quantized lightmamba* models serve ``"chunked"`` through their
-            quantized chunk-parallel scan; ``"sequential"`` selects the
-            per-token oracle for FP and quantized models alike.
+        scan_impl:
+            ``"chunked"`` (the default, at ``config.chunk_size``) or
+            ``"sequential"``, the per-token oracle for FP and quantized
+            models alike (see :meth:`MambaBlock.forward
+            <repro.mamba.block.MambaBlock.forward>`).
 
         Returns
         -------
@@ -155,9 +152,7 @@ class Mamba2Model:
             if collect is not None:
                 block_collect = {}
                 collect.append(block_collect)
-            hidden = block.forward(
-                hidden, collect=block_collect, scan_impl=scan_impl, chunk_size=chunk_size
-            )
+            hidden = block.forward(hidden, collect=block_collect, scan_impl=scan_impl)
         return self.logits_from_hidden(hidden)
 
     __call__ = forward
@@ -192,7 +187,6 @@ class Mamba2Model:
         *,
         cache: Optional[InferenceCache] = None,
         scan_impl: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> tuple[np.ndarray, InferenceCache]:
         """Summarise a prompt and return (last-token logits, cache).
 
@@ -207,12 +201,11 @@ class Mamba2Model:
             Optional warm cache to continue from (e.g. the next segment of a
             long prompt processed in chunks); a fresh zero cache is created
             when omitted.  Must match the batch shape of ``tokens``.
-        scan_impl, chunk_size:
-            Optional per-call override of the prefill scan engine (defaults
-            to ``config.scan_impl`` / ``config.chunk_size``).  Applies to
-            quantized lightmamba* models too: their ``ssm_impl`` serves the
-            ``"chunked"`` path chunk-parallel and keeps ``"sequential"`` as
-            the per-token oracle.
+        scan_impl:
+            ``"chunked"`` (the default, at ``config.chunk_size``) or
+            ``"sequential"``, the per-token oracle.  Applies to quantized
+            lightmamba* models too: their ``ssm_impl`` serves the chunked
+            path chunk-parallel.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2):
@@ -235,9 +228,7 @@ class Mamba2Model:
             )
         hidden = self.embed(tokens)
         for i, block in enumerate(self.blocks):
-            hidden = block.forward(
-                hidden, cache=cache.layers[i], scan_impl=scan_impl, chunk_size=chunk_size
-            )
+            hidden = block.forward(hidden, cache=cache.layers[i], scan_impl=scan_impl)
         logits = self.logits_from_hidden(hidden[..., -1, :])
         return logits, cache
 

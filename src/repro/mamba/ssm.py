@@ -11,7 +11,9 @@ in Fig. 1 of the LightMamba paper::
 
 where ``h`` is the number of heads, ``p`` the head channel dimension and ``n``
 the SSM state dimension.  ``ssm_step`` advances one token; ``ssm_scan`` applies
-the recurrence over a whole sequence (used for prefill).
+the recurrence over a whole sequence (used for prefill), as does its chunked
+form ``ssd_chunked_scan``; every scan, the quantized one too, enters through
+``_scan_entry``.
 
 All element-wise products of the step are also exposed individually through
 :func:`ssm_step_trace` so that the SSM quantization pass
@@ -36,7 +38,6 @@ __all__ = [
     "ssm_step_trace",
     "ssm_scan",
     "ssd_chunked_scan",
-    "selective_state_update",
     "SSM_ELEMENTWISE_OPS",
 ]
 
@@ -264,8 +265,35 @@ def ssm_step(
     return y, new_state
 
 
-# Alias matching the naming of the reference Mamba implementation.
-selective_state_update = ssm_step
+def _scan_entry(
+    params: SSMParams, x, B, C, dt, initial_state=None, copy: bool = True
+) -> Tuple[np.ndarray, ...]:
+    """What every scan does on entry: ``(x, B, C, dt, state)`` ready to scan.
+
+    float64 views of the operands; ``x`` of rank 3, or 4 with a leading batch
+    axis every argument carries; its head count checked against ``params``;
+    and the entry state: zeros, or ``initial_state`` checked against the
+    state shape and copied -- ``copy=False`` takes over a fresh float array
+    the caller made (a dequantized resident state) instead.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    dt = np.asarray(dt, dtype=np.float64)
+    if x.ndim not in (3, 4):
+        raise ValueError(
+            "x must have shape (seq_len, nheads, headdim) or (batch, seq_len, nheads, headdim)"
+        )
+    nheads, headdim = x.shape[-2:]
+    if nheads != params.nheads:
+        raise ValueError("head count mismatch between x and params")
+    state_shape = x.shape[:-3] + (nheads, headdim, B.shape[-1])
+    if initial_state is None:
+        return x, B, C, dt, np.zeros(state_shape, dtype=np.float64)
+    state = np.array(initial_state, dtype=np.float64, copy=True) if copy else initial_state
+    if state.shape != state_shape:
+        raise ValueError(f"initial_state must have shape {state_shape}, got {state.shape}")
+    return x, B, C, dt, state
 
 
 def ssm_scan(
@@ -304,33 +332,12 @@ def ssm_scan(
         ``(nheads, headdim, d_state)`` with a leading batch axis if batched.
     """
     step = ssm_step if step_fn is None else step_fn
-    x = np.asarray(x, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    dt = np.asarray(dt, dtype=np.float64)
-    if x.ndim not in (3, 4):
-        raise ValueError(
-            "x must have shape (seq_len, nheads, headdim) or (batch, seq_len, nheads, headdim)"
-        )
-    batched = x.ndim == 4
-    seq_len = x.shape[1] if batched else x.shape[0]
-    nheads, headdim = x.shape[-2:]
-    d_state = B.shape[-1]
-    lead = x.shape[:1] if batched else ()
-    state_shape = lead + (nheads, headdim, d_state)
-    if initial_state is None:
-        state = np.zeros(state_shape, dtype=np.float64)
-    else:
-        state = np.array(initial_state, dtype=np.float64, copy=True)
-        if state.shape != state_shape:
-            raise ValueError(f"initial_state must have shape {state_shape}, got {state.shape}")
-
+    x, B, C, dt, state = _scan_entry(params, x, B, C, dt, initial_state)
     y = np.zeros_like(x)
-    for t in range(seq_len):
-        if batched:
-            y[:, t], state = step(params, x[:, t], B[:, t], C[:, t], dt[:, t], state)
-        else:
-            y[t], state = step(params, x[t], B[t], C[t], dt[t], state)
+    for t in range(x.shape[-3]):  # the time axis, after any batch axis
+        y[..., t, :, :], state = step(
+            params, x[..., t, :, :], B[..., t, :], C[..., t, :], dt[..., t, :], state
+        )
     return y, state
 
 
@@ -374,30 +381,11 @@ def ssd_chunked_scan(
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    dt = np.asarray(dt, dtype=np.float64)
-    if x.ndim not in (3, 4):
-        raise ValueError(
-            "x must have shape (seq_len, nheads, headdim) or (batch, seq_len, nheads, headdim)"
-        )
-    batched = x.ndim == 4
-    seq_len, nheads, headdim = x.shape[-3:]
-    d_state = B.shape[-1]
-    if nheads != params.nheads:
-        raise ValueError("head count mismatch between x and params")
-    lead = x.shape[:1] if batched else ()
-    state_shape = lead + (nheads, headdim, d_state)
+    x, B, C, dt, state = _scan_entry(params, x, B, C, dt, initial_state)
+    seq_len = x.shape[-3]
 
     delta = softplus(dt + params.dt_bias)               # (..., T, h)
     log_decay = delta * params.A                        # (..., T, h), negative
-    if initial_state is None:
-        state = np.zeros(state_shape, dtype=np.float64)
-    else:
-        state = np.array(initial_state, dtype=np.float64, copy=True)
-        if state.shape != state_shape:
-            raise ValueError(f"initial_state must have shape {state_shape}, got {state.shape}")
     y = np.zeros_like(x)
 
     # At least 1, so a zero-length sequence is an empty loop: like ssm_scan it

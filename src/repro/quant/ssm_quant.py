@@ -89,7 +89,9 @@ materialization carries a ``# quant-point:`` sanction, and the sanction
 budget can only ratchet down).  The chunk-parallel prefill contracts floats
 on the fake-quant grids whatever the state's type (a compiled integer GEMM
 would be needed to beat BLAS here; see ROADMAP) and converts a resident
-state at its entry and exit only.
+state at its entry and exit only; its entry checks and float staging are the
+ones :func:`repro.mamba.ssm.ssm_scan` and
+:func:`~repro.mamba.ssm.ssd_chunked_scan` run.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ import numpy as np
 from repro.mamba.cache import LayerCache, QuantizedLayerCache, QuantizedSSMState
 from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
-from repro.mamba.ssm import SSMParams, ssm_decay, ssm_scan
+from repro.mamba.ssm import SSMParams, _scan_entry, ssm_decay, ssm_scan
 from repro.quant import native
 from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import (
@@ -328,9 +330,7 @@ class QuantizedSSMStep:
 
     def _qp(self, x: np.ndarray) -> np.ndarray:
         """Re-quantize an element-wise product (if enabled)."""
-        if not self.config.quantize_products:
-            return x
-        return quantize_dequantize(x, self._qcfg)
+        return self._q(x) if self.config.quantize_products else x
 
     # ------------------------------------------------------------------
     # Integer-resident state plumbing
@@ -651,18 +651,19 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         quantized at chunk entry when ``quantize_state`` is set).
 
         ``initial_state`` may also be a resident
-        :class:`~repro.mamba.cache.QuantizedSSMState` (codes in, codes out):
-        the scan then starts from the dequantized codes -- which are on the
-        grid already, so the chunk-entry quantization is skipped -- and the
-        returned final state is a resident container again, keeping segmented
-        serving prefills integer-resident end to end.  The state comes back in
-        the container it came in, for every ``chunk_size``; a zero-length
-        sequence returns an empty ``y`` and the entry state on its grid.
-
-        ``chunk_size=1`` is the sequential oracle: :func:`ssm_scan
-        <repro.mamba.ssm.ssm_scan>` drives :meth:`_step_oracle` token by
-        token on the float view (a resident state is re-quantized to codes at
-        the exit -- exact, it is on-grid), so no chunk body runs.
+        :class:`~repro.mamba.cache.QuantizedSSMState` (codes in, codes out),
+        which keeps segmented serving prefills integer-resident end to end.
+        The method is the scan's three parts in order.  **Entry**: a resident
+        state is dequantized once -- on the grid already, so the chunk-entry
+        quantization is skipped -- and the entry all three scans share
+        (``repro.mamba.ssm._scan_entry``) stages the operands and takes that
+        array over uncopied.  A zero-length sequence exits with an empty ``y``
+        and the entry state on its grid; ``chunk_size=1`` exits through the
+        sequential oracle, :func:`ssm_scan <repro.mamba.ssm.ssm_scan>` driving
+        :meth:`_step_oracle` token by token.  **Chunk body**:
+        :meth:`_chunk_body`, one tile per chunk.  **Hand-off / exit**: the
+        boundary state quantization between chunks; after the last, the state
+        leaves in the form it came in, for every ``chunk_size``.
 
         **The tiled datapath.**  ``chunk_size`` is the tile: everything the
         scan does to a tensor operand -- the x / B / C entry quantization,
@@ -694,35 +695,15 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        # Entry.  A resident state becomes its float view, dequantized once:
+        # the shared entry takes that array over instead of copying it.
         resident = isinstance(initial_state, QuantizedSSMState)
-        x = np.asarray(x, dtype=np.float64)  # quant-point: float entry staging
-        B = np.asarray(B, dtype=np.float64)  # quant-point: float entry staging
-        C = np.asarray(C, dtype=np.float64)  # quant-point: float entry staging
-        dt = np.asarray(dt, dtype=np.float64)  # quant-point: float entry staging
-        if x.ndim not in (3, 4):
-            raise ValueError(
-                "x must have shape (seq_len, nheads, headdim) or "
-                "(batch, seq_len, nheads, headdim)"
-            )
-        batched = x.ndim == 4
-        seq_len, nheads, headdim = x.shape[-3:]
-        d_state = B.shape[-1]
-        if nheads != params.nheads:
-            raise ValueError("head count mismatch between x and params")
-        lead = x.shape[:1] if batched else ()
-        state_shape = lead + (nheads, headdim, d_state)
-        if initial_state is None:
-            state = np.zeros(state_shape, dtype=np.float64)  # quant-point: zero state
-        else:
-            if resident:
-                state = initial_state.dequantize()  # quant-point: resident entry
-            else:
-                # quant-point: float entry copy
-                state = np.array(initial_state, dtype=np.float64, copy=True)
-            if state.shape != state_shape:
-                raise ValueError(
-                    f"initial_state must have shape {state_shape}, got {state.shape}"
-                )
+        # quant-point: resident entry
+        entry = initial_state.dequantize() if resident else initial_state
+        x, B, C, dt, state = _scan_entry(  # quant-point: float entry staging, zero / copied state
+            params, x, B, C, dt, entry, copy=not resident
+        )
+        seq_len, dims = x.shape[-3], (x.shape[:-3], *x.shape[-2:], B.shape[-1])
 
         if seq_len == 0:
             # Nothing to scan, whatever the chunk size: an empty y (x has no
@@ -731,13 +712,9 @@ class QuantizedChunkedScan(QuantizedSSMStep):
 
         if chunk_size == 1:
             # The per-token loop: ssm_scan driving this object's own step on
-            # the float view -- the fake-quant oracle, token by token (shared
-            # step code, shared token loop).  A resident caller gets the final
-            # state re-quantized back into codes (exact -- it is on-grid).
+            # the float view -- the fake-quant oracle, token by token.
             y, state = ssm_scan(params, x, B, C, dt, initial_state=state, step_fn=self)
             return y, self.quantize_state_codes(state) if resident else state
-
-        quantize_state = self.config.quantize_state
 
         # The decay chain stays in floating point (dedicated FPGA units); it
         # is per head and per token -- tiny -- so it is computed for the whole
@@ -745,6 +722,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         delta = np.ascontiguousarray(np.swapaxes(softplus(dt + params.dt_bias), -1, -2))
         log_decay = delta * params.A[:, None]               # (..., h, T), negative
 
+        quantize_state = self.config.quantize_state
         if quantize_state and not resident:
             # Chunk-entry quantization (resident codes are on the grid already).
             self._stage(state.copy(), state)
@@ -752,79 +730,91 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         y = np.empty(x.shape)  # quant-point: the float output the gated norm consumes
         chunk = min(chunk_size, seq_len)
         # quant-point: the causal mask is a float constant, not a tensor operand
-        causal_full = np.tril(np.ones((chunk, chunk), dtype=np.float64))
-        full_tile = self._chunk_scratch(lead, nheads, chunk, headdim, d_state)
+        causal = np.tril(np.ones((chunk, chunk), dtype=np.float64))
+        full_tile = self._chunk_scratch(chunk, *dims)
         for start in range(0, seq_len, chunk):
-            stop = min(start + chunk, seq_len)
-            q_len = stop - start
-            tile = (
-                full_tile
-                if q_len == chunk
-                else self._chunk_scratch(lead, nheads, q_len, headdim, d_state)
-            )
-            xq, bq, cq, db = tile.xq, tile.bq, tile.cq, tile.db
+            window = slice(start, min(start + chunk, seq_len))
+            q_len = window.stop - start
+            tile = full_tile if q_len == chunk else self._chunk_scratch(q_len, *dims)
+            self._chunk_body(params, tile, state, x, B, C, delta, log_decay, causal, window)
+            y[..., window, :, :] = np.moveaxis(tile.out, -3, -2)
 
-            # Operand quantization at the SSMU interfaces, on this chunk's tile.
-            self._stage(np.moveaxis(x[..., start:stop, :, :], -3, -2), xq)  # (..., h, Q, p)
-            self._stage(B[..., start:stop, :], bq)          # (..., Q, n)
-            self._stage(C[..., start:stop, :], cq)          # (..., Q, n)
-            # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
-            np.multiply(params.D[:, None, None], xq, out=tile.work)
-            if self.config.quantize_products:
-                # quant-point: D (.) x requant, fused
-                _fake_quant_into(tile.work, self._qcfg, tile.skip)
-            else:
-                np.copyto(tile.skip, tile.work)
-            # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
-            self._stage_delta_b(delta[..., start:stop], bq, db)
-            lc = np.cumsum(log_decay[..., start:stop], axis=-1)  # (..., h, Q)
-
-            # Dense decay-weighted interaction on the quantized operands:
-            #   G[head, t, s] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
-            # The d_state contraction runs on the MMU-style wide accumulator
-            # (the float64 matmul).  L is decreasing so causal entries have
-            # diff <= 0, and clamping keeps the masked upper triangle finite.
-            np.matmul(cq[..., None, :, :], np.swapaxes(db, -1, -2), out=tile.gate)
-            np.subtract(lc[..., :, None], lc[..., None, :], out=tile.decay)
-            np.minimum(tile.decay, 0.0, out=tile.decay)
-            np.exp(tile.decay, out=tile.decay)
-            np.multiply(tile.gate, tile.decay, out=tile.gate)
-            np.multiply(tile.gate, causal_full[:q_len, :q_len], out=tile.gate)
-            np.matmul(tile.gate, xq, out=tile.out)          # (..., h, Q, p)
-            # Carried-in state readout (h_in . C per head, decayed to t).
-            np.matmul(state, np.swapaxes(cq, -1, -2)[..., None, :, :], out=tile.readout)
-            np.multiply(
-                np.exp(lc)[..., None], np.swapaxes(tile.readout, -1, -2), out=tile.work
-            )
-            np.add(tile.out, tile.work, out=tile.out)
-            np.add(tile.skip, tile.out, out=tile.out)
-            y[..., start:stop, :, :] = np.moveaxis(tile.out, -3, -2)
-
-            # Chunk hand-off, then the chunk-boundary state quantization:
-            # fused fake-quant between chunks, codes only for the caller of a
-            # resident scan after the last chunk.
-            last = lc[..., -1]                              # (..., h)
-            np.multiply(np.exp(last[..., None] - lc)[..., None], xq, out=tile.work)
-            wx = np.swapaxes(tile.work, -1, -2)             # (..., h, p, Q)
-            np.matmul(wx, db, out=tile.handoff)             # (..., h, p, n)
-            np.multiply(state, np.exp(last)[..., None, None], out=state)
-            np.add(state, tile.handoff, out=tile.handoff)
+            # Hand-off / exit: the chunk-boundary state quantization is a
+            # fused fake-quant between chunks, while the last chunk's state
+            # leaves in the form it came in (codes for a resident caller).
             if not quantize_state:
                 np.copyto(state, tile.handoff)
-            elif resident and stop == seq_len:
+            elif resident and window.stop == seq_len:
                 # quant-point: the final resident state, quantized to codes
                 return y, self.quantize_state_codes(tile.handoff)
             else:
                 self._stage(tile.handoff, state)
-
         return y, self.quantize_state_codes(state) if resident else state
 
     # ------------------------------------------------------------------
-    # Chunk-tile helpers of prefill_scan
+    # Chunk body and tile helpers of prefill_scan
     # ------------------------------------------------------------------
+    def _chunk_body(  # integer-resident
+        self, params: SSMParams, tile: SimpleNamespace, state: np.ndarray, x: np.ndarray,
+        B: np.ndarray, C: np.ndarray, delta: np.ndarray, log_decay: np.ndarray,
+        causal: np.ndarray, window: slice,
+    ) -> None:
+        """One chunk: its output into ``tile.out``, its final state into ``tile.handoff``.
+
+        Stages the ``window`` tokens of the whole-prompt operands (``x`` /
+        ``B`` / ``C`` token-major, the decay chain ``delta`` / ``log_decay``
+        head-major ``(..., h, T)``) into the tile and contracts them with the
+        carried-in ``state`` under the full chunk's ``causal`` mask: the
+        output head-major ``(..., h, Q, p)``, the hand-off
+        ``exp(L_last) h_in + sum_q exp(L_last - L_q) x_q qdB_q^T`` per head
+        (``state`` is decayed in place on the way).
+        """
+        xq, bq, cq, db = tile.xq, tile.bq, tile.cq, tile.db
+        q_len = xq.shape[-2]
+        # Operand quantization at the SSMU interfaces, on this chunk's tile.
+        self._stage(np.moveaxis(x[..., window, :, :], -3, -2), xq)  # (..., h, Q, p)
+        self._stage(B[..., window, :], bq)                  # (..., Q, n)
+        self._stage(C[..., window, :], cq)                  # (..., Q, n)
+        # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
+        np.multiply(params.D[:, None, None], xq, out=tile.work)
+        if self.config.quantize_products:
+            # quant-point: D (.) x requant, fused
+            _fake_quant_into(tile.work, self._qcfg, tile.skip)
+        else:
+            np.copyto(tile.skip, tile.work)
+        # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
+        self._stage_delta_b(delta[..., window], bq, db)
+        lc = np.cumsum(log_decay[..., window], axis=-1)     # (..., h, Q)
+
+        # Dense decay-weighted interaction on the quantized operands:
+        #   G[head, t, s] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
+        # The d_state contraction runs on the MMU-style wide accumulator
+        # (the float64 matmul).  L is decreasing so causal entries have
+        # diff <= 0, and clamping keeps the masked upper triangle finite.
+        np.matmul(cq[..., None, :, :], np.swapaxes(db, -1, -2), out=tile.gate)
+        np.subtract(lc[..., :, None], lc[..., None, :], out=tile.decay)
+        np.minimum(tile.decay, 0.0, out=tile.decay)
+        np.exp(tile.decay, out=tile.decay)
+        np.multiply(tile.gate, tile.decay, out=tile.gate)
+        np.multiply(tile.gate, causal[:q_len, :q_len], out=tile.gate)
+        np.matmul(tile.gate, xq, out=tile.out)              # (..., h, Q, p)
+        # Carried-in state readout (h_in . C per head, decayed to t).
+        np.matmul(state, np.swapaxes(cq, -1, -2)[..., None, :, :], out=tile.readout)
+        np.multiply(np.exp(lc)[..., None], np.swapaxes(tile.readout, -1, -2), out=tile.work)
+        np.add(tile.out, tile.work, out=tile.out)
+        np.add(tile.skip, tile.out, out=tile.out)
+
+        # Chunk hand-off (the boundary quantization is the caller's).
+        last = lc[..., -1]                                  # (..., h)
+        np.multiply(np.exp(last[..., None] - lc)[..., None], xq, out=tile.work)
+        wx = np.swapaxes(tile.work, -1, -2)                 # (..., h, p, Q)
+        np.matmul(wx, db, out=tile.handoff)                 # (..., h, p, n)
+        np.multiply(state, np.exp(last)[..., None, None], out=state)
+        np.add(state, tile.handoff, out=tile.handoff)
+
     @staticmethod
     def _chunk_scratch(  # integer-resident
-        lead: Tuple[int, ...], nheads: int, q_len: int, headdim: int, d_state: int
+        q_len: int, lead: Tuple[int, ...], nheads: int, headdim: int, d_state: int
     ) -> SimpleNamespace:
         """The work buffers of one ``q_len``-token chunk tile, head-major.
 

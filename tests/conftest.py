@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mamba import InitConfig, Mamba2Model, get_preset
+from repro.mamba.cache import InferenceCache, QuantizedSSMState
 from repro.quant import native
 
 
@@ -54,6 +55,46 @@ def tiny_model(tiny_config):
 @pytest.fixture(scope="session")
 def small_model(small_config):
     return Mamba2Model.from_config(small_config, InitConfig(seed=1))
+
+
+@pytest.fixture(scope="session")
+def with_chunk_size():
+    """``(model, chunk_size) -> model``: a copy that prefills at ``chunk_size``.
+
+    ``Mamba2Config.chunk_size`` is the one way to set the chunk length, so the
+    copy's config (and each block's) carries the override.  The copy has the
+    original's weights (copied) and its hooks and SSM implementation (shared).
+    """
+
+    def rechunk(model, chunk_size):
+        twin = model.copy()
+        twin.config = model.config.with_overrides(chunk_size=chunk_size)
+        for block in twin.blocks:
+            block.config = twin.config
+        return twin
+
+    return rechunk
+
+
+@pytest.fixture(scope="session")
+def cache_arrays():
+    """``cache -> [arrays]``: every array a layer or model cache holds, layer by layer.
+
+    Per layer the conv window, then the float SSM state or the resident codes
+    and scales -- the two state forms compared, and checked for shared
+    memory, by one loop.
+    """
+
+    def arrays(cache):
+        layers = cache.layers if isinstance(cache, InferenceCache) else [cache]
+        out = []
+        for layer in layers:
+            state = layer.ssm_state
+            resident = isinstance(state, QuantizedSSMState)
+            out += [layer.conv_state, *((state.codes, state.scales) if resident else (state,))]
+        return out
+
+    return arrays
 
 
 @pytest.fixture()

@@ -200,6 +200,17 @@ class TestBatchedModel:
             np.testing.assert_allclose(step_logits[i], step_i, atol=1e-10)
 
 
+@pytest.fixture(scope="module", params=["float", "resident"])
+def form_model(request, tiny_model):
+    """A model whose caches hold the named SSM state form: the FP model's
+    float arrays, or a lightmamba* model's integer-resident codes."""
+    if request.param == "float":
+        return tiny_model
+    from repro.quant import QuantConfig, QuantMethod, quantize_model
+
+    return quantize_model(tiny_model, QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR))
+
+
 class TestBatchedCache:
     def test_zeros_shapes(self, tiny_config):
         cache = InferenceCache.zeros(tiny_config, batch_size=3)
@@ -211,39 +222,44 @@ class TestBatchedCache:
         )
         assert InferenceCache.zeros(tiny_config).batch_size is None
 
-    def test_gather_scatter_row_stack_roundtrip(self, tiny_model):
+    def test_gather_scatter_row_stack_roundtrip(self, form_model, cache_arrays):
+        """One contract for both state forms: rows move exactly, every
+        returned cache owns its memory and keeps the source's layer class."""
         rng = np.random.default_rng(9)
-        prompts = rng.integers(0, tiny_model.config.vocab_size, size=(4, 6))
-        _, cache = tiny_model.prefill(prompts)
+        prompts = rng.integers(0, form_model.config.vocab_size, size=(4, 6))
+        _, cache = form_model.prefill(prompts)
+        layer_class = type(cache.layers[0])
 
         picked = cache.gather([3, 1])
-        np.testing.assert_allclose(
-            picked.layers[0].ssm_state[0], cache.layers[0].ssm_state[3], atol=0
-        )
-
         rows = [cache.row(i) for i in range(4)]
         assert rows[0].batch_size is None
         restacked = InferenceCache.stack(rows)
-        np.testing.assert_allclose(
-            restacked.layers[0].conv_state, cache.layers[0].conv_state, atol=0
-        )
+        for result in (picked, restacked, cache.copy(), *rows):
+            assert all(type(layer) is layer_class for layer in result.layers)
+            assert not any(
+                np.shares_memory(a, b) for a in cache_arrays(result) for b in cache_arrays(cache)
+            )
+        for got, want in zip(cache_arrays(picked), cache_arrays(cache)):
+            np.testing.assert_array_equal(got, want[[3, 1]])
+        for got, want in zip(cache_arrays(restacked), cache_arrays(cache)):
+            np.testing.assert_array_equal(got, want)
 
-        target = InferenceCache.zeros(tiny_model.config, batch_size=4)
+        target = form_model.new_cache(batch_size=4)
+        empty = target.copy()
         target.scatter([2, 0], picked)
-        np.testing.assert_allclose(
-            target.layers[0].ssm_state[2], cache.layers[0].ssm_state[3], atol=0
-        )
-        np.testing.assert_allclose(
-            target.layers[0].ssm_state[0], cache.layers[0].ssm_state[1], atol=0
-        )
-        np.testing.assert_allclose(target.layers[0].ssm_state[1], 0.0, atol=0)
+        for got, want, zero in zip(
+            cache_arrays(target), cache_arrays(cache), cache_arrays(empty)
+        ):
+            np.testing.assert_array_equal(got[2], want[3])
+            np.testing.assert_array_equal(got[0], want[1])
+            np.testing.assert_array_equal(got[[1, 3]], zero[[1, 3]])
 
-    def test_gather_requires_batched(self, tiny_config):
-        cache = InferenceCache.zeros(tiny_config)
+    def test_gather_requires_batched(self, form_model):
+        cache = form_model.new_cache()
         with pytest.raises(ValueError):
             cache.gather([0])
 
-    def test_stack_rejects_batched_input(self, tiny_config):
-        batched = LayerCache.zeros(tiny_config, batch_size=2)
+    def test_stack_rejects_batched_input(self, form_model):
+        batched = form_model.new_cache(batch_size=2).layers[0]
         with pytest.raises(ValueError):
             LayerCache.stack([batched])

@@ -78,6 +78,11 @@ def _on_float_caches(model):
     return twin
 
 
+#: The fixture whose caches hold each SSM state form, and that form's layer class.
+_FORM_FIXTURES = {"float": "fake_quant", "resident": "persistent"}
+_FORM_CLASSES = {"float": LayerCache, "resident": QuantizedLayerCache}
+
+
 @pytest.fixture(scope="module")
 def persistent(tiny_model):
     """The default lightmamba* model: decodes on integer-resident caches."""
@@ -189,42 +194,68 @@ class TestQuantizedCacheLifecycle:
         _, cache = persistent.prefill(prompts)
         return cache
 
-    def test_row_stack_roundtrip(self, persistent):
-        cache = self._batched_cache(persistent)
+    @pytest.mark.parametrize("form", ["float", "resident"])
+    def test_row_stack_roundtrip(self, request, form, cache_arrays):
+        model = request.getfixturevalue(_FORM_FIXTURES[form])
+        cache = self._batched_cache(model)
         rows = [cache.row(i) for i in range(4)]
         stacked = InferenceCache.stack(rows)
-        assert isinstance(stacked.layers[0], QuantizedLayerCache)
-        for orig, back in zip(cache.layers, stacked.layers):
-            np.testing.assert_array_equal(orig.ssm_state.codes, back.ssm_state.codes)
-            np.testing.assert_array_equal(orig.ssm_state.scales, back.ssm_state.scales)
-            np.testing.assert_array_equal(orig.conv_state, back.conv_state)
+        assert type(stacked.layers[0]) is _FORM_CLASSES[form]
+        for result in (stacked, *rows):
+            assert not any(
+                np.shares_memory(a, b) for a in cache_arrays(result) for b in cache_arrays(cache)
+            )
+        for orig, back in zip(cache_arrays(cache), cache_arrays(stacked)):
+            assert orig.dtype == back.dtype
+            np.testing.assert_array_equal(orig, back)
 
-    def test_gather_scatter_roundtrip(self, persistent):
-        cache = self._batched_cache(persistent)
+    @pytest.mark.parametrize("form", ["float", "resident"])
+    def test_gather_scatter_roundtrip(self, request, form, cache_arrays):
+        model = request.getfixturevalue(_FORM_FIXTURES[form])
+        cache = self._batched_cache(model)
         reference = cache.copy()
         swapped = cache.gather([1, 0, 3, 2])
-        assert isinstance(swapped.layers[0], QuantizedLayerCache)
+        assert type(swapped.layers[0]) is _FORM_CLASSES[form]
+        assert not any(
+            np.shares_memory(a, b) for a in cache_arrays(swapped) for b in cache_arrays(cache)
+        )
         cache.scatter([1, 0, 3, 2], swapped)  # swap back into place
-        for orig, now in zip(reference.layers, cache.layers):
-            np.testing.assert_array_equal(orig.ssm_state.codes, now.ssm_state.codes)
-            np.testing.assert_array_equal(orig.ssm_state.scales, now.ssm_state.scales)
+        for orig, now in zip(cache_arrays(reference), cache_arrays(cache)):
+            np.testing.assert_array_equal(orig, now)
 
-    def test_scatter_rejects_float_source(self, persistent, tiny_model):
-        cache = self._batched_cache(persistent)
+    def test_scatter_rejects_float_source(self, persistent, fake_quant, tiny_model):
+        """Mixing the state forms raises a TypeError naming both forms, before
+        anything is written -- into either pool, and in either stack order."""
+        # Other prompts for the float rows, so a written conv window would show.
+        resident, floats = self._batched_cache(persistent), self._batched_cache(fake_quant, seed=3)
         with pytest.raises(TypeError, match="integer-resident"):
-            cache.layers[0].scatter([0], LayerCache.zeros(tiny_model.config, batch_size=1))
+            resident.layers[0].scatter([0], LayerCache.zeros(tiny_model.config, batch_size=1))
+        for pool, src in ((resident, floats), (floats, resident)):
+            before = pool.copy()
+            with pytest.raises(TypeError, match=r"integer-resident.*float|float.*integer-resident"):
+                pool.layers[0].scatter([0, 1], src.gather([0, 1]).layers[0])
+            assert pool.state_equal(before)  # the conv window too
+            with pytest.raises(TypeError, match=r"integer-resident.*float|float.*integer-resident"):
+                InferenceCache.stack([pool.row(0), src.row(0)])
 
     @pytest.mark.parametrize(
         "field,value",
-        [("codes", None), ("bits", 4), ("group_size", 16)],
+        [("codes", None), ("bits", 4), ("group_size", 16), ("rows", 1)],
     )
     def test_scatter_and_stack_reject_a_layout_mismatch(self, persistent, field, value):
         """A source whose codes are held wider than the pool's (or whose grid
         differs) must raise: numpy would otherwise narrow it silently on
-        assignment and wrap whatever does not fit."""
+        assignment and wrap whatever does not fit.  So must a resident state
+        handed fewer source rows than indices, which numpy would broadcast."""
         cache = self._batched_cache(persistent)
         pool, src = cache.layers[0], cache.gather([0, 1]).layers[0]
         assert pool.ssm_state.codes.dtype == np.int8
+        if field == "rows":
+            before = pool.ssm_state.copy()
+            with pytest.raises(ValueError, match="one src row per index"):
+                pool.ssm_state[[2, 3]] = cache.gather([0]).layers[0].ssm_state
+            assert pool.ssm_state.exact_equal(before)
+            return
         if field == "codes":
             src.ssm_state.codes = src.ssm_state.codes.astype(np.int32) + 1000
         else:
@@ -424,7 +455,7 @@ class TestQuantizedStateMemoryModel:
         footprint = model.quantized_footprint(tiny_config, batch_size=3)
         cache = persistent.new_cache(batch_size=3)
         live_state_bytes = sum(
-            layer.ssm_state.num_bytes() for layer in cache.layers
+            layer.ssm_state.resident_bytes() for layer in cache.layers
         )
         assert footprint.ssm_state_bytes + footprint.ssm_scale_bytes == live_state_bytes
 

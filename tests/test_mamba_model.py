@@ -410,7 +410,7 @@ class TestCache:
             tiny_config.conv_state_elements() + tiny_config.ssm_state_elements()
         )
         assert cache.num_elements() == expected
-        assert cache.num_bytes(2) == expected * 2
+        assert cache.resident_state_bytes() == expected * 2  # FP16
 
 
 class TestTokenizer:

@@ -1,9 +1,9 @@
 """Tests of the chunked prefill fast path through model, eval and serving.
 
-The chunked SSD scan is the default prefill engine (``config.scan_impl ==
-"chunked"``); the sequential recurrence stays available as the numerical
-oracle.  These tests pin the agreement between the two across every layer
-that inherits the fast path: ``forward``, ``prefill`` (logits *and* cache,
+The chunked SSD scan is the default prefill engine, at ``config.chunk_size``;
+the sequential recurrence stays available per call (``scan_impl="sequential"``)
+as the numerical oracle.  These tests pin the agreement between the two across
+every layer that inherits the fast path: ``forward``, ``prefill`` (logits *and* cache,
 including the conv window), segmented prefill continuation and the engine's
 chunked-prefill admission mode.
 """
@@ -11,7 +11,7 @@ chunked-prefill admission mode.
 import numpy as np
 import pytest
 
-from repro.mamba import InitConfig, Mamba2Model, get_preset, greedy_decode
+from repro.mamba import get_preset, greedy_decode
 from repro.mamba.cache import InferenceCache, QuantizedSSMState
 from repro.serving import FIFOScheduler, InferenceEngine, Request
 
@@ -30,44 +30,37 @@ def _caches_allclose(a: InferenceCache, b: InferenceCache, atol=1e-10):
 
 class TestScanImplSwitch:
     def test_default_is_chunked(self, tiny_model):
-        assert tiny_model.config.scan_impl == "chunked"
         assert tiny_model.config.chunk_size >= 1
+        tokens = np.random.default_rng(2).integers(0, tiny_model.config.vocab_size, size=9)
+        default = tiny_model.forward(tokens)
+        np.testing.assert_array_equal(default, tiny_model.forward(tokens, scan_impl="chunked"))
 
     @pytest.mark.parametrize("chunk_size", [1, 4, 64, 1000])
-    def test_prefill_chunked_matches_sequential(self, tiny_model, chunk_size):
+    def test_prefill_chunked_matches_sequential(self, tiny_model, with_chunk_size, chunk_size):
         """Logits and full cache state (conv window included) agree to 1e-10."""
         rng = np.random.default_rng(0)
         prompt = rng.integers(0, tiny_model.config.vocab_size, size=19)
         logits_seq, cache_seq = tiny_model.prefill(prompt, scan_impl="sequential")
-        logits_chunk, cache_chunk = tiny_model.prefill(
-            prompt, scan_impl="chunked", chunk_size=chunk_size
+        logits_chunk, cache_chunk = with_chunk_size(tiny_model, chunk_size).prefill(
+            prompt, scan_impl="chunked"
         )
         np.testing.assert_allclose(logits_chunk, logits_seq, atol=1e-10)
         _caches_allclose(cache_chunk, cache_seq)
 
-    def test_forward_chunked_matches_sequential(self, tiny_model):
+    def test_forward_chunked_matches_sequential(self, tiny_model, with_chunk_size):
         rng = np.random.default_rng(1)
         tokens = rng.integers(0, tiny_model.config.vocab_size, size=33)
         logits_seq = tiny_model.forward(tokens, scan_impl="sequential")
-        logits_chunk = tiny_model.forward(tokens, scan_impl="chunked", chunk_size=8)
+        logits_chunk = with_chunk_size(tiny_model, 8).forward(tokens, scan_impl="chunked")
         np.testing.assert_allclose(logits_chunk, logits_seq, atol=1e-10)
-
-    def test_config_scan_impl_sequential_is_honored(self):
-        config = get_preset("mamba2-tiny").with_overrides(scan_impl="sequential")
-        model = Mamba2Model.from_config(config, InitConfig(seed=0))
-        rng = np.random.default_rng(2)
-        tokens = rng.integers(0, config.vocab_size, size=9)
-        default = model.forward(tokens)
-        explicit = model.forward(tokens, scan_impl="sequential")
-        np.testing.assert_array_equal(default, explicit)
 
     def test_invalid_scan_impl_rejected(self, tiny_model):
         with pytest.raises(ValueError):
             tiny_model.forward(np.arange(4), scan_impl="nope")
         with pytest.raises(ValueError):
-            get_preset("mamba2-tiny").with_overrides(scan_impl="nope")
-        with pytest.raises(ValueError):
             get_preset("mamba2-tiny").with_overrides(chunk_size=0)
+        with pytest.raises(TypeError):  # the scan engine is chosen per call only
+            get_preset("mamba2-tiny").with_overrides(scan_impl="sequential")
 
 
 class TestPrefillContinuation:

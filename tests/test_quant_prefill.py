@@ -203,11 +203,11 @@ class TestModelRouting:
         quantized.prefill(prompt, scan_impl="sequential")
         assert chunks == [1] * len(quantized.blocks)
 
-    def test_chunk_one_prefill_bit_identical_to_sequential(self, quantized):
+    def test_chunk_one_prefill_bit_identical_to_sequential(self, quantized, with_chunk_size):
         rng = np.random.default_rng(0)
         prompt = rng.integers(0, quantized.config.vocab_size, size=17)
         logits_seq, cache_seq = quantized.prefill(prompt, scan_impl="sequential")
-        logits_one, cache_one = quantized.prefill(prompt, chunk_size=1)
+        logits_one, cache_one = with_chunk_size(quantized, 1).prefill(prompt)
         np.testing.assert_array_equal(logits_one, logits_seq)
         assert cache_one.state_equal(cache_seq)
 
@@ -243,21 +243,20 @@ class TestModelRouting:
             np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)
             _caches_allclose(cache.row(i), cache_i)
 
-    def test_segmented_prefill_then_decode_continuation(self, quantized):
+    def test_segmented_prefill_then_decode_continuation(self, quantized, with_chunk_size):
         """Chunk-aligned segmented prefill == one-shot, and decode continues.
 
         The tiny preset's chunk_size is 64 > prompt length, so segment at the
-        explicit chunk used for both calls.
+        chunk of an 8-token copy used for both runs.
         """
         rng = np.random.default_rng(4)
         prompt = rng.integers(0, quantized.config.vocab_size, size=24)
-        ref_logits, ref_cache = quantized.prefill(prompt, chunk_size=8)
+        eight = with_chunk_size(quantized, 8)
+        ref_logits, ref_cache = eight.prefill(prompt)
         cache = InferenceCache.zeros(quantized.config)
         logits = None
         for start in range(0, 24, 8):
-            logits, _ = quantized.prefill(
-                prompt[start : start + 8], cache=cache, chunk_size=8
-            )
+            logits, _ = eight.prefill(prompt[start : start + 8], cache=cache)
         np.testing.assert_allclose(logits, ref_logits, atol=1e-12)
         _caches_allclose(cache, ref_cache, atol=1e-12)
         # Decode continuation through cache= reproduces greedy_decode when
@@ -282,7 +281,7 @@ class TestModelRouting:
 
 
 class TestQuantizedPerplexityShift:
-    def test_chunked_ppl_tracks_oracle(self, quantized):
+    def test_chunked_ppl_tracks_oracle(self, quantized, with_chunk_size):
         """Acceptance bar: eval-harness perplexity shift < 0.1 vs the oracle.
 
         The synthetic tiny model is untrained, so its absolute perplexity
@@ -293,12 +292,8 @@ class TestQuantizedPerplexityShift:
         sequences = ZipfCorpusGenerator(quantized.config.vocab_size, seed=7).sequences(3, 48)
 
         chunked = perplexity(quantized, sequences)
-        oracle_model = quantized.copy()
-        oracle_cfg = quantized.config.with_overrides(scan_impl="sequential")
-        oracle_model.config = oracle_cfg
-        for block in oracle_model.blocks:
-            block.config = oracle_cfg  # blocks read the default engine here
-        oracle = perplexity(oracle_model, sequences)
+        # At chunk size 1 the quantized scan is the per-token oracle.
+        oracle = perplexity(with_chunk_size(quantized, 1), sequences)
         assert abs(chunked - oracle) / oracle < 1e-3, (chunked, oracle)
 
 

@@ -216,7 +216,7 @@ def _check_rows_equal_solo_steps(rng, batch, n, group):
         assert new_state.scales.shape == state.scales.shape
         for row in range(batch):
             y_row, state_row = step._step_integer(
-                params, x[row], B[row], C[row], dt[row], state.row(row)
+                params, x[row], B[row], C[row], dt[row], state[row].copy()
             )
             np.testing.assert_array_equal(y[row], y_row)
             np.testing.assert_array_equal(new_state.codes[row], state_row.codes)
