@@ -141,13 +141,15 @@ def run_policy(
     # token_clock[s] = cumulative model tokens (prompt + decode) after step s;
     # differences of it convert engine-step intervals into token time.
     token_clock = [0]
+    latency_of = {}
     while idx < len(workload) or engine.has_work:
         while idx < len(workload) and workload[idx].submit_step <= engine.stats.engine_steps:
             engine.submit(workload[idx].request, priority=workload[idx].priority)
             idx += 1
         decoding_before = engine.num_active
         prefilled_before = engine.stats.prefilled_tokens
-        engine.step()
+        for completion in engine.step():
+            latency_of[completion.request_id] = completion.latency
         token_clock.append(engine.stats.prefilled_tokens + engine.stats.decoded_tokens)
         prefill_delta = engine.stats.prefilled_tokens - prefilled_before
         if decoding_before > 0:
@@ -155,7 +157,7 @@ def run_policy(
             if prefill_delta > stall_page_tokens:
                 stall_iterations += 1
 
-    latencies = [engine.latency(item_id) for item_id in range(len(workload))]
+    latencies = [latency_of[item_id] for item_id in range(len(workload))]
     short = [
         lat
         for lat, item in zip(latencies, workload)

@@ -114,9 +114,9 @@ def main() -> None:
                                      max_new_tokens=4), priority=0)
     urgent_id = engine.submit(Request(prompt=tuple(tokenizer.encode("URGENT ")),
                                       max_new_tokens=4), priority=10)
-    engine.run()
+    latency = {c.request_id: c.latency for c in engine.run()}
     order = sorted((running, batch_id, urgent_id),
-                   key=lambda rid: engine.latency(rid).first_token_step)
+                   key=lambda rid: latency[rid].first_token_step)
     names = {running: "running", batch_id: "batch(prio 0)", urgent_id: "urgent(prio 10)"}
     print("  first-token order      : " + " -> ".join(names[rid] for rid in order))
 

@@ -10,7 +10,7 @@ This package is the serving stack built on that property:
   a request stream (and the one way to decode a fixed batch:
   ``InferenceEngine(model, max_batch_size=len(requests)).run(requests)``):
   ragged prompts, per-request stop tokens, length budgets and sampling seeds,
-  optional token streaming.  An async-capable
+  optional token streaming.  A thread-safe
   :class:`~repro.serving.queue.RequestQueue` (injected clock, priorities,
   deadlines, cancellation) feeds a pluggable admission
   :class:`~repro.serving.scheduler.Scheduler` --
@@ -18,9 +18,9 @@ This package is the serving stack built on that property:
   behavior), :class:`~repro.serving.scheduler.PriorityScheduler`, or the
   token-budget :class:`~repro.serving.scheduler.PagedScheduler` that
   interleaves chunked-prefill pages with in-flight decode -- and the engine
-  emits per-request :class:`~repro.serving.engine.RequestLatency` stats,
-  supports ``cancel(request_id)``, and streams tokens through an ``on_token``
-  callback.
+  hands each request's :class:`~repro.serving.engine.RequestLatency` record
+  over on its completion (keeping nothing of it afterwards), supports
+  ``cancel(request_id)``, and streams tokens through an ``on_token`` callback.
 - :class:`~repro.serving.server.MambaServer` -- an asyncio HTTP + SSE wire
   front-end over the engine (stdlib streams only): ``POST /v1/generate``
   streams tokens as Server-Sent Events, client disconnects become

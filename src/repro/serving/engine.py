@@ -25,14 +25,17 @@ admission order, same stats).
 Beyond admission policy the engine provides the serving-layer plumbing the
 policies need to be useful: per-request latency accounting
 (:class:`RequestLatency`: queue wait, time-to-first-token and decode duration
-in engine iterations, wall-clock arrival/admission stamps from the queue's
-injected clock), :meth:`InferenceEngine.cancel` for waiting *and* in-flight
-requests, per-request admission deadlines (expired requests retire with
-``finish_reason="expired"``), and a streaming ``on_token`` callback fired for
-every generated token as it is selected.
+in engine iterations), :meth:`InferenceEngine.cancel` for waiting *and*
+in-flight requests, per-request admission deadlines (expired requests retire
+with ``finish_reason="expired"``), and a streaming ``on_token`` callback fired
+for every generated token as it is selected.
 
-Layering: the engine is the *loop* -- slots, queue, latency, completions.
-Model calls go through its :class:`~repro.serving.runner.ModelRunner`, which
+Layering: the engine is the *loop* -- slots, queue entries, completions.  A
+request's :class:`~repro.serving.queue.QueueEntry` is its one record from
+:meth:`~InferenceEngine.submit` to retirement: it carries the latency record
+and, while the prompt is unfinished, the prefill cache; a decoding slot holds
+the entry.  Nothing outlives the completion, which hands the latency record
+over.  Model calls go through its :class:`~repro.serving.runner.ModelRunner`, which
 owns the slot-pool cache and the pending logits.  Failure semantics --
 snapshot, isolate, roll back, retry / requeue / degrade / quarantine -- belong
 to the :class:`~repro.serving.resilience.Supervisor` wrapped around the runner
@@ -42,13 +45,13 @@ only applies its verdicts.  See ``src/repro/serving/README.md``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.mamba.cache import InferenceCache
 from repro.mamba.generation import GenerationResult
 from repro.mamba.model import Mamba2Model
 from repro.mamba.sampling import greedy_select, sample_select
@@ -114,27 +117,26 @@ class Request:
                     "top_k / seed only apply to sampling; set a temperature "
                     "(greedy decoding ignores them)"
                 )
-        elif self.temperature <= 0:
-            raise ValueError("temperature must be positive (or None for greedy)")
+        elif not 0 < self.temperature < math.inf:  # also rejects NaN
+            raise ValueError("temperature must be positive and finite (or None for greedy)")
         if self.top_k is not None and self.top_k <= 0:
             raise ValueError("top_k must be positive when given")
 
 
 @dataclass
 class RequestLatency:
-    """Per-request latency record, in engine iterations and wall-clock time.
+    """Per-request latency record, in engine iterations.
 
     Iteration counts are deterministic (they depend only on the workload and
-    the scheduling policy, not the machine); wall-clock stamps come from the
-    queue's injected clock.  ``None`` step fields mean the event has not
-    happened (yet).
+    the scheduling policy, not the machine).  ``None`` step fields mean the
+    event has not happened (yet).  :meth:`InferenceEngine.submit` creates the
+    record on the request's queue entry; the engine keeps no other copy, and
+    retirement hands it over as :attr:`Completion.latency`.
     """
 
     request_id: int
     submitted_step: int
-    submitted_at: float
     admitted_step: Optional[int] = None
-    admitted_at: Optional[float] = None
     first_token_step: Optional[int] = None
     finished_step: Optional[int] = None
     decode_iterations: int = 0
@@ -170,7 +172,8 @@ class Completion:
     guard aborted it; ``error`` then carries the ``repr`` of the final
     exception or the guard's message, and ``result`` keeps any tokens
     generated before the failure).  ``latency`` is the request's
-    :class:`RequestLatency` record.
+    :class:`RequestLatency` record -- the only one: once the completion is
+    returned, the engine holds nothing of the request.
     """
 
     request_id: int
@@ -241,41 +244,18 @@ class EngineStats:
 
 @dataclass
 class _Slot:
-    """Book-keeping for one active request occupying a batch slot."""
+    """One decoding request: its queue entry plus decode-time state."""
 
-    request_id: int
-    request: Request
+    entry: QueueEntry
     rng: Optional[np.random.Generator]
     tokens: List[int] = field(default_factory=list)
     logprobs: List[float] = field(default_factory=list)
     #: Set after the request's on_token callback raises: the request keeps
     #: decoding, but no further tokens are streamed to it.
     streaming_disabled: bool = False
-
-
-@dataclass
-class _PrefillProgress:
-    """A request whose prompt is being prefilled across engine iterations.
-
-    The slot is reserved but does not decode until the prompt is fully
-    consumed; ``cache`` carries the exact recurrent state after ``pos``
-    prompt tokens (the conv window continuation makes segment boundaries
-    invisible to the math).  ``entry`` keeps the queue metadata (priority,
-    arrival order) so the scheduler can reason about in-flight prefills and a
-    preempted request re-enters the queue in its original position.
-    """
-
-    entry: QueueEntry
-    cache: InferenceCache
-    pos: int = 0
-
-    @property
-    def request_id(self) -> int:
-        return self.entry.request_id
-
-    @property
-    def request(self) -> Request:
-        return self.entry.request
+    #: A supervisor's retry verdict: the slot sits out select / decode until
+    #: this engine iteration (``None``: not held).
+    retry_at: Optional[int] = None
 
 
 class InferenceEngine:
@@ -333,9 +313,8 @@ class InferenceEngine:
         self._submit_lock = threading.Lock()
         self._next_id = 0  # guarded-by: _submit_lock
         self._slots: List[Optional[_Slot]] = [None] * max_batch_size
-        self._prefilling: Dict[int, _PrefillProgress] = {}
-        self._parked: Dict[int, _PrefillProgress] = {}
-        self._latency: Dict[int, RequestLatency] = {}  # guarded-by: _submit_lock
+        #: slot -> the entry whose prompt is being prefilled into it
+        self._prefilling: Dict[int, QueueEntry] = {}
         self._pending_completions: List[Completion] = []
         self.resilience_log = ResilienceLog()
         if resilience is None and fault_injector is not None:
@@ -347,10 +326,7 @@ class InferenceEngine:
                 self.runner, resilience, fault_injector,
                 stats=self.stats, clock=self.queue.clock, log=self.resilience_log,
             )
-        # Verdict-driven state: only a Supervisor ever fills these.
-        #: decoding slots sitting out until their retry iteration (slot -> step)
-        self._retry_at: Dict[int, int] = {}
-        #: slots a quarantine verdict retired from service
+        #: slots a quarantine verdict retired from service (only a Supervisor issues one)
         self._retired_slots: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -370,7 +346,8 @@ class InferenceEngine:
         schedulers and ignored by FIFO.  ``deadline`` is an absolute queue-clock
         time by which the request must be *admitted*; ``timeout`` is the same
         expressed relative to now.  A request still waiting past its deadline
-        retires with ``finish_reason="expired"`` instead of running.
+        retires with ``finish_reason="expired"`` instead of running.  A NaN or
+        infinite ``deadline`` / ``timeout`` is rejected.
 
         ``submit`` is thread-safe (producers may call it from other threads,
         matching the queue's contract); :meth:`step` and :meth:`cancel` belong
@@ -389,16 +366,15 @@ class InferenceEngine:
             if timeout < 0:
                 raise ValueError("timeout must be non-negative")
             deadline = self.queue.clock() + timeout
+        if deadline is not None and not math.isfinite(deadline):
+            raise ValueError("deadline / timeout must be finite")
         with self._submit_lock:
             request_id = self._next_id
             self._next_id += 1
-            entry = self.queue.push(
-                request_id, request, priority=priority, deadline=deadline
-            )
-            self._latency[request_id] = RequestLatency(
-                request_id=request_id,
-                submitted_step=self.stats.engine_steps,
-                submitted_at=entry.arrival_time,
+            # The record rides on the entry: the engine thread never sees one without it.
+            latency = RequestLatency(request_id, submitted_step=self.stats.engine_steps)
+            self.queue.push(
+                request_id, request, priority=priority, deadline=deadline, latency=latency
             )
         return request_id
 
@@ -421,21 +397,15 @@ class InferenceEngine:
         has already finished, so it keeps its true ``"stop"`` / ``"length"``
         completion, is not retired twice, and ``cancel`` returns ``False``.
         """
-        entry = self.queue.cancel(request_id)
+        entry = self.queue.cancel(request_id)  # waiting, maybe with parked progress
+        if entry is None:  # prefilling?
+            slots = [i for i, e in self._prefilling.items() if e.request_id == request_id]
+            entry = self._prefilling.pop(slots[0]) if slots else None
         if entry is not None:
-            # Waiting (possibly with parked preempted-prefill progress).
-            self._parked.pop(request_id, None)
-            retired = self._retire(request_id, entry.request, "cancelled")
-            self._pending_completions.append(retired)
+            self._pending_completions.append(self._retire(entry, "cancelled"))
             return True
-        for slot_idx, progress in list(self._prefilling.items()):
-            if progress.request_id == request_id:
-                del self._prefilling[slot_idx]
-                retired = self._retire(request_id, progress.request, "cancelled")
-                self._pending_completions.append(retired)
-                return True
         for slot_idx, slot in enumerate(self._slots):
-            if slot is not None and slot.request_id == request_id:
+            if slot is not None and slot.entry.request_id == request_id:
                 if self._slot_finished(slot):
                     # The request reached its stop token / length budget in
                     # this very iteration and is about to retire with its
@@ -457,44 +427,10 @@ class InferenceEngine:
         """
         if not slot.tokens:
             return False
-        request = slot.request
+        request = slot.entry.request
         if request.stop_token is not None and slot.tokens[-1] == request.stop_token:
             return True
         return len(slot.tokens) >= request.max_new_tokens
-
-    def latency(self, request_id: int) -> RequestLatency:
-        """The latency record of a submitted request (any lifecycle stage)."""
-        with self._submit_lock:
-            return self._latency[request_id]
-
-    def clear_finished_latencies(self) -> int:
-        """Drop latency records of finished requests; returns how many.
-
-        Records accumulate for the engine's whole lifetime so that
-        :meth:`latency` works after completion (benchmarks and tests rely on
-        it); a long-running serving loop should call this periodically --
-        every completion already carries its own record
-        (:attr:`Completion.latency`), so nothing is lost.  Safe to call from
-        any thread: the record table is guarded by the submit lock, so a
-        sweep cannot race a concurrent :meth:`submit` inserting a record.
-        """
-        with self._submit_lock:
-            finished = [
-                request_id
-                for request_id, record in self._latency.items()
-                if record.finished_step is not None
-            ]
-            for request_id in finished:
-                del self._latency[request_id]
-        return len(finished)
-
-    @property
-    def num_latency_records(self) -> int:
-        """Latency records currently held (finished ones sweep via
-        :meth:`clear_finished_latencies`; the serving front-end exposes this
-        so record leaks are observable from ``/stats``)."""
-        with self._submit_lock:
-            return len(self._latency)
 
     @property
     def num_waiting(self) -> int:
@@ -550,9 +486,7 @@ class InferenceEngine:
         # Slots in the retry loop already selected (and streamed) a token;
         # they have no fresh logits until their state advance succeeds.
         active = [
-            i
-            for i, slot in enumerate(self._slots)
-            if slot is not None and i not in self._retry_at
+            i for i, slot in enumerate(self._slots) if slot is not None and slot.retry_at is None
         ]
         if not active:
             return completions
@@ -571,29 +505,27 @@ class InferenceEngine:
             slot.logprobs.append(logprob)
             chosen[row] = token
             self.stats.decoded_tokens += 1
-            with self._submit_lock:
-                latency = self._latency[slot.request_id]
-                if latency.first_token_step is None:
-                    latency.first_token_step = self.stats.engine_steps
-                latency.decode_iterations += 1
+            request_id, latency = slot.entry.request_id, slot.entry.latency
+            if latency.first_token_step is None:
+                latency.first_token_step = self.stats.engine_steps
+            latency.decode_iterations += 1
             if on_token is not None and not slot.streaming_disabled:
                 try:
-                    on_token(slot.request_id, token, logprob)
+                    on_token(request_id, token, logprob)
                 except Exception as exc:
                     # A user callback must never unwind the engine: record
                     # the failure and stop streaming this request only.
                     slot.streaming_disabled = True
                     self.stats.callback_errors += 1
-                    with self._submit_lock:
-                        self._latency[slot.request_id].callback_error = repr(exc)
-                    self._log("callback_error", request_id=slot.request_id, detail=repr(exc))
+                    latency.callback_error = repr(exc)
+                    self._log("callback_error", request_id=request_id, detail=repr(exc))
             if self._slots[slot_idx] is not slot:
                 # The callback cancelled this very request: its completion
                 # (including the token just streamed) is already pending;
                 # don't retire it twice or decode it further.
                 continue
             if self._slot_finished(slot):
-                stopped = token == slot.request.stop_token
+                stopped = token == slot.entry.request.stop_token
                 completions.append(self._vacate(slot_idx, "stop" if stopped else "length"))
             else:
                 survivors.append(row)
@@ -679,14 +611,11 @@ class InferenceEngine:
         generated.  The engine is drained afterwards (``has_work`` is false
         modulo completions already returned).
         """
-        waiting = self.queue.entries()
-        for entry in waiting:
-            self.queue.cancel(entry.request_id)
+        waiting = [self.queue.cancel(entry.request_id) for entry in self.queue.entries()]
         aborted = [
-            self._retire(holder.request_id, holder.request, "error", error=message)
-            for holder in (*waiting, *self._prefilling.values())
+            self._retire(entry, "error", error=message)
+            for entry in (*waiting, *self._prefilling.values())
         ]
-        self._parked.clear()
         self._prefilling.clear()
         for slot_idx, slot in enumerate(self._slots):
             if slot is not None:
@@ -710,12 +639,12 @@ class InferenceEngine:
         prefilling = tuple(
             PrefillView(
                 slot=slot_idx,
-                request_id=progress.request_id,
-                remaining_tokens=len(progress.request.prompt) - progress.pos,
-                priority=progress.entry.priority,
-                arrival_seq=progress.entry.arrival_seq,
+                request_id=entry.request_id,
+                remaining_tokens=entry.remaining_prompt_tokens,
+                priority=entry.priority,
+                arrival_seq=entry.arrival_seq,
             )
-            for slot_idx, progress in sorted(self._prefilling.items())
+            for slot_idx, entry in sorted(self._prefilling.items())
         )
         return SchedulerContext(
             engine_step=self.stats.engine_steps,
@@ -728,11 +657,7 @@ class InferenceEngine:
 
     def _expire(self) -> List[Completion]:
         """Retire waiting requests whose admission deadline has passed."""
-        completions: List[Completion] = []
-        for entry in self.queue.take_expired():
-            self._parked.pop(entry.request_id, None)
-            completions.append(self._retire(entry.request_id, entry.request, "expired"))
-        return completions
+        return [self._retire(entry, "expired") for entry in self.queue.take_expired()]
 
     def _apply_plan(self, plan: AdmissionPlan) -> List[Completion]:
         """Mechanically apply one admission plan (no policy decisions here)."""
@@ -753,44 +678,37 @@ class InferenceEngine:
             if request_id not in self.queue:
                 raise ValueError(f"plan admits request {request_id}, which is not queued")
             entry = self.queue.pop(request_id)
-            with self._submit_lock:
-                latency = self._latency[request_id]
-                if latency.admitted_step is None:
-                    # First admission only: a preempted-then-re-admitted
-                    # request keeps one admitted count and its original
-                    # admission stamp.
-                    self.stats.admitted += 1
-                    latency.admitted_step = self.stats.engine_steps
-                    latency.admitted_at = self.queue.clock()
+            if entry.latency.admitted_step is None:
+                # First admission only: a preempted-then-re-admitted request
+                # keeps one admitted count and its original admission step.
+                self.stats.admitted += 1
+                entry.latency.admitted_step = self.stats.engine_steps
             if entry.request.max_new_tokens == 0:
                 # Degenerate request: completes immediately, never holds a slot.
-                completions.append(self._retire(request_id, entry.request, "length"))
+                completions.append(self._retire(entry, "length"))
                 continue
             try:
                 slot_idx = next(free_iter)
             except StopIteration:
                 raise ValueError("plan admits more requests than free slots") from None
-            progress = self._parked.pop(request_id, None)
-            if progress is None:
-                progress = _PrefillProgress(entry=entry, cache=self.runner.new_cache())
-            self._prefilling[slot_idx] = progress
+            if entry.cache is None:  # else: parked progress, continued exactly
+                entry.cache = self.runner.new_cache()
+            self._prefilling[slot_idx] = entry
             completions.extend(self._advance_prefill(slot_idx, tokens))
         return completions
 
-    def _park(self, slot_idx: int, hold_until_step: Optional[int] = None) -> _PrefillProgress:
+    def _park(self, slot_idx: int, hold_until_step: Optional[int] = None) -> QueueEntry:
         """Send an in-flight prefill back to the queue, its progress parked.
 
-        ``prefill_pos`` records how far it got, so schedulers budget only the
-        remaining prompt tokens; ``hold_until_step`` keeps the entry invisible
-        to the scheduler until that iteration (a supervisor's backoff).
+        The entry keeps its cache and ``prefill_pos``, so schedulers budget
+        only the remaining prompt tokens; ``hold_until_step`` keeps it
+        invisible to the scheduler until that iteration (a supervisor's backoff).
         """
-        progress = self._prefilling.pop(slot_idx)
-        self._parked[progress.request_id] = progress
-        progress.entry.prefill_pos = progress.pos
+        entry = self._prefilling.pop(slot_idx)
         if hold_until_step is not None:
-            progress.entry.hold_until_step = hold_until_step
-        self.queue.requeue(progress.entry)
-        return progress
+            entry.hold_until_step = hold_until_step
+        self.queue.requeue(entry)
+        return entry
 
     def _advance_prefill(self, slot_idx: int, tokens: Optional[int]) -> List[Completion]:
         """Consume up to ``tokens`` prompt tokens of one in-flight prefill.
@@ -801,43 +719,38 @@ class InferenceEngine:
         last-token logits pending, ready to decode this very iteration.  A
         supervised segment that fails comes back as a verdict instead
         (requeue with backoff, or quarantine -- whose completion is returned).
+        The installed entry drops its cache: the pool row is the only copy.
         """
-        progress = self._prefilling[slot_idx]
-        prompt = np.asarray(progress.request.prompt, dtype=np.int64)
-        remaining = prompt.shape[0] - progress.pos
+        entry = self._prefilling[slot_idx]
+        remaining = entry.remaining_prompt_tokens
         take = remaining if tokens is None else min(remaining, tokens)
         if take <= 0:
             return []
-        segment = prompt[progress.pos : progress.pos + take]
+        pos = entry.prefill_pos
+        segment = np.asarray(entry.request.prompt[pos : pos + take], dtype=np.int64)
         outcome = self.runner.prefill(
-            segment, progress.cache, slot=slot_idx, request_id=progress.request_id
+            segment, entry.cache, slot=slot_idx, request_id=entry.request_id
         )
         if isinstance(outcome, Verdict):
             return self._apply_verdicts([outcome])
-        logits, progress.cache = outcome
-        progress.pos += take
+        logits, entry.cache = outcome
+        entry.prefill_pos += take
         self.stats.prefill_calls += 1
         self.stats.prefilled_tokens += take
-        if progress.pos == prompt.shape[0]:
+        if take == remaining:
             del self._prefilling[slot_idx]
-            self.runner.install(slot_idx, progress.cache, logits)
-            request = progress.request
-            rng = None
+            self.runner.install(slot_idx, entry.cache, logits)
+            entry.cache = None
+            request, rng = entry.request, None
             if request.temperature is not None:
-                rng_seed = (
-                    request.seed
-                    if request.seed is not None
-                    else self.seed + progress.request_id
-                )
-                rng = np.random.default_rng(rng_seed)
-            self._slots[slot_idx] = _Slot(
-                request_id=progress.request_id, request=request, rng=rng
-            )
+                seed = request.seed if request.seed is not None else self.seed + entry.request_id
+                rng = np.random.default_rng(seed)
+            self._slots[slot_idx] = _Slot(entry=entry, rng=rng)
         return []
 
     def _decode(self, slot_indices: List[int], tokens: np.ndarray) -> List[Completion]:
         """Advance these slots by one token each, in one batched runner call."""
-        request_ids = [self._slots[i].request_id for i in slot_indices]
+        request_ids = [self._slots[i].entry.request_id for i in slot_indices]
         verdicts = self.runner.decode(slot_indices, tokens, request_ids) or ()
         # One verdict per row that did not advance.
         advanced = len(slot_indices) - len(verdicts)
@@ -857,11 +770,12 @@ class InferenceEngine:
         is visible as free (or retired) to the scheduler.
         """
         completions: List[Completion] = []
-        for slot_idx in sorted(self._retry_at):
-            if self._retry_at[slot_idx] <= self.stats.engine_steps:
-                del self._retry_at[slot_idx]
-                last = np.asarray(self._slots[slot_idx].tokens[-1:], dtype=np.int64)
-                completions.extend(self._decode([slot_idx], last))
+        for slot_idx, slot in enumerate(self._slots):
+            if slot is not None and slot.retry_at is not None:
+                if slot.retry_at <= self.stats.engine_steps:
+                    slot.retry_at = None
+                    last = np.asarray(slot.tokens[-1:], dtype=np.int64)
+                    completions.extend(self._decode([slot_idx], last))
         return completions
 
     def _apply_verdicts(self, verdicts: Sequence[Verdict]) -> List[Completion]:
@@ -870,23 +784,22 @@ class InferenceEngine:
         for verdict in verdicts:
             slot_idx = verdict.slot
             if verdict.action == "retry":
-                self._retry_at[slot_idx] = verdict.step
+                self._slots[slot_idx].retry_at = verdict.step
             elif verdict.action == "requeue":
-                progress = self._park(slot_idx, hold_until_step=verdict.step)
+                entry = self._park(slot_idx, hold_until_step=verdict.step)
                 detail = (
-                    f"attempt {verdict.attempts}, prefill_pos {progress.pos}, "
+                    f"attempt {verdict.attempts}, prefill_pos {entry.prefill_pos}, "
                     f"hold until step {verdict.step}"
                 )
-                self._log("requeue", progress.request_id, site="prefill", detail=detail)
+                self._log("requeue", entry.request_id, site="prefill", detail=detail)
             else:
                 if verdict.retire_slot:
                     self._retired_slots.add(slot_idx)
-                progress = self._prefilling.pop(slot_idx, None)
-                if progress is None:
+                entry = self._prefilling.pop(slot_idx, None)
+                if entry is None:
                     completions.append(self._vacate(slot_idx, "error", verdict.error))
-                    continue
-                request_id, request = progress.request_id, progress.request
-                completions.append(self._retire(request_id, request, "error", error=verdict.error))
+                else:
+                    completions.append(self._retire(entry, "error", error=verdict.error))
         return completions
 
     # ------------------------------------------------------------------
@@ -897,7 +810,7 @@ class InferenceEngine:
 
     def _select(self, slot: _Slot, logits: np.ndarray) -> Tuple[int, float]:
         """Choose the next token for one slot from its pending logits."""
-        request = slot.request
+        request = slot.entry.request
         if request.temperature is None:
             token, logprob = greedy_select(logits)
             return int(token), float(logprob)
@@ -913,38 +826,36 @@ class InferenceEngine:
         """Free a decoding slot and retire its request, generated tokens kept."""
         slot = self._slots[slot_idx]
         self._slots[slot_idx] = None
-        self._retry_at.pop(slot_idx, None)
-        tokens, logprobs = slot.tokens, slot.logprobs
-        return self._retire(slot.request_id, slot.request, reason, tokens, logprobs, error)
+        return self._retire(slot.entry, reason, slot.tokens, slot.logprobs, error)
 
     def _retire(
-        self, request_id: int, request: Request, reason: str,
+        self, entry: QueueEntry, reason: str,
         tokens: Sequence[int] = (), logprobs: Sequence[float] = (), error: Optional[str] = None,
     ) -> Completion:
         """The one way a request leaves the engine.
 
         Stamps its latency record, lets the runner drop what it kept for the
         request, counts it, and builds its completion (``"error"`` is counted
-        by whoever decided it: the supervisor, or a ``run()`` guard).
+        by whoever decided it: the supervisor, or a ``run()`` guard).  The
+        caller has already unlinked ``entry``; the completion does not keep it.
         """
-        with self._submit_lock:
-            latency = self._latency[request_id]
-            latency.finished_step = self.stats.engine_steps
-            latency.finish_reason = reason
-        self.runner.release(request_id)
+        entry.latency.finished_step = self.stats.engine_steps
+        entry.latency.finish_reason = reason
+        self.runner.release(entry.request_id)
         if reason in ("stop", "length"):
             self.stats.completed += 1
         elif reason == "cancelled":
             self.stats.cancelled += 1
         elif reason == "expired":
             self.stats.expired += 1
+        request = entry.request
         return Completion(
-            request_id=request_id,
+            request_id=entry.request_id,
             request=request,
             result=GenerationResult(
                 prompt=list(request.prompt), tokens=list(tokens), logprobs=list(logprobs)
             ),
             finish_reason=reason,
-            latency=latency,
+            latency=entry.latency,
             error=error,
         )

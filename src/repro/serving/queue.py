@@ -20,23 +20,22 @@ of the queue every engine iteration -- but it owns everything about a request's
 - **cancellation** -- :meth:`cancel` removes a waiting entry and hands it back
   so the engine can synthesize a cancelled completion.
 
-The queue is thread-safe (producers may submit from other threads) and
-async-capable: :meth:`wait_for_work` blocks a consumer until an entry arrives,
-and :meth:`wait_for_work_async` awaits the same condition without blocking the
-event loop, so an asyncio serving front-end can drive the engine's ``step``
-loop directly.
+A :class:`QueueEntry` is more than a waiting-room ticket: it is the request's
+one record inside the engine, from ``submit`` to retirement (latency record,
+parked prefill, progress).  The queue is thread-safe: producers may submit
+from other threads while the engine's thread consumes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serving.engine import Request
+    from repro.mamba.cache import InferenceCache
+    from repro.serving.engine import Request, RequestLatency
 
 __all__ = ["Clock", "QueueEntry", "RequestQueue"]
 
@@ -48,12 +47,17 @@ Clock = Callable[[], float]
 
 @dataclass
 class QueueEntry:
-    """One waiting request plus its admission metadata.
+    """One request plus its admission metadata -- the engine's record of it.
 
-    ``prefill_pos`` is non-zero only for a request that was preempted (or
-    fault-requeued by the supervisor) mid-prefill and re-queued: it records
-    how many prompt tokens are already consumed (the engine parks the partial
-    state), so schedulers budget only the *remaining* prompt work.
+    ``latency`` is the request's :class:`~repro.serving.engine.RequestLatency`,
+    set by :meth:`InferenceEngine.submit
+    <repro.serving.engine.InferenceEngine.submit>` before the push.  While the
+    prompt is unfinished, ``cache`` holds the exact recurrent state after
+    ``prefill_pos`` prompt tokens; the engine drops it when the request moves
+    into its batch slot.  A waiting entry with ``prefill_pos > 0`` was
+    preempted (or fault-requeued by the supervisor) mid-prefill: its parked
+    ``cache`` is continued on re-admission, and schedulers budget only the
+    *remaining* prompt work.
 
     ``hold_until_step`` is the supervisor's exponential-backoff hold: a
     faulted-and-requeued request stays invisible to the scheduler
@@ -70,6 +74,8 @@ class QueueEntry:
     arrival_seq: int = 0
     prefill_pos: int = 0
     hold_until_step: Optional[int] = None
+    latency: Optional["RequestLatency"] = None
+    cache: Optional["InferenceCache"] = field(default=None, repr=False)
 
     @property
     def remaining_prompt_tokens(self) -> int:
@@ -81,7 +87,7 @@ class QueueEntry:
 
 @dataclass
 class RequestQueue:
-    """Thread-safe, async-capable waiting queue with injected time.
+    """Thread-safe waiting queue with injected time.
 
     Entries are keyed by request id; :meth:`entries` returns them ordered by
     ``arrival_seq`` (FIFO), which also restores a preempted request -- re-added
@@ -90,9 +96,9 @@ class RequestQueue:
     """
 
     clock: Clock = time.monotonic
-    _entries: Dict[int, QueueEntry] = field(default_factory=dict)  # guarded-by: _cond
-    _seq: int = 0  # guarded-by: _cond
-    _cond: threading.Condition = field(default_factory=threading.Condition)
+    _entries: Dict[int, QueueEntry] = field(default_factory=dict)  # guarded-by: _lock
+    _seq: int = 0  # guarded-by: _lock
+    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     # ------------------------------------------------------------------
     # Producer side
@@ -104,9 +110,10 @@ class RequestQueue:
         *,
         priority: int = 0,
         deadline: Optional[float] = None,
+        latency: Optional["RequestLatency"] = None,
     ) -> QueueEntry:
         """Append a new entry; stamps arrival time and sequence number."""
-        with self._cond:
+        with self._lock:
             if request_id in self._entries:
                 raise ValueError(f"request id {request_id} already queued")
             entry = QueueEntry(
@@ -116,10 +123,10 @@ class RequestQueue:
                 deadline=deadline,
                 arrival_time=self.clock(),
                 arrival_seq=self._seq,
+                latency=latency,
             )
             self._seq += 1
             self._entries[request_id] = entry
-            self._cond.notify_all()
             return entry
 
     def requeue(self, entry: QueueEntry) -> None:
@@ -129,11 +136,10 @@ class RequestQueue:
         back to the waiting queue at its *original* FIFO position (entries are
         ordered by ``arrival_seq``).
         """
-        with self._cond:
+        with self._lock:
             if entry.request_id in self._entries:
                 raise ValueError(f"request id {entry.request_id} already queued")
             self._entries[entry.request_id] = entry
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -146,7 +152,7 @@ class RequestQueue:
         supervisor's retry-backoff hold.  ``None`` returns every entry
         (cancellation, expiry and draining must see held entries too).
         """
-        with self._cond:
+        with self._lock:
             values = self._entries.values()
             if engine_step is not None:
                 values = [
@@ -158,17 +164,17 @@ class RequestQueue:
 
     def pop(self, request_id: int) -> QueueEntry:
         """Remove and return one entry (admission)."""
-        with self._cond:
+        with self._lock:
             return self._entries.pop(request_id)
 
     def cancel(self, request_id: int) -> Optional[QueueEntry]:
         """Remove a waiting entry; returns it, or ``None`` if not waiting."""
-        with self._cond:
+        with self._lock:
             return self._entries.pop(request_id, None)
 
     def take_expired(self, now: Optional[float] = None) -> List[QueueEntry]:
         """Pop and return every entry whose deadline has passed."""
-        with self._cond:
+        with self._lock:
             if now is None:
                 now = self.clock()
             expired = [e for e in self._entries.values() if e.expired(now)]
@@ -177,38 +183,9 @@ class RequestQueue:
             return sorted(expired, key=lambda e: e.arrival_seq)
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._entries)
 
     def __contains__(self, request_id: int) -> bool:
-        with self._cond:
+        with self._lock:
             return request_id in self._entries
-
-    # ------------------------------------------------------------------
-    # Waiting
-    # ------------------------------------------------------------------
-    def wait_for_work(self, timeout: Optional[float] = None) -> bool:
-        """Block until the queue is non-empty; ``True`` if work is available.
-
-        With ``timeout=None`` this only returns ``True``: the wait loops over
-        the condition predicate, so spurious wakeups -- or another consumer
-        draining the entry that woke us -- put this caller back to sleep
-        instead of returning an empty result.
-        """
-        with self._cond:
-            if timeout is None:
-                while not self._entries:
-                    self._cond.wait()
-                return True
-            deadline = time.monotonic() + timeout
-            while not self._entries:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
-
-    async def wait_for_work_async(self, timeout: Optional[float] = None) -> bool:
-        """Awaitable :meth:`wait_for_work` that does not block the event loop."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.wait_for_work, timeout)

@@ -28,9 +28,8 @@ admission policy decides which unit-saturating work runs each beat):
   tokens, every decoding slot charges one, and only the remainder may be spent
   on prefill pages.  A long prompt therefore cannot inflate any iteration by
   more than the page budget -- in-flight decodes are delayed by at most
-  ``max(page_tokens - decodes, min_prefill_tokens)`` prompt tokens per step --
-  while prefill still makes progress every iteration (starvation-free in both
-  directions).
+  ``max(page_tokens - decodes, 1)`` prompt tokens per step -- while prefill
+  still makes progress every iteration (starvation-free in both directions).
 """
 
 from __future__ import annotations
@@ -122,23 +121,21 @@ class TokenLedger:
     """Per-iteration decode/prefill token-budget ledger.
 
     Generalizes the engine's old ``prefill_chunk_tokens`` scalar: one ledger is
-    opened per iteration with ``budget`` total model tokens (``None`` =
-    unbounded); decode rows charge it via :meth:`charge_decode` and prefill
-    work draws grants from the remainder via :meth:`grant_prefill`.
+    opened per iteration with a positive ``budget`` of model tokens; decode
+    rows charge it via :meth:`charge_decode` and prefill work draws grants
+    from the remainder via :meth:`grant_prefill`.
     """
 
-    def __init__(self, budget: Optional[int]):
-        if budget is not None and budget <= 0:
-            raise ValueError("token budget must be positive (or None)")
+    def __init__(self, budget: int):
+        if budget <= 0:
+            raise ValueError("token budget must be positive")
         self.budget = budget
         self.decode_tokens = 0
         self.prefill_tokens = 0
 
     @property
-    def remaining(self) -> Optional[int]:
-        """Tokens left in this iteration's page (``None`` = unbounded)."""
-        if self.budget is None:
-            return None
+    def remaining(self) -> int:
+        """Tokens left in this iteration's page."""
         return max(0, self.budget - self.decode_tokens - self.prefill_tokens)
 
     def charge_decode(self, rows: int) -> None:
@@ -155,7 +152,7 @@ class TokenLedger:
         """
         if want <= 0:
             return 0
-        grant = want if self.budget is None else min(want, self.remaining)
+        grant = min(want, self.remaining)
         if grant < floor:
             grant = min(want, floor)
         self.prefill_tokens += grant
@@ -317,12 +314,11 @@ class PagedScheduler:
     is spent on prompt tokens, oldest waiting work first.  Consequences:
 
     - **decode-stall bound**: the prompt work added to any iteration is at most
-      ``max(page_tokens - decoding_rows, min_prefill_tokens)`` tokens, no
-      matter how long the queued prompts are;
-    - **prefill liveness**: when prefill work is pending, at least
-      ``min_prefill_tokens`` prompt tokens are processed per iteration even if
-      decodes fill the page, so admission cannot be starved by a full decode
-      batch.
+      ``max(page_tokens - decoding_rows, 1)`` tokens, no matter how long the
+      queued prompts are;
+    - **prefill liveness**: when prefill work is pending, at least one prompt
+      token is processed per iteration even if decodes fill the page, so
+      admission cannot be starved by a full decode batch.
 
     Pick ``page_tokens >= max_batch_size + desired prefill chunk``; the decode
     charge then leaves a steady per-iteration prefill allowance.  Unlike FIFO,
@@ -331,20 +327,15 @@ class PagedScheduler:
     """
 
     page_tokens: int
-    count_decode: bool = True
-    min_prefill_tokens: int = 1
 
     def __post_init__(self) -> None:
         if self.page_tokens <= 0:
             raise ValueError("page_tokens must be positive")
-        if self.min_prefill_tokens < 0:
-            raise ValueError("min_prefill_tokens must be non-negative")
 
     def plan(self, queue: Sequence[QueueEntry], ctx: SchedulerContext) -> AdmissionPlan:
         ledger = TokenLedger(self.page_tokens)
-        if self.count_decode:
-            ledger.charge_decode(ctx.num_decoding)
-        floor = self.min_prefill_tokens
+        ledger.charge_decode(ctx.num_decoding)
+        floor = 1  # the liveness floor: one prompt token per iteration
         resume: List[Tuple[int, Optional[int]]] = []
         for view in sorted(ctx.prefilling, key=lambda v: v.arrival_seq):
             grant = ledger.grant_prefill(view.remaining_tokens, floor=floor)

@@ -36,9 +36,9 @@ Two threads, one direction each (the split is declared to ``python -m
 repro.analysis`` with ``# loop-thread-only`` / ``# engine-thread-only`` /
 ``# guarded-by:``, not just described here).  The **engine thread**
 (``mamba-engine``) owns every engine-consumer call -- ``step``, ``cancel``,
-``clear_finished_latencies``, the manual-clock advance -- and blocks on a
-condition when idle.  The **event loop** does only I/O: it calls the
-thread-safe :meth:`InferenceEngine.submit` itself and posts everything else
+the manual-clock advance -- and blocks on a condition when idle.  The **event
+loop** does only I/O: it calls the thread-safe
+:meth:`InferenceEngine.submit` itself and posts everything else
 (cancels, bench-mode "step once", stop) to an inbox the engine thread drains
 between steps; each command's future is resolved back on the loop.
 
@@ -58,9 +58,9 @@ The transport's write buffer is the only per-stream buffer, so policy bounds
 it: past ``_MAX_STREAM_BUFFER_BYTES`` unsent bytes the stream is a slow
 consumer -- request cancelled (``slow_consumer_cancels``), connection aborted.
 A client disconnect is EOF on the request socket and cancels the same way
-(``disconnect_cancels``); finished latency records are swept after every
-retiring step, so neither leaks a slot or a record.  Malformed request heads
-get ``400`` and oversize bodies ``413`` without touching the engine.
+(``disconnect_cancels``), so neither leaks a slot; the engine keeps nothing
+of a request once its completion is out.  Malformed request heads get ``400``
+and oversize bodies ``413`` without touching the engine.
 
 Graceful drain
 --------------
@@ -163,7 +163,7 @@ class MambaServer:
         tokenizer=None,
     ):
         # The loop may submit and read occupancy; consumer calls are the engine thread's.
-        self.engine = engine  # engine-thread-only: step, cancel, clear_finished_latencies
+        self.engine = engine  # engine-thread-only: step, cancel
         self.config = config or ServerConfig()
         self.tokenizer = tokenizer
         self.address: Optional[Tuple[str, int]] = None
@@ -299,10 +299,6 @@ class MambaServer:
         post = self._loop.call_soon_threadsafe
         # `engine.step` is looked up per call: tracers wrap it on the instance.
         completions = self.engine.step(on_token=self._on_token)
-        if completions:
-            # Completions carry their own latency records; sweeping here (before
-            # `done` is on the wire) keeps servers and disconnects from leaking them.
-            self.engine.clear_finished_latencies()
         for completion in completions:
             payload = self._done_payload(completion)
             post(self._deliver_done, completion.request_id, payload, _sse_frame("done", payload))
@@ -455,7 +451,6 @@ class MambaServer:
             "active_slots": self.engine.num_active,
             "prefilling": self.engine.num_prefilling,
             "open_streams": len(self._streams),
-            "latency_records": self.engine.num_latency_records,
             "requests_accepted": self.requests_accepted,
             "requests_rejected": self.requests_rejected,
             "disconnect_cancels": self.disconnect_cancels,

@@ -4,18 +4,16 @@ Two subjects, matching the guarded-by contracts the static analyzer checks
 (:mod:`repro.analysis.locks`):
 
 - :class:`repro.serving.queue.RequestQueue` under concurrent producers, a
-  consumer, and a canceller -- entries are never lost or duplicated, FIFO
+  consumer, and a canceller -- entries are never lost or duplicated, and FIFO
   order by ``arrival_seq`` holds for everything that was not explicitly
-  requeued, and ``wait_for_work`` never false-wakes an empty consumer;
-- :class:`repro.serving.engine.InferenceEngine`'s ``_latency`` table (guarded
-  by ``_submit_lock``) under concurrent ``submit`` and
-  ``clear_finished_latencies`` -- the regression the analyzer originally
-  flagged: an unguarded sweep iterates the dict while a producer inserts.
+  requeued;
+- :class:`repro.serving.engine.InferenceEngine` stepping while producers
+  ``submit`` (id allocation guarded by ``_submit_lock``) -- every request
+  completes once, carrying its own latency record.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -94,11 +92,9 @@ def test_queue_stress_conserves_entries_and_fifo(per_producer, cancel_stride, re
         try:
             barrier.wait()
             while len(consumed) + len(cancelled) < total:
-                if not queue.wait_for_work(timeout=0.005):
-                    continue  # everything left may have been cancelled
                 snapshot = queue.entries()
                 if not snapshot:
-                    continue  # canceller drained it between wake and snapshot
+                    continue  # not pushed yet, or the canceller drained it
                 head = snapshot[0]
                 entry = queue.cancel(head.request_id)  # atomic claim
                 if entry is None:
@@ -141,87 +137,9 @@ def test_queue_stress_conserves_entries_and_fifo(per_producer, cancel_stride, re
     assert fifo_seqs == sorted(fifo_seqs), "non-requeued entries consumed out of order"
 
 
-def test_wait_for_work_never_false_wakes_single_consumer():
-    """With one consumer and no cancellation, every wake has work to take."""
-    queue = RequestQueue()
-    observed = []
-    n_items = 8
-
-    def consumer():
-        for _ in range(n_items):
-            woke = queue.wait_for_work()
-            snapshot = queue.entries()
-            observed.append((woke, len(snapshot)))
-            queue.pop(snapshot[0].request_id)
-
-    thread = threading.Thread(target=consumer)
-    thread.start()
-    for rid in range(n_items):
-        queue.push(rid, FakeRequest())
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert all(woke and count > 0 for woke, count in observed)
-    assert len(queue) == 0
-
-
-def test_wait_for_work_timeout_on_empty_queue():
-    queue = RequestQueue()
-    assert queue.wait_for_work(timeout=0.005) is False
-
-
 # ----------------------------------------------------------------------
-# InferenceEngine._latency under concurrent submit / sweep
+# InferenceEngine under concurrent submit
 # ----------------------------------------------------------------------
-def test_engine_concurrent_submit_and_latency_sweep(tiny_model):
-    """Regression for the `_latency` lock gap the analyzer flags.
-
-    Without `_submit_lock` around `clear_finished_latencies`, the sweep's
-    iteration over the record dict races concurrent `submit` insertions and
-    raises `RuntimeError: dictionary changed size during iteration`.
-    """
-    engine = InferenceEngine(tiny_model, max_batch_size=4)
-    vocab = tiny_model.config.vocab_size
-    n_requests = 1000
-    errors = []
-    done = threading.Event()
-    barrier = threading.Barrier(2)
-
-    def producer():
-        try:
-            barrier.wait()
-            for i in range(n_requests):
-                engine.submit(Request(prompt=(i % vocab,), max_new_tokens=1))
-        except Exception as exc:
-            errors.append(exc)
-        finally:
-            done.set()
-
-    def sweeper():
-        try:
-            barrier.wait()
-            while not done.is_set():
-                engine.clear_finished_latencies()
-        except Exception as exc:
-            errors.append(exc)
-
-    # Force frequent GIL hand-offs so the sweep's dict iteration actually
-    # interleaves with submit's insertions (the default 5 ms interval lets
-    # the whole producer run finish inside one quantum).
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=producer), threading.Thread(target=sweeper)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == [], errors
-    assert engine.num_waiting == n_requests
-
-
 def test_engine_step_loop_with_concurrent_producers(tiny_model):
     """The engine thread steps while producer threads submit: ids stay unique,
     every request completes, and every latency record survives intact."""
@@ -262,7 +180,7 @@ def test_engine_step_loop_with_concurrent_producers(tiny_model):
     assert all_ids == list(range(total)), "duplicate or skipped request ids"
     assert {c.request_id for c in completions} == set(range(total))
     for completion in completions:
-        record = engine.latency(completion.request_id)
+        record = completion.latency
+        assert record.request_id == completion.request_id
         assert record.finished_step is not None
         assert record.finish_reason == "length"
-    assert engine.clear_finished_latencies() == total

@@ -589,8 +589,8 @@ class TestCallbackHardening:
         for c in completions:
             assert list(c.result.tokens) == reference_tokens[c.request_id]
         assert engine.stats.callback_errors == 1
-        assert "exploded" in engine.latency(1).callback_error
-        assert engine.latency(0).callback_error is None
+        assert "exploded" in completions[1].latency.callback_error
+        assert completions[0].latency.callback_error is None
         # Request 1 stops streaming after the first raise; the others stream
         # every token.
         assert not any(request_id == 1 for request_id, _ in streamed)

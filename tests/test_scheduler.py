@@ -1,6 +1,7 @@
 """Tests of the scheduling subsystem: RequestQueue, policies, engine wiring."""
 
-import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -84,23 +85,6 @@ class TestRequestQueue:
         assert [e.request_id for e in expired] == [0]
         assert [e.request_id for e in queue.entries()] == [1, 2]
 
-    def test_wait_for_work(self):
-        queue = RequestQueue(clock=FakeClock())
-        assert queue.wait_for_work(timeout=0.01) is False
-        queue.push(0, Request(prompt=(1,), max_new_tokens=1))
-        assert queue.wait_for_work(timeout=0.01) is True
-
-    def test_wait_for_work_async(self):
-        queue = RequestQueue(clock=FakeClock())
-
-        async def scenario():
-            empty = await queue.wait_for_work_async(timeout=0.01)
-            queue.push(0, Request(prompt=(1,), max_new_tokens=1))
-            ready = await queue.wait_for_work_async(timeout=0.01)
-            return empty, ready
-
-        assert asyncio.run(scenario()) == (False, True)
-
 
 class TestTokenLedger:
     def test_decode_charges_reduce_prefill_budget(self):
@@ -127,7 +111,9 @@ class TestTokenLedger:
         assert ledger.grant_prefill(100, floor=4) == 6
 
     def test_unbounded_and_validation(self):
-        assert TokenLedger(None).grant_prefill(1000) == 1000
+        """There is no unbounded ledger: the budget must be a positive int."""
+        with pytest.raises(TypeError):
+            TokenLedger(None)
         with pytest.raises(ValueError):
             TokenLedger(0)
 
@@ -199,16 +185,14 @@ class TestPriorityScheduler:
         low = engine.submit(_mk_request(rng, vocab, 3, 2), priority=0)
         high_1 = engine.submit(_mk_request(rng, vocab, 3, 2), priority=5)
         high_2 = engine.submit(_mk_request(rng, vocab, 3, 2), priority=5)
-        engine.run()
+        lat = {c.request_id: c.latency for c in engine.run()}
         order = sorted(
-            (blocker, low, high_1, high_2),
-            key=lambda rid: (engine.latency(rid).admitted_step, rid),
+            (blocker, low, high_1, high_2), key=lambda rid: (lat[rid].admitted_step, rid)
         )
         assert order == [blocker, high_1, high_2, low]
         assert (
-            engine.latency(high_1).admitted_step < engine.latency(high_2).admitted_step
-            or engine.latency(high_1).first_token_step
-            < engine.latency(high_2).first_token_step
+            lat[high_1].admitted_step < lat[high_2].admitted_step
+            or lat[high_1].first_token_step < lat[high_2].first_token_step
         )
 
     def test_preemption_evicts_low_priority_prefill_and_keeps_progress(
@@ -235,10 +219,10 @@ class TestPriorityScheduler:
         assert engine.stats.prefilled_tokens == 23
         # Re-admission does not double-count: two requests, two admissions.
         assert engine.stats.admitted == 2 == engine.stats.completed
-        assert engine.latency(short_id).first_token_step < engine.latency(
-            long_id
-        ).first_token_step
         by_id = {c.request_id: c for c in completions}
+        assert (
+            by_id[short_id].latency.first_token_step < by_id[long_id].latency.first_token_step
+        )
         for rid, request in ((long_id, long_req), (short_id, short_req)):
             ref = greedy_decode(tiny_model, request.prompt, request.max_new_tokens)
             assert by_id[rid].result.tokens == ref.tokens
@@ -314,7 +298,7 @@ class TestPagedScheduler:
         assert engine.stats.prefilled_tokens == 53
 
     def test_prefill_liveness_floor_when_decodes_fill_page(self, tiny_model):
-        """page_tokens <= decoding rows still prefills min_prefill_tokens."""
+        """page_tokens <= decoding rows still prefills one prompt token."""
         rng = np.random.default_rng(15)
         vocab = tiny_model.config.vocab_size
         engine = InferenceEngine(
@@ -327,7 +311,7 @@ class TestPagedScheduler:
         engine.submit(_mk_request(rng, vocab, 30, 1))
         prefilled_before = engine.stats.prefilled_tokens
         engine.step()
-        # Liveness floor: exactly min_prefill_tokens despite the exhausted page.
+        # Liveness floor: exactly one prompt token despite the exhausted page.
         assert engine.stats.prefilled_tokens - prefilled_before == 1
 
     def test_degenerate_requests_complete_without_free_slot(self, tiny_model):
@@ -361,7 +345,7 @@ class TestCancellation:
         assert by_id[waiting].result.tokens == []
         assert by_id[running].finish_reason == "length"
         assert engine.stats.cancelled == 1
-        assert engine.latency(waiting).finish_reason == "cancelled"
+        assert by_id[waiting].latency.finish_reason == "cancelled"
 
     def test_cancel_in_flight_decode_keeps_partial_tokens(self, tiny_model):
         rng = np.random.default_rng(18)
@@ -489,6 +473,13 @@ class TestDeadlines:
             )
         with pytest.raises(ValueError):
             engine.submit(Request(prompt=(1,), max_new_tokens=1), timeout=-1.0)
+        # Non-finite: a NaN deadline would never expire.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                engine.submit(Request(prompt=(1,), max_new_tokens=1), timeout=bad)
+            with pytest.raises(ValueError):
+                engine.submit(Request(prompt=(1,), max_new_tokens=1), deadline=bad)
+        assert engine.num_waiting == 0
 
 
 class TestLatencyStats:
@@ -498,14 +489,14 @@ class TestLatencyStats:
         engine = InferenceEngine(tiny_model, max_batch_size=1)
         first = engine.submit(_mk_request(rng, vocab, 3, 3))
         second = engine.submit(_mk_request(rng, vocab, 3, 2))
-        engine.run()
-        lat_first = engine.latency(first)
+        lat = {c.request_id: c.latency for c in engine.run()}
+        lat_first = lat[first]
         # Admitted (and first token emitted) on the very next step: zero wait.
         assert lat_first.queue_wait_iterations == 0
         assert lat_first.ttft_iterations == 0
         assert lat_first.decode_iterations == 3
         assert lat_first.finish_reason == "length"
-        lat_second = engine.latency(second)
+        lat_second = lat[second]
         # Waited for the three decode iterations of the first request.
         assert lat_second.queue_wait_iterations == 3
         assert lat_second.ttft_iterations == 3
@@ -517,8 +508,38 @@ class TestLatencyStats:
         vocab = tiny_model.config.vocab_size
         engine = InferenceEngine(tiny_model)
         (completion,) = engine.run([_mk_request(rng, vocab, 3, 2)])
-        assert completion.latency is engine.latency(completion.request_id)
+        assert completion.latency.request_id == completion.request_id
         assert completion.latency.finish_reason == "length"
+
+    def test_drained_engine_keeps_no_request_record(self, tiny_model):
+        """The completion is a request's last record: once the caller drops
+        the completions, no latency record survives, and no single-sequence
+        prefill cache outlives its install into the slot pool."""
+        rng = np.random.default_rng(30)
+        vocab = tiny_model.config.vocab_size
+        engine = InferenceEngine(
+            tiny_model, max_batch_size=2, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
+        )
+        caches = []  # weak references to every prefill cache handed out
+        fresh_cache = engine.runner.new_cache
+
+        def new_cache():
+            cache = fresh_cache()
+            assert cache.batch_size is None
+            caches.append(weakref.ref(cache))
+            return cache
+
+        engine.runner.new_cache = new_cache
+        engine.submit(_mk_request(rng, vocab, 3, 6))
+        engine.step()  # the whole prompt fits the budget: installed, decoding
+        gc.collect()
+        assert engine.num_active == 1 and caches[0]() is None  # the pool row is the copy
+        completions = engine.run([_mk_request(rng, vocab, n, 2) for n in (9, 6, 1, 7)])
+        assert len(completions) == len(caches) == 5
+        records = [weakref.ref(c.latency) for c in completions]
+        del completions
+        gc.collect()
+        assert [ref() for ref in records + caches] == [None] * 10
 
 
 class TestStreaming:
@@ -566,7 +587,8 @@ class TestThreadSafety:
             t.join()
         assert len(ids) == 200 and len(set(ids)) == 200
         assert engine.num_waiting == 200
-        assert all(engine.latency(rid).request_id == rid for rid in ids)
+        entries = engine.queue.entries()
+        assert all(entry.latency.request_id == entry.request_id for entry in entries)
 
 
 class TestDeterminism:
@@ -577,7 +599,7 @@ class TestDeterminism:
         engine = InferenceEngine(
             model, max_batch_size=2, scheduler=scheduler, clock=FakeClock()
         )
-        ids = []
+        ids, completions = [], []
         for _ in range(8):
             size = int(rng.choice((3, 5, 24)))
             budget = int(rng.integers(1, 5))
@@ -587,15 +609,11 @@ class TestDeterminism:
                     _mk_request(rng, vocab, size, budget), priority=priority
                 )
             )
-            engine.step()
-        engine.run()
+            completions.extend(engine.step())
+        completions.extend(engine.run())
+        lat = {c.request_id: c.latency for c in completions}
         return [
-            (
-                rid,
-                engine.latency(rid).admitted_step,
-                engine.latency(rid).first_token_step,
-                engine.latency(rid).finished_step,
-            )
+            (rid, lat[rid].admitted_step, lat[rid].first_token_step, lat[rid].finished_step)
             for rid in ids
         ]
 

@@ -279,6 +279,9 @@ class TestInferenceEngine:
             Request(prompt=(1,), max_new_tokens=-1)
         with pytest.raises(ValueError):
             Request(prompt=(1,), max_new_tokens=1, temperature=-0.5)
+        for temperature in (float("nan"), float("inf")):  # NaN logprobs / greedy in disguise
+            with pytest.raises(ValueError):
+                Request(prompt=(1,), max_new_tokens=1, temperature=temperature, seed=1)
         with pytest.raises(ValueError):
             Request(prompt=(1,), max_new_tokens=1, seed=3)  # seed without temperature
         engine = InferenceEngine(tiny_model)
