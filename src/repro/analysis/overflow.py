@@ -28,9 +28,10 @@ values *narrower* than that accumulator (:class:`NarrowCodeSpec`): the
 resident codes it stores at their true width and the ``h (.) C``
 code-by-code product, which fits the ``2 * bits`` type
 (:func:`repro.quant.pot.code_storage_dtype`).  The step has two executors of
-these ``ssm-decode-step`` specs: the numpy tile
-``repro.quant.ssm_quant._ssmu_tile`` and the compiled
-``src/repro/quant/ssmu_tile.c``, whose ``<stdint.h>`` types are the registered
+these ``ssm-decode-step`` specs: the numpy step
+(``QuantizedSSMStep._step_integer_numpy`` and its tile
+``repro.quant.ssm_quant._ssmu_tile``) and the compiled step in
+``src/repro/quant/native.c``, whose ``<stdint.h>`` types are the registered
 widths (``int8_t`` codes, ``int32_t`` aligned products) and which only takes
 configurations where those are what the two functions above pick.
 
@@ -242,9 +243,11 @@ def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
     (INT8) and the INT4 variant the bit-identity tests pin -- one INT32
     entry per fused re-quantization (the ``B_bar (.) x`` and ``h (.) C``
     pre-aligned products) and one narrow entry each for the ``h (.) C``
-    product before alignment and for the code store.  No bound depends on
-    the group size, so each entry covers the committed group sizes
-    (8, 32, 128) at once.
+    product before alignment and for the code stores: the resident state,
+    and the two the compiled step holds in ``int8_t`` besides -- the x / B /
+    C entry codes and the re-quantized ``Delta (.) B`` codes (clipped to
+    ``qmax``, so one code's bound).  No bound depends on the group size, so
+    each entry covers the committed group sizes (8, 32, 128) at once.
     """
     import numpy as np
 
@@ -262,7 +265,8 @@ def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
                     bits=bits,
                 )
             )
-        for value, factors in (("h.C code product", 2), ("state code store", 1)):
+        for value, factors in (("h.C code product", 2), ("state code store", 1),
+                               ("x.B.C entry code store", 1), ("Delta.B code store", 1)):
             specs.append(
                 NarrowCodeSpec(
                     name=f"ssm-decode-step/{value} {suffix}",

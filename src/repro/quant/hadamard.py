@@ -24,11 +24,14 @@ This module provides:
 
 from __future__ import annotations
 
+import ctypes
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from repro.mamba.ops import row_tiles, tile_rows
+from repro.quant import native
 
 __all__ = [
     "sylvester",
@@ -196,21 +199,33 @@ def fast_hadamard_transform(x: np.ndarray, normalized: bool = True) -> np.ndarra
     Equivalent to ``x @ sylvester(n)`` (optionally normalised by
     ``1/sqrt(n)``) but computed with the O(n log n) butterfly network -- the
     algorithm the paper's 128-point HTU implements in seven pipeline stages.
-
-    The rows are transformed a token tile at a time
-    (:func:`repro.mamba.ops.row_tiles`) in *transposed* layout: with the
-    ``n`` points of a tile laid out as ``n`` contiguous rows of tile-length,
-    the stage of span ``s`` adds and subtracts blocks of ``s`` whole rows --
-    long contiguous passes ping-ponging between two cache-resident buffers,
-    where the row-major butterfly strides element by element through its
-    first stages.  The pairing and order of the butterflies are those of the
-    textbook in-place network (span 1, 2, 4, ...), so every output is the
-    same sequence of roundings, to the bit.
+    The butterflies pair and order as the textbook in-place network (span 1,
+    2, 4, ...), and the normalisation is one divide by ``sqrt(n)`` at the end,
+    so every output is the same sequence of roundings, to the bit, whichever
+    executor runs it: the compiled ``fwht`` of :mod:`repro.quant.native`
+    (one C call, row by row) when this machine built one, the numpy
+    :func:`_fwht_numpy` otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if n & (n - 1):
         raise ValueError(f"FWHT length must be a power of two, got {n}")
+    library = native.kernel()
+    return library.fwht(x, normalized) if library is not None else _fwht_numpy(x, normalized)
+
+
+def _fwht_numpy(x: np.ndarray, normalized: bool) -> np.ndarray:
+    """The FWHT in numpy: reference of the compiled one and no-compiler fallback.
+
+    ``x`` is float64 with a power-of-two last axis.  The rows are transformed
+    a token tile at a time (:func:`repro.mamba.ops.row_tiles`) in
+    *transposed* layout: with the ``n`` points of a tile laid out as ``n``
+    contiguous rows of tile-length, the stage of span ``s`` adds and
+    subtracts blocks of ``s`` whole rows -- long contiguous passes
+    ping-ponging between two cache-resident buffers, where the row-major
+    butterfly strides element by element through its first stages.
+    """
+    n = x.shape[-1]
     out = np.empty(x.shape)
     if not x.size:
         return out
@@ -235,6 +250,27 @@ def fast_hadamard_transform(x: np.ndarray, normalized: bool = True) -> np.ndarra
         else:
             rows_out[rows] = src.reshape(n, count).T
     return out
+
+
+def _compiled_fwht(entry: Callable) -> Callable:
+    """``native.c``'s ``fwht`` behind :func:`_fwht_numpy`'s signature.
+
+    The input is made C-contiguous (a copy only when it is not), the output
+    is fresh; one call transforms every row.
+    """
+    entry.restype = None
+    entry.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
+                      ctypes.c_void_p]
+
+    def fwht(x: np.ndarray, normalized: bool) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        out = np.empty(x.shape)
+        if out.size:
+            n = x.shape[-1]
+            entry(x.ctypes.data, out.size // n, n, 1 if normalized else 0, out.ctypes.data)
+        return out
+
+    return fwht
 
 
 def apply_hadamard(x: np.ndarray, order: int | None = None, normalized: bool = True) -> np.ndarray:

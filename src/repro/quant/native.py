@@ -1,16 +1,29 @@
-"""The compiled SSMU tile: find ``cc``, build, cache, load, self-test, report.
+"""The compiled units of the decode path: find ``cc``, build, cache, load, self-test, report.
 
-``ssmu_tile.c`` beside this file is the fused tile of the integer decode step
-(``QuantizedSSMStep._step_integer``).  :func:`kernel` returns it behind the
-numpy tile's signature, or ``None`` -- the step then runs the numpy tile -- and
-:func:`status` says which and why.  Nothing selects a tile but what this module
-observes, once per process: a C compiler on ``PATH``, a build that succeeds, a
-load-time self-test byte-equal to the numpy tile.  Built for *this* CPU
-(``-march=native``: the ISA is worth 2.4x) into a per-user cache under a name
-hashed from source, flags, compiler and CPU, so a binary never loads on a
-machine it was not built for, and renamed into place, so concurrent workers
-never load half a file.  The flags are fixed here: bit-identity needs
-``-ffp-contract=off`` and no ``-ffast-math``.
+``native.c`` beside this file is one library with three entries, each the
+compiled twin of a numpy reference that stays in the tree as the fallback:
+
+- ``step`` -- the whole integer SSM decode step of a batch, float ``x`` /
+  ``B`` / ``C`` (and the per-head ``Delta`` / ``A_bar``) in, the readout ``y``,
+  the new INT8 state codes and their PoT scales out; twin of
+  ``QuantizedSSMStep._step_integer_numpy`` (wrapped by
+  ``repro.quant.ssm_quant._compiled_step``);
+- ``tile`` -- the state-sized middle of that step on quantized operands; twin
+  of ``repro.quant.ssm_quant._ssmu_tile``, same signature
+  (``_compiled_tile``);
+- ``fwht`` -- the HTU's fast Walsh-Hadamard transform; twin of
+  ``repro.quant.hadamard._fwht_numpy`` (``_compiled_fwht``).
+
+:func:`kernel` returns the three behind those wrappers, or ``None`` -- the
+numpy twins then run -- and :func:`status` says which and why.  Nothing
+selects an executor but what this module observes, once per process: a C
+compiler on ``PATH``, a build that succeeds, a load-time self-test in which
+every entry is byte-equal to its twin (one mismatch turns the whole library
+off).  Built for *this* CPU (``-march=native``: the ISA is worth 2.4x) into a
+per-user cache under a name hashed from source, flags, compiler and CPU, so a
+binary never loads on a machine it was not built for, and renamed into place,
+so concurrent workers never load half a file.  The flags are fixed here:
+bit-identity needs ``-ffp-contract=off`` and no ``-ffast-math``.
 """
 
 from __future__ import annotations
@@ -23,13 +36,15 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.quant import ssm_quant as reference  # circular: attributes are read at call time
+# circular: both read this module's kernel() at call time, and it reads them at load time
+from repro.quant import hadamard, ssm_quant
 
-_SOURCE = Path(__file__).with_name("ssmu_tile.c")
+_SOURCE = Path(__file__).with_name("native.c")
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -61,7 +76,7 @@ def _library_name(cc: str) -> str:
     built_by = os.stat(cc)
     parts = (_SOURCE.read_bytes(), _FLAGS, cc, built_by.st_size, built_by.st_mtime_ns,
              os.uname().machine, cpu)
-    return "ssmu_tile-" + hashlib.sha256(repr(parts).encode()).hexdigest()[:20] + ".so"
+    return "native-" + hashlib.sha256(repr(parts).encode()).hexdigest()[:20] + ".so"
 
 
 def _build(cc: str, target: Path) -> Optional[str]:
@@ -76,25 +91,65 @@ def _build(cc: str, target: Path) -> Optional[str]:
     return None
 
 
-def _self_test(tile: Callable) -> bool:
-    """The compiled tile against the numpy tile, byte for byte, on fixed operands."""
+def _same_bytes(got, want) -> bool:
+    return len(got) == len(want) and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _tile_agrees(tile) -> bool:
+    """The compiled tile against the numpy tile on fixed operands."""
     rng = np.random.default_rng(0)
     for bits, G, g, n in ((8, 4, 32, 128), (4, 2, 16, 24), (8, 3, 7, 20)):
-        qmax, shapes = 2 ** (bits - 1) - 1, reference._tile_shapes((2,), 2, 3, G, g)
+        qmax, shapes = 2 ** (bits - 1) - 1, ssm_quant._tile_shapes((2,), 2, 3, G, g)
         ops = [rng.integers(-qmax, qmax + 1, size).astype(dtype)  # codes and exponents alike
-               for size, dtype in zip(shapes, reference._TILE_DTYPES)]
+               for size, dtype in zip(shapes, ssm_quant._TILE_DTYPES)]
         ops[2] = rng.uniform(0.05, 1.0, shapes[2])  # a_bar
         ops[0][0, 0] = 0  # all-zero groups: destination grids at the 2**-39 floor
         got, want = np.stack([rng.normal(size=shapes[-1])] * 2)  # y, once per tile
-        out = (got, *tile(*ops, got, n, bits)), (want, *reference._ssmu_tile(*ops, want, n, bits))
-        if any(a.tobytes() != b.tobytes() for a, b in zip(*out)):
+        got_out, want_out = tile(*ops, got, n, bits), ssm_quant._ssmu_tile(*ops, want, n, bits)
+        if None in (got_out, want_out) or not _same_bytes((got, *got_out), (want, *want_out)):
             return False
     return True
 
 
+def _step_agrees(step) -> bool:
+    """The compiled step against the numpy step: full and padded state groups,
+    a padded x group, an all-zero row, and a batch past the exponent range."""
+    from repro.mamba.ssm import SSMParams
+
+    rng = np.random.default_rng(1)
+    for bits, group, heads, dim, n, big in ((8, 32, 2, 8, 64, 1.0), (4, 16, 3, 12, 24, 1.0),
+                                            (8, 32, 2, 8, 24, 1e200)):
+        quant = ssm_quant.QuantizedSSMStep(ssm_quant.SSMQuantConfig(bits=bits, group_size=group))
+        params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
+                           dt_bias=rng.normal(size=heads))
+        state = quant.quantize_state_codes(rng.normal(size=(3, heads, dim, n)))
+        x, B, C = rng.normal(size=(3, heads, dim)), rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        x[0], B[0], x[1], B[1] = x[0] * big, B[0] * big, 0.0, 0.0
+        dt = rng.normal(size=(3, heads))
+        delta, a_bar = ssm_quant.ssm_decay(params, dt)
+        got = step(x, B, C, dt, delta, a_bar, params.D, state, group, bits)
+        want = quant._step_integer_numpy(params, x, B, C, dt, delta, a_bar, state)
+        if got is ssm_quant._ORACLE or want is ssm_quant._ORACLE:
+            if got is not want:
+                return False
+        elif got is None or not _same_bytes(got, want):
+            return False
+    return True
+
+
+def _fwht_agrees(fwht) -> bool:
+    """The compiled FWHT against the numpy FWHT, normalized and not."""
+    rng = np.random.default_rng(2)
+    return all(
+        fwht(x, normalized).tobytes() == hadamard._fwht_numpy(x, normalized).tobytes()
+        for x in (rng.normal(size=(3, 64)) * 1e3, rng.normal(size=(5, 1)), rng.normal(size=512))
+        for normalized in (True, False)
+    )
+
+
 @functools.lru_cache(maxsize=None)
-def _load() -> Tuple[Optional[Callable], str]:
-    """``(tile or None, status)``, decided once per process."""
+def _load() -> Tuple[Optional[SimpleNamespace], str]:
+    """``(entries or None, status)``, decided once per process."""
     cc = _find_compiler()
     if cc is None:
         return None, "numpy: no C compiler"
@@ -103,15 +158,20 @@ def _load() -> Tuple[Optional[Callable], str]:
         error = None if target.exists() else _build(cc, target)
         if error is not None:
             return None, f"numpy: build failed: {error}"
-        entry = ctypes.CDLL(str(target)).ssmu_tile
+        library = ctypes.CDLL(str(target))
+        entries = SimpleNamespace(
+            step=ssm_quant._compiled_step(library.ssmu_step),
+            tile=ssm_quant._compiled_tile(library.ssmu_tile),
+            fwht=hadamard._compiled_fwht(library.fwht),
+        )
     except (OSError, AttributeError) as exc:
         return None, f"numpy: {exc}"
-    tile = reference._compiled_tile(entry)
-    return (tile, "compiled") if _self_test(tile) else (None, "numpy: self-test mismatch")
+    agree = (_step_agrees(entries.step), _tile_agrees(entries.tile), _fwht_agrees(entries.fwht))
+    return (entries, "compiled") if all(agree) else (None, "numpy: self-test mismatch")
 
 
-def kernel() -> Optional[Callable]:
-    """The compiled tile, or ``None`` when the numpy tile must run."""
+def kernel() -> Optional[SimpleNamespace]:
+    """The compiled ``step``, ``tile`` and ``fwht``, or ``None`` when the numpy twins must run."""
     return _load()[0]
 
 

@@ -12,27 +12,28 @@ from repro.quant import native
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--numpy-tile",
+        "--no-kernel",
         action="store_true",
-        help="run every test with the numpy_tile fixture: the integer decode step on the "
-        "numpy SSMU tile, as on a machine without a C compiler",
+        help="run every test with the no_kernel fixture: the integer decode step, its tile and "
+        "the FWHT on their numpy twins, as on a machine without a C compiler",
     )
 
 
 @pytest.fixture()
-def numpy_tile(monkeypatch):
-    """Patch ``repro.quant.native``'s loader to report no kernel.
+def no_kernel(monkeypatch):
+    """Patch ``repro.quant.native``'s loader to report no compiled library.
 
-    A test seam, not a switch of the program: ``_step_integer`` then runs the
-    numpy reference tile, exactly as it does where no compiler is found.
+    A test seam, not a switch of the program: the integer decode step, the
+    SSMU tile and the FWHT then run their numpy twins, exactly as they do
+    where no compiler is found.
     """
     monkeypatch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
 
 
 @pytest.fixture(autouse=True)
-def _tile_under_test(request):
-    if request.config.getoption("--numpy-tile"):
-        request.getfixturevalue("numpy_tile")
+def _kernel_under_test(request):
+    if request.config.getoption("--no-kernel"):
+        request.getfixturevalue("no_kernel")
 
 
 @pytest.fixture(scope="session")

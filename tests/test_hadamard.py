@@ -1,4 +1,9 @@
-"""Tests for Hadamard construction, FWHT, and the PoT quantization helpers."""
+"""Tests for Hadamard construction, FWHT, and the PoT quantization helpers.
+
+The FWHT has two executors -- the compiled ``fwht`` of ``repro.quant.native``
+and the numpy ``_fwht_numpy`` -- which must agree byte for byte
+(``TestCompiledFWHT``; skipped, with the reason, where no library loads).
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.quant import native
 from repro.quant.hadamard import (
+    _fwht_numpy,
     apply_hadamard,
     decompose_hadamard_order,
     fast_hadamard_transform,
@@ -138,6 +145,62 @@ class TestTransforms:
         a = fast_hadamard_transform(2.0 * x)
         b = 2.0 * fast_hadamard_transform(x)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
+def _on_numpy(call, *args, **kwargs):
+    """``call`` under the ``no_kernel`` fixture's patch, scoped to the one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
+        return call(*args, **kwargs)
+
+
+def _spread(rng, shape):
+    """Values over 20 decimal decades, where the order of float additions shows."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-10, 10, size=shape)
+
+
+#: The library as loaded at collection, before any test patches the loader.
+COMPILED = native.kernel()
+
+
+@pytest.mark.skipif(COMPILED is None, reason=native.status())
+class TestCompiledFWHT:
+    """The compiled butterfly network is the numpy one, to the bit."""
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 8), (1,), (2,), (4, 1), (4, 2),
+                                       (3, 5, 16), (300, 512)])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_compiled_equals_numpy(self, shape, normalized):
+        x = _spread(np.random.default_rng(len(shape) + sum(shape)), shape)
+        got = COMPILED.fwht(x, normalized)
+        assert got.shape == x.shape
+        assert got.tobytes() == _fwht_numpy(x, normalized).tobytes()
+
+    def test_non_contiguous_input(self):
+        base = _spread(np.random.default_rng(3), (64, 48))
+        for x in (base.T, base[:, ::3], base[::2, 16:]):  # strided rows and columns
+            assert not x.flags.c_contiguous
+            want = _fwht_numpy(np.ascontiguousarray(x), True)
+            assert fast_hadamard_transform(x).tobytes() == want.tobytes()
+            assert COMPILED.fwht(x, True).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [12, 24, 48, 96, 20, 40, 80, 160])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_apply_hadamard_kronecker_orders(self, order, normalized):
+        """Orders 12 * 2**k and 20 * 2**k: the FWHT runs over a transposed,
+        non-contiguous view of the dense factor's output."""
+        x = _spread(np.random.default_rng(order), (7, order))
+        got = apply_hadamard(x, normalized=normalized)
+        assert got.tobytes() == _on_numpy(apply_hadamard, x, normalized=normalized).tobytes()
+
+    def test_no_kernel_fallback(self, request):
+        """Once the ``no_kernel`` fixture patches the library out, the
+        transform runs numpy -- and returns the compiled one's bytes."""
+        x = _spread(np.random.default_rng(4), (9, 256))
+        compiled = fast_hadamard_transform(x)
+        request.getfixturevalue("no_kernel")
+        assert native.kernel() is None and native.status().startswith("numpy: ")
+        assert fast_hadamard_transform(x).tobytes() == compiled.tobytes()
 
 
 class TestPoT:

@@ -1,14 +1,18 @@
-"""Tests of the compiled SSMU tile (``ssmu_tile.c`` behind ``repro.quant.native``).
+"""Tests of the compiled integer SSM step and tile (``native.c`` behind ``repro.quant.native``).
 
-The numpy tile ``repro.quant.ssm_quant._ssmu_tile`` is the reference: the
-compiled tile must return the same bytes on the same operands.  Beyond that
-direct comparison the file pins the two derivations whose numpy twins are easy
-to get wrong in C (the destination exponent is ``ceil(log2(.))`` in float64,
-not the binary exponent; the readout is numpy's pairwise sum), and the build /
-cache / fallback machinery: no compiler, concurrent first builds, a cache
-directory somebody else can write, code widths the kernel is not written for.
-Everything except the no-compiler fallback is skipped, with the reason, on a
-machine where no kernel loads.
+The numpy twins are the reference: the compiled ``step`` must return the same
+bytes as ``QuantizedSSMStep._step_integer`` on the numpy step, the compiled
+``tile`` the same bytes as ``repro.quant.ssm_quant._ssmu_tile``, on the same
+operands.  Beyond those direct comparisons the file pins the two derivations
+whose numpy twins are easy to get wrong in C (the destination exponent is
+``ceil(log2(.))`` in float64, not the binary exponent; the readout is numpy's
+pairwise sum), the step's range (a grid past ``2**1023`` hands the batch to
+the oracle), that a default model really decodes through the compiled step,
+and the build / cache / fallback machinery: no compiler, concurrent first
+builds, a cache directory somebody else can write, code widths the kernel is
+not written for.  Everything except the no-compiler fallback is skipped, with
+the reason, on a machine where no kernel loads.  (The compiled FWHT, the
+library's third entry, is tested in ``test_hadamard.py``.)
 """
 
 import ctypes
@@ -17,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,9 +40,11 @@ from repro.quant import (
     quantize_model,
 )
 from repro.quant.pot import absmax_requant_exponents
-from repro.quant.ssm_quant import _TILE_DTYPES, _ssmu_tile, _tile_shapes
+from repro.quant.ssm_quant import _ORACLE, _TILE_DTYPES, QuantizedSSMStep, _ssmu_tile, _tile_shapes
 
-needs_kernel = pytest.mark.skipif(native.kernel() is None, reason=native.status())
+#: The library as loaded at collection, before any test patches the loader.
+COMPILED = native.kernel()
+needs_kernel = pytest.mark.skipif(COMPILED is None, reason=native.status())
 REPO = Path(__file__).resolve().parents[1]
 
 # (groups, group length, n): full power-of-two groups, the suite's clamped
@@ -56,7 +63,7 @@ def fresh_loader():
 
 
 def _library():
-    """The cached shared object, for the two test entries beside ``ssmu_tile``."""
+    """The cached shared object, for the two test entries beside the three kernels."""
     lib = ctypes.CDLL(str(native._cache_dir() / native._library_name(native._find_compiler())))
     lib.ssmu_requant_exponents.restype = None
     lib.ssmu_requant_exponents.argtypes = [
@@ -100,7 +107,7 @@ def _operands(rng, bits, lead, heads, dim, layout, spread):
 
 def _assert_tiles_agree(ops, y, n, bits):
     got, want = y.copy(), y.copy()
-    codes_c, e6_c = native.kernel()(*ops, got, n, bits)
+    codes_c, e6_c = COMPILED.tile(*ops, got, n, bits)
     codes_n, e6_n = _ssmu_tile(*ops, want, n, bits)
     assert codes_c.dtype == codes_n.dtype == np.int8 and e6_c.dtype == e6_n.dtype == np.int32
     assert e6_c.tobytes() == e6_n.tobytes()
@@ -148,7 +155,7 @@ def test_exponents_past_the_exact_multiply_range(rng):
 @needs_kernel
 def test_kernel_rejects_operands_out_of_contract(rng):
     ops, y = _operands(rng, 8, (2,), 2, 3, (2, 16, 24), 2)
-    tile = native.kernel()
+    tile = COMPILED.tile
     with pytest.raises(ValueError):
         tile(*ops, y, 33, 8)                        # n past the padded line
     with pytest.raises(ValueError):
@@ -157,6 +164,197 @@ def test_kernel_rejects_operands_out_of_contract(rng):
         tile(*ops[:8], ops[8][..., :1], y, 24, 8)   # a misshapen operand
     with pytest.raises(ValueError):
         tile(*ops, y.astype(np.float32), 24, 8)     # y must be the float64 output itself
+
+
+# ----------------------------------------------------------------------
+# (a') The compiled step against the numpy step, through _step_integer
+# ----------------------------------------------------------------------
+def _on_numpy(call, *args):
+    """``call(*args)`` under the ``no_kernel`` fixture's patch, scoped to the one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
+        return call(*args)
+
+
+def _step_case(rng, bits, lead, layout):
+    """A step and in-range operands whose group grids lie far apart: values
+    spread over 16 binary decades, a scale per operand, zero groups, and (in a
+    batch) an all-zero row of x, B and state."""
+    groups, glen, n = layout
+    heads, dim = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=glen))
+    params = SSMParams(
+        A_log=rng.normal(size=heads),
+        D=rng.normal(size=heads) * 10.0 ** rng.integers(-3, 4),
+        dt_bias=rng.normal(size=heads),
+    )
+
+    def spread(shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        values *= rng.random(shape[:-1] + (1,)) > 0.1                 # zero rows of groups
+        return values * 10.0 ** rng.integers(-20, 21)
+
+    state = step.quantize_state_codes(spread(lead + (heads, dim, n)))
+    x, B, C = spread(lead + (heads, dim)), spread(lead + (n,)), spread(lead + (n,))
+    dt = rng.normal(size=lead + (heads,)) * 3.0
+    if lead and rng.random() < 0.5:
+        x[0], B[0], state.codes[0] = 0.0, 0.0, 0
+    assert state.scales.shape[-2] == groups
+    return step, (params, x, B, C, dt, state)
+
+
+@needs_kernel
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.sampled_from([4, 8]),
+    lead=st.sampled_from([(), (1,), (3,), (8,)]),
+    layout=st.sampled_from(LAYOUTS),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_step_matches_numpy_step(seed, bits, lead, layout):
+    """``y``, codes and scales of ``_step_integer`` on the compiled step and,
+    under the ``no_kernel`` patch, on the numpy step and tile: the same bytes,
+    for full, ragged and padded groups and all-zero rows."""
+    step, args = _step_case(np.random.default_rng(seed), bits, lead, layout)
+    y_c, state_c = step._step_integer(*args)
+    y_n, state_n = _on_numpy(step._step_integer, *args)
+    assert y_c.tobytes() == y_n.tobytes()
+    assert state_c.codes.dtype == state_n.codes.dtype == np.int8
+    assert state_c.codes.tobytes() == state_n.codes.tobytes()
+    assert state_c.scales.tobytes() == state_n.scales.tobytes()
+
+
+def _decode_model(d_state):
+    config = Mamba2Config(d_model=32, n_layer=2, vocab_size=64, d_state=d_state, headdim=8)
+    return quantize_model(
+        Mamba2Model.from_config(config, InitConfig(seed=3)),
+        QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR),
+    )
+
+
+def _decode_record(model=None):
+    model = _decode_model(24) if model is None else model
+    result = greedy_decode(model, [5, 9, 2, 40, 7], 12)
+    cache = model.new_cache(3)
+    logits = [model.step(np.array([1, 2, 3]) + i, cache) for i in range(6)]
+    state = [(layer.ssm_state.codes.tobytes(), layer.ssm_state.scales.tobytes())
+             for layer in cache.layers]
+    return list(result.tokens), np.stack(logits).tobytes(), state
+
+
+@needs_kernel
+@pytest.mark.parametrize("d_state", [24, 64])
+def test_greedy_decode_compiled_equals_numpy(d_state):
+    """Whole-model decode -- greedy tokens, batched logits, resident state --
+    on the compiled step and on the numpy one; ``d_state`` 64 runs the
+    default 32-long groups the kernel specializes for, 24 a single short one."""
+    model = _decode_model(d_state)
+    assert _decode_record(model) == _on_numpy(_decode_record, model)
+
+
+@needs_kernel
+def test_default_model_step_calls_the_compiled_step(monkeypatch):
+    """A default lightmamba* ``model.step`` goes through the compiled step
+    entry -- once per layer per step, and the entry does the step (it neither
+    declines nor hands the batch to the oracle)."""
+    answers = []
+
+    def spy(*args):
+        answers.append(COMPILED.step(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(native, "_load", lambda: (SimpleNamespace(
+        step=spy, tile=COMPILED.tile, fwht=COMPILED.fwht), "compiled"))
+    model = _decode_model(64)
+    cache = model.new_cache(2)
+    for token in range(3):
+        model.step(np.array([token, token + 1]), cache)
+    assert len(answers) == 3 * model.config.n_layer
+    assert all(isinstance(answer, tuple) for answer in answers)
+
+
+# ----------------------------------------------------------------------
+# (a'') The step's range: grids past 2**1023 are the oracle's
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def e2e_layer():
+    """Layer 0 of a model at the e2e benchmark's dims and its resident state
+    two decode steps from a fresh cache (some groups still all-zero, their
+    grids at the ``2**-39`` floor, far below a large product's)."""
+    config = Mamba2Config(d_model=256, n_layer=1, vocab_size=64, d_state=128, headdim=64)
+    model = quantize_model(
+        Mamba2Model.from_config(config, InitConfig(seed=0)),
+        QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR),
+    )
+    cache = model.new_cache(2)
+    for tokens in ([3, 9], [5, 2]):
+        model.step(np.array(tokens), cache)
+    block = model.blocks[0]
+    rng = np.random.default_rng(5)
+    operands = (rng.normal(size=(2, config.nheads, config.headdim)), rng.normal(size=(2, 128)),
+                rng.normal(size=(2, 128)), rng.normal(size=(2, config.nheads)))
+    return block.ssm_impl, block.ssm, operands, cache.layers[0].ssm_state
+
+
+@pytest.mark.parametrize("executor", ["compiled", "numpy"])
+@pytest.mark.parametrize(
+    "scale,to_oracle",
+    [
+        ({"dt": 1e298}, True),                        # Delta near 1e298: Delta (.) B past the range
+        ({"x": 1e150, "B": 1e150}, True),             # B_bar (.) x past the range
+        ({"x": 1e100, "B": 1e100}, False),            # still in range: the integer path
+        ({"x": 1e100, "C": 1e100}, False),
+        ({"B": 1e100, "C": 1e100}, False),
+    ],
+)
+def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, executor,
+                                                      scale, to_oracle):
+    """Large finite operands: once a destination exponent would pass the
+    range in which ``2**e`` is a normal double, the integer step hands the
+    batch to the oracle (it used to return ``inf`` scales and a ``y`` of its
+    own); up to there it stays on the integer path, and either way it
+    equals the oracle."""
+    step, params, (x, B, C, dt), state = e2e_layer
+    if executor == "compiled" and COMPILED is None:
+        pytest.skip(native.status())
+    operands = {"x": x, "B": B, "C": C, "dt": dt}
+    for name, value in scale.items():  # dt is set, the others scaled
+        operands[name] = np.full_like(dt, value) if name == "dt" else operands[name] * value
+    oracle_calls, entry_answers = [], []
+    oracle = QuantizedSSMStep._step_oracle
+    numpy_step = QuantizedSSMStep._step_integer_numpy
+
+    def counting_oracle(self, *args):
+        oracle_calls.append(1)
+        return oracle(self, *args)
+
+    def counting_numpy_step(self, *args):
+        entry_answers.append(numpy_step(self, *args))
+        return entry_answers[-1]
+
+    monkeypatch.setattr(QuantizedSSMStep, "_step_oracle", counting_oracle)
+    if executor == "numpy":
+        monkeypatch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
+        monkeypatch.setattr(QuantizedSSMStep, "_step_integer_numpy", counting_numpy_step)
+    else:
+        def counting_entry(*args):
+            entry_answers.append(COMPILED.step(*args))
+            return entry_answers[-1]
+
+        monkeypatch.setattr(native, "_load", lambda: (SimpleNamespace(
+            step=counting_entry, tile=COMPILED.tile, fwht=COMPILED.fwht), "compiled"))
+    args = (params, operands["x"], operands["B"], operands["C"], operands["dt"], state)
+    y, new_state = step._step_integer(*args)
+    assert len(entry_answers) == 1
+    assert (entry_answers[0] is _ORACLE) == to_oracle
+    assert len(oracle_calls) == int(to_oracle)
+    with np.errstate(all="ignore"):
+        y_oracle, state_oracle = oracle(step, *args)
+    assert y.tobytes() == y_oracle.tobytes()
+    assert new_state.scales.tobytes() == state_oracle.scales.tobytes()
+    finite = np.repeat(np.isfinite(new_state.scales[..., 0]), state.group_size, axis=-1)
+    np.testing.assert_array_equal(new_state.codes[finite], state_oracle.codes[finite])
+    assert to_oracle or np.isfinite(new_state.scales).all()
 
 
 # ----------------------------------------------------------------------
@@ -217,22 +415,8 @@ def test_tile_readout_with_far_apart_group_grids(rng, layout):
 
 
 # ----------------------------------------------------------------------
-# (d) No compiler: the numpy tile, the same bytes, a status that says why
+# (d) No compiler: the numpy twins, the same bytes, a status that says why
 # ----------------------------------------------------------------------
-def _decode_record():
-    config = Mamba2Config(d_model=32, n_layer=2, vocab_size=64, d_state=24, headdim=8)
-    model = quantize_model(
-        Mamba2Model.from_config(config, InitConfig(seed=3)),
-        QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR),
-    )
-    result = greedy_decode(model, [5, 9, 2, 40, 7], 12)
-    cache = model.new_cache(3)
-    logits = [model.step(np.array([1, 2, 3]) + i, cache) for i in range(6)]
-    state = [(layer.ssm_state.codes.tobytes(), layer.ssm_state.scales.tobytes())
-             for layer in cache.layers]
-    return list(result.tokens), np.stack(logits).tobytes(), state
-
-
 def test_no_compiler_falls_back_to_the_numpy_tile(monkeypatch, fresh_loader):
     selected = _decode_record()
     native._load.cache_clear()
@@ -297,10 +481,10 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
     calls = []
 
     def spy(*operands):
-        calls.append(operands[0].dtype)
-        return _ssmu_tile(*operands)
+        calls.append(operands[7].codes.dtype)                      # the resident state
+        return COMPILED.step(*operands) if COMPILED is not None else None
 
-    monkeypatch.setattr(native, "_load", lambda: (spy, "compiled"))
+    monkeypatch.setattr(native, "_load", lambda: (SimpleNamespace(step=spy), "compiled"))
     heads, dim, n = 2, 4, 24
     step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
     params = SSMParams(
@@ -319,17 +503,18 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
 
 
 # ----------------------------------------------------------------------
-# The bit-identity suites, on the tile the machine did not select
+# The bit-identity suites, on the executors the machine did not select
 # ----------------------------------------------------------------------
 @needs_kernel
 def test_bit_identity_suites_pass_on_the_numpy_tile():
-    """The decode-step suites run above on the compiled tile; here once more
-    with ``--numpy-tile`` (``conftest.py``: the loader patched to report no
-    kernel), so the reference and fallback stays pinned where a compiler exists."""
+    """The decode-step and transform suites run above on the compiled
+    library; here once more with ``--no-kernel`` (``conftest.py``: the loader
+    patched to report no library), so the numpy step, tile and FWHT stay
+    pinned where a compiler exists."""
     suites = ["test_int_decode_iter.py", "test_int_state.py", "test_ssmu_tiled.py",
-              "test_batched.py", "test_serving.py"]
+              "test_batched.py", "test_serving.py", "test_hadamard.py"]
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "--numpy-tile", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-x", "--no-kernel", "-p", "no:cacheprovider",
          *(str(REPO / "tests" / name) for name in suites)],
         cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         capture_output=True, text=True, timeout=600,

@@ -3,10 +3,11 @@
 Pins the contracts the tiled ``QuantizedSSMStep._step_integer`` adds on top
 of the bit-identity suite in ``test_int_decode_iter.py``.  The step cases run
 on whichever tile this machine selects (``repro.quant.native``: the compiled
-``ssmu_tile.c``, or numpy when there is no compiler); the ``*_on_the_numpy_tile``
-cases run the same bodies with the loader patched to report no kernel, so the
-reference tile is pinned to the oracle wherever the suite runs
-(``tests/test_ssmu_native.py`` compares the two tiles directly):
+``native.c``'s ``ssmu_step``, or the numpy step and tile when there is no
+compiler); the ``*_on_the_numpy_tile`` cases run the same bodies with the
+loader patched to report no kernel (the ``no_kernel`` fixture), so the
+reference is pinned to the oracle wherever the suite runs
+(``tests/test_ssmu_native.py`` compares the two executors directly):
 
 - the *fused* re-quantization -- small operand pre-aligned by
   ``2**(R - r)``, one uniform half-even right shift by ``R`` -- equals both
@@ -198,7 +199,7 @@ def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
 
 @pytest.mark.parametrize("n,group", [(24, 32), (24, 16), (24, 8)])
 @pytest.mark.parametrize("batch", [1, 3, 8])
-def test_batched_step_rows_equal_solo_steps_on_the_numpy_tile(rng, numpy_tile, batch, n, group):
+def test_batched_step_rows_equal_solo_steps_on_the_numpy_tile(rng, no_kernel, batch, n, group):
     _check_rows_equal_solo_steps(rng, batch, n, group)
 
 
@@ -236,7 +237,7 @@ def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
 
 
 @pytest.mark.parametrize("bits,acc_dtype", [(4, np.int32), (8, np.int32)])
-def test_accumulator_width_follows_bits_on_the_numpy_tile(rng, numpy_tile, bits, acc_dtype):
+def test_accumulator_width_follows_bits_on_the_numpy_tile(rng, no_kernel, bits, acc_dtype):
     """The widths the compiled tile takes, on the reference tile."""
     _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
 
