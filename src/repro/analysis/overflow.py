@@ -27,13 +27,12 @@ verdict and the runtime choice cannot disagree.  The same step also holds
 values *narrower* than that accumulator (:class:`NarrowCodeSpec`): the
 resident codes it stores at their true width and the ``h (.) C``
 code-by-code product, which fits the ``2 * bits`` type
-(:func:`repro.quant.pot.code_storage_dtype`).  The step has two executors of
-these ``ssm-decode-step`` specs: the numpy step
-(``QuantizedSSMStep._step_integer_numpy`` and its tile
-``repro.quant.ssm_quant._ssmu_tile``) and the compiled step in
-``src/repro/quant/native.c``, whose ``<stdint.h>`` types are the registered
-widths (``int8_t`` codes, ``int32_t`` aligned products) and which only takes
-configurations where those are what the two functions above pick.
+(:func:`repro.quant.pot.code_storage_dtype`).  These ``ssm-decode-step``
+specs are executed by the compiled step in ``src/repro/quant/native.c``,
+whose ``<stdint.h>`` types are the registered widths (``int8_t`` codes,
+``int32_t`` aligned products) and which only takes configurations where those
+are what the two functions above pick; its reference and fallback, the
+fake-quant oracle, carries floats and holds no integer accumulator.
 
 The prover reports a margin for every contraction (headroom between the
 worst-case partial sum and the accumulator capacity, also expressed in

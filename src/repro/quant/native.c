@@ -1,21 +1,20 @@
 /* The compiled units of the integer decode path (LightMamba Sec. IV, Fig. 4a).
  *
- * One library, three entries, built, self-tested and loaded together by
+ * One library, two entries, built, self-tested and loaded together by
  * repro.quant.native:
  *
  * - ssmu_step: the whole integer SSM decode step of a batch -- from the float
  *   x / B / C of the in-projection and the per-head Delta / A_bar of the
  *   non-linear units to the readout y, the new INT8 state codes and their PoT
- *   scales.  Its numpy twin is QuantizedSSMStep._step_integer_numpy.
- * - ssmu_tile: the state-sized middle of that step on operands already
- *   quantized -- B_bar (.) x, A_bar (.) h + add, state re-quantization,
- *   h (.) C + readout -- as one pipeline per line of state.  Its numpy twin is
- *   repro.quant.ssm_quant._ssmu_tile.
+ *   scales -- with the state-sized middle (B_bar (.) x, A_bar (.) h + add,
+ *   state re-quantization, h (.) C + readout) as one pipeline per line of
+ *   state.  Its reference, and the fallback wherever it does not run, is the
+ *   fake-quant oracle QuantizedSSMStep._step_oracle.
  * - fwht: the fast Walsh-Hadamard transform of the HTU.  Its numpy twin is
  *   repro.quant.hadamard._fwht_numpy.
  *
- * Each twin is the reference: every float operation here is the one numpy
- * performs, in numpy's order, so the outputs are byte-equal.  The rules that
+ * Every float operation here is the one the numpy reference performs, in
+ * numpy's order, so the outputs are byte-equal.  The rules that
  * make that true, each load-bearing:
  *
  * - built with -ffp-contract=off and never -ffast-math (repro.quant.native);
@@ -56,7 +55,9 @@
 enum {
     STEP_DONE = 0,
     STEP_ORACLE = 1, /* a non-finite operand or a grid past MAX_EXPONENT */
-    STEP_NUMPY = 2,  /* a state scale that is not a normal power of two */
+    STEP_NOT_POT = 2, /* a state scale that is not a normal power of two: the
+                       * caller raises for a finite one that is no positive
+                       * power of two, the oracle runs the rest */
     NO_MEMORY = -1,  /* scratch allocation failed; nothing usable written */
 };
 
@@ -186,7 +187,8 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* Test entries: the two derivations whose numpy twins are easy to get wrong. */
+/* Test entries: the two derivations that must reproduce numpy and are easy to get
+ * wrong -- pot.absmax_requant_exponents and np.sum's pairwise order. */
 void ssmu_requant_exponents(const double *absmax, int64_t count, int32_t bits, int32_t *out)
 {
     const double qmax = (double)((1 << (bits - 1)) - 1);
@@ -359,36 +361,6 @@ static int tile_line(tile_t *t, const int8_t *h, const int32_t *e_h, double a_ba
                         out, e6_out, y);
 }
 
-/* Shapes (C order): ch, codes_out (rows, heads, dim, groups, glen) int8;
- * e_h, e6_out (rows, heads, dim, groups); a_bar (rows, heads); c3 (rows,
- * heads, groups, glen) int8, e3 (rows, heads, groups); cx (rows, heads, dim)
- * int8, ex, y (rows, heads, dim); cc (rows, groups, glen) int8, e_c (rows,
- * groups).  n <= groups * glen is the unpadded state length the readout sums.
- * Returns STEP_DONE, STEP_ORACLE when a grid would pass MAX_EXPONENT, or
- * NO_MEMORY (nothing written). */
-int ssmu_tile(int64_t rows, int64_t heads, int64_t dim, int64_t groups, int64_t glen,
-              int64_t n, int32_t bits,
-              const int8_t *ch, const int32_t *e_h, const double *a_bar,
-              const int8_t *c3, const int32_t *e3, const int8_t *cx, const int32_t *ex,
-              const int8_t *cc, const int32_t *e_c,
-              int8_t *codes_out, int32_t *e6_out, double *y)
-{
-    const int64_t line = groups * glen;
-    tile_t t;
-    int status = tile_open(&t, groups, glen, n, bits);
-    for (int64_t rh = 0; !status && rh < rows * heads; rh++) {
-        const int64_t row = rh / heads;
-        tile_head(&t, c3 + rh * line);
-        for (int64_t ln = rh * dim; !status && ln < (rh + 1) * dim; ln++)
-            status = tile_line(&t, ch + ln * line, e_h + ln * groups, a_bar[rh],
-                               c3 + rh * line, e3 + rh * groups, cx[ln], ex[ln],
-                               cc + row * line, e_c + row * groups,
-                               codes_out + ln * line, e6_out + ln * groups, y + ln);
-    }
-    tile_close(&t);
-    return status;
-}
-
 /* ------------------------------------------------------------------------
  * The step: entry quantizations, scalar folds, the tile, the new scales
  * ------------------------------------------------------------------------ */
@@ -401,8 +373,7 @@ static int all_finite(const double *v, int64_t count)
 }
 
 /* pot.pot_exponent for scales that are normal powers of two; 0 when one is
- * anything else (the numpy step then decides: it runs a subnormal power of
- * two and raises for the rest). */
+ * anything else (STEP_NOT_POT). */
 static int pot_exponents(const double *scales, int64_t count, int32_t *e)
 {
     int normal = 1;
@@ -416,9 +387,10 @@ static int pot_exponents(const double *scales, int64_t count, int32_t *e)
     return normal;
 }
 
-/* QuantizedSSMStep._entry_codes for one run of len values in groups of glen
- * (the last zero-padded): the codes, their exponents and their integer group
- * maxima (amax may be NULL).  STEP_ORACLE past MAX_EXPONENT. */
+/* The oracle's entry quantization of one run of len values in groups of glen
+ * (the last zero-padded: per-group absmax, ceil-PoT scale, round, clip), the
+ * scale kept as its exponent: the codes, their exponents and their integer
+ * group maxima (amax may be NULL).  STEP_ORACLE past MAX_EXPONENT. */
 static int entry_codes(const double *v, int64_t len, int64_t glen, int64_t groups, double qmax,
                        int8_t *codes, int32_t *e, int32_t *amax)
 {
@@ -450,7 +422,7 @@ static int entry_codes(const double *v, int64_t len, int64_t glen, int64_t group
 
 /* The destination exponent of a per-head scalar folded onto codes at
  * exponent e whose group absmax is amax: the product's group absmax is
- * |scalar| * amax.  The numpy step's e3 (Delta (.) B) and e8 (D (.) x). */
+ * |scalar| * amax.  The grids of Delta (.) B (e3) and D (.) x (e8). */
 static inline int32_t fold_exponent(double scalar_abs, int32_t amax, int32_t e, double qmax)
 {
     return requant_exponent(ldexp_exact(scalar_abs * (double)amax, e), qmax);
@@ -461,8 +433,8 @@ static inline int32_t fold_exponent(double scalar_abs, int32_t amax, int32_t e, 
  * scales, scales_out (rows, heads, dim, groups) with the state's groups of
  * min(group_size, n).  Writes y, the new codes and their scales (exact powers
  * of two) and returns STEP_DONE; or returns STEP_ORACLE (a non-finite operand,
- * a grid past MAX_EXPONENT), STEP_NUMPY (a scale that is not a normal power of
- * two) or NO_MEMORY, the outputs then undefined. */
+ * a grid past MAX_EXPONENT), STEP_NOT_POT (a scale that is not a normal power
+ * of two) or NO_MEMORY, the outputs then undefined. */
 int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group_size,
               int32_t bits,
               const double *x, const double *B, const double *C, const double *dt,
@@ -501,7 +473,7 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
     memset(h_pad, 0, (size_t)line);
 
     if (!pot_exponents(scales, lines * groups, e_h))
-        status = STEP_NUMPY;
+        status = STEP_NOT_POT;
     for (int64_t row = 0; !status && row < rows; row++) {
         status = entry_codes(B + row * n, n, glen, groups, qmax, cb, e_b, amax_b);
         if (!status)

@@ -1,29 +1,28 @@
 """The compiled units of the decode path: find ``cc``, build, cache, load, self-test, report.
 
-``native.c`` beside this file is one library with three entries, each the
-compiled twin of a numpy reference that stays in the tree as the fallback:
+``native.c`` beside this file is one library with two entries, each checked
+against the numpy code it stands in for:
 
 - ``step`` -- the whole integer SSM decode step of a batch, float ``x`` /
   ``B`` / ``C`` (and the per-head ``Delta`` / ``A_bar``) in, the readout ``y``,
-  the new INT8 state codes and their PoT scales out; twin of
-  ``QuantizedSSMStep._step_integer_numpy`` (wrapped by
-  ``repro.quant.ssm_quant._compiled_step``);
-- ``tile`` -- the state-sized middle of that step on quantized operands; twin
-  of ``repro.quant.ssm_quant._ssmu_tile``, same signature
-  (``_compiled_tile``);
+  the new INT8 state codes and their PoT scales out
+  (``repro.quant.ssm_quant._compiled_step``).  Its reference and fallback is
+  the fake-quant oracle ``QuantizedSSMStep._step_oracle``;
 - ``fwht`` -- the HTU's fast Walsh-Hadamard transform; twin of
-  ``repro.quant.hadamard._fwht_numpy`` (``_compiled_fwht``).
+  ``repro.quant.hadamard._fwht_numpy`` (``_compiled_fwht``), which prefill
+  needs without a compiler too.
 
-:func:`kernel` returns the three behind those wrappers, or ``None`` -- the
-numpy twins then run -- and :func:`status` says which and why.  Nothing
-selects an executor but what this module observes, once per process: a C
-compiler on ``PATH``, a build that succeeds, a load-time self-test in which
-every entry is byte-equal to its twin (one mismatch turns the whole library
-off).  Built for *this* CPU (``-march=native``: the ISA is worth 2.4x) into a
-per-user cache under a name hashed from source, flags, compiler and CPU, so a
-binary never loads on a machine it was not built for, and renamed into place,
-so concurrent workers never load half a file.  The flags are fixed here:
-bit-identity needs ``-ffp-contract=off`` and no ``-ffast-math``.
+:func:`kernel` returns the two behind those wrappers, or ``None`` -- the
+oracle and the numpy FWHT then run -- and :func:`status` says which and why.
+Nothing selects an executor but what this module observes, once per process:
+a C compiler on ``PATH``, a build that succeeds, a load-time self-test in
+which every entry is byte-equal to its reference (one mismatch turns the
+whole library off).  Built for *this* CPU (``-march=native``: the ISA is
+worth 2.4x) into a per-user cache under a name hashed from source, flags,
+compiler and CPU, so a binary never loads on a machine it was not built for,
+and renamed into place, so concurrent workers never load half a file.  The
+flags are fixed here: bit-identity needs ``-ffp-contract=off`` and no
+``-ffast-math``.
 """
 
 from __future__ import annotations
@@ -95,25 +94,10 @@ def _same_bytes(got, want) -> bool:
     return len(got) == len(want) and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def _tile_agrees(tile) -> bool:
-    """The compiled tile against the numpy tile on fixed operands."""
-    rng = np.random.default_rng(0)
-    for bits, G, g, n in ((8, 4, 32, 128), (4, 2, 16, 24), (8, 3, 7, 20)):
-        qmax, shapes = 2 ** (bits - 1) - 1, ssm_quant._tile_shapes((2,), 2, 3, G, g)
-        ops = [rng.integers(-qmax, qmax + 1, size).astype(dtype)  # codes and exponents alike
-               for size, dtype in zip(shapes, ssm_quant._TILE_DTYPES)]
-        ops[2] = rng.uniform(0.05, 1.0, shapes[2])  # a_bar
-        ops[0][0, 0] = 0  # all-zero groups: destination grids at the 2**-39 floor
-        got, want = np.stack([rng.normal(size=shapes[-1])] * 2)  # y, once per tile
-        got_out, want_out = tile(*ops, got, n, bits), ssm_quant._ssmu_tile(*ops, want, n, bits)
-        if None in (got_out, want_out) or not _same_bytes((got, *got_out), (want, *want_out)):
-            return False
-    return True
-
-
 def _step_agrees(step) -> bool:
-    """The compiled step against the numpy step: full and padded state groups,
-    a padded x group, an all-zero row, and a batch past the exponent range."""
+    """The compiled step against the oracle: full and padded state groups, a
+    padded x group, an all-zero row, and a batch past the exponent range
+    (which the step must hand to the oracle)."""
     from repro.mamba.ssm import SSMParams
 
     rng = np.random.default_rng(1)
@@ -128,11 +112,12 @@ def _step_agrees(step) -> bool:
         dt = rng.normal(size=(3, heads))
         delta, a_bar = ssm_quant.ssm_decay(params, dt)
         got = step(x, B, C, dt, delta, a_bar, params.D, state, group, bits)
-        want = quant._step_integer_numpy(params, x, B, C, dt, delta, a_bar, state)
-        if got is ssm_quant._ORACLE or want is ssm_quant._ORACLE:
-            if got is not want:
+        if big > 1.0:
+            if got is not ssm_quant._ORACLE:
                 return False
-        elif got is None or not _same_bytes(got, want):
+            continue
+        y, want = quant._step_oracle(params, x, B, C, dt, state)
+        if not isinstance(got, tuple) or not _same_bytes(got, (y, want.codes, want.scales)):
             return False
     return True
 
@@ -161,17 +146,16 @@ def _load() -> Tuple[Optional[SimpleNamespace], str]:
         library = ctypes.CDLL(str(target))
         entries = SimpleNamespace(
             step=ssm_quant._compiled_step(library.ssmu_step),
-            tile=ssm_quant._compiled_tile(library.ssmu_tile),
             fwht=hadamard._compiled_fwht(library.fwht),
         )
     except (OSError, AttributeError) as exc:
         return None, f"numpy: {exc}"
-    agree = (_step_agrees(entries.step), _tile_agrees(entries.tile), _fwht_agrees(entries.fwht))
-    return (entries, "compiled") if all(agree) else (None, "numpy: self-test mismatch")
+    agree = _step_agrees(entries.step) and _fwht_agrees(entries.fwht)
+    return (entries, "compiled") if agree else (None, "numpy: self-test mismatch")
 
 
 def kernel() -> Optional[SimpleNamespace]:
-    """The compiled ``step``, ``tile`` and ``fwht``, or ``None`` when the numpy twins must run."""
+    """The compiled ``step`` and ``fwht``, or ``None``: the oracle and the numpy FWHT run."""
     return _load()[0]
 
 

@@ -32,7 +32,7 @@ as codes; a state that arrives as a float array is advanced by the
 **fake-quant oracle** :meth:`QuantizedSSMStep._step_oracle` -- every operand
 through its integer grid, stored and combined as floats -- and leaves as
 floats.  Under PoT scales the two are bit-identical, which
-``tests/test_int_state.py`` and ``tests/test_ssmu_tiled.py`` pin.
+``tests/test_int_state.py`` and ``tests/test_ssmu_native.py`` pin.
 :meth:`QuantizedSSMStep.zeros_cache` decides which one a model decodes on: it
 hands out an integer-resident
 :class:`~repro.mamba.cache.QuantizedLayerCache` exactly when the
@@ -46,14 +46,12 @@ The integer iteration is organised like the paper's SSMU: x/B/C are quantized
 once at the in-projection boundary and from there to the readout no float
 tensor is materialized.  Only the non-linear decay pair (softplus, exp) is
 numpy's -- numpy's SIMD transcendentals are not libm's, and the oracle uses
-numpy's -- and everything after it is **one call for the whole batch**:
-``native.c``'s ``ssmu_step``, built and loaded by :mod:`repro.quant.native`,
-when this machine has a C compiler (:func:`repro.quant.native.status` says),
-the numpy step :meth:`QuantizedSSMStep._step_integer_numpy` otherwise.  The
-compiled step runs the three entry quantizations, the ``Delta (.) B`` and
-``D (.) x`` scalar folds, the exponent extraction from the resident scales,
-the fused state tile and the new power-of-two scales, and is *narrow, fused,
-tiled*:
+numpy's -- and everything after it is **one call for the whole batch** into
+``native.c``'s ``ssmu_step``, built and loaded by :mod:`repro.quant.native`
+(:func:`repro.quant.native.status` says whether it loaded).  The compiled
+step runs the three entry quantizations, the ``Delta (.) B`` and ``D (.) x``
+scalar folds, the exponent extraction from the resident scales, the fused
+state tile and the new power-of-two scales, and is *narrow, fused, tiled*:
 
 - **narrow**: every value lives at the width its bound proves
   (:func:`repro.quant.pot.code_storage_dtype`).  The entry codes, the
@@ -81,15 +79,13 @@ tiled*:
   starts, so the serial absmax -> exponent -> pass chains of different groups
   overlap, and step time grows with the rows of a batch, not faster.
 
-The numpy step is the same arithmetic written as the plain whole-tensor
-passes it means: batched entry quantizations and scalar folds, then the numpy
-tile :func:`_ssmu_tile` (~40 passes, each a fresh array) -- the reference the
-compiled step (and ``native.c``'s ``ssmu_tile``, its state-sized middle) is
-tested against byte for byte, part of the library's load-time self-test, and
-what runs where no compiler is found or the codes are wider than INT8 --
-about 8x slower per state element, nothing else differs.  Both share one
-range: a batch with a non-finite operand, or one whose grids would pass
-``2**1023`` (:data:`_MAX_EXPONENT`), is handed to the oracle.
+Two executors, one arithmetic: the compiled step, and the fake-quant oracle as
+its reference and fallback.  The library's load-time self-test checks the
+compiled step against the oracle byte for byte; the oracle advances a
+resident state wherever the compiled step does not -- no C compiler, codes
+wider than INT8, a batch with a non-finite operand or one whose grids would
+pass ``2**1023`` (past which ``2**e`` is no normal double), a subnormal
+power-of-two scale -- and returns codes, so the caller never sees which ran.
 
 Shifts round half-to-even, so shifted codes land exactly where the oracle's
 ``np.round`` would put them; the DT2xx dtype-flow lint enforces the rest
@@ -109,7 +105,7 @@ import ctypes
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -119,23 +115,13 @@ from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _scan_entry, ssm_decay, ssm_scan
 from repro.quant import native
 from repro.quant.dtypes import Granularity, IntSpec
-from repro.quant.pot import (
-    absmax_requant_exponents,
-    alignment_multiplier,
-    code_storage_dtype,
-    pot_exponent,
-    requant_shift,
-    shift_accumulator_dtype,
-    shift_right_half_even,
-)
+from repro.quant.pot import code_storage_dtype, pot_exponent, shift_accumulator_dtype
 from repro.quant.quantizer import (
     QuantizerConfig,
     _fake_quant_into,
     _group_max,
-    _group_reshape,
     _round_to_grid,
     _scales_from_absmax,
-    _ungroup,
     quantize,
     quantize_dequantize,
 )
@@ -189,155 +175,20 @@ class SSMQuantConfig:
         )
 
 
-#: The largest exponent whose ``2**e`` is a normal double: the integer step's
-#: range.  Every destination grid it derives must stay at or below it (the
-#: ``1e-12`` scale floor keeps them at or above ``-39``); a batch that would
-#: pass it -- ``Delta`` near ``1e298``, operands near ``1e150`` -- is the
-#: float oracle's, as a non-finite one is.
-_MAX_EXPONENT = int(np.finfo(np.float64).maxexp) - 1
-
 #: What a step returns for a batch the float oracle must run.
 _ORACLE = "oracle"
 
 
-def _grid_exponents(absmax: np.ndarray, bits: int) -> Optional[np.ndarray]:
-    """:func:`absmax_requant_exponents`, or ``None`` past :data:`_MAX_EXPONENT`.
-
-    ``absmax`` are non-negative group maxima, overflowed to ``inf`` where
-    their grid is past the range already.
-    """
-    if absmax.size and not absmax.max() < np.inf:
-        return None
-    exponents = absmax_requant_exponents(absmax, bits)
-    return exponents if not exponents.size or exponents.max() <= _MAX_EXPONENT else None
-
-
-def _ssmu_tile(ch, e_h, a_bar, c3, e3, cx, ex, cc, e_c, y, n, bits):  # integer-resident
-    """The SSMU tile in plain numpy: reference and no-compiler fallback.
-
-    What ``native.c``'s ``ssmu_tile`` fuses, written as the whole-tensor
-    passes it means -- the tests' reference for the compiled tile
-    (:mod:`repro.quant.native` hands out a callable with this signature) and
-    the state-sized middle of :meth:`QuantizedSSMStep._step_integer_numpy`.
-    In, with any leading batch axes: the resident codes ``ch``
-    ``(..., h, p, G, g)`` and their exponents ``e_h`` ``(..., h, p, G)``,
-    ``a_bar`` ``(..., h)``, the ``Delta (.) B`` codes ``c3`` ``(..., h, G, g)``
-    at ``e3`` ``(..., h, G)``, the x codes and per-element exponents ``cx`` /
-    ``ex`` ``(..., h, p)``, the C codes ``cc`` ``(..., G, g)`` at ``e_c``
-    ``(..., G)``.  Out: the new codes and their exponents ``e6``, shaped like
-    ``ch`` / ``e_h``; the ``d_state`` readout over the first ``n`` state
-    elements (the rest is group padding) is added into ``y`` ``(..., h, p)``.
-    ``None`` when a grid would pass :data:`_MAX_EXPONENT` (``y`` is then
-    untouched).  The numbered stages are the ones
-    :meth:`~QuantizedSSMStep._step_integer` describes.
-    """
-    full, int_acc = requant_shift(bits), shift_accumulator_dtype(bits)
-    # B_bar (.) x grid: the product exponent is the sum of the operand
-    # exponents, and max |a_i * b| = max |a_i| * |b|.  The per-group shift
-    # count folds into the x code, pre-aligned by 2**(R - r).  An overflow
-    # on the way to a grid is a grid past the range, answered with None.
-    e4_src = e3[..., :, None, :] + ex[..., :, :, None]            # (..., h, p, G)
-    amax3 = np.abs(c3).max(axis=-1).astype(np.int64)              # (..., h, G)
-    amax4 = amax3[..., :, None, :] * np.abs(cx)[..., :, :, None]
-    # A_bar (.) h grid: the per-head scalar (a_bar in (0, 1]) folds into the
-    # re-quantization multiplier.
-    amax_h = np.abs(ch).max(axis=-1).astype(np.int64)             # (..., h, p, G)
-    with np.errstate(over="ignore"):
-        e4 = _grid_exponents(np.ldexp(amax4, e4_src), bits)
-        e5 = _grid_exponents(np.ldexp(a_bar[..., :, None, None] * amax_h, e_h), bits)
-    if e4 is None or e5 is None:
-        return None
-    cx_al = cx[..., :, :, None] * alignment_multiplier(amax4, e4 - e4_src, bits)
-    m5 = np.ldexp(a_bar[..., :, None, None], e_h - e5)
-    # 1. B_bar (.) x: one uniform half-even shift by R -> c4.
-    c4 = np.multiply(c3[..., :, None, :, :], cx_al[..., None], dtype=int_acc)
-    shift_right_half_even(c4, full, np.empty_like(c4, dtype=int_acc))
-    # 2. A_bar (.) h rounds on the wide accumulator -> c5, which adds c4
-    # relative to the e5 grid: c5 + c4 * 2**(e4 - e5) is the same exact
-    # power-of-two realignment as summing the decoded addends.
-    with np.errstate(over="ignore"):
-        wide = np.rint(ch * m5[..., None]) + np.ldexp(c4, (e4 - e5)[..., None])
-        # 3. The sum re-quantizes onto the fresh per-group grid that becomes
-        # the resident state (its absmax's grid, so no code clips) -> codes6.
-        e6 = _grid_exponents(np.ldexp(np.abs(wide).max(axis=-1), e5), bits)
-    if e6 is None:
-        return None
-    codes = np.rint(np.ldexp(wide, (e5 - e6)[..., None])).astype(ch.dtype)
-    # 4. h (.) C: code-by-code product, aligned, shifted by R -> c7; its exact
-    # decode feeds the d_state reduction (np.sum's pairwise order, over the
-    # oracle's n-element operand).
-    hc = np.multiply(codes, cc[..., None, None, :, :], dtype=int_acc)
-    amax7 = np.abs(hc).max(axis=-1).astype(np.int64)
-    e7_src = e6 + e_c[..., None, None, :]
-    with np.errstate(over="ignore"):
-        e7 = _grid_exponents(np.ldexp(amax7, e7_src), bits)
-    if e7 is None:
-        return None
-    hc *= alignment_multiplier(amax7, e7 - e7_src, bits).astype(int_acc)[..., None]
-    shift_right_half_even(hc, full, np.empty_like(hc, dtype=int_acc))
-    decoded = np.ldexp(hc, e7[..., None])
-    y += np.sum(decoded.reshape(y.shape + (-1,))[..., :n], axis=-1)
-    return codes, e6
-
-
-#: dtypes of the tile operands, in argument order: ch e_h a_bar c3 e3 cx ex cc e_c
-_TILE_DTYPES = (np.int8, np.int32, np.float64) + (np.int8, np.int32) * 3
-
-
-def _tile_shapes(lead: tuple, h: int, p: int, G: int, g: int) -> List[tuple]:
-    """Shapes of the tile operands, in argument order, then of ``y``."""
-    trailing = ((h, p, G, g), (h, p, G), (h,), (h, G, g), (h, G), (h, p), (h, p), (G, g), (G,))
-    return [lead + shape for shape in trailing + ((h, p),)]
-
-
-def _compiled_tile(entry: Callable) -> Callable:  # integer-resident
-    """``native.c``'s ``ssmu_tile`` behind :func:`_ssmu_tile`'s signature.
-
-    The operands at the widths the kernel is written for (INT8 codes, INT32
-    exponents), C-contiguous, shapes and ranges checked before any pointer
-    is handed over.  Like the numpy tile, ``None`` when a grid would pass
-    :data:`_MAX_EXPONENT` (``y`` then holds partial sums).
-    """
-    entry.restype = ctypes.c_int
-    entry.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_int32] + [ctypes.c_void_p] * 12
-
-    def tile(ch, e_h, a_bar, c3, e3, cx, ex, cc, e_c, y, n, bits):
-        lead, dims = ch.shape[:-4], ch.shape[-4:]
-        operands = [
-            np.ascontiguousarray(a, dtype=t)
-            for a, t in zip((ch, e_h, a_bar, c3, e3, cx, ex, cc, e_c), _TILE_DTYPES)
-        ]
-        in_contract = (
-            [a.shape for a in (*operands, y)] == _tile_shapes(lead, *dims)
-            and 0 < n <= dims[2] * dims[3]
-            and 2 <= bits <= 8
-            and y.dtype == np.float64
-            and y.flags.c_contiguous
-            and y.flags.writeable
-        )
-        if not in_contract:
-            raise ValueError("ssmu_tile: operand shapes, dtypes, n or bits out of contract")
-        codes = np.empty(ch.shape, dtype=np.int8)
-        e6 = np.empty(ch.shape[:-1], dtype=np.int32)
-        pointers = [a.ctypes.data for a in (*operands, codes, e6, y)]
-        done = entry(math.prod(lead), *dims, n, bits, *pointers) if y.size else 0
-        if done < 0:
-            raise MemoryError("ssmu_tile: scratch allocation failed")
-        return None if done else (codes, e6)
-
-    return tile
-
-
 def _compiled_step(entry: Callable) -> Callable:  # integer-resident
-    """``native.c``'s ``ssmu_step`` behind :meth:`QuantizedSSMStep._step_integer_numpy`.
+    """``native.c``'s ``ssmu_step``: the integer step of :meth:`QuantizedSSMStep._step_integer`.
 
     ``step(x, B, C, dt, delta, a_bar, D, state, group_size, bits)`` returns
-    ``(y, codes, scales)``, :data:`_ORACLE` for a batch the float oracle must
-    run, or ``None`` when the numpy step must decide: operands outside the
-    kernel's contract (INT8 codes of at most 8 bits; every operand shaped for
-    the state's one leading batch shape, as the decode path passes them) or
-    a state scale that is not a normal power of two (the numpy step raises
-    for it, or runs a subnormal one).
+    ``(y, codes, scales)``, :data:`_ORACLE` for a batch with a non-finite
+    operand or a grid past ``2**1023``, or ``None`` when the batch is outside
+    the kernel's contract: codes other than INT8 of at most 8 bits, an
+    operand not shaped for the state's one leading batch shape (as the decode
+    path passes them), or a state scale that is not a normal power of two.
+    The oracle runs the batch in both cases.
     """
     entry.restype = ctypes.c_int
     entry.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_int32] + [ctypes.c_void_p] * 12
@@ -590,136 +441,39 @@ class QuantizedSSMStep:
         ``h (.) C``) re-quantize by shifts alone.  Bit-identical to
         :meth:`_step_oracle` by construction: every destination exponent
         replicates the oracle's absmax -> scale derivation float-op for
-        float-op (:func:`absmax_requant_exponents`), the shifts round
-        half-to-even exactly like the oracle's ``np.round``, and PoT
-        rescaling commutes with float rounding.
+        float-op (:func:`repro.quant.pot.absmax_requant_exponents`), the
+        shifts round half-to-even exactly like the oracle's ``np.round``, and
+        PoT rescaling commutes with float rounding.
 
-        Everything after the decay pair is one executor call for the whole
-        batch: ``native.c``'s ``ssmu_step`` (:func:`repro.quant.native.kernel`)
-        for INT8 codes on an INT32 accumulator when this machine has built
-        one -- entry quantizations, scalar folds, exponent extraction, the
-        four tile stages and the new power-of-two scales in C -- and
-        :meth:`_step_integer_numpy` otherwise, or when the kernel leaves the
-        batch to it; both return the same bytes.  Either may answer that the
-        batch is the oracle's: a non-finite operand (fault-injected conv taps,
-        say) has no integer code, and a grid past :data:`_MAX_EXPONENT` has
-        no normal power-of-two scale.  The float oracle then runs instead; it
+        Everything after the decay pair is one call for the whole batch into
+        ``native.c``'s ``ssmu_step`` (:func:`repro.quant.native.kernel`) --
+        entry quantizations, scalar folds, exponent extraction, the four tile
+        stages and the new power-of-two scales in C -- for INT8 codes on an
+        INT32 accumulator when this machine has built it.  Otherwise the
+        oracle runs, its state re-quantized into codes at the exit: with no
+        compiler, for wider codes, for a subnormal power-of-two scale, and
+        for a batch the kernel answers is the oracle's -- a non-finite
+        operand (fault-injected conv taps, say) has no integer code, and a
+        grid past ``2**1023`` has no normal power-of-two scale.  The oracle
         carries a poison through row-independent arithmetic, so the serving
         supervisor's health check attributes the corruption to exactly the
         affected rows -- healthy rows stay bit-identical.  A poisoned row's
         resident codes are undefined (it is its NaN scales that mark it
-        corrupt), hence the silenced NaN -> int cast.
+        corrupt), hence the silenced NaN -> int cast.  A finite scale that
+        is not a positive power of two is no resident state: ``ValueError``
+        on either path.
         """
-        delta, a_bar = ssm_decay(params, dt)  # the non-linear units: numpy's exp / log1p
         library = native.kernel() if self._kernel_widths else None
         bits, gsz = self.config.bits, self.config.group_size
-        done = None
         if library is not None:
+            delta, a_bar = ssm_decay(params, dt)  # the non-linear units: numpy's exp / log1p
             done = library.step(x, B, C, dt, delta, a_bar, params.D, state, gsz, bits)
-        if done is None:
-            done = self._step_integer_numpy(params, x, B, C, dt, delta, a_bar, state)
-        if done is _ORACLE:
-            with np.errstate(invalid="ignore"):
-                return self._step_oracle(params, x, B, C, dt, state)
-        y, codes, scales = done
-        return y, QuantizedSSMState(codes, scales, group_size=gsz, bits=bits)
-
-    def _step_integer_numpy(  # integer-resident
-        self,
-        params: SSMParams,
-        x: np.ndarray,
-        B: np.ndarray,
-        C: np.ndarray,
-        dt: np.ndarray,
-        delta: np.ndarray,
-        a_bar: np.ndarray,
-        state: QuantizedSSMState,
-    ):
-        """The integer step in numpy: reference of ``ssmu_step`` and no-compiler fallback.
-
-        ``(y, codes, scales)``, or :data:`_ORACLE` for a batch with a
-        non-finite operand or a grid past :data:`_MAX_EXPONENT`.  The entry
-        quantizations and the two small scalar-fold products
-        (``Delta (.) B``, ``D (.) x``) are batched numpy passes; the
-        state-sized work is the numpy tile :func:`_ssmu_tile`, whose
-        numbered comments walk through the four stages.  Each code-by-code
-        product is aligned so that one uniform half-even right shift by
-        ``R = requant_shift(bits)`` re-quantizes it
-        (:func:`repro.quant.pot.alignment_multiplier`,
-        :func:`repro.quant.pot.shift_right_half_even`).
-
-        None of the state-sized re-quantizations clips: each destination
-        exponent is derived from the absmax of what it re-quantizes, so the
-        rounded codes cannot exceed ``qmax`` -- the invariant that lets the
-        new state be cast straight into an array of the storage width, and
-        that bounds the aligned products by ``qmax * 2**R`` so they live in
-        INT32 (:func:`repro.quant.pot.shift_accumulator_dtype`).
-        """
-        operands = (x, B, C, dt, delta, a_bar, params.D, state.scales)
-        if not all(np.isfinite(v).all() for v in operands):
-            return _ORACLE
-        qmin, qmax, bits, gsz = self._qmin, self._qmax, self.config.bits, self.config.group_size
-        d_col, d_abs = self._d_cols(params)
-        headdim, n = state.codes.shape[-2:]
-        ch_g, _, _ = _group_reshape(state.codes, gsz)         # (..., h, p, Gn, gn)
-        e_h = pot_exponent(state.scales)[..., 0]              # (..., h, p, Gn)
-
-        # Entry quantization: the only absmax/round passes over float
-        # operands.  x (..., h, Gp, gp), B and C (..., Gn, gn).
-        # quant-point: the x / B / C entries
-        (cx_g, ex), (cb_g, e_b), (cc_g, e_c) = [self._entry_codes(v) for v in (x, B, C)]
-        if ex is None or e_b is None or e_c is None:
-            return _ORACLE
-        cx = _ungroup(cx_g, headdim)                          # (..., h, p)
-        ex_el = np.repeat(ex, cx_g.shape[-1], axis=-1)[..., :headdim]
-
-        # Delta (.) B: the positive per-head scalar folds into the requant
-        # multiplier (the scalar times a PoT realignment -- one EM-unit
-        # multiply per code); the group absmax is the scalar times the code
-        # absmax at the source exponent, so the destination grid is exactly
-        # the oracle's.  D (.) x skip: signed scalar fold of the per-head
-        # skip coefficient.  An overflow on the way to either grid is a grid
-        # past the range.
-        amax_b = np.max(np.abs(cb_g), axis=-1)                # (..., Gn)
-        amax_x = np.max(np.abs(cx_g), axis=-1)                # (..., h, Gp)
-        with np.errstate(over="ignore"):
-            e3 = _grid_exponents(                             # (..., h, Gn)
-                np.ldexp(delta[..., :, None] * amax_b[..., None, :], e_b[..., None, :]), bits
-            )
-            e8 = _grid_exponents(np.ldexp(d_abs * amax_x, ex), bits)
-        if e3 is None or e8 is None:
-            return _ORACLE
-        m3 = np.ldexp(delta[..., :, None], e_b[..., None, :] - e3)
-        c3 = np.clip(np.round(cb_g[..., None, :, :] * m3[..., :, :, None]), qmin, qmax)
-        c3 = c3.astype(np.int32)                              # (..., h, Gn, gn)
-        # D (.) x opens the output, the array the tile's readout adds to.
-        m8 = np.ldexp(d_col, ex - e8)
-        c8 = np.clip(np.round(cx_g * m8[..., None]), qmin, qmax)
-        y = np.ascontiguousarray(_ungroup(c8 * np.exp2(e8)[..., None], headdim))
-
-        # The state-sized work -- the B_bar (.) x and A_bar (.) h grids and
-        # the four stages -- is one tile call for the whole batch.
-        tiled = _ssmu_tile(ch_g, e_h, a_bar, c3, e3, cx, ex_el, cc_g, e_c, y, n, bits)
-        if tiled is None:
-            return _ORACLE
-        codes_g, e6 = tiled
-        codes = np.ascontiguousarray(_ungroup(codes_g, n)).reshape(state.codes.shape)
-        return y, codes, np.exp2(e6).reshape(state.scales.shape)
-
-    def _entry_codes(self, values: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Entry quantization in one pass: ``(..., G, g)`` codes, ``(..., G)`` exponents.
-
-        The oracle's per-group absmax, ceil-PoT scale, round and clip along
-        the zero-padded trailing axis, the scale kept as its INT32 exponent;
-        ``ldexp`` by the negated exponent *is* the divide by that scale.  The
-        exponents are ``None`` past :data:`_MAX_EXPONENT`.
-        """
-        grouped, _, _ = _group_reshape(np.asarray(values, dtype=np.float64), self.config.group_size)
-        exponents = _grid_exponents(np.max(np.abs(grouped), axis=-1), self.config.bits)
-        if exponents is None:
-            return grouped, None
-        codes = np.rint(np.ldexp(grouped, -exponents[..., None]))
-        return np.clip(codes, self._qmin, self._qmax).astype(np.int32), exponents
+            if isinstance(done, tuple):
+                y, codes, scales = done
+                return y, QuantizedSSMState(codes, scales, group_size=gsz, bits=bits)
+        pot_exponent(state.scales[np.isfinite(state.scales)])  # ValueError off the PoT grid
+        with np.errstate(invalid="ignore"):
+            return self._step_oracle(params, x, B, C, dt, state)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,8 +14,8 @@ def pytest_addoption(parser):
     parser.addoption(
         "--no-kernel",
         action="store_true",
-        help="run every test with the no_kernel fixture: the integer decode step, its tile and "
-        "the FWHT on their numpy twins, as on a machine without a C compiler",
+        help="run every test with the no_kernel fixture: the integer decode step on the oracle "
+        "and the FWHT on its numpy twin, as on a machine without a C compiler",
     )
 
 
@@ -23,16 +23,28 @@ def pytest_addoption(parser):
 def no_kernel(monkeypatch):
     """Patch ``repro.quant.native``'s loader to report no compiled library.
 
-    A test seam, not a switch of the program: the integer decode step, the
-    SSMU tile and the FWHT then run their numpy twins, exactly as they do
-    where no compiler is found.
+    A test seam, not a switch of the program: the integer decode step then
+    runs the fake-quant oracle and the FWHT its numpy twin, exactly as they
+    do where no compiler is found.
     """
     monkeypatch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
 
 
+@pytest.fixture()
+def fresh_loader():
+    """Let a test re-run the real once-per-process load, and restore it afterwards.
+
+    A test that asks for it tests the loader itself, so ``--no-kernel`` leaves
+    the loader unpatched for it.
+    """
+    native._load.cache_clear()
+    yield
+    native._load.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _kernel_under_test(request):
-    if request.config.getoption("--no-kernel"):
+    if request.config.getoption("--no-kernel") and "fresh_loader" not in request.fixturenames:
         request.getfixturevalue("no_kernel")
 
 

@@ -2,12 +2,10 @@
 
 Pins the contracts the tiled ``QuantizedSSMStep._step_integer`` adds on top
 of the bit-identity suite in ``test_int_decode_iter.py``.  The step cases run
-on whichever tile this machine selects (``repro.quant.native``: the compiled
-``native.c``'s ``ssmu_step``, or the numpy step and tile when there is no
-compiler); the ``*_on_the_numpy_tile`` cases run the same bodies with the
-loader patched to report no kernel (the ``no_kernel`` fixture), so the
-reference is pinned to the oracle wherever the suite runs
-(``tests/test_ssmu_native.py`` compares the two executors directly):
+on whichever executor this machine selects (``repro.quant.native``: the
+compiled ``native.c``'s ``ssmu_step``, or the oracle when there is no
+compiler; ``pytest --no-kernel`` selects the oracle where a compiler exists,
+and ``tests/test_ssmu_native.py`` compares the two directly):
 
 - the *fused* re-quantization -- small operand pre-aligned by
   ``2**(R - r)``, one uniform half-even right shift by ``R`` -- equals both
@@ -23,8 +21,10 @@ reference is pinned to the oracle wherever the suite runs
   clamped / padded / multi-group state shapes;
 - every width follows the code width: the resident codes are stored in the
   narrowest integer type that holds them (by every producer), the accumulator
-  is INT32 for the INT4/INT8 SSM, INT64 for INT16 codes, and past what INT64
-  holds the oracle runs -- each still bit-identical to the fake-quant oracle.
+  bound picks INT32 for the INT4/INT8 SSM (the compiled step's width) and
+  INT64 for INT16 codes (resident, stepped by the oracle), and past what INT64
+  holds no state is handed out as codes -- each still bit-identical to the
+  fake-quant oracle.
 """
 
 import numpy as np
@@ -194,16 +194,6 @@ def _inputs(rng, lead, h, p, n):
 )
 @pytest.mark.parametrize("batch", range(1, 9))
 def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
-    _check_rows_equal_solo_steps(rng, batch, n, group)
-
-
-@pytest.mark.parametrize("n,group", [(24, 32), (24, 16), (24, 8)])
-@pytest.mark.parametrize("batch", [1, 3, 8])
-def test_batched_step_rows_equal_solo_steps_on_the_numpy_tile(rng, no_kernel, batch, n, group):
-    _check_rows_equal_solo_steps(rng, batch, n, group)
-
-
-def _check_rows_equal_solo_steps(rng, batch, n, group):
     h, p = 4, 8
     step = QuantizedChunkedScan(SSMQuantConfig(group_size=group))
     params = _params(rng, h)
@@ -233,19 +223,10 @@ def _check_rows_equal_solo_steps(rng, batch, n, group):
     [(4, np.int32), (8, np.int32), (9, np.int32), (16, np.int64), (22, None)],
 )
 def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
-    _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
-
-
-@pytest.mark.parametrize("bits,acc_dtype", [(4, np.int32), (8, np.int32)])
-def test_accumulator_width_follows_bits_on_the_numpy_tile(rng, no_kernel, bits, acc_dtype):
-    """The widths the compiled tile takes, on the reference tile."""
-    _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
-
-
-def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
-    """INT16 codes select the wide accumulator; past INT64's reach no state
-    is handed out as codes, so the step never leaves the oracle.  Every width
-    stays bit-identical."""
+    """INT16 codes select the wide accumulator bound (and step on the oracle:
+    the kernel takes INT8 codes only); past INT64's reach no state is handed
+    out as codes, so the step never leaves the oracle.  Every width stays
+    bit-identical."""
     step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
     assert shift_accumulator_dtype(bits) is acc_dtype
     assert step._code_int is code_storage_dtype(bits)
