@@ -5,7 +5,9 @@ of the bit-identity suite in ``test_int_decode_iter.py``.  The step cases run
 on whichever executor this machine selects (``repro.quant.native``: the
 compiled ``native.c``'s ``ssmu_step``, or the oracle when there is no
 compiler; ``pytest --no-kernel`` selects the oracle where a compiler exists,
-and ``tests/test_ssmu_native.py`` compares the two directly):
+and ``tests/test_ssmu_native.py`` compares the two directly).  The
+``*_on_the_numpy_tile`` cases run the same bodies on the numpy executor (the
+``no_kernel`` fixture) in every run, so that executor is pinned here too:
 
 - the *fused* re-quantization -- small operand pre-aligned by
   ``2**(R - r)``, one uniform half-even right shift by ``R`` -- equals both
@@ -194,6 +196,18 @@ def _inputs(rng, lead, h, p, n):
 )
 @pytest.mark.parametrize("batch", range(1, 9))
 def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
+    _check_rows_equal_solo_steps(rng, batch, n, group)
+
+
+@pytest.mark.parametrize("n,group", [(24, 32), (24, 16), (24, 8)])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_batched_step_rows_equal_solo_steps_on_the_numpy_tile(rng, no_kernel, batch, n, group):
+    """The same rows, on the numpy executor (the oracle) that steps the
+    resident state where no compiled library loads."""
+    _check_rows_equal_solo_steps(rng, batch, n, group)
+
+
+def _check_rows_equal_solo_steps(rng, batch, n, group):
     h, p = 4, 8
     step = QuantizedChunkedScan(SSMQuantConfig(group_size=group))
     params = _params(rng, h)
@@ -223,6 +237,16 @@ def test_batched_step_rows_equal_solo_steps(rng, batch, n, group):
     [(4, np.int32), (8, np.int32), (9, np.int32), (16, np.int64), (22, None)],
 )
 def test_accumulator_width_follows_bits(rng, bits, acc_dtype):
+    _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
+
+
+@pytest.mark.parametrize("bits,acc_dtype", [(4, np.int32), (8, np.int32)])
+def test_accumulator_width_follows_bits_on_the_numpy_tile(rng, no_kernel, bits, acc_dtype):
+    """The widths the compiled step takes, on the numpy executor (the oracle)."""
+    _check_accumulator_width_follows_bits(rng, bits, acc_dtype)
+
+
+def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
     """INT16 codes select the wide accumulator bound (and step on the oracle:
     the kernel takes INT8 codes only); past INT64's reach no state is handed
     out as codes, so the step never leaves the oracle.  Every width stays
