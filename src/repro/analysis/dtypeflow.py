@@ -30,9 +30,8 @@ Checks inside registered regions (nested functions inherit the region):
 ``DT203``
     A fake-quant round-trip: calls to ``quantize`` / ``dequantize`` /
     ``quantize_dequantize`` (or its fused kernels ``_fake_quant_into`` /
-    ``_round_to_grid``), the step helpers ``self._q`` / ``self._qp`` /
-    ``self._entry_codes``, or a ``.dequantize()`` method on a resident state
-    container.
+    ``_round_to_grid``), the step helpers ``self._q`` / ``self._qp``, or a
+    ``.dequantize()`` method on a resident state container.
 
 Float *arithmetic* on values that are already float (the softplus/exp decay
 chain) is deliberately out of scope: the rule targets materialization
@@ -71,7 +70,6 @@ _ROUND_TRIP_NAMES = {
     "_round_to_grid",
     "_q",
     "_qp",
-    "_entry_codes",
 }
 _INT_DTYPE_RE = re.compile(r"int|bool")
 

@@ -26,6 +26,10 @@ A failing ``(scheduler, seed)`` pair therefore replays exactly in a debugger.
 
 The pytest soak (``tests/test_resilience.py``) and the CI chaos job
 (``benchmarks/chaos_soak.py``) are thin wrappers over :func:`run_chaos_soak`.
+The same invariants, over any interleaving of submit / step / cancel / clock
+with drawn fault plans (and cancellations and deadlines, which this workload
+has none of), are checked by the lifecycle state machine in
+``tests/test_lifecycle.py``.
 """
 
 from __future__ import annotations

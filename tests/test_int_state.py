@@ -44,6 +44,7 @@ from repro.quant import (
 )
 from repro.serving import InferenceEngine, Request
 from repro.serving.scheduler import PriorityScheduler
+from test_lifecycle import replay
 
 
 def _star(model, w_bits=8, a_bits=8, **ssm_kwargs):
@@ -506,87 +507,30 @@ class TestQuantizedStateMemoryModel:
             QuantizedStateMemoryModel().quantized_footprint(tiny_config, batch_size=0)
 
 
-class FakeClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-
 class TestCancelRace:
-    def _stop_request(self, model, budget=8):
-        """A request whose stop token fires before its budget (from solo)."""
-        rng = np.random.default_rng(41)
-        prompt = tuple(rng.integers(0, model.config.vocab_size, size=6))
-        ref = greedy_decode(model, prompt, budget)
-        # The first generated token is its own first occurrence, so using it
-        # as the stop token retires the request on that very decode step --
-        # exactly the iteration the cancel below races.
-        stop = ref.tokens[0]
-        expect_len = ref.tokens.index(stop) + 1
-        assert expect_len < budget
-        return Request(prompt=prompt, max_new_tokens=budget, stop_token=stop), expect_len
+    """A cancel from ``on_token`` races the request's own final iteration:
+    the lifecycle machine (``tests/test_lifecycle.py``) checks that it
+    returns ``False`` iff the streamed token was terminal, and that the
+    request then keeps its true finish reason, retired once."""
 
-    def test_cancel_loses_race_against_stop_token(self, tiny_model):
-        request, expect_len = self._stop_request(tiny_model)
-        clock = FakeClock()
-        engine = InferenceEngine(tiny_model, max_batch_size=2, clock=clock)
-        request_id = engine.submit(request)
-        outcome = {}
+    def test_cancel_loses_race_against_stop_token(self):
+        with replay("fifo", slots=2) as state:
+            rid = state.submit(6, 8, stop=0)  # stops on its first token
+            state.arm(rid)  # cancel on the terminal token
+            state.drain()
+            state.cancel(rid)  # long gone: not found
+        assert not state.arms and state.outcomes[rid].reason == "stop"
 
-        def on_token(rid, token, logprob):
-            clock.now += 1.0
-            if token == request.stop_token:
-                # The request just finished with its stop token: a cancel
-                # arriving in the same iteration must lose the race.
-                outcome["cancel_returned"] = engine.cancel(rid)
+    def test_cancel_loses_race_against_length_budget(self):
+        with replay("fifo", slots=1) as state:
+            state.arm(state.submit(5, 3))
+        assert not state.arms and state.outcomes[0].reason == "length"
 
-        completions = engine.run(on_token=on_token)
-        assert outcome["cancel_returned"] is False
-        assert len(completions) == 1  # no double retirement
-        completion = completions[0]
-        assert completion.finish_reason == "stop"
-        assert len(completion.result.tokens) == expect_len
-        assert completion.latency.finish_reason == "stop"
-        assert engine.stats.cancelled == 0
-        # The request is long gone: a later cancel still reports not-found.
-        assert engine.cancel(request_id) is False
-
-    def test_cancel_loses_race_against_length_budget(self, tiny_model):
-        rng = np.random.default_rng(43)
-        prompt = tuple(rng.integers(0, tiny_model.config.vocab_size, size=5))
-        engine = InferenceEngine(tiny_model, max_batch_size=1, clock=FakeClock())
-        engine.submit(Request(prompt=prompt, max_new_tokens=3))
-        seen = []
-
-        def on_token(rid, token, logprob):
-            seen.append(token)
-            if len(seen) == 3:  # the budget-exhausting token
-                assert engine.cancel(rid) is False
-
-        completions = engine.run(on_token=on_token)
-        assert [c.finish_reason for c in completions] == ["length"]
-        assert len(completions[0].result.tokens) == 3
-        assert engine.stats.cancelled == 0
-
-    def test_cancel_mid_decode_still_wins(self, tiny_model):
+    def test_cancel_mid_decode_still_wins(self):
         """A cancel before the terminal token keeps its normal semantics."""
-        rng = np.random.default_rng(47)
-        prompt = tuple(rng.integers(0, tiny_model.config.vocab_size, size=5))
-        engine = InferenceEngine(tiny_model, max_batch_size=1, clock=FakeClock())
-        engine.submit(Request(prompt=prompt, max_new_tokens=10))
-        seen = []
-
-        def on_token(rid, token, logprob):
-            seen.append(token)
-            if len(seen) == 2:
-                assert engine.cancel(rid) is True
-
-        completions = engine.run(on_token=on_token)
-        assert [c.finish_reason for c in completions] == ["cancelled"]
-        assert len(completions[0].result.tokens) == 2
-        assert engine.stats.cancelled == 1
+        with replay("fifo", slots=1) as state:
+            state.arm(state.submit(5, 10), at=2)
+        assert len(state.outcomes[0].tokens) == 2
 
 
 class TestEmptyPrompts:

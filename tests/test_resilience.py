@@ -10,8 +10,10 @@ Covers the resilience layer end to end:
   attempt budget, immediate degradation on ``OverflowError``;
 - the recovery state machine through the engine: retry with backoff, prefill
   requeue (progress preserved), degradation to the sequential oracle,
-  quarantine with ``finish_reason="error"``, watchdog timeouts;
-- ``run()`` liveness guards and ``on_token`` callback hardening;
+  quarantine with ``finish_reason="error"``, watchdog timeouts, ``run()``
+  liveness guards and ``on_token`` callback hardening -- scenarios replayed
+  on the lifecycle machine (``tests/test_lifecycle.py``), which draws such
+  fault plans itself;
 - the randomized chaos soak across all schedulers, checking the
   conservation invariants (exactly-once completion, no slot leaks,
   bit-identical survivors).
@@ -19,8 +21,6 @@ Covers the resilience layer end to end:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.mamba.cache import InferenceCache
 from repro.quant import QuantConfig, QuantMethod, SSMQuantConfig, quantize_model
@@ -40,6 +40,7 @@ from repro.serving.resilience import (
     ResilienceLog,
     Supervisor,
 )
+from test_lifecycle import replay
 
 
 def _star(model, **ssm_kwargs):
@@ -382,92 +383,57 @@ class TestSupervisorPolicy:
 
 
 # ----------------------------------------------------------------------
-# Supervisor recovery in the engine
+# Supervisor recovery in the engine: scenarios of the lifecycle machine
+# (tests/test_lifecycle.py), which checks every completion against solo
+# decode, every stream against its completion, and the stats against both
 # ----------------------------------------------------------------------
+def _four_requests(*faults, **resilience):
+    """Four 4-token prompts, 6 new tokens each, on 3 supervised slots."""
+    with replay("fifo", 3, faults=faults, **resilience) as state:
+        for _ in range(4):
+            state.submit(4, 6)
+    return state
+
+
 class TestEngineRecovery:
-    def test_decode_kernel_raise_recovers_bit_exact(self, tiny_model, reference_tokens):
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="kernel_raise", step=3, site="decode", request_id=1),)
-        )
-        engine = _engine(tiny_model, FaultInjector(plan))
-        completions = engine.run(_requests(), max_idle_iterations=50)
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        for c in completions:
-            assert list(c.result.tokens) == reference_tokens[c.request_id]
-        assert engine.stats.faults == 1
-        assert engine.stats.rollbacks == 1
-        assert engine.stats.recovered == 1
-        assert engine.resilience_log.request_ids("backoff") == [1]
+    def test_decode_kernel_raise_recovers_bit_exact(self):
+        state = _four_requests(FaultSpec("kernel_raise", step=3, site="decode", request_id=1))
+        stats = state.engine.stats
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
+        assert (stats.faults, stats.rollbacks, stats.recovered) == (1, 1, 1)
+        assert state.engine.resilience_log.request_ids("backoff") == [1]
 
-    def test_decode_corruption_attributed_and_rolled_back(
-        self, tiny_model, reference_tokens
-    ):
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="state_corrupt", step=4, site="decode", request_id=2),)
-        )
-        engine = _engine(tiny_model, FaultInjector(plan))
-        completions = engine.run(_requests(), max_idle_iterations=50)
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        for c in completions:
-            assert list(c.result.tokens) == reference_tokens[c.request_id]
+    def test_decode_corruption_attributed_and_rolled_back(self):
+        state = _four_requests(FaultSpec("state_corrupt", step=4, site="decode", request_id=2))
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
         # Attribution is exact: only the targeted request was ever touched.
-        assert engine.resilience_log.request_ids("corrupt", "fault", "rollback") == [2]
-        assert engine.stats.recovered == 1
+        log = state.engine.resilience_log
+        assert log.request_ids("corrupt", "fault", "rollback") == [2]
+        assert state.engine.stats.recovered == 1
 
-    def test_quarantine_after_max_attempts(self, tiny_model, reference_tokens):
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    kind="kernel_raise", step=2, site="decode", request_id=0, repeats=10
-                ),
-            )
-        )
-        engine = _engine(tiny_model, FaultInjector(plan), max_attempts=3)
-        completions = engine.run(_requests(), max_idle_iterations=50)
-        by_id = {c.request_id: c for c in completions}
-        assert by_id[0].finish_reason == "error"
-        assert "injected" in by_id[0].error
-        assert engine.stats.quarantined == 1
-        assert engine.stats.retries == 2  # attempts 1 and 2 retried, 3rd quarantined
-        # Survivors are untouched.
-        for request_id in (1, 2, 3):
-            assert by_id[request_id].finish_reason == "length"
-            assert list(by_id[request_id].result.tokens) == reference_tokens[request_id]
-        # The quarantined request's already-streamed tokens are kept.
-        assert len(by_id[0].result.tokens) >= 1
+    def test_quarantine_after_max_attempts(self):
+        fault = FaultSpec("kernel_raise", step=2, site="decode", request_id=0, repeats=10)
+        state = _four_requests(fault, max_attempts=3)
+        quarantined = state.outcomes[0]
+        assert quarantined.reason == "error" and "injected" in quarantined.error
+        assert len(quarantined.tokens) >= 1  # already-streamed tokens are kept
+        assert [state.outcomes[rid].reason for rid in (1, 2, 3)] == ["length"] * 3
+        assert state.engine.stats.retries == 2  # attempts 1 and 2 retried, 3rd quarantined
 
-    def test_prefill_fault_requeues_with_progress(self, tiny_model, reference_tokens):
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(kind="kernel_raise", step=1, site="prefill", request_id=3),
-            )
-        )
-        engine = _engine(tiny_model, FaultInjector(plan), degrade_after=5)
-        completions = engine.run(_requests(), max_idle_iterations=50)
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        for c in completions:
-            assert list(c.result.tokens) == reference_tokens[c.request_id]
-        assert engine.stats.requeued_faults == 1
-        assert engine.stats.degraded == 0
-        assert engine.resilience_log.request_ids("requeue") == [3]
+    def test_prefill_fault_requeues_with_progress(self):
+        fault = FaultSpec("kernel_raise", step=1, site="prefill", request_id=3)
+        state = _four_requests(fault, degrade_after=5)
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
+        assert (state.engine.stats.requeued_faults, state.engine.stats.degraded) == (1, 0)
+        assert state.engine.resilience_log.request_ids("requeue") == [3]
 
-    def test_overflow_degrades_to_sequential_oracle(self, tiny_model):
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    kind="kernel_raise",
-                    step=1,
-                    site="prefill",
-                    request_id=0,
-                    exception="overflow",
-                ),
-            )
+    def test_overflow_degrades_to_sequential_oracle(self):
+        state = _four_requests(
+            FaultSpec("kernel_raise", step=1, site="prefill", request_id=0, exception="overflow")
         )
-        engine = _engine(tiny_model, FaultInjector(plan))
-        completions = engine.run(_requests(), max_idle_iterations=50)
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        assert engine.stats.degraded == 1
-        assert engine.resilience_log.request_ids("degrade") == [0]
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
+        assert state.engine.stats.degraded == 1
+        assert state.engine.resilience_log.request_ids("degrade") == [0]
 
     def test_quantized_engine_survives_corruption(self, tiny_model):
         model = _star(tiny_model)
@@ -484,22 +450,11 @@ class TestEngineRecovery:
             assert list(c.result.tokens) == reference[c.request_id]
         assert engine.stats.recovered == 1
 
-    def test_watchdog_converts_stall_to_timeout(self, tiny_model, reference_tokens):
-        clock = ManualClock()
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="stall", step=3, site="decode", stall_seconds=30.0),)
-        )
-        engine = _engine(
-            tiny_model,
-            FaultInjector(plan, clock_advance=clock.advance),
-            clock,
-            watchdog_budget_s=1.0,
-        )
-        completions = engine.run(_requests(), max_idle_iterations=50)
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        for c in completions:
-            assert list(c.result.tokens) == reference_tokens[c.request_id]
-        assert engine.stats.watchdog_timeouts == 1
+    def test_watchdog_converts_stall_to_timeout(self):
+        fault = FaultSpec("stall", step=3, site="decode", stall_seconds=30.0)
+        state = _four_requests(fault, watchdog_budget_s=1.0)
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
+        assert state.engine.stats.watchdog_timeouts == 1
 
     def test_snapshot_accounting(self, tiny_model):
         engine = _engine(tiny_model)
@@ -519,46 +474,25 @@ class TestRunGuards:
         with pytest.raises(ValueError):
             engine.run([], max_idle_iterations=0)
 
-    def test_idle_guard_aborts_stuck_engine(self, tiny_model):
+    def test_idle_guard_aborts_stuck_engine(self):
         # Every decode attempt faults and max_attempts is huge, so the engine
         # spins in backoff forever; the idle guard must end the drain.
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    kind="kernel_raise", step=2, site="decode", request_id=0, repeats=10_000
-                ),
-            )
-        )
-        engine = _engine(
-            tiny_model, FaultInjector(plan), max_attempts=10_000, max_batch_size=1
-        )
-        completions = engine.run(
-            [Request(prompt=[1, 2, 3], max_new_tokens=4)], max_idle_iterations=10
-        )
-        assert [c.finish_reason for c in completions] == ["error"]
-        assert "no progress" in completions[0].error
-        assert engine.stats.aborted == 1
-        assert not engine.has_work
+        fault = FaultSpec("kernel_raise", step=2, site="decode", request_id=0, repeats=10_000)
+        with replay("fifo", 1, faults=(fault,), max_attempts=10_000) as state:
+            state.submit(3, 4)
+            state.drain(max_idle=10)
+        assert "no progress" in state.outcomes[0].error
+        assert state.engine.stats.aborted == 1
 
-    def test_wall_clock_guard_on_injected_clock(self, tiny_model):
-        clock = ManualClock()
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(
-                    kind="stall", step=1, site="decode", stall_seconds=10.0, repeats=100
-                ),
-            )
-        )
+    def test_wall_clock_guard_on_injected_clock(self):
         # No watchdog: stalls only advance the clock, so only the wall guard
         # can end the run early.
-        engine = _engine(tiny_model, FaultInjector(plan, clock_advance=clock.advance), clock)
-        completions = engine.run(
-            [Request(prompt=[1, 2, 3], max_new_tokens=500)], max_wall_seconds=25.0
-        )
-        assert [c.finish_reason for c in completions] == ["error"]
-        assert "max_wall_seconds" in completions[0].error
-        assert 0 < len(completions[0].result.tokens) < 500
-        assert not engine.has_work
+        fault = FaultSpec("stall", step=1, site="decode", stall_seconds=10.0, repeats=100)
+        with replay("fifo", 1, faults=(fault,)) as state:
+            state.submit(3, 50)
+            state.drain(max_wall=25.0)
+        outcome = state.outcomes[0]
+        assert "max_wall_seconds" in outcome.error and 0 < len(outcome.tokens) < 50
 
     def test_guards_do_not_trip_on_healthy_runs(self, tiny_model, reference_tokens):
         completions = _engine(tiny_model).run(
@@ -573,50 +507,18 @@ class TestRunGuards:
 # on_token callback hardening
 # ----------------------------------------------------------------------
 class TestCallbackHardening:
-    def test_raising_callback_disables_streaming_for_that_request_only(
-        self, tiny_model, reference_tokens
-    ):
-        streamed = []
+    def test_raising_callback_disables_streaming_for_that_request_only(self):
+        with replay("fifo", 3, faults=()) as state:
+            for _ in range(4):
+                state.submit(4, 6)
+            state.arm(1, at=1, action="raise")
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
+        assert state.raised == {1: 1}  # request 1 streamed one token, then nothing
 
-        def on_token(request_id, token, logprob):
-            if request_id == 1:
-                raise RuntimeError("user callback exploded")
-            streamed.append((request_id, token))
-
-        engine = _engine(tiny_model)
-        completions = engine.run(_requests(), on_token=on_token, max_idle_iterations=50)
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        for c in completions:
-            assert list(c.result.tokens) == reference_tokens[c.request_id]
-        assert engine.stats.callback_errors == 1
-        assert "exploded" in completions[1].latency.callback_error
-        assert completions[0].latency.callback_error is None
-        # Request 1 stops streaming after the first raise; the others stream
-        # every token.
-        assert not any(request_id == 1 for request_id, _ in streamed)
-        for request_id in (0, 2, 3):
-            tokens = [t for rid, t in streamed if rid == request_id]
-            assert tokens == reference_tokens[request_id]
-
-    def test_callback_drop_fault_suppresses_one_delivery(
-        self, tiny_model, reference_tokens
-    ):
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="callback_drop", step=2, request_id=0),)
-        )
-        streamed = []
-        engine = _engine(tiny_model, FaultInjector(plan))
-        completions = engine.run(
-            _requests(),
-            on_token=lambda rid, tok, lp: streamed.append((rid, tok)),
-            max_idle_iterations=50,
-        )
-        assert [c.finish_reason for c in completions] == ["length"] * 4
-        assert engine.stats.callback_drops == 1
-        tokens_0 = [t for rid, t in streamed if rid == 0]
-        # One delivery dropped, but the completion still carries every token.
-        assert len(tokens_0) == len(reference_tokens[0]) - 1
-        assert list(completions[0].result.tokens) == reference_tokens[0]
+    def test_callback_drop_fault_suppresses_one_delivery(self):
+        state = _four_requests(FaultSpec("callback_drop", step=2, request_id=0))
+        assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
+        assert state.engine.stats.callback_drops == 1
 
 
 # ----------------------------------------------------------------------
@@ -655,12 +557,3 @@ class TestChaosSoak:
         assert payload["ok"] is True
         assert payload["scheduler"] == "fifo"
         assert set(payload["finish_reasons"]) == {str(i) for i in range(6)}
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        scheduler=st.sampled_from(SCHEDULER_NAMES),
-    )
-    def test_soak_hypothesis(self, tiny_model, seed, scheduler):
-        report = soak_once(tiny_model, seed=seed, scheduler=scheduler, num_requests=4)
-        assert report.ok, report.violations

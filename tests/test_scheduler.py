@@ -1,8 +1,5 @@
 """Tests of the scheduling subsystem: RequestQueue, policies, engine wiring."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -17,16 +14,8 @@ from repro.serving import (
     Scheduler,
     TokenLedger,
 )
-
-
-class FakeClock:
-    """Deterministic injectable clock."""
-
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
+from repro.serving.resilience import ManualClock
+from test_lifecycle import replay
 
 
 def _mk_request(rng, vocab, size, budget, **kw):
@@ -45,7 +34,7 @@ def _check_matches_solo(model, completions, requests):
 
 class TestRequestQueue:
     def test_fifo_order_and_arrival_metadata(self):
-        clock = FakeClock(10.0)
+        clock = ManualClock(10.0)
         queue = RequestQueue(clock=clock)
         a = queue.push(0, Request(prompt=(1,), max_new_tokens=1))
         clock.now = 11.0
@@ -57,7 +46,7 @@ class TestRequestQueue:
         assert len(queue) == 2 and 1 in queue
 
     def test_requeue_restores_fifo_position(self):
-        queue = RequestQueue(clock=FakeClock())
+        queue = RequestQueue(clock=ManualClock())
         queue.push(0, Request(prompt=(1,), max_new_tokens=1))
         queue.push(1, Request(prompt=(2,), max_new_tokens=1))
         first = queue.pop(0)
@@ -65,7 +54,7 @@ class TestRequestQueue:
         assert [e.request_id for e in queue.entries()] == [0, 1]
 
     def test_cancel_and_duplicate_push(self):
-        queue = RequestQueue(clock=FakeClock())
+        queue = RequestQueue(clock=ManualClock())
         queue.push(0, Request(prompt=(1,), max_new_tokens=1))
         assert queue.cancel(0).request_id == 0
         assert queue.cancel(0) is None
@@ -74,7 +63,7 @@ class TestRequestQueue:
             queue.push(0, Request(prompt=(1,), max_new_tokens=1))
 
     def test_take_expired_uses_injected_clock(self):
-        clock = FakeClock(0.0)
+        clock = ManualClock(0.0)
         queue = RequestQueue(clock=clock)
         queue.push(0, Request(prompt=(1,), max_new_tokens=1), deadline=5.0)
         queue.push(1, Request(prompt=(2,), max_new_tokens=1), deadline=50.0)
@@ -329,141 +318,68 @@ class TestPagedScheduler:
 
 
 class TestCancellation:
-    def test_cancel_queued_request(self, tiny_model):
-        rng = np.random.default_rng(17)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=1)
-        running = engine.submit(_mk_request(rng, vocab, 3, 5))
-        engine.step()
-        waiting_req = _mk_request(rng, vocab, 4, 5)
-        waiting = engine.submit(waiting_req)
-        assert engine.cancel(waiting) is True
-        assert engine.num_waiting == 0
-        completions = engine.run()
-        by_id = {c.request_id: c for c in completions}
-        assert by_id[waiting].finish_reason == "cancelled"
-        assert by_id[waiting].result.tokens == []
-        assert by_id[running].finish_reason == "length"
-        assert engine.stats.cancelled == 1
-        assert by_id[waiting].latency.finish_reason == "cancelled"
+    """Scenarios of the lifecycle machine (``tests/test_lifecycle.py``): its
+    invariants check every completion, cancel result and slot count."""
 
-    def test_cancel_in_flight_decode_keeps_partial_tokens(self, tiny_model):
-        rng = np.random.default_rng(18)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=1)
-        request = _mk_request(rng, vocab, 4, 10)
-        rid = engine.submit(request)
-        engine.step()
-        engine.step()
-        assert engine.cancel(rid) is True
-        assert engine.num_active == 0
-        (completion,) = engine.run()
-        assert completion.finish_reason == "cancelled"
-        ref = greedy_decode(tiny_model, request.prompt, 10)
-        assert completion.result.tokens == ref.tokens[:2]
-        # The freed slot is immediately reusable.
-        fresh = _mk_request(rng, vocab, 3, 2)
-        fresh_id = engine.submit(fresh)
-        (done,) = engine.run()
-        assert done.request_id == fresh_id
-        assert done.result.tokens == greedy_decode(tiny_model, fresh.prompt, 2).tokens
+    def test_cancel_queued_request(self):
+        with replay("fifo", slots=1) as state:
+            state.submit(3, 5)
+            state.step()
+            state.cancel(state.submit(4, 5))
 
-    def test_cancel_mid_prefill_frees_reserved_slot(self, tiny_model):
-        rng = np.random.default_rng(19)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(
-            tiny_model, max_batch_size=1, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
-        )
-        rid = engine.submit(_mk_request(rng, vocab, 20, 5))
-        engine.step()
-        assert engine.num_prefilling == 1
-        assert engine.cancel(rid) is True
-        assert engine.num_prefilling == 0
-        (completion,) = engine.run()
-        assert completion.finish_reason == "cancelled"
-        assert completion.result.tokens == []
+    def test_cancel_in_flight_decode_keeps_partial_tokens(self):
+        with replay("fifo", slots=1) as state:
+            rid = state.submit(4, 10)
+            state.step()
+            state.step()
+            state.cancel(rid)
+            state.drain()
+            state.submit(3, 2)  # the freed slot is reusable at once
+        assert len(state.outcomes[rid].tokens) == 2
 
-    def test_cancel_from_on_token_callback(self, tiny_model):
-        """Cancelling mid-step from the streaming callback must not crash the
-        engine or double-deliver completions -- self- and cross-cancel."""
-        rng = np.random.default_rng(26)
-        vocab = tiny_model.config.vocab_size
-        requests = [_mk_request(rng, vocab, 4, 6) for _ in range(3)]
-        engine = InferenceEngine(tiny_model, max_batch_size=3)
-        streamed = {0: [], 1: [], 2: []}
+    def test_cancel_mid_prefill_frees_reserved_slot(self):
+        with replay("fifo/4", slots=1) as state:
+            rid = state.submit(20, 5)
+            state.step()
+            assert state.engine.num_prefilling == 1
+            state.cancel(rid)
 
-        def on_token(rid, token, logprob):
-            streamed[rid].append(token)
-            if rid == 0 and len(streamed[0]) == 3:
-                engine.cancel(0)  # self-cancel mid-stream
-                engine.cancel(1)  # cross-cancel another in-flight slot
+    def test_cancel_from_on_token_callback(self):
+        """Self- and cross-cancel from the streaming callback, mid-stream."""
+        with replay("fifo", slots=3) as state:
+            first, second, _ = (state.submit(4, 6) for _ in range(3))
+            state.arm(first, at=3)
+            state.arm(first, at=3, other=second)
+        assert len(state.outcomes[first].tokens) == 3  # includes the token it cancelled on
 
-        completions = engine.run(requests, on_token=on_token)
-        assert [c.request_id for c in completions] == [0, 1, 2]
-        by_id = {c.request_id: c for c in completions}
-        assert by_id[0].finish_reason == "cancelled"
-        assert by_id[0].result.tokens == streamed[0]  # includes the 3rd token
-        assert len(by_id[0].result.tokens) == 3
-        assert by_id[1].finish_reason == "cancelled"
-        ref = greedy_decode(tiny_model, requests[2].prompt, 6)
-        assert by_id[2].finish_reason == "length"
-        assert by_id[2].result.tokens == ref.tokens
-
-    def test_cross_cancel_of_earlier_slot_is_not_decoded(self, tiny_model):
+    def test_cross_cancel_of_earlier_slot_is_not_decoded(self):
         """A slot cancelled by a *later* slot's on_token callback must not be
         fed through the batched decode call after being freed."""
-        rng = np.random.default_rng(28)
-        vocab = tiny_model.config.vocab_size
-        first = _mk_request(rng, vocab, 3, 10)
-        second = _mk_request(rng, vocab, 4, 10)
-        engine = InferenceEngine(tiny_model, max_batch_size=2)
-        first_id = engine.submit(first)
-        second_id = engine.submit(second)
-        fired = []
+        with replay("fifo", slots=2) as state:
+            first, second = state.submit(3, 10), state.submit(4, 10)
+            state.arm(second, at=1, other=first)
+        # 9 single-row calls for the survivor (its first token came from
+        # prefill logits), none for the freed slot.
+        assert state.engine.stats.decode_call_rows == 9
 
-        def on_token(rid, token, logprob):
-            if rid == second_id and not fired:
-                fired.append(rid)
-                engine.cancel(first_id)  # slot 0 already marked survivor
-
-        completions = engine.run(on_token=on_token)
-        by_id = {c.request_id: c for c in completions}
-        assert by_id[first_id].finish_reason == "cancelled"
-        assert len(by_id[first_id].result.tokens) == 1
-        ref = greedy_decode(tiny_model, second.prompt, 10)
-        assert by_id[second_id].result.tokens == ref.tokens
-        # Only the surviving request's rows were decoded: 9 single-row calls
-        # (its first token came from prefill logits), none for the freed slot.
-        assert engine.stats.decode_call_rows == 9
-
-    def test_cancel_unknown_or_finished_returns_false(self, tiny_model):
-        rng = np.random.default_rng(20)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=1)
-        rid = engine.submit(_mk_request(rng, vocab, 3, 1))
-        engine.run()
-        assert engine.cancel(rid) is False
-        assert engine.cancel(999) is False
+    def test_cancel_unknown_or_finished_returns_false(self):
+        with replay("fifo", slots=1) as state:
+            rid = state.submit(3, 1)
+            state.drain()
+            state.cancel(rid)
+            state.cancel(999)
 
 
 class TestDeadlines:
-    def test_expired_waiting_request_retires(self, tiny_model):
-        rng = np.random.default_rng(21)
-        vocab = tiny_model.config.vocab_size
-        clock = FakeClock(100.0)
-        engine = InferenceEngine(tiny_model, max_batch_size=1, clock=clock)
-        running = engine.submit(_mk_request(rng, vocab, 3, 6))
-        engine.step()
-        doomed = engine.submit(_mk_request(rng, vocab, 4, 6), deadline=104.0)
-        patient = engine.submit(_mk_request(rng, vocab, 4, 2), timeout=900.0)
-        clock.now = 105.0
-        completions = engine.run()
-        by_id = {c.request_id: c for c in completions}
-        assert by_id[doomed].finish_reason == "expired"
-        assert by_id[doomed].result.tokens == []
-        assert by_id[running].finish_reason == "length"
-        assert by_id[patient].finish_reason == "length"
-        assert engine.stats.expired == 1
+    def test_expired_waiting_request_retires(self):
+        with replay("fifo", slots=1) as state:
+            state.submit(3, 6)
+            state.step()
+            doomed = state.submit(4, 6, timeout=4.0)
+            state.submit(4, 2, timeout=900.0)
+            state.advance(5.0)
+            state.step()
+        assert state.outcomes[doomed].reason == "expired"
 
     def test_submit_validation(self, tiny_model):
         engine = InferenceEngine(tiny_model)
@@ -503,61 +419,25 @@ class TestLatencyStats:
         assert lat_second.decode_iterations == 2
         assert lat_second.finished_step == lat_second.first_token_step + 1
 
-    def test_completion_carries_latency_record(self, tiny_model):
-        rng = np.random.default_rng(23)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model)
-        (completion,) = engine.run([_mk_request(rng, vocab, 3, 2)])
-        assert completion.latency.request_id == completion.request_id
-        assert completion.latency.finish_reason == "length"
+    def test_completion_carries_latency_record(self):
+        with replay("fifo", slots=8) as state:
+            state.submit(3, 2)
 
-    def test_drained_engine_keeps_no_request_record(self, tiny_model):
-        """The completion is a request's last record: once the caller drops
-        the completions, no latency record survives, and no single-sequence
-        prefill cache outlives its install into the slot pool."""
-        rng = np.random.default_rng(30)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(
-            tiny_model, max_batch_size=2, scheduler=FIFOScheduler(prefill_chunk_tokens=4)
-        )
-        caches = []  # weak references to every prefill cache handed out
-        fresh_cache = engine.runner.new_cache
-
-        def new_cache():
-            cache = fresh_cache()
-            assert cache.batch_size is None
-            caches.append(weakref.ref(cache))
-            return cache
-
-        engine.runner.new_cache = new_cache
-        engine.submit(_mk_request(rng, vocab, 3, 6))
-        engine.step()  # the whole prompt fits the budget: installed, decoding
-        gc.collect()
-        assert engine.num_active == 1 and caches[0]() is None  # the pool row is the copy
-        completions = engine.run([_mk_request(rng, vocab, n, 2) for n in (9, 6, 1, 7)])
-        assert len(completions) == len(caches) == 5
-        records = [weakref.ref(c.latency) for c in completions]
-        del completions
-        gc.collect()
-        assert [ref() for ref in records + caches] == [None] * 10
+    def test_drained_engine_keeps_no_request_record(self):
+        """No latency record outlives its completion, and no prefill cache its
+        install into the slot pool (checked after every rule)."""
+        with replay("fifo/4", slots=2) as state:
+            state.submit(3, 6)
+            state.step()  # the whole prompt fits the budget: installed, decoding
+            for prompt_len in (9, 6, 1, 7):
+                state.submit(prompt_len, 2)
 
 
 class TestStreaming:
-    def test_engine_on_token_streams_every_token_in_order(self, tiny_model):
-        rng = np.random.default_rng(24)
-        vocab = tiny_model.config.vocab_size
-        requests = [_mk_request(rng, vocab, s, b) for s, b in ((3, 4), (5, 2), (4, 3))]
-        engine = InferenceEngine(tiny_model, max_batch_size=2)
-        streamed = {}
-        completions = engine.run(
-            requests,
-            on_token=lambda rid, tok, lp: streamed.setdefault(rid, []).append((tok, lp)),
-        )
-        for completion in completions:
-            tokens = [t for t, _ in streamed[completion.request_id]]
-            logprobs = [lp for _, lp in streamed[completion.request_id]]
-            assert tokens == completion.result.tokens
-            assert logprobs == completion.result.logprobs  # bitwise: same floats
+    def test_engine_on_token_streams_every_token_in_order(self):
+        with replay("fifo", slots=2) as state:
+            for prompt_len, budget in ((3, 4), (5, 2), (4, 3)):
+                state.submit(prompt_len, budget)
 
 
 class TestThreadSafety:
@@ -597,7 +477,7 @@ class TestDeterminism:
         rng = np.random.default_rng(seed)
         vocab = model.config.vocab_size
         engine = InferenceEngine(
-            model, max_batch_size=2, scheduler=scheduler, clock=FakeClock()
+            model, max_batch_size=2, scheduler=scheduler, clock=ManualClock()
         )
         ids, completions = [], []
         for _ in range(8):

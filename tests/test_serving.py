@@ -6,6 +6,7 @@ import pytest
 from repro.mamba import greedy_decode, sample_decode
 from repro.mamba.sampling import greedy_select, log_softmax, sample_select, top_k_filter
 from repro.serving import EngineStats, InferenceEngine, Request
+from test_lifecycle import replay
 
 
 class TestSamplingPrimitives:
@@ -154,18 +155,14 @@ class TestInferenceEngine:
             for s, b in zip(sizes, budgets)
         ]
 
-    def test_continuous_batching_matches_single_sequence(self, tiny_model):
+    # The solo-match scenarios are replays of the lifecycle machine
+    # (tests/test_lifecycle.py): it checks every completion against
+    # greedy_decode / sample_decode, and each request completes once.
+    def test_continuous_batching_matches_single_sequence(self):
         """More requests than slots; all results must match solo decodes."""
-        requests = self._requests(tiny_model)
-        engine = InferenceEngine(tiny_model, max_batch_size=2)
-        completions = engine.run(requests)
-        assert [c.request_id for c in completions] == list(range(len(requests)))
-        for request, completion in zip(requests, completions):
-            ref = greedy_decode(
-                tiny_model, request.prompt, request.max_new_tokens
-            )
-            assert completion.result.tokens == ref.tokens
-            np.testing.assert_allclose(completion.result.logprobs, ref.logprobs, atol=1e-10)
+        with replay("fifo", slots=2) as state:
+            for prompt_len, budget in zip((5, 9, 3, 7, 4, 6), (6, 3, 8, 5, 7, 4)):
+                state.submit(prompt_len, budget)
 
     def test_one_model_step_per_decoding_iteration_and_no_snapshots(
         self, tiny_model, monkeypatch
@@ -205,60 +202,29 @@ class TestInferenceEngine:
         assert stats.decode_calls < stats.decoded_tokens
         assert stats.tokens_per_decode_call > 1.0
 
-    def test_mixed_greedy_and_sampled_requests(self, tiny_model):
-        rng = np.random.default_rng(5)
-        vocab = tiny_model.config.vocab_size
-        greedy_req = Request(prompt=tuple(rng.integers(0, vocab, size=5)), max_new_tokens=6)
-        sampled_req = Request(
-            prompt=tuple(rng.integers(0, vocab, size=7)),
-            max_new_tokens=4,
-            temperature=0.9,
-            top_k=8,
-            seed=42,
-        )
-        completions = InferenceEngine(tiny_model, max_batch_size=2).run(
-            [greedy_req, sampled_req]
-        )
-        ref_g = greedy_decode(tiny_model, greedy_req.prompt, 6)
-        ref_s = sample_decode(
-            tiny_model, sampled_req.prompt, 4, temperature=0.9, top_k=8, seed=42
-        )
-        assert completions[0].result.tokens == ref_g.tokens
-        assert completions[1].result.tokens == ref_s.tokens
+    def test_mixed_greedy_and_sampled_requests(self):
+        with replay("fifo", slots=2) as state:
+            state.submit(5, 6)
+            state.submit(7, 4, seed=42)
 
-    def test_stop_token_retires_request(self, tiny_model):
-        rng = np.random.default_rng(6)
-        prompt = tuple(rng.integers(0, tiny_model.config.vocab_size, size=5))
-        free_run = greedy_decode(tiny_model, prompt, 10)
-        stop = free_run.tokens[2]
-        engine = InferenceEngine(tiny_model, max_batch_size=1)
-        completions = engine.run([Request(prompt=prompt, max_new_tokens=10, stop_token=stop)])
-        assert completions[0].result.tokens[-1] == stop
-        assert len(completions[0].result.tokens) <= len(free_run.tokens)
+    def test_stop_token_retires_request(self):
+        with replay("fifo", slots=1) as state:
+            state.submit(5, 10, stop=2)  # the third token of its free run
+        assert state.outcomes[0].reason == "stop"
 
-    def test_incremental_submission(self, tiny_model):
+    def test_incremental_submission(self):
         """Requests submitted while the engine is running are picked up."""
-        rng = np.random.default_rng(7)
-        vocab = tiny_model.config.vocab_size
-        engine = InferenceEngine(tiny_model, max_batch_size=2)
-        first = Request(prompt=tuple(rng.integers(0, vocab, size=4)), max_new_tokens=6)
-        engine.submit(first)
-        done = engine.step()
-        assert done == [] and engine.num_active == 1
-        late = Request(prompt=tuple(rng.integers(0, vocab, size=5)), max_new_tokens=2)
-        engine.submit(late)
-        completions = []
-        while engine.has_work:
-            completions.extend(engine.step())
-        assert {c.request_id for c in completions} == {0, 1}
-        ref = greedy_decode(tiny_model, late.prompt, 2)
-        late_result = next(c for c in completions if c.request_id == 1)
-        assert late_result.result.tokens == ref.tokens
+        with replay("fifo", slots=2) as state:
+            state.submit(4, 6)
+            state.step()
+            assert state.engine.num_active == 1
+            state.submit(5, 2)
 
-    def test_zero_budget_request_completes_immediately(self, tiny_model):
-        engine = InferenceEngine(tiny_model, max_batch_size=1)
-        completions = engine.run([Request(prompt=(1, 2), max_new_tokens=0)])
-        assert completions[0].result.tokens == []
+    def test_zero_budget_request_completes_immediately(self):
+        with replay("fifo", slots=1) as state:
+            state.submit(2, 0)
+            state.step()
+        assert state.outcomes[0] == ("length", (), None)
 
     def test_tokens_per_decode_call_guards_zero_decode_calls(self, tiny_model):
         """No decode calls must report 0.0 occupancy, not divide by zero."""
