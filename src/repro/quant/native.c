@@ -1,6 +1,6 @@
-/* The compiled units of the integer decode path (LightMamba Sec. IV, Fig. 4a).
+/* The compiled units of the quantized datapath (LightMamba Sec. IV, Fig. 4a).
  *
- * One library, two entries, built, self-tested and loaded together by
+ * One library, three entries, built, self-tested and loaded together by
  * repro.quant.native:
  *
  * - ssmu_step: the whole integer SSM decode step of a batch -- from the float
@@ -12,6 +12,12 @@
  *   fake-quant oracle QuantizedSSMStep._step_oracle.
  * - fwht: the fast Walsh-Hadamard transform of the HTU.  Its numpy twin is
  *   repro.quant.hadamard._fwht_numpy.
+ * - quantize_groups: the symmetric quantizer's round trip over groups of a
+ *   trailing axis -- every granularity is such groups -- to fake-quantized
+ *   values or INT8 codes: every activation re-quantization at an MMU
+ *   boundary and every SSMU operand prefill stages, the resident state's
+ *   codes and weight RTN.  Its reference and fallback is the numpy quantizer
+ *   (repro.quant.quantizer._fake_quant_numpy / _quantize_numpy).
  *
  * Every float operation here is the one the numpy reference performs, in
  * numpy's order, so the outputs are byte-equal.  The rules that
@@ -37,7 +43,8 @@
  * normal double (at most MAX_EXPONENT; the 1e-12 scale floor bounds it below
  * at -39).  A batch that would leave it -- or that carries a non-finite
  * operand -- is the float oracle's, and the step says so (STEP_ORACLE)
- * instead of computing on infinite grids.
+ * instead of computing on infinite grids.  The quantizer declines the same
+ * two cases (QUANT_DECLINED) before writing anything, and numpy runs them.
  *
  * Within a line of state each stage runs across all groups before the next
  * stage starts: a group's absmax -> exponent -> pass -> absmax chain is
@@ -123,15 +130,13 @@ static inline double rint_clip(double v, double qmax)
     return r < -qmax ? -qmax : r > qmax ? qmax : r;
 }
 
-/* pot.absmax_requant_exponents for one group: max(absmax, eps) / qmax, floored
- * at eps again, then ceil(log2(.)).  The scale is a positive normal double (or
- * inf, which answers 1024), so its exponent field k brackets the answer:
- * exactly k for a power of two, k + 1 once the mantissa is far enough above
- * it -- but within 2**16 ulps above 2**k float64 log2 may still round to k, so
- * those few ask libm. */
-static inline int32_t requant_exponent(double absmax, double qmax)
+/* np.ceil(np.log2(max(scale, eps))) for a positive scale.  Floored at eps the
+ * scale is a positive normal double (or inf, which answers 1024), so its
+ * exponent field k brackets the answer: exactly k for a power of two, k + 1
+ * once the mantissa is far enough above it -- but within 2**16 ulps above 2**k
+ * float64 log2 may still round to k, so those few ask libm. */
+static inline int32_t ceil_log2(double scale)
 {
-    double scale = (absmax > MIN_SCALE ? absmax : MIN_SCALE) / qmax;
     scale = scale > MIN_SCALE ? scale : MIN_SCALE;
     uint64_t bits;
     memcpy(&bits, &scale, sizeof bits);
@@ -142,6 +147,13 @@ static inline int32_t requant_exponent(double absmax, double qmax)
     if (mantissa >> 16)
         return k + 1;
     return (int32_t)ceil(log2(scale));
+}
+
+/* pot.absmax_requant_exponents for one group: max(absmax, eps) / qmax, then
+ * ceil_log2. */
+static inline int32_t requant_exponent(double absmax, double qmax)
+{
+    return ceil_log2((absmax > MIN_SCALE ? absmax : MIN_SCALE) / qmax);
 }
 
 /* pot.alignment_multiplier: 2**(R - shift) for a live group, 0 for an
@@ -556,4 +568,158 @@ void fwht(const double *x, int64_t rows, int64_t n, int32_t normalized, double *
             for (int64_t j = 0; j < n; j++)
                 o[j] = o[j] / root;
     }
+}
+
+/* ------------------------------------------------------------------------
+ * The quantizer: the symmetric round trip over groups of a trailing axis
+ * ------------------------------------------------------------------------ */
+#define INF_BITS UINT64_C(0x7ff0000000000000) /* +inf; a NaN's magnitude lies above */
+
+enum {
+    QUANT_DONE = 0,
+    QUANT_DECLINED = 1, /* a non-finite group or a grid past MAX_EXPONENT */
+};
+
+/* The bit pattern of a run's absmax (as in tile_line_at). */
+static inline uint64_t magnitude_max(const double *v, int64_t count)
+{
+    uint64_t m = 0;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t magnitude;
+        memcpy(&magnitude, &v[i], sizeof magnitude);
+        magnitude &= UINT64_MAX >> 1;
+        m = magnitude > m ? magnitude : m;
+    }
+    return m;
+}
+
+/* quantizer._scales_from_absmax for one finite group: max(absmax * clip, eps)
+ * / qmax, snapped up to 2**ceil_log2 when pot; 0.0 when that passes
+ * MAX_EXPONENT. */
+static inline double group_scale(double absmax, double clip, double qmax, int32_t pot)
+{
+    const double clipped = absmax * clip;
+    const double scale = (clipped > MIN_SCALE ? clipped : MIN_SCALE) / qmax;
+    if (!pot)
+        return scale;
+    const int32_t e = ceil_log2(scale);
+    return e > MAX_EXPONENT ? 0.0 : pow2(e);
+}
+
+/* The scale of one group of count values; 0.0 declines it (a non-finite
+ * value, a grid past MAX_EXPONENT). */
+static inline __attribute__((always_inline)) double
+run_scale(const double *v, int64_t count, double clip, double qmax, int32_t pot)
+{
+    const uint64_t bits_max = magnitude_max(v, count);
+    double absmax;
+    memcpy(&absmax, &bits_max, sizeof absmax);
+    return bits_max < INF_BITS ? group_scale(absmax, clip, qmax, pot) : 0.0;
+}
+
+/* 1 / scale for a power-of-two scale 2**e, exact from the exponent bits while
+ * 2**-e is a normal double (e <= 1022); 0.0 past it (the caller divides). */
+static inline double pot_inverse(double scale)
+{
+    uint64_t bits;
+    memcpy(&bits, &scale, sizeof bits);
+    const int32_t e = (int32_t)(bits >> 52) - 1023;
+    return e <= 1022 ? pow2(-e) : 0.0;
+}
+
+/* quantizer._round_to_grid on one group: clip(rint(v / scale)) + 0.0 (codes
+ * have no signed zero), times scale into out (which may be v) or cast into
+ * codes.  inv, when not 0.0, is 1 / scale held exactly, and the divide is the
+ * multiply by it. */
+static inline __attribute__((always_inline)) void
+round_trip_at(const double *v, int64_t count, double scale, double inv, double qmax,
+              double *out, int8_t *codes)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const double q = rint_clip(inv != 0.0 ? v[i] * inv : v[i] / scale, qmax) + 0.0;
+        if (out)
+            out[i] = q * scale;
+        else
+            codes[i] = (int8_t)q;
+    }
+}
+
+/* round_trip_at with its branches constant, one loop per combination. */
+static inline __attribute__((always_inline)) void
+round_trip(const double *v, int64_t count, double scale, double inv, double qmax, double *out,
+           int8_t *codes)
+{
+    if (out && inv != 0.0)
+        round_trip_at(v, count, scale, inv, qmax, out, NULL);
+    else if (out)
+        round_trip_at(v, count, scale, 0.0, qmax, out, NULL);
+    else if (inv != 0.0)
+        round_trip_at(v, count, scale, inv, qmax, NULL, codes);
+    else
+        round_trip_at(v, count, scale, 0.0, qmax, NULL, codes);
+}
+
+/* Both passes over rows of len values, full groups of glen then a short tail
+ * group; inlined into quantize_groups with glen a constant where it is the
+ * default group length.  Every scale is taken before the first write: a
+ * decline leaves an x that is also out as it was. */
+static inline __attribute__((always_inline)) int
+quantize_rows_at(const double *x, int64_t rows, int64_t len, const int64_t glen, double clip,
+                 double qmax, int32_t pot, double *out, int8_t *codes, double *scales)
+{
+    const int64_t full = len / glen, tail = len - full * glen, groups = full + (tail > 0);
+    int finite = 1;
+    for (int64_t r = 0; r < rows; r++) {
+        const double *row = x + r * len;
+        double *s = scales + r * groups;
+        for (int64_t k = 0; k < full; k++)
+            s[k] = run_scale(row + k * glen, glen, clip, qmax, pot);
+        if (tail)
+            s[full] = run_scale(row + full * glen, tail, clip, qmax, pot);
+        for (int64_t k = 0; k < groups; k++)
+            finite &= s[k] != 0.0;
+    }
+    if (!finite)
+        return QUANT_DECLINED;
+    for (int64_t r = 0; r < rows; r++) {
+        const double *s = scales + r * groups;
+        for (int64_t k = 0; k < groups; k++) {
+            const int64_t at = r * len + k * glen;
+            const double inv = pot ? pot_inverse(s[k]) : 0.0;
+            if (k < full)
+                round_trip(x + at, glen, s[k], inv, qmax, out ? out + at : NULL,
+                           out ? NULL : codes + at);
+            else
+                round_trip(x + at, tail, s[k], inv, qmax, out ? out + at : NULL,
+                           out ? NULL : codes + at);
+        }
+    }
+    return QUANT_DONE;
+}
+
+/* rows runs of len values from x, each in groups of glen (a short last group
+ * reads as zero-padded: padding moves no group absmax), through the symmetric
+ * quantizer of bits with clip ratio clip, its scale snapped up to a power of
+ * two when pot.  Writes every group's scale into scales (rows, groups; NULL:
+ * scratch), then the fake-quantized values into out (which may be x) or,
+ * when out is NULL, the codes into codes (bits <= 8), and returns QUANT_DONE;
+ * or returns QUANT_DECLINED -- a group with a non-finite value, or a
+ * power-of-two scale past 2**MAX_EXPONENT -- before writing out or codes, and
+ * numpy runs the call; or NO_MEMORY. */
+int quantize_groups(const double *x, int64_t rows, int64_t len, int64_t glen, double clip,
+                    int32_t bits, int32_t pot, double *out, int8_t *codes, double *scales)
+{
+    const int64_t groups = (len + glen - 1) / glen;
+    const double qmax = (double)((INT64_C(1) << (bits - 1)) - 1);
+    double *scratch = scales ? NULL : malloc((size_t)(rows * groups) * sizeof *scratch);
+    if (!scales && !scratch)
+        return NO_MEMORY;
+    const int status =
+        glen == DEFAULT_GLEN
+            ? quantize_rows_at(x, rows, len, DEFAULT_GLEN, clip, qmax, pot, out, codes,
+                               scales ? scales : scratch)
+            : quantize_rows_at(x, rows, len, glen, clip, qmax, pot, out, codes,
+                               scales ? scales : scratch);
+    free(scratch);
+    return status;
 }

@@ -1,7 +1,7 @@
-"""The compiled units of the decode path: find ``cc``, build, cache, load, self-test, report.
+"""The compiled units of the quantized datapath: find ``cc``, build, cache, load, self-test, report.
 
-``native.c`` beside this file is one library with two entries, each checked
-against the numpy code it stands in for:
+``native.c`` beside this file is one library with three entries, each
+checked against the numpy code it stands in for:
 
 - ``step`` -- the whole integer SSM decode step of a batch, float ``x`` /
   ``B`` / ``C`` (and the per-head ``Delta`` / ``A_bar``) in, the readout ``y``,
@@ -10,10 +10,16 @@ against the numpy code it stands in for:
   the fake-quant oracle ``QuantizedSSMStep._step_oracle``;
 - ``fwht`` -- the HTU's fast Walsh-Hadamard transform; twin of
   ``repro.quant.hadamard._fwht_numpy`` (``_compiled_fwht``), which prefill
-  needs without a compiler too.
+  needs without a compiler too;
+- ``quantize`` -- the symmetric quantizer's round trip over groups of the
+  trailing axis, to fake-quantized values (in place or not) or INT8 codes and
+  scales (``repro.quant.quantizer._compiled_quantize``): the activation
+  quantizations of decode and prefill, prefill's staged tiles, the resident
+  state's codes, weight RTN.  Its reference and fallback is the numpy
+  quantizer (``_fake_quant_numpy`` / ``_quantize_numpy``).
 
-:func:`kernel` returns the two behind those wrappers, or ``None`` -- the
-oracle and the numpy FWHT then run -- and :func:`status` says which and why.
+:func:`kernel` returns the three behind those wrappers, or ``None`` -- the
+oracle and numpy then run -- and :func:`status` says which and why.
 Nothing selects an executor but what this module observes, once per process:
 a C compiler on ``PATH``, a build that succeeds, a load-time self-test in
 which every entry is byte-equal to its reference (one mismatch turns the
@@ -34,17 +40,17 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
 
-# circular: both read this module's kernel() at call time, and it reads them at load time
-from repro.quant import hadamard, ssm_quant
-
 _SOURCE = Path(__file__).with_name("native.c")
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+#: Set on the thread running the load-time self-test, whose references must run on numpy.
+_self_test = threading.local()
 
 
 def _find_compiler() -> Optional[str]:
@@ -99,6 +105,7 @@ def _step_agrees(step) -> bool:
     padded x group, an all-zero row, and a batch past the exponent range
     (which the step must hand to the oracle)."""
     from repro.mamba.ssm import SSMParams
+    from repro.quant import ssm_quant
 
     rng = np.random.default_rng(1)
     for bits, group, heads, dim, n, big in ((8, 32, 2, 8, 64, 1.0), (4, 16, 3, 12, 24, 1.0),
@@ -124,12 +131,48 @@ def _step_agrees(step) -> bool:
 
 def _fwht_agrees(fwht) -> bool:
     """The compiled FWHT against the numpy FWHT, normalized and not."""
+    from repro.quant import hadamard
+
     rng = np.random.default_rng(2)
     return all(
         fwht(x, normalized).tobytes() == hadamard._fwht_numpy(x, normalized).tobytes()
         for x in (rng.normal(size=(3, 64)) * 1e3, rng.normal(size=(5, 1)), rng.normal(size=512))
         for normalized in (True, False)
     )
+
+
+def _quantize_agrees(quantize) -> bool:
+    """The compiled quantizer against the numpy one: every granularity, the
+    default 32-long groups and others, a ragged last group, clipping, PoT
+    scales, codes and fake-quant values in place, an all-zero group, and the
+    declines (a NaN group, a scale past ``2**1023``) the numpy reference then
+    runs."""
+    from repro.quant import quantizer
+    from repro.quant.dtypes import Granularity, IntSpec
+
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 72)) * 10.0 ** rng.integers(-5, 6, size=(3, 1))
+    x[1, :16] = 0.0
+    for gran, group, bits, clip, pot in ((Granularity.PER_GROUP, 16, 4, 1.0, False),
+                                         (Granularity.PER_GROUP, 32, 8, 0.9, True),
+                                         (Granularity.PER_TOKEN, 16, 8, 1.0, False),
+                                         (Granularity.PER_TENSOR, 16, 16, 1.0, True)):
+        config = quantizer.QuantizerConfig(IntSpec(bits), gran, group, clip, pot)
+        want = quantizer._fake_quant_numpy(x, config, np.empty(x.shape))
+        got = x.copy()
+        if quantize(got, config, got) is not got or got.tobytes() != want.tobytes():
+            return False
+        if bits <= 8:
+            reference = quantizer._quantize_numpy(x, config)
+            found = quantize(x, config)
+            if found is None or not _same_bytes(
+                    (found[0].astype(np.int32), found[1]), (reference.codes, reference.scales)):
+                return False
+    # 2-bit codes (qmax 1): a group absmax past 2**1023 is a scale past it.
+    pot = quantizer.QuantizerConfig(IntSpec(2), Granularity.PER_GROUP, 16, pot_scale=True)
+    poisoned, huge = x.copy(), x.copy()
+    poisoned[2, 20], huge[2, 20] = np.nan, 1.5e308
+    return all(quantize(bad.copy(), pot, np.empty(x.shape)) is None for bad in (poisoned, huge))
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,19 +187,28 @@ def _load() -> Tuple[Optional[SimpleNamespace], str]:
         if error is not None:
             return None, f"numpy: build failed: {error}"
         library = ctypes.CDLL(str(target))
+        # The wrappers' modules read kernel() at call time: imported here, not at the top.
+        from repro.quant import hadamard, quantizer, ssm_quant
+
         entries = SimpleNamespace(
             step=ssm_quant._compiled_step(library.ssmu_step),
             fwht=hadamard._compiled_fwht(library.fwht),
+            quantize=quantizer._compiled_quantize(library.quantize_groups),
         )
     except (OSError, AttributeError) as exc:
         return None, f"numpy: {exc}"
-    agree = _step_agrees(entries.step) and _fwht_agrees(entries.fwht)
+    _self_test.running = True  # the references call kernel(): they run on numpy
+    try:
+        agree = (_step_agrees(entries.step) and _fwht_agrees(entries.fwht)
+                 and _quantize_agrees(entries.quantize))
+    finally:
+        _self_test.running = False
     return (entries, "compiled") if agree else (None, "numpy: self-test mismatch")
 
 
 def kernel() -> Optional[SimpleNamespace]:
-    """The compiled ``step`` and ``fwht``, or ``None``: the oracle and the numpy FWHT run."""
-    return _load()[0]
+    """The compiled ``step``, ``fwht`` and ``quantize``, or ``None``: their numpy references run."""
+    return None if getattr(_self_test, "running", False) else _load()[0]
 
 
 def status() -> str:

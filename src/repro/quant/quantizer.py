@@ -13,15 +13,29 @@ Granularities follow Sec. VI-A of the paper:
 The main entry points are :func:`quantize` (returns integer codes + scales),
 :func:`dequantize`, and :func:`quantize_dequantize` (the "fake quant"
 round-trip used to simulate quantized inference in floating point).
+
+Every granularity is groups along the trailing axis, so one compiled unit
+runs all of them: ``quantize_groups`` in ``native.c``
+(:func:`_compiled_quantize`, loaded by :mod:`repro.quant.native`), one call
+per tensor or tile for both the fake-quant round trip and codes of up to 8
+bits -- the activation quantizations of decode and prefill, prefill's SSMU
+operand tiles, the resident state's codes, weight RTN.  The numpy
+composition below is its reference and the fallback wherever it does not
+run (no compiler, ``pot_rounding="nearest"``, wider codes, a non-finite
+group, a power-of-two scale past ``2**1023``); nothing else selects between
+them, and the two give the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.mamba.ops import row_tiles
+from repro.quant import native
 from repro.quant.dtypes import Granularity, IntSpec, INT8
 
 __all__ = [
@@ -206,9 +220,23 @@ def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
     The codes-out entry point, for callers that consume the codes (the
     integer decode step, the resident state, the integer linear layers); the
     float-in / float-out simulation is :func:`quantize_dequantize`, which
-    never materializes them.
+    never materializes them.  Codes of at most 8 bits come from the compiled
+    quantizer (:func:`_compiled_quantize`) where it runs, from
+    :func:`_quantize_numpy` -- its reference -- otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
+    library = native.kernel()
+    found = library.quantize(x, config) if library is not None else None
+    if found is None:
+        return _quantize_numpy(x, config)
+    codes, scales = found
+    return QuantizedTensor(
+        codes=codes.astype(np.int32), scales=scales, config=config, shape=x.shape
+    )
+
+
+def _quantize_numpy(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
+    """:func:`quantize` composed in numpy: the compiled quantizer's reference and fallback."""
     scales = compute_scales(x, config)
     spec = config.spec
 
@@ -278,7 +306,22 @@ def _fake_quant_tile(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) ->
 
 
 def _fake_quant_into(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
-    """Fake-quantize float64 ``x`` into the C-contiguous float64 ``out`` (not ``x``).
+    """Fake-quantize float64 ``x`` into the C-contiguous float64 ``out`` (which may be ``x``).
+
+    One call into the compiled quantizer (:func:`_compiled_quantize`) where
+    it runs and takes the call; :func:`_fake_quant_numpy`, its reference,
+    otherwise -- on a copy of ``x`` when ``out`` shares its memory.
+    """
+    if not x.size:
+        return out
+    library = native.kernel()
+    if library is not None and library.quantize(x, config, out) is not None:
+        return out
+    return _fake_quant_numpy(x.copy() if np.may_share_memory(x, out) else x, config, out)
+
+
+def _fake_quant_numpy(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
+    """:func:`_fake_quant_into` in numpy, into an ``out`` that is not ``x``.
 
     Walks the leading axis in token tiles (:func:`repro.mamba.ops.row_tiles`)
     so every pass of :func:`_fake_quant_tile` runs on cache-resident data;
@@ -289,15 +332,13 @@ def _fake_quant_into(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) ->
     group like in ``dequantize(quantize(x))`` -- NaN to the same NaN pattern
     -- but silently: there is no integer cast left to warn.
     """
-    if not x.size:
-        return out
     per_group = config.granularity is Granularity.PER_GROUP
     pad = -x.shape[-1] % min(config.group_size, x.shape[-1]) if per_group else 0
     with np.errstate(invalid="ignore"):
         if pad:
             padded = np.zeros(x.shape[:-1] + (x.shape[-1] + pad,))
             padded[..., : x.shape[-1]] = x
-            out[...] = _fake_quant_into(padded, config, np.empty_like(padded))[..., : x.shape[-1]]
+            out[...] = _fake_quant_numpy(padded, config, np.empty_like(padded))[..., : x.shape[-1]]
         elif x.ndim < 2 or config.granularity is Granularity.PER_TENSOR:
             _fake_quant_tile(x, config, out)
         else:
@@ -311,11 +352,71 @@ def quantize_dequantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
 
     This is the numerical model of quantized inference used throughout the
     library; the integer-exact path in :mod:`repro.quant.qlinear` verifies
-    its equivalence.  It is computed fused and tiled rather than composed:
-    one pass per operator (abs, group max, scale, divide, rint, clip,
-    multiply) over a cache-resident token tile, written into a single result
-    buffer -- no integer codes, no prompt-sized temporaries.  The
-    composition itself stays the oracle the tests pin this against.
+    its equivalence.  It is computed fused rather than composed, written
+    into a single result buffer with no integer codes: one call into the
+    compiled quantizer -- per group absmax, scale, divide, rint, clip,
+    multiply in one loop -- where it runs, else one numpy pass per operator
+    over a cache-resident token tile (:func:`_fake_quant_numpy`).  The
+    composition itself stays the oracle the tests pin both against.
     """
     x = np.asarray(x, dtype=np.float64)
     return _fake_quant_into(x, config, np.empty(x.shape))
+
+
+def _compiled_quantize(entry: Callable) -> Callable:
+    """``native.c``'s ``quantize_groups`` behind :func:`_fake_quant_into` and :func:`quantize`.
+
+    Every granularity is groups along the trailing axis: ``group_size``-long
+    ones (the last may be short) per group, the whole trailing axis per token
+    or channel, the whole tensor per tensor and for a 1-D ``x``.
+    ``quantize(x, config, out)`` fake-quantizes float64 ``x`` into the
+    C-contiguous float64 ``out`` (which may be ``x``; any other overlap
+    copies ``x``) and returns it; ``quantize(x, config)`` returns INT8 codes
+    shaped like ``x`` and the scales shaped as :func:`compute_scales` gives
+    them.  ``None`` leaves the call to numpy: the entry declined it before
+    writing (a group with a non-finite value, a power-of-two scale past
+    ``2**1023``), or it is outside the entry's contract
+    (``pot_rounding="nearest"``, codes wider than 8 bits, an empty or 0-d
+    ``x``, an ``out`` not shaped like ``x``).
+    """
+    entry.restype = ctypes.c_int
+    entry.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
+                      + [ctypes.c_double, ctypes.c_int32, ctypes.c_int32] + [ctypes.c_void_p] * 3)
+
+    def run(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None):
+        shape, bits, gran = x.shape, config.spec.bits, config.granularity
+        if (not x.size or not shape or (config.pot_scale and config.pot_rounding != "ceil")
+                or (out is None and bits > 8)):
+            return None
+        if out is not None and out is not x:
+            if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+                return None
+            if x.dtype != np.float64 or not x.flags.c_contiguous or np.may_share_memory(x, out):
+                np.copyto(out, x)  # staged in out (a copy if they overlap), quantized in place
+                x = out
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        last = shape[-1]
+        if gran is Granularity.PER_GROUP:
+            length, group = last, min(config.group_size, last)
+            scales_shape = shape[:-1] + (-(-last // group), 1)
+        elif gran is Granularity.PER_TENSOR or len(shape) == 1:
+            length = group = x.size
+            scales_shape = ()
+        else:
+            length = group = last
+            scales_shape = shape[:-1] + (1,)
+        x_at = x.ctypes.data
+        if out is None:
+            codes, scales = np.empty(shape, dtype=np.int8), np.empty(scales_shape)
+            outputs = (None, codes.ctypes.data, scales.ctypes.data)
+        else:
+            outputs = (x_at if out is x else out.ctypes.data, None, None)
+        done = entry(x_at, x.size // length, length, group, config.clip_ratio, bits,
+                     config.pot_scale, *outputs)
+        if done < 0:
+            raise MemoryError("quantize_groups: scratch allocation failed")
+        if done:
+            return None
+        return out if out is not None else (codes, scales)
+
+    return run

@@ -119,9 +119,6 @@ from repro.quant.pot import code_storage_dtype, pot_exponent, shift_accumulator_
 from repro.quant.quantizer import (
     QuantizerConfig,
     _fake_quant_into,
-    _group_max,
-    _round_to_grid,
-    _scales_from_absmax,
     quantize,
     quantize_dequantize,
 )
@@ -562,13 +559,11 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         ``(nheads, chunk, .)``: the contractions then read and write
         contiguous per-head matrices, and the output is transposed into the
         caller's token-major layout once per chunk.  Every element-wise
-        stage is one fused pass (:func:`repro.quant.quantizer._fake_quant_into`):
-        the float chunk body reads no integer codes, so none are
-        materialized -- only the final resident state is quantized to codes.
-        ``Delta (.) B`` takes its grid from ``Delta * max|B|`` per group
-        instead of an absmax pass over the product: multiplication by the
-        positive ``Delta`` is monotone in floating point too, so that *is* the
-        product's absmax.
+        stage is one fused round trip (:func:`repro.quant.quantizer._fake_quant_into`:
+        one call into the compiled quantizer where it runs), the products
+        ``D (.) x`` and ``Delta (.) B`` re-quantized in place: the float
+        chunk body reads no integer codes, so none are materialized -- only
+        the final resident state is quantized to codes.
 
         Unlike :func:`repro.mamba.ssm.ssd_chunked_scan`, whose FP body
         contracts one head-independent ``C B^T`` matrix per chunk, every
@@ -609,7 +604,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         quantize_state = self.config.quantize_state
         if quantize_state and not resident:
             # Chunk-entry quantization (resident codes are on the grid already).
-            self._stage(state.copy(), state)
+            self._stage(state, state)
 
         y = np.empty(x.shape)  # quant-point: the float output the gated norm consumes
         chunk = min(chunk_size, seq_len)
@@ -660,12 +655,9 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         self._stage(B[..., window, :], bq)                  # (..., Q, n)
         self._stage(C[..., window, :], cq)                  # (..., Q, n)
         # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
-        np.multiply(params.D[:, None, None], xq, out=tile.work)
+        np.multiply(params.D[:, None, None], xq, out=tile.skip)
         if self.config.quantize_products:
-            # quant-point: D (.) x requant, fused
-            _fake_quant_into(tile.work, self._qcfg, tile.skip)
-        else:
-            np.copyto(tile.skip, tile.work)
+            self._stage(tile.skip, tile.skip)
         # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
         self._stage_delta_b(delta[..., window], bq, db)
         lc = np.cumsum(log_decay[..., window], axis=-1)     # (..., h, Q)
@@ -729,7 +721,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         """Fake-quantize an operand tile into ``out`` (one fused round trip).
 
         The chunk body contracts floats, so no codes are materialized;
-        ``out`` must not be ``values``.
+        ``out`` may be ``values``.
         """
         _fake_quant_into(values, self._qcfg, out)  # quant-point: operand tile, fused
 
@@ -739,23 +731,12 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         """``out <- requant(Delta (.) qB)``, head-major ``(..., h, Q, n)``.
 
         ``delta`` is ``(..., h, Q)`` and ``bq`` the staged ``(..., Q, n)``
-        tile.  The product's per-group absmax is separable -- ``Delta`` is a
-        positive per-(head, token) scalar and floating-point multiplication
-        by it is monotone, so ``max_j |Delta * b_j| = Delta * max_j |b_j|``
-        exactly (all-zero groups reach the same epsilon floor) -- which
-        replaces the absmax pass over the largest tensor of the scan with
-        one over ``bq``.
+        tile: the product, then one fused re-quantization in place.  Its
+        grids are the step's: ``Delta`` is a positive per-(head, token)
+        scalar and floating-point multiplication by it is monotone, so the
+        product's group absmax is ``Delta * max_j |b_j|``, the absmax the
+        step folds.
         """
         np.multiply(delta[..., None], bq[..., None, :, :], out=out)
-        if not self.config.quantize_products:
-            return
-        d_state = bq.shape[-1]
-        group = min(self._qcfg.group_size, d_state)
-        if d_state % group:
-            out[...] = self._qp(out)  # quant-point: Delta (.) B requant, ragged last group
-            return
-        b_max = _group_max(np.abs(bq), group).reshape(bq.shape[:-1] + (-1,))  # (..., Q, G)
-        scales = _scales_from_absmax(delta[..., None] * b_max[..., None, :, :], self._qcfg)
-        scales = np.repeat(scales, group, axis=-1)          # per element, like out
-        # quant-point: Delta (.) B requant on the separable grid, in place
-        _round_to_grid(out, scales, self._qcfg.spec, out)
+        if self.config.quantize_products:
+            self._stage(out, out)

@@ -698,10 +698,16 @@ class Supervisor:
         if held is not None and not failures:
             del self._recovering[slots[0]]
             self._note_recovered(held.request_id, "decode")
-        return [
-            self._decode_failure(slots[p], request_ids[p], snapshot.gather([p]), exc)
-            for p, exc in failures
-        ]
+        try:
+            return [
+                self._decode_failure(slots[p], request_ids[p], snapshot.gather([p]), exc)
+                for p, exc in failures
+            ]
+        finally:
+            # A caught exception's traceback reaches this frame and the
+            # engine's above it: held here, it would keep their locals (the
+            # step's retired completions among them) until the next collection.
+            failures.clear()
 
     # --- the protocol, written once --------------------------------------
     def _call(

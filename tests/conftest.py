@@ -14,8 +14,8 @@ def pytest_addoption(parser):
     parser.addoption(
         "--no-kernel",
         action="store_true",
-        help="run every test with the no_kernel fixture: the integer decode step on the oracle "
-        "and the FWHT on its numpy twin, as on a machine without a C compiler",
+        help="run every test with the no_kernel fixture: the integer decode step on the oracle, "
+        "the FWHT and the quantizer on numpy, as on a machine without a C compiler",
     )
 
 
@@ -24,8 +24,8 @@ def no_kernel(monkeypatch):
     """Patch ``repro.quant.native``'s loader to report no compiled library.
 
     A test seam, not a switch of the program: the integer decode step then
-    runs the fake-quant oracle and the FWHT its numpy twin, exactly as they
-    do where no compiler is found.
+    runs the fake-quant oracle and the FWHT and the quantizer run numpy,
+    exactly as they do where no compiler is found.
     """
     monkeypatch.setattr(native, "_load", lambda: (None, "numpy: patched out by the test suite"))
 

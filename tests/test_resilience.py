@@ -19,6 +19,9 @@ Covers the resilience layer end to end:
   bit-identical survivors).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -557,3 +560,36 @@ class TestChaosSoak:
         assert payload["ok"] is True
         assert payload["scheduler"] == "fifo"
         assert set(payload["finish_reasons"]) == {str(i) for i in range(6)}
+
+
+def test_decode_fault_frees_the_step_without_the_collector(tiny_model):
+    """A decode fault's exception does not outlive ``Supervisor.decode``.
+    Its traceback reaches the engine's frames, so a ``failures`` list still
+    holding it would keep the step's locals -- the completions retired in
+    that step among them -- alive until the next cyclic collection.  With the
+    collector off, the record of a request retired in the faulting step dies
+    with its completion."""
+    requests = [Request(prompt=[1, 2, 3], max_new_tokens=2),
+                Request(prompt=[4, 5, 6], max_new_tokens=8)]
+    dry = _engine(tiny_model, max_batch_size=2)
+    first, second = (dry.submit(request) for request in requests)
+    while not any(c.request_id == first for c in dry.step()):
+        pass
+    retire_step = dry.stats.engine_steps         # the second request decodes in it too
+    plan = FaultPlan(faults=(
+        FaultSpec(kind="kernel_raise", step=retire_step, site="decode", request_id=second),))
+    engine = _engine(tiny_model, FaultInjector(plan), max_batch_size=2)
+    assert [engine.submit(request) for request in requests] == [first, second]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(retire_step - 1):
+            assert engine.step() == []
+        retired = engine.step()
+        assert [c.request_id for c in retired] == [first]
+        assert engine.stats.rollbacks == 1
+        record = weakref.ref(retired[0].latency)
+        del retired
+        assert record() is None
+    finally:
+        gc.enable()

@@ -1,4 +1,4 @@
-"""Tests of the compiled integer SSM step (``native.c`` behind ``repro.quant.native``).
+"""Tests of the compiled SSM step and quantizer (``native.c`` behind ``repro.quant.native``).
 
 The fake-quant oracle ``QuantizedSSMStep._step_oracle`` is the reference: the
 compiled ``step`` must return its bytes (``y``, codes, scales) on the same
@@ -13,7 +13,9 @@ really decodes through the compiled step, and the build / cache / fallback
 machinery: no compiler, concurrent first builds, a cache directory somebody
 else can write, code widths the kernel is not written for.  Everything except
 the no-compiler fallback is skipped, with the reason, on a machine where no
-kernel loads.  (The compiled FWHT, the library's other entry, is tested in
+kernel loads.  Section (h) holds the quantizer entry to the numpy quantizer
+the same way: values, codes and scales, in place, and what it declines.
+(The compiled FWHT, the library's third entry, is tested in
 ``test_hadamard.py``.)
 """
 
@@ -41,7 +43,14 @@ from repro.quant import (
     native,
     quantize_model,
 )
+from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import absmax_requant_exponents
+from repro.quant.quantizer import (
+    QuantizerConfig,
+    _fake_quant_into,
+    quantize,
+    quantize_dequantize,
+)
 from repro.quant.ssm_quant import _ORACLE, QuantizedSSMStep
 
 #: The library as loaded at collection, before any test patches the loader.
@@ -54,6 +63,13 @@ REPO = Path(__file__).resolve().parents[1]
 # that pads (24 over groups of 16), a non-power-of-two group that pads, the
 # benchmark's shape.
 LAYOUTS = [(3, 8, 24), (1, 24, 24), (2, 16, 24), (3, 7, 20), (4, 32, 128)]
+
+
+def _with_step(step):
+    """The loaded entries with ``step`` in place of the compiled step (where
+    no library loaded, a quantizer that declines every call: numpy's runs)."""
+    entries = vars(COMPILED) if COMPILED is not None else {"quantize": lambda *args: None}
+    return SimpleNamespace(**{**entries, "step": step})
 
 
 def _library():
@@ -215,33 +231,44 @@ def test_kernel_rejects_operands_out_of_contract(rng):
 # ----------------------------------------------------------------------
 # (a') Whole-model decode through the compiled step
 # ----------------------------------------------------------------------
-def _decode_model(d_state):
+def _decode_model(d_state, make=QuantConfig.w4a4):
     config = Mamba2Config(d_model=32, n_layer=2, vocab_size=64, d_state=d_state, headdim=8)
     return quantize_model(
-        Mamba2Model.from_config(config, InitConfig(seed=3)),
-        QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR),
-    )
+        Mamba2Model.from_config(config, InitConfig(seed=3)), make(QuantMethod.LIGHTMAMBA_STAR))
+
+
+def _cache_bytes(cache):
+    return [(layer.conv_state.tobytes(), layer.ssm_state.codes.tobytes(),
+             layer.ssm_state.scales.tobytes()) for layer in cache.layers]
 
 
 def _decode_record(model=None):
+    """Greedy tokens; batched logits and the resident state after 6 steps
+    from a fresh cache; the last logits and the cache after a 150-token
+    prefill (two chunks of 64 and a ragged 22) and after a 3-row batched one."""
     model = _decode_model(24) if model is None else model
     result = greedy_decode(model, [5, 9, 2, 40, 7], 12)
     cache = model.new_cache(3)
     logits = [model.step(np.array([1, 2, 3]) + i, cache) for i in range(6)]
-    state = [(layer.ssm_state.codes.tobytes(), layer.ssm_state.scales.tobytes())
-             for layer in cache.layers]
-    return list(result.tokens), np.stack(logits).tobytes(), state
+    record = [list(result.tokens), np.stack(logits).tobytes(), _cache_bytes(cache)]
+    vocab = model.config.vocab_size
+    for prompt in (np.arange(150) * 7 % vocab, np.arange(120).reshape(3, 40) * 5 % vocab):
+        last, cache = model.prefill(prompt)
+        record += [last.tobytes(), _cache_bytes(cache)]
+    return record
 
 
 @needs_kernel
 @pytest.mark.parametrize("d_state", [24, 64])
 def test_greedy_decode_compiled_equals_numpy(d_state):
-    """Whole-model decode -- greedy tokens, batched logits, resident state --
-    on the compiled step and without the library, where the oracle steps the
-    resident state; ``d_state`` 64 runs the default 32-long groups the kernel
-    specializes for, 24 a single short one."""
-    model = _decode_model(d_state)
-    assert _decode_record(model) == _on_numpy(_decode_record, model)
+    """Whole-model decode and prefill (:func:`_decode_record`) with the
+    library and without it, where the oracle steps the resident state and the
+    numpy quantizer runs every round trip; W4A4 quantizes activations on
+    per-group grids, W8A8 per token.  ``d_state`` 64 runs the default 32-long
+    groups the kernels specialize for, 24 a single short one."""
+    for make in (QuantConfig.w4a4, QuantConfig.w8a8):
+        model = _decode_model(d_state, make)
+        assert _decode_record(model) == _on_numpy(_decode_record, model)
 
 
 @needs_kernel
@@ -255,8 +282,7 @@ def test_default_model_step_calls_the_compiled_step(monkeypatch):
         answers.append(COMPILED.step(*args))
         return answers[-1]
 
-    monkeypatch.setattr(native, "_load", lambda: (SimpleNamespace(
-        step=spy, fwht=COMPILED.fwht), "compiled"))
+    monkeypatch.setattr(native, "_load", lambda: (_with_step(spy), "compiled"))
     model = _decode_model(64)
     cache = model.new_cache(2)
     for token in range(3):
@@ -344,7 +370,7 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
     if executor == "numpy":
         loaded = (None, "numpy: patched out by the test suite")
     else:
-        loaded = (SimpleNamespace(step=counting_entry, fwht=COMPILED.fwht), "compiled")
+        loaded = (_with_step(counting_entry), "compiled")
     monkeypatch.setattr(native, "_load", lambda: loaded)
     args = tuple(operands[name] for name in ("x", "B", "C", "dt", "state"))
     if to_oracle is ValueError:
@@ -490,7 +516,7 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
         calls.append(operands[7].codes.dtype)                      # the resident state
         return COMPILED.step(*operands) if COMPILED is not None else None
 
-    monkeypatch.setattr(native, "_load", lambda: (SimpleNamespace(step=spy), "compiled"))
+    monkeypatch.setattr(native, "_load", lambda: (_with_step(spy), "compiled"))
     heads, dim, n = 2, 4, 24
     step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
     params = SSMParams(
@@ -506,3 +532,108 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
     np.testing.assert_array_equal(y, y_oracle)
     assert new_state.exact_equal(state_oracle)
     assert calls == ([np.dtype(np.int8)] if reaches else [])
+
+
+# ----------------------------------------------------------------------
+# (h) The quantizer entry against the numpy quantizer
+# ----------------------------------------------------------------------
+def _quant_operand(rng, shape):
+    """Values over 1e-300 .. 1e300 (a magnitude per row and per element),
+    all-zero runs and signed zeros."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-292, 292, size=shape[:-1] + (1,))
+    x *= 10.0 ** rng.uniform(-8, 8, size=shape)
+    flat = x.reshape(-1)
+    start = int(rng.integers(0, flat.size))
+    flat[start:start + int(rng.integers(0, 40))] = 0.0
+    flat[rng.random(flat.size) < 0.1] = -0.0
+    return x
+
+
+def _assert_quantizer_equals_numpy(x, config):
+    """Fake-quant values out of place and in place, and (up to 8 bits) codes
+    and scales: the compiled entry takes the call and returns numpy's bytes."""
+    want = _on_numpy(quantize_dequantize, x, config)
+    out = np.empty(x.shape)
+    assert COMPILED.quantize(x, config, out) is out
+    assert out.tobytes() == want.tobytes()
+    inplace = np.ascontiguousarray(x)
+    assert COMPILED.quantize(inplace, config, inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()
+    if config.spec.bits <= 8:
+        reference = _on_numpy(quantize, x, config)
+        codes, scales = COMPILED.quantize(x, config)
+        assert codes.dtype == np.int8 and codes.shape == reference.codes.shape
+        assert np.array_equal(codes, reference.codes)
+        assert scales.shape == reference.scales.shape
+        assert scales.tobytes() == reference.scales.tobytes()
+    else:
+        assert COMPILED.quantize(x, config) is None
+
+
+@needs_kernel
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    granularity=st.sampled_from(list(Granularity)),
+    shape=st.sampled_from([(1,), (40,), (1, 40), (3, 40), (2, 3, 24), (5, 7), (4, 128)]),
+    group_size=st.sampled_from([1, 7, 16, 32, 128]),
+    bits=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]),
+    clip_ratio=st.sampled_from([1.0, 0.9, 0.5]),
+    pot_scale=st.booleans(),
+    strided=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_compiled_quantizer_matches_numpy(seed, granularity, shape, group_size, bits, clip_ratio,
+                                          pot_scale, strided):
+    """Every granularity (per group with a ragged last group where the group
+    length does not divide the row, per token / channel on 1-D and 2-D
+    operands), 2- to 16-bit codes, clipping and ceil power-of-two scales, on
+    contiguous and strided operands: the compiled quantizer's bytes are the
+    numpy quantizer's -- the values, the codes, the scales and their shape."""
+    rng = np.random.default_rng(seed)
+    config = QuantizerConfig(IntSpec(bits), granularity, group_size, clip_ratio, pot_scale)
+    x = _quant_operand(rng, shape[:-1] + (2 * shape[-1],))[..., ::2] if strided else \
+        _quant_operand(rng, shape)
+    _assert_quantizer_equals_numpy(x, config)
+
+
+@needs_kernel
+def test_quantizer_all_zero_groups_sit_at_the_scale_floor():
+    """An all-zero group (of +0.0 and -0.0) takes the ``1e-12`` floor and
+    quantizes to +0.0, beside a live group whose small values round to +0.0,
+    on both quantizers."""
+    x = np.array([[0.0, -0.0, 0.0, -0.0, 3.0, -1e-5, 2e-9, -7.0]])
+    for pot_scale in (False, True):
+        config = QuantizerConfig(IntSpec(4), Granularity.PER_GROUP, 4, pot_scale=pot_scale)
+        _assert_quantizer_equals_numpy(x, config)
+        codes, scales = COMPILED.quantize(x, config)
+        assert scales[0, 0, 0] == (2.0**-39 if pot_scale else 1e-12 / 7)
+        got = quantize_dequantize(x, config)
+        assert not np.signbit(got[got == 0.0]).any()
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", ["nan", "inf", "pot_past_1023", "nearest"])
+def test_quantizer_declines_give_numpy_bytes(case):
+    """What the entry declines -- a NaN or infinite group, a power-of-two
+    scale past ``2**1023`` (2-bit codes: ``qmax`` 1), ``pot_rounding="nearest"``
+    -- it hands back untouched, and the dispatch then gives numpy's bytes, in
+    place too."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 48))  # whole groups: the fallback runs on x itself, no padded copy
+    config = QuantizerConfig(IntSpec(2), Granularity.PER_GROUP, 16, pot_scale=True)
+    if case == "nearest":
+        config = QuantizerConfig(IntSpec(8), Granularity.PER_GROUP, 16, pot_scale=True,
+                                 pot_rounding="nearest")
+    else:
+        x[1, 20] = {"nan": np.nan, "inf": -np.inf, "pot_past_1023": 1.5e308}[case]
+    untouched = x.copy()
+    assert COMPILED.quantize(x, config, x) is None and x.tobytes() == untouched.tobytes()
+    assert COMPILED.quantize(x, config) is None
+    with np.errstate(all="ignore"):
+        want = _on_numpy(quantize_dequantize, x, config)
+        assert quantize_dequantize(x, config).tobytes() == want.tobytes()
+        _fake_quant_into(x, config, x)
+        assert x.tobytes() == want.tobytes()
+        reference, got = _on_numpy(quantize, untouched, config), quantize(untouched, config)
+    assert got.codes.tobytes() == reference.codes.tobytes()
+    assert got.scales.tobytes() == reference.scales.tobytes()
