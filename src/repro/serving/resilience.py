@@ -692,6 +692,7 @@ class Supervisor:
                 failures.append((positions[i], exc))
 
         solve(list(range(len(slots))))
+        solve = None  # it calls itself through its closure: a cycle holding the snapshot
         # The engine counts one decode call per iteration that advanced a
         # row; isolation may have split it into several committing calls.
         self.stats.decode_calls += max(0, commits - 1)

@@ -568,7 +568,8 @@ def test_decode_fault_frees_the_step_without_the_collector(tiny_model):
     holding it would keep the step's locals -- the completions retired in
     that step among them -- alive until the next cyclic collection.  With the
     collector off, the record of a request retired in the faulting step dies
-    with its completion."""
+    with its completion, and the fault-free supervised steps before it leave
+    nothing for the collector (``solve``'s closure cycle held the snapshot)."""
     requests = [Request(prompt=[1, 2, 3], max_new_tokens=2),
                 Request(prompt=[4, 5, 6], max_new_tokens=8)]
     dry = _engine(tiny_model, max_batch_size=2)
@@ -585,6 +586,7 @@ def test_decode_fault_frees_the_step_without_the_collector(tiny_model):
     try:
         for _ in range(retire_step - 1):
             assert engine.step() == []
+        assert gc.collect() == 0
         retired = engine.step()
         assert [c.request_id for c in retired] == [first]
         assert engine.stats.rollbacks == 1
