@@ -29,8 +29,8 @@ Checks inside registered regions (nested functions inherit the region):
     dtype or with no dtype at all (numpy's default is float64).
 ``DT203``
     A fake-quant round-trip: calls to ``quantize`` / ``dequantize`` /
-    ``quantize_dequantize`` (or its fused kernels ``_fake_quant_into`` /
-    ``_round_to_grid``), the step helpers ``self._q`` / ``self._qp``, or a
+    ``quantize_dequantize`` (or its fused kernel ``_fake_quant_into``),
+    the step helpers ``self._q`` / ``self._qp``, or a
     ``.dequantize()`` method on a resident state container.
 
 Float *arithmetic* on values that are already float (the softplus/exp decay
@@ -67,7 +67,6 @@ _ROUND_TRIP_NAMES = {
     "dequantize",
     "quantize_dequantize",
     "_fake_quant_into",
-    "_round_to_grid",
     "_q",
     "_qp",
 }

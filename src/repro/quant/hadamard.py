@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.mamba.ops import row_tiles, tile_rows
 from repro.quant import native
 
 __all__ = [
@@ -215,41 +214,20 @@ def fast_hadamard_transform(x: np.ndarray, normalized: bool = True) -> np.ndarra
 
 
 def _fwht_numpy(x: np.ndarray, normalized: bool) -> np.ndarray:
-    """The FWHT in numpy: reference of the compiled one and no-compiler fallback.
+    """The textbook FWHT of float64 ``x``: reference of the compiled one and no-compiler fallback.
 
-    ``x`` is float64 with a power-of-two last axis.  The rows are transformed
-    a token tile at a time (:func:`repro.mamba.ops.row_tiles`) in
-    *transposed* layout: with the ``n`` points of a tile laid out as ``n``
-    contiguous rows of tile-length, the stage of span ``s`` adds and
-    subtracts blocks of ``s`` whole rows -- long contiguous passes
-    ping-ponging between two cache-resident buffers, where the row-major
-    butterfly strides element by element through its first stages.
+    For span 1, 2, 4, ... each pair ``(upper, lower)`` of points ``span``
+    apart becomes ``(upper + lower, upper - lower)``; the output is fresh.
     """
     n = x.shape[-1]
-    out = np.empty(x.shape)
-    if not x.size:
-        return out
-    rows_in, rows_out = x.reshape(-1, n), out.reshape(-1, n)
-    tile_size = n * min(rows_in.shape[0], tile_rows(n))
-    ping, pong = np.empty(tile_size), np.empty(tile_size)
-    root = np.sqrt(n)
-    for rows in row_tiles(rows_in.shape[0], n):
-        count = rows.stop - rows.start
-        src, dst = ping[: n * count], pong[: n * count]
-        np.copyto(src.reshape(n, count), rows_in[rows].T)
-        span = 1
-        while span < n:
-            pairs = (n // (2 * span), 2, span * count)
-            upper, lower = src.reshape(pairs)[:, 0], src.reshape(pairs)[:, 1]
-            np.add(upper, lower, out=dst.reshape(pairs)[:, 0])
-            np.subtract(upper, lower, out=dst.reshape(pairs)[:, 1])
-            src, dst = dst, src
-            span *= 2
-        if normalized:
-            np.divide(src.reshape(n, count).T, root, out=rows_out[rows])
-        else:
-            rows_out[rows] = src.reshape(n, count).T
-    return out
+    out, span = np.array(x), 1
+    while span < n:
+        pairs = out.reshape(-1, n // (2 * span), 2, span)
+        upper, lower = pairs[:, :, 0], pairs[:, :, 1]
+        out = np.stack((upper + lower, upper - lower), axis=2)
+        span *= 2
+    out = out.reshape(x.shape)
+    return out / np.sqrt(n) if normalized else out
 
 
 def _compiled_fwht(entry: Callable) -> Callable:

@@ -10,14 +10,14 @@
  *   state re-quantization, h (.) C + readout) as one pipeline per line of
  *   state.  Its reference, and the fallback wherever it does not run, is the
  *   fake-quant oracle QuantizedSSMStep._step_oracle.
- * - fwht: the fast Walsh-Hadamard transform of the HTU.  Its numpy twin is
- *   repro.quant.hadamard._fwht_numpy.
+ * - fwht: the fast Walsh-Hadamard transform of the HTU.  Its reference and
+ *   fallback is the textbook butterfly repro.quant.hadamard._fwht_numpy.
  * - quantize_groups: the symmetric quantizer's round trip over groups of a
  *   trailing axis -- every granularity is such groups -- to fake-quantized
  *   values or INT8 codes: every activation re-quantization at an MMU
  *   boundary and every SSMU operand prefill stages, the resident state's
  *   codes and weight RTN.  Its reference and fallback is the numpy quantizer
- *   (repro.quant.quantizer._fake_quant_numpy / _quantize_numpy).
+ *   repro.quant.quantizer._quantize_numpy, which has this entry's contract.
  *
  * Every float operation here is the one the numpy reference performs, in
  * numpy's order, so the outputs are byte-equal.  The rules that
@@ -593,7 +593,7 @@ static inline uint64_t magnitude_max(const double *v, int64_t count)
     return m;
 }
 
-/* quantizer._scales_from_absmax for one finite group: max(absmax * clip, eps)
+/* quantizer.compute_scales for one finite group: max(absmax * clip, eps)
  * / qmax, snapped up to 2**ceil_log2 when pot; 0.0 when that passes
  * MAX_EXPONENT. */
 static inline double group_scale(double absmax, double clip, double qmax, int32_t pot)
@@ -627,7 +627,7 @@ static inline double pot_inverse(double scale)
     return e <= 1022 ? pow2(-e) : 0.0;
 }
 
-/* quantizer._round_to_grid on one group: clip(rint(v / scale)) + 0.0 (codes
+/* quantizer._quantize_numpy on one group: clip(rint(v / scale)) + 0.0 (codes
  * have no signed zero), times scale into out (which may be v) or cast into
  * codes.  inv, when not 0.0, is 1 / scale held exactly, and the divide is the
  * multiply by it. */

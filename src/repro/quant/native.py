@@ -8,15 +8,19 @@ checked against the numpy code it stands in for:
   the new INT8 state codes and their PoT scales out
   (``repro.quant.ssm_quant._compiled_step``).  Its reference and fallback is
   the fake-quant oracle ``QuantizedSSMStep._step_oracle``;
-- ``fwht`` -- the HTU's fast Walsh-Hadamard transform; twin of
-  ``repro.quant.hadamard._fwht_numpy`` (``_compiled_fwht``), which prefill
-  needs without a compiler too;
+- ``fwht`` -- the HTU's fast Walsh-Hadamard transform (``_compiled_fwht``).
+  Its reference and fallback is the textbook butterfly
+  ``repro.quant.hadamard._fwht_numpy``;
 - ``quantize`` -- the symmetric quantizer's round trip over groups of the
   trailing axis, to fake-quantized values (in place or not) or INT8 codes and
   scales (``repro.quant.quantizer._compiled_quantize``): the activation
   quantizations of decode and prefill, prefill's staged tiles, the resident
-  state's codes, weight RTN.  Its reference and fallback is the numpy
-  quantizer (``_fake_quant_numpy`` / ``_quantize_numpy``).
+  state's codes, weight RTN.  Its reference and fallback is
+  ``repro.quant.quantizer._quantize_numpy``, the same contract in numpy.
+
+Each reference is the plain math with its entry's signature: nothing in it
+is tuned, since it runs only in the self-test, in the tests and where no
+library loads.
 
 :func:`kernel` returns the three behind those wrappers, or ``None`` -- the
 oracle and numpy then run -- and :func:`status` says which and why.
@@ -158,15 +162,14 @@ def _quantize_agrees(quantize) -> bool:
                                          (Granularity.PER_TOKEN, 16, 8, 1.0, False),
                                          (Granularity.PER_TENSOR, 16, 16, 1.0, True)):
         config = quantizer.QuantizerConfig(IntSpec(bits), gran, group, clip, pot)
-        want = quantizer._fake_quant_numpy(x, config, np.empty(x.shape))
+        want = quantizer._quantize_numpy(x, config, np.empty(x.shape))
         got = x.copy()
         if quantize(got, config, got) is not got or got.tobytes() != want.tobytes():
             return False
         if bits <= 8:
-            reference = quantizer._quantize_numpy(x, config)
             found = quantize(x, config)
-            if found is None or not _same_bytes(
-                    (found[0].astype(np.int32), found[1]), (reference.codes, reference.scales)):
+            if found is None or not _same_bytes((found[0].astype(np.int32), found[1]),
+                                                quantizer._quantize_numpy(x, config)):
                 return False
     # 2-bit codes (qmax 1): a group absmax past 2**1023 is a scale past it.
     pot = quantizer.QuantizerConfig(IntSpec(2), Granularity.PER_GROUP, 16, pot_scale=True)

@@ -10,14 +10,16 @@ This module provides the PoT scale snapping, a per-group PoT fake quantizer,
 and an integer-exact :func:`shift_requantize` that demonstrates the shift
 implementation is bit-exact against the reference divide-and-round.
 
-It also holds the arithmetic of the *fused* re-quantization the tiled SSMU
-decode step (:meth:`repro.quant.ssm_quant.QuantizedSSMStep._step_integer`)
-runs: instead of shifting every group of a state-sized product by its own
-exponent difference ``r``, the small per-group operand is pre-aligned by
-``2**(R - r)`` (:func:`alignment_multiplier`, ``R`` =
-:func:`requant_shift`) so the whole tile takes one *uniform* half-even right
-shift by ``R`` (:func:`shift_right_half_even`, the rounding kernel
-:func:`shift_requantize` shares).  The aligned product is bounded by
+It also holds, in numpy, the specification of the *fused* re-quantization
+that ``native.c``'s ``ssmu_step`` (the compiled integer decode step, see
+:mod:`repro.quant.native`) performs: instead of shifting every group of a
+state-sized product by its own exponent difference ``r``, the small
+per-group operand is pre-aligned by ``2**(R - r)``
+(:func:`alignment_multiplier`, ``R`` = :func:`requant_shift`) so the whole
+tile takes one *uniform* half-even right shift by ``R``
+(:func:`shift_right_half_even`, the rounding kernel :func:`shift_requantize`
+shares).  ``tests/test_ssmu_tiled.py`` pins these functions against
+``np.round`` and each other.  The aligned product is bounded by
 :func:`aligned_product_bound`, from which :func:`shift_accumulator_dtype`
 picks the accumulator width -- INT32 for the INT4/INT8 SSM, the same bound
 the ``repro.analysis.overflow`` prover registers.
@@ -286,9 +288,8 @@ def shift_requantize(
     the paper's PoT scheme enables.
 
     The exponents may be scalars or integer arrays broadcasting against
-    ``values`` (per-group grids: one exponent per quantization group), which
-    is how the integer chunk body aligns a whole tensor's worth of per-token
-    operand grids in one call.
+    ``values`` (per-group grids: one exponent per quantization group), so one
+    call aligns a whole tensor's worth of per-token operand grids.
 
     ``rounding`` selects the tie-breaking rule of the right shift:
 
@@ -296,9 +297,9 @@ def shift_requantize(
       :func:`requantize_reference` (the shift-vs-multiplier equivalence
       demonstration).
     - ``"half_even"`` -- round half to even, bit-exact with ``np.round`` on
-      the real-valued ratio (:func:`shift_right_half_even`, the kernel the
-      tiled decode step runs with a uniform shift); this is the mode the
-      integer paths use so shifted codes land exactly where the fake-quant
+      the real-valued ratio (:func:`shift_right_half_even`, the numpy
+      specification of the uniform shift ``native.c``'s decode step runs);
+      this is the mode that lands shifted codes exactly where the fake-quant
       oracle's ``np.round`` would put them.
     """
     spec = IntSpec(bits)

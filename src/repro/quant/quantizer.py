@@ -19,11 +19,12 @@ runs all of them: ``quantize_groups`` in ``native.c``
 (:func:`_compiled_quantize`, loaded by :mod:`repro.quant.native`), one call
 per tensor or tile for both the fake-quant round trip and codes of up to 8
 bits -- the activation quantizations of decode and prefill, prefill's SSMU
-operand tiles, the resident state's codes, weight RTN.  The numpy
-composition below is its reference and the fallback wherever it does not
-run (no compiler, ``pot_rounding="nearest"``, wider codes, a non-finite
-group, a power-of-two scale past ``2**1023``); nothing else selects between
-them, and the two give the same bytes.
+operand tiles, the resident state's codes, weight RTN.
+:func:`_quantize_numpy` -- the plain math, with the entry's contract -- is
+its reference and the fallback wherever it does not run (no compiler,
+``pot_rounding="nearest"``, wider codes, a non-finite group, a power-of-two
+scale past ``2**1023``); nothing else selects between them, and the two give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.mamba.ops import row_tiles
 from repro.quant import native
 from repro.quant.dtypes import Granularity, IntSpec, INT8
 
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-#: Below this many elements the per-group reduction call overhead of
-#: ``max(axis=-1)`` is cheaper than the passes of the pairwise maximum.
-_PAIRWISE_MIN_ELEMS = 4096
 
 
 @dataclass(frozen=True)
@@ -153,38 +149,6 @@ def _ungroup(grouped: np.ndarray, length: int) -> np.ndarray:
     return flat[..., :length]
 
 
-def _group_max(magnitudes: np.ndarray, group: int) -> np.ndarray:
-    """Maxima of consecutive ``group``-long runs of ``magnitudes``, flat.
-
-    ``magnitudes`` holds ``|x|`` with the groups along the trailing axis and
-    a size that is a multiple of ``group``.  ``max(axis=-1)`` pays a reduction
-    call per group, which for 32-long groups costs several element-wise
-    passes over the tile; once there are enough groups to matter the maximum
-    is instead taken pairwise -- adjacent elements, then adjacent pair
-    maxima, ... -- in long strided passes that halve the data each time.
-    ``np.maximum`` is exact, order-free and propagates NaN exactly like the
-    reduction, so both routes give the same values.
-    """
-    if magnitudes.size < _PAIRWISE_MIN_ELEMS:
-        return magnitudes.reshape(-1, group).max(axis=-1)
-    current = magnitudes.reshape(-1)
-    while group % 2 == 0:
-        pairs = current.reshape(-1, 2)
-        current = np.maximum(pairs[:, 0], pairs[:, 1])
-        group //= 2
-    if group > 1:
-        current = current.reshape(-1, group).max(axis=-1)
-    return current
-
-
-def _scales_from_absmax(absmax: np.ndarray, config: QuantizerConfig) -> np.ndarray:
-    """The quantization scales of groups whose absolute maxima are ``absmax``."""
-    scales = np.maximum(absmax * config.clip_ratio, _EPS) / config.spec.qmax
-    if config.pot_scale:
-        scales = _pot_round(scales, config.pot_rounding)
-    return scales
-
-
 def compute_scales(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     """Compute symmetric quantization scales for ``x``.
 
@@ -196,22 +160,17 @@ def compute_scales(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     gran = config.granularity
 
-    if gran is Granularity.PER_TENSOR:
-        absmax = np.max(np.abs(x)) if x.size else 0.0
-        absmax = np.asarray(absmax, dtype=np.float64).reshape(())
-    elif gran in (Granularity.PER_CHANNEL, Granularity.PER_TOKEN):
-        if x.ndim == 1:
-            absmax = np.max(np.abs(x)) if x.size else 0.0
-            absmax = np.asarray(absmax, dtype=np.float64).reshape(())
-        else:
-            absmax = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
-    elif gran is Granularity.PER_GROUP:
+    if gran is Granularity.PER_GROUP:
         grouped, _, _ = _group_reshape(x, config.group_size)
-        absmax = _group_max(np.abs(grouped), grouped.shape[-1])
-        absmax = absmax.reshape(grouped.shape[:-1] + (1,))
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown granularity {gran}")
-    return _scales_from_absmax(absmax, config)
+        absmax = np.abs(grouped).max(axis=-1, keepdims=True)
+    elif gran is Granularity.PER_TENSOR or x.ndim == 1:
+        absmax = np.asarray(np.max(np.abs(x)) if x.size else 0.0, dtype=np.float64)
+    else:  # per channel / per token: along the trailing axis
+        absmax = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
+    scales = np.maximum(absmax * config.clip_ratio, _EPS) / config.spec.qmax
+    if config.pot_scale:
+        scales = _pot_round(scales, config.pot_rounding)
+    return scales
 
 
 def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
@@ -227,28 +186,35 @@ def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
     x = np.asarray(x, dtype=np.float64)
     library = native.kernel()
     found = library.quantize(x, config) if library is not None else None
-    if found is None:
-        return _quantize_numpy(x, config)
-    codes, scales = found
+    codes, scales = found if found is not None else _quantize_numpy(x, config)
     return QuantizedTensor(
-        codes=codes.astype(np.int32), scales=scales, config=config, shape=x.shape
+        codes=codes.astype(np.int32, copy=False), scales=scales, config=config, shape=x.shape
     )
 
 
-def _quantize_numpy(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
-    """:func:`quantize` composed in numpy: the compiled quantizer's reference and fallback."""
+def _quantize_numpy(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None):
+    """The compiled quantizer's contract in numpy: its reference and fallback.
+
+    ``clip(rint(x / s)) + 0.0`` with ``s`` from :func:`compute_scales`, on
+    the group-reshaped ``x`` for per-group grids (a ragged last group is
+    zero-padded).  With ``out``, the fake-quantized values ``codes * s`` are
+    written into it (which may be ``x``) and ``out`` is returned; without,
+    ``(codes, scales)`` with INT32 codes shaped like ``x``.  A non-finite
+    value poisons its group: NaN values, and codes from the cast of NaN.
+    """
     scales = compute_scales(x, config)
     spec = config.spec
-
-    if config.granularity is Granularity.PER_GROUP:
-        grouped, _, _ = _group_reshape(x, config.group_size)
-        codes = np.clip(np.round(grouped / scales), spec.qmin, spec.qmax)
-        codes = _ungroup(codes, x.shape[-1])
-    else:
-        codes = np.clip(np.round(x / scales), spec.qmin, spec.qmax)
-    return QuantizedTensor(
-        codes=codes.astype(np.int32), scales=scales, config=config, shape=x.shape
-    )
+    per_group = config.granularity is Granularity.PER_GROUP
+    values = _group_reshape(x, config.group_size)[0] if per_group else x
+    with np.errstate(invalid="ignore"):
+        # Integer codes have no signed zero but rint does (-0.3 -> -0.0).
+        codes = np.clip(np.rint(values / scales), spec.qmin, spec.qmax) + 0.0
+        if out is not None:
+            fake = codes * scales
+            out[...] = _ungroup(fake, x.shape[-1]) if per_group else fake
+            return out
+    codes = _ungroup(codes, x.shape[-1]) if per_group else codes
+    return codes.astype(np.int32), scales
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
@@ -261,90 +227,17 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     return codes * qt.scales
 
 
-def _round_to_grid(
-    values: np.ndarray, scales: np.ndarray, spec: IntSpec, out: np.ndarray
-) -> np.ndarray:
-    """``out <- clip(rint(values / scales)) * scales``, one pass per operator.
-
-    The rounding half of the fake-quant round trip without its integer
-    detour: the clipped ``rint`` values *are* the codes, held as floats.
-    ``out`` may be ``values``.
-    """
-    np.divide(values, scales, out=out)
-    np.rint(out, out=out)
-    np.clip(out, spec.qmin, spec.qmax, out=out)
-    # Integer codes have no signed zero but rint does (-0.3 -> -0.0).
-    np.add(out, 0.0, out=out)
-    np.multiply(out, scales, out=out)
-    return out
-
-
-def _fake_quant_tile(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> None:
-    """Fake-quantize one cache-resident tile ``x`` into ``out`` (not ``x``).
-
-    ``out`` doubles as the scratch of the absmax pass, so the whole round
-    trip touches two tile-sized buffers: abs -> group max -> scale (+ PoT
-    snap) -> divide -> rint -> clip -> multiply.  ``x`` may have any strides
-    (splitting its last axis into groups never copies).
-    """
-    np.abs(x, out=out)
-    if config.granularity is not Granularity.PER_GROUP:
-        if config.granularity is Granularity.PER_TENSOR or x.ndim <= 1:
-            absmax = out.max()
-        else:
-            absmax = out.max(axis=-1, keepdims=True)
-        _round_to_grid(x, _scales_from_absmax(absmax, config), config.spec, out)
-        return
-    last = x.shape[-1]
-    group = min(config.group_size, last)
-    grouped = x.shape[:-1] + (last // group, group)
-    scales = _scales_from_absmax(_group_max(out, group), config)
-    # One scale per element, expanded once: a (..., G, 1) operand would make
-    # the divide and the multiply below broadcast in group-length inner loops.
-    scales = np.repeat(scales, group).reshape(x.shape)
-    _round_to_grid(x, scales, config.spec, out)
-
-
 def _fake_quant_into(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
     """Fake-quantize float64 ``x`` into the C-contiguous float64 ``out`` (which may be ``x``).
 
     One call into the compiled quantizer (:func:`_compiled_quantize`) where
-    it runs and takes the call; :func:`_fake_quant_numpy`, its reference,
-    otherwise -- on a copy of ``x`` when ``out`` shares its memory.
+    it runs and takes the call; :func:`_quantize_numpy`, its reference,
+    otherwise.
     """
-    if not x.size:
-        return out
     library = native.kernel()
     if library is not None and library.quantize(x, config, out) is not None:
         return out
-    return _fake_quant_numpy(x.copy() if np.may_share_memory(x, out) else x, config, out)
-
-
-def _fake_quant_numpy(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
-    """:func:`_fake_quant_into` in numpy, into an ``out`` that is not ``x``.
-
-    Walks the leading axis in token tiles (:func:`repro.mamba.ops.row_tiles`)
-    so every pass of :func:`_fake_quant_tile` runs on cache-resident data;
-    quantization grids live on the trailing axis, so tiling the leading one
-    cannot change a value.  Per-tensor grids need the global maximum and run
-    as one tile.  A ragged last group is quantized on a zero-padded copy,
-    like :func:`quantize` does.  A non-finite input poisons its quantization
-    group like in ``dequantize(quantize(x))`` -- NaN to the same NaN pattern
-    -- but silently: there is no integer cast left to warn.
-    """
-    per_group = config.granularity is Granularity.PER_GROUP
-    pad = -x.shape[-1] % min(config.group_size, x.shape[-1]) if per_group else 0
-    with np.errstate(invalid="ignore"):
-        if pad:
-            padded = np.zeros(x.shape[:-1] + (x.shape[-1] + pad,))
-            padded[..., : x.shape[-1]] = x
-            out[...] = _fake_quant_numpy(padded, config, np.empty_like(padded))[..., : x.shape[-1]]
-        elif x.ndim < 2 or config.granularity is Granularity.PER_TENSOR:
-            _fake_quant_tile(x, config, out)
-        else:
-            for rows in row_tiles(x.shape[0], x.size // x.shape[0]):
-                _fake_quant_tile(x[rows], config, out[rows])
-    return out
+    return _quantize_numpy(x, config, out)
 
 
 def quantize_dequantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
@@ -355,9 +248,9 @@ def quantize_dequantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     its equivalence.  It is computed fused rather than composed, written
     into a single result buffer with no integer codes: one call into the
     compiled quantizer -- per group absmax, scale, divide, rint, clip,
-    multiply in one loop -- where it runs, else one numpy pass per operator
-    over a cache-resident token tile (:func:`_fake_quant_numpy`).  The
-    composition itself stays the oracle the tests pin both against.
+    multiply in one loop -- where it runs, else the same operators in numpy
+    (:func:`_quantize_numpy`).  The composition itself stays the oracle the
+    tests pin both against.
     """
     x = np.asarray(x, dtype=np.float64)
     return _fake_quant_into(x, config, np.empty(x.shape))
@@ -377,7 +270,8 @@ def _compiled_quantize(entry: Callable) -> Callable:
     writing (a group with a non-finite value, a power-of-two scale past
     ``2**1023``), or it is outside the entry's contract
     (``pot_rounding="nearest"``, codes wider than 8 bits, an empty or 0-d
-    ``x``, an ``out`` not shaped like ``x``).
+    ``x``, an ``out`` -- ``x`` itself included -- that is not a C-contiguous
+    float64 array shaped like ``x``).
     """
     entry.restype = ctypes.c_int
     entry.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
@@ -388,10 +282,11 @@ def _compiled_quantize(entry: Callable) -> Callable:
         if (not x.size or not shape or (config.pot_scale and config.pot_rounding != "ceil")
                 or (out is None and bits > 8)):
             return None
-        if out is not None and out is not x:
+        if out is not None:
             if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
                 return None
-            if x.dtype != np.float64 or not x.flags.c_contiguous or np.may_share_memory(x, out):
+            if out is not x and (x.dtype != np.float64 or not x.flags.c_contiguous
+                                 or np.may_share_memory(x, out)):
                 np.copyto(out, x)  # staged in out (a copy if they overlap), quantized in place
                 x = out
         x = np.ascontiguousarray(x, dtype=np.float64)

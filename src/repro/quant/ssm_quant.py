@@ -243,8 +243,6 @@ class QuantizedSSMStep:
     def __init__(self, config: SSMQuantConfig = SSMQuantConfig()):
         self.config = config
         self._qcfg = config.config()
-        # (D array, D[:, None], |D|[:, None]) derived on first use (see _d_cols).
-        self._static_cache: Optional[Tuple[np.ndarray, ...]] = None
         # Storage type of resident codes (INT8 for the INT8 SSM).
         self._code_int = code_storage_dtype(config.bits)
         self._qmin, self._qmax = self._qcfg.spec.qmin, self._qcfg.spec.qmax
@@ -329,22 +327,6 @@ class QuantizedSSMStep:
             return zeros
         return QuantizedLayerCache(zeros.conv_state, self.quantize_state_codes(zeros.ssm_state))
 
-    def _d_cols(self, params: SSMParams) -> Tuple[np.ndarray, np.ndarray]:
-        """The skip coefficient columns ``D[:, None]`` and ``|D|[:, None]``, cached.
-
-        Keeps the reshape + copy out of the per-token hot loop (``params.A``
-        is already cached by :class:`SSMParams`).  Keyed on the ``D`` array
-        itself, so reassigning ``params.D`` invalidates the cache exactly
-        like reassigning ``A_log`` invalidates ``SSMParams.A``; like there,
-        in-place mutation of the array is not tracked.
-        """
-        cached = self._static_cache
-        if cached is None or cached[0] is not params.D:
-            d_col = np.ascontiguousarray(params.D[:, None])
-            cached = (params.D, d_col, np.abs(d_col))
-            self._static_cache = cached
-        return cached[1:]
-
     def __call__(  # integer-resident
         self,
         params: SSMParams,
@@ -386,7 +368,6 @@ class QuantizedSSMStep:
         resident state the returned state is re-quantized into codes at the
         exit (exact -- the new state is on-grid by construction).
         """
-        d_col, _ = self._d_cols(params)
         resident = isinstance(state, QuantizedSSMState)
         x = self._q(np.asarray(x, dtype=np.float64))
         B = self._q(np.asarray(B, dtype=np.float64))
@@ -413,7 +394,7 @@ class QuantizedSSMStep:
 
         h_mul_c = self._qp(new_state * C[..., None, None, :])
         y_ssm = np.sum(h_mul_c, axis=-1)
-        x_mul_d = self._qp(d_col * x)
+        x_mul_d = self._qp(params.D[:, None] * x)
         y = y_ssm + x_mul_d
         return y, out_state
 

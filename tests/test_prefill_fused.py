@@ -371,7 +371,7 @@ def _reference_prefill_scan(
             final = scan.quantize_state_codes(final)
         return y, final
 
-    A, d_col = params.A, scan._d_cols(params)[0]
+    A, d_col = params.A, params.D[:, None]
     quantize_state = scan.config.quantize_state
 
     # Operand quantization at the SSMU interfaces.  Per-group grids are

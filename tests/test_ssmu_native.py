@@ -550,15 +550,14 @@ def _quant_operand(rng, shape):
 
 
 def _assert_quantizer_equals_numpy(x, config):
-    """Fake-quant values out of place and in place, and (up to 8 bits) codes
-    and scales: the compiled entry takes the call and returns numpy's bytes."""
+    """Fake-quant values out of place, (up to 8 bits) codes and scales, and
+    last the values in place on ``x`` itself: the compiled entry takes every
+    call it can write and returns numpy's bytes; an ``x`` that is not
+    C-contiguous it declines in place, untouched, and the dispatch runs numpy."""
     want = _on_numpy(quantize_dequantize, x, config)
     out = np.empty(x.shape)
     assert COMPILED.quantize(x, config, out) is out
     assert out.tobytes() == want.tobytes()
-    inplace = np.ascontiguousarray(x)
-    assert COMPILED.quantize(inplace, config, inplace) is inplace
-    assert inplace.tobytes() == want.tobytes()
     if config.spec.bits <= 8:
         reference = _on_numpy(quantize, x, config)
         codes, scales = COMPILED.quantize(x, config)
@@ -568,14 +567,23 @@ def _assert_quantizer_equals_numpy(x, config):
         assert scales.tobytes() == reference.scales.tobytes()
     else:
         assert COMPILED.quantize(x, config) is None
+    untouched = x.copy()
+    if x.flags.c_contiguous:
+        assert COMPILED.quantize(x, config, x) is x
+    else:
+        assert COMPILED.quantize(x, config, x) is None
+        assert x.tobytes() == untouched.tobytes()
+        assert _fake_quant_into(x, config, x) is x
+    assert x.tobytes() == want.tobytes()
 
 
 @needs_kernel
 @given(
     seed=st.integers(0, 2**32 - 1),
     granularity=st.sampled_from(list(Granularity)),
-    shape=st.sampled_from([(1,), (40,), (1, 40), (3, 40), (2, 3, 24), (5, 7), (4, 128)]),
-    group_size=st.sampled_from([1, 7, 16, 32, 128]),
+    shape=st.sampled_from([(1,), (40,), (1, 40), (3, 40), (2, 3, 24), (5, 7), (4, 128),
+                           (40, 128)]),
+    group_size=st.sampled_from([1, 2, 3, 7, 16, 24, 32, 128]),
     bits=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]),
     clip_ratio=st.sampled_from([1.0, 0.9, 0.5]),
     pot_scale=st.booleans(),
@@ -587,13 +595,34 @@ def test_compiled_quantizer_matches_numpy(seed, granularity, shape, group_size, 
     """Every granularity (per group with a ragged last group where the group
     length does not divide the row, per token / channel on 1-D and 2-D
     operands), 2- to 16-bit codes, clipping and ceil power-of-two scales, on
-    contiguous and strided operands: the compiled quantizer's bytes are the
-    numpy quantizer's -- the values, the codes, the scales and their shape."""
+    contiguous and strided operands below and past 4 096 elements: the
+    compiled quantizer's bytes are the numpy quantizer's -- the values, the
+    codes, the scales and their shape -- and in place on a strided view the
+    values between its elements stay as they were."""
     rng = np.random.default_rng(seed)
     config = QuantizerConfig(IntSpec(bits), granularity, group_size, clip_ratio, pot_scale)
-    x = _quant_operand(rng, shape[:-1] + (2 * shape[-1],))[..., ::2] if strided else \
-        _quant_operand(rng, shape)
-    _assert_quantizer_equals_numpy(x, config)
+    if not strided:
+        _assert_quantizer_equals_numpy(_quant_operand(rng, shape), config)
+        return
+    wide = _quant_operand(rng, shape[:-1] + (2 * shape[-1],))
+    between = wide[..., 1::2].copy()
+    _assert_quantizer_equals_numpy(wide[..., ::2], config)
+    assert wide[..., 1::2].tobytes() == between.tobytes()
+
+
+@needs_kernel
+def test_quantizer_declines_a_float32_x_as_its_own_out():
+    """A float32 ``x`` that is also the ``out``: the entry declines before
+    reading or writing it, and the dispatch gives numpy's bytes."""
+    x = (np.random.default_rng(11).normal(size=(4, 64)) * 100).astype(np.float32)
+    config = QuantizerConfig(IntSpec(4), Granularity.PER_GROUP, 32)
+    untouched = x.copy()
+    assert COMPILED.quantize(x, config, x) is None
+    assert x.tobytes() == untouched.tobytes()
+    want = untouched.copy()
+    _on_numpy(_fake_quant_into, want, config, want)
+    assert _fake_quant_into(x, config, x) is x
+    assert x.tobytes() == want.tobytes()
 
 
 @needs_kernel
@@ -604,7 +633,7 @@ def test_quantizer_all_zero_groups_sit_at_the_scale_floor():
     x = np.array([[0.0, -0.0, 0.0, -0.0, 3.0, -1e-5, 2e-9, -7.0]])
     for pot_scale in (False, True):
         config = QuantizerConfig(IntSpec(4), Granularity.PER_GROUP, 4, pot_scale=pot_scale)
-        _assert_quantizer_equals_numpy(x, config)
+        _assert_quantizer_equals_numpy(x.copy(), config)
         codes, scales = COMPILED.quantize(x, config)
         assert scales[0, 0, 0] == (2.0**-39 if pot_scale else 1e-12 / 7)
         got = quantize_dequantize(x, config)

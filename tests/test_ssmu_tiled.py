@@ -5,19 +5,19 @@ of the bit-identity suite in ``test_int_decode_iter.py``.  The step cases run
 on whichever executor this machine selects (``repro.quant.native``: the
 compiled ``native.c``'s ``ssmu_step``, or the oracle when there is no
 compiler; ``pytest --no-kernel`` selects the oracle where a compiler exists,
-and ``tests/test_ssmu_native.py`` compares the two directly).  The
-``*_on_the_numpy_tile`` cases run the same bodies on the numpy executor (the
-``no_kernel`` fixture) in every run, so that executor is pinned here too:
+and ``tests/test_ssmu_native.py`` compares the two directly).  Some cases
+also run with the ``no_kernel`` fixture in every run, so the oracle that steps
+the resident state where no library loads is pinned here too:
 
 - the *fused* re-quantization -- small operand pre-aligned by
   ``2**(R - r)``, one uniform half-even right shift by ``R`` -- equals both
   ``np.round`` on the real-valued ratio and the INT64 per-group
   ``shift_requantize(..., "half_even")`` over the full exponent range,
   without ever leaving the accumulator dtype the overflow bound selects;
-- the quantizer's group maximum (``repro.quant.quantizer._group_max``, the
-  pairwise-halving schedule the entry quantizations and the prefill share)
-  equals ``abs().max(-1)`` for every group length (powers of two or not,
-  padded or not), element type and size on either side of its threshold;
+- the quantizer's group maximum, read back from the scales of a per-group
+  ``quantize`` (the compiled entry where it loads), is ``abs().max(-1)`` for
+  every group length (powers of two or not, ragged or not), the values of
+  every storage type, and tiles below and past 4 096 elements;
 - tiling is invisible: row *i* of a batched step is bit-identical (output,
   codes, scales) to the solo step on row *i*, for batch 1..8 and for
   clamped / padded / multi-group state shapes;
@@ -39,6 +39,7 @@ from repro.mamba import Mamba2Config
 from repro.mamba.cache import LayerCache, QuantizedLayerCache
 from repro.mamba.ssm import SSMParams
 from repro.quant import QuantizedChunkedScan, SSMQuantConfig
+from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import (
     absmax_requant_exponents,
     alignment_multiplier,
@@ -48,7 +49,7 @@ from repro.quant.pot import (
     shift_requantize,
     shift_right_half_even,
 )
-from repro.quant.quantizer import _PAIRWISE_MIN_ELEMS, _group_max
+from repro.quant.quantizer import QuantizerConfig, quantize
 
 
 # ----------------------------------------------------------------------
@@ -120,28 +121,30 @@ def test_shift_right_half_even_array_shifts(values, shifts):
     np.testing.assert_array_equal(acc, expected)
 
 
+def _assert_group_scales_are_absmax(x, grouped_magnitudes, group):
+    """The INT8 per-group scales of ``x`` are ``max(absmax, 1e-12) / 127`` of
+    the groups' plain ``max(-1)``, byte for byte."""
+    got = quantize(x, QuantizerConfig(IntSpec(8), Granularity.PER_GROUP, group)).scales
+    want = np.maximum(grouped_magnitudes.max(axis=-1, keepdims=True), 1e-12) / 127
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
 @pytest.mark.parametrize("group", [1, 2, 3, 7, 8, 24, 32])
 def test_group_absmax_matches_reduction(rng, dtype, group):
-    """Below and above the size where ``_group_max`` switches from the plain
-    reduction to pairwise halving."""
-    for lead in (3, -(-_PAIRWISE_MIN_ELEMS // (10 * group))):
-        tile = (rng.normal(size=(lead, 5, 2, group)) * 1000).astype(dtype)
-        magnitudes = np.abs(tile)
-        before = magnitudes.copy()
-        got = _group_max(magnitudes, group)
-        np.testing.assert_array_equal(got.reshape(tile.shape[:-1]), before.max(axis=-1))
-        np.testing.assert_array_equal(magnitudes, before)
-        assert got.dtype == tile.dtype
+    """Tiles below and past 4 096 elements (the compiled quantizer
+    specializes 32-long groups)."""
+    for lead in (3, -(-4096 // (10 * group))):
+        tile = (rng.normal(size=(lead, 5, 2, group)) * 1000).astype(dtype).astype(np.float64)
+        _assert_group_scales_are_absmax(tile.reshape(lead, 5, 2 * group), np.abs(tile), group)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_group_absmax_every_width_and_group(data):
-    """``_group_max`` against the plain reduction: every storage width the
-    quantized SSM uses, extreme codes included, power-of-two groups (halved
-    all the way), odd ones (halved down to the odd factor) and zero-padded
-    last groups as ``_group_reshape`` builds them."""
+    """The values of every storage type the quantized SSM uses, extreme codes
+    included, power-of-two and odd group lengths, and ragged rows whose last
+    group the quantizer zero-pads."""
     dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.float64]), label="dtype")
     group = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32, 3, 6, 7, 24]), label="group")
     shape = data.draw(
@@ -154,14 +157,12 @@ def test_group_absmax_every_width_and_group(data):
         # Symmetric codes: the most negative value is never a code.
         elements = st.integers(-np.iinfo(dtype).max, np.iinfo(dtype).max)
     tile = data.draw(hnp.arrays(dtype, shape + (group,), elements=elements), label="tile")
-    if pad:
-        tile[..., -1, group - pad :] = 0
-    if data.draw(st.booleans(), label="past the pairwise threshold"):
-        tile = np.tile(tile, (-(-_PAIRWISE_MIN_ELEMS // tile.size), 1, 1, 1))
-    magnitudes = np.abs(tile)
-    got = _group_max(magnitudes, group)
-    np.testing.assert_array_equal(got.reshape(tile.shape[:-1]), magnitudes.max(axis=-1))
-    assert got.dtype == tile.dtype
+    if data.draw(st.booleans(), label="past 4096 elements"):
+        tile = np.tile(tile, (-(-4096 // tile.size), 1, 1, 1))
+    tile = tile.astype(np.float64)
+    tile[..., -1, group - pad :] = 0.0
+    row = tile.reshape(tile.shape[:2] + (-1,))
+    _assert_group_scales_are_absmax(row[..., : row.shape[-1] - pad], np.abs(tile), group)
 
 
 # ----------------------------------------------------------------------
