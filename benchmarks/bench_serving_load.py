@@ -1,14 +1,19 @@
-"""Traffic-scale serving load: live HTTP/SSE server + in-process engine.
+"""Deterministic serving load: admission policies, in process and live.
 
 LightMamba's claim is end-to-end serving efficiency -- latency and tokens/s
-under real request streams, not single-prompt microbenchmarks.  This
-benchmark drives the three shipped admission policies
+under real request streams, not single-prompt microbenchmarks.  Its hardware
+pipeline overlaps prefill and decode so the SSMU/MMU units never idle; the
+serving layer's equivalent knob is the *admission policy* -- which waiting
+request gets the next prompt tokens, and how many.  This benchmark drives
+the three shipped policies
 (:class:`~repro.serving.scheduler.FIFOScheduler`,
 :class:`~repro.serving.scheduler.PriorityScheduler`,
 :class:`~repro.serving.scheduler.PagedScheduler`) through seeded workloads
-from :mod:`repro.serving.loadgen` -- Poisson and bursty arrivals,
-heavy-tailed prompt/output lengths, priority mixes, admission deadlines and
-mid-stream client disconnects -- through two drivers:
+from :func:`repro.serving.loadgen.make_traffic` -- Poisson and bursty
+arrivals with heavy-tailed prompt/output lengths, priority mixes, admission
+deadlines and mid-stream client disconnects, and the ``mix`` of short
+high-priority interactive prompts with a tail of long low-priority batch
+prompts -- through two drivers:
 
 - **in-process** (``smoke_*`` / ``full_*`` modes): the engine is called
   directly, one workload per policy per arrival shape;
@@ -23,15 +28,20 @@ mid-stream client disconnects -- through two drivers:
 Per mode and policy it reports p50/p99 TTFT, p50/p99 queue wait (engine
 iterations), p50/p99 time-per-output-token in *token time* (model tokens the
 engine processed between consecutive tokens of a request), finish-reason
-counts, trace hashes and total engine steps -- all deterministic given the
-seed, so the committed ``BENCH_serving_load.json`` (smoke modes beside full
-ones) is an exact regression baseline: ``tests/test_bench_records.py``
-re-runs the smoke modes and compares them with the record field for field.
-Wall-clock throughput belongs to ``benchmarks/e2e``.  Every run is also
-checked token-for-token against the single-sequence reference decoders
-(:func:`~repro.serving.loadgen.verify_against_solo`): completed requests
-must match solo decode exactly and disconnected requests must be exact
-prefixes, end to end through the wire path.
+counts, trace hashes and total engine steps.  The in-process modes add TTFT
+in token time, the short-prompt (interactive) class's TTFT, and
+**decode-stall iterations**: iterations that took more than one page of
+prompt tokens while rows were decoding (unbounded FIFO admission stalls the
+running batch for a whole prompt; the paged ledger bounds it).  All of it is
+deterministic given the seed, so the committed ``BENCH_serving_load.json``
+(smoke modes beside full ones) is an exact regression baseline:
+``tests/test_bench_records.py`` re-runs the smoke modes and compares them
+with the record field for field, and checks the committed full modes against
+:func:`check_claims`.  Wall-clock throughput belongs to ``benchmarks/e2e``.
+Every run is also checked token-for-token against the single-sequence
+reference decoders (:func:`~repro.serving.loadgen.verify_against_solo`):
+completed requests must match solo decode exactly and disconnected requests
+must be exact prefixes, end to end through the wire path.
 
 Re-record directly::
 
@@ -56,9 +66,9 @@ from repro.serving import (
     PriorityScheduler,
 )
 from repro.serving.loadgen import (
+    STALL_PREFILL_TOKENS,
     HarnessResult,
     LoadItem,
-    TrafficShape,
     make_traffic,
     run_inprocess,
     run_live,
@@ -67,7 +77,9 @@ from repro.serving.loadgen import (
 from repro.serving.resilience import ManualClock
 from repro.serving.server import ServerConfig, serve_in_thread
 
-PAGE_TOKENS = 64
+#: The paged policy's page: the prompt tokens one iteration may take, and
+#: the decode-stall threshold every policy is judged against.
+PAGE_TOKENS = STALL_PREFILL_TOKENS
 MAX_BATCH_SIZE = 4
 WORKLOAD_SEED = 0
 
@@ -75,23 +87,20 @@ WORKLOAD_SEED = 0
 #: and requires bit-identical traces across runs.
 LIVE_RUNS = 2
 
-SHAPES: Dict[str, TrafficShape] = {
-    "poisson": TrafficShape(arrival="poisson"),
-    "bursty": TrafficShape(arrival="bursty"),
-}
-
 #: mode name -> (driver, arrival shape, request count).  The record test
 #: replays ``SMOKE_MODES``; the committed record carries them beside
 #: ``full_*``.
 SMOKE_MODES = {
     "smoke_poisson": ("inprocess", "poisson", 24),
     "smoke_bursty": ("inprocess", "bursty", 24),
+    "smoke_mix": ("inprocess", "mix", 12),
     "live_smoke": ("live", "poisson", 12),
 }
 FULL_MODES = {
     **SMOKE_MODES,
     "full_poisson": ("inprocess", "poisson", 96),
     "full_bursty": ("inprocess", "bursty", 96),
+    "full_mix": ("inprocess", "mix", 48),
 }
 
 RECORD = Path(__file__).parent.parent / "BENCH_serving_load.json"
@@ -145,9 +154,7 @@ def bench_serving_load(
         "modes": {},
     }
     for mode, (driver, arrival, n_requests) in modes.items():
-        items = make_traffic(
-            SHAPES[arrival], n_requests, model.config.vocab_size, seed=seed
-        )
+        items = make_traffic(arrival, n_requests, model.config.vocab_size, seed=seed)
         policies: Dict[str, object] = {}
         for name in _policies():
             if driver == "live":
@@ -201,23 +208,43 @@ def format_results(results) -> str:
     return "\n\n".join(blocks)
 
 
+def check_claims(results) -> None:
+    """The claims a full-mode record must keep, whatever its numbers."""
+    for mode, payload in results["modes"].items():
+        policies = payload["policies"]
+        for policy, entry in policies.items():
+            # Exactly-once: every arrival retires with a terminal reason.
+            reasons = entry["finish_reasons"]
+            assert sum(reasons.values()) == payload["n_requests"], (mode, policy)
+        if payload["arrival"] != "mix":
+            # The seeded disconnect mix must actually exercise the cancel path.
+            assert any(
+                entry["metrics"]["cancelled_count"] > 0 for entry in policies.values()
+            ), mode
+    full = {
+        policy: entry["metrics"]
+        for policy, entry in results["modes"]["full_mix"]["policies"].items()
+    }
+    # The paged ledger bounds per-iteration prompt work to the page, so it
+    # never stalls a running decode; unbounded FIFO admission does.
+    assert full["paged"]["decode_stall_iterations"] == 0, full["paged"]
+    assert full["paged"]["max_prefill_tokens_per_iteration"] <= PAGE_TOKENS, full["paged"]
+    assert full["fifo"]["decode_stall_iterations"] > 0, full["fifo"]
+    # Priorities front-run the long batch prompts: the short (interactive)
+    # class sees no worse tail latency than arrival-order admission.
+    assert (
+        full["priority"]["ttft_short_p99_iters"] <= full["fifo"]["ttft_short_p99_iters"]
+    ), (full["priority"], full["fifo"])
+
+
 def test_serving_load(benchmark, save_output):
     results = benchmark.pedantic(
         lambda: bench_serving_load(FULL_MODES), rounds=1, iterations=1
     )
     save_output("serving_load", format_results(results))
     RECORD.write_text(json.dumps(results, indent=2) + "\n")
+    check_claims(results)
 
-    for mode, payload in results["modes"].items():
-        policies = payload["policies"]
-        for policy, entry in policies.items():
-            reasons = entry["finish_reasons"]
-            # Exactly-once: every arrival retires with a terminal reason.
-            assert sum(reasons.values()) == payload["n_requests"], (mode, policy)
-        # The seeded disconnect mix must actually exercise the cancel path.
-        assert any(
-            entry["metrics"]["cancelled_count"] > 0 for entry in policies.values()
-        ), mode
     # Cross-driver parity: the wire path adds no scheduling perturbation --
     # the live server run of a workload matches the in-process run of the
     # same workload on every gated latency metric (engine_steps may differ
@@ -225,7 +252,7 @@ def test_serving_load(benchmark, save_output):
     model = Mamba2Model.from_config(get_preset("mamba2-tiny"), InitConfig(seed=0))
     live_mode = results["modes"]["live_smoke"]
     items = make_traffic(
-        SHAPES[live_mode["arrival"]],
+        live_mode["arrival"],
         live_mode["n_requests"],
         model.config.vocab_size,
         seed=results["seed"],

@@ -30,7 +30,6 @@ from repro.serving import (
     InferenceEngine,
     ManualClock,
     ServerConfig,
-    TrafficShape,
     make_traffic,
     run_live,
     serve_in_thread,
@@ -104,7 +103,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The load harness against a live server, in lockstep bench mode.
     # ------------------------------------------------------------------
-    items = make_traffic(TrafficShape(), 16, model.config.vocab_size, seed=0)
+    items = make_traffic("poisson", 16, model.config.vocab_size, seed=0)
     engine = InferenceEngine(
         model, max_batch_size=4, scheduler=FIFOScheduler(), clock=ManualClock()
     )

@@ -77,7 +77,6 @@ from repro.serving.loadgen import (
     HarnessResult,
     LoadItem,
     RequestRecord,
-    TrafficShape,
     make_traffic,
     run_inprocess,
     run_live,
@@ -138,7 +137,6 @@ __all__ = [
     "ServerConfig",
     "StateCorruptionError",
     "TokenLedger",
-    "TrafficShape",
     "build_workload",
     "make_traffic",
     "run_chaos_soak",

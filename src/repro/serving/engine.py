@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -226,8 +226,6 @@ class EngineStats:
     #: dropped by an injected fault
     callback_errors: int = 0
     callback_drops: int = 0
-    #: batch slots retired from service after attributed corruption
-    slots_quarantined: int = 0
 
     @property
     def tokens_per_decode_call(self) -> float:
@@ -326,8 +324,6 @@ class InferenceEngine:
                 self.runner, resilience, fault_injector,
                 stats=self.stats, clock=self.queue.clock, log=self.resilience_log,
             )
-        #: slots a quarantine verdict retired from service (only a Supervisor issues one)
-        self._retired_slots: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -630,9 +626,11 @@ class InferenceEngine:
     # Internals
     # ------------------------------------------------------------------
     def _free_slots(self) -> List[int]:
-        """Slots a new request may take: empty, unreserved, still in service."""
-        taken = self._prefilling.keys() | self._retired_slots
-        return [i for i, slot in enumerate(self._slots) if slot is None and i not in taken]
+        """Slots a new request may take: empty and not reserved by a prefill."""
+        return [
+            i for i, slot in enumerate(self._slots)
+            if slot is None and i not in self._prefilling
+        ]
 
     def _context(self) -> SchedulerContext:
         """The engine-state snapshot the scheduler plans against."""
@@ -652,7 +650,6 @@ class InferenceEngine:
             free_slots=tuple(self._free_slots()),
             prefilling=prefilling,
             num_decoding=self.num_active,
-            quarantined_slots=tuple(sorted(self._retired_slots)),
         )
 
     def _expire(self) -> List[Completion]:
@@ -793,8 +790,6 @@ class InferenceEngine:
                 )
                 self._log("requeue", entry.request_id, site="prefill", detail=detail)
             else:
-                if verdict.retire_slot:
-                    self._retired_slots.add(slot_idx)
                 entry = self._prefilling.pop(slot_idx, None)
                 if entry is None:
                     completions.append(self._vacate(slot_idx, "error", verdict.error))

@@ -1,8 +1,6 @@
 """Seeded traffic-scale load generation for the serving front-end.
 
-The scheduler benchmarks simulate traffic in iteration space; this module
-turns the same idea into a reusable harness with *realistic traffic shapes*
-and two interchangeable drivers:
+One seeded workload, two interchangeable drivers:
 
 - :func:`run_inprocess` drives an :class:`~repro.serving.engine.InferenceEngine`
   directly (no sockets) -- the fastest way to compare scheduler policies
@@ -12,23 +10,25 @@ and two interchangeable drivers:
   reading SSE token streams, disconnecting mid-stream by closing sockets,
   and advancing the engine in lockstep via ``POST /bench/step``.
 
-Traffic shapes (:class:`TrafficShape`) model what "millions of users" looks
-like in miniature: Poisson or bursty (Markov-modulated) arrival processes,
+:func:`make_traffic` models what "millions of users" looks like in
+miniature: Poisson or bursty (Markov-modulated) arrival processes,
 heavy-tailed (lognormal) prompt and output lengths, a priority mix, seeded
-mid-stream client disconnects, and admission deadlines.  Everything is
-derived from one seed, so a given ``(shape, n_requests, seed)`` triple is
-exactly the same workload everywhere.
+mid-stream client disconnects, and admission deadlines -- or the ``"mix"``
+of short interactive and long batch prompts the admission policies are
+judged on.  Everything is derived from one seed, so a given ``(arrival,
+n_requests, seed)`` triple is exactly the same workload everywhere.
 
 Determinism is the point: both drivers express time in *engine iterations*
 (the live driver holds the engine in bench mode and steps it explicitly, and
 deadlines ride an iteration-granular
 :class:`~repro.serving.resilience.ManualClock`), so every gated metric --
 p50/p99 TTFT, queue wait, time-per-output-token in token time, finish-reason
-counts -- is bit-reproducible across machines.  Wall-clock tokens/sec per
-slot is reported as information only.  :func:`verify_against_solo` closes
-the loop by checking each request's token stream (including disconnected
-prefixes) against the single-sequence reference decoders, end to end through
-the wire path.
+counts, and for the in-process driver token-time TTFT and decode stalls --
+is bit-reproducible across machines.  Wall-clock tokens/sec per slot is
+reported as information only.  :func:`verify_against_solo` closes the loop
+by checking each request's token stream (including disconnected prefixes)
+against the single-sequence reference decoders, end to end through the wire
+path.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "HarnessResult",
     "LoadItem",
     "RequestRecord",
-    "TrafficShape",
     "make_traffic",
     "run_inprocess",
     "run_live",
@@ -60,46 +59,21 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Traffic shapes
+# Traffic
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TrafficShape:
-    """Distributional knobs for one seeded workload.
-
-    ``arrival`` selects the arrival process: ``"poisson"`` draws exponential
-    inter-arrival gaps with mean ``mean_interarrival_iters``; ``"bursty"``
-    modulates the same process with a two-state phase chain (mean phase
-    length ``mean_phase_iters`` iterations) whose burst phase multiplies the
-    arrival rate by ``burst_rate_multiplier`` -- the flash-crowd shape.
-    Prompt and output lengths are lognormal (heavy-tailed) and clipped;
-    ``disconnect_fraction`` of requests hang up mid-stream after a seeded
-    number of received tokens; ``deadline_fraction`` carry an admission
-    deadline in iterations.
-    """
-
-    arrival: str = "poisson"
-    mean_interarrival_iters: float = 2.0
-    burst_rate_multiplier: float = 6.0
-    mean_phase_iters: float = 12.0
-    prompt_log_mean: float = 2.4
-    prompt_log_sigma: float = 0.9
-    max_prompt_tokens: int = 160
-    output_log_mean: float = 1.9
-    output_log_sigma: float = 0.6
-    max_output_tokens: int = 24
-    high_priority_fraction: float = 0.35
-    high_priority: int = 5
-    sampled_fraction: float = 0.25
-    temperature: float = 0.8
-    top_k: int = 32
-    disconnect_fraction: float = 0.15
-    deadline_fraction: float = 0.1
-    deadline_min_iters: int = 6
-    deadline_max_iters: int = 48
-
-    def __post_init__(self) -> None:
-        if self.arrival not in ("poisson", "bursty"):
-            raise ValueError(f"unknown arrival process {self.arrival!r}")
+# The "poisson" / "bursty" workload, in engine iterations.  Bursty traffic
+# modulates the Poisson process with a two-state phase chain whose burst
+# phase multiplies the arrival rate -- the flash-crowd shape.
+MEAN_INTERARRIVAL_ITERS = 2.0
+BURST_RATE_MULTIPLIER = 6.0
+MEAN_PHASE_ITERS = 12.0
+# Lognormal (heavy-tailed) prompt and output lengths, clipped to [1, max].
+PROMPT_LOG_MEAN, PROMPT_LOG_SIGMA, MAX_PROMPT_TOKENS = 2.4, 0.9, 160
+OUTPUT_LOG_MEAN, OUTPUT_LOG_SIGMA, MAX_OUTPUT_TOKENS = 1.9, 0.6, 24
+HIGH_PRIORITY_FRACTION, HIGH_PRIORITY = 0.35, 5
+SAMPLED_FRACTION, TEMPERATURE, TOP_K = 0.25, 0.8, 32
+DISCONNECT_FRACTION = 0.15
+DEADLINE_FRACTION, DEADLINE_MIN_ITERS, DEADLINE_MAX_ITERS = 0.1, 6, 48
 
 
 @dataclass(frozen=True)
@@ -120,64 +94,56 @@ class LoadItem:
 
 
 def make_traffic(
-    shape: TrafficShape,
+    arrival: str,
     n_requests: int,
     vocab_size: int,
     seed: int = 0,
 ) -> List[LoadItem]:
-    """Generate one seeded workload; identical for identical arguments."""
+    """Generate one seeded workload; identical for identical arguments.
+
+    ``arrival`` is ``"poisson"``, ``"bursty"`` or ``"mix"`` (see
+    :func:`_mix_traffic`).
+    """
+    if arrival not in ("poisson", "bursty", "mix"):
+        raise ValueError(f"unknown arrival process {arrival!r}")
     rng = np.random.default_rng(seed)
+    if arrival == "mix":
+        return _mix_traffic(rng, n_requests, vocab_size)
     items: List[LoadItem] = []
     t = 0.0
     in_burst = False
-    phase_left = float(rng.exponential(shape.mean_phase_iters))
+    phase_left = float(rng.exponential(MEAN_PHASE_ITERS))
     for _ in range(n_requests):
         rate = 1.0
-        if shape.arrival == "bursty":
+        if arrival == "bursty":
             if phase_left <= 0.0:
                 in_burst = not in_burst
-                phase_left = float(rng.exponential(shape.mean_phase_iters))
+                phase_left = float(rng.exponential(MEAN_PHASE_ITERS))
             if in_burst:
-                rate = shape.burst_rate_multiplier
-        gap = float(rng.exponential(shape.mean_interarrival_iters / rate))
+                rate = BURST_RATE_MULTIPLIER
+        gap = float(rng.exponential(MEAN_INTERARRIVAL_ITERS / rate))
         t += gap
         phase_left -= gap
-        prompt_len = int(
-            np.clip(
-                round(float(rng.lognormal(shape.prompt_log_mean, shape.prompt_log_sigma))),
-                1,
-                shape.max_prompt_tokens,
-            )
-        )
-        budget = int(
-            np.clip(
-                round(float(rng.lognormal(shape.output_log_mean, shape.output_log_sigma))),
-                1,
-                shape.max_output_tokens,
-            )
-        )
+        prompt_len = _lognormal_length(rng, PROMPT_LOG_MEAN, PROMPT_LOG_SIGMA, MAX_PROMPT_TOKENS)
+        budget = _lognormal_length(rng, OUTPUT_LOG_MEAN, OUTPUT_LOG_SIGMA, MAX_OUTPUT_TOKENS)
         prompt = tuple(int(x) for x in rng.integers(0, vocab_size, size=prompt_len))
-        sampled = rng.random() < shape.sampled_fraction
+        sampled = rng.random() < SAMPLED_FRACTION
         request = Request(
             prompt=prompt,
             max_new_tokens=budget,
-            temperature=shape.temperature if sampled else None,
-            top_k=shape.top_k if sampled else None,
+            temperature=TEMPERATURE if sampled else None,
+            top_k=TOP_K if sampled else None,
             # Explicit seeds keep sampled streams identical no matter which
             # request ids the drivers hand out.
             seed=int(rng.integers(0, 2**31)) if sampled else None,
         )
-        priority = (
-            shape.high_priority if rng.random() < shape.high_priority_fraction else 0
-        )
+        priority = HIGH_PRIORITY if rng.random() < HIGH_PRIORITY_FRACTION else 0
         disconnect_after = None
-        if budget >= 2 and rng.random() < shape.disconnect_fraction:
+        if budget >= 2 and rng.random() < DISCONNECT_FRACTION:
             disconnect_after = int(rng.integers(1, budget))
         deadline_iters = None
-        if rng.random() < shape.deadline_fraction:
-            deadline_iters = int(
-                rng.integers(shape.deadline_min_iters, shape.deadline_max_iters + 1)
-            )
+        if rng.random() < DEADLINE_FRACTION:
+            deadline_iters = int(rng.integers(DEADLINE_MIN_ITERS, DEADLINE_MAX_ITERS + 1))
         items.append(
             LoadItem(
                 submit_step=int(t),
@@ -185,6 +151,45 @@ def make_traffic(
                 priority=priority,
                 deadline_iters=deadline_iters,
                 disconnect_after=disconnect_after,
+            )
+        )
+    return items
+
+
+def _lognormal_length(
+    rng: np.random.Generator, log_mean: float, log_sigma: float, cap: int
+) -> int:
+    return min(max(round(float(rng.lognormal(log_mean, log_sigma))), 1), cap)
+
+
+def _mix_traffic(
+    rng: np.random.Generator, n_requests: int, vocab_size: int
+) -> List[LoadItem]:
+    """Mostly short interactive prompts with a tail of long batch ones.
+
+    Three in four requests are interactive: 4-12 prompt tokens, 6-16 new
+    tokens, priority 2.  The rest are batch: 96-192 prompt tokens, 3-8 new
+    tokens, priority 0.  Arrivals are 0-2 iterations apart.  Every request
+    is greedy and runs to completion: no deadlines, no disconnects.
+    """
+    items: List[LoadItem] = []
+    step = 0
+    for _ in range(n_requests):
+        step += int(rng.integers(0, 3))
+        if rng.random() < 0.75:
+            size = int(rng.integers(4, 13))
+            budget = int(rng.integers(6, 17))
+            priority = 2
+        else:
+            size = int(rng.integers(96, 193))
+            budget = int(rng.integers(3, 9))
+            priority = 0
+        prompt = tuple(int(t) for t in rng.integers(0, vocab_size, size=size))
+        items.append(
+            LoadItem(
+                submit_step=step,
+                request=Request(prompt=prompt, max_new_tokens=budget),
+                priority=priority,
             )
         )
     return items
@@ -232,22 +237,72 @@ class HarnessResult:
     trace_hash: str = ""
 
 
+#: An iteration that takes more prompt tokens than this while rows are
+#: decoding stalls them: a decode stall.
+STALL_PREFILL_TOKENS = 64
+#: Prompts shorter than this are the short (interactive) latency class.
+SHORT_PROMPT_TOKENS = 32
+
+
 def _pct(values: List[float], q: float) -> float:
     if not values:
         return 0.0
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
+def _ledger_metrics(
+    items: Sequence[LoadItem],
+    records: List[RequestRecord],
+    ledger: List[Tuple[int, int, int]],
+) -> Dict[str, float]:
+    """Token-time TTFT, the short class's TTFT and decode stalls.
+
+    ``ledger[s]`` describes engine step ``s + 1``: the model tokens (prompt +
+    decode) processed after it, the prompt tokens it used, and the rows
+    decoding before it.  Token time -- the tokens the engine processed
+    between two steps -- is the wall-time proxy on hardware where every token
+    costs one datapath beat: an iteration count hides a 300-token prompt in
+    one iteration, token time does not.
+    """
+    clock = [0] + [processed for processed, _, _ in ledger]
+    started = [r for r in records if r.ttft_iterations is not None]
+    short = [
+        r for r in started
+        if len(items[r.item_index].request.prompt) < SHORT_PROMPT_TOKENS
+    ]
+
+    def token_time(group: List[RequestRecord]) -> List[int]:
+        return [clock[r.first_token_step] - clock[r.submitted_step] for r in group]
+
+    ttft_tokens, short_tokens = token_time(started), token_time(short)
+    short_iters = [r.ttft_iterations for r in short]
+    stalling = [prefill for _, prefill, decoding in ledger if decoding > 0]
+    return {
+        "ttft_p50_tokens": _pct(ttft_tokens, 50),
+        "ttft_p99_tokens": _pct(ttft_tokens, 99),
+        "ttft_short_p50_iters": _pct(short_iters, 50),
+        "ttft_short_p99_iters": _pct(short_iters, 99),
+        "ttft_short_p50_tokens": _pct(short_tokens, 50),
+        "ttft_short_p99_tokens": _pct(short_tokens, 99),
+        "decode_stall_iterations": float(
+            sum(prefill > STALL_PREFILL_TOKENS for prefill in stalling)
+        ),
+        "max_prefill_tokens_per_iteration": float(max(stalling, default=0)),
+    }
+
+
 def _finalize(
     driver: str,
+    items: Sequence[LoadItem],
     records: List[RequestRecord],
     *,
     engine_steps: int,
     decoded_tokens: int,
     max_batch_size: int,
     elapsed_s: float,
+    ledger: Optional[List[Tuple[int, int, int]]] = None,
 ) -> HarnessResult:
-    """Aggregate records into the gated metrics + info payloads."""
+    """Aggregate records (and a step ledger, if kept) into metrics + info."""
     records = sorted(records, key=lambda r: r.item_index)
     ttft = [r.ttft_iterations for r in records if r.ttft_iterations is not None]
     wait = [
@@ -277,6 +332,8 @@ def _finalize(
         "error_count": float(reasons.get("error", 0)),
         "engine_steps": float(engine_steps),
     }
+    if ledger is not None:
+        metrics.update(_ledger_metrics(items, records, ledger))
     slot_iters = engine_steps * max_batch_size
     info = {
         "finish_reasons": reasons,
@@ -332,6 +389,7 @@ def run_inprocess(
     client disconnects are modelled as :meth:`InferenceEngine.cancel` calls
     issued from the streaming ``on_token`` callback after the scheduled
     number of tokens -- the exact hang-up point a live SSE client produces.
+    The driver also keeps the per-step ledger :func:`_ledger_metrics` folds.
     """
     clock = ManualClock()
     engine = InferenceEngine(
@@ -354,6 +412,7 @@ def run_inprocess(
             engine.cancel(request_id)
 
     completions = []
+    ledger: List[Tuple[int, int, int]] = []
     idx = 0
     start = time.perf_counter()
     while idx < len(items) or engine.has_work:
@@ -372,8 +431,18 @@ def run_inprocess(
             if item.disconnect_after is not None:
                 disconnect_at[request_id] = item.disconnect_after
             idx += 1
+        decoding = engine.num_active
+        prefilled = engine.stats.prefilled_tokens
         completions.extend(engine.step(on_token=on_token))
         clock.advance(1.0)
+        stats = engine.stats
+        ledger.append(
+            (
+                stats.prefilled_tokens + stats.decoded_tokens,
+                stats.prefilled_tokens - prefilled,
+                decoding,
+            )
+        )
     elapsed = time.perf_counter() - start
 
     records = []
@@ -402,11 +471,13 @@ def run_inprocess(
         )
     return _finalize(
         "inprocess",
+        items,
         records,
         engine_steps=engine.stats.engine_steps,
         decoded_tokens=engine.stats.decoded_tokens,
         max_batch_size=max_batch_size,
         elapsed_s=elapsed,
+        ledger=ledger,
     )
 
 
@@ -670,6 +741,7 @@ def run_live(
     _, stats = _request_json(host, port, "GET", "/stats")
     return _finalize(
         "live",
+        items,
         [r for r in records if r is not None],
         engine_steps=int(stats["engine"]["engine_steps"]),
         decoded_tokens=int(stats["engine"]["decoded_tokens"]),

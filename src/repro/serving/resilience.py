@@ -20,9 +20,9 @@ The serving layer's failure semantics live here, apart from the engine loop
   sequential oracle, and the iteration watchdog budget.
 - **The supervisor** -- :class:`Supervisor` wraps a
   :class:`~repro.serving.runner.ModelRunner`, owns all fault state (attempt
-  counts, held snapshots, degraded requests, retired slots) and hands the
-  engine :class:`Verdict` objects, which the engine applies mechanically, as
-  it applies an :class:`~repro.serving.scheduler.AdmissionPlan`.
+  counts, held snapshots, degraded requests) and hands the engine
+  :class:`Verdict` objects, which the engine applies mechanically, as it
+  applies an :class:`~repro.serving.scheduler.AdmissionPlan`.
 - **Accounting** -- :class:`ResilienceLog`: the per-event ledger (rollbacks,
   retries, requeues, degradations, quarantines), the structured counterpart of
   the aggregate counters in :class:`~repro.serving.engine.EngineStats`.
@@ -42,7 +42,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -383,10 +382,6 @@ class ResilienceConfig:
         injected clock); a call exceeding it fails with
         :class:`IterationTimeout` and enters the same retry/quarantine path.
         ``None`` disables the watchdog.
-    ``quarantine_slots``
-        Also retire the *slot* (not just the request) when a corruption
-        fault is attributed to it, modelling a bad memory bank; at least one
-        slot always stays in service.
     """
 
     max_attempts: int = 3
@@ -394,7 +389,6 @@ class ResilienceConfig:
     backoff_cap_iterations: int = 8
     degrade_after: int = 2
     watchdog_budget_s: Optional[float] = None
-    quarantine_slots: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -445,10 +439,9 @@ class ResilienceLog:
     scheduled), ``recovered`` (a faulted request resumed cleanly),
     ``requeue`` (a faulted prefill went back to the queue, progress kept),
     ``degrade`` (fallback to the sequential oracle), ``quarantine``
-    (retired with ``finish_reason="error"``), ``slot_quarantine``,
-    ``watchdog`` (budget exceeded), ``corrupt`` (a row was poisoned),
-    ``callback_drop`` / ``callback_error``, and ``abort`` (a ``run()``
-    guard tripped).
+    (retired with ``finish_reason="error"``), ``watchdog`` (budget
+    exceeded), ``corrupt`` (a row was poisoned), ``callback_drop`` /
+    ``callback_error``, and ``abort`` (a ``run()`` guard tripped).
     """
 
     events: List[ResilienceEvent] = field(default_factory=list)
@@ -467,9 +460,6 @@ class ResilienceLog:
             )
         )
 
-    def actions(self, action: str) -> List[ResilienceEvent]:
-        return [e for e in self.events if e.action == action]
-
     def request_ids(self, *actions: str) -> List[int]:
         """Distinct request ids touched by any of ``actions`` (event order)."""
         seen: List[int] = []
@@ -482,12 +472,6 @@ class ResilienceLog:
     def to_json(self) -> List[Dict[str, object]]:
         return [e.to_json() for e in self.events]
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[ResilienceEvent]:
-        return iter(self.events)
-
 
 # ----------------------------------------------------------------------
 # The supervisor: a runner wrapper that turns faults into verdicts
@@ -496,16 +480,15 @@ class ResilienceLog:
 class Verdict:
     """What the engine must do about the faulted request at ``slot``.
 
-    Every policy choice (attempt budget, backoff, degradation, slot
-    retirement) is already made; the engine applies a verdict mechanically.
+    Every policy choice (attempt budget, backoff, degradation) is already
+    made; the engine applies a verdict mechanically.
     ``"retry"``: the decoding request keeps its slot but sits out select /
     decode until iteration ``step``, when the engine decodes the slot again,
     alone, with its last token.  ``"requeue"``: the prefilling request goes back to
     the queue, progress parked and ``prefill_pos`` kept, invisible to the
     scheduler until iteration ``step`` (``attempts`` goes in the requeue
     event).  ``"quarantine"``: the request retires with
-    ``finish_reason="error"`` and ``error``; with ``retire_slot`` the slot
-    itself also leaves service.
+    ``finish_reason="error"`` and ``error``.
     """
 
     action: str
@@ -513,7 +496,6 @@ class Verdict:
     step: int = 0
     attempts: int = 0
     error: str = ""
-    retire_slot: bool = False
 
 
 @dataclass
@@ -528,7 +510,6 @@ class _Recovery:
 
     request_id: int
     snapshot: InferenceCache
-    corruption: bool = False
 
 
 class Supervisor:
@@ -565,8 +546,6 @@ class Supervisor:
         self._fault_attempts: Dict[int, int] = {}
         #: requests degraded to the sequential-oracle prefill fallback
         self._degraded: Set[int] = set()
-        #: slots retired from service after attributed corruption
-        self._quarantined_slots: Set[int] = set()
 
     # --- the runner's unsupervised calls, passed through ---------------
     def new_cache(self) -> InferenceCache:
@@ -760,10 +739,9 @@ class Supervisor:
         self.stats.rollbacks += 1
         self._log("rollback", request_id, "decode")
         attempts = self._count_fault(request_id)
-        held = self._recovering.setdefault(slot, _Recovery(request_id, row_snapshot))
-        held.corruption |= isinstance(exc, StateCorruptionError)
+        self._recovering.setdefault(slot, _Recovery(request_id, row_snapshot))
         if attempts >= self.config.max_attempts:
-            return self._quarantine(slot, request_id, "decode", exc, held.corruption)
+            return self._quarantine(slot, request_id, "decode", exc)
         retry_step = self.stats.engine_steps + self.config.backoff_iterations(attempts)
         self.stats.retries += 1
         detail = f"attempt {attempts}, retry at step {retry_step}"
@@ -787,8 +765,7 @@ class Supervisor:
             self.stats.degraded += 1
             self._log("degrade", request_id, "prefill", "sequential-oracle fallback")
         if attempts >= self.config.max_attempts:
-            corruption = isinstance(exc, StateCorruptionError)
-            return self._quarantine(slot, request_id, "prefill", exc, corruption)
+            return self._quarantine(slot, request_id, "prefill", exc)
         self.stats.retries += 1
         self.stats.requeued_faults += 1
         hold = self.stats.engine_steps + self.config.backoff_iterations(attempts)
@@ -806,29 +783,11 @@ class Supervisor:
             self.stats.recovered += 1
             self._log("recovered", request_id, site)
 
-    def _quarantine(
-        self, slot: int, request_id: int, site: str, exc: BaseException, corruption: bool
-    ) -> Verdict:
-        """Give up on a request; after attributed corruption, maybe on its slot.
-
-        Slot retirement models a bad memory bank: the slot never re-enters
-        the free list the scheduler sees.  At least one slot always stays in
-        service, so the engine can still drain its queue (slowly) under a
-        corruption storm.
-        """
+    def _quarantine(self, slot: int, request_id: int, site: str, exc: BaseException) -> Verdict:
+        """Give up on a request: it retires with ``finish_reason="error"``."""
         self.stats.quarantined += 1
-        retire_slot = (
-            corruption
-            and self.config.quarantine_slots
-            and slot not in self._quarantined_slots
-            and self.runner.num_slots - len(self._quarantined_slots) > 1
-        )
-        if retire_slot:
-            self._quarantined_slots.add(slot)
-            self.stats.slots_quarantined += 1
-            self._log("slot_quarantine", detail=f"slot {slot}")
         self._log("quarantine", request_id, site, repr(exc))
-        return Verdict("quarantine", slot, error=repr(exc), retire_slot=retire_slot)
+        return Verdict("quarantine", slot, error=repr(exc))
 
     def _record_snapshot(self, snapshot: InferenceCache) -> None:
         """Account a pre-call checkpoint in the stats ledger."""

@@ -66,11 +66,6 @@ class PrefillView:
 class SchedulerContext:
     """Engine state snapshot handed to the scheduler each iteration.
 
-    ``free_slots`` never contains a quarantined slot, so plans that only
-    admit into free slots respect quarantine automatically.
-    ``quarantined_slots`` lists slots the resilience supervisor has retired
-    from service (e.g. after an attributed state-corruption fault): they are
-    neither free nor occupied and must not be targeted by any plan.
     ``num_decoding`` counts occupied slots, including any the supervisor is
     currently holding in retry backoff (they still own their row).
     """
@@ -80,7 +75,6 @@ class SchedulerContext:
     free_slots: Tuple[int, ...]
     prefilling: Tuple[PrefillView, ...]
     num_decoding: int
-    quarantined_slots: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ hook.  The wire protocol is documented in ``src/repro/serving/README.md``.
 Endpoints
 ---------
 ``POST /v1/generate``
-    JSON body ``{"prompt": [ids], "max_new_tokens": n, ...}`` (or
-    ``{"text": ...}`` when the server was built with a tokenizer).  With
+    JSON body ``{"prompt": [ids], "max_new_tokens": n, ...}``.  With
     ``"stream": true`` (the default) the response is an SSE stream:
     ``start`` -> ``token``* -> ``done``; otherwise a single JSON object once
     the request finishes.  ``X-Priority`` and ``X-Deadline-S`` headers (or
@@ -160,12 +159,10 @@ class MambaServer:
         self,
         engine: InferenceEngine,
         config: Optional[ServerConfig] = None,
-        tokenizer=None,
     ):
         # The loop may submit and read occupancy; consumer calls are the engine thread's.
         self.engine = engine  # engine-thread-only: step, cancel
         self.config = config or ServerConfig()
-        self.tokenizer = tokenizer
         self.address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -463,14 +460,9 @@ class MambaServer:
         }
 
     def _build_request(self, payload: Dict[str, Any]) -> Request:
-        if "prompt" in payload:
-            prompt = tuple(int(t) for t in payload["prompt"])
-        elif "text" in payload:
-            if self.tokenizer is None:
-                raise ValueError('"text" prompts need a server-side tokenizer')
-            prompt = tuple(self.tokenizer.encode(str(payload["text"])))
-        else:
-            raise ValueError('body must carry "prompt" (token ids) or "text"')
+        if "prompt" not in payload:
+            raise ValueError('body must carry "prompt" (token ids)')
+        prompt = tuple(int(t) for t in payload["prompt"])
 
         def optional(key: str, cast):
             return cast(payload[key]) if payload.get(key) is not None else None
@@ -579,7 +571,6 @@ class ServerHandle:
 def serve_in_thread(
     engine: InferenceEngine,
     config: Optional[ServerConfig] = None,
-    tokenizer=None,
     startup_timeout_s: float = 10.0,
 ) -> Iterator[ServerHandle]:
     """Run a :class:`MambaServer` on a daemon thread; yields its handle.
@@ -588,7 +579,7 @@ def serve_in_thread(
     end-to-end tests and the demo drive the server from synchronous code.
     The context manager guarantees a graceful drain-and-join on exit.
     """
-    server = MambaServer(engine, config=config, tokenizer=tokenizer)
+    server = MambaServer(engine, config=config)
     started = threading.Event()
     box: Dict[str, Any] = {}
 

@@ -1,12 +1,13 @@
-"""The committed deterministic benchmark records replay exactly.
+"""The committed deterministic benchmark record replays exactly.
 
-``BENCH_scheduler.json`` and ``BENCH_serving_load.json`` hold only
-iteration-space quantities (latencies in engine iterations and token time,
-stall counts, finish reasons, trace hashes), so given the workload seed they
-do not depend on the machine.  Each script's smoke modes are re-run in
-process and must equal the committed record's smoke modes field for field,
-with ``==`` and no tolerance.  After a deliberate behaviour change, re-record
-with ``PYTHONPATH=src python benchmarks/bench_<name>.py``.
+``BENCH_serving_load.json`` holds only iteration-space quantities (latencies
+in engine iterations and token time, stall counts, finish reasons, trace
+hashes), so given the workload seed it does not depend on the machine.  The
+script's smoke modes are re-run in process and must equal the committed
+record's smoke modes field for field, with ``==`` and no tolerance; the
+committed full modes must keep the script's claims (:func:`check_claims`).
+After a deliberate behaviour change, re-record with
+``PYTHONPATH=src python benchmarks/bench_serving_load.py``.
 """
 
 import importlib.util
@@ -43,10 +44,22 @@ def _first_difference(committed, fresh, path="record"):
     return None
 
 
-@pytest.mark.parametrize("name", ["scheduler", "serving_load"])
+@pytest.mark.parametrize("name", ["serving_load"])
 def test_smoke_modes_equal_committed_record(name):
     script = _load_script(name)
     fresh = json.loads(json.dumps(getattr(script, f"bench_{name}")(script.SMOKE_MODES)))
     committed = json.loads((ROOT / f"BENCH_{name}.json").read_text())
     committed["modes"] = {mode: committed["modes"][mode] for mode in script.SMOKE_MODES}
     assert fresh == committed, _first_difference(committed, fresh)
+
+
+def test_committed_record_keeps_its_claims():
+    """A hand re-record cannot commit numbers that break the policy claims.
+
+    On ``full_mix`` the paged policy never stalls a decode and never takes
+    more than its page of prompt tokens in an iteration, FIFO does stall,
+    and priority's short-class p99 TTFT is no worse than FIFO's; in every
+    mode each policy's finish reasons add up to the request count.
+    """
+    script = _load_script("serving_load")
+    script.check_claims(json.loads(script.RECORD.read_text()))

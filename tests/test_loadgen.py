@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.serving import FIFOScheduler, InferenceEngine, PagedScheduler, PriorityScheduler
 from repro.serving.loadgen import (
-    TrafficShape,
+    DEADLINE_MIN_ITERS,
+    MAX_OUTPUT_TOKENS,
+    MAX_PROMPT_TOKENS,
     make_traffic,
     run_inprocess,
     run_live,
@@ -21,16 +25,15 @@ VOCAB = 512
 class TestMakeTraffic:
     @pytest.mark.parametrize("arrival", ["poisson", "bursty"])
     def test_seeded_and_shaped(self, arrival):
-        shape = TrafficShape(arrival=arrival)
-        items = make_traffic(shape, 32, VOCAB, seed=7)
-        again = make_traffic(shape, 32, VOCAB, seed=7)
+        items = make_traffic(arrival, 32, VOCAB, seed=7)
+        again = make_traffic(arrival, 32, VOCAB, seed=7)
         assert items == again
-        assert items != make_traffic(shape, 32, VOCAB, seed=8)
+        assert items != make_traffic(arrival, 32, VOCAB, seed=8)
         steps = [item.submit_step for item in items]
         assert steps == sorted(steps)
         for item in items:
-            assert 1 <= len(item.request.prompt) <= shape.max_prompt_tokens
-            assert 1 <= item.request.max_new_tokens <= shape.max_output_tokens
+            assert 1 <= len(item.request.prompt) <= MAX_PROMPT_TOKENS
+            assert 1 <= item.request.max_new_tokens <= MAX_OUTPUT_TOKENS
             assert all(0 <= t < VOCAB for t in item.request.prompt)
             if item.disconnect_after is not None:
                 # disconnects are always mid-generation: strictly before the
@@ -39,11 +42,11 @@ class TestMakeTraffic:
             if item.request.temperature is not None:
                 assert item.request.seed is not None  # driver-independent sampling
             if item.deadline_iters is not None:
-                assert item.deadline_iters >= shape.deadline_min_iters
+                assert item.deadline_iters >= DEADLINE_MIN_ITERS
 
     def test_unknown_arrival_rejected(self):
         with pytest.raises(ValueError):
-            TrafficShape(arrival="thundering-herd")
+            make_traffic("thundering-herd", 4, VOCAB)
 
 
 class TestInprocessDriver:
@@ -53,7 +56,7 @@ class TestInprocessDriver:
         ids=["fifo", "priority", "paged"],
     )
     def test_exactly_once_and_solo_exact(self, tiny_model, scheduler_factory):
-        items = make_traffic(TrafficShape(), 12, tiny_model.config.vocab_size, seed=3)
+        items = make_traffic("poisson", 12, tiny_model.config.vocab_size, seed=3)
         result = run_inprocess(tiny_model, scheduler_factory(), items)
         assert result.n_requests == len(items)
         assert {r.item_index for r in result.records} == set(range(len(items)))
@@ -63,14 +66,22 @@ class TestInprocessDriver:
         assert result.metrics == again.metrics
 
     def test_disconnects_cancel_and_deadlines_expire(self, tiny_model):
-        shape = TrafficShape(
-            disconnect_fraction=0.5,
-            deadline_fraction=0.5,
-            deadline_min_iters=1,
-            deadline_max_iters=2,
-            mean_interarrival_iters=0.5,
-        )
-        items = make_traffic(shape, 24, tiny_model.config.vocab_size, seed=5)
+        # Heavy disconnects and short deadlines, four arrivals an iteration:
+        # even items hang up after their first token, odd ones must be
+        # admitted within one or two iterations.
+        items = [
+            dataclasses.replace(
+                item,
+                submit_step=index // 4,
+                disconnect_after=(
+                    1 if index % 2 == 0 and item.request.max_new_tokens >= 2 else None
+                ),
+                deadline_iters=1 + index % 4 // 2 if index % 2 else None,
+            )
+            for index, item in enumerate(
+                make_traffic("poisson", 24, tiny_model.config.vocab_size, seed=5)
+            )
+        ]
         result = run_inprocess(tiny_model, FIFOScheduler(), items, max_batch_size=1)
         assert result.metrics["cancelled_count"] > 0
         assert result.metrics["expired_count"] > 0
@@ -86,7 +97,7 @@ class TestInprocessDriver:
 
 class TestLiveDriver:
     def test_live_matches_inprocess_and_is_deterministic(self, tiny_model):
-        items = make_traffic(TrafficShape(), 10, tiny_model.config.vocab_size, seed=2)
+        items = make_traffic("poisson", 10, tiny_model.config.vocab_size, seed=2)
         reference = run_inprocess(tiny_model, FIFOScheduler(), items)
         live_results = []
         for _ in range(2):

@@ -13,6 +13,8 @@ from repro.serving import (
     RequestQueue,
     Scheduler,
     TokenLedger,
+    make_traffic,
+    run_inprocess,
 )
 from repro.serving.resilience import ManualClock
 from test_lifecycle import replay
@@ -514,22 +516,13 @@ class TestDeterminism:
 
 
 class TestBenchWorkloadDeterminism:
-    """The seeded bench_scheduler workload reproduces its admission trace."""
+    """The seeded mix workload of the serving benchmark replays exactly."""
 
     def test_bench_workload_admission_trace_is_deterministic(self, tiny_model):
-        import sys
-        from pathlib import Path
-
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-        try:
-            from bench_scheduler import make_workload, run_policy
-        finally:
-            sys.path.pop(0)
-
-        workload_a = make_workload(tiny_model.config.vocab_size, n_requests=10, seed=3)
-        workload_b = make_workload(tiny_model.config.vocab_size, n_requests=10, seed=3)
+        workload_a = make_traffic("mix", 10, tiny_model.config.vocab_size, seed=3)
+        workload_b = make_traffic("mix", 10, tiny_model.config.vocab_size, seed=3)
         assert workload_a == workload_b
-        result_a = run_policy(tiny_model, PagedScheduler(page_tokens=8), workload_a)
-        result_b = run_policy(tiny_model, PagedScheduler(page_tokens=8), workload_b)
-        assert result_a["admission_trace"] == result_b["admission_trace"]
-        assert result_a["metrics"] == result_b["metrics"]
+        result_a = run_inprocess(tiny_model, PagedScheduler(page_tokens=8), workload_a)
+        result_b = run_inprocess(tiny_model, PagedScheduler(page_tokens=8), workload_b)
+        assert result_a.trace_hash == result_b.trace_hash
+        assert result_a.metrics == result_b.metrics

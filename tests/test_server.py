@@ -157,9 +157,11 @@ class TestWireProtocol:
             )
             assert status == 400
             # Non-finite sampling / deadline input: json.dumps writes NaN and
-            # Infinity literals, and json.loads accepts them.
+            # Infinity literals, and json.loads accepts them.  Prompts are
+            # token ids only: a text prompt is a bad body too.
             nan, inf = float("nan"), float("inf")
             for body, headers in (
+                ({"text": "hi"}, None),
                 ({"prompt": [1, 2, 3], "temperature": nan, "seed": 1}, None),
                 ({"prompt": [1, 2, 3], "temperature": inf, "seed": 1}, None),
                 ({"prompt": [1, 2, 3]}, {"X-Deadline-S": "nan"}),
