@@ -76,7 +76,16 @@ def _require_compatible(op: str, target, sources: Sequence, rows: Optional[int] 
             )
 
 
-@dataclass
+def _channel_minor(logical: np.ndarray) -> np.ndarray:
+    """The C-contiguous array whose last two axes, swapped, are ``logical``.
+
+    No copy when ``logical`` already is such a view (of another state's
+    storage, or of the compiled step's outputs).
+    """
+    stored = np.swapaxes(logical, -1, -2)
+    return stored if stored.flags.c_contiguous else np.ascontiguousarray(stored)
+
+
 class QuantizedSSMState:
     """The SSM hidden state ``h`` resident as integer codes + scales.
 
@@ -96,12 +105,45 @@ class QuantizedSSMState:
     (``(nheads, headdim, d_state)``, plus an optional leading batch axis), so
     rows are taken and put like an array's: ``state[rows]`` and
     ``state[rows] = src``, the latter checked like every row write.
+
+    **Storage order** is channel-minor: :attr:`storage` holds the codes as
+    ``(..., nheads, d_state, headdim)`` and the scales as ``(..., nheads,
+    n_groups, headdim)``, both C-contiguous, so a head's channels lie side by
+    side -- the vector lanes the compiled decode step runs them in
+    (``native.c``'s head tile), read and written in place.  ``codes`` and
+    ``scales`` are views of that storage in the shapes above (writes go
+    through; assigning either stores the new values channel-minor).  Every
+    row operation keeps the order, so no step transposes the state.
     """
 
-    codes: np.ndarray
-    scales: np.ndarray
-    group_size: int
-    bits: int = 8
+    def __init__(self, codes: np.ndarray, scales: np.ndarray, group_size: int, bits: int = 8):
+        self.storage = (_channel_minor(codes), _channel_minor(scales[..., 0]))
+        self.group_size = group_size
+        self.bits = bits
+
+    @classmethod
+    def _stored(cls, codes: np.ndarray, scales: np.ndarray, group_size: int, bits: int):
+        """A state around channel-minor storage (made C-contiguous if it is not)."""
+        state = cls.__new__(cls)
+        state.storage = (np.ascontiguousarray(codes), np.ascontiguousarray(scales))
+        state.group_size, state.bits = group_size, bits
+        return state
+
+    @property
+    def codes(self) -> np.ndarray:
+        return np.swapaxes(self.storage[0], -1, -2)
+
+    @codes.setter
+    def codes(self, codes: np.ndarray) -> None:
+        self.storage = (_channel_minor(codes), self.storage[1])
+
+    @property
+    def scales(self) -> np.ndarray:
+        return np.swapaxes(self.storage[1], -1, -2)[..., None]
+
+    @scales.setter
+    def scales(self, scales: np.ndarray) -> None:
+        self.storage = (self.storage[0], _channel_minor(scales[..., 0]))
 
     @property
     def shape(self) -> tuple:
@@ -110,59 +152,59 @@ class QuantizedSSMState:
     @property
     def size(self) -> int:
         """Scalars held by the resident state (codes plus scales)."""
-        return int(self.codes.size + self.scales.size)
+        return int(self.storage[0].size + self.storage[1].size)
 
     @property
     def layout(self) -> tuple:
         """What two states must share to exchange rows: (codes dtype, bits, group_size)."""
-        return (self.codes.dtype, self.bits, self.group_size)
+        return (self.storage[0].dtype, self.bits, self.group_size)
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the float state (``codes * scales``, group-wise).
 
         This is the cheap direction -- a multiply, no absmax / rounding -- and
-        the only numeric operation the container performs itself.
+        the only numeric operation the container performs itself.  It runs
+        in storage order and returns the logical shape (a view).
         """
-        d_state = self.codes.shape[-1]
+        codes, scales = self.storage
+        d_state = codes.shape[-2]
         group = min(self.group_size, d_state)
         n_groups = -(-d_state // group)
         pad = n_groups * group - d_state
-        codes = self.codes.astype(np.float64)
+        codes = codes.astype(np.float64)
         if pad:
-            pad_width = [(0, 0)] * (codes.ndim - 1) + [(0, pad)]
+            pad_width = [(0, 0)] * (codes.ndim - 2) + [(0, pad), (0, 0)]
             codes = np.pad(codes, pad_width)
-        grouped = codes.reshape(*codes.shape[:-1], n_groups, group)
-        values = (grouped * self.scales).reshape(*codes.shape[:-1], -1)
-        if pad:
-            values = values[..., :d_state]
-        return values
+        grouped = codes.reshape(*codes.shape[:-2], n_groups, group, codes.shape[-1])
+        values = (grouped * scales[..., None, :]).reshape(codes.shape)
+        return np.swapaxes(values[..., :d_state, :], -1, -2)
 
     def copy(self) -> "QuantizedSSMState":
-        return QuantizedSSMState(
-            self.codes.copy(), self.scales.copy(), self.group_size, self.bits
-        )
+        codes, scales = self.storage
+        return self._stored(codes.copy(), scales.copy(), self.group_size, self.bits)
 
     def __getitem__(self, index) -> "QuantizedSSMState":
         """Rows ``index``, as an array indexes them: an index array copies, an int gives views."""
-        return QuantizedSSMState(self.codes[index], self.scales[index], self.group_size, self.bits)
+        codes, scales = self.storage
+        return self._stored(codes[index], scales[index], self.group_size, self.bits)
 
     def __setitem__(self, indices, src: "QuantizedSSMState") -> None:
         """Write the rows of batched ``src`` into rows ``indices``, checked first."""
         indices = np.asarray(indices, dtype=np.int64)
         _require_compatible("scatter", self, [src], rows=indices.size)
-        self.codes[indices] = src.codes
-        self.scales[indices] = src.scales
+        self.storage[0][indices] = src.storage[0]
+        self.storage[1][indices] = src.storage[1]
 
     @classmethod
     def stack(cls, states: Sequence["QuantizedSSMState"]) -> "QuantizedSSMState":
         """Single-sequence states stacked into one batched state, checked first."""
         first = states[0]
         _require_compatible("stack", first, states[1:])
-        return cls(
-            codes=np.stack([s.codes for s in states]),
-            scales=np.stack([s.scales for s in states]),
-            group_size=first.group_size,
-            bits=first.bits,
+        return cls._stored(
+            np.stack([s.storage[0] for s in states]),
+            np.stack([s.storage[1] for s in states]),
+            first.group_size,
+            first.bits,
         )
 
     def exact_equal(self, other: "QuantizedSSMState") -> bool:
@@ -177,8 +219,8 @@ class QuantizedSSMState:
         return (
             self.group_size == other.group_size
             and self.bits == other.bits
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.scales, other.scales)
+            and np.array_equal(self.storage[0], other.storage[0])
+            and np.array_equal(self.storage[1], other.storage[1])
         )
 
     def resident_bytes(self) -> float:
@@ -188,7 +230,11 @@ class QuantizedSSMState:
         each -- the hardware representation the paper's on-chip state buffer
         uses (re-quantization is a shift, so no mantissa is ever needed).
         """
-        return self.codes.size * self.bits / 8.0 + self.scales.size * 1.0
+        return self.storage[0].size * self.bits / 8.0 + self.storage[1].size * 1.0
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(shape={self.shape}, dtype={self.storage[0].dtype}, "
+                f"group_size={self.group_size}, bits={self.bits})")
 
 
 @dataclass

@@ -7,9 +7,9 @@
  *   x / B / C of the in-projection and the per-head Delta / A_bar of the
  *   non-linear units to the readout y, the new INT8 state codes and their PoT
  *   scales -- with the state-sized middle (B_bar (.) x, A_bar (.) h + add,
- *   state re-quantization, h (.) C + readout) as one pipeline per line of
- *   state.  Its reference, and the fallback wherever it does not run, is the
- *   fake-quant oracle QuantizedSSMStep._step_oracle.
+ *   state re-quantization, h (.) C + readout) as one pipeline per head.  Its
+ *   reference, and the fallback wherever it does not run, is the fake-quant
+ *   oracle QuantizedSSMStep._step_oracle.
  * - fwht: the fast Walsh-Hadamard transform of the HTU.  Its reference and
  *   fallback is the textbook butterfly repro.quant.hadamard._fwht_numpy.
  * - quantize_groups: the symmetric quantizer's round trip over groups of a
@@ -34,8 +34,8 @@
  * - the half-even shift is pot.shift_right_half_even in INT32 (the
  *   ssm-decode-step bounds of repro.analysis.overflow: int8 codes, products
  *   below 2**15, aligned products below qmax * 2**R + 2**(R-1));
- * - the readout reproduces numpy's pairwise summation over the first n
- *   elements of a line (np.einsum's order is not bit-identical);
+ * - the readout reproduces numpy's pairwise summation over the n state rows
+ *   of each channel (np.einsum's order is not bit-identical);
  * - the butterflies pair and order as the textbook in-place network (span 1,
  *   2, 4, ...), then divide by sqrt(n).
  *
@@ -46,9 +46,11 @@
  * instead of computing on infinite grids.  The quantizer declines the same
  * two cases (QUANT_DECLINED) before writing anything, and numpy runs them.
  *
- * Within a line of state each stage runs across all groups before the next
- * stage starts: a group's absmax -> exponent -> pass -> absmax chain is
- * serial, the chains of different groups overlap.
+ * The state is stored channel-minor -- codes (rows, heads, n, dim), scales
+ * (rows, heads, groups, dim) -- and the step's tile is a head: each stage
+ * runs across all of a head's channels at once, one channel per vector lane,
+ * a group of state rows at a time.  The per-group exponent derivations are
+ * vector code too; a lane calls libm only in the rare band and range above.
  */
 #include <math.h>
 #include <stdint.h>
@@ -67,27 +69,6 @@ enum {
                        * power of two, the oracle runs the rest */
     NO_MEMORY = -1,  /* scratch allocation failed; nothing usable written */
 };
-
-typedef struct {
-    int64_t amax3;  /* max |Delta (.) B code| of the group (per head) */
-    int64_t amax;   /* integer group absmax: the stored codes, then h (.) C */
-    double wmax;    /* group absmax of the wide state sum */
-    double m5;      /* A_bar (.) h re-quantization multiplier a_bar * 2**(e_h - e5) */
-    double factor;  /* 2**shift of the coming pass, 0.0 when it needs libm ldexp */
-    int32_t shift;  /* exponent (difference) of the coming pass */
-    int32_t e5, e6; /* the A_bar (.) h grid, the new state grid */
-    int32_t mul;    /* pre-aligned x code, then the h (.) C alignment multiplier */
-} group_t;
-
-/* What every line of one call shares: the layout, the width, the scratch. */
-typedef struct {
-    int64_t groups, glen, n; /* groups of glen codes per line; the readout sums n */
-    double qmax;
-    int32_t full, bias; /* the uniform shift R = 2 * bits and its rounding bias */
-    group_t *gr;
-    double *wide;
-    int32_t *acc;
-} tile_t;
 
 /* An exponent as libm's int: past +-2**30 every ldexp is 0 or inf already. */
 static inline int32_t clamp_exponent(int64_t e)
@@ -160,9 +141,8 @@ static inline int32_t requant_exponent(double absmax, double qmax)
  * all-zero one or one every product of which rounds to zero. */
 static inline int32_t alignment(int64_t amax, int64_t shift, int32_t full)
 {
-    if (amax <= 0 || shift > full)
-        return 0;
-    return full - shift < 32 ? (int32_t)(UINT32_C(1) << (full - shift)) : 0;
+    const int64_t left = full - shift;
+    return amax > 0 && left >= 0 && left < 32 ? (int32_t)(UINT32_C(1) << (left & 31)) : 0;
 }
 
 /* pot.shift_right_half_even with the uniform shift R (bias = 2**(R-1) - 1). */
@@ -171,206 +151,491 @@ static inline int32_t half_even(int32_t acc, int32_t full, int32_t bias)
     return (acc + ((acc >> full) & 1) + bias) >> full;
 }
 
-/* numpy's pairwise sum of a contiguous run (DOUBLE_pairwise_sum): below 8 a
- * plain loop, up to 128 eight running accumulators combined as a tree plus a
- * serial tail, above that halves (the first a multiple of 8) summed apart. */
-static double pairwise_sum(const double *a, int64_t n)
+/* The lane loops want the full vector width: GCC tunes AVX-512 cores to
+ * 256-bit vectors by default, which runs the tile 1.35x slower on one.  The
+ * FWHT and the quantizer below keep the default. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#pragma GCC push_options
+#pragma GCC target("prefer-vector-width=512")
+#endif
+#if defined(__GNUC__) && !defined(__clang__)
+#define DISJOINT _Pragma("GCC ivdep") /* a pass's arrays never overlap: no runtime alias checks */
+#else
+#define DISJOINT
+#endif
+
+/* ------------------------------------------------------------------------
+ * Lanes: a head's channels side by side, one per vector lane
+ * ------------------------------------------------------------------------
+ * Every loop over j below runs over the channels of a head, unit stride in
+ * the channel-minor state, and compiles to vector code with the compiler's
+ * own remainder lanes: portable C, no ISA intrinsics. */
+
+/* ldexp_exact in a lane loop.  Fast: the multiply by 2**e from the exponent
+ * bits, a lane past |e| > EXACT_POW2 flagged in *slow; else the scalar
+ * reference. */
+static inline __attribute__((always_inline)) double
+ldexp_lane(double v, int64_t e, uint64_t *slow, const int fast)
 {
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        memcpy(r, a, sizeof r);
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+    if (!fast)
+        return ldexp_exact(v, e);
+    const int64_t inside = e >= -EXACT_POW2 && e <= EXACT_POW2;
+    const uint64_t bits = (uint64_t)((inside ? e : 0) + 1023) << 52;
+    double factor;
+    memcpy(&factor, &bits, sizeof factor);
+    *slow |= (uint64_t)!inside;
+    return v * factor;
 }
 
-/* Test entries: the two derivations that must reproduce numpy and are easy to get
- * wrong -- pot.absmax_requant_exponents and np.sum's pairwise order. */
-void ssmu_requant_exponents(const double *absmax, int64_t count, int32_t bits, int32_t *out)
+/* requant_exponent in a lane loop.  Fast: the floors, the divide and the
+ * exponent bits, a lane whose mantissa lies within 2**16 ulps above a power
+ * of two (where log2 may round down) flagged in *slow; else the scalar
+ * reference, which asks libm there. */
+static inline __attribute__((always_inline)) int32_t
+requant_lane(double absmax, double qmax, uint64_t *slow, const int fast)
 {
-    const double qmax = (double)((1 << (bits - 1)) - 1);
-    for (int64_t i = 0; i < count; i++)
-        out[i] = requant_exponent(absmax[i], qmax);
+    if (!fast)
+        return requant_exponent(absmax, qmax);
+    const double q = (absmax > MIN_SCALE ? absmax : MIN_SCALE) / qmax;
+    const double scale = q > MIN_SCALE ? q : MIN_SCALE;
+    uint64_t bits;
+    memcpy(&bits, &scale, sizeof bits);
+    const uint64_t mantissa = bits & ((UINT64_C(1) << 52) - 1);
+    *slow |= mantissa - 1 < (UINT64_C(1) << 16) - 1; /* 0 < mantissa < 2**16 */
+    return (int32_t)((bits >> 52) & 0x7ff) - 1023 + (mantissa != 0);
 }
 
-double ssmu_pairwise_sum(const double *a, int64_t n)
+/* pow2_factor in a lane loop, a lane that needs libm ldexp flagged in *slow. */
+static inline __attribute__((always_inline)) double factor_lane(int32_t e, uint64_t *slow)
 {
-    return 0.0 + pairwise_sum(a, n);
+    const int64_t inside = e >= -EXACT_POW2 && e <= EXACT_POW2;
+    const uint64_t bits = inside ? (uint64_t)(e + 1023) << 52 : 0;
+    double factor;
+    memcpy(&factor, &bits, sizeof factor);
+    *slow |= (uint64_t)!inside;
+    return factor;
 }
 
 /* ------------------------------------------------------------------------
- * The tile: one line of state through the four stages
- * ------------------------------------------------------------------------ */
-static int tile_open(tile_t *t, int64_t groups, int64_t glen, int64_t n, int32_t bits)
+ * The readout: numpy's pairwise sum within each lane, a row at a time
+ * ------------------------------------------------------------------------
+ * np.sum over n values (DOUBLE_pairwise_sum) splits n > 128 into halves, the
+ * first a multiple of 8, down to leaves of at most 128 values; a leaf below
+ * 8 is a plain loop from 0.0, a longer one eight running accumulators
+ * combined as a tree, then a serial tail; the leaf sums add up as the halves
+ * nest.  Here the n values of each lane arrive in order, a row of lanes at
+ * a time. */
+typedef struct {
+    int64_t lanes, n, row; /* the rows so far */
+    int64_t leaf, start;   /* the current leaf and its first row */
+    int64_t *len;          /* each leaf's rows, in order */
+    double *r;             /* 8 x lanes: the running accumulators */
+    double *sums;          /* a row per leaf */
+} pairwise_t;
+
+static int64_t pairwise_leaves(int64_t n, int64_t *len)
 {
-    const int64_t line = groups * glen;
-    t->groups = groups, t->glen = glen, t->n = n;
+    if (n <= 128) {
+        if (len)
+            *len = n;
+        return 1;
+    }
+    const int64_t half = n / 2 - n / 2 % 8, left = pairwise_leaves(half, len);
+    return left + pairwise_leaves(n - half, len ? len + left : NULL);
+}
+
+static int pairwise_open(pairwise_t *p, int64_t n, int64_t lanes)
+{
+    const int64_t leaves = pairwise_leaves(n, NULL);
+    p->lanes = lanes, p->n = n, p->row = p->leaf = p->start = 0;
+    p->len = malloc((size_t)leaves * sizeof *p->len);
+    p->r = calloc((size_t)((8 + leaves) * lanes + 1), sizeof *p->r); /* n = 0 sums to 0.0 */
+    p->sums = p->r ? p->r + 8 * lanes : NULL;
+    if (!p->len || !p->r)
+        return NO_MEMORY;
+    pairwise_leaves(n, p->len);
+    return 0;
+}
+
+static void pairwise_close(pairwise_t *p)
+{
+    free(p->len), free(p->r);
+}
+
+static void pairwise_tree(const pairwise_t *p, double *restrict sum)
+{
+    const int64_t lanes = p->lanes;
+    const double *restrict r = p->r;
+    for (int64_t j = 0; j < lanes; j++)
+        sum[j] = ((r[j] + r[lanes + j]) + (r[2 * lanes + j] + r[3 * lanes + j]))
+                 + ((r[4 * lanes + j] + r[5 * lanes + j]) + (r[6 * lanes + j] + r[7 * lanes + j]));
+}
+
+/* The next rows of values (row i at v + i * lanes, one value per lane) into
+ * their places in the sums: eight rows at a time where they fill the
+ * accumulators once each, else a row at a time. */
+static void pairwise_push(pairwise_t *p, const double *restrict v, int64_t rows)
+{
+    const int64_t lanes = p->lanes;
+    while (rows > 0) {
+        const int64_t len = p->len[p->leaf], at = p->row - p->start, body = len - len % 8;
+        double *restrict sum = p->sums + p->leaf * lanes;
+        int64_t taken = 1;
+        if (len >= 8 && at < body && at % 8 == 0 && rows >= 8) {
+            taken = 8;
+            if (at == 0)
+                memcpy(p->r, v, (size_t)(8 * lanes) * sizeof *v);
+            else
+                for (int64_t j = 0; j < 8 * lanes; j++)
+                    p->r[j] += v[j];
+        } else if (len >= 8 && at < body) {
+            double *restrict r = p->r + at % 8 * lanes;
+            if (at < 8)
+                memcpy(r, v, (size_t)lanes * sizeof *r);
+            else
+                for (int64_t j = 0; j < lanes; j++)
+                    r[j] += v[j];
+        } else {
+            if (len < 8 && at == 0)
+                for (int64_t j = 0; j < lanes; j++)
+                    sum[j] = 0.0;
+            else if (len >= 8 && at == body)
+                pairwise_tree(p, sum);
+            for (int64_t j = 0; j < lanes; j++)
+                sum[j] += v[j];
+        }
+        v += taken * lanes, rows -= taken, p->row += taken;
+        if (p->row - p->start < len)
+            continue;
+        if (len >= 8 && len % 8 == 0) /* no tail: the tree is the sum */
+            pairwise_tree(p, sum);
+        p->leaf++, p->start = p->row;
+    }
+}
+
+/* The leaves of n rows from *leaf on added up as the halves nest, into the
+ * first one's row. */
+static double *pairwise_add_leaves(pairwise_t *p, int64_t n, int64_t *leaf)
+{
+    if (n <= 128)
+        return p->sums + (*leaf)++ * p->lanes;
+    const int64_t half = n / 2 - n / 2 % 8;
+    double *restrict left = pairwise_add_leaves(p, half, leaf);
+    const double *restrict right = pairwise_add_leaves(p, n - half, leaf);
+    for (int64_t j = 0; j < p->lanes; j++)
+        left[j] += right[j];
+    return left;
+}
+
+/* The n rows pushed since the last call, summed per lane; starts over. */
+static const double *pairwise_total(pairwise_t *p)
+{
+    int64_t leaf = 0;
+    p->row = p->leaf = p->start = 0;
+    return pairwise_add_leaves(p, p->n, &leaf);
+}
+
+/* Test entries: the tile's two derivations that must reproduce numpy and
+ * are easy to get wrong -- pot.absmax_requant_exponents and np.sum's pairwise
+ * order -- run as the tile runs them, one value per lane. */
+void ssmu_requant_exponents(const double *absmax, int64_t count, int32_t bits, int32_t *out)
+{
+    const double qmax = (double)((1 << (bits - 1)) - 1);
+    uint64_t slow = 0;
+    for (int64_t j = 0; j < count; j++)
+        out[j] = requant_lane(absmax[j], qmax, &slow, 1);
+    if (slow)
+        for (int64_t j = 0; j < count; j++)
+            out[j] = requant_lane(absmax[j], qmax, &slow, 0);
+}
+
+/* a: n rows of lanes values; out[j] = np.sum(a[:, j]) summed as a contiguous run. */
+int ssmu_pairwise_sum(const double *a, int64_t n, int64_t lanes, double *out)
+{
+    pairwise_t p;
+    if (pairwise_open(&p, n, lanes)) {
+        pairwise_close(&p);
+        return NO_MEMORY;
+    }
+    pairwise_push(&p, a, n);
+    const double *sum = pairwise_total(&p);
+    for (int64_t j = 0; j < lanes; j++)
+        out[j] = 0.0 + sum[j];
+    pairwise_close(&p);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * The tile: a head's channels through the four stages, a group at a time
+ * ------------------------------------------------------------------------ */
+
+/* What every (row, head) of one call shares: the layout, the width, the
+ * scratch of one group of state rows. */
+typedef struct {
+    int64_t groups, glen, n, lanes; /* groups of glen state rows (the last maybe past n) */
+    double qmax;
+    int32_t full, bias; /* the uniform shift R = 2 * bits and its rounding bias */
+    int32_t exact;      /* every lane's factor is set: the coming pass only multiplies */
+    double *m5;         /* A_bar (.) h re-quantization multiplier a_bar * 2**(e_h - e5) */
+    double *factor;     /* 2**shift of the coming pass, 0.0 where it needs libm ldexp */
+    double *wmax;       /* absmax of the wide state sum */
+    double *wide;       /* glen x lanes: the state sum, then the readout terms */
+    int32_t *e5, *e6;   /* the A_bar (.) h grid, the new state grid */
+    int32_t *shift;     /* exponent (difference) of the coming pass */
+    int32_t *mul;       /* pre-aligned x code, then the h (.) C alignment multiplier */
+    int32_t *amax;      /* absmax of h (.) C */
+    int32_t *acc;       /* glen x lanes: h (.) C */
+    uint8_t *amax8;     /* absmax of the stored codes */
+    pairwise_t sum;     /* the readout */
+} tile_t;
+
+static int tile_open(tile_t *t, int64_t groups, int64_t glen, int64_t n, int64_t lanes,
+                     int32_t bits)
+{
+    const size_t block = (size_t)(glen * lanes), lane = (size_t)lanes;
+    t->groups = groups, t->glen = glen, t->n = n, t->lanes = lanes;
     t->qmax = (double)((1 << (bits - 1)) - 1);
     t->full = 2 * bits, t->bias = (1 << (t->full - 1)) - 1;
-    t->wide = malloc((size_t)line * sizeof *t->wide);
-    t->acc = malloc((size_t)line * sizeof *t->acc);
-    t->gr = malloc((size_t)groups * sizeof *t->gr);
-    return t->wide && t->acc && t->gr ? 0 : NO_MEMORY;
+    t->m5 = malloc((3 * lane + block) * sizeof *t->m5);
+    t->e5 = malloc((5 * lane + block) * sizeof *t->e5);
+    t->amax8 = malloc(lane);
+    const int opened = pairwise_open(&t->sum, n, lanes);
+    if (!t->m5 || !t->e5 || !t->amax8 || opened)
+        return NO_MEMORY;
+    t->factor = t->m5 + lane, t->wmax = t->factor + lane;
+    t->wide = t->wmax + lane;
+    t->e6 = t->e5 + lane, t->shift = t->e6 + lane, t->mul = t->shift + lane;
+    t->amax = t->mul + lane, t->acc = t->amax + lane;
+    return 0;
 }
 
 static void tile_close(tile_t *t)
 {
-    free(t->wide), free(t->acc), free(t->gr);
+    free(t->m5), free(t->e5), free(t->amax8), pairwise_close(&t->sum);
 }
 
-/* Per (row, head): the group maxima of its Delta (.) B codes. */
-static void tile_head(tile_t *t, const int8_t *c3_h)
-{
-    for (int64_t k = 0; k < t->groups; k++) {
-        int32_t m = 0;
-        for (int64_t i = 0; i < t->glen; i++) {
-            int32_t v = c3_h[k * t->glen + i];
-            v = v < 0 ? -v : v;
-            m = v > m ? v : m;
-        }
-        t->gr[k].amax3 = m;
-    }
-}
+enum { GRID_SLOW = 1, GRID_PAST = 2 }; /* a lane needs libm; a grid past MAX_EXPONENT */
 
-/* One (row, head, channel) line: the resident codes h on the grids e_h in,
- * the new codes and their grids e6 out, the readout added to *y.  The head's
- * Delta (.) B codes c3_h / e3_h (after tile_head), the channel's x code cx at
- * ex, the row's C codes cc_r / e_c_r.  STEP_ORACLE when a grid would pass
- * MAX_EXPONENT (outputs then partial).  Inlined into tile_line with glen a
- * constant where it is the default group length, so those group loops
- * compile to straight vector code. */
+/* The grids of a group's state add: A_bar (.) h's absmax runs on the stored
+ * codes (the per-head scalar folds into the multiplier); B_bar (.) x's
+ * exponents add, max |a_i * b| = max |a_i| * |b|, and the shift count folds
+ * into the x code (R - r left). */
 static inline __attribute__((always_inline)) int
-tile_line_at(tile_t *t, const int64_t glen, const int8_t *restrict h, const int32_t *e_h,
-             double a_bar, const int8_t *restrict c3_h, const int32_t *e3_h, int32_t cx,
-             int32_t ex, const int8_t *restrict cc_r, const int32_t *e_c_r,
-             int8_t *restrict out, int32_t *e6_out, double *y)
+state_grids(tile_t *t, const int64_t lanes, const int32_t *restrict e_h, double a_bar, int32_t amax3, int32_t e3,
+            const int8_t *restrict cx, const int32_t *restrict ex, const int fast)
 {
-    const int64_t groups = t->groups;
-    const int32_t full = t->full, bias = t->bias;
+    const int32_t full = t->full;
     const double qmax = t->qmax;
-    const int64_t x_abs = cx < 0 ? -(int64_t)cx : cx;
-    group_t *restrict gr = t->gr;
-    double *restrict wide = t->wide;
-    int32_t *restrict acc = t->acc;
+    const uint8_t *restrict amax8 = t->amax8;
+    double *restrict m5 = t->m5, *restrict factor = t->factor;
+    int32_t *restrict e5 = t->e5, *restrict e4 = t->e6, *restrict mul = t->mul;
+    int32_t *restrict shift = t->shift;
+    uint64_t slow = 0, past = 0, inexact = 0;
+    for (int64_t j = 0; j < lanes; j++) {
+        const int32_t amax4 = amax3 * (cx[j] < 0 ? -cx[j] : cx[j]);
+        const int64_t e4_src = (int64_t)e3 + ex[j];
+        e4[j] = requant_lane(ldexp_lane((double)amax4, e4_src, &slow, fast), qmax, &slow, fast);
+        mul[j] = cx[j] * alignment(amax4, e4[j] - e4_src, full);
+    }
+    for (int64_t j = 0; j < lanes; j++) {
+        e5[j] = requant_lane(ldexp_lane(a_bar * (double)amax8[j], e_h[j], &slow, fast), qmax,
+                             &slow, fast);
+        m5[j] = ldexp_lane(a_bar, (int64_t)e_h[j] - e5[j], &slow, fast);
+    }
+    for (int64_t j = 0; j < lanes; j++) {
+        past |= (uint64_t)(e5[j] > MAX_EXPONENT) | (uint64_t)(e4[j] > MAX_EXPONENT);
+        shift[j] = clamp_exponent((int64_t)e4[j] - e5[j]);
+        factor[j] = factor_lane(shift[j], &inexact);
+    }
+    t->exact = !inexact;
+    return slow ? GRID_SLOW : past ? GRID_PAST : 0;
+}
 
-    /* Grids: the A_bar (.) h absmax runs on the stored codes. */
-    for (int64_t k = 0; k < groups; k++) {
-        int32_t m = 0;
-        for (int64_t i = 0; i < glen; i++) {
-            int32_t v = h[k * glen + i];
-            v = v < 0 ? -v : v;
-            m = v > m ? v : m;
+/* The new state grid e6, which the resident scales record. */
+static inline __attribute__((always_inline)) int new_state_grid(tile_t *t, const int64_t lanes, const int fast)
+{
+    const double qmax = t->qmax;
+    const double *restrict wmax = t->wmax;
+    const int32_t *restrict e5 = t->e5;
+    double *restrict factor = t->factor;
+    int32_t *restrict e6 = t->e6, *restrict shift = t->shift;
+    uint64_t slow = 0, past = 0, inexact = 0;
+    for (int64_t j = 0; j < lanes; j++) {
+        e6[j] = requant_lane(ldexp_lane(wmax[j], e5[j], &slow, fast), qmax, &slow, fast);
+        past |= (uint64_t)(e6[j] > MAX_EXPONENT);
+        shift[j] = clamp_exponent((int64_t)e5[j] - e6[j]);
+        factor[j] = factor_lane(shift[j], &inexact);
+    }
+    t->exact = !inexact;
+    return slow ? GRID_SLOW : past ? GRID_PAST : 0;
+}
+
+/* The h (.) C grid e7: aligned like B_bar (.) x, decoded at e7. */
+static inline __attribute__((always_inline)) int readout_grid(tile_t *t, const int64_t lanes, int32_t e_c,
+                                                              const int fast)
+{
+    const int32_t full = t->full;
+    const double qmax = t->qmax;
+    const int32_t *restrict e6 = t->e6, *restrict amax = t->amax;
+    double *restrict factor = t->factor;
+    int32_t *restrict mul = t->mul, *restrict shift = t->shift;
+    uint64_t slow = 0, past = 0, inexact = 0;
+    for (int64_t j = 0; j < lanes; j++) {
+        const int64_t e7_src = (int64_t)e6[j] + e_c;
+        const int32_t e7 = requant_lane(ldexp_lane((double)amax[j], e7_src, &slow, fast), qmax,
+                                        &slow, fast);
+        past |= (uint64_t)(e7 > MAX_EXPONENT);
+        mul[j] = alignment(amax[j], e7 - e7_src, full);
+        shift[j] = e7;
+        factor[j] = factor_lane(e7, &inexact);
+    }
+    t->exact = !inexact;
+    return slow ? GRID_SLOW : past ? GRID_PAST : 0;
+}
+
+/* 1 + 2 over the group's rows: c4 = (c3 * x_aligned) >> R; c5 = rint(h * m5);
+ * their sum relative to the e5 grid, and its absmax per lane. */
+static inline __attribute__((always_inline)) void
+state_sum(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *restrict h, const int8_t *restrict c3,
+          const int exact)
+{
+    const double *restrict m5 = t->m5, *restrict factor = t->factor;
+    const int32_t *restrict mul = t->mul, *restrict shift = t->shift;
+    const int32_t full = t->full, bias = t->bias;
+    double *restrict wide = t->wide, *restrict wmax = t->wmax;
+    for (int64_t j = 0; j < lanes; j++)
+        wmax[j] = 0.0;
+    for (int64_t i = 0; i < rows; i++) {
+        const int32_t c3_i = c3[i];
+        DISJOINT for (int64_t j = 0; j < lanes; j++) {
+            const double c4 = (double)half_even(c3_i * mul[j], full, bias);
+            const double w = rint((double)h[i * lanes + j] * m5[j])
+                             + (exact ? c4 * factor[j] : scaled(c4, shift[j], factor[j]));
+            const double magnitude = fabs(w);
+            wide[i * lanes + j] = w;
+            wmax[j] = magnitude > wmax[j] ? magnitude : wmax[j];
         }
-        gr[k].amax = m;
     }
-    for (int64_t k = 0; k < groups; k++) {
-        group_t *g = &gr[k];
-        /* A_bar (.) h: the per-head scalar folds into the multiplier. */
-        const int64_t eh = e_h[k];
-        g->e5 = requant_exponent(ldexp_exact(a_bar * (double)g->amax, eh), qmax);
-        g->m5 = ldexp_exact(a_bar, eh - g->e5);
-        /* B_bar (.) x: exponents add, max |a_i * b| = max |a_i| * |b|;
-         * the shift count folds into the x code (R - r left). */
-        const int64_t e4_src = (int64_t)e3_h[k] + ex;
-        const int64_t amax4 = g->amax3 * x_abs;
-        const int64_t e4 = requant_exponent(ldexp_exact((double)amax4, e4_src), qmax);
-        if (g->e5 > MAX_EXPONENT || e4 > MAX_EXPONENT)
-            return STEP_ORACLE;
-        g->mul = cx * alignment(amax4, e4 - e4_src, full);
-        g->shift = clamp_exponent(e4 - g->e5);
-        g->factor = pow2_factor(g->shift);
-    }
-    /* 1 + 2. c4 = (c3 * x_aligned) >> R; c5 = rint(h * m5); their sum
-     * relative to the e5 grid, and its group absmax (the bit pattern of a
-     * non-negative double orders like its value). */
-    for (int64_t k = 0; k < groups; k++) {
-        const double m5 = gr[k].m5, factor = gr[k].factor;
-        const int32_t mul = gr[k].mul, shift = gr[k].shift;
-        uint64_t amax = 0;
-        for (int64_t i = k * glen; i < (k + 1) * glen; i++) {
-            const int32_t c4 = half_even(c3_h[i] * mul, full, bias);
-            const double w = rint((double)h[i] * m5) + scaled((double)c4, shift, factor);
-            uint64_t magnitude;
-            wide[i] = w;
-            memcpy(&magnitude, &w, sizeof magnitude);
-            magnitude &= UINT64_MAX >> 1;
-            amax = magnitude > amax ? magnitude : amax;
+}
+
+/* 3 over the group's rows: the sum onto the new state grid e6 (no clip: the
+ * grid is the absmax's), the codes out, h (.) C and its absmax per lane. */
+static inline __attribute__((always_inline)) void
+requantize(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *restrict cc, int8_t *restrict out,
+           const int exact)
+{
+    const double *restrict wide = t->wide, *restrict factor = t->factor;
+    const int32_t *restrict shift = t->shift;
+    int32_t *restrict acc = t->acc, *restrict amax = t->amax;
+    for (int64_t j = 0; j < lanes; j++)
+        amax[j] = 0;
+    for (int64_t i = 0; i < rows; i++) {
+        const int32_t cc_i = cc[i];
+        DISJOINT for (int64_t j = 0; j < lanes; j++) {
+            const double w = wide[i * lanes + j];
+            const int8_t code = (int8_t)rint(exact ? w * factor[j] : scaled(w, shift[j], factor[j]));
+            const int32_t hc = code * cc_i, magnitude = hc < 0 ? -hc : hc;
+            out[i * lanes + j] = code;
+            acc[i * lanes + j] = hc;
+            amax[j] = magnitude > amax[j] ? magnitude : amax[j];
         }
-        memcpy(&gr[k].wmax, &amax, sizeof amax);
     }
-    /* 3. The sum re-quantizes onto the fresh per-group grid that becomes the
-     * resident state (no clip: the grid is the absmax's). */
-    for (int64_t k = 0; k < groups; k++) {
-        group_t *g = &gr[k];
-        g->e6 = requant_exponent(ldexp_exact(g->wmax, g->e5), qmax);
-        if (g->e6 > MAX_EXPONENT)
-            return STEP_ORACLE;
-        g->shift = clamp_exponent((int64_t)g->e5 - g->e6);
-        g->factor = pow2_factor(g->shift);
-        e6_out[k] = g->e6;
-    }
-    for (int64_t k = 0; k < groups; k++) {
-        const double factor = gr[k].factor;
-        const int32_t shift = gr[k].shift;
-        int32_t amax = 0;
-        for (int64_t i = k * glen; i < (k + 1) * glen; i++) {
-            const int8_t code = (int8_t)rint(scaled(wide[i], shift, factor));
-            int32_t hc = code * cc_r[i], v;
-            out[i] = code;
-            acc[i] = hc;
-            v = hc < 0 ? -hc : hc;
-            amax = v > amax ? v : amax;
+}
+
+/* 4 over the group's rows: h (.) C aligned, shifted by R, decoded at e7,
+ * into the readout's sums. */
+static inline __attribute__((always_inline)) void
+readout_terms(tile_t *t, const int64_t lanes, int64_t rows, const int exact)
+{
+    const int32_t *restrict acc = t->acc, *restrict mul = t->mul, *restrict shift = t->shift;
+    const double *restrict factor = t->factor;
+    const int32_t full = t->full, bias = t->bias;
+    double *restrict wide = t->wide;
+    for (int64_t i = 0; i < rows; i++)
+        DISJOINT for (int64_t j = 0; j < lanes; j++) {
+            const double v = (double)half_even(acc[i * lanes + j] * mul[j], full, bias);
+            wide[i * lanes + j] = exact ? v * factor[j] : scaled(v, shift[j], factor[j]);
         }
-        gr[k].amax = amax;
-    }
-    /* 4. h (.) C: aligned, shifted by R, decoded at e7 for the readout. */
+    pairwise_push(&t->sum, wide, rows);
+}
+
+/* One (row, head), its channels side by side: the resident codes h (state
+ * row i of channel j at i * lanes + j) and their grids e_h (group k at
+ * k * lanes + j) in, the new codes and their scales out, the readout added
+ * to y[j].  The head's Delta (.) B codes c3 with grids e3 and group maxima
+ * amax3, the x codes cx at ex, the row's C codes cc at e_c.  A group at a
+ * time, each stage across the lanes: a group's grids depend on its own rows
+ * only, so they stay in cache from stage to stage.  Rows past n of a short
+ * last group are zero codes (the oracle zero-pads), which move no absmax
+ * and no sum: the tile skips them.  STEP_ORACLE when a grid would pass
+ * MAX_EXPONENT (outputs then partial).  Inlined into tile with glen a
+ * constant where it is the default group length. */
+static inline __attribute__((always_inline)) int
+tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restrict h, const int32_t *restrict e_h,
+        double a_bar, const int8_t *c3, const int32_t *e3, const int32_t *amax3,
+        const int8_t *cx, const int32_t *ex, const int8_t *cc, const int32_t *e_c,
+        int8_t *restrict out, double *restrict scales_out, double *restrict y)
+{
+    const int64_t groups = t->groups, n = t->n;
     for (int64_t k = 0; k < groups; k++) {
-        group_t *g = &gr[k];
-        const int64_t e7_src = (int64_t)g->e6 + e_c_r[k];
-        const int64_t e7 = requant_exponent(ldexp_exact((double)g->amax, e7_src), qmax);
-        if (e7 > MAX_EXPONENT)
+        const int64_t lo = k * glen, rows = (lo + glen < n ? lo + glen : n) - lo;
+        const int8_t *restrict hk = h + lo * lanes;
+        uint8_t *restrict amax8 = t->amax8;
+        int grid;
+        memset(amax8, 0, (size_t)lanes);
+        for (int64_t i = 0; i < rows; i++)
+            for (int64_t j = 0; j < lanes; j++) {
+                const uint8_t magnitude = (uint8_t)(hk[i * lanes + j] < 0 ? -hk[i * lanes + j]
+                                                                          : hk[i * lanes + j]);
+                amax8[j] = magnitude > amax8[j] ? magnitude : amax8[j];
+            }
+        if ((grid = state_grids(t, lanes, e_h + k * lanes, a_bar, amax3[k], e3[k], cx, ex, 1)) == GRID_SLOW)
+            grid = state_grids(t, lanes, e_h + k * lanes, a_bar, amax3[k], e3[k], cx, ex, 0);
+        if (grid)
             return STEP_ORACLE;
-        g->mul = alignment(g->amax, e7 - e7_src, full);
-        g->shift = (int32_t)e7;
-        g->factor = pow2_factor(g->shift);
+        if (t->exact)
+            state_sum(t, lanes, rows, hk, c3 + lo, 1);
+        else
+            state_sum(t, lanes, rows, hk, c3 + lo, 0);
+        if ((grid = new_state_grid(t, lanes, 1)) == GRID_SLOW)
+            grid = new_state_grid(t, lanes, 0);
+        if (grid)
+            return STEP_ORACLE;
+        for (int64_t j = 0; j < lanes; j++)
+            scales_out[k * lanes + j] = pow2(t->e6[j]);
+        if (t->exact)
+            requantize(t, lanes, rows, cc + lo, out + lo * lanes, 1);
+        else
+            requantize(t, lanes, rows, cc + lo, out + lo * lanes, 0);
+        if ((grid = readout_grid(t, lanes, e_c[k], 1)) == GRID_SLOW)
+            grid = readout_grid(t, lanes, e_c[k], 0);
+        if (grid)
+            return STEP_ORACLE;
+        if (t->exact)
+            readout_terms(t, lanes, rows, 1);
+        else
+            readout_terms(t, lanes, rows, 0);
     }
-    for (int64_t k = 0; k < groups; k++) {
-        const double factor = gr[k].factor;
-        const int32_t mul = gr[k].mul, shift = gr[k].shift;
-        for (int64_t i = k * glen; i < (k + 1) * glen; i++)
-            wide[i] = scaled((double)half_even(acc[i] * mul, full, bias), shift, factor);
-    }
-    *y = *y + (0.0 + pairwise_sum(wide, t->n));
+    const double *sum = pairwise_total(&t->sum);
+    for (int64_t j = 0; j < lanes; j++)
+        y[j] = y[j] + (0.0 + sum[j]);
     return STEP_DONE;
 }
 
-#define DEFAULT_GLEN 32 /* SSMQuantConfig's group size, the length of every default group */
+#define DEFAULT_GLEN 32  /* SSMQuantConfig's group size, the length of every default group */
+#define DEFAULT_LANES 64 /* Mamba2Config's headdim, the channels of every default head */
 
-static int tile_line(tile_t *t, const int8_t *h, const int32_t *e_h, double a_bar,
-                     const int8_t *c3_h, const int32_t *e3_h, int32_t cx, int32_t ex,
-                     const int8_t *cc_r, const int32_t *e_c_r,
-                     int8_t *out, int32_t *e6_out, double *y)
+static int tile(tile_t *t, const int8_t *h, const int32_t *e_h, double a_bar, const int8_t *c3,
+                const int32_t *e3, const int32_t *amax3, const int8_t *cx, const int32_t *ex,
+                const int8_t *cc, const int32_t *e_c, int8_t *out, double *scales_out, double *y)
 {
+    if (t->glen == DEFAULT_GLEN && t->lanes == DEFAULT_LANES)
+        return tile_at(t, DEFAULT_GLEN, DEFAULT_LANES, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc,
+                       e_c, out, scales_out, y);
     if (t->glen == DEFAULT_GLEN)
-        return tile_line_at(t, DEFAULT_GLEN, h, e_h, a_bar, c3_h, e3_h, cx, ex, cc_r, e_c_r,
-                            out, e6_out, y);
-    return tile_line_at(t, t->glen, h, e_h, a_bar, c3_h, e3_h, cx, ex, cc_r, e_c_r,
-                        out, e6_out, y);
+        return tile_at(t, DEFAULT_GLEN, t->lanes, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc, e_c, out,
+                       scales_out, y);
+    return tile_at(t, t->glen, t->lanes, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc, e_c, out, scales_out, y);
 }
 
 /* ------------------------------------------------------------------------
@@ -378,25 +643,28 @@ static int tile_line(tile_t *t, const int8_t *h, const int32_t *e_h, double a_ba
  * ------------------------------------------------------------------------ */
 static int all_finite(const double *v, int64_t count)
 {
-    int finite = 1;
-    for (int64_t i = 0; i < count; i++)
-        finite &= isfinite(v[i]) != 0;
-    return finite;
+    uint64_t nonfinite = 0;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t bits;
+        memcpy(&bits, &v[i], sizeof bits);
+        nonfinite |= (uint64_t)((bits & (UINT64_MAX >> 1)) >= UINT64_C(0x7ff0000000000000));
+    }
+    return !nonfinite;
 }
 
 /* pot.pot_exponent for scales that are normal powers of two; 0 when one is
  * anything else (STEP_NOT_POT). */
 static int pot_exponents(const double *scales, int64_t count, int32_t *e)
 {
-    int normal = 1;
+    uint64_t other = 0;
     for (int64_t i = 0; i < count; i++) {
         uint64_t bits;
         memcpy(&bits, &scales[i], sizeof bits);
         const uint64_t field = bits >> 52; /* the sign is bit 11 of it */
-        normal &= (bits & ((UINT64_C(1) << 52) - 1)) == 0 && field >= 1 && field <= 2046;
+        other |= (uint64_t)((bits & ((UINT64_C(1) << 52) - 1)) != 0) | (uint64_t)(field - 1 > 2045);
         e[i] = (int32_t)field - 1023;
     }
-    return normal;
+    return !other;
 }
 
 /* The oracle's entry quantization of one run of len values in groups of glen
@@ -441,12 +709,13 @@ static inline int32_t fold_exponent(double scalar_abs, int32_t amax, int32_t e, 
 }
 
 /* Shapes (C order): x, y (rows, heads, dim); B, C (rows, n); dt, delta,
- * a_bar (rows, heads); D (heads); ch, codes_out (rows, heads, dim, n) int8;
- * scales, scales_out (rows, heads, dim, groups) with the state's groups of
- * min(group_size, n).  Writes y, the new codes and their scales (exact powers
- * of two) and returns STEP_DONE; or returns STEP_ORACLE (a non-finite operand,
- * a grid past MAX_EXPONENT), STEP_NOT_POT (a scale that is not a normal power
- * of two) or NO_MEMORY, the outputs then undefined. */
+ * a_bar (rows, heads); D (heads); the state channel-minor: ch, codes_out
+ * (rows, heads, n, dim) int8, scales, scales_out (rows, heads, groups, dim)
+ * with the state's groups of min(group_size, n) along n.  Writes y, the new
+ * codes and their scales (exact powers of two) and returns STEP_DONE; or
+ * returns STEP_ORACLE (a non-finite operand, a grid past MAX_EXPONENT),
+ * STEP_NOT_POT (a scale that is not a normal power of two) or NO_MEMORY, the
+ * outputs then undefined. */
 int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group_size,
               int32_t bits,
               const double *x, const double *B, const double *C, const double *dt,
@@ -471,18 +740,16 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
     tile_t t;
     int32_t *e_h = malloc((size_t)(lines * groups + 5 * groups + 2 * xgroups + dim + 1)
                           * sizeof *e_h);
-    int8_t *codes = malloc((size_t)(5 * line + xgroups * xlen));
-    int status = tile_open(&t, groups, glen, n, bits);
+    int8_t *codes = malloc((size_t)(3 * line + xgroups * xlen));
+    int status = tile_open(&t, groups, glen, n, dim, bits);
     if (!e_h || !codes || status) {
         free(e_h), free(codes), tile_close(&t);
         return NO_MEMORY;
     }
     int32_t *e_b = e_h + lines * groups, *e_c = e_b + groups, *amax_b = e_c + groups;
-    int32_t *e3 = amax_b + groups, *e6 = e3 + groups, *e_x = e6 + groups;
+    int32_t *e3 = amax_b + groups, *amax3 = e3 + groups, *e_x = amax3 + groups;
     int32_t *amax_x = e_x + xgroups, *ex = amax_x + xgroups;
-    int8_t *cb = codes, *cc = cb + line, *c3 = cc + line, *h_pad = c3 + line;
-    int8_t *out_pad = h_pad + line, *cx = out_pad + line;
-    memset(h_pad, 0, (size_t)line);
+    int8_t *cb = codes, *cc = cb + line, *c3 = cc + line, *cx = c3 + line;
 
     if (!pot_exponents(scales, lines * groups, e_h))
         status = STEP_NOT_POT;
@@ -516,32 +783,30 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
                     break;
                 }
                 const double m3 = ldexp_exact(delta[rh], (int64_t)e_b[k] - e3[k]);
-                for (int64_t i = k * glen; i < (k + 1) * glen; i++)
-                    c3[i] = (int8_t)rint_clip((double)cb[i] * m3, qmax);
-            }
-            if (status)
-                break;
-            tile_head(&t, c3);
-            for (int64_t ch_i = 0; !status && ch_i < dim; ch_i++) {
-                const int64_t ln = rh * dim + ch_i;
-                const int8_t *h = ch + ln * n;
-                int8_t *out = line == n ? codes_out + ln * n : out_pad;
-                if (line != n) { /* a short last group: run the zero-padded line */
-                    memcpy(h_pad, h, (size_t)n);
-                    h = h_pad;
+                int32_t m = 0;
+                for (int64_t i = k * glen; i < (k + 1) * glen; i++) {
+                    const int32_t c = (int32_t)rint_clip((double)cb[i] * m3, qmax);
+                    const int32_t magnitude = c < 0 ? -c : c;
+                    c3[i] = (int8_t)c;
+                    m = magnitude > m ? magnitude : m;
                 }
-                status = tile_line(&t, h, e_h + ln * groups, a_bar[rh], c3, e3, cx[ch_i],
-                                   ex[ch_i], cc, e_c, out, e6, y + ln);
-                if (out == out_pad)
-                    memcpy(codes_out + ln * n, out_pad, (size_t)n);
-                for (int64_t k = 0; k < groups; k++)
-                    scales_out[ln * groups + k] = pow2(e6[k]);
+                amax3[k] = m;
             }
+            /* The head's channels side by side, straight from the
+             * channel-minor state. */
+            if (!status)
+                status = tile(&t, ch + rh * n * dim, e_h + rh * groups * dim, a_bar[rh], c3, e3,
+                              amax3, cx, ex, cc, e_c, codes_out + rh * n * dim,
+                              scales_out + rh * groups * dim, y + rh * dim);
         }
     }
     free(e_h), free(codes), tile_close(&t);
     return status;
 }
+
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#pragma GCC pop_options
+#endif
 
 /* ------------------------------------------------------------------------
  * The HTU: fast Walsh-Hadamard transform
@@ -580,7 +845,8 @@ enum {
     QUANT_DECLINED = 1, /* a non-finite group or a grid past MAX_EXPONENT */
 };
 
-/* The bit pattern of a run's absmax (as in tile_line_at). */
+/* The bit pattern of a run's absmax: a non-negative double's bits order like
+ * its value, and a NaN's lie above +inf's. */
 static inline uint64_t magnitude_max(const double *v, int64_t count)
 {
     uint64_t m = 0;

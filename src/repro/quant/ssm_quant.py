@@ -70,14 +70,17 @@ state tile and the new power-of-two scales, and is *narrow, fused, tiled*:
   operand: the x codes are pre-aligned by ``2**(R - r)`` before the outer
   product, so the state-sized product takes one uniform half-even right shift
   by ``R`` (:func:`repro.quant.pot.shift_right_half_even`) instead of a
-  per-group broadcast shift.  The four stages of one ``(head, channel)`` line
-  of state -- multiply, align, shift, add, group absmax, re-quantize, readout
-  -- run back to back on a line-sized scratch: one pipeline per tile, as in
-  Sec. IV-B, not a chain of whole-tensor passes.
-- **tiled**: the line (``d_state`` codes, 128 bytes on the benchmark model)
-  is the tile; within it each stage runs across all groups before the next
-  starts, so the serial absmax -> exponent -> pass chains of different groups
-  overlap, and step time grows with the rows of a batch, not faster.
+  per-group broadcast shift.  The four stages of a head -- multiply, align,
+  shift, add, group absmax, re-quantize, readout -- run back to back, a
+  group of state rows at a time, on group-sized scratch: one pipeline per
+  tile, as in Sec. IV-B, not a chain of whole-tensor passes.
+- **tiled**: a head (``headdim`` channels x ``d_state`` codes, 8 KiB on the
+  benchmark model) is the tile, its channels side by side in vector lanes --
+  the SSMU's ``np x pp`` tile of Fig. 7, the channel axis the unrolled one.
+  Every stage and every per-group exponent derivation runs across all the
+  channels at once, so step time grows with the rows of a batch, not
+  faster.  The resident state is stored channel-minor for it (see
+  :class:`~repro.mamba.cache.QuantizedSSMState`), and nothing transposes.
 
 Two executors, one arithmetic: the compiled step, and the fake-quant oracle as
 its reference and fallback.  The library's load-time self-test checks the
@@ -176,47 +179,62 @@ class SSMQuantConfig:
 _ORACLE = "oracle"
 
 
+def _address(array: np.ndarray) -> int:
+    """The address of a C-contiguous array's first byte.
+
+    A ``c_char`` over the buffer costs about a quarter of ``.ctypes.data``
+    (which builds a ctypes view); a read-only buffer takes the latter.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
+
+
 def _compiled_step(entry: Callable) -> Callable:  # integer-resident
     """``native.c``'s ``ssmu_step``: the integer step of :meth:`QuantizedSSMStep._step_integer`.
 
     ``step(x, B, C, dt, delta, a_bar, D, state, group_size, bits)`` returns
-    ``(y, codes, scales)``, :data:`_ORACLE` for a batch with a non-finite
-    operand or a grid past ``2**1023``, or ``None`` when the batch is outside
-    the kernel's contract: codes other than INT8 of at most 8 bits, an
-    operand not shaped for the state's one leading batch shape (as the decode
-    path passes them), or a state scale that is not a normal power of two.
-    The oracle runs the batch in both cases.
+    ``(y, codes, scales)`` -- ``codes`` and ``scales`` views of a new
+    channel-minor storage, the order the entry reads and writes (see
+    :class:`~repro.mamba.cache.QuantizedSSMState`) -- :data:`_ORACLE` for a
+    batch with a non-finite operand or a grid past ``2**1023``, or ``None``
+    when the batch is outside the kernel's contract: codes other than INT8 of
+    at most 8 bits, an operand not shaped for the state's one leading batch
+    shape (as the decode path passes them), or a state scale that is not a
+    normal power of two.  The oracle runs the batch in both cases.
     """
     entry.restype = ctypes.c_int
     entry.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_int32] + [ctypes.c_void_p] * 12
 
     def step(x, B, C, dt, delta, a_bar, D, state, group_size, bits):
-        lead, (heads, dim, n) = state.codes.shape[:-3], state.codes.shape[-3:]
-        floats = [
-            np.ascontiguousarray(a, dtype=np.float64)
-            for a in (x, B, C, dt, delta, a_bar, D, state.scales)
-        ]
+        if state.codes.dtype != np.int8 or not 2 <= bits <= 8:
+            return None
+        codes, scales = state.storage
+        lead, (heads, n, dim) = codes.shape[:-3], codes.shape[-3:]
+        floats = [np.ascontiguousarray(a, dtype=np.float64) for a in (x, B, C, dt, delta, a_bar, D)]
         groups = -(-n // max(1, min(group_size, n))) if n else 0
         per_head = lead + (heads,)
         in_contract = (
-            state.codes.dtype == np.int8
-            and 2 <= bits <= 8
-            and min(heads, dim, n) > 0
+            min(heads, dim, n) > 0
+            and scales.dtype == np.float64
+            and scales.shape == per_head + (groups, dim)
             and [a.shape for a in floats] == [
                 per_head + (dim,), lead + (n,), lead + (n,), per_head, per_head, per_head,
-                (heads,), per_head + (dim, groups, 1)]
+                (heads,)]
         )
         if not in_contract:
             return None
-        codes = np.ascontiguousarray(state.codes)
         # quant-point: the kernel's outputs: the float readout, the PoT scales
-        y, scales = np.empty(floats[0].shape), np.empty(floats[-1].shape)
+        y, new_scales = np.empty(floats[0].shape), np.empty(scales.shape)
         new_codes = np.empty(codes.shape, dtype=np.int8)
-        pointers = [a.ctypes.data for a in (*floats[:-1], codes, floats[-1], y, new_codes, scales)]
-        done = entry(math.prod(lead), heads, dim, n, group_size, bits, *pointers)
+        done = entry(math.prod(lead), heads, dim, n, group_size, bits,
+                     *[_address(a) for a in (*floats, codes, scales, y, new_codes, new_scales)])
         if done < 0:
             raise MemoryError("ssmu_step: scratch allocation failed")
-        return (y, new_codes, scales) if done == 0 else _ORACLE if done == 1 else None
+        if done:
+            return _ORACLE if done == 1 else None
+        return y, np.swapaxes(new_codes, -1, -2), np.swapaxes(new_scales, -1, -2)[..., None]
 
     return step
 
@@ -235,7 +253,7 @@ class QuantizedSSMStep:
     """
 
     # Read by benchmarks/e2e only -- nothing in src/ looks at them (see
-    # ROADMAP item 1: they go with the next benchmark-archetype PR).
+    # ROADMAP item 1(c): they go with the next benchmark-archetype PR).
     supports_batched = True
     supports_prefill_scan = False
     state_resident = property(lambda self: self._resident)
@@ -282,7 +300,7 @@ class QuantizedSSMStep:
         # quant-point: float state onto the resident codes + scales grid
         qt = quantize(np.asarray(state, dtype=np.float64), self._qcfg)
         return QuantizedSSMState(
-            codes=qt.codes.astype(self._code_int),
+            codes=qt.codes.astype(self._code_int, copy=False),
             scales=qt.scales,
             group_size=self.config.group_size,
             bits=self.config.bits,

@@ -42,6 +42,7 @@ from repro.quant import (
     grouped_integer_matmul,
     quantize_model,
 )
+from repro.quant.quantizer import quantize
 from repro.serving import InferenceEngine, Request
 from repro.serving.scheduler import PriorityScheduler
 from test_lifecycle import replay
@@ -339,6 +340,72 @@ class TestQuantizedCacheLifecycle:
             ref = greedy_decode(pers, request.prompt, request.max_new_tokens)
             assert by_id[rid].result.tokens == ref.tokens
             np.testing.assert_allclose(by_id[rid].result.logprobs, ref.logprobs, atol=1e-10)
+
+
+class TestChannelMinorStorage:
+    """The resident state is stored channel-minor -- codes ``(..., heads,
+    d_state, headdim)``, scales ``(..., heads, groups, headdim)``, both
+    C-contiguous: the order the compiled step's head tile reads and writes in
+    place -- and every producer and row operation keeps it, while ``codes`` /
+    ``scales`` keep the logical shapes and the logical bytes of the
+    head-major layout they replace."""
+
+    @staticmethod
+    def _assert_channel_minor(state):
+        codes, scales = state.storage
+        *lead, heads, headdim, d_state = state.codes.shape
+        groups = state.scales.shape[-2]
+        assert codes.shape == (*lead, heads, d_state, headdim) and codes.flags.c_contiguous
+        assert scales.shape == (*lead, heads, groups, headdim) and scales.flags.c_contiguous
+        assert np.shares_memory(codes, state.codes) and np.shares_memory(scales, state.scales)
+
+    @staticmethod
+    def _logical_bytes(state):
+        return (np.ascontiguousarray(state.codes).tobytes(),
+                np.ascontiguousarray(state.scales).tobytes())
+
+    def _assert_holds(self, state, codes, scales):
+        self._assert_channel_minor(state)
+        assert self._logical_bytes(state) == (codes.tobytes(), scales.tobytes())
+
+    def test_row_operations_keep_the_storage_order_and_the_bytes(self, rng):
+        step = QuantizedChunkedScan(SSMQuantConfig(group_size=16))
+        values = rng.normal(size=(4, 3, 5, 40)) * 10.0 ** rng.integers(-3, 4, size=(4, 3, 5, 1))
+        state = step.quantize_state_codes(values)
+        # The head-major arrays the quantizer returns: what the container held before.
+        qt = quantize(values, step._qcfg)
+        codes, scales = qt.codes.astype(np.int8), qt.scales
+        self._assert_holds(state, codes, scales)
+
+        grouped = np.pad(codes.astype(np.float64), [(0, 0)] * 3 + [(0, 8)])
+        grouped = grouped.reshape(4, 3, 5, 3, 16) * scales
+        want = grouped.reshape(4, 3, 5, 48)[..., :40]
+        assert np.ascontiguousarray(state.dequantize()).tobytes() == want.tobytes()
+
+        cache = QuantizedLayerCache(rng.normal(size=(4, 6, 4)), state)
+        gathered = cache.gather([2, 0])
+        self._assert_holds(gathered.ssm_state, codes[[2, 0]], scales[[2, 0]])
+        cache.scatter([1, 3], gathered)
+        codes[[1, 3]], scales[[1, 3]] = codes[[2, 0]], scales[[2, 0]]
+        self._assert_holds(cache.ssm_state, codes, scales)
+        row = cache.row(1)
+        self._assert_holds(row.ssm_state, codes[1], scales[1])
+        stacked = LayerCache.stack([cache.row(3), row])
+        self._assert_holds(stacked.ssm_state, codes[[3, 1]], scales[[3, 1]])
+        self._assert_holds(state.copy(), codes, scales)
+        self._assert_holds(state[2], codes[2], scales[2])
+
+    def test_the_step_returns_the_storage_order(self, rng):
+        step = QuantizedChunkedScan(SSMQuantConfig(group_size=32))
+        state = step.quantize_state_codes(rng.normal(size=(2, 3, 16, 64)))
+        params = SSMParams(A_log=rng.normal(size=3), D=rng.normal(size=3),
+                           dt_bias=rng.normal(size=3))
+        args = (rng.normal(size=(2, 3, 16)), rng.normal(size=(2, 64)),
+                rng.normal(size=(2, 64)), rng.normal(size=(2, 3)))
+        _, stepped = step._step_integer(params, *args, state)
+        _, oracle = step._step_oracle(params, *args, state)
+        self._assert_holds(stepped, np.ascontiguousarray(oracle.codes),
+                           np.ascontiguousarray(oracle.scales))
 
 
 class TestZeroGroups:

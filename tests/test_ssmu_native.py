@@ -73,13 +73,15 @@ def _with_step(step):
 
 
 def _library():
-    """The cached shared object, for the two test entries beside the two kernels."""
+    """The cached shared object, for the two test entries beside the kernels:
+    the head tile's exponent derivation and its per-lane readout sum."""
     lib = ctypes.CDLL(str(native._cache_dir() / native._library_name(native._find_compiler())))
     lib.ssmu_requant_exponents.restype = None
     lib.ssmu_requant_exponents.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p]
-    lib.ssmu_pairwise_sum.restype = ctypes.c_double
-    lib.ssmu_pairwise_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.ssmu_pairwise_sum.restype = ctypes.c_int
+    lib.ssmu_pairwise_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                      ctypes.c_void_p]
     return lib
 
 
@@ -98,7 +100,9 @@ def _step_case(rng, bits, lead, layout):
     spread over 16 binary decades, a scale per operand, zero groups, and (in a
     batch) an all-zero row of x, B and state."""
     groups, glen, n = layout
-    heads, dim = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+    # Channels are the compiled tile's vector lanes: short heads, full vectors
+    # and a remainder either side of the benchmark's 64.
+    heads, dim = int(rng.integers(1, 4)), int(rng.choice([*range(1, 13), 16, 63, 64, 65]))
     step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=glen))
     params = SSMParams(
         A_log=rng.normal(size=heads),
@@ -400,14 +404,9 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
 # ----------------------------------------------------------------------
 # (b) The exponent derivation is ceil(log2(.)), not the binary exponent
 # ----------------------------------------------------------------------
-@needs_kernel
-@pytest.mark.parametrize("bits", [4, 8])
-def test_requant_exponent_equals_numpy_derivation(bits):
+def _band_values(qmax):
     """``2.0**k``, ``qmax * 2.0**k`` and their 40 ``nextafter`` neighbours each
-    way, k in [-60, 60]: float64 ``log2`` rounds to ``k`` for values a few
-    ulps above ``2**k``, so the exact binary exponent is the wrong answer on
-    part of this set -- which the first assertion makes sure it contains."""
-    qmax = 2 ** (bits - 1) - 1
+    way, k in [-60, 60], plus the floor's neighbourhood and a huge value."""
     values = []
     for k in range(-60, 61):
         for centre in (2.0**k, qmax * 2.0**k):
@@ -416,34 +415,62 @@ def test_requant_exponent_equals_numpy_derivation(bits):
             for _ in range(40):
                 up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
                 values += [up, down]
-    absmax = np.array(values + [0.0, 1e-12, 5e-13, 1e300])
+    return np.array(values + [0.0, 1e-12, 5e-13, 1e300])
+
+
+def _requant_exponents(absmax, bits):
+    got = np.empty(absmax.size, dtype=np.int32)
+    _library().ssmu_requant_exponents(absmax.ctypes.data, absmax.size, bits, got.ctypes.data)
+    return got
+
+
+@needs_kernel
+@pytest.mark.parametrize("bits", [4, 8])
+def test_requant_exponent_equals_numpy_derivation(bits):
+    """float64 ``log2`` rounds to ``k`` for values a few ulps above ``2**k``,
+    so the exact binary exponent is the wrong answer on part of the band
+    set -- which the first assertion makes sure it contains.  The tile
+    derives exponents a lane per channel, asking libm only where a lane sits
+    in that band: each band value also runs alone among ordinary values at
+    every lane position of a 67-lane row (eight full 8-lane vectors and a
+    remainder)."""
+    qmax = 2 ** (bits - 1) - 1
+    absmax = _band_values(qmax)
     want = absmax_requant_exponents(absmax, bits)
     scales = np.maximum(np.maximum(absmax, 1e-12) / qmax, 1e-12)
     mantissa, binary = np.frexp(scales)
     assert np.any(np.where(mantissa == 0.5, binary - 1, binary) != want)
-    got = np.empty(absmax.size, dtype=np.int32)
-    _library().ssmu_requant_exponents(absmax.ctypes.data, absmax.size, bits, got.ctypes.data)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(_requant_exponents(absmax, bits), want)
+    ordinary = np.linspace(0.3, 900.0, 67)
+    band = absmax[want != np.where(mantissa == 0.5, binary - 1, binary)]
+    for position in range(67):
+        row = ordinary.copy()
+        row[position] = band[position % band.size]
+        np.testing.assert_array_equal(_requant_exponents(row, bits),
+                                      absmax_requant_exponents(row, bits))
 
 
 # ----------------------------------------------------------------------
-# (c) The readout is numpy's pairwise sum
+# (c) The readout is numpy's pairwise sum, within each lane
 # ----------------------------------------------------------------------
 @needs_kernel
 @pytest.mark.parametrize("n", [1, 7, 8, 24, 128, 129, 136, 300, 1000])
 def test_readout_sum_equals_numpy_sum(rng, n):
     """Decoded codes on group grids > 40 binades apart, where the order of a
-    float64 sum shows; rows are runs of a wider padded array, as in the tile."""
+    float64 sum shows, summed per lane as the tile sums a head's channels: n
+    rows of 67 lanes (a remainder past eight full vectors), each lane against
+    ``np.sum`` of its values as one contiguous run."""
     padded = -(-n // 32) * 32
-    codes = rng.integers(-127, 128, size=(64, padded))
-    exponents = np.repeat(rng.integers(-50, 51, size=(64, padded // 8)), 8, axis=-1)
+    codes = rng.integers(-127, 128, size=(67, padded))
+    exponents = np.repeat(rng.integers(-50, 51, size=(67, padded // 8)), 8, axis=-1)
     values = np.ldexp(codes.astype(np.float64), exponents)
     want = np.sum(values[:, :n], axis=-1)
     if n > 8:  # the set is one where the order matters: a running sum differs
         assert np.any(want != np.array([sum(row[:n]) for row in values]))
-    lib = _library()
-    got = [lib.ssmu_pairwise_sum(values[i].ctypes.data, n) for i in range(len(values))]
-    assert np.array(got).tobytes() == want.tobytes()
+    rows = np.ascontiguousarray(values[:, :n].T)
+    got = np.empty(67)
+    assert _library().ssmu_pairwise_sum(rows.ctypes.data, n, 67, got.ctypes.data) == 0
+    assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

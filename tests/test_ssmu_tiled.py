@@ -218,7 +218,7 @@ def _check_rows_equal_solo_steps(rng, batch, n, group):
         x, B, C, dt = _inputs(rng, (batch,), h, p, n)
         y, new_state = step._step_integer(params, x, B, C, dt, state)
         assert new_state.codes.dtype == state.codes.dtype == np.int8
-        assert new_state.codes.shape == state.codes.shape and new_state.codes.flags.c_contiguous
+        assert new_state.codes.shape == state.codes.shape and new_state.storage[0].flags.c_contiguous
         assert new_state.scales.shape == state.scales.shape
         for row in range(batch):
             y_row, state_row = step._step_integer(
