@@ -242,10 +242,11 @@ def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
     (INT8) and the INT4 variant the bit-identity tests pin -- one INT32
     entry per fused re-quantization (the ``B_bar (.) x`` and ``h (.) C``
     pre-aligned products) and one narrow entry each for the ``h (.) C``
-    product before alignment and for the code stores: the resident state,
-    and the two the compiled step holds in ``int8_t`` besides -- the x / B /
-    C entry codes and the re-quantized ``Delta (.) B`` codes (clipped to
-    ``qmax``, so one code's bound).  No bound depends on the group size, so
+    product before alignment and for the code stores: the resident state
+    (whose per-group magnitudes the compiled step also holds at the code
+    width, as ``uint8_t``), and the two it holds in ``int8_t`` besides -- the
+    x / B / C entry codes and the re-quantized ``Delta (.) B`` codes (clipped
+    to ``qmax``, so one code's bound).  No bound depends on the group size, so
     each entry covers the committed group sizes (8, 32, 128) at once.
     """
     import numpy as np

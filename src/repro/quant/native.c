@@ -111,6 +111,17 @@ static inline double rint_clip(double v, double qmax)
     return r < -qmax ? -qmax : r > qmax ? qmax : r;
 }
 
+/* np.rint(v) as an integer, for |v| < 2**51: adding 1.5 * 2**52 rounds v
+ * half-to-even onto the integers and leaves it in the low bits -- one add
+ * where rint and a conversion are two. */
+static inline int32_t rint_int32(double v)
+{
+    const double shifted = v + 6755399441055744.0;
+    uint64_t bits;
+    memcpy(&bits, &shifted, sizeof bits);
+    return (int32_t)(uint32_t)bits;
+}
+
 /* np.ceil(np.log2(max(scale, eps))) for a positive scale.  Floored at eps the
  * scale is a positive normal double (or inf, which answers 1024), so its
  * exponent field k brackets the answer: exactly k for a power of two, k + 1
@@ -149,6 +160,20 @@ static inline int32_t alignment(int64_t amax, int64_t shift, int32_t full)
 static inline int32_t half_even(int32_t acc, int32_t full, int32_t bias)
 {
     return (acc + ((acc >> full) & 1) + bias) >> full;
+}
+
+/* The bit pattern of a run's absmax: a non-negative double's bits order like
+ * its value, and a NaN's lie above +inf's. */
+static inline uint64_t magnitude_max(const double *v, int64_t count)
+{
+    uint64_t m = 0;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t magnitude;
+        memcpy(&magnitude, &v[i], sizeof magnitude);
+        magnitude &= UINT64_MAX >> 1;
+        m = magnitude > m ? magnitude : m;
+    }
+    return m;
 }
 
 /* The lane loops want the full vector width: GCC tunes AVX-512 cores to
@@ -421,17 +446,19 @@ enum { GRID_SLOW = 1, GRID_PAST = 2 }; /* a lane needs libm; a grid past MAX_EXP
  * exponents add, max |a_i * b| = max |a_i| * |b|, and the shift count folds
  * into the x code (R - r left). */
 static inline __attribute__((always_inline)) int
-state_grids(tile_t *t, const int64_t lanes, const int32_t *restrict e_h, double a_bar, int32_t amax3, int32_t e3,
-            const int8_t *restrict cx, const int32_t *restrict ex, const int fast)
+state_grids(tile_t *t, const int64_t lanes, const int32_t *restrict e_h, double a_bar,
+            int32_t amax3, int32_t e3, const int8_t *restrict cx, const int32_t *restrict ex,
+            const int fast)
 {
     const int32_t full = t->full;
     const double qmax = t->qmax;
     const uint8_t *restrict amax8 = t->amax8;
     double *restrict m5 = t->m5, *restrict factor = t->factor;
-    int32_t *restrict e5 = t->e5, *restrict e4 = t->e6, *restrict mul = t->mul;
+    int32_t *restrict e5 = t->e5, *restrict e4 = t->e6 /* free until the new grid */;
+    int32_t *restrict mul = t->mul;
     int32_t *restrict shift = t->shift;
     uint64_t slow = 0, past = 0, inexact = 0;
-    for (int64_t j = 0; j < lanes; j++) {
+    for (int64_t j = 0; j < lanes; j++) { /* three loops: as one it does not vectorize */
         const int32_t amax4 = amax3 * (cx[j] < 0 ? -cx[j] : cx[j]);
         const int64_t e4_src = (int64_t)e3 + ex[j];
         e4[j] = requant_lane(ldexp_lane((double)amax4, e4_src, &slow, fast), qmax, &slow, fast);
@@ -452,7 +479,8 @@ state_grids(tile_t *t, const int64_t lanes, const int32_t *restrict e_h, double 
 }
 
 /* The new state grid e6, which the resident scales record. */
-static inline __attribute__((always_inline)) int new_state_grid(tile_t *t, const int64_t lanes, const int fast)
+static inline __attribute__((always_inline)) int
+new_state_grid(tile_t *t, const int64_t lanes, const int fast)
 {
     const double qmax = t->qmax;
     const double *restrict wmax = t->wmax;
@@ -471,8 +499,8 @@ static inline __attribute__((always_inline)) int new_state_grid(tile_t *t, const
 }
 
 /* The h (.) C grid e7: aligned like B_bar (.) x, decoded at e7. */
-static inline __attribute__((always_inline)) int readout_grid(tile_t *t, const int64_t lanes, int32_t e_c,
-                                                              const int fast)
+static inline __attribute__((always_inline)) int
+readout_grid(tile_t *t, const int64_t lanes, int32_t e_c, const int fast)
 {
     const int32_t full = t->full;
     const double qmax = t->qmax;
@@ -496,8 +524,8 @@ static inline __attribute__((always_inline)) int readout_grid(tile_t *t, const i
 /* 1 + 2 over the group's rows: c4 = (c3 * x_aligned) >> R; c5 = rint(h * m5);
  * their sum relative to the e5 grid, and its absmax per lane. */
 static inline __attribute__((always_inline)) void
-state_sum(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *restrict h, const int8_t *restrict c3,
-          const int exact)
+state_sum(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *restrict h,
+          const int8_t *restrict c3, const int exact)
 {
     const double *restrict m5 = t->m5, *restrict factor = t->factor;
     const int32_t *restrict mul = t->mul, *restrict shift = t->shift;
@@ -521,8 +549,8 @@ state_sum(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *rest
 /* 3 over the group's rows: the sum onto the new state grid e6 (no clip: the
  * grid is the absmax's), the codes out, h (.) C and its absmax per lane. */
 static inline __attribute__((always_inline)) void
-requantize(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *restrict cc, int8_t *restrict out,
-           const int exact)
+requantize(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *restrict cc,
+           int8_t *restrict out, const int exact)
 {
     const double *restrict wide = t->wide, *restrict factor = t->factor;
     const int32_t *restrict shift = t->shift;
@@ -533,9 +561,9 @@ requantize(const tile_t *t, const int64_t lanes, int64_t rows, const int8_t *res
         const int32_t cc_i = cc[i];
         DISJOINT for (int64_t j = 0; j < lanes; j++) {
             const double w = wide[i * lanes + j];
-            const int8_t code = (int8_t)rint(exact ? w * factor[j] : scaled(w, shift[j], factor[j]));
+            const int32_t code = rint_int32(exact ? w * factor[j] : scaled(w, shift[j], factor[j]));
             const int32_t hc = code * cc_i, magnitude = hc < 0 ? -hc : hc;
-            out[i * lanes + j] = code;
+            out[i * lanes + j] = (int8_t)code;
             acc[i * lanes + j] = hc;
             amax[j] = magnitude > amax[j] ? magnitude : amax[j];
         }
@@ -571,10 +599,10 @@ readout_terms(tile_t *t, const int64_t lanes, int64_t rows, const int exact)
  * MAX_EXPONENT (outputs then partial).  Inlined into tile with glen a
  * constant where it is the default group length. */
 static inline __attribute__((always_inline)) int
-tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restrict h, const int32_t *restrict e_h,
-        double a_bar, const int8_t *c3, const int32_t *e3, const int32_t *amax3,
-        const int8_t *cx, const int32_t *ex, const int8_t *cc, const int32_t *e_c,
-        int8_t *restrict out, double *restrict scales_out, double *restrict y)
+tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restrict h,
+        const int32_t *restrict e_h, double a_bar, const int8_t *c3, const int32_t *e3,
+        const int32_t *amax3, const int8_t *cx, const int32_t *ex, const int8_t *cc,
+        const int32_t *e_c, int8_t *restrict out, double *restrict scales_out, double *restrict y)
 {
     const int64_t groups = t->groups, n = t->n;
     for (int64_t k = 0; k < groups; k++) {
@@ -589,8 +617,9 @@ tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restri
                                                                           : hk[i * lanes + j]);
                 amax8[j] = magnitude > amax8[j] ? magnitude : amax8[j];
             }
-        if ((grid = state_grids(t, lanes, e_h + k * lanes, a_bar, amax3[k], e3[k], cx, ex, 1)) == GRID_SLOW)
-            grid = state_grids(t, lanes, e_h + k * lanes, a_bar, amax3[k], e3[k], cx, ex, 0);
+        const int32_t *e_hk = e_h + k * lanes;
+        if ((grid = state_grids(t, lanes, e_hk, a_bar, amax3[k], e3[k], cx, ex, 1)) == GRID_SLOW)
+            grid = state_grids(t, lanes, e_hk, a_bar, amax3[k], e3[k], cx, ex, 0);
         if (grid)
             return STEP_ORACLE;
         if (t->exact)
@@ -622,6 +651,8 @@ tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restri
     return STEP_DONE;
 }
 
+/* The default layout, a constant in one instance of the tile: its lane and
+ * row loops then compile without trip-count set-up. */
 #define DEFAULT_GLEN 32  /* SSMQuantConfig's group size, the length of every default group */
 #define DEFAULT_LANES 64 /* Mamba2Config's headdim, the channels of every default head */
 
@@ -632,10 +663,8 @@ static int tile(tile_t *t, const int8_t *h, const int32_t *e_h, double a_bar, co
     if (t->glen == DEFAULT_GLEN && t->lanes == DEFAULT_LANES)
         return tile_at(t, DEFAULT_GLEN, DEFAULT_LANES, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc,
                        e_c, out, scales_out, y);
-    if (t->glen == DEFAULT_GLEN)
-        return tile_at(t, DEFAULT_GLEN, t->lanes, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc, e_c, out,
-                       scales_out, y);
-    return tile_at(t, t->glen, t->lanes, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc, e_c, out, scales_out, y);
+    return tile_at(t, t->glen, t->lanes, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc, e_c, out,
+                   scales_out, y);
 }
 
 /* ------------------------------------------------------------------------
@@ -676,11 +705,9 @@ static int entry_codes(const double *v, int64_t len, int64_t glen, int64_t group
 {
     for (int64_t k = 0; k < groups; k++) {
         const int64_t lo = k * glen, hi = lo + glen < len ? lo + glen : len;
-        double m = 0.0;
-        for (int64_t i = lo; i < hi; i++) {
-            const double a = fabs(v[i]);
-            m = a > m ? a : m;
-        }
+        const uint64_t bits = magnitude_max(v + lo, hi - lo);
+        double m;
+        memcpy(&m, &bits, sizeof m);
         const int32_t ek = requant_exponent(m, qmax);
         if (ek > MAX_EXPONENT)
             return STEP_ORACLE;
@@ -769,7 +796,8 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
                     break;
                 }
                 const double m8 = ldexp_exact(D[head], (int64_t)e_x[k] - e8), grid = pow2(e8);
-                for (int64_t i = k * xlen; i < (k + 1) * xlen && i < dim; i++) {
+                const int64_t hi = (k + 1) * xlen < dim ? (k + 1) * xlen : dim;
+                for (int64_t i = k * xlen; i < hi; i++) {
                     y[rh * dim + i] = rint_clip((double)cx[i] * m8, qmax) * grid;
                     ex[i] = e_x[k];
                 }
@@ -844,20 +872,6 @@ enum {
     QUANT_DONE = 0,
     QUANT_DECLINED = 1, /* a non-finite group or a grid past MAX_EXPONENT */
 };
-
-/* The bit pattern of a run's absmax: a non-negative double's bits order like
- * its value, and a NaN's lie above +inf's. */
-static inline uint64_t magnitude_max(const double *v, int64_t count)
-{
-    uint64_t m = 0;
-    for (int64_t i = 0; i < count; i++) {
-        uint64_t magnitude;
-        memcpy(&magnitude, &v[i], sizeof magnitude);
-        magnitude &= UINT64_MAX >> 1;
-        m = magnitude > m ? magnitude : m;
-    }
-    return m;
-}
 
 /* quantizer.compute_scales for one finite group: max(absmax * clip, eps)
  * / qmax, snapped up to 2**ceil_log2 when pot; 0.0 when that passes
