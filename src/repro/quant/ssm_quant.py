@@ -217,6 +217,8 @@ def _compiled_step(entry: Callable) -> Callable:  # integer-resident
         per_head = lead + (heads,)
         in_contract = (
             min(heads, dim, n) > 0
+            and codes.flags.c_contiguous
+            and scales.flags.c_contiguous
             and scales.dtype == np.float64
             and scales.shape == per_head + (groups, dim)
             and [a.shape for a in floats] == [
