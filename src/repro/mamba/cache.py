@@ -163,21 +163,23 @@ class QuantizedSSMState:
         """Reconstruct the float state (``codes * scales``, group-wise).
 
         This is the cheap direction -- a multiply, no absmax / rounding -- and
-        the only numeric operation the container performs itself.  It runs
-        in storage order and returns the logical shape (a view).
+        the only numeric operation the container performs itself.  The
+        floats come out in the logical order, C-contiguous (a view of that
+        when the last group is padded), as prefill takes its entry state.
         """
-        codes, scales = self.storage
-        d_state = codes.shape[-2]
+        d_state = self.storage[0].shape[-2]
         group = min(self.group_size, d_state)
         n_groups = -(-d_state // group)
         pad = n_groups * group - d_state
-        codes = codes.astype(np.float64)
+        codes = self.codes.astype(np.float64, order="C")
         if pad:
-            pad_width = [(0, 0)] * (codes.ndim - 2) + [(0, pad), (0, 0)]
+            pad_width = [(0, 0)] * (codes.ndim - 1) + [(0, pad)]
             codes = np.pad(codes, pad_width)
-        grouped = codes.reshape(*codes.shape[:-2], n_groups, group, codes.shape[-1])
-        values = (grouped * scales[..., None, :]).reshape(codes.shape)
-        return np.swapaxes(values[..., :d_state, :], -1, -2)
+        grouped = codes.reshape(*codes.shape[:-1], n_groups, group)
+        values = np.multiply(grouped, self.scales, order="C").reshape(*codes.shape[:-1], -1)
+        if pad:
+            values = values[..., :d_state]
+        return values
 
     def copy(self) -> "QuantizedSSMState":
         codes, scales = self.storage

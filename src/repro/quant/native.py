@@ -106,13 +106,14 @@ def _same_bytes(got, want) -> bool:
 
 def _step_agrees(step) -> bool:
     """The compiled step against the oracle: full and padded state groups, a
-    padded x group, an all-zero row, and a batch past the exponent range
-    (which the step must hand to the oracle)."""
+    padded x group, an all-zero row, the default layout's tile (64-channel
+    heads, 32-long groups), and a batch past the exponent range (which the
+    step must hand to the oracle)."""
     from repro.mamba.ssm import SSMParams
     from repro.quant import ssm_quant
 
     rng = np.random.default_rng(1)
-    for bits, group, heads, dim, n, big in ((8, 32, 2, 8, 64, 1.0), (4, 16, 3, 12, 24, 1.0),
+    for bits, group, heads, dim, n, big in ((8, 32, 2, 64, 64, 1.0), (4, 16, 3, 12, 24, 1.0),
                                             (8, 32, 2, 8, 24, 1e200)):
         quant = ssm_quant.QuantizedSSMStep(ssm_quant.SSMQuantConfig(bits=bits, group_size=group))
         params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),

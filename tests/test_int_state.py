@@ -406,6 +406,10 @@ class TestChannelMinorStorage:
         _, oracle = step._step_oracle(params, *args, state)
         self._assert_holds(stepped, np.ascontiguousarray(oracle.codes),
                            np.ascontiguousarray(oracle.scales))
+        # Prefill takes the float view over as the state its chunk hand-offs
+        # are quantized into, in place: the compiled quantizer needs it
+        # C-contiguous (a strided one sends every hand-off to numpy).
+        assert stepped.dequantize().flags.c_contiguous
 
 
 class TestZeroGroups:
