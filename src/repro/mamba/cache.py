@@ -125,8 +125,9 @@ class QuantizedSSMState:
     def _stored(cls, codes: np.ndarray, scales: np.ndarray, group_size: int, bits: int):
         """A state around channel-minor storage (made C-contiguous if it is not)."""
         state = cls.__new__(cls)
-        state.storage = (np.ascontiguousarray(codes), np.ascontiguousarray(scales))
-        state.group_size, state.bits = group_size, bits
+        if not (codes.flags.c_contiguous and scales.flags.c_contiguous):
+            codes, scales = np.ascontiguousarray(codes), np.ascontiguousarray(scales)
+        state.storage, state.group_size, state.bits = (codes, scales), group_size, bits
         return state
 
     @property
@@ -147,7 +148,8 @@ class QuantizedSSMState:
 
     @property
     def shape(self) -> tuple:
-        return self.codes.shape
+        *lead, d_state, headdim = self.storage[0].shape
+        return (*lead, headdim, d_state)
 
     @property
     def size(self) -> int:
