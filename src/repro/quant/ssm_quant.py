@@ -200,9 +200,10 @@ def _compiled_step(entry: Callable) -> Callable:  # integer-resident
     :class:`~repro.mamba.cache.QuantizedSSMState`) -- :data:`_ORACLE` for a
     batch with a non-finite operand or a grid past ``2**1023``, or ``None``
     when the batch is outside the kernel's contract: codes other than INT8 of
-    at most 8 bits, an operand not shaped for the state's one leading batch
-    shape (as the decode path passes them), or a state scale that is not a
-    normal power of two.  The oracle runs the batch in both cases.
+    at most 8 bits, storage that is not C-contiguous or scales not float64,
+    an operand not shaped for the state's one leading batch shape (as the
+    decode path passes them), or a state scale that is not a normal power of
+    two.  The oracle runs the batch in both cases.
     """
     entry.restype = ctypes.c_int
     entry.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_int32] + [ctypes.c_void_p] * 12
