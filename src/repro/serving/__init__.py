@@ -18,9 +18,14 @@ This package is the serving stack built on that property:
   behavior), :class:`~repro.serving.scheduler.PriorityScheduler`, or the
   token-budget :class:`~repro.serving.scheduler.PagedScheduler` that
   interleaves chunked-prefill pages with in-flight decode -- and the engine
-  hands each request's :class:`~repro.serving.engine.RequestLatency` record
+  hands each request's :class:`~repro.serving.events.RequestLatency` record
   over on its completion (keeping nothing of it afterwards), supports
   ``cancel(request_id)``, and streams tokens through an ``on_token`` callback.
+- :mod:`~repro.serving.events` -- the engine's one record of what it did:
+  each fact is one :class:`~repro.serving.events.Event` (the kinds are listed
+  on it) in a bounded ring per engine (``engine.events``).  The counters
+  (``engine.stats``, ``/stats``) and latency records are folds over it; the
+  supervisor's log and the load generator's step work are views of it.
 - :class:`~repro.serving.server.MambaServer` -- an asyncio HTTP + SSE wire
   front-end over the engine (stdlib streams only): ``POST /v1/generate``
   streams tokens as Server-Sent Events, client disconnects become
@@ -66,13 +71,8 @@ Example
 """
 
 from repro.serving.chaos import ChaosReport, build_workload, run_chaos_soak, soak_once
-from repro.serving.engine import (
-    Completion,
-    EngineStats,
-    InferenceEngine,
-    Request,
-    RequestLatency,
-)
+from repro.serving.engine import Completion, InferenceEngine, Request
+from repro.serving.events import EngineStats, Event, EventLog, RequestLatency
 from repro.serving.loadgen import (
     HarnessResult,
     LoadItem,
@@ -90,8 +90,6 @@ from repro.serving.resilience import (
     IterationTimeout,
     ManualClock,
     ResilienceConfig,
-    ResilienceEvent,
-    ResilienceLog,
     StateCorruptionError,
 )
 from repro.serving.scheduler import (
@@ -111,6 +109,8 @@ __all__ = [
     "ChaosReport",
     "Completion",
     "EngineStats",
+    "Event",
+    "EventLog",
     "FIFOScheduler",
     "FaultInjector",
     "FaultPlan",
@@ -130,8 +130,6 @@ __all__ = [
     "RequestQueue",
     "RequestRecord",
     "ResilienceConfig",
-    "ResilienceEvent",
-    "ResilienceLog",
     "Scheduler",
     "SchedulerContext",
     "ServerConfig",

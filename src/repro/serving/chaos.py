@@ -121,6 +121,14 @@ def build_workload(
     return requests, priorities
 
 
+#: The ``EngineStats`` counters a report carries.
+_REPORTED_STATS = (
+    "engine_steps", "faults", "rollbacks", "retries", "recovered", "requeued_faults",
+    "quarantined", "degraded", "watchdog_timeouts", "aborted", "snapshot_rows",
+    "snapshot_bytes", "callback_drops",
+)
+
+
 @dataclass
 class ChaosReport:
     """Outcome of one seeded chaos run (one scheduler, one fault schedule)."""
@@ -262,7 +270,7 @@ def soak_once(
     if engine.runner.retrying:
         violations.append(f"recovery leak: slots {engine.runner.retrying}")
 
-    degraded = engine.resilience_log.request_ids("degrade")
+    degraded = engine.events.request_ids("degrade")
     for completion in completions:
         if completion.finish_reason not in ("stop", "length"):
             continue
@@ -295,7 +303,6 @@ def soak_once(
                 f"{[step for step, _ in dropped]} for tokens {tokens}"
             )
 
-    stats = engine.stats
     return ChaosReport(
         scheduler=scheduler,
         seed=seed,
@@ -304,22 +311,8 @@ def soak_once(
         violations=violations,
         degraded_requests=tuple(degraded),
         fault_trace=list(injector.trace),
-        resilience_events=engine.resilience_log.to_json(),
-        stats={
-            "engine_steps": stats.engine_steps,
-            "faults": stats.faults,
-            "rollbacks": stats.rollbacks,
-            "retries": stats.retries,
-            "recovered": stats.recovered,
-            "requeued_faults": stats.requeued_faults,
-            "quarantined": stats.quarantined,
-            "degraded": stats.degraded,
-            "watchdog_timeouts": stats.watchdog_timeouts,
-            "aborted": stats.aborted,
-            "snapshot_rows": stats.snapshot_rows,
-            "snapshot_bytes": stats.snapshot_bytes,
-            "callback_drops": stats.callback_drops,
-        },
+        resilience_events=[event.to_json() for event in engine.events.resilience()],
+        stats={key: getattr(engine.stats, key) for key in _REPORTED_STATS},
     )
 
 

@@ -23,9 +23,9 @@ pre-scheduler engine's *behavior* bit-for-bit (same prefill segmentation, same
 admission order, same stats).
 
 Beyond admission policy the engine provides the serving-layer plumbing the
-policies need to be useful: per-request latency accounting
-(:class:`RequestLatency`: queue wait, time-to-first-token and decode duration
-in engine iterations), :meth:`InferenceEngine.cancel` for waiting *and*
+policies need to be useful: one event ring (``engine.events``,
+:mod:`repro.serving.events`) whose folds are the counters and each request's
+latency record, :meth:`InferenceEngine.cancel` for waiting *and*
 in-flight requests, per-request admission deadlines (expired requests retire
 with ``finish_reason="expired"``), and a streaming ``on_token`` callback fired
 for every generated token as it is selected.
@@ -55,14 +55,9 @@ import numpy as np
 from repro.mamba.generation import GenerationResult
 from repro.mamba.model import Mamba2Model
 from repro.mamba.sampling import greedy_select, sample_select
+from repro.serving.events import EventLog, RequestLatency
 from repro.serving.queue import Clock, QueueEntry, RequestQueue
-from repro.serving.resilience import (
-    FaultInjector,
-    ResilienceConfig,
-    ResilienceLog,
-    Supervisor,
-    Verdict,
-)
+from repro.serving.resilience import FaultInjector, ResilienceConfig, Supervisor, Verdict
 from repro.serving.runner import ModelRunner
 from repro.serving.scheduler import (
     AdmissionPlan,
@@ -72,14 +67,7 @@ from repro.serving.scheduler import (
     SchedulerContext,
 )
 
-__all__ = [
-    "Completion",
-    "EngineStats",
-    "InferenceEngine",
-    "Request",
-    "RequestLatency",
-    "TokenCallback",
-]
+__all__ = ["Completion", "InferenceEngine", "Request", "TokenCallback"]
 
 #: Streaming callback: ``on_token(request_id, token, logprob)`` is invoked for
 #: every generated token the moment it is selected, before the request
@@ -123,43 +111,6 @@ class Request:
             raise ValueError("top_k must be positive when given")
 
 
-@dataclass
-class RequestLatency:
-    """Per-request latency record, in engine iterations.
-
-    Iteration counts are deterministic (they depend only on the workload and
-    the scheduling policy, not the machine).  ``None`` step fields mean the
-    event has not happened (yet).  :meth:`InferenceEngine.submit` creates the
-    record on the request's queue entry; the engine keeps no other copy, and
-    retirement hands it over as :attr:`Completion.latency`.
-    """
-
-    request_id: int
-    submitted_step: int
-    admitted_step: Optional[int] = None
-    first_token_step: Optional[int] = None
-    finished_step: Optional[int] = None
-    decode_iterations: int = 0
-    finish_reason: Optional[str] = None
-    #: repr() of the first exception a user on_token callback raised for this
-    #: request; streaming was disabled for the request from that token on.
-    callback_error: Optional[str] = None
-
-    @property
-    def queue_wait_iterations(self) -> Optional[int]:
-        """Full engine iterations spent waiting before first prompt work."""
-        if self.admitted_step is None:
-            return None
-        return self.admitted_step - self.submitted_step - 1
-
-    @property
-    def ttft_iterations(self) -> Optional[int]:
-        """Engine iterations from submission to the first generated token."""
-        if self.first_token_step is None:
-            return None
-        return self.first_token_step - self.submitted_step - 1
-
-
 @dataclass(frozen=True)
 class Completion:
     """A finished request: its id, the request, result, and why it finished.
@@ -185,62 +136,6 @@ class Completion:
 
 
 @dataclass
-class EngineStats:
-    """Aggregate counters for throughput accounting."""
-
-    admitted: int = 0
-    completed: int = 0
-    cancelled: int = 0
-    expired: int = 0
-    preempted: int = 0
-    engine_steps: int = 0
-    decode_calls: int = 0
-    decode_call_rows: int = 0
-    decoded_tokens: int = 0
-    prefill_calls: int = 0
-    prefilled_tokens: int = 0
-    # --- resilience ledger (all zero when no supervisor is configured) ---
-    #: supervised model calls that failed (raise, corruption, or watchdog)
-    faults: int = 0
-    #: slot-state restores from a pre-iteration snapshot
-    rollbacks: int = 0
-    #: retries scheduled (with exponential backoff) after a fault
-    retries: int = 0
-    #: faulted requests that subsequently resumed cleanly
-    recovered: int = 0
-    #: faulted prefills requeued with their prefill_pos progress preserved
-    requeued_faults: int = 0
-    #: requests retired with finish_reason="error" after exhausting retries
-    quarantined: int = 0
-    #: requests degraded to the sequential-oracle fallback (the degradation
-    #: ledger's aggregate; per-event detail in InferenceEngine.resilience_log)
-    degraded: int = 0
-    #: supervised calls that exceeded the iteration watchdog budget
-    watchdog_timeouts: int = 0
-    #: requests aborted by a run() guard (max_wall_seconds / max_idle_iterations)
-    aborted: int = 0
-    #: rows checkpointed by the supervisor, and their resident byte footprint
-    snapshot_rows: int = 0
-    snapshot_bytes: float = 0.0
-    #: user on_token callbacks that raised (streaming then disabled) / were
-    #: dropped by an injected fault
-    callback_errors: int = 0
-    callback_drops: int = 0
-
-    @property
-    def tokens_per_decode_call(self) -> float:
-        """Average batch occupancy of the decode calls (the batching win).
-
-        Counts only rows actually advanced by batched decode calls; each
-        request's first token comes from its prefill logits and is excluded,
-        so this never exceeds the slot count.  An engine that never issued a
-        decode call (nothing admitted, or only zero-budget requests) reports
-        0.0 rather than dividing by zero.
-        """
-        return self.decode_call_rows / self.decode_calls if self.decode_calls else 0.0
-
-
-@dataclass
 class _Slot:
     """One decoding request: its queue entry plus decode-time state."""
 
@@ -248,9 +143,6 @@ class _Slot:
     rng: Optional[np.random.Generator]
     tokens: List[int] = field(default_factory=list)
     logprobs: List[float] = field(default_factory=list)
-    #: Set after the request's on_token callback raises: the request keeps
-    #: decoding, but no further tokens are streamed to it.
-    streaming_disabled: bool = False
     #: A supervisor's retry verdict: the slot sits out select / decode until
     #: this engine iteration (``None``: not held).
     retry_at: Optional[int] = None
@@ -306,24 +198,21 @@ class InferenceEngine:
         self.max_batch_size = max_batch_size
         self.seed = seed
         self.scheduler: Scheduler = scheduler if scheduler is not None else FIFOScheduler()
-        self.stats = EngineStats()
         self.queue = RequestQueue() if clock is None else RequestQueue(clock=clock)
+        self.events = EventLog(self.queue.clock)
+        self.stats = self.events.stats
         self._submit_lock = threading.Lock()
         self._next_id = 0  # guarded-by: _submit_lock
         self._slots: List[Optional[_Slot]] = [None] * max_batch_size
         #: slot -> the entry whose prompt is being prefilled into it
         self._prefilling: Dict[int, QueueEntry] = {}
         self._pending_completions: List[Completion] = []
-        self.resilience_log = ResilienceLog()
         if resilience is None and fault_injector is not None:
             resilience = ResilienceConfig()
         #: the one model-call site; wrapped in a Supervisor iff supervised
         self.runner: Union[ModelRunner, Supervisor] = ModelRunner(model, max_batch_size)
         if resilience is not None:
-            self.runner = Supervisor(
-                self.runner, resilience, fault_injector,
-                stats=self.stats, clock=self.queue.clock, log=self.resilience_log,
-            )
+            self.runner = Supervisor(self.runner, resilience, fault_injector, self.events)
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -470,7 +359,7 @@ class InferenceEngine:
         Slots a supervisor holds in retry are re-attempted before planning
         (:meth:`_retry_held`) and sit out select / decode until they recover.
         """
-        self.stats.engine_steps += 1
+        self.events.emit("step")
         completions: List[Completion] = list(self._pending_completions)
         self._pending_completions.clear()
         completions.extend(self._expire())
@@ -500,21 +389,16 @@ class InferenceEngine:
             slot.tokens.append(token)
             slot.logprobs.append(logprob)
             chosen[row] = token
-            self.stats.decoded_tokens += 1
-            request_id, latency = slot.entry.request_id, slot.entry.latency
-            if latency.first_token_step is None:
-                latency.first_token_step = self.stats.engine_steps
-            latency.decode_iterations += 1
-            if on_token is not None and not slot.streaming_disabled:
+            latency = slot.entry.latency
+            self.events.emit("token", latency=latency)
+            # A request whose callback raised keeps decoding, unstreamed.
+            if on_token is not None and latency.callback_error is None:
                 try:
-                    on_token(request_id, token, logprob)
+                    on_token(latency.request_id, token, logprob)
                 except Exception as exc:
                     # A user callback must never unwind the engine: record
                     # the failure and stop streaming this request only.
-                    slot.streaming_disabled = True
-                    self.stats.callback_errors += 1
-                    latency.callback_error = repr(exc)
-                    self._log("callback_error", request_id=request_id, detail=repr(exc))
+                    self.events.emit("callback_error", detail=repr(exc), latency=latency)
             if self._slots[slot_idx] is not slot:
                 # The callback cancelled this very request: its completion
                 # (including the token just streamed) is already pending;
@@ -573,11 +457,10 @@ class InferenceEngine:
         )
         idle = 0
         while self.has_work:
-            before = (self.stats.decoded_tokens, self.stats.prefilled_tokens)
             stepped = self.step(on_token=on_token)
             completions.extend(stepped)
-            progressed = bool(stepped) or (
-                (self.stats.decoded_tokens, self.stats.prefilled_tokens) != before
+            progressed = bool(stepped) or any(
+                event.kind in ("token", "prefill") for event in self.events.this_step()
             )
             idle = 0 if progressed else idle + 1
             if not self.has_work:
@@ -616,10 +499,9 @@ class InferenceEngine:
         for slot_idx, slot in enumerate(self._slots):
             if slot is not None:
                 aborted.append(self._vacate(slot_idx, "error", error=message))
-        self.stats.aborted += len(aborted)
+        self.events.emit("abort", detail=message, n=len(aborted))
         completions = self._pending_completions + aborted
         self._pending_completions = []
-        self._log("abort", detail=message)
         return completions
 
     # ------------------------------------------------------------------
@@ -662,8 +544,7 @@ class InferenceEngine:
         for slot_idx in plan.preempt:
             if slot_idx not in self._prefilling:
                 raise ValueError(f"plan preempts slot {slot_idx}, which is not prefilling")
-            self._park(slot_idx)
-            self.stats.preempted += 1
+            self.events.emit("preempt", self._park(slot_idx).request_id)
         for slot_idx, tokens in plan.resume:
             if slot_idx not in self._prefilling:
                 raise ValueError(f"plan resumes slot {slot_idx}, which is not prefilling")
@@ -678,8 +559,7 @@ class InferenceEngine:
             if entry.latency.admitted_step is None:
                 # First admission only: a preempted-then-re-admitted request
                 # keeps one admitted count and its original admission step.
-                self.stats.admitted += 1
-                entry.latency.admitted_step = self.stats.engine_steps
+                self.events.emit("admit", latency=entry.latency)
             if entry.request.max_new_tokens == 0:
                 # Degenerate request: completes immediately, never holds a slot.
                 completions.append(self._retire(entry, "length"))
@@ -726,14 +606,13 @@ class InferenceEngine:
         pos = entry.prefill_pos
         segment = np.asarray(entry.request.prompt[pos : pos + take], dtype=np.int64)
         outcome = self.runner.prefill(
-            segment, entry.cache, slot=slot_idx, request_id=entry.request_id
+            segment, entry.cache, slot=slot_idx, request_id=entry.request_id, prefill_pos=pos
         )
         if isinstance(outcome, Verdict):
             return self._apply_verdicts([outcome])
         logits, entry.cache = outcome
         entry.prefill_pos += take
-        self.stats.prefill_calls += 1
-        self.stats.prefilled_tokens += take
+        self.events.emit("prefill", entry.request_id, n=take)
         if take == remaining:
             del self._prefilling[slot_idx]
             self.runner.install(slot_idx, entry.cache, logits)
@@ -751,8 +630,8 @@ class InferenceEngine:
         verdicts = self.runner.decode(slot_indices, tokens, request_ids) or ()
         # One verdict per row that did not advance.
         advanced = len(slot_indices) - len(verdicts)
-        self.stats.decode_calls += advanced > 0
-        self.stats.decode_call_rows += advanced
+        if advanced:
+            self.events.emit("decode", n=advanced)
         return self._apply_verdicts(verdicts)
 
     # ------------------------------------------------------------------
@@ -783,12 +662,7 @@ class InferenceEngine:
             if verdict.action == "retry":
                 self._slots[slot_idx].retry_at = verdict.step
             elif verdict.action == "requeue":
-                entry = self._park(slot_idx, hold_until_step=verdict.step)
-                detail = (
-                    f"attempt {verdict.attempts}, prefill_pos {entry.prefill_pos}, "
-                    f"hold until step {verdict.step}"
-                )
-                self._log("requeue", entry.request_id, site="prefill", detail=detail)
+                self._park(slot_idx, hold_until_step=verdict.step)
             else:
                 entry = self._prefilling.pop(slot_idx, None)
                 if entry is None:
@@ -798,11 +672,6 @@ class InferenceEngine:
         return completions
 
     # ------------------------------------------------------------------
-    def _log(self, action: str, request_id: Optional[int] = None, **fields: str) -> None:
-        self.resilience_log.record(
-            self.stats.engine_steps, action, request_id=request_id, **fields
-        )
-
     def _select(self, slot: _Slot, logits: np.ndarray) -> Tuple[int, float]:
         """Choose the next token for one slot from its pending logits."""
         request = slot.entry.request
@@ -829,20 +698,14 @@ class InferenceEngine:
     ) -> Completion:
         """The one way a request leaves the engine.
 
-        Stamps its latency record, lets the runner drop what it kept for the
-        request, counts it, and builds its completion (``"error"`` is counted
-        by whoever decided it: the supervisor, or a ``run()`` guard).  The
-        caller has already unlinked ``entry``; the completion does not keep it.
+        Emits its ``retire`` event (which stamps the latency record and counts
+        it; ``"error"`` is counted by whoever decided it: the supervisor, or a
+        ``run()`` guard), lets the runner drop what it kept for the request,
+        and builds its completion.  The caller has already unlinked ``entry``;
+        the completion does not keep it.
         """
-        entry.latency.finished_step = self.stats.engine_steps
-        entry.latency.finish_reason = reason
+        self.events.emit("retire", detail=reason, latency=entry.latency)
         self.runner.release(entry.request_id)
-        if reason in ("stop", "length"):
-            self.stats.completed += 1
-        elif reason == "cancelled":
-            self.stats.cancelled += 1
-        elif reason == "expired":
-            self.stats.expired += 1
         request = entry.request
         return Completion(
             request_id=entry.request_id,

@@ -250,21 +250,21 @@ def _pct(values: List[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
-def _ledger_metrics(
+def _token_time_metrics(
     items: Sequence[LoadItem],
     records: List[RequestRecord],
-    ledger: List[Tuple[int, int, int]],
+    clock: List[int],
+    stalling: List[int],
 ) -> Dict[str, float]:
     """Token-time TTFT, the short class's TTFT and decode stalls.
 
-    ``ledger[s]`` describes engine step ``s + 1``: the model tokens (prompt +
-    decode) processed after it, the prompt tokens it used, and the rows
-    decoding before it.  Token time -- the tokens the engine processed
+    ``clock[s]`` is the model tokens (prompt + decode) processed after engine
+    step ``s``; ``stalling`` holds the prompt tokens of each step that began
+    with rows decoding.  Token time -- the tokens the engine processed
     between two steps -- is the wall-time proxy on hardware where every token
     costs one datapath beat: an iteration count hides a 300-token prompt in
     one iteration, token time does not.
     """
-    clock = [0] + [processed for processed, _, _ in ledger]
     started = [r for r in records if r.ttft_iterations is not None]
     short = [
         r for r in started
@@ -276,7 +276,6 @@ def _ledger_metrics(
 
     ttft_tokens, short_tokens = token_time(started), token_time(short)
     short_iters = [r.ttft_iterations for r in short]
-    stalling = [prefill for _, prefill, decoding in ledger if decoding > 0]
     return {
         "ttft_p50_tokens": _pct(ttft_tokens, 50),
         "ttft_p99_tokens": _pct(ttft_tokens, 99),
@@ -293,16 +292,14 @@ def _ledger_metrics(
 
 def _finalize(
     driver: str,
-    items: Sequence[LoadItem],
     records: List[RequestRecord],
     *,
     engine_steps: int,
     decoded_tokens: int,
     max_batch_size: int,
     elapsed_s: float,
-    ledger: Optional[List[Tuple[int, int, int]]] = None,
 ) -> HarnessResult:
-    """Aggregate records (and a step ledger, if kept) into metrics + info."""
+    """Aggregate records into metrics + info."""
     records = sorted(records, key=lambda r: r.item_index)
     ttft = [r.ttft_iterations for r in records if r.ttft_iterations is not None]
     wait = [
@@ -332,8 +329,6 @@ def _finalize(
         "error_count": float(reasons.get("error", 0)),
         "engine_steps": float(engine_steps),
     }
-    if ledger is not None:
-        metrics.update(_ledger_metrics(items, records, ledger))
     slot_iters = engine_steps * max_batch_size
     info = {
         "finish_reasons": reasons,
@@ -389,7 +384,8 @@ def run_inprocess(
     client disconnects are modelled as :meth:`InferenceEngine.cancel` calls
     issued from the streaming ``on_token`` callback after the scheduled
     number of tokens -- the exact hang-up point a live SSE client produces.
-    The driver also keeps the per-step ledger :func:`_ledger_metrics` folds.
+    After each step the driver reads the step's prompt work off the engine's
+    events, for the token-time metrics (:func:`_token_time_metrics`).
     """
     clock = ManualClock()
     engine = InferenceEngine(
@@ -412,7 +408,8 @@ def run_inprocess(
             engine.cancel(request_id)
 
     completions = []
-    ledger: List[Tuple[int, int, int]] = []
+    token_clock = [0]  # model tokens processed after each step
+    stalling: List[int] = []  # prompt tokens of each step begun with rows decoding
     idx = 0
     start = time.perf_counter()
     while idx < len(items) or engine.has_work:
@@ -432,17 +429,13 @@ def run_inprocess(
                 disconnect_at[request_id] = item.disconnect_after
             idx += 1
         decoding = engine.num_active
-        prefilled = engine.stats.prefilled_tokens
         completions.extend(engine.step(on_token=on_token))
         clock.advance(1.0)
-        stats = engine.stats
-        ledger.append(
-            (
-                stats.prefilled_tokens + stats.decoded_tokens,
-                stats.prefilled_tokens - prefilled,
-                decoding,
+        token_clock.append(engine.stats.prefilled_tokens + engine.stats.decoded_tokens)
+        if decoding:
+            stalling.append(
+                sum(event.n for event in engine.events.this_step() if event.kind == "prefill")
             )
-        )
     elapsed = time.perf_counter() - start
 
     records = []
@@ -469,16 +462,16 @@ def run_inprocess(
         raise RuntimeError(
             f"exactly-once violated: {len(records)} completions for {len(items)} requests"
         )
-    return _finalize(
+    result = _finalize(
         "inprocess",
-        items,
         records,
         engine_steps=engine.stats.engine_steps,
         decoded_tokens=engine.stats.decoded_tokens,
         max_batch_size=max_batch_size,
         elapsed_s=elapsed,
-        ledger=ledger,
     )
+    result.metrics.update(_token_time_metrics(items, records, token_clock, stalling))
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -741,7 +734,6 @@ def run_live(
     _, stats = _request_json(host, port, "GET", "/stats")
     return _finalize(
         "live",
-        items,
         [r for r in records if r is not None],
         engine_steps=int(stats["engine"]["engine_steps"]),
         decoded_tokens=int(stats["engine"]["decoded_tokens"]),

@@ -35,7 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mamba.cache import InferenceCache
-    from repro.serving.engine import Request, RequestLatency
+    from repro.serving.engine import Request
+    from repro.serving.events import RequestLatency
 
 __all__ = ["Clock", "QueueEntry", "RequestQueue"]
 
@@ -49,7 +50,7 @@ Clock = Callable[[], float]
 class QueueEntry:
     """One request plus its admission metadata -- the engine's record of it.
 
-    ``latency`` is the request's :class:`~repro.serving.engine.RequestLatency`,
+    ``latency`` is the request's :class:`~repro.serving.events.RequestLatency`,
     set by :meth:`InferenceEngine.submit
     <repro.serving.engine.InferenceEngine.submit>` before the push.  While the
     prompt is unfinished, ``cache`` holds the exact recurrent state after

@@ -23,9 +23,9 @@ The serving layer's failure semantics live here, apart from the engine loop
   counts, held snapshots, degraded requests) and hands the engine
   :class:`Verdict` objects, which the engine applies mechanically, as it
   applies an :class:`~repro.serving.scheduler.AdmissionPlan`.
-- **Accounting** -- :class:`ResilienceLog`: the per-event ledger (rollbacks,
-  retries, requeues, degradations, quarantines), the structured counterpart of
-  the aggregate counters in :class:`~repro.serving.engine.EngineStats`.
+- **Accounting** -- every action is one event on the engine's
+  :class:`~repro.serving.events.EventLog` (kinds: :class:`~repro.serving.events.Event`),
+  which folds it into the counters.
 
 The injector is *passive*: the supervisor asks it at each model call whether
 a fault applies (:meth:`FaultInjector.on_model_call`,
@@ -36,7 +36,7 @@ fault placement is exact and deterministic -- no monkeypatching, no races.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import (
     TYPE_CHECKING,
@@ -53,10 +53,10 @@ from typing import (
 import numpy as np
 
 from repro.mamba.cache import InferenceCache, QuantizedSSMState
+from repro.serving.events import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serving.engine import EngineStats, TokenCallback
-    from repro.serving.queue import Clock
+    from repro.serving.engine import TokenCallback
     from repro.serving.runner import ModelRunner
 
 __all__ = [
@@ -67,8 +67,6 @@ __all__ = [
     "IterationTimeout",
     "ManualClock",
     "ResilienceConfig",
-    "ResilienceEvent",
-    "ResilienceLog",
     "StateCorruptionError",
     "Supervisor",
     "Verdict",
@@ -410,69 +408,6 @@ class ResilienceConfig:
         )
 
 
-@dataclass(frozen=True)
-class ResilienceEvent:
-    """One supervisor action, stamped with the engine iteration."""
-
-    step: int
-    action: str
-    request_id: Optional[int] = None
-    site: Optional[str] = None
-    detail: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "step": self.step,
-            "action": self.action,
-            "request_id": self.request_id,
-            "site": self.site,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class ResilienceLog:
-    """Ordered ledger of supervisor actions (the degradation ledger's detail).
-
-    Actions: ``fault`` (a supervised call failed), ``rollback`` (a slot's
-    state was restored from its snapshot), ``backoff`` (a retry was
-    scheduled), ``recovered`` (a faulted request resumed cleanly),
-    ``requeue`` (a faulted prefill went back to the queue, progress kept),
-    ``degrade`` (fallback to the sequential oracle), ``quarantine``
-    (retired with ``finish_reason="error"``), ``watchdog`` (budget
-    exceeded), ``corrupt`` (a row was poisoned), ``callback_drop`` /
-    ``callback_error``, and ``abort`` (a ``run()`` guard tripped).
-    """
-
-    events: List[ResilienceEvent] = field(default_factory=list)
-
-    def record(
-        self,
-        step: int,
-        action: str,
-        request_id: Optional[int] = None,
-        site: Optional[str] = None,
-        detail: str = "",
-    ) -> None:
-        self.events.append(
-            ResilienceEvent(
-                step=step, action=action, request_id=request_id, site=site, detail=detail
-            )
-        )
-
-    def request_ids(self, *actions: str) -> List[int]:
-        """Distinct request ids touched by any of ``actions`` (event order)."""
-        seen: List[int] = []
-        for event in self.events:
-            if event.action in actions and event.request_id is not None:
-                if event.request_id not in seen:
-                    seen.append(event.request_id)
-        return seen
-
-    def to_json(self) -> List[Dict[str, object]]:
-        return [e.to_json() for e in self.events]
-
-
 # ----------------------------------------------------------------------
 # The supervisor: a runner wrapper that turns faults into verdicts
 # ----------------------------------------------------------------------
@@ -486,8 +421,8 @@ class Verdict:
     decode until iteration ``step``, when the engine decodes the slot again,
     alone, with its last token.  ``"requeue"``: the prefilling request goes back to
     the queue, progress parked and ``prefill_pos`` kept, invisible to the
-    scheduler until iteration ``step`` (``attempts`` goes in the requeue
-    event).  ``"quarantine"``: the request retires with
+    scheduler until iteration ``step`` (``attempts``: its failures so far).
+    ``"quarantine"``: the request retires with
     ``finish_reason="error"`` and ``error``.
     """
 
@@ -524,22 +459,19 @@ class Supervisor:
     A faulting request is isolated, then retried with capped exponential
     backoff -- in place for decode, requeued with its progress for prefill --
     until it recovers, degrades to the sequential oracle, or is quarantined.
-    Consumer-thread only, like the engine's ``step``.  ``stats`` (iteration
-    counter read, resilience counters written), ``clock`` and ``log`` are the
-    engine's.
+    Consumer-thread only, like the engine's ``step``.  ``events`` is the
+    engine's event log: the iteration counter and the watchdog's clock are
+    read from it, and every supervisor action is emitted to it.
     """
 
     def __init__(
         self, runner: "ModelRunner", config: ResilienceConfig,
-        injector: Optional[FaultInjector], stats: "EngineStats", clock: "Clock",
-        log: ResilienceLog,
+        injector: Optional[FaultInjector], events: EventLog,
     ):
         self.runner = runner
         self.config = config
         self.injector = injector if injector is not None else FaultInjector(FaultPlan())
-        self.stats = stats
-        self.clock = clock
-        self.log = log
+        self.events = events
         #: decoding slots held in the retry loop (slot -> _Recovery)
         self._recovering: Dict[int, _Recovery] = {}
         #: cumulative fault attempts per request (spans prefill, requeues, decode)
@@ -577,9 +509,8 @@ class Supervisor:
             return None
 
         def deliver(request_id: int, token: int, logprob: float) -> None:
-            if self.injector.drop_callback(self.stats.engine_steps, request_id):
-                self.stats.callback_drops += 1
-                self._log("callback_drop", request_id)
+            if self.injector.drop_callback(self.events.stats.engine_steps, request_id):
+                self.events.emit("callback_drop", request_id)
             else:
                 on_token(request_id, token, logprob)
 
@@ -587,9 +518,11 @@ class Supervisor:
 
     # --- the supervised calls -------------------------------------------
     def prefill(
-        self, segment: np.ndarray, cache: InferenceCache, *, slot: int, request_id: int
+        self, segment: np.ndarray, cache: InferenceCache, *, slot: int, request_id: int,
+        prefill_pos: int = 0,
     ) -> Union[Tuple[np.ndarray, InferenceCache], Verdict]:
-        """Continue ``cache`` over ``segment`` on a working copy.
+        """Continue ``cache`` (``prefill_pos`` prompt tokens) over ``segment``
+        on a working copy.
 
         ``cache`` itself is the snapshot: the advanced copy is returned (with
         the logits) only when the segment commits; a failing one (kernel
@@ -597,7 +530,7 @@ class Supervisor:
         quarantine verdict.  A degraded request runs the per-token sequential
         oracle (the fake-quant step, no chunked scan), still integer-resident.
         """
-        self._record_snapshot(cache)
+        self.events.emit("snapshot", n=cache.batch_size or 1, nbytes=cache.resident_state_bytes())
         work = cache.copy()
         call = partial(
             self.runner.prefill, segment, work, slot=slot, request_id=request_id,
@@ -610,9 +543,8 @@ class Supervisor:
                     f"non-finite state or logits after prefill of request {request_id}"
                 )
         except Exception as exc:
-            self.stats.rollbacks += 1
-            self._log("rollback", request_id, "prefill", repr(exc))
-            return self._prefill_failure(slot, request_id, exc)
+            self.events.emit("rollback", request_id, "prefill", repr(exc))
+            return self._prefill_failure(slot, request_id, prefill_pos, exc)
         self._note_recovered(request_id, "prefill")
         return logits, work
 
@@ -637,7 +569,7 @@ class Supervisor:
         held = self._recovering.get(slots[0]) if len(slots) == 1 else None
         if held is None:
             snapshot = pool.snapshot_rows(slots)
-            self._record_snapshot(snapshot)
+            self.events.emit("snapshot", n=len(slots), nbytes=snapshot.resident_state_bytes())
         else:
             snapshot = held.snapshot
         failures: List[Tuple[int, BaseException]] = []  # (position, what went wrong)
@@ -658,7 +590,7 @@ class Supervisor:
                 # Isolate the culprit: binary-search the batch.  Healthy
                 # halves commit on their own call; a fault that does not
                 # reproduce on the halves was transient and every row commits.
-                self._log("isolate", None, "decode", f"{len(positions)} rows, {exc!r}")
+                self.events.emit("isolate", None, "decode", f"{len(positions)} rows, {exc!r}")
                 mid = len(positions) // 2
                 solve(positions[:mid])
                 solve(positions[mid:])
@@ -672,9 +604,10 @@ class Supervisor:
 
         solve(list(range(len(slots))))
         solve = None  # it calls itself through its closure: a cycle holding the snapshot
-        # The engine counts one decode call per iteration that advanced a
-        # row; isolation may have split it into several committing calls.
-        self.stats.decode_calls += max(0, commits - 1)
+        # The engine's decode event counts the iteration's call and its rows;
+        # each further committing call of an isolation is one more call.
+        for _ in range(commits - 1):
+            self.events.emit("decode")
         if held is not None and not failures:
             del self._recovering[slots[0]]
             self._note_recovered(held.request_id, "decode")
@@ -707,21 +640,20 @@ class Supervisor:
         / quarantine path as any failure -- a stuck step becomes a timed-out
         retirement instead of a hung run.  The caller rolls back.
         """
-        step = self.stats.engine_steps
+        step, clock = self.events.stats.engine_steps, self.events.clock
         poisoned = self.injector.corrupt_rows(site, step, request_ids)
         for position in poisoned:
             for layer in cache.layers:
                 layer.conv_state[... if rows is None else rows[position]] = np.nan
-            self._log("corrupt", request_ids[position], site)
+            self.events.emit("corrupt", request_ids[position], site)
         guard = np.errstate(invalid="ignore", over="ignore") if poisoned else nullcontext()
-        start = self.clock()
+        start = clock()
         with guard:
             self.injector.on_model_call(site, step, request_ids)
             result = call()
         budget = self.config.watchdog_budget_s
-        if budget is not None and (elapsed := self.clock() - start) > budget:
-            self.stats.watchdog_timeouts += 1
-            self._log(
+        if budget is not None and (elapsed := clock() - start) > budget:
+            self.events.emit(
                 "watchdog", request_ids[0] if len(request_ids) == 1 else None, site,
                 f"elapsed {elapsed:.3f}s > budget {budget:.3f}s",
             )
@@ -735,20 +667,19 @@ class Supervisor:
         self, slot: int, request_id: int, row_snapshot: InferenceCache, exc: BaseException
     ) -> Verdict:
         """Schedule a rolled-back decode row's retry, or quarantine it."""
-        self._log("fault", request_id, "decode", repr(exc))
-        self.stats.rollbacks += 1
-        self._log("rollback", request_id, "decode")
-        attempts = self._count_fault(request_id)
+        attempts = self._count_fault(request_id, "decode", exc)
+        self.events.emit("rollback", request_id, "decode")
         self._recovering.setdefault(slot, _Recovery(request_id, row_snapshot))
         if attempts >= self.config.max_attempts:
             return self._quarantine(slot, request_id, "decode", exc)
-        retry_step = self.stats.engine_steps + self.config.backoff_iterations(attempts)
-        self.stats.retries += 1
+        retry_step = self.events.stats.engine_steps + self.config.backoff_iterations(attempts)
         detail = f"attempt {attempts}, retry at step {retry_step}"
-        self._log("backoff", request_id, "decode", detail)
+        self.events.emit("backoff", request_id, "decode", detail)
         return Verdict("retry", slot, step=retry_step)
 
-    def _prefill_failure(self, slot: int, request_id: int, exc: BaseException) -> Verdict:
+    def _prefill_failure(
+        self, slot: int, request_id: int, prefill_pos: int, exc: BaseException
+    ) -> Verdict:
         """Requeue (with backoff), degrade, or quarantine a faulted prefill.
 
         An ``OverflowError`` (an integer kernel's static overflow guard --
@@ -756,49 +687,34 @@ class Supervisor:
         switch the request to the sequential-oracle fallback for all its
         remaining prefill work.
         """
-        self._log("fault", request_id, "prefill", repr(exc))
-        attempts = self._count_fault(request_id)
+        attempts = self._count_fault(request_id, "prefill", exc)
         if request_id not in self._degraded and (
             isinstance(exc, OverflowError) or attempts >= self.config.degrade_after
         ):
             self._degraded.add(request_id)
-            self.stats.degraded += 1
-            self._log("degrade", request_id, "prefill", "sequential-oracle fallback")
+            self.events.emit("degrade", request_id, "prefill", "sequential-oracle fallback")
         if attempts >= self.config.max_attempts:
             return self._quarantine(slot, request_id, "prefill", exc)
-        self.stats.retries += 1
-        self.stats.requeued_faults += 1
-        hold = self.stats.engine_steps + self.config.backoff_iterations(attempts)
+        hold = self.events.stats.engine_steps + self.config.backoff_iterations(attempts)
+        detail = f"attempt {attempts}, prefill_pos {prefill_pos}, hold until step {hold}"
+        self.events.emit("requeue", request_id, "prefill", detail)
         return Verdict("requeue", slot, step=hold, attempts=attempts)
 
-    def _count_fault(self, request_id: int) -> int:
-        """Charge one failure to the request's whole-life attempt budget."""
-        self.stats.faults += 1
+    def _count_fault(self, request_id: int, site: str, exc: BaseException) -> int:
+        """Emit a fault and charge it to the request's whole-life attempt budget."""
+        self.events.emit("fault", request_id, site, repr(exc))
         attempts = self._fault_attempts.get(request_id, 0) + 1
         self._fault_attempts[request_id] = attempts
         return attempts
 
     def _note_recovered(self, request_id: int, site: str) -> None:
         if self._fault_attempts.pop(request_id, 0):
-            self.stats.recovered += 1
-            self._log("recovered", request_id, site)
+            self.events.emit("recovered", request_id, site)
 
     def _quarantine(self, slot: int, request_id: int, site: str, exc: BaseException) -> Verdict:
         """Give up on a request: it retires with ``finish_reason="error"``."""
-        self.stats.quarantined += 1
-        self._log("quarantine", request_id, site, repr(exc))
+        self.events.emit("quarantine", request_id, site, repr(exc))
         return Verdict("quarantine", slot, error=repr(exc))
-
-    def _record_snapshot(self, snapshot: InferenceCache) -> None:
-        """Account a pre-call checkpoint in the stats ledger."""
-        self.stats.snapshot_rows += snapshot.batch_size or 1
-        self.stats.snapshot_bytes += snapshot.resident_state_bytes()
-
-    def _log(
-        self, action: str, request_id: Optional[int] = None, site: Optional[str] = None,
-        detail: str = "",
-    ) -> None:
-        self.log.record(self.stats.engine_steps, action, request_id, site, detail)
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,8 @@ __all__ = ["ModelRunner"]
 class ModelRunner:
     """Model calls against a fixed pool of ``num_slots`` batch rows.
 
-    ``slot`` / ``request_id(s)`` arguments *label* a call for wrappers (fault
-    attribution); nothing here reads them.
+    ``slot`` / ``request_id(s)`` / ``prefill_pos`` arguments *label* a call
+    for wrappers (fault attribution); nothing here reads them.
     """
 
     def __init__(self, model: Mamba2Model, num_slots: int):
@@ -47,6 +47,7 @@ class ModelRunner:
     def prefill(
         self, segment: np.ndarray, cache: InferenceCache, *, scan_impl: Optional[str] = None,
         slot: Optional[int] = None, request_id: Optional[int] = None,
+        prefill_pos: Optional[int] = None,
     ) -> Tuple[np.ndarray, InferenceCache]:
         """Continue ``cache`` over ``segment``: (last-token logits, advanced cache)."""
         return self.model.prefill(segment, cache=cache, scan_impl=scan_impl)

@@ -161,7 +161,7 @@ class MambaServer:
         config: Optional[ServerConfig] = None,
     ):
         # The loop may submit and read occupancy; consumer calls are the engine thread's.
-        self.engine = engine  # engine-thread-only: step, cancel
+        self.engine = engine  # engine-thread-only: step, cancel, events
         self.config = config or ServerConfig()
         self.address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -24,7 +24,10 @@ must hold whatever the interleaving:
   finished <= the step that returned them) and count every token;
 - ``EngineStats`` agree with the completions, and nothing outlives its
   completion: no latency record, no prefill cache after install, no
-  supervisor bookkeeping after the drain.
+  supervisor bookkeeping after the drain;
+- the folds agree with their events: while the engine's event ring has not
+  wrapped, recounting it from scratch gives ``vars(engine.stats)`` and every
+  live request's latency record.
 
 Five rules are directed, because uniform random rules seldom reach what
 they do: ``preempt`` makes a wrapping scheduler evict an in-flight prefill,
@@ -65,6 +68,7 @@ from repro.serving import (
     PriorityScheduler,
     Request,
 )
+from repro.serving.events import RING_CAPACITY, EngineStats, RequestLatency, fold
 from repro.serving.resilience import (
     FAULT_KINDS,
     FaultInjector,
@@ -363,7 +367,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         for target in self.refused:  # refused from a callback: gone, or retired this step
             assert target not in live_before or target in done | self.pending, target
         self.refused.clear()
-        degraded = self.engine.resilience_log.request_ids("degrade")
+        degraded = self.engine.events.request_ids("degrade")
         for c in completions:
             rid, reason, lat = c.request_id, c.finish_reason, c.latency
             tokens, logprobs = c.result.tokens, c.result.logprobs
@@ -412,6 +416,16 @@ class LifecycleMachine(RuleBasedStateMachine):
         assert not leaked(self.records), "a latency record outlived its completion"
         parked = engine.num_waiting + engine.num_prefilling
         assert not leaked(self.caches, parked), "a prefill cache outlived its install"
+        if len(engine.events) < RING_CAPACITY:  # the ring has not wrapped
+            entries = [*engine.queue.entries(), *engine._prefilling.values()]
+            entries += [slot.entry for slot in engine._slots if slot is not None]
+            live = {entry.request_id: entry.latency for entry in entries}
+            recount = {rid: RequestLatency(rid, lat.submitted_step) for rid, lat in live.items()}
+            stats = EngineStats()
+            for event in engine.events:
+                fold(event, stats, recount.get(event.request_id))
+            assert vars(stats) == vars(engine.stats), "a counter drifted from its events"
+            assert recount == live, "a latency record drifted from its events"
 
 
 TestLifecycle = settings(

@@ -33,14 +33,14 @@ from repro.serving.chaos import (
     run_chaos_soak,
     soak_once,
 )
-from repro.serving.engine import EngineStats, InferenceEngine, Request
+from repro.serving.engine import InferenceEngine, Request
+from repro.serving.events import EventLog
 from repro.serving.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
     ManualClock,
     ResilienceConfig,
-    ResilienceLog,
     Supervisor,
 )
 from test_lifecycle import replay
@@ -306,12 +306,12 @@ class TestSupervisorPolicy:
 
     def _supervisor(self, tiny_config, *faults, **cfg):
         runner = _FakeRunner(tiny_config)
-        stats = EngineStats(engine_steps=5)
+        events = EventLog(ManualClock())
+        events.stats.engine_steps = 5
         supervisor = Supervisor(
-            runner, ResilienceConfig(**cfg), FaultInjector(FaultPlan(faults=faults)),
-            stats=stats, clock=ManualClock(), log=ResilienceLog(),
+            runner, ResilienceConfig(**cfg), FaultInjector(FaultPlan(faults=faults)), events
         )
-        return supervisor, runner, stats
+        return supervisor, runner, events.stats
 
     def _advanced(self, runner):
         return [float(runner.pool.layers[0].ssm_state[slot].max()) for slot in self.SLOTS]
@@ -342,7 +342,7 @@ class TestSupervisorPolicy:
         assert [(v.action, v.slot) for v in verdicts] == [("retry", 1)]
         assert self._advanced(runner) == [1.0, 0.0, 1.0, 1.0]
         assert all(np.isfinite(layer.conv_state).all() for layer in runner.pool.layers)
-        assert supervisor.log.request_ids("corrupt", "fault", "rollback") == [11]
+        assert supervisor.events.request_ids("corrupt", "fault", "rollback") == [11]
 
     def test_backoff_follows_the_config_schedule(self, tiny_config):
         config = dict(max_attempts=6, backoff_base_iterations=1, backoff_cap_iterations=4)
@@ -404,13 +404,13 @@ class TestEngineRecovery:
         stats = state.engine.stats
         assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
         assert (stats.faults, stats.rollbacks, stats.recovered) == (1, 1, 1)
-        assert state.engine.resilience_log.request_ids("backoff") == [1]
+        assert state.engine.events.request_ids("backoff") == [1]
 
     def test_decode_corruption_attributed_and_rolled_back(self):
         state = _four_requests(FaultSpec("state_corrupt", step=4, site="decode", request_id=2))
         assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
         # Attribution is exact: only the targeted request was ever touched.
-        log = state.engine.resilience_log
+        log = state.engine.events
         assert log.request_ids("corrupt", "fault", "rollback") == [2]
         assert state.engine.stats.recovered == 1
 
@@ -428,7 +428,7 @@ class TestEngineRecovery:
         state = _four_requests(fault, degrade_after=5)
         assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
         assert (state.engine.stats.requeued_faults, state.engine.stats.degraded) == (1, 0)
-        assert state.engine.resilience_log.request_ids("requeue") == [3]
+        assert state.engine.events.request_ids("requeue") == [3]
 
     def test_overflow_degrades_to_sequential_oracle(self):
         state = _four_requests(
@@ -436,7 +436,7 @@ class TestEngineRecovery:
         )
         assert [o.reason for o in state.outcomes.values()] == ["length"] * 4
         assert state.engine.stats.degraded == 1
-        assert state.engine.resilience_log.request_ids("degrade") == [0]
+        assert state.engine.events.request_ids("degrade") == [0]
 
     def test_quantized_engine_survives_corruption(self, tiny_model):
         model = _star(tiny_model)
