@@ -5,7 +5,10 @@ behind: the logits, every layer's conv window, the resident SSM codes and
 their scales.  Arrays are hashed in logical C order (dtype, shape, bytes), so
 how a container stores them cannot move a hash -- only a changed value can.
 
-The matrix (lightmamba* W4A4 and W8A8 on the ``benchmarks/e2e`` model dims):
+The matrix: every quantization method -- RTN, SmoothQuant, OS+, LightMamba
+and lightmamba* -- at W4A4 and W8A8 on the ``benchmarks/e2e`` model dims
+(SmoothQuant and OS+ calibrate on fixed-seed token sequences), each through
+the same cases:
 
 - ``prefill/solo/L``: one prompt of L = 1, 63, 64, 65, 512 tokens;
 - ``prefill/batch3/L``: three prompts of L tokens prefilled as one batch;
@@ -21,9 +24,13 @@ must equal the committed record with ``==`` -- no tolerance.  The C is
 built with ``-march=native`` and numpy's SIMD transcendentals and the BLAS
 kernel are chosen by the CPU, so the record also names the machine it was
 taken on: on another one a difference is reported with both names.  A PR
-that changes bits on purpose re-records and lists the cases that moved::
+that changes bits on purpose re-records and lists the cases that moved;
+re-recording prints the names it added, removed and changed::
 
     PYTHONPATH=src python tests/test_fingerprint.py
+
+A lightmamba* case is named ``<bits>/<case>``, every other method's
+``<method>/<bits>/<case>``.
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ import pytest
 
 from repro.mamba import InitConfig, Mamba2Config, Mamba2Model
 from repro.mamba.cache import InferenceCache, QuantizedSSMState
-from repro.quant import QuantConfig, QuantMethod, native, quantize_model
+from repro.quant import (
+    QuantConfig, QuantMethod, collect_activation_stats, native, quantize_model,
+)
 
 RECORD = Path(__file__).with_name("fixtures") / "fingerprint.json"
 CONFIG = Mamba2Config(
@@ -47,6 +56,14 @@ CONFIG = Mamba2Config(
 )
 PROMPT_LENGTHS = (1, 63, 64, 65, 512)
 DECODE_STEPS = 32
+#: ``(case-name prefix, method)``; lightmamba*'s cases keep their first names.
+METHODS = (
+    ("", QuantMethod.LIGHTMAMBA_STAR),
+    ("rtn/", QuantMethod.RTN),
+    ("smoothquant/", QuantMethod.SMOOTHQUANT),
+    ("os+/", QuantMethod.OSPLUS),
+    ("lightmamba/", QuantMethod.LIGHTMAMBA),
+)
 
 
 def _machine() -> str:
@@ -121,10 +138,14 @@ def _cases(model):
 def fingerprint() -> dict:
     """The record's cases, ``config/case -> sha256``, on whatever executors run now."""
     fp_model = Mamba2Model.from_config(CONFIG, InitConfig(seed=0))
+    calibration = collect_activation_stats(
+        fp_model, list(_prompts(np.random.default_rng(7), 4, 64))
+    )
     cases = {}
-    for bits, make in (("w4a4", QuantConfig.w4a4), ("w8a8", QuantConfig.w8a8)):
-        model = quantize_model(fp_model, make(QuantMethod.LIGHTMAMBA_STAR))
-        cases.update((f"{bits}/{name}", digest) for name, digest in _cases(model))
+    for prefix, method in METHODS:
+        for bits, make in (("w4a4", QuantConfig.w4a4), ("w8a8", QuantConfig.w8a8)):
+            model = quantize_model(fp_model, make(method), calibration=calibration)
+            cases.update((f"{prefix}{bits}/{name}", digest) for name, digest in _cases(model))
     return cases
 
 
@@ -153,5 +174,13 @@ def test_fingerprint_without_library(no_kernel):
 if __name__ == "__main__":
     if native.status() != "compiled":
         sys.exit(f"record on the compiled library: {native.status()}")
-    RECORD.write_text(json.dumps({"machine": _machine(), "cases": fingerprint()}, indent=2) + "\n")
+    old = json.loads(RECORD.read_text())["cases"] if RECORD.exists() else {}
+    new = fingerprint()
+    RECORD.write_text(json.dumps({"machine": _machine(), "cases": new}, indent=2) + "\n")
     print(f"wrote {RECORD}")
+    for label, names in (
+        ("added", [name for name in new if name not in old]),
+        ("removed", [name for name in old if name not in new]),
+        ("changed", [name for name in new if name in old and new[name] != old[name]]),
+    ):
+        print(f"{label} {len(names)}" + "".join(f"\n  {name}" for name in names))
