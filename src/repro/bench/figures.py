@@ -132,8 +132,8 @@ def fig4b_fusion_error(
     fused = rotate_model(source, RotationConfig(seed=rotation_seed, fuse_gated_norm=True)).model
     rows = []
     for layer, (block_only, block_fused) in enumerate(zip(only.blocks, fused.blocks)):
-        w_only = block_only.out_proj_weight
-        w_fused = block_fused.out_proj_weight
+        w_only = block_only.out_proj.weight
+        w_fused = block_fused.out_proj.weight
         rows.append(
             {
                 "layer": layer,

@@ -74,7 +74,7 @@ def table2_quant_error(
     setup = setup or build_reference_setup()
     layer = setup.config.n_layer // 2 if layer is None else layer
     activations = _held_out_out_proj_activations(setup, layer)
-    weight = setup.model.blocks[layer].out_proj_weight
+    weight = setup.model.blocks[layer].out_proj.weight
 
     rows: List[Dict[str, object]] = []
 

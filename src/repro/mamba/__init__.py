@@ -26,7 +26,7 @@ from repro.mamba.rmsnorm import RMSNorm, GatedRMSNorm
 from repro.mamba.conv1d import CausalConv1d
 from repro.mamba.ssm import SSMParams, ssm_step, ssm_scan, ssd_chunked_scan
 from repro.mamba.cache import LayerCache, InferenceCache, QuantizedLayerCache, QuantizedSSMState
-from repro.mamba.block import MambaBlock, SSMImpl
+from repro.mamba.block import Linear, MambaBlock, SSMImpl
 from repro.mamba.model import Mamba2Model
 from repro.mamba.generation import greedy_decode, sample_decode, GenerationResult
 from repro.mamba.sampling import log_softmax, top_k_filter, greedy_select, sample_select
@@ -51,6 +51,7 @@ __all__ = [
     "InferenceCache",
     "QuantizedLayerCache",
     "QuantizedSSMState",
+    "Linear",
     "MambaBlock",
     "SSMImpl",
     "Mamba2Model",

@@ -10,20 +10,20 @@ A block (Fig. 1 of the paper) computes, for a residual-stream input ``u``::
     g           = GatedRMSNorm(y, z)              # gate with silu(z), normalise
     out         = u + g @ W_out^T                 # output projection + residual
 
-The block exposes three injection points used by the quantization stack and
-the hardware co-design:
+Each projection is one object, called on its input: a :class:`Linear` --
+``pre(x) @ weight.T (+ bias)``, where ``pre`` applies the projection's input
+transforms in order (identity when there are none).  The rotated model's
+online Hadamard before the output projection (rotation (3) in Fig. 4a) is
+such a transform; the quantized model replaces both projections with
+:class:`~repro.quant.qlinear.QuantizedLinear`, whose ``pre`` also quantizes
+the activation.
 
-- ``pre_in_proj`` / ``pre_out_proj`` -- callables applied to the activation
-  right before the corresponding matrix multiplication (identity by default).
-  The quantized model uses them for activation fake-quantization and for the
-  *online Hadamard transform* inserted before the output projection
-  (rotation (3) in Fig. 4a).
-- ``ssm_impl`` -- an alternative implementation of the SSM layer, typed by
-  the :class:`SSMImpl` protocol; the PoT-quantized SSM plugs in here.  The
-  block calls it without looking at what it is: ``step`` makes one batched
-  step call, ``forward`` one ``prefill_scan`` call, and the state it is
-  handed back goes into the cache as it comes.  ``None`` (the default) is the
-  floating-point recurrence of :mod:`repro.mamba.ssm`.
+``ssm_impl`` is an alternative implementation of the SSM layer, typed by the
+:class:`SSMImpl` protocol; the PoT-quantized SSM plugs in here.  The block
+calls it without looking at what it is: ``step`` makes one batched step
+call, ``forward`` one ``prefill_scan`` call, and the state it is handed back
+goes into the cache as it comes.  ``None`` (the default) is the
+floating-point recurrence of :mod:`repro.mamba.ssm`.
 
 ``step`` (one token) and ``forward`` (a segment) share one body: the
 pre-norm + in-projection, and the gated norm + out-projection + residual with
@@ -34,7 +34,8 @@ the ``collect`` writes.  They differ only in the convolution call
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 import numpy as np
@@ -45,9 +46,7 @@ from repro.mamba.conv1d import CausalConv1d
 from repro.mamba.rmsnorm import GatedRMSNorm, RMSNorm
 from repro.mamba.ssm import SSMParams, ssd_chunked_scan, ssm_scan, ssm_step
 
-__all__ = ["MambaBlock", "SSMImpl"]
-
-ActivationHook = Callable[[np.ndarray], np.ndarray]
+__all__ = ["Linear", "MambaBlock", "SSMImpl"]
 
 
 class SSMImpl(Protocol):
@@ -75,8 +74,50 @@ class SSMImpl(Protocol):
         """A fresh zero cache in the state representation it decodes on."""
 
 
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
+@dataclass
+class Linear:
+    """A projection ``pre(x) @ weight.T (+ bias)``.
+
+    ``pre`` applies ``transforms`` -- callables on the input activation -- in
+    order.  :class:`~repro.quant.qlinear.QuantizedLinear` is the quantized
+    form: its weight is decoded from integer codes and its ``pre`` ends with
+    activation quantization.
+    """
+
+    weight: np.ndarray                                        # (out_features, in_features)
+    bias: Optional[np.ndarray] = None                         # (out_features,)
+    transforms: Tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+
+    def __post_init__(self) -> None:
+        self.weight = np.asarray(self.weight, dtype=np.float64)
+        if self.bias is not None:
+            self.bias = np.asarray(self.bias, dtype=np.float64)
+            if self.bias.shape != self.weight.shape[:1]:
+                raise ValueError(
+                    f"bias must have shape ({self.weight.shape[0]},), got {self.bias.shape}"
+                )
+        self.transforms = tuple(self.transforms)
+
+    def pre(self, x: np.ndarray) -> np.ndarray:
+        """The input transforms, in order."""
+        for transform in self.transforms:
+            x = transform(x)
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self.pre(x) @ self.weight.T
+        if self.bias is not None:
+            out = out + self.bias
+        return out
+
+    __call__ = forward
+
+    def copy(self) -> "Linear":
+        """A copy with its own weight and bias (transforms shared)."""
+        clone = copy.copy(self)
+        clone.weight = self.weight.copy()
+        clone.bias = None if self.bias is None else self.bias.copy()
+        return clone
 
 
 def _rolled_conv_window(window: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -102,40 +143,27 @@ class MambaBlock:
 
     config: Mamba2Config
     norm: RMSNorm
-    in_proj_weight: np.ndarray        # (d_in_proj, d_model)
+    in_proj: Linear                   # (d_in_proj, d_model)
     conv: CausalConv1d                # over conv_dim channels
     ssm: SSMParams
     gated_norm: GatedRMSNorm
-    out_proj_weight: np.ndarray       # (d_model, d_inner)
+    out_proj: Linear                  # (d_model, d_inner)
     layer_idx: int = 0
-    in_proj_bias: Optional[np.ndarray] = None   # (d_in_proj,), used by OS+ compensation
-    out_proj_bias: Optional[np.ndarray] = None  # (d_model,), used by OS+ compensation
-    pre_in_proj: ActivationHook = field(default=_identity)
-    pre_out_proj: ActivationHook = field(default=_identity)
     ssm_impl: Optional[SSMImpl] = None
 
     def __post_init__(self) -> None:
         cfg = self.config
-        self.in_proj_weight = np.asarray(self.in_proj_weight, dtype=np.float64)
-        self.out_proj_weight = np.asarray(self.out_proj_weight, dtype=np.float64)
-        if self.in_proj_bias is not None:
-            self.in_proj_bias = np.asarray(self.in_proj_bias, dtype=np.float64)
-            if self.in_proj_bias.shape != (cfg.d_in_proj,):
-                raise ValueError("in_proj_bias must have shape (d_in_proj,)")
-        if self.out_proj_bias is not None:
-            self.out_proj_bias = np.asarray(self.out_proj_bias, dtype=np.float64)
-            if self.out_proj_bias.shape != (cfg.d_model,):
-                raise ValueError("out_proj_bias must have shape (d_model,)")
-        if self.in_proj_weight.shape != (cfg.d_in_proj, cfg.d_model):
-            raise ValueError(
-                f"in_proj_weight must have shape ({cfg.d_in_proj}, {cfg.d_model}), "
-                f"got {self.in_proj_weight.shape}"
-            )
-        if self.out_proj_weight.shape != (cfg.d_model, cfg.d_inner):
-            raise ValueError(
-                f"out_proj_weight must have shape ({cfg.d_model}, {cfg.d_inner}), "
-                f"got {self.out_proj_weight.shape}"
-            )
+        if cfg.ngroups != 1:
+            # B and C are split and scanned as one group shared by every head.
+            raise ValueError(f"MambaBlock supports ngroups=1 only, got ngroups={cfg.ngroups}")
+        for name, proj, shape in (
+            ("in_proj", self.in_proj, (cfg.d_in_proj, cfg.d_model)),
+            ("out_proj", self.out_proj, (cfg.d_model, cfg.d_inner)),
+        ):
+            if proj.weight.shape != shape:
+                raise ValueError(
+                    f"{name} weight must have shape {shape}, got {proj.weight.shape}"
+                )
         if self.conv.channels != cfg.conv_dim:
             raise ValueError("conv channel count does not match config.conv_dim")
         if self.ssm.nheads != cfg.nheads:
@@ -150,9 +178,7 @@ class MambaBlock:
         """Pre-norm and in-projection: ``(r, z, xBC, dt)``, the last three views of one array."""
         cfg = self.config
         r = self.norm(u)
-        zxbcdt = self.pre_in_proj(r) @ self.in_proj_weight.T
-        if self.in_proj_bias is not None:
-            zxbcdt = zxbcdt + self.in_proj_bias
+        zxbcdt = self.in_proj(r)
         z = zxbcdt[..., : cfg.d_inner]
         xbc = zxbcdt[..., cfg.d_inner : cfg.d_inner + cfg.conv_dim]
         return r, z, xbc, zxbcdt[..., cfg.d_inner + cfg.conv_dim :]
@@ -175,9 +201,7 @@ class MambaBlock:
         # overwrite it -- unless the caller collects it.
         reuse = collect is None and y.flags.c_contiguous
         gated = self.gated_norm(y, z, out=y if reuse else None)
-        out = self.pre_out_proj(gated) @ self.out_proj_weight.T
-        if self.out_proj_bias is not None:
-            out = out + self.out_proj_bias
+        out = self.out_proj(gated)
         hidden = np.add(u, out, out=out)
         if collect is not None:
             x_heads, b, c = self._split_xbc(xbc)
@@ -300,32 +324,37 @@ class MambaBlock:
 
     __call__ = forward
 
+    # Old names, read by benchmarks/e2e only (ROADMAP 1(c)).
+    pre_in_proj = property(
+        lambda self: self.in_proj.pre, lambda self, pre: setattr(self.in_proj, "pre", pre)
+    )
+    pre_out_proj = property(
+        lambda self: self.out_proj.pre, lambda self, pre: setattr(self.out_proj, "pre", pre)
+    )
+    in_proj_weight = property(lambda self: self.in_proj.weight)
+
     # ------------------------------------------------------------------
     # Utilities
     # ------------------------------------------------------------------
     def copy(self) -> "MambaBlock":
-        """Deep copy of the block (hooks are carried over by reference)."""
+        """Deep copy of the block (projection transforms and ``ssm_impl`` shared)."""
         return MambaBlock(
             config=self.config,
             norm=self.norm.copy(),
-            in_proj_weight=self.in_proj_weight.copy(),
+            in_proj=self.in_proj.copy(),
             conv=self.conv.copy(),
             ssm=self.ssm.copy(),
             gated_norm=self.gated_norm.copy(),
-            out_proj_weight=self.out_proj_weight.copy(),
+            out_proj=self.out_proj.copy(),
             layer_idx=self.layer_idx,
-            in_proj_bias=None if self.in_proj_bias is None else self.in_proj_bias.copy(),
-            out_proj_bias=None if self.out_proj_bias is None else self.out_proj_bias.copy(),
-            pre_in_proj=self.pre_in_proj,
-            pre_out_proj=self.pre_out_proj,
             ssm_impl=self.ssm_impl,
         )
 
     def num_parameters(self) -> int:
         """Parameter count of this block."""
         return int(
-            self.in_proj_weight.size
-            + self.out_proj_weight.size
+            self.in_proj.weight.size
+            + self.out_proj.weight.size
             + self.conv.weight.size
             + self.conv.bias.size
             + self.ssm.A_log.size

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mamba.block import Linear
 from repro.mamba.config import Mamba2Config
 from repro.mamba.conv1d import CausalConv1d
 from repro.mamba.rmsnorm import GatedRMSNorm, RMSNorm
@@ -175,9 +176,9 @@ def init_block_params(
 
     return {
         "norm": RMSNorm(norm_weight, eps=cfg.norm_eps),
-        "in_proj_weight": in_proj,
+        "in_proj": Linear(in_proj),
         "conv": CausalConv1d(conv_weight, conv_bias),
         "ssm": SSMParams(A_log=A_log, D=D, dt_bias=dt_bias),
         "gated_norm": GatedRMSNorm(gated_weight, eps=cfg.norm_eps),
-        "out_proj_weight": out_proj,
+        "out_proj": Linear(out_proj),
     }

@@ -272,7 +272,8 @@ class Mamba2Model:
         return total
 
     def copy(self) -> "Mamba2Model":
-        """Deep copy of the model (parameters duplicated, hooks by reference)."""
+        """Deep copy of the model (parameters duplicated; projection transforms and
+        ``ssm_impl`` shared)."""
         return Mamba2Model(
             config=self.config,
             embedding=self.embedding.copy(),

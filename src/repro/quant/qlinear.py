@@ -1,11 +1,13 @@
 """Quantized linear layers.
 
-:class:`QuantizedLinear` bundles a fake-quantized weight with an activation
-quantizer and an optional bias.  It provides two numerically equivalent
-forward paths:
+:class:`QuantizedLinear` is the quantized form of a block projection
+(:class:`repro.mamba.block.Linear`): the weight's integer codes and scales,
+the activation quantizer, the input transforms and an optional bias.  It
+provides two numerically equivalent forward paths:
 
-- :meth:`forward` -- the fast "fake quant" path (floating-point matmul over
-  dequantized operands) used throughout the library;
+- :meth:`forward` (its ``__call__``) -- the fast "fake quant" path
+  (floating-point matmul over dequantized operands) used throughout the
+  library;
 - :meth:`forward_integer` -- an integer-exact path that performs the matmul
   on INT codes with per-group INT32 accumulation and applies the scales at
   the end, exactly as the FPGA MMU does.
@@ -16,12 +18,14 @@ accuracy evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.mamba.block import Linear
 from repro.quant.dtypes import Granularity
+from repro.quant.pot import code_storage_dtype
 from repro.quant.quantizer import (
     QuantizedTensor,
     QuantizerConfig,
@@ -109,13 +113,26 @@ def grouped_integer_matmul(  # integer-resident
     return out
 
 
-@dataclass
-class QuantizedLinear:
-    """A linear layer ``y = x W^T + b`` with quantized weight and activation."""
+class QuantizedLinear(Linear):
+    """A projection ``y = x W^T + b`` with quantized weight and activation.
 
-    weight_qt: QuantizedTensor
-    act_config: QuantizerConfig
-    bias: Optional[np.ndarray] = None
+    ``weight_qt`` holds the weight's integer codes, stored at their true
+    width (``int8`` for W4 and W8), and its scales; ``weight`` is their
+    dequantization, computed once here.  ``pre`` applies the input
+    ``transforms`` and then fake-quantizes the activation on ``act_config``.
+    """
+
+    def __init__(
+        self,
+        weight_qt: QuantizedTensor,
+        act_config: QuantizerConfig,
+        bias: Optional[np.ndarray] = None,
+        transforms: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+    ) -> None:
+        codes = weight_qt.codes.astype(code_storage_dtype(weight_qt.bits), copy=False)
+        self.weight_qt = replace(weight_qt, codes=codes)
+        self.act_config = act_config
+        super().__init__(dequantize(self.weight_qt), bias, transforms)
 
     @classmethod
     def from_weight(
@@ -127,15 +144,8 @@ class QuantizedLinear:
         bias: Optional[np.ndarray] = None,
     ) -> "QuantizedLinear":
         """Quantize ``weight`` with the paper's scheme for the given widths."""
-        weight = np.asarray(weight, dtype=np.float64)
-        wcfg = weight_quantizer_config(w_bits, group_size)
-        acfg = activation_quantizer_config(a_bits, group_size)
-        return cls(weight_qt=quantize(weight, wcfg), act_config=acfg, bias=bias)
-
-    @property
-    def weight(self) -> np.ndarray:
-        """The dequantized (fake-quantized) weight."""
-        return dequantize(self.weight_qt)
+        weight_qt = quantize(weight, weight_quantizer_config(w_bits, group_size))
+        return cls(weight_qt, activation_quantizer_config(a_bits, group_size), bias)
 
     @property
     def out_features(self) -> int:
@@ -148,16 +158,9 @@ class QuantizedLinear:
     # ------------------------------------------------------------------
     # Forward paths
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Fake-quant forward: quantize the activation, multiply dequantized."""
-        x = np.asarray(x, dtype=np.float64)
-        xq = quantize_dequantize(x, self.act_config)
-        out = xq @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    __call__ = forward
+    def pre(self, x: np.ndarray) -> np.ndarray:
+        """The input transforms, then activation fake-quantization."""
+        return quantize_dequantize(super().pre(x), self.act_config)
 
     def forward_integer(self, x: np.ndarray) -> np.ndarray:
         """Integer-exact forward on the raw codes.
@@ -168,7 +171,7 @@ class QuantizedLinear:
         accumulates per *tile* there, which no practical width overflows).
         The result equals :meth:`forward` up to floating-point associativity.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(Linear.pre(self, x), dtype=np.float64)
         squeeze = x.ndim == 1
         x2 = x[None, :] if squeeze else x.reshape(-1, x.shape[-1])
 

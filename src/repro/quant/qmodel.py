@@ -15,9 +15,10 @@ Method                    Transformation before RTN rounding
 ``lightmamba*``           ``lightmamba`` + PoT-quantized SSM and conv (whole model)
 ========================  ==========================================================
 
-Weights are fake-quantized in place; activations are quantized at run time by
-hooks installed on each block (``pre_in_proj`` / ``pre_out_proj``), composed
-with the method's runtime transformation (OS+ shift, online Hadamard).
+Each block's two projections become
+:class:`~repro.quant.qlinear.QuantizedLinear` s: the weight's integer codes
+and scales, and the activation quantizer, which runs after the method's
+runtime input transform (OS+ shift and scale, online Hadamard).
 
 For the ``lightmamba*`` configurations the ``ssm`` field of
 :class:`QuantConfig` (:class:`~repro.quant.ssm_quant.SSMQuantConfig`) holds
@@ -37,6 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.mamba.block import Linear
 from repro.mamba.model import Mamba2Model
 from repro.quant.calibration import CalibrationResult, collect_activation_stats
 from repro.quant.outlier_suppression import (
@@ -44,13 +46,10 @@ from repro.quant.outlier_suppression import (
     apply_shift_and_scale,
     compute_shift_and_scale,
 )
-from repro.quant.quantizer import QuantizerConfig, quantize_dequantize
+from repro.quant.qlinear import QuantizedLinear
+from repro.quant.quantizer import quantize, quantize_dequantize
 from repro.quant.rotation import RotationConfig, rotate_model
-from repro.quant.rtn import (
-    activation_quantizer_config,
-    rtn_quantize_weight,
-    weight_quantizer_config,
-)
+from repro.quant.rtn import activation_quantizer_config, weight_quantizer_config
 from repro.quant.smoothquant import SmoothQuantConfig, compute_smoothing_scales
 from repro.quant.ssm_quant import SSMQuantConfig, QuantizedChunkedScan
 
@@ -115,20 +114,10 @@ class QuantConfig:
 
 
 # ----------------------------------------------------------------------
-# Activation hooks
+# Per-method projection transformations
 # ----------------------------------------------------------------------
-class _ActivationQuant:
-    """Hook fake-quantizing activations on the configured grid."""
-
-    def __init__(self, config: QuantizerConfig):
-        self.config = config
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return quantize_dequantize(x, self.config)
-
-
 class _ShiftScale:
-    """Hook applying the OS+ runtime transformation ``(x - shift) / scale``."""
+    """OS+'s runtime input transform ``(x - shift) / scale``."""
 
     def __init__(self, shift: np.ndarray, scale: np.ndarray):
         self.shift = np.asarray(shift, dtype=np.float64)
@@ -138,59 +127,30 @@ class _ShiftScale:
         return (x - self.shift) / self.scale
 
 
-class _Chain:
-    """Hook composing other hooks left to right."""
-
-    def __init__(self, *hooks):
-        self.hooks = [h for h in hooks if h is not None]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        for hook in self.hooks:
-            x = hook(x)
-        return x
-
-
-# ----------------------------------------------------------------------
-# Per-method block transformations
-# ----------------------------------------------------------------------
-def _apply_smoothquant(block, calibration: CalibrationResult, config: QuantConfig) -> None:
+def _smoothquant(block, calibration: CalibrationResult, config: QuantConfig):
+    """Fold SmoothQuant's scales into the block's norms; returns the smoothed projections."""
     layer = block.layer_idx
     s_in = compute_smoothing_scales(
-        calibration.in_proj_absmax(layer), block.in_proj_weight, config.smoothquant
+        calibration.in_proj_absmax(layer), block.in_proj.weight, config.smoothquant
     )
     block.norm.weight = block.norm.weight / s_in
-    block.in_proj_weight = block.in_proj_weight * s_in[None, :]
-
     s_out = compute_smoothing_scales(
-        calibration.out_proj_absmax(layer), block.out_proj_weight, config.smoothquant
+        calibration.out_proj_absmax(layer), block.out_proj.weight, config.smoothquant
     )
     block.gated_norm.weight = block.gated_norm.weight / s_out
-    block.out_proj_weight = block.out_proj_weight * s_out[None, :]
-
-
-def _apply_osplus(block, calibration: CalibrationResult, config: QuantConfig):
-    """Apply OS+ to both projections; returns the runtime hooks to install."""
-    layer = block.layer_idx
-
-    lo, hi = calibration.in_proj_minmax(layer)
-    shift_in, scale_in = compute_shift_and_scale(lo, hi, block.in_proj_weight, config.osplus)
-    _, new_w_in, bias_in = apply_shift_and_scale(
-        np.zeros_like(shift_in), block.in_proj_weight, shift_in, scale_in
-    )
-    block.in_proj_weight = new_w_in
-    block.in_proj_bias = bias_in if block.in_proj_bias is None else block.in_proj_bias + bias_in
-
-    lo, hi = calibration.out_proj_minmax(layer)
-    shift_out, scale_out = compute_shift_and_scale(lo, hi, block.out_proj_weight, config.osplus)
-    _, new_w_out, bias_out = apply_shift_and_scale(
-        np.zeros_like(shift_out), block.out_proj_weight, shift_out, scale_out
-    )
-    block.out_proj_weight = new_w_out
-    block.out_proj_bias = (
-        bias_out if block.out_proj_bias is None else block.out_proj_bias + bias_out
+    return (
+        Linear(block.in_proj.weight * s_in[None, :], block.in_proj.bias),
+        Linear(block.out_proj.weight * s_out[None, :], block.out_proj.bias),
     )
 
-    return _ShiftScale(shift_in, scale_in), _ShiftScale(shift_out, scale_out)
+
+def _osplus(linear: Linear, lo: np.ndarray, hi: np.ndarray, config: QuantConfig) -> Linear:
+    """OS+ on one projection: the bias-compensated weight behind the shift-and-scale transform."""
+    shift, scale = compute_shift_and_scale(lo, hi, linear.weight, config.osplus)
+    _, weight, bias = apply_shift_and_scale(np.zeros_like(shift), linear.weight, shift, scale)
+    if linear.bias is not None:
+        bias = linear.bias + bias
+    return Linear(weight, bias, (_ShiftScale(shift, scale),))
 
 
 # ----------------------------------------------------------------------
@@ -230,27 +190,23 @@ def quantize_model(
     else:
         quantized = model.copy()
 
+    weight_cfg = weight_quantizer_config(config.w_bits, config.group_size)
     act_cfg = activation_quantizer_config(config.a_bits, config.group_size)
     conv_weight_cfg = weight_quantizer_config(8, config.group_size)
 
     for block in quantized.blocks:
-        in_transform = None
-        out_transform = block.pre_out_proj if method.uses_rotation else None
-
+        projections = block.in_proj, block.out_proj
         if method is QuantMethod.SMOOTHQUANT:
-            _apply_smoothquant(block, calibration, config)
+            projections = _smoothquant(block, calibration, config)
         elif method is QuantMethod.OSPLUS:
-            in_transform, out_transform = _apply_osplus(block, calibration, config)
-
-        block.in_proj_weight = rtn_quantize_weight(
-            block.in_proj_weight, config.w_bits, config.group_size
+            projections = (
+                _osplus(block.in_proj, *calibration.in_proj_minmax(block.layer_idx), config),
+                _osplus(block.out_proj, *calibration.out_proj_minmax(block.layer_idx), config),
+            )
+        block.in_proj, block.out_proj = (
+            QuantizedLinear(quantize(p.weight, weight_cfg), act_cfg, p.bias, p.transforms)
+            for p in projections
         )
-        block.out_proj_weight = rtn_quantize_weight(
-            block.out_proj_weight, config.w_bits, config.group_size
-        )
-
-        block.pre_in_proj = _Chain(in_transform, _ActivationQuant(act_cfg))
-        block.pre_out_proj = _Chain(out_transform, _ActivationQuant(act_cfg))
 
         if method.quantizes_ssm:
             # The chunk-parallel quantized scan: decodes exactly like the

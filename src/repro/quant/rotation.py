@@ -32,6 +32,7 @@ from typing import List
 
 import numpy as np
 
+from repro.mamba.block import Linear
 from repro.mamba.model import Mamba2Model
 from repro.quant.hadamard import apply_hadamard, random_hadamard_matrix
 
@@ -68,7 +69,7 @@ class RotationConfig:
 
 
 class OnlineHadamard:
-    """Activation hook applying the normalised Hadamard rotation ``x -> x H``.
+    """Input transform of the output projection: the normalised Hadamard rotation ``x -> x H``.
 
     This models the computation the paper's HTU performs online; the hardware
     cost is accounted for separately by :mod:`repro.hardware.htu`.
@@ -95,17 +96,23 @@ class RotatedModel:
 
 
 def _rotate_block(block, q: np.ndarray, config: RotationConfig) -> int:
-    """Rotate one block in place; returns the online-Hadamard dimension used."""
+    """Rotate one block in place; returns the online-Hadamard dimension used.
+
+    Both projections are rebuilt as float :class:`Linear` s; the only input
+    transform left is the online Hadamard of the out-projection.
+    """
     cfg = block.config
     d_inner = cfg.d_inner
 
     # (2) Split the pre-norm scale and fuse it, together with Q, into W_in.
     g = block.norm.weight.copy()
-    block.in_proj_weight = (block.in_proj_weight * g[None, :]) @ q
+    block.in_proj = Linear((block.in_proj.weight * g[None, :]) @ q, block.in_proj.bias)
     block.norm.weight = np.ones_like(g)
 
-    # (4) Residual-side rotation of the output projection.
-    w_out = q.T @ block.out_proj_weight
+    # (4) Residual-side rotation of the output projection: its output, bias
+    # included, lands in the rotated residual basis.
+    w_out = q.T @ block.out_proj.weight
+    transforms = ()
 
     online_dim = 0
     if config.online_hadamard:
@@ -117,9 +124,10 @@ def _rotate_block(block, q: np.ndarray, config: RotationConfig) -> int:
         h = np.eye(d_inner)
         h = apply_hadamard(h, order=d_inner, normalized=True)
         w_out = w_out @ h
-        block.pre_out_proj = OnlineHadamard(d_inner)
+        transforms = (OnlineHadamard(d_inner),)
         online_dim = d_inner
-    block.out_proj_weight = w_out
+    bias = block.out_proj.bias
+    block.out_proj = Linear(w_out, None if bias is None else bias @ q, transforms)
     return online_dim
 
 

@@ -76,7 +76,8 @@ def with_chunk_size():
 
     ``Mamba2Config.chunk_size`` is the one way to set the chunk length, so the
     copy's config (and each block's) carries the override.  The copy has the
-    original's weights (copied) and its hooks and SSM implementation (shared).
+    original's weights (copied) and its projection transforms and SSM
+    implementation (shared).
     """
 
     def rechunk(model, chunk_size):

@@ -188,8 +188,8 @@ class TestHarness:
         broken = model.copy()
         rng = np.random.default_rng(0)
         for block in broken.blocks:
-            block.out_proj_weight = rng.permutation(block.out_proj_weight.ravel()).reshape(
-                block.out_proj_weight.shape
+            block.out_proj.weight = rng.permutation(block.out_proj.weight.ravel()).reshape(
+                block.out_proj.weight.shape
             )
         assert last_token_perplexity(model, tasks[0]) < last_token_perplexity(broken, tasks[0])
 
@@ -209,8 +209,8 @@ class TestFidelityMetrics:
         noisy = model.copy()
         rng = np.random.default_rng(1)
         for block in noisy.blocks:
-            block.out_proj_weight = block.out_proj_weight + 0.05 * rng.normal(
-                size=block.out_proj_weight.shape
+            block.out_proj.weight = block.out_proj.weight + 0.05 * rng.normal(
+                size=block.out_proj.weight.shape
             )
         seqs = [np.arange(12)]
         assert mean_kl_divergence(model, noisy, seqs) > 0.0

@@ -9,6 +9,7 @@ from repro.mamba import (
     GatedRMSNorm,
     InferenceCache,
     InitConfig,
+    Linear,
     Mamba2Config,
     Mamba2Model,
     OutlierProfile,
@@ -303,10 +304,30 @@ class TestBlockAndModel:
 
     def test_model_copy_is_independent(self, tiny_model):
         clone = tiny_model.copy()
-        clone.blocks[0].in_proj_weight[:] = 0.0
+        clone.blocks[0].in_proj.weight[:] = 0.0
         assert not np.allclose(
-            clone.blocks[0].in_proj_weight, tiny_model.blocks[0].in_proj_weight
+            clone.blocks[0].in_proj.weight, tiny_model.blocks[0].in_proj.weight
         )
+
+    def test_ngroups_other_than_one_is_rejected(self):
+        """B and C are one group shared by every head; ngroups=2 must not run as a wider state."""
+        cfg = Mamba2Config(d_model=64, n_layer=1, vocab_size=100, d_state=16, headdim=16,
+                           ngroups=2)
+        with pytest.raises(ValueError, match="ngroups"):
+            Mamba2Model.from_config(cfg)
+
+    def test_linear_bias_shape_and_copy(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="bias"):
+            Linear(rng.normal(size=(4, 3)), bias=np.zeros(3))
+        proj = Linear(rng.normal(size=(4, 3)), rng.normal(size=4), (np.negative,))
+        x = rng.normal(size=(2, 3))
+        np.testing.assert_array_equal(proj(x), -x @ proj.weight.T + proj.bias)
+        clone = proj.copy()
+        clone.weight[:] = 0.0
+        clone.bias[:] = 0.0
+        assert np.all(proj.weight != 0.0) and np.all(proj.bias != 0.0)
+        assert clone.transforms == proj.transforms
 
     def test_parameter_count_matches_config_estimate(self, tiny_model):
         estimate = tiny_model.config.num_parameters()

@@ -294,7 +294,7 @@ def test_short_segments_roll_the_conv_window(star_model, rng, seq_len):
     u = rng.standard_normal((3, seq_len, block.config.d_model))
     collected = {}
     block.forward(u, collect=collected)  # the block's own in-projection split
-    zxbcdt = block.pre_in_proj(block.norm(u)) @ block.in_proj_weight.T
+    zxbcdt = block.in_proj(block.norm(u))
     xbc = zxbcdt[..., block.config.d_inner : block.config.d_inner + block.config.conv_dim]
     cache = warm.copy()
     block.forward(u, cache=cache)

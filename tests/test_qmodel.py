@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.mamba import InitConfig, Mamba2Model, get_preset, greedy_decode
+from repro.hardware.mmu import MatrixMultiplyUnit, MMUConfig
+from repro.mamba import InitConfig, Mamba2Config, Mamba2Model, get_preset, greedy_decode
 from repro.quant import (
     QuantConfig,
+    QuantizedLinear,
     QuantMethod,
     collect_activation_stats,
+    quantize_dequantize,
     quantize_model,
 )
-from repro.quant.qmodel import _ActivationQuant, _Chain
 from repro.quant.rotation import OnlineHadamard
 from repro.quant.ssm_quant import QuantizedSSMStep
 
@@ -136,10 +138,17 @@ class TestQuantizeModel:
 
     def test_lightmamba_installs_hadamard_hook(self, model):
         q = quantize_model(model, QuantConfig.w4a4(QuantMethod.LIGHTMAMBA, group_size=32))
-        hook = q.blocks[0].pre_out_proj
-        assert isinstance(hook, _Chain)
-        assert any(isinstance(h, OnlineHadamard) for h in hook.hooks)
-        assert any(isinstance(h, _ActivationQuant) for h in hook.hooks)
+        out_proj = q.blocks[0].out_proj
+        assert isinstance(out_proj, QuantizedLinear)
+        assert [type(t) for t in out_proj.transforms] == [OnlineHadamard]
+        # The online Hadamard first, then activation quantization.
+        d_inner = model.config.d_inner
+        x = np.random.default_rng(0).normal(size=(3, d_inner))
+        rotated = OnlineHadamard(d_inner)(x)
+        expected = quantize_dequantize(rotated, out_proj.act_config)
+        assert not np.array_equal(expected, rotated)
+        np.testing.assert_array_equal(out_proj.pre(x), expected)
+        np.testing.assert_array_equal(out_proj(x), expected @ out_proj.weight.T)
 
     def test_star_quantizes_ssm(self, model):
         star = quantize_model(model, QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR, group_size=32))
@@ -151,17 +160,40 @@ class TestQuantizeModel:
         q = quantize_model(
             model, QuantConfig.w8a8(QuantMethod.OSPLUS, group_size=32), calibration=calibration
         )
-        assert q.blocks[0].in_proj_bias is not None
-        assert q.blocks[0].out_proj_bias is not None
+        assert q.blocks[0].in_proj.bias is not None
+        assert q.blocks[0].out_proj.bias is not None
 
     def test_quantized_weights_are_on_grid(self, model):
         """Weights of the quantized model must take at most 2^bits distinct levels per group."""
         q = quantize_model(model, QuantConfig.w4a4(QuantMethod.RTN, group_size=32))
-        w = q.blocks[0].out_proj_weight
+        w = q.blocks[0].out_proj.weight
         group = w[0, :32]
         scale = np.max(np.abs(group)) / 7.0
         codes = group / max(scale, 1e-12)
         np.testing.assert_allclose(codes, np.round(codes), atol=1e-6)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_weight_bytes_match_the_mmu_model(self, bits):
+        """The projections' stored codes and scales are the bytes the MMU model streams."""
+        config = Mamba2Config(
+            name="e2e", d_model=256, n_layer=2, vocab_size=512, d_state=128, headdim=64
+        )
+        fp = Mamba2Model.from_config(config, InitConfig(seed=0))
+        q = quantize_model(fp, QuantConfig(QuantMethod.LIGHTMAMBA_STAR, w_bits=bits, a_bits=bits))
+        mmu = MatrixMultiplyUnit(MMUConfig(weight_bits=bits, act_bits=bits))
+        for block in q.blocks:
+            for proj in (block.in_proj, block.out_proj):
+                assert isinstance(proj, QuantizedLinear)
+                assert proj.weight_qt.codes.dtype == np.int8
+                out_features, in_features = proj.weight.shape
+                assert proj.memory_bytes() == mmu.weight_bytes(in_features, out_features, 128)
+        if bits == 4:
+            assert q.blocks[0].in_proj.memory_bytes() == 170_016
+        total = sum(p.memory_bytes() for b in q.blocks for p in (b.in_proj, b.out_proj))
+        per_block = mmu.weight_bytes(config.d_model, config.d_in_proj, 128) + mmu.weight_bytes(
+            config.d_inner, config.d_model, 128
+        )
+        assert total == config.n_layer * per_block
 
     def test_quantized_model_decodes(self, model):
         q = quantize_model(model, QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR, group_size=32))

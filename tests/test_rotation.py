@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mamba import InitConfig, Mamba2Model, get_preset
+from repro.mamba import InitConfig, Linear, Mamba2Model, get_preset
 from repro.quant import (
     OnlineHadamard,
     RotationConfig,
@@ -57,10 +57,25 @@ class TestEquivalence:
         step_b = rotated.step(5, cache_b)
         np.testing.assert_allclose(step_b, step_a, rtol=1e-6, atol=1e-6)
 
+    def test_projection_biases_are_rotated(self, model, tokens):
+        """A bias on either projection survives the rotation: the out-projection's
+        output, bias included, lands in the rotated residual basis."""
+        biased = model.copy()
+        rng = np.random.default_rng(13)
+        for block in biased.blocks:
+            for name in ("in_proj", "out_proj"):
+                proj = getattr(block, name)
+                bias = rng.normal(size=proj.weight.shape[0])
+                setattr(block, name, Linear(proj.weight, bias, proj.transforms))
+        rotated = rotate_model(biased, RotationConfig(seed=13)).model
+        np.testing.assert_allclose(
+            rotated.forward(tokens), biased.forward(tokens), rtol=1e-9, atol=1e-9
+        )
+
     def test_original_model_untouched(self, model, tokens):
-        before = model.blocks[0].in_proj_weight.copy()
+        before = model.blocks[0].in_proj.weight.copy()
         rotate_model(model, RotationConfig(seed=5))
-        np.testing.assert_array_equal(model.blocks[0].in_proj_weight, before)
+        np.testing.assert_array_equal(model.blocks[0].in_proj.weight, before)
 
     def test_rotation_matrix_is_orthogonal(self, model):
         rotated = rotate_model(model, RotationConfig(seed=6))
@@ -77,7 +92,7 @@ class TestEquivalence:
     def test_online_hook_installed(self, model):
         rotated = rotate_model(model, RotationConfig(seed=8))
         for block, dim in zip(rotated.model.blocks, rotated.online_dims):
-            assert isinstance(block.pre_out_proj, OnlineHadamard)
+            assert [type(t) for t in block.out_proj.transforms] == [OnlineHadamard]
             assert dim == model.config.d_inner
 
 
@@ -89,7 +104,7 @@ class TestOutlierRemoval:
         # online rotation when present.
         acts = []
         for block, layer_acts in zip(m.blocks, collect):
-            acts.append(block.pre_out_proj(layer_acts["out_proj_input"]))
+            acts.append(block.out_proj.pre(layer_acts["out_proj_input"]))
         return acts
 
     def test_rotation_reduces_activation_outliers(self, model, tokens):
@@ -119,8 +134,8 @@ class TestOutlierRemoval:
         base_err, rot_err = [], []
         rotated = rotate_model(model, RotationConfig(seed=11)).model
         for orig_block, rot_block in zip(model.blocks, rotated.blocks):
-            w0 = orig_block.in_proj_weight
-            w1 = rot_block.in_proj_weight
+            w0 = orig_block.in_proj.weight
+            w1 = rot_block.in_proj.weight
             base_err.append(relative_error(w0, rtn_quantize_weight(w0, 4, 32)))
             rot_err.append(relative_error(w1, rtn_quantize_weight(w1, 4, 32)))
         assert np.mean(rot_err) < np.mean(base_err) * 1.05
@@ -148,10 +163,10 @@ class TestOutlierRemoval:
         err_not_fused, err_fused = [], []
         for a, b in zip(not_fused.blocks, fused.blocks):
             err_not_fused.append(
-                quantization_error(a.out_proj_weight, rtn_quantize_weight(a.out_proj_weight, 4, 32))
+                quantization_error(a.out_proj.weight, rtn_quantize_weight(a.out_proj.weight, 4, 32))
             )
             err_fused.append(
-                quantization_error(b.out_proj_weight, rtn_quantize_weight(b.out_proj_weight, 4, 32))
+                quantization_error(b.out_proj.weight, rtn_quantize_weight(b.out_proj.weight, 4, 32))
             )
         assert np.mean(err_fused) > np.mean(err_not_fused)
 
