@@ -220,11 +220,13 @@ def _quantize_numpy(x: np.ndarray, config: QuantizerConfig, out: Optional[np.nda
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Map integer codes back to floating point."""
     config = qt.config
-    codes = qt.codes.astype(np.float64)
+    values = qt.codes.astype(np.float64)
     if config.granularity is Granularity.PER_GROUP:
-        grouped, _, _ = _group_reshape(codes, config.group_size)
-        return _ungroup(grouped * qt.scales, qt.shape[-1])
-    return codes * qt.scales
+        values = _group_reshape(values, config.group_size)[0]
+        values *= qt.scales  # in place: one float buffer, the same products
+        return _ungroup(values, qt.shape[-1])
+    values *= qt.scales
+    return values
 
 
 def _fake_quant_into(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
