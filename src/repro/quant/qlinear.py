@@ -147,14 +147,6 @@ class QuantizedLinear(Linear):
         weight_qt = quantize(weight, weight_quantizer_config(w_bits, group_size))
         return cls(weight_qt, activation_quantizer_config(a_bits, group_size), bias)
 
-    @property
-    def out_features(self) -> int:
-        return self.weight_qt.shape[0]
-
-    @property
-    def in_features(self) -> int:
-        return self.weight_qt.shape[1]
-
     # ------------------------------------------------------------------
     # Forward paths
     # ------------------------------------------------------------------
@@ -195,7 +187,7 @@ class QuantizedLinear(Linear):
             out = out + self.bias
         if squeeze:
             return out[0]
-        return out.reshape(*x.shape[:-1], self.out_features)
+        return out.reshape(*x.shape[:-1], self.weight.shape[0])
 
     def _grouped_integer_matmul(self, x_codes, act_qt, w_codes, w_qt) -> np.ndarray:
         """Per-group integer matmul over the layer's codes.
@@ -205,14 +197,14 @@ class QuantizedLinear(Linear):
         static overflow guarantee) to :func:`grouped_integer_matmul`, the
         helper shared with the quantized SSM chunk body.
         """
-        in_features = self.in_features
+        out_features, in_features = self.weight.shape
         group = min(self.act_config.group_size, in_features)
         if w_qt.config.granularity is Granularity.PER_GROUP:
             group = min(group, w_qt.config.group_size)
 
         tokens = x_codes.shape[0]
         a_scales = self._expand_group_scales(act_qt, tokens, in_features, group)
-        w_scales = self._expand_group_scales(w_qt, self.out_features, in_features, group)
+        w_scales = self._expand_group_scales(w_qt, out_features, in_features, group)
         return grouped_integer_matmul(
             x_codes,
             a_scales,
