@@ -16,7 +16,9 @@ the same cases:
 - ``decode/b1``: a prompt, then 32 greedy steps on its cache;
 - ``decode/b3``: three prompts of different lengths in a 4-slot pool, then 32
   greedy steps, each a gather -> step -> scatter of the live slots, as the
-  serving engine runs them.
+  serving engine runs them;
+- ``prefill/sequential/solo/L`` (L = 1, 65) and ``prefill/sequential/batch3/9``: prompts
+  prefilled with ``scan_impl="sequential"``, the per-token recurrence.
 
 The record is computed twice, on the compiled library and under
 ``no_kernel`` (the fake-quant oracle and the numpy references), and each
@@ -55,6 +57,8 @@ CONFIG = Mamba2Config(
     name="fingerprint", d_model=256, n_layer=2, vocab_size=512, d_state=128, headdim=64
 )
 PROMPT_LENGTHS = (1, 63, 64, 65, 512)
+#: ``(rows, length)`` of the sequential-prefill cases.
+SEQUENTIAL_PROMPTS = ((1, 1), (1, 65), (3, 9))
 DECODE_STEPS = 32
 #: ``(case-name prefix, method)``; lightmamba*'s cases keep their first names.
 METHODS = (
@@ -133,6 +137,14 @@ def _cases(model):
         pool.scatter(slots, live)
         seen.append(logits)
     yield "decode/b3", _digest(np.stack(seen), pool)
+
+    rng = np.random.default_rng(2026)
+    for rows, length in SEQUENTIAL_PROMPTS:
+        prompts = _prompts(rng, rows, length)
+        name = f"solo/{length}" if rows == 1 else f"batch{rows}/{length}"
+        yield f"prefill/sequential/{name}", _digest(
+            *model.prefill(prompts[0] if rows == 1 else prompts, scan_impl="sequential")
+        )
 
 
 def fingerprint() -> dict:
