@@ -283,8 +283,8 @@ class MambaBlock:
             ``config.chunk_size``, the fast path) or ``"sequential"`` (the
             per-token reference recurrence).  An installed ``ssm_impl`` serves
             both through one ``prefill_scan`` call: ``"sequential"`` is its
-            chunk size 1, the exact per-token path -- for the quantized scan,
-            the fake-quant oracle.
+            chunk size 1, the exact per-token path -- for the quantized SSM,
+            its decode step token by token, on the state the cache holds.
         """
         cfg = self.config
         u = np.asarray(u, dtype=np.float64)

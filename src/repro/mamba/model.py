@@ -135,8 +135,8 @@ class Mamba2Model:
             activations per block.
         scan_impl:
             ``"chunked"`` (the default, at ``config.chunk_size``) or
-            ``"sequential"``, the per-token oracle for FP and quantized
-            models alike (see :meth:`MambaBlock.forward
+            ``"sequential"``, the per-token recurrence -- the decode step --
+            for FP and quantized models alike (see :meth:`MambaBlock.forward
             <repro.mamba.block.MambaBlock.forward>`).
 
         Returns
@@ -203,9 +203,10 @@ class Mamba2Model:
             when omitted.  Must match the batch shape of ``tokens``.
         scan_impl:
             ``"chunked"`` (the default, at ``config.chunk_size``) or
-            ``"sequential"``, the per-token oracle.  Applies to quantized
+            ``"sequential"``, the per-token recurrence.  Applies to quantized
             lightmamba* models too: their ``ssm_impl`` serves the chunked
-            path chunk-parallel.
+            path chunk-parallel and the sequential one with its decode step,
+            on the cache's state as it is (integer codes stay codes).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2):

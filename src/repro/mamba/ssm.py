@@ -273,8 +273,10 @@ def _scan_entry(
     float64 views of the operands; ``x`` of rank 3, or 4 with a leading batch
     axis every argument carries; its head count checked against ``params``;
     and the entry state: zeros, or ``initial_state`` checked against the
-    state shape and copied -- ``copy=False`` takes over a fresh float array
-    the caller made (a dequantized resident state) instead.
+    state shape and copied -- ``copy=False`` takes it over as it is instead:
+    a fresh float array the caller made (a dequantized resident state), or a
+    state a driven step advances without writing to it (a resident one
+    included).
     """
     x = np.asarray(x, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -318,7 +320,9 @@ def ssm_scan(
     dt:
         Shape ``(seq_len, nheads)`` (``(batch, seq_len, nheads)`` batched).
     initial_state:
-        Optional starting hidden state; zeros if omitted.
+        Optional starting hidden state, in the form ``step_fn`` takes
+        (integer codes for the quantized step's resident state); zeros if
+        omitted.  It is not copied: a zero-length sequence returns it as is.
     step_fn:
         The per-token step to drive (``ssm_step`` signature, batch-capable
         when the input is batched); defaults to :func:`ssm_step`.  The
@@ -332,7 +336,9 @@ def ssm_scan(
         ``(nheads, headdim, d_state)`` with a leading batch axis if batched.
     """
     step = ssm_step if step_fn is None else step_fn
-    x, B, C, dt, state = _scan_entry(params, x, B, C, dt, initial_state)
+    # The step returns a new state and never writes to the one it is
+    # handed, so the entry state is taken as it is: floats or codes.
+    x, B, C, dt, state = _scan_entry(params, x, B, C, dt, initial_state, copy=False)
     y = np.zeros_like(x)
     for t in range(x.shape[-3]):  # the time axis, after any batch axis
         y[..., t, :, :], state = step(

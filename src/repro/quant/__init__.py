@@ -50,7 +50,7 @@ from repro.quant.pot import (
     shift_requantize,
 )
 from repro.quant.rotation import RotationConfig, RotatedModel, rotate_model, OnlineHadamard
-from repro.quant.ssm_quant import SSMQuantConfig, QuantizedSSMStep, QuantizedChunkedScan
+from repro.quant.ssm_quant import SSMQuantConfig, QuantizedSSMStep
 from repro.quant.qlinear import QuantizedLinear, grouped_integer_matmul
 from repro.quant.qmodel import QuantMethod, QuantConfig, quantize_model
 from repro.quant.calibration import CalibrationResult, collect_activation_stats
@@ -95,7 +95,6 @@ __all__ = [
     "OnlineHadamard",
     "SSMQuantConfig",
     "QuantizedSSMStep",
-    "QuantizedChunkedScan",
     "QuantizedLinear",
     "grouped_integer_matmul",
     "QuantMethod",

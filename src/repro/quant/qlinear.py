@@ -54,9 +54,8 @@ def grouped_integer_matmul(  # integer-resident
     shared trailing axis, one quantization group at a time: each group's
     partial products are summed in int32 -- the MMU's accumulator width --
     and only then scaled in floating point by the operands' per-group scales.
-    This is the execution model of the FPGA matrix unit, shared by
-    :meth:`QuantizedLinear.forward_integer` and the integer-exact chunk body
-    of :class:`repro.quant.ssm_quant.QuantizedChunkedScan`.
+    This is the execution model of the FPGA matrix unit, behind
+    :meth:`QuantizedLinear.forward_integer`.
 
     Parameters
     ----------
@@ -194,8 +193,7 @@ class QuantizedLinear(Linear):
 
         Normalises the activation / weight scales to per-(row, group)
         matrices and delegates the int32-accumulator contraction (and the
-        static overflow guarantee) to :func:`grouped_integer_matmul`, the
-        helper shared with the quantized SSM chunk body.
+        static overflow guarantee) to :func:`grouped_integer_matmul`.
         """
         out_features, in_features = self.weight.shape
         group = min(self.act_config.group_size, in_features)

@@ -51,7 +51,7 @@ from repro.quant.quantizer import quantize, quantize_dequantize
 from repro.quant.rotation import RotationConfig, rotate_model
 from repro.quant.rtn import activation_quantizer_config, weight_quantizer_config
 from repro.quant.smoothquant import SmoothQuantConfig, compute_smoothing_scales
-from repro.quant.ssm_quant import SSMQuantConfig, QuantizedChunkedScan
+from repro.quant.ssm_quant import SSMQuantConfig, QuantizedSSMStep
 
 __all__ = ["QuantMethod", "QuantConfig", "quantize_model"]
 
@@ -209,10 +209,10 @@ def quantize_model(
         )
 
         if method.quantizes_ssm:
-            # The chunk-parallel quantized scan: decodes exactly like the
-            # plain QuantizedSSMStep and serves every prefill through its
-            # SSD-style prefill_scan (chunk size 1 for scan_impl="sequential").
-            block.ssm_impl = QuantizedChunkedScan(config.ssm)
+            # The quantized SSM: decodes with its step and serves every
+            # prefill through its SSD-style prefill_scan (chunk size 1, the
+            # step token by token, for scan_impl="sequential").
+            block.ssm_impl = QuantizedSSMStep(config.ssm)
             block.conv.weight = quantize_dequantize(block.conv.weight, conv_weight_cfg)
 
     return quantized

@@ -7,20 +7,22 @@ in floating point -- on the FPGA they are implemented with dedicated units --
 while every multiplicative operand and every element-wise product is
 fake-quantized on the INT8 PoT grid.
 
-Two classes implement it:
+One class implements it, :class:`QuantizedSSMStep` -- the
+:class:`~repro.mamba.block.SSMImpl` that
+:func:`~repro.quant.qmodel.quantize_model` installs on every lightmamba*
+block:
 
-- :class:`QuantizedSSMStep` is a drop-in replacement for
-  :func:`repro.mamba.ssm.ssm_step` and advances the quantized recurrence one
-  token at a time -- the decode engine.
-- :class:`QuantizedChunkedScan` extends it with a chunk-parallel prefill scan
-  (``prefill_scan``) mirroring the intra/inter-chunk SSD decomposition of
-  :func:`repro.mamba.ssm.ssd_chunked_scan`, with the quantization points kept
-  at the same operator interfaces.  It is the
-  :class:`~repro.mamba.block.SSMImpl` that
-  :func:`~repro.quant.qmodel.quantize_model` installs on every lightmamba*
-  block.  Like the decode step the scan is tiled and fused: the chunk is the
-  tile, operands are staged per chunk through reused head-major scratch, and
-  every element-wise stage is one fused fake-quant pass.
+- its call is a drop-in replacement for :func:`repro.mamba.ssm.ssm_step`
+  and advances the quantized recurrence one token at a time -- the decode
+  engine;
+- :meth:`~QuantizedSSMStep.prefill_scan` runs a segment.  Chunk-parallel,
+  it mirrors the intra/inter-chunk SSD decomposition of
+  :func:`repro.mamba.ssm.ssd_chunked_scan`, with the quantization points
+  kept at the same operator interfaces; like the decode step it is tiled and
+  fused: the chunk is the tile, operands are staged per chunk through reused
+  head-major scratch, and every element-wise stage is one fused fake-quant
+  pass.  At chunk size 1 (``scan_impl="sequential"``) it is the decode step
+  itself, driven token by token.
 
 One datapath: the state's type selects the arithmetic
 -----------------------------------------------------
@@ -99,7 +101,8 @@ on the fake-quant grids whatever the state's type (a compiled integer GEMM
 would be needed to beat BLAS here; see ROADMAP) and converts a resident
 state at its entry and exit only; its entry checks and float staging are the
 ones :func:`repro.mamba.ssm.ssm_scan` and
-:func:`~repro.mamba.ssm.ssd_chunked_scan` run.
+:func:`~repro.mamba.ssm.ssd_chunked_scan` run.  The sequential scan converts
+nothing: it hands the state, in the form it came in, to the step.
 """
 
 from __future__ import annotations
@@ -123,10 +126,9 @@ from repro.quant.quantizer import (
     QuantizerConfig,
     _fake_quant_into,
     quantize,
-    quantize_dequantize,
 )
 
-__all__ = ["SSMQuantConfig", "QuantizedSSMStep", "QuantizedChunkedScan"]
+__all__ = ["SSMQuantConfig", "QuantizedSSMStep"]
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,7 @@ def _compiled_step(entry: Callable) -> Callable:  # integer-resident
 
 
 class QuantizedSSMStep:
-    """Quantized drop-in replacement for the SSM decode step.
+    """The quantized SSM layer: the decode step and the prefill scan.
 
     The operator decomposition matches Fig. 1 / Fig. 3 of the paper: each
     named element-wise multiplication is computed on fake-quantized operands
@@ -253,12 +255,35 @@ class QuantizedSSMStep:
     quantization grid is per-group along the trailing axis, every batch row
     quantizes exactly as it would alone, so batched stepping is bit-identical
     to per-row stepping.
+
+    :meth:`prefill_scan` is the chunk-parallel scan, the FastMamba / ViM-Q
+    recipe for chunk-parallel quantized Mamba blocks, with the step's
+    quantization points fixed at the operator interfaces:
+
+    - the inputs ``x`` / ``B`` / ``C`` are fake-quantized chunk by chunk,
+      exactly as the step quantizes them per token (per-group grids live on
+      the trailing axis, so quantizing a whole chunk at once is
+      bit-identical to quantizing each token alone);
+    - the ``Delta (.) B`` and ``D (.) x`` element-wise products are
+      re-quantized at the SSMU interfaces, bit-identically to the step;
+    - the recurrent state is quantized at chunk *boundaries* (entry and every
+      hand-off) instead of after every token, and the intra-chunk outer
+      products / state readout accumulate at high precision -- the MMU-style
+      wide-accumulator interpretation of the dense in-chunk matmuls.
+
+    Two of the step's per-token re-quantization points (``B_bar (.) x`` and
+    ``h (.) C``) therefore collapse into the chunk matmuls; with
+    ``chunk_size=1`` -- what :meth:`MambaBlock.forward
+    <repro.mamba.block.MambaBlock.forward>` passes for
+    ``scan_impl="sequential"`` -- the scan is the step, token by token.  At
+    larger chunk sizes the scan is the fast approximation whose quality the
+    eval harness pins (perplexity shift < 0.1 vs. the sequential scan).
     """
 
     # Read by benchmarks/e2e only -- nothing in src/ looks at them (see
     # ROADMAP item 1(c): they go with the next benchmark-archetype PR).
     supports_batched = True
-    supports_prefill_scan = False
+    supports_prefill_scan = True
     state_resident = property(lambda self: self._resident)
 
     def __init__(self, config: SSMQuantConfig = SSMQuantConfig()):
@@ -282,13 +307,21 @@ class QuantizedSSMStep:
             self._code_int is np.int8 and shift_accumulator_dtype(config.bits) is np.int32
         )
 
-    def _q(self, x: np.ndarray) -> np.ndarray:
-        """Fake-quantize a tensor on the configured grid."""
-        return quantize_dequantize(x, self._qcfg)
+    def _stage(  # integer-resident
+        self, values: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Fake-quantize float64 ``values`` on the configured grid, one fused round trip.
+
+        Into ``out`` (which may be ``values``) when given, else into a new
+        array; returns the result.  No integer codes are materialized.
+        """
+        return _fake_quant_into(
+            values, self._qcfg, np.empty(values.shape) if out is None else out  # quant-point: fused
+        )
 
     def _qp(self, x: np.ndarray) -> np.ndarray:
         """Re-quantize an element-wise product (if enabled)."""
-        return self._q(x) if self.config.quantize_products else x
+        return self._stage(x) if self.config.quantize_products else x
 
     # ------------------------------------------------------------------
     # Integer-resident state plumbing
@@ -322,7 +355,7 @@ class QuantizedSSMStep:
             return state.dequantize()
         state = np.asarray(state, dtype=np.float64)
         if self.config.quantize_state:
-            state = self._q(state)
+            state = self._stage(state)
         return state
 
     def zeros_cache(  # integer-resident
@@ -390,9 +423,9 @@ class QuantizedSSMStep:
         exit (exact -- the new state is on-grid by construction).
         """
         resident = isinstance(state, QuantizedSSMState)
-        x = self._q(np.asarray(x, dtype=np.float64))
-        B = self._q(np.asarray(B, dtype=np.float64))
-        C = self._q(np.asarray(C, dtype=np.float64))
+        x = self._stage(np.asarray(x, dtype=np.float64))
+        B = self._stage(np.asarray(B, dtype=np.float64))
+        C = self._stage(np.asarray(C, dtype=np.float64))
         state = self._state_values(state)
 
         # Non-linear operators stay in floating point (dedicated FPGA units);
@@ -410,7 +443,7 @@ class QuantizedSSMStep:
             out_state = self.quantize_state_codes(new_state)
             new_state = out_state.dequantize()
         elif self.config.quantize_state:
-            new_state = self._q(new_state)
+            new_state = self._stage(new_state)
             out_state = new_state
 
         h_mul_c = self._qp(new_state * C[..., None, None, :])
@@ -474,46 +507,6 @@ class QuantizedSSMStep:
         with np.errstate(invalid="ignore"):
             return self._step_oracle(params, x, B, C, dt, state)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(bits={self.config.bits}, "
-            f"group_size={self.config.group_size}, pot={self.config.pot_scale})"
-        )
-
-
-class QuantizedChunkedScan(QuantizedSSMStep):
-    """Chunk-parallel quantized prefill scan (the SSMU fast path).
-
-    Mirrors the intra/inter-chunk SSD decomposition of
-    :func:`repro.mamba.ssm.ssd_chunked_scan` while keeping the quantization
-    points of :class:`QuantizedSSMStep` fixed at the operator interfaces,
-    the FastMamba / ViM-Q recipe for chunk-parallel quantized Mamba blocks:
-
-    - the inputs ``x`` / ``B`` / ``C`` are fake-quantized chunk by chunk,
-      exactly as the sequential step quantizes them per token (per-group
-      grids live on the trailing axis, so quantizing a whole chunk at once
-      is bit-identical to quantizing each token alone);
-    - the ``Delta (.) B`` and ``D (.) x`` element-wise products are
-      re-quantized at the SSMU interfaces, bit-identically to the step;
-    - the recurrent state is quantized at chunk *boundaries* (entry and every
-      hand-off) instead of after every token, and the intra-chunk outer
-      products / state readout accumulate at high precision -- the MMU-style
-      wide-accumulator interpretation of the dense in-chunk matmuls.
-
-    Two of the step's per-token re-quantization points (``B_bar (.) x`` and
-    ``h (.) C``) therefore collapse into the chunk matmuls; with
-    ``chunk_size=1`` -- what :meth:`MambaBlock.forward
-    <repro.mamba.block.MambaBlock.forward>` passes for
-    ``scan_impl="sequential"`` -- the scan runs the exact per-token loop over
-    :meth:`_step_oracle`, the sequential quantized oracle.  At larger chunk
-    sizes the scan is the fast approximation whose quality the eval harness
-    pins (perplexity shift < 0.1 vs. the sequential oracle).
-
-    Decode is inherited unchanged from :class:`QuantizedSSMStep`.
-    """
-
-    supports_prefill_scan = True  # read by benchmarks/e2e only, like the base's
-
     def prefill_scan(  # integer-resident
         self,
         params: SSMParams,
@@ -524,7 +517,7 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         initial_state: Optional[np.ndarray] = None,
         chunk_size: int = 64,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the quantized recurrence over a full sequence, chunk-parallel.
+        """Run the quantized recurrence over a full sequence.
 
         The signature matches :func:`repro.mamba.ssm.ssd_chunked_scan`:
         ``x`` is ``(seq_len, nheads, headdim)`` (optionally with a leading
@@ -536,17 +529,21 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         ``initial_state`` may also be a resident
         :class:`~repro.mamba.cache.QuantizedSSMState` (codes in, codes out),
         which keeps segmented serving prefills integer-resident end to end.
-        The method is the scan's three parts in order.  **Entry**: a resident
-        state is dequantized once -- on the grid already, so the chunk-entry
-        quantization is skipped -- and the entry all three scans share
-        (``repro.mamba.ssm._scan_entry``) stages the operands and takes that
-        array over uncopied.  A zero-length sequence exits with an empty ``y``
-        and the entry state on its grid; ``chunk_size=1`` exits through the
-        sequential oracle, :func:`ssm_scan <repro.mamba.ssm.ssm_scan>` driving
-        :meth:`_step_oracle` token by token.  **Chunk body**:
+        The state leaves in the form it came in, for every ``chunk_size``.
+        ``chunk_size=1`` is the decode step itself:
+        :func:`ssm_scan <repro.mamba.ssm.ssm_scan>` drives this object's call
+        token by token on the state as it came -- :meth:`_step_integer` on
+        codes, :meth:`_step_oracle` on floats -- with nothing converted on
+        the way in or out.  Otherwise the method is the chunked scan's three
+        parts in order.  **Entry**: a resident state is dequantized once --
+        on the grid already, so the chunk-entry quantization is skipped --
+        and the entry all three scans share (``repro.mamba.ssm._scan_entry``)
+        stages the operands and takes that array over uncopied.  A
+        zero-length sequence exits, whatever the chunk size, with an empty
+        ``y`` and a copy of the entry state on its grid.  **Chunk body**:
         :meth:`_chunk_body`, one tile per chunk.  **Hand-off / exit**: the
-        boundary state quantization between chunks; after the last, the state
-        leaves in the form it came in, for every ``chunk_size``.
+        boundary state quantization between chunks; after the last, a
+        resident caller's state is quantized to codes.
 
         **The tiled datapath.**  ``chunk_size`` is the tile: everything the
         scan does to a tensor operand -- the x / B / C entry quantization,
@@ -576,11 +573,12 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        # Entry.  A resident state becomes its float view, dequantized once:
-        # the shared entry takes that array over instead of copying it.
-        resident = isinstance(initial_state, QuantizedSSMState)
-        # quant-point: resident entry
-        entry = initial_state.dequantize() if resident else initial_state
+        # Entry.  The per-token loop takes a resident state as it came; for
+        # the chunk body it becomes its float view, dequantized once.  The
+        # shared entry takes either over instead of copying it.
+        resident, sequential = isinstance(initial_state, QuantizedSSMState), chunk_size == 1
+        # quant-point: resident entry of the chunk body
+        entry = initial_state.dequantize() if resident and not sequential else initial_state
         x, B, C, dt, state = _scan_entry(  # quant-point: float entry staging, zero / copied state
             params, x, B, C, dt, entry, copy=not resident
         )
@@ -588,14 +586,13 @@ class QuantizedChunkedScan(QuantizedSSMStep):
 
         if seq_len == 0:
             # Nothing to scan, whatever the chunk size: an empty y (x has no
-            # tokens) and the entry state on its grid.
+            # tokens) and a copy of the entry state on its grid.
             return x.copy(), initial_state.copy() if resident else self._state_values(state)
 
-        if chunk_size == 1:
-            # The per-token loop: ssm_scan driving this object's own step on
-            # the float view -- the fake-quant oracle, token by token.
-            y, state = ssm_scan(params, x, B, C, dt, initial_state=state, step_fn=self)
-            return y, self.quantize_state_codes(state) if resident else state
+        if sequential:
+            # The per-token loop: ssm_scan driving this object's own step --
+            # the decode step, token by token, on the state's own form.
+            return ssm_scan(params, x, B, C, dt, initial_state=state, step_fn=self)
 
         # The decay chain stays in floating point (dedicated FPGA units); it
         # is per head and per token -- tiny -- so it is computed for the whole
@@ -719,14 +716,6 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         # quant-point: float scratch of the chunk tile (wide accumulators + staged views)
         return SimpleNamespace(**{name: np.empty(shape) for name, shape in shapes.items()})
 
-    def _stage(self, values: np.ndarray, out: np.ndarray) -> None:  # integer-resident
-        """Fake-quantize an operand tile into ``out`` (one fused round trip).
-
-        The chunk body contracts floats, so no codes are materialized;
-        ``out`` may be ``values``.
-        """
-        _fake_quant_into(values, self._qcfg, out)  # quant-point: operand tile, fused
-
     def _stage_delta_b(  # integer-resident
         self, delta: np.ndarray, bq: np.ndarray, out: np.ndarray
     ) -> None:
@@ -742,3 +731,9 @@ class QuantizedChunkedScan(QuantizedSSMStep):
         np.multiply(delta[..., None], bq[..., None, :, :], out=out)
         if self.config.quantize_products:
             self._stage(out, out)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(bits={self.config.bits}, "
+            f"group_size={self.config.group_size}, pot={self.config.pot_scale})"
+        )

@@ -372,7 +372,7 @@ class ResilienceConfig:
     ``degrade_after``
         Prefill failures after which the request falls back to the
         sequential oracle (``scan_impl="sequential"``: for a quantized model
-        the per-token fake-quant step, no chunked scan); an ``OverflowError``
+        its decode step per token, no chunked scan); an ``OverflowError``
         -- an integer kernel's static overflow guard, which retrying cannot
         fix -- degrades immediately.
     ``watchdog_budget_s``
@@ -528,7 +528,7 @@ class Supervisor:
         the logits) only when the segment commits; a failing one (kernel
         raise, detected corruption, watchdog timeout) returns a requeue or
         quarantine verdict.  A degraded request runs the per-token sequential
-        oracle (the fake-quant step, no chunked scan), still integer-resident.
+        oracle (the decode step, no chunked scan), still integer-resident.
         """
         self.events.emit("snapshot", n=cache.batch_size or 1, nbytes=cache.resident_state_bytes())
         work = cache.copy()

@@ -24,7 +24,7 @@ import pytest
 
 from repro.mamba.cache import QuantizedSSMState
 from repro.mamba.ssm import SSMParams
-from repro.quant import QuantizedChunkedScan, SSMQuantConfig
+from repro.quant import QuantizedSSMStep, SSMQuantConfig
 from repro.quant.pot import (
     absmax_requant_exponents,
     pot_exponent,
@@ -139,7 +139,7 @@ class TestIntegerStepBitIdentity:
     def test_bit_identical_to_oracle_over_compounding_steps(
         self, rng, bits, group, lead
     ):
-        step = QuantizedChunkedScan(
+        step = QuantizedSSMStep(
             SSMQuantConfig(bits=bits, group_size=group)
         )
         params, *_ = _step_inputs(rng, lead=lead)
@@ -160,7 +160,7 @@ class TestIntegerStepBitIdentity:
         assert np.issubdtype(state_int.codes.dtype, np.integer)
 
     def test_zero_rows_stay_exactly_zero(self, rng):
-        step = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+        step = QuantizedSSMStep(SSMQuantConfig(group_size=8))
         params, x, B, C, dt = _step_inputs(rng, lead=(2,))
         x[0] = 0.0
         state = step.quantize_state_codes(
@@ -172,7 +172,7 @@ class TestIntegerStepBitIdentity:
         np.testing.assert_array_equal(out.codes[0], 0)
 
     def test_resident_call_dispatches_to_integer_path(self, rng, monkeypatch):
-        step = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+        step = QuantizedSSMStep(SSMQuantConfig(group_size=8))
         params, x, B, C, dt = _step_inputs(rng)
         state = step.quantize_state_codes(rng.normal(size=(4, 8, 24)))
         calls = []
@@ -192,7 +192,7 @@ class TestIntegerStepBitIdentity:
         """A poisoned row (fault-injected NaN) must not raise batch-wide;
         the step degrades to the float oracle, which keeps healthy rows
         bit-identical and confines the poison to the corrupted row."""
-        step = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+        step = QuantizedSSMStep(SSMQuantConfig(group_size=8))
         params, x, B, C, dt = _step_inputs(rng, lead=(3,))
         state = step.quantize_state_codes(rng.normal(size=(3, 4, 8, 24)))
         y_clean, _ = step(params, x, B, C, dt, state)

@@ -36,7 +36,7 @@ from repro.mamba.ssm import SSMParams
 from repro.quant import (
     QuantConfig,
     QuantMethod,
-    QuantizedChunkedScan,
+    QuantizedSSMStep,
     QuantizedLinear,
     SSMQuantConfig,
     grouped_integer_matmul,
@@ -119,7 +119,7 @@ class TestOneDispatchRule:
         def forbidden(self, *args, **kwargs):
             raise AssertionError("_step_integer entered on a float-state configuration")
 
-        monkeypatch.setattr(QuantizedChunkedScan, "_step_integer", forbidden)
+        monkeypatch.setattr(QuantizedSSMStep, "_step_integer", forbidden)
         prompt = np.random.default_rng(3).integers(0, tiny_model.config.vocab_size, size=9)
         for scan_impl in ("chunked", "sequential"):
             logits, cache = model.prefill(prompt, scan_impl=scan_impl)
@@ -369,7 +369,7 @@ class TestChannelMinorStorage:
         assert self._logical_bytes(state) == (codes.tobytes(), scales.tobytes())
 
     def test_row_operations_keep_the_storage_order_and_the_bytes(self, rng):
-        step = QuantizedChunkedScan(SSMQuantConfig(group_size=16))
+        step = QuantizedSSMStep(SSMQuantConfig(group_size=16))
         values = rng.normal(size=(4, 3, 5, 40)) * 10.0 ** rng.integers(-3, 4, size=(4, 3, 5, 1))
         state = step.quantize_state_codes(values)
         # The head-major arrays the quantizer returns: what the container held before.
@@ -396,7 +396,7 @@ class TestChannelMinorStorage:
         self._assert_holds(state[2], codes[2], scales[2])
 
     def test_the_step_returns_the_storage_order(self, rng):
-        step = QuantizedChunkedScan(SSMQuantConfig(group_size=32))
+        step = QuantizedSSMStep(SSMQuantConfig(group_size=32))
         state = step.quantize_state_codes(rng.normal(size=(2, 3, 16, 64)))
         params = SSMParams(A_log=rng.normal(size=3), D=rng.normal(size=3),
                            dt_bias=rng.normal(size=3))
@@ -427,7 +427,7 @@ class TestZeroGroups:
             quantize_state=quantize_state,
             quantize_products=quantize_products,
         )
-        step = QuantizedChunkedScan(cfg)
+        step = QuantizedSSMStep(cfg)
         params = SSMParams(A_log=np.zeros(2), D=np.ones(2), dt_bias=np.zeros(2))
         zeros = np.zeros((2, 3))
         with warnings.catch_warnings():

@@ -165,24 +165,33 @@ class TestServingFastPath:
 class TestQuantizedBatchedStepping:
     def test_batched_prefill_matches_per_row(self, tiny_model, monkeypatch):
         """The batch-vectorized quantized token loop must be exact per row,
-        and really is vectorized: one step call per token for the whole batch."""
-        from repro.quant import QuantConfig, QuantizedChunkedScan, QuantMethod, quantize_model
+        and really is vectorized: one integer step call per token for the
+        whole batch, on the resident state -- on the compiled library the
+        fake-quant oracle is never entered."""
+        from repro.quant import QuantConfig, QuantizedSSMStep, QuantMethod, native, quantize_model
 
         quantized = quantize_model(tiny_model, QuantConfig.w8a8(QuantMethod.LIGHTMAMBA_STAR))
-        steps = []
-        step_oracle = QuantizedChunkedScan._step_oracle
+        steps, oracle = [], []
+        step_integer, step_oracle = QuantizedSSMStep._step_integer, QuantizedSSMStep._step_oracle
         monkeypatch.setattr(
-            QuantizedChunkedScan,
+            QuantizedSSMStep,
+            "_step_integer",
+            lambda self, *a: steps.append(a[-1].shape[0]) or step_integer(self, *a),
+        )
+        monkeypatch.setattr(
+            QuantizedSSMStep,
             "_step_oracle",
-            lambda self, *a: steps.append(1) or step_oracle(self, *a),
+            lambda self, *a: oracle.append(1) or step_oracle(self, *a),
         )
         rng = np.random.default_rng(11)
         prompts = rng.integers(0, quantized.config.vocab_size, size=(3, 8))
         for scan_impl in ("chunked", "sequential"):
-            del steps[:]
+            del steps[:], oracle[:]
             logits, cache = quantized.prefill(prompts, scan_impl=scan_impl)
-            # 8 tokens: one batched step each under "sequential", none under "chunked".
-            assert len(steps) == (8 * len(quantized.blocks) if scan_impl == "sequential" else 0)
+            # 8 tokens: one 3-row step each under "sequential", none under "chunked".
+            assert steps == ([3] * 8 * len(quantized.blocks) if scan_impl == "sequential" else [])
+            if native.kernel() is not None:
+                assert not oracle
             for i in range(3):
                 logits_i, cache_i = quantized.prefill(prompts[i], scan_impl=scan_impl)
                 np.testing.assert_allclose(logits[i], logits_i, atol=1e-10)

@@ -25,7 +25,7 @@ from repro.quant import (
     Granularity,
     QuantConfig,
     QuantMethod,
-    QuantizedChunkedScan,
+    QuantizedSSMStep,
     QuantizerConfig,
     SSMQuantConfig,
     dequantize,
@@ -147,7 +147,7 @@ def test_degenerate_inputs_give_empty_results(granularity, shape):
 @pytest.mark.parametrize("group,d_state", [(8, 16), (32, 128), (32, 40), (128, 64)])
 @pytest.mark.parametrize("pot", [True, False])
 def test_delta_b_separable_grid_matches_requantized_product(rng, bits, group, d_state, pot):
-    scan = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=group, pot_scale=pot))
+    scan = QuantizedSSMStep(SSMQuantConfig(bits=bits, group_size=group, pot_scale=pot))
     config = scan.config.config()
     lead, heads, q_len = (2,), 3, 11
     delta = softplus(rng.normal(size=lead + (heads, q_len)) * 4.0)
@@ -318,7 +318,7 @@ def _composed_product(scan, x):
 def _reference_prefill_scan(
     scan, params, x, B, C, dt, initial_state=None, chunk_size=64
 ):
-    """The replaced ``QuantizedChunkedScan.prefill_scan`` body, verbatim.
+    """The replaced ``QuantizedSSMStep.prefill_scan`` body, verbatim.
 
     Whole-sequence operand staging, token-major chunk body with ``moveaxis``
     views, codes materialized at every quantization point.  Only the
@@ -494,7 +494,7 @@ _SCAN_CONFIGS = {
 @pytest.mark.parametrize("name", list(_SCAN_CONFIGS))
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 200])
 def test_prefill_scan_matches_the_replaced_body(rng, name, chunk_size):
-    scan = QuantizedChunkedScan(_SCAN_CONFIGS[name])
+    scan = QuantizedSSMStep(_SCAN_CONFIGS[name])
     resident = name == "resident"
     # Solo, from the zero state.
     params, x, B, C, dt = _scan_inputs(rng, 131)
@@ -514,7 +514,7 @@ def test_prefill_scan_matches_the_replaced_body(rng, name, chunk_size):
 
 def test_prefill_scan_at_the_serving_shape(rng):
     """The e2e benchmark's dims: 8 heads of 64, d_state 128, 64-token chunks, resident state."""
-    scan = QuantizedChunkedScan(SSMQuantConfig())
+    scan = QuantizedSSMStep(SSMQuantConfig())
     for seq_len in (1, 63, 64, 65, 389):
         params, x, B, C, dt = _scan_inputs(rng, seq_len, h=8, p=64, n=128)
         zero = scan.quantize_state_codes(np.zeros((8, 64, 128)))

@@ -1,4 +1,4 @@
-"""Tests of the chunk-parallel quantized prefill scan (QuantizedChunkedScan).
+"""Tests of the quantized prefill scan (``QuantizedSSMStep.prefill_scan``).
 
 The LightMamba* configurations now serve ``scan_impl="chunked"`` prefills
 through a quantized SSD-style scan instead of the per-token loop.  These
@@ -9,8 +9,8 @@ tests pin the contract at both granularities:
   quantization points and deviate only at quantization-noise scale;
 - model level: batched / ragged quantized prefill matches per-row prefill,
   segmented (chunk-aligned) prefill continues exactly through ``cache=``,
-  ``scan_impl="sequential"`` stays the per-token oracle, and the perplexity
-  of the chunked engine tracks the sequential oracle within 0.1.
+  ``scan_impl="sequential"`` is the decode step token by token, and the
+  perplexity of the chunked engine tracks the sequential scan within 0.1.
 """
 
 import numpy as np
@@ -23,9 +23,9 @@ from repro.mamba.ssm import SSMParams, ssd_chunked_scan, ssm_scan
 from repro.quant import (
     QuantConfig,
     QuantMethod,
-    QuantizedChunkedScan,
     QuantizedSSMStep,
     SSMQuantConfig,
+    native,
     quantize_model,
 )
 from repro.serving import FIFOScheduler, InferenceEngine, Request
@@ -88,7 +88,7 @@ class TestKernelBitIdentity:
         )
         params, x, B, C, dt = _scan_inputs(rng, T=23)
         y_ref, s_ref = _step_reference(QuantizedSSMStep(cfg), params, x, B, C, dt)
-        y, s = QuantizedChunkedScan(cfg).prefill_scan(params, x, B, C, dt, chunk_size=1)
+        y, s = QuantizedSSMStep(cfg).prefill_scan(params, x, B, C, dt, chunk_size=1)
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(s, s_ref)
 
@@ -98,7 +98,7 @@ class TestKernelBitIdentity:
         cfg = SSMQuantConfig(group_size=8)
         params, x, B, C, dt = _scan_inputs(rng, T=37)
         y_ref, s_ref = _step_reference(QuantizedSSMStep(cfg), params, x, B, C, dt)
-        y, s = QuantizedChunkedScan(cfg).prefill_scan(
+        y, s = QuantizedSSMStep(cfg).prefill_scan(
             params, x, B, C, dt, chunk_size=chunk_size
         )
         assert np.max(np.abs(y - y_ref)) <= 0.05 * np.max(np.abs(y_ref))
@@ -110,7 +110,7 @@ class TestKernelBitIdentity:
         differences only)."""
         cfg = SSMQuantConfig(group_size=8, quantize_state=False, quantize_products=False)
         params, x, B, C, dt = _scan_inputs(rng, T=29)
-        scan = QuantizedChunkedScan(cfg)
+        scan = QuantizedSSMStep(cfg)
         y1, s1 = scan.prefill_scan(params, x, B, C, dt, chunk_size=1)
         y8, s8 = scan.prefill_scan(params, x, B, C, dt, chunk_size=8)
         np.testing.assert_allclose(y8, y1, atol=1e-10)
@@ -120,7 +120,7 @@ class TestKernelBitIdentity:
         """Chunk-aligned segmentation with initial_state is bit-exact (PoT)."""
         cfg = SSMQuantConfig(group_size=8)
         params, x, B, C, dt = _scan_inputs(rng, T=32)
-        scan = QuantizedChunkedScan(cfg)
+        scan = QuantizedSSMStep(cfg)
         y_full, s_full = scan.prefill_scan(params, x, B, C, dt, chunk_size=8)
         y_a, s_a = scan.prefill_scan(params, x[:16], B[:16], C[:16], dt[:16], chunk_size=8)
         y_b, s_b = scan.prefill_scan(
@@ -131,7 +131,7 @@ class TestKernelBitIdentity:
 
     def test_validation(self, rng):
         params, x, B, C, dt = _scan_inputs(rng, T=5)
-        scan = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+        scan = QuantizedSSMStep(SSMQuantConfig(group_size=8))
         with pytest.raises(ValueError):
             scan.prefill_scan(params, x, B, C, dt, chunk_size=0)
         with pytest.raises(ValueError):
@@ -143,16 +143,6 @@ class TestKernelBitIdentity:
                 params, x, B, C, dt, initial_state=np.zeros((2, 2, 2))
             )
 
-    def test_decode_step_inherited_bit_identical(self, rng):
-        """The scan object decodes exactly like the plain quantized step."""
-        cfg = SSMQuantConfig(group_size=8)
-        params, x, B, C, dt = _scan_inputs(rng, T=1)
-        state = rng.normal(size=(4, 8, 16))
-        y_step, s_step = QuantizedSSMStep(cfg)(params, x[0], B[0], C[0], dt[0], state)
-        y_scan, s_scan = QuantizedChunkedScan(cfg)(params, x[0], B[0], C[0], dt[0], state)
-        np.testing.assert_array_equal(y_scan, y_step)
-        np.testing.assert_array_equal(s_scan, s_step)
-
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["solo", "batched"])
 @pytest.mark.parametrize("kind", ["fp", "float-state", "resident"])
@@ -161,7 +151,7 @@ def test_zero_length_sequence_returns_the_entry_state(rng, kind, lead):
     container it came in -- at every chunk size, as ``ssm_scan`` always did
     (the chunked scans used to die on ``range(0, 0, 0)``)."""
     params, x, B, C, dt = _scan_inputs(rng, 0, lead=lead)
-    scan = QuantizedChunkedScan(SSMQuantConfig(group_size=8))
+    scan = QuantizedSSMStep(SSMQuantConfig(group_size=8))
     warm = rng.normal(size=lead + (4, 8, 16))
     codes = scan.quantize_state_codes(warm)
     scan_fn = ssd_chunked_scan if kind == "fp" else scan.prefill_scan
@@ -189,13 +179,13 @@ class TestModelRouting:
         """Every block serves a prefill through one ``prefill_scan`` call:
         the configured chunk for "chunked", chunk size 1 for "sequential"."""
         chunks = []
-        original = QuantizedChunkedScan.prefill_scan
+        original = QuantizedSSMStep.prefill_scan
 
         def recording(self, *args, **kwargs):
             chunks.append(kwargs["chunk_size"])
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(QuantizedChunkedScan, "prefill_scan", recording)
+        monkeypatch.setattr(QuantizedSSMStep, "prefill_scan", recording)
         prompt = np.random.default_rng(1).integers(0, quantized.config.vocab_size, size=6)
         quantized.prefill(prompt)
         assert chunks == [quantized.config.chunk_size] * len(quantized.blocks)
@@ -212,27 +202,35 @@ class TestModelRouting:
         assert cache_one.state_equal(cache_seq)
 
     def test_sequential_oracle_still_steps_token_by_token(self, quantized, monkeypatch):
-        """scan_impl="sequential" is the per-token fake-quant oracle: every
-        block runs ``_step_oracle`` once per token and no chunk body."""
-        steps, tiles = [], []
-        step_oracle = QuantizedChunkedScan._step_oracle
-        chunk_scratch = QuantizedChunkedScan._chunk_scratch
-        monkeypatch.setattr(
-            QuantizedChunkedScan,
-            "_step_oracle",
-            lambda self, *a: steps.append(1) or step_oracle(self, *a),
-        )
-        monkeypatch.setattr(
-            QuantizedChunkedScan,
-            "_chunk_scratch",
-            staticmethod(lambda *a: tiles.append(1) or chunk_scratch(*a)),
-        )
+        """scan_impl="sequential" is the decode step, token by token: on a
+        resident cache every block makes one ``_step_integer`` call per
+        token and runs no chunk body, and the state stays codes.  On the
+        compiled library nothing leaves the codes: no oracle step, no
+        dequantize, no re-quantization."""
+        cache = quantized.new_cache()
+        calls = {"step": [], "oracle": [], "dequantize": [], "requantize": [], "tile": []}
+
+        def counted(owner, name, kind, wrap=lambda f: f):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, wrap(
+                lambda *a, **k: calls[kind].append(1) or original(*a, **k)
+            ))
+
+        counted(QuantizedSSMStep, "_step_integer", "step")
+        counted(QuantizedSSMStep, "_step_oracle", "oracle")
+        counted(QuantizedSSMStep, "quantize_state_codes", "requantize")
+        counted(QuantizedSSMState, "dequantize", "dequantize")
+        counted(QuantizedSSMStep, "_chunk_scratch", "tile", wrap=staticmethod)
         prompt = np.random.default_rng(1).integers(0, quantized.config.vocab_size, size=6)
-        quantized.prefill(prompt, scan_impl="sequential")
-        assert len(steps) == len(prompt) * len(quantized.blocks) and not tiles
-        del steps[:]
+        quantized.prefill(prompt, cache=cache, scan_impl="sequential")
+        assert len(calls["step"]) == len(prompt) * len(quantized.blocks) and not calls["tile"]
+        assert all(isinstance(layer.ssm_state, QuantizedSSMState) for layer in cache.layers)
+        if native.kernel() is not None:
+            assert not (calls["oracle"] or calls["dequantize"] or calls["requantize"])
+        for found in calls.values():
+            del found[:]
         quantized.prefill(prompt)
-        assert not steps and len(tiles) == len(quantized.blocks)
+        assert not calls["step"] and len(calls["tile"]) == len(quantized.blocks)
 
     def test_batched_prefill_matches_per_row(self, quantized):
         rng = np.random.default_rng(2)

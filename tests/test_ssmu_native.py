@@ -37,7 +37,7 @@ from repro.mamba.generation import greedy_decode
 from repro.mamba.ssm import SSMParams, ssm_decay
 from repro.quant import (
     QuantConfig,
-    QuantizedChunkedScan,
+    QuantizedSSMStep,
     QuantMethod,
     SSMQuantConfig,
     native,
@@ -51,7 +51,7 @@ from repro.quant.quantizer import (
     quantize,
     quantize_dequantize,
 )
-from repro.quant.ssm_quant import _ORACLE, QuantizedSSMStep
+from repro.quant.ssm_quant import _ORACLE
 
 #: The library as loaded at collection, before any test patches the loader.
 COMPILED = native.kernel()
@@ -103,7 +103,7 @@ def _step_case(rng, bits, lead, layout):
     # Channels are the compiled tile's vector lanes: short heads, full vectors
     # and a remainder either side of the benchmark's 64.
     heads, dim = int(rng.integers(1, 4)), int(rng.choice([*range(1, 13), 16, 63, 64, 65]))
-    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=glen))
+    step = QuantizedSSMStep(SSMQuantConfig(bits=bits, group_size=glen))
     params = SSMParams(
         A_log=rng.normal(size=heads),
         D=rng.normal(size=heads) * 10.0 ** rng.integers(-3, 4),
@@ -174,7 +174,7 @@ def test_tile_readout_with_far_apart_group_grids(rng, layout):
     nonzero terms is exact in any order."""
     _, glen, n = layout
     heads, dim = 2, 3
-    step = QuantizedChunkedScan(SSMQuantConfig(group_size=glen))
+    step = QuantizedSSMStep(SSMQuantConfig(group_size=glen))
     params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
                        dt_bias=rng.normal(size=heads))
     for _ in range(5):
@@ -197,7 +197,7 @@ def test_exponents_past_the_exact_multiply_range(rng):
     an all-zero state (its grid at the floor) under x / B near ``1e146``, a
     product near ``2**970``."""
     heads, dim, n, group = 2, 3, 24, 16
-    step = QuantizedChunkedScan(SSMQuantConfig(group_size=group))
+    step = QuantizedSSMStep(SSMQuantConfig(group_size=group))
     for _ in range(4):
         params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
                            dt_bias=rng.normal(size=heads))
@@ -545,7 +545,7 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
 
     monkeypatch.setattr(native, "_load", lambda: (_with_step(spy), "compiled"))
     heads, dim, n = 2, 4, 24
-    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
+    step = QuantizedSSMStep(SSMQuantConfig(bits=bits, group_size=8))
     params = SSMParams(
         A_log=np.log(rng.uniform(1, 8, size=heads)),
         D=rng.normal(1.0, 0.1, size=heads),

@@ -38,7 +38,7 @@ from hypothesis.extra import numpy as hnp
 from repro.mamba import Mamba2Config
 from repro.mamba.cache import LayerCache, QuantizedLayerCache
 from repro.mamba.ssm import SSMParams
-from repro.quant import QuantizedChunkedScan, SSMQuantConfig
+from repro.quant import QuantizedSSMStep, SSMQuantConfig
 from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import (
     absmax_requant_exponents,
@@ -210,7 +210,7 @@ def test_batched_step_rows_equal_solo_steps_on_the_numpy_tile(rng, no_kernel, ba
 
 def _check_rows_equal_solo_steps(rng, batch, n, group):
     h, p = 4, 8
-    step = QuantizedChunkedScan(SSMQuantConfig(group_size=group))
+    step = QuantizedSSMStep(SSMQuantConfig(group_size=group))
     params = _params(rng, h)
     state = step.quantize_state_codes(rng.normal(size=(batch, h, p, n)))
     state.codes[0] = 0  # an all-zero row rides along
@@ -252,7 +252,7 @@ def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
     the kernel takes INT8 codes only); past INT64's reach no state is handed
     out as codes, so the step never leaves the oracle.  Every width stays
     bit-identical."""
-    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
+    step = QuantizedSSMStep(SSMQuantConfig(bits=bits, group_size=8))
     assert shift_accumulator_dtype(bits) is acc_dtype
     assert step._code_int is code_storage_dtype(bits)
     h, p, n = 4, 8, 24
@@ -279,7 +279,7 @@ def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_every_producer_emits_the_storage_dtype(rng, bits, storage, lead):
     h, p, n = 4, 8, 24
-    step = QuantizedChunkedScan(SSMQuantConfig(bits=bits, group_size=8))
+    step = QuantizedSSMStep(SSMQuantConfig(bits=bits, group_size=8))
     assert code_storage_dtype(bits) is storage
     params = _params(rng, h)
     config = Mamba2Config(d_model=16, n_layer=1, vocab_size=8, d_state=n, headdim=p)
