@@ -27,7 +27,7 @@ verdict and the runtime choice cannot disagree.  The same step also holds
 values *narrower* than that accumulator (:class:`NarrowCodeSpec`): the
 resident codes it stores at their true width and the ``h (.) C``
 code-by-code product, which fits the ``2 * bits`` type
-(:func:`repro.quant.pot.code_storage_dtype`).  These ``ssm-decode-step``
+(:func:`repro.quant.dtypes.code_storage_dtype`).  These ``ssm-decode-step``
 specs are executed by the compiled step in ``src/repro/quant/native.c``,
 whose ``<stdint.h>`` types are the registered widths (``int8_t`` codes,
 ``int32_t`` aligned products) and which only takes configurations where those
@@ -209,7 +209,7 @@ class NarrowCodeSpec(_AccumulatorBound):
         How many codes are multiplied (1: a stored code, 2: a product).
     acc_bits:
         Width of the integer type holding the value (the registry takes it
-        from the runtime's :func:`repro.quant.pot.code_storage_dtype`).
+        from the runtime's :func:`repro.quant.dtypes.code_storage_dtype`).
     """
 
     name: str
@@ -251,7 +251,7 @@ def _ssm_step_specs() -> List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]]:
     """
     import numpy as np
 
-    from repro.quant.pot import code_storage_dtype
+    from repro.quant.dtypes import code_storage_dtype
     from repro.quant.ssm_quant import SSMQuantConfig
 
     specs: List[Union[ShiftAccumulatorSpec, NarrowCodeSpec]] = []

@@ -93,7 +93,7 @@ class QuantizedSSMState:
     decode steps the state exists only as ``codes`` (INT ``bits`` values
     stored at their true width: the narrowest signed integer array that
     holds ``bits``, ``int8`` for the INT8 SSM -- see
-    :func:`repro.quant.pot.code_storage_dtype`) and ``scales`` (one
+    :func:`repro.quant.dtypes.code_storage_dtype`) and ``scales`` (one
     power-of-two scale per ``group_size`` run along the trailing ``d_state``
     axis, shaped ``(..., nheads, headdim, n_groups, 1)`` so it multiplies the
     group-reshaped view of ``codes``).  The container is purely mechanical --

@@ -5,7 +5,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["IntSpec", "INT4", "INT8", "INT16", "Granularity"]
+import numpy as np
+
+__all__ = ["IntSpec", "INT4", "INT8", "INT16", "Granularity", "code_storage_dtype"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,23 @@ class IntSpec:
 INT4 = IntSpec(4)
 INT8 = IntSpec(8)
 INT16 = IntSpec(16)
+
+
+def code_storage_dtype(bits: int) -> type:
+    """Narrowest signed numpy integer type that holds ``bits``-wide values.
+
+    The type every producer of codes stores them in -- the quantizer's
+    :func:`~repro.quant.quantizer.quantize`, so the resident SSM state
+    (``np.int8`` for the INT4/INT8 SSM: the state moves the bytes the
+    on-chip buffer moves) and the weight codes too -- and, called with
+    ``2 * bits``, the type a code-by-code product lives in before alignment
+    widens it to the accumulator: ``|a * b| <= qmax**2 < 2**(2 * bits - 2)``.
+    ``repro.analysis.overflow`` registers both bounds.
+    """
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bits <= np.iinfo(dtype).bits:
+            return dtype
+    raise ValueError(f"no numpy integer type holds {bits}-bit values")
 
 
 class Granularity(str, enum.Enum):

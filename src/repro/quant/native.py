@@ -169,8 +169,7 @@ def _quantize_agrees(quantize) -> bool:
             return False
         if bits <= 8:
             found = quantize(x, config)
-            if found is None or not _same_bytes((found[0].astype(np.int32), found[1]),
-                                                quantizer._quantize_numpy(x, config)):
+            if found is None or not _same_bytes(found, quantizer._quantize_numpy(x, config)):
                 return False
     # 2-bit codes (qmax 1): a group absmax past 2**1023 is a scale past it.
     pot = quantizer.QuantizerConfig(IntSpec(2), Granularity.PER_GROUP, 16, pot_scale=True)

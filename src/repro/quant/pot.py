@@ -45,7 +45,6 @@ __all__ = [
     "requant_shift",
     "aligned_product_bound",
     "shift_accumulator_dtype",
-    "code_storage_dtype",
     "alignment_multiplier",
     "shift_right_half_even",
 ]
@@ -205,21 +204,6 @@ def shift_accumulator_dtype(bits: int) -> Optional[type]:
         if bound <= np.iinfo(dtype).max:
             return dtype
     return None
-
-
-def code_storage_dtype(bits: int) -> type:
-    """Narrowest signed numpy integer type that holds ``bits``-wide values.
-
-    The storage type of resident codes (``np.int8`` for the INT4/INT8 SSM,
-    so the state moves the bytes the on-chip buffer moves) and, called with
-    ``2 * bits``, the type a code-by-code product lives in before alignment
-    widens it to the accumulator: ``|a * b| <= qmax**2 < 2**(2 * bits - 2)``.
-    ``repro.analysis.overflow`` registers both bounds.
-    """
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bits <= np.iinfo(dtype).bits:
-            return dtype
-    raise ValueError(f"no numpy integer type holds {bits}-bit values")
 
 
 def alignment_multiplier(

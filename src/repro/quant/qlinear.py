@@ -18,14 +18,12 @@ accuracy evaluation.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.mamba.block import Linear
 from repro.quant.dtypes import Granularity
-from repro.quant.pot import code_storage_dtype
 from repro.quant.quantizer import (
     QuantizedTensor,
     QuantizerConfig,
@@ -128,8 +126,7 @@ class QuantizedLinear(Linear):
         bias: Optional[np.ndarray] = None,
         transforms: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
     ) -> None:
-        codes = weight_qt.codes.astype(code_storage_dtype(weight_qt.bits), copy=False)
-        self.weight_qt = replace(weight_qt, codes=codes)
+        self.weight_qt = weight_qt
         self.act_config = act_config
         super().__init__(dequantize(self.weight_qt), bias, transforms)
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.quant import native
-from repro.quant.dtypes import Granularity, IntSpec, INT8
+from repro.quant.dtypes import Granularity, IntSpec, INT8, code_storage_dtype
 
 __all__ = [
     "QuantizerConfig",
@@ -179,17 +179,17 @@ def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
     The codes-out entry point, for callers that consume the codes (the
     integer decode step, the resident state, the integer linear layers); the
     float-in / float-out simulation is :func:`quantize_dequantize`, which
-    never materializes them.  Codes of at most 8 bits come from the compiled
-    quantizer (:func:`_compiled_quantize`) where it runs, from
-    :func:`_quantize_numpy` -- its reference -- otherwise.
+    never materializes them.  The codes are stored at their true width,
+    :func:`~repro.quant.dtypes.code_storage_dtype` (``int8`` up to 8 bits).
+    Codes of at most 8 bits come from the compiled quantizer
+    (:func:`_compiled_quantize`) where it runs, from :func:`_quantize_numpy`
+    -- its reference -- otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     library = native.kernel()
     found = library.quantize(x, config) if library is not None else None
     codes, scales = found if found is not None else _quantize_numpy(x, config)
-    return QuantizedTensor(
-        codes=codes.astype(np.int32, copy=False), scales=scales, config=config, shape=x.shape
-    )
+    return QuantizedTensor(codes=codes, scales=scales, config=config, shape=x.shape)
 
 
 def _quantize_numpy(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None):
@@ -199,8 +199,9 @@ def _quantize_numpy(x: np.ndarray, config: QuantizerConfig, out: Optional[np.nda
     the group-reshaped ``x`` for per-group grids (a ragged last group is
     zero-padded).  With ``out``, the fake-quantized values ``codes * s`` are
     written into it (which may be ``x``) and ``out`` is returned; without,
-    ``(codes, scales)`` with INT32 codes shaped like ``x``.  A non-finite
-    value poisons its group: NaN values, and codes from the cast of NaN.
+    ``(codes, scales)`` with codes shaped like ``x`` at their storage width
+    (:func:`~repro.quant.dtypes.code_storage_dtype`).  A non-finite value
+    poisons its group: NaN values, and codes from the cast of NaN.
     """
     scales = compute_scales(x, config)
     spec = config.spec
@@ -214,7 +215,7 @@ def _quantize_numpy(x: np.ndarray, config: QuantizerConfig, out: Optional[np.nda
             out[...] = _ungroup(fake, x.shape[-1]) if per_group else fake
             return out
     codes = _ungroup(codes, x.shape[-1]) if per_group else codes
-    return codes.astype(np.int32), scales
+    return codes.astype(code_storage_dtype(spec.bits)), scales
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:

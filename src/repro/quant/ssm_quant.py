@@ -56,7 +56,7 @@ scalar folds, the exponent extraction from the resident scales, the fused
 state tile and the new power-of-two scales, and is *narrow, fused, tiled*:
 
 - **narrow**: every value lives at the width its bound proves
-  (:func:`repro.quant.pot.code_storage_dtype`).  The entry codes, the
+  (:func:`repro.quant.dtypes.code_storage_dtype`).  The entry codes, the
   ``Delta (.) B`` codes and the resident codes are held, absmax-reduced and
   written as INT8, a code-by-code product (``qmax**2 < 2**15``) and its
   alignment live in the INT32 accumulator whose width follows from the bound
@@ -120,8 +120,8 @@ from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _scan_entry, ssm_decay, ssm_scan
 from repro.quant import native
-from repro.quant.dtypes import Granularity, IntSpec
-from repro.quant.pot import code_storage_dtype, pot_exponent, shift_accumulator_dtype
+from repro.quant.dtypes import Granularity, IntSpec, code_storage_dtype
+from repro.quant.pot import pot_exponent, shift_accumulator_dtype
 from repro.quant.quantizer import (
     QuantizerConfig,
     _fake_quant_into,
@@ -336,10 +336,7 @@ class QuantizedSSMStep:
         # quant-point: float state onto the resident codes + scales grid
         qt = quantize(np.asarray(state, dtype=np.float64), self._qcfg)
         return QuantizedSSMState(
-            codes=qt.codes.astype(self._code_int, copy=False),
-            scales=qt.scales,
-            group_size=self.config.group_size,
-            bits=self.config.bits,
+            qt.codes, qt.scales, group_size=self.config.group_size, bits=self.config.bits
         )
 
     def _state_values(self, state) -> np.ndarray:

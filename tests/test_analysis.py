@@ -30,9 +30,9 @@ from repro.analysis import (
     repo_root,
 )
 from repro.analysis.cli import main
+from repro.quant.dtypes import code_storage_dtype
 from repro.quant.pot import (
     alignment_multiplier,
-    code_storage_dtype,
     requant_shift,
     shift_accumulator_dtype,
     shift_right_half_even,

@@ -39,11 +39,10 @@ from repro.mamba import Mamba2Config
 from repro.mamba.cache import LayerCache, QuantizedLayerCache
 from repro.mamba.ssm import SSMParams
 from repro.quant import QuantizedSSMStep, SSMQuantConfig
-from repro.quant.dtypes import Granularity, IntSpec
+from repro.quant.dtypes import Granularity, IntSpec, code_storage_dtype
 from repro.quant.pot import (
     absmax_requant_exponents,
     alignment_multiplier,
-    code_storage_dtype,
     requant_shift,
     shift_accumulator_dtype,
     shift_requantize,
