@@ -57,11 +57,10 @@ __all__ = [
 _MIN_SCALE = 1e-12
 
 
-def pot_quantize_scale(scale: np.ndarray | float, rounding: str = "ceil") -> np.ndarray:
-    """Snap non-negative scales to powers of two.
+def pot_quantize_scale(scale: np.ndarray | float) -> np.ndarray:
+    """Snap non-negative scales up to powers of two.
 
-    ``rounding='ceil'`` never reduces the representable range (no extra
-    clipping); ``'nearest'`` minimises the scale error.
+    The ceiling never reduces the representable range (no extra clipping).
 
     A zero scale -- the absmax of an all-zero quantization group -- is
     well-defined: it snaps to the power of two at the :data:`_MIN_SCALE`
@@ -72,14 +71,7 @@ def pot_quantize_scale(scale: np.ndarray | float, rounding: str = "ceil") -> np.
     scale = np.asarray(scale, dtype=np.float64)
     if np.any(scale < 0):
         raise ValueError("scales must be non-negative")
-    log2 = np.log2(np.maximum(scale, _MIN_SCALE))
-    if rounding == "ceil":
-        exponent = np.ceil(log2)
-    elif rounding == "nearest":
-        exponent = np.round(log2)
-    else:
-        raise ValueError("rounding must be 'ceil' or 'nearest'")
-    return np.power(2.0, exponent)
+    return np.power(2.0, np.ceil(np.log2(np.maximum(scale, _MIN_SCALE))))
 
 
 def pot_quantizer_config(
@@ -91,7 +83,6 @@ def pot_quantizer_config(
         granularity=granularity,
         group_size=group_size,
         pot_scale=True,
-        pot_rounding="ceil",
     )
 
 

@@ -22,9 +22,8 @@ bits -- the activation quantizations of decode and prefill, prefill's SSMU
 operand tiles, the resident state's codes, weight RTN.
 :func:`_quantize_numpy` -- the plain math, with the entry's contract -- is
 its reference and the fallback wherever it does not run (no compiler,
-``pot_rounding="nearest"``, wider codes, a non-finite group, a power-of-two
-scale past ``2**1023``); nothing else selects between them, and the two give
-the same bytes.
+wider codes, a non-finite group, a power-of-two scale past ``2**1023``);
+nothing else selects between them, and the two give the same bytes.
 """
 
 from __future__ import annotations
@@ -66,11 +65,9 @@ class QuantizerConfig:
         Multiplier on the absolute maximum used to compute the scale
         (``1.0`` = no clipping).
     pot_scale:
-        If ``True`` the scale is snapped to a power of two (the paper's
-        FPGA-friendly SSM scheme; re-quantization becomes a bit shift).
-    pot_rounding:
-        ``"ceil"`` (default; never clips harder than the absmax scale) or
-        ``"nearest"``.
+        If ``True`` the scale is snapped up to a power of two (the paper's
+        FPGA-friendly SSM scheme; re-quantization becomes a bit shift; the
+        ceiling never clips harder than the absmax scale).
     """
 
     spec: IntSpec = INT8
@@ -78,15 +75,12 @@ class QuantizerConfig:
     group_size: int = 128
     clip_ratio: float = 1.0
     pot_scale: bool = False
-    pot_rounding: str = "ceil"
 
     def __post_init__(self) -> None:
         if self.group_size <= 0:
             raise ValueError("group_size must be positive")
         if not 0.0 < self.clip_ratio <= 1.0:
             raise ValueError("clip_ratio must be in (0, 1]")
-        if self.pot_rounding not in ("ceil", "nearest"):
-            raise ValueError("pot_rounding must be 'ceil' or 'nearest'")
 
 
 @dataclass
@@ -111,15 +105,9 @@ class QuantizedTensor:
         return self.codes.size * self.bits / 8.0 + self.scales.size * 2.0
 
 
-def _pot_round(scales: np.ndarray, mode: str) -> np.ndarray:
-    """Snap positive scales to the nearest / next power of two."""
-    safe = np.maximum(scales, _EPS)
-    log2 = np.log2(safe)
-    if mode == "ceil":
-        exponent = np.ceil(log2)
-    else:
-        exponent = np.round(log2)
-    return np.power(2.0, exponent)
+def _pot_round(scales: np.ndarray) -> np.ndarray:
+    """Snap positive scales up to the next power of two."""
+    return np.power(2.0, np.ceil(np.log2(np.maximum(scales, _EPS))))
 
 
 def _group_reshape(x: np.ndarray, group_size: int) -> tuple[np.ndarray, int, int]:
@@ -169,7 +157,7 @@ def compute_scales(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
         absmax = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
     scales = np.maximum(absmax * config.clip_ratio, _EPS) / config.spec.qmax
     if config.pot_scale:
-        scales = _pot_round(scales, config.pot_rounding)
+        scales = _pot_round(scales)
     return scales
 
 
@@ -271,9 +259,8 @@ def _compiled_quantize(entry: Callable) -> Callable:
     shaped like ``x`` and the scales shaped as :func:`compute_scales` gives
     them.  ``None`` leaves the call to numpy: the entry declined it before
     writing (a group with a non-finite value, a power-of-two scale past
-    ``2**1023``), or it is outside the entry's contract
-    (``pot_rounding="nearest"``, codes wider than 8 bits, an empty or 0-d
-    ``x``, an ``out`` -- ``x`` itself included -- that is not a C-contiguous
+    ``2**1023``), or it is outside the entry's contract (codes wider than 8
+    bits, an empty or 0-d ``x``, an ``out`` -- ``x`` itself included -- that is not a C-contiguous
     float64 array shaped like ``x``).
     """
     entry.restype = ctypes.c_int
@@ -282,8 +269,7 @@ def _compiled_quantize(entry: Callable) -> Callable:
 
     def run(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None):
         shape, bits, gran = x.shape, config.spec.bits, config.granularity
-        if (not x.size or not shape or (config.pot_scale and config.pot_rounding != "ceil")
-                or (out is None and bits > 8)):
+        if not x.size or not shape or (out is None and bits > 8):
             return None
         if out is not None:
             if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:

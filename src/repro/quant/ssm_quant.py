@@ -173,7 +173,6 @@ class SSMQuantConfig:
             granularity=granularity,
             group_size=self.group_size,
             pot_scale=self.pot_scale,
-            pot_rounding="ceil",
         )
 
 

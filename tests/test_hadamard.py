@@ -206,12 +206,8 @@ class TestCompiledFWHT:
 class TestPoT:
     def test_scale_snapped_to_power_of_two(self):
         scales = np.array([0.3, 1.0, 5.0])
-        snapped = pot_quantize_scale(scales, rounding="ceil")
+        snapped = pot_quantize_scale(scales)
         np.testing.assert_allclose(snapped, [0.5, 1.0, 8.0])
-
-    def test_nearest_rounding(self):
-        snapped = pot_quantize_scale(np.array([0.3, 5.0]), rounding="nearest")
-        np.testing.assert_allclose(snapped, [0.25, 4.0])
 
     def test_zero_scale_is_well_defined(self):
         """An all-zero group's absmax (0) snaps to the tiny floor PoT scale.
@@ -228,8 +224,6 @@ class TestPoT:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             pot_quantize_scale(np.array([-1.0]))
-        with pytest.raises(ValueError):
-            pot_quantize_scale(np.array([1.0]), rounding="floor")
 
     def test_pot_quantize_dequantize_error_bounded(self):
         """PoT (ceil) scales at most double the step size vs exact scales."""

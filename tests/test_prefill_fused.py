@@ -56,7 +56,6 @@ _configs = st.builds(
     group_size=st.sampled_from([8, 32, 128]),
     clip_ratio=st.sampled_from([1.0, 0.9, 0.5]),
     pot_scale=st.booleans(),
-    pot_rounding=st.sampled_from(["ceil", "nearest"]),
 )
 _shapes = st.one_of(
     st.tuples(st.integers(1, 300)),

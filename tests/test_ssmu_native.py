@@ -668,20 +668,15 @@ def test_quantizer_all_zero_groups_sit_at_the_scale_floor():
 
 
 @needs_kernel
-@pytest.mark.parametrize("case", ["nan", "inf", "pot_past_1023", "nearest"])
+@pytest.mark.parametrize("case", ["nan", "inf", "pot_past_1023"])
 def test_quantizer_declines_give_numpy_bytes(case):
     """What the entry declines -- a NaN or infinite group, a power-of-two
-    scale past ``2**1023`` (2-bit codes: ``qmax`` 1), ``pot_rounding="nearest"``
-    -- it hands back untouched, and the dispatch then gives numpy's bytes, in
-    place too."""
+    scale past ``2**1023`` (2-bit codes: ``qmax`` 1) -- it hands back
+    untouched, and the dispatch then gives numpy's bytes, in place too."""
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 48))  # whole groups: the fallback runs on x itself, no padded copy
     config = QuantizerConfig(IntSpec(2), Granularity.PER_GROUP, 16, pot_scale=True)
-    if case == "nearest":
-        config = QuantizerConfig(IntSpec(8), Granularity.PER_GROUP, 16, pot_scale=True,
-                                 pot_rounding="nearest")
-    else:
-        x[1, 20] = {"nan": np.nan, "inf": -np.inf, "pot_past_1023": 1.5e308}[case]
+    x[1, 20] = {"nan": np.nan, "inf": -np.inf, "pot_past_1023": 1.5e308}[case]
     untouched = x.copy()
     assert COMPILED.quantize(x, config, x) is None and x.tobytes() == untouched.tobytes()
     assert COMPILED.quantize(x, config) is None
