@@ -290,7 +290,6 @@ class QuantizedSSMStep:
         self._qcfg = config.config()
         # Storage type of resident codes (INT8 for the INT8 SSM).
         self._code_int = code_storage_dtype(config.bits)
-        self._qmin, self._qmax = self._qcfg.spec.qmin, self._qcfg.spec.qmax
         # Whether zeros_cache hands out codes: exactly when _step_integer can
         # advance them -- shifts need PoT grids, a state and products that are
         # re-quantized, and an integer accumulator that holds the aligned
