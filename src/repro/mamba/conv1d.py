@@ -95,11 +95,13 @@ class CausalConv1d:
         if not x.size:
             return out
         # One token tile at a time: k tap multiply-adds (tap j reads the tile
-        # shifted back by k-1-j tokens, summed in tap order like the window
-        # dot product), the bias and the SiLU, all into cache-resident
-        # buffers -- no padded copy of the sequence, no window view.  Only
-        # a tile that reaches back past token 0 needs the left context joined
-        # on.
+        # shifted back by k-1-j tokens, summed in tap order), the bias and
+        # the SiLU, all into cache-resident buffers -- no padded copy of the
+        # sequence, no window view.  Only a tile that reaches back past token
+        # 0 needs the left context joined on.  :meth:`step`'s einsum sums the
+        # taps in another order -- lane-paired, (w0*s0 + w2*s2) + (w1*s1 +
+        # w3*s3) for k = 4 on numpy's AVX-512 loops -- so a token's decode
+        # output can differ from its prefill output in the last bit.
         taps = self.weight.T                                   # (k, channels)
         row_elems = x.size // seq_len
         work = np.empty(x.shape[:-2] + (min(seq_len, tile_rows(row_elems)), self.channels))
@@ -163,7 +165,7 @@ class CausalConv1d:
         # decode hot path; avoids a (..., channels, k) product temporary).
         out = np.einsum("...ck,ck->...c", new_state, self.weight) + self.bias
         if self.activation:
-            out = silu(out)
+            silu(out, out=out)
         return out, new_state
 
     def initial_state(self, batch_size: int | None = None) -> np.ndarray:

@@ -14,14 +14,11 @@ buffer instead of allocating a prompt-sized temporary.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import ctypes
+import math
+from typing import Callable, Iterator, Optional
 
 import numpy as np
-
-try:  # scipy's expit is a single C ufunc pass; fall back to pure numpy.
-    from scipy.special import expit as _expit
-except ImportError:  # pragma: no cover - scipy is present in the dev image
-    _expit = None
 
 __all__ = [
     "TILE_ELEMS",
@@ -56,31 +53,140 @@ def row_tiles(n_rows: int, row_elems: int) -> Iterator[slice]:
 
 
 def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Numerically stable logistic sigmoid (into ``out`` when given).
+    """Logistic sigmoid ``1 / (1 + exp(-x))`` with libm's ``exp`` (into ``out`` when given).
 
-    Computed from ``z = exp(-|x|)`` (never overflows) as ``1 / (1 + z)`` for
-    non-negative inputs and ``z / (1 + z)`` otherwise -- branch-free, which is
-    markedly faster than masked assignment on the decode hot path.
+    One definition on every path: ``native.c``'s ``silu`` entry, or its
+    reference :func:`_silu_reference` where no library loads -- same bytes.
+    ``out`` may be ``x``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if _expit is not None:
-        return _expit(x, out=out)
-    z = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, z), 1.0 + z, out=out)
+    return _nonlinear(x, out, True)
 
 
 def silu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """SiLU (swish) activation: ``x * sigmoid(x)``.
+    """SiLU (swish) activation: ``x * sigmoid(x)``, in one pass (into ``out`` when given).
 
-    ``out``, when given, receives the result; it must not alias ``x`` (the
-    sigmoid lands in it first and is then multiplied by ``x`` in place).
+    ``out`` may be ``x``; strided views (the ``z`` / ``xBC`` splits of the
+    in-projection) go in without a copy.
     """
+    return _nonlinear(x, out, False)
+
+
+_native = None  # repro.quant.native, imported on first use: repro.quant imports this package
+
+
+def _nonlinear(x, out: Optional[np.ndarray], gate_only: bool) -> np.ndarray:
+    global _native
+    if _native is None:
+        from repro.quant import native as _native
     x = np.asarray(x, dtype=np.float64)
-    gate = sigmoid(x, out=out)
-    if gate.ndim:
-        np.multiply(x, gate, out=gate)  # reuse the sigmoid buffer (hot path)
-        return gate
-    return x * gate
+    library = _native.kernel()
+    return (library.silu if library is not None else _silu_reference)(x, out, gate_only)
+
+
+def _exp(v: float) -> float:
+    """libm's ``exp``; an overflow is ``inf``, as in C."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _silu_reference(x: np.ndarray, out: Optional[np.ndarray], gate_only: bool) -> np.ndarray:
+    """``native.c``'s ``silu`` in Python, its reference and fallback.
+
+    ``g = 1 / (1 + exp(-x))`` with ``exp`` per element from :mod:`math` (libm),
+    then ``x * g`` unless ``gate_only``; into ``out`` when given (it may be
+    ``x``), else a new array (a scalar for 0-d ``x``).  A NaN ``x`` makes
+    ``g`` a NaN too, and numpy's multiply gives either NaN by layout: SiLU
+    gives ``x``'s, quieted, as ``x + x``.
+    """
+    e = np.fromiter(map(_exp, (-x).ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    result = np.divide(1.0, 1.0 + e, out=e)
+    if not gate_only:
+        with np.errstate(invalid="ignore"):  # -inf * 0.0, as in C
+            np.multiply(x, result, out=result)
+        np.add(x, x, out=result, where=np.isnan(x))
+    if out is None:
+        return result if x.ndim else result[()]
+    np.copyto(out, result)
+    return out
+
+
+def _row_stride(a: np.ndarray) -> Optional[int]:
+    """Values between consecutive rows of ``a``'s last axis when every row is
+    one contiguous float64 run and the rows are one stride apart, none
+    overlapping, else ``None``."""
+    if a.dtype != np.float64:
+        return None
+    cols = a.shape[-1] if a.ndim else 1
+    if a.flags.c_contiguous:
+        return cols
+    if cols > 1 and a.strides[-1] != 8:
+        return None
+    lead = [(n, s) for n, s in zip(a.shape[:-1], a.strides[:-1]) if n > 1]
+    if any(s != s_in * n_in for (_, s), (n_in, s_in) in zip(lead, lead[1:])):
+        return None
+    stride, partial = divmod(lead[-1][1], 8) if lead else (cols, 0)
+    return stride if not partial and stride >= cols else None
+
+
+def _pointer(a: np.ndarray):
+    """``a``'s first element as a ctypes pointer argument: a ``c_char`` over a
+    writable C-contiguous buffer (about a fifth of ``.ctypes.data``, which
+    builds a ctypes view), else that address."""
+    try:
+        return ctypes.byref(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return ctypes.c_void_p(a.ctypes.data)
+
+
+_C_INT_MAX = 2**31 - 1
+
+
+def _compiled_silu(entry: Callable) -> Callable:
+    """``native.c``'s ``silu`` behind :func:`_silu_reference`'s signature.
+
+    ``x`` and ``out`` go in as the rows of their last axis, each at its own
+    row stride: a C-contiguous array, or a strided view such as the
+    in-projection's ``z`` / ``xBC`` splits, without a copy.  A layout with
+    no one row stride is taken a leading index at a time, and at two
+    dimensions copied.  The call has no ``argtypes``: ctypes then passes the
+    pointers and C ints as they are, where declared types cost a conversion
+    object per argument (≈ 0.1 µs each; the whole decode-sized call is a few
+    µs).  ctypes would wrap a size past a C int, so such a call runs the
+    reference.
+    """
+    entry.restype = None
+
+    def silu(x: np.ndarray, out: Optional[np.ndarray], gate_only: bool) -> np.ndarray:
+        if x.size > _C_INT_MAX:
+            return _silu_reference(x, out, gate_only)
+        result = np.empty(x.shape) if out is None else out
+        if x.flags.c_contiguous and (  # one run each (decode)
+            out is None or out is x
+            or out.flags.c_contiguous and out.dtype == np.float64 and out.shape == x.shape
+        ):
+            rows, cols = 1, x.size
+            src = dst = cols
+        else:
+            src, dst = _row_stride(x), _row_stride(result)
+            if src is None or dst is None or result.shape != x.shape:
+                if x.ndim > 2 and result.shape == x.shape:
+                    for row, into in zip(x, result):
+                        silu(row, into, gate_only)
+                else:
+                    np.copyto(result, silu(np.ascontiguousarray(x), None, gate_only))
+                return result
+            if max(src, dst) > _C_INT_MAX:
+                return _silu_reference(x, out, gate_only)
+            cols = x.shape[-1] if x.ndim else 1
+            rows = x.size // cols if cols else 0
+        if x.size:
+            at = _pointer(x)
+            entry(at, rows, cols, src, gate_only, at if result is x else _pointer(result), dst)
+        return result if out is not None or x.ndim else result[()]
+
+    return silu
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

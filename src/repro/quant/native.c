@@ -1,6 +1,6 @@
 /* The compiled units of the quantized datapath (LightMamba Sec. IV, Fig. 4a).
  *
- * One library, three entries, built, self-tested and loaded together by
+ * One library, four entries, built, self-tested and loaded together by
  * repro.quant.native:
  *
  * - ssmu_step: the whole integer SSM decode step of a batch -- from the float
@@ -18,6 +18,10 @@
  *   boundary and every SSMU operand prefill stages, the resident state's
  *   codes and weight RTN.  Its reference and fallback is the numpy quantizer
  *   repro.quant.quantizer._quantize_numpy, which has this entry's contract.
+ * - silu: the non-linear unit's sigmoid and SiLU, 1 / (1 + exp(-v)) with
+ *   libm's exp (and times v), over strided rows: the conv's activation and
+ *   the gated norm's gate.  Its reference and fallback is
+ *   repro.mamba.ops._silu_reference, the same formula with math.exp.
  *
  * Every float operation here is the one the numpy reference performs, in
  * numpy's order, so the outputs are byte-equal.  The rules that
@@ -37,7 +41,8 @@
  * - the readout reproduces numpy's pairwise summation over the n state rows
  *   of each channel (np.einsum's order is not bit-identical);
  * - the butterflies pair and order as the textbook in-place network (span 1,
- *   2, 4, ...), then divide by sqrt(n).
+ *   2, 4, ...), then divide by sqrt(n);
+ * - exp is libm's, the one Python's math.exp calls, never a vector variant.
  *
  * The integer step has a range: every destination exponent must keep 2**e a
  * normal double (at most MAX_EXPONENT; the 1e-12 scale floor bounds it below
@@ -1002,4 +1007,29 @@ int quantize_groups(const double *x, int64_t rows, int64_t len, int64_t glen, do
                                scales ? scales : scratch);
     free(scratch);
     return status;
+}
+
+/* ------------------------------------------------------------------------
+ * The non-linear unit: sigmoid and SiLU
+ * ------------------------------------------------------------------------ */
+
+/* rows runs of cols values, x's rows x_stride values apart and out's
+ * out_stride apart, each value v through g = 1 / (1 + exp(-v)) -- libm's exp
+ * -- into out as g when gate_only, else as v * g (SiLU).  out may be x.
+ * Where v is a NaN, so is g, and a product of two NaNs is either one by how
+ * it is compiled (numpy's vector tail gives the second's): SiLU gives v's
+ * NaN, quieted, as v + v, here and in the reference.  The sizes are C ints: the
+ * wrapper passes them without argtypes, which cost a conversion object per
+ * argument per call. */
+void silu(const double *x, int32_t rows, int32_t cols, int32_t x_stride, int32_t gate_only,
+          double *out, int32_t out_stride)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        const double *v = x + r * (int64_t)x_stride;
+        double *o = out + r * (int64_t)out_stride;
+        for (int64_t j = 0; j < cols; j++) {
+            const double g = 1.0 / (1.0 + exp(-v[j]));
+            o[j] = gate_only ? g : isnan(v[j]) ? v[j] + v[j] : v[j] * g;
+        }
+    }
 }

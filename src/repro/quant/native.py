@@ -1,7 +1,7 @@
 """The compiled units of the quantized datapath: find ``cc``, build, cache, load, self-test, report.
 
-``native.c`` beside this file is one library with three entries, each
-checked against the numpy code it stands in for:
+``native.c`` beside this file is one library with four entries, each
+checked against the code it stands in for:
 
 - ``step`` -- the whole integer SSM decode step of a batch, float ``x`` /
   ``B`` / ``C`` (and the per-head ``Delta`` / ``A_bar``) in, the readout ``y``,
@@ -16,14 +16,19 @@ checked against the numpy code it stands in for:
   scales (``repro.quant.quantizer._compiled_quantize``): the activation
   quantizations of decode and prefill, prefill's staged tiles, the resident
   state's codes, weight RTN.  Its reference and fallback is
-  ``repro.quant.quantizer._quantize_numpy``, the same contract in numpy.
+  ``repro.quant.quantizer._quantize_numpy``, the same contract in numpy;
+- ``silu`` -- the sigmoid ``1 / (1 + exp(-x))`` with libm's ``exp``, and
+  SiLU ``x`` times it, over rows at a stride, in place or not
+  (``repro.mamba.ops._compiled_silu``): the conv's activation and the gated
+  norm's gate, decode and prefill.  Its reference and fallback is
+  ``repro.mamba.ops._silu_reference``, the same formula with ``math.exp``.
 
 Each reference is the plain math with its entry's signature: nothing in it
 is tuned, since it runs only in the self-test, in the tests and where no
 library loads.
 
-:func:`kernel` returns the three behind those wrappers, or ``None`` -- the
-oracle and numpy then run -- and :func:`status` says which and why.
+:func:`kernel` returns the four behind those wrappers, or ``None`` -- the
+references then run -- and :func:`status` says which and why.
 Nothing selects an executor but what this module observes, once per process:
 a C compiler on ``PATH``, a build that succeeds, a load-time self-test in
 which every entry is byte-equal to its reference (one mismatch turns the
@@ -178,6 +183,36 @@ def _quantize_agrees(quantize) -> bool:
     return all(quantize(bad.copy(), pot, np.empty(x.shape)) is None for bad in (poisoned, huge))
 
 
+def _silu_agrees(silu) -> bool:
+    """The compiled sigmoid / SiLU against the Python one: magnitudes from
+    ``1e-300`` to ``1e308`` and subnormals of both signs, signed zeros and
+    infinities, NaN, the edges where ``exp`` overflows (about ``-709.78``) and
+    where the gate's ``exp(-x)`` goes subnormal and to zero (``745``), a
+    strided view in and out, ``out`` that is ``x``, and a 0-d input."""
+    from repro.mamba import ops
+
+    rng = np.random.default_rng(4)
+    wide = rng.normal(size=(6, 40)) * 10.0 ** rng.integers(-300, 309, size=(6, 40))
+    wide[0, :12] = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.78, -709.78,
+                    709.79, -745.14, 745.14)
+    strided = np.concatenate([wide, rng.normal(size=(6, 9))], axis=1)[:, :40]
+    for gate_only in (True, False):
+        want = ops._silu_reference(wide, None, gate_only)
+        if silu(strided, None, gate_only).tobytes() != want.tobytes():
+            return False
+        held = np.empty((6, 47))[:, 3:43]
+        if silu(wide, held, gate_only) is not held or held.tobytes() != want.tobytes():
+            return False
+        inplace = wide.copy()
+        if silu(inplace, inplace, gate_only) is not inplace or inplace.tobytes() != want.tobytes():
+            return False
+        scalar = np.array(-3.25)
+        got, ref = silu(scalar, None, gate_only), ops._silu_reference(scalar, None, gate_only)
+        if got.tobytes() != ref.tobytes():
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _load() -> Tuple[Optional[SimpleNamespace], str]:
     """``(entries or None, status)``, decided once per process."""
@@ -191,26 +226,28 @@ def _load() -> Tuple[Optional[SimpleNamespace], str]:
             return None, f"numpy: build failed: {error}"
         library = ctypes.CDLL(str(target))
         # The wrappers' modules read kernel() at call time: imported here, not at the top.
+        from repro.mamba import ops
         from repro.quant import hadamard, quantizer, ssm_quant
 
         entries = SimpleNamespace(
             step=ssm_quant._compiled_step(library.ssmu_step),
             fwht=hadamard._compiled_fwht(library.fwht),
             quantize=quantizer._compiled_quantize(library.quantize_groups),
+            silu=ops._compiled_silu(library.silu),
         )
     except (OSError, AttributeError) as exc:
         return None, f"numpy: {exc}"
     _self_test.running = True  # the references call kernel(): they run on numpy
     try:
         agree = (_step_agrees(entries.step) and _fwht_agrees(entries.fwht)
-                 and _quantize_agrees(entries.quantize))
+                 and _quantize_agrees(entries.quantize) and _silu_agrees(entries.silu))
     finally:
         _self_test.running = False
     return (entries, "compiled") if agree else (None, "numpy: self-test mismatch")
 
 
 def kernel() -> Optional[SimpleNamespace]:
-    """The compiled ``step``, ``fwht`` and ``quantize``, or ``None``: their numpy references run."""
+    """The compiled ``step``, ``fwht``, ``quantize`` and ``silu``, or ``None``: references run."""
     return None if getattr(_self_test, "running", False) else _load()[0]
 
 
