@@ -67,7 +67,6 @@ _ROUND_TRIP_NAMES = {
     "dequantize",
     "quantize_dequantize",
     "_fake_quant_into",
-    "_q",
     "_qp",
 }
 _INT_DTYPE_RE = re.compile(r"int|bool")

@@ -81,9 +81,12 @@ def greedy_select(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     logits = np.asarray(logits, dtype=np.float64)
     tokens = np.argmax(logits, axis=-1)
-    logp = log_softmax(logits)
-    logprobs = np.take_along_axis(logp, np.expand_dims(tokens, -1), axis=-1)[..., 0]
-    return tokens, logprobs
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # a NaN or all -inf row: its log-prob is NaN
+        log_z = np.log(np.sum(np.exp(shifted), axis=-1))
+    # log_softmax at the argmax, whose shifted logit is exactly 0.0: no
+    # vocabulary-wide subtraction and gather for the one entry kept.
+    return tokens, 0.0 - log_z
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -120,7 +120,7 @@ from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _scan_entry, ssm_decay, ssm_scan
 from repro.quant import native
-from repro.quant.dtypes import Granularity, IntSpec, code_storage_dtype
+from repro.quant.dtypes import Granularity, IntSpec
 from repro.quant.pot import pot_exponent, shift_accumulator_dtype
 from repro.quant.quantizer import (
     QuantizerConfig,
@@ -288,8 +288,6 @@ class QuantizedSSMStep:
     def __init__(self, config: SSMQuantConfig = SSMQuantConfig()):
         self.config = config
         self._qcfg = config.config()
-        # Storage type of resident codes (INT8 for the INT8 SSM).
-        self._code_int = code_storage_dtype(config.bits)
         # Whether zeros_cache hands out codes: exactly when _step_integer can
         # advance them -- shifts need PoT grids, a state and products that are
         # re-quantized, and an integer accumulator that holds the aligned
@@ -299,10 +297,6 @@ class QuantizedSSMStep:
             and config.quantize_state
             and config.quantize_products
             and shift_accumulator_dtype(config.bits) is not None
-        )
-        # The widths native.c's step is written for: INT8 codes, INT32 accumulator.
-        self._kernel_widths = (
-            self._code_int is np.int8 and shift_accumulator_dtype(config.bits) is np.int32
         )
 
     def _stage(  # integer-resident
@@ -490,7 +484,7 @@ class QuantizedSSMStep:
         is not a positive power of two is no resident state: ``ValueError``
         on either path.
         """
-        library = native.kernel() if self._kernel_widths else None
+        library = native.kernel()
         bits, gsz = self.config.bits, self.config.group_size
         if library is not None:
             delta, a_bar = ssm_decay(params, dt)  # the non-linear units: numpy's exp / log1p

@@ -75,12 +75,22 @@ __all__ = ["Completion", "InferenceEngine", "Request", "TokenCallback"]
 TokenCallback = Callable[[int, int, float], None]
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an ``int``: Python and numpy integers only, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Request:
     """One generation request submitted to the engine.
 
     ``temperature is None`` selects greedy decoding; otherwise temperature /
-    top-k sampling with the request's own RNG stream (``seed``).
+    top-k sampling with the request's own RNG stream (``seed``).  Token ids,
+    ``max_new_tokens``, ``top_k``, ``stop_token`` and ``seed`` are integers
+    (numpy's too, stored as ``int``): a float, a bool or a string is a
+    ``TypeError``, never truncated.
     """
 
     prompt: Tuple[int, ...]
@@ -91,7 +101,11 @@ class Request:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prompt", tuple(int(t) for t in self.prompt))
+        object.__setattr__(self, "prompt", tuple(_integral("a token id", t) for t in self.prompt))
+        object.__setattr__(self, "max_new_tokens", _integral("max_new_tokens", self.max_new_tokens))
+        for name in ("top_k", "stop_token", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if not self.prompt:
             raise ValueError(
                 "prompt must be non-empty; encode an empty or whitespace-only "
@@ -109,6 +123,8 @@ class Request:
             raise ValueError("temperature must be positive and finite (or None for greedy)")
         if self.top_k is not None and self.top_k <= 0:
             raise ValueError("top_k must be positive when given")
+        if self.stop_token is not None and self.stop_token < 0:
+            raise ValueError("stop_token must be a non-negative token id when given")
 
 
 @dataclass(frozen=True)

@@ -462,18 +462,16 @@ class MambaServer:
     def _build_request(self, payload: Dict[str, Any]) -> Request:
         if "prompt" not in payload:
             raise ValueError('body must carry "prompt" (token ids)')
-        prompt = tuple(int(t) for t in payload["prompt"])
-
-        def optional(key: str, cast):
-            return cast(payload[key]) if payload.get(key) is not None else None
-
+        # Integers go to Request as sent: it rejects a float, a bool or a
+        # string instead of truncating it.
+        temperature = payload.get("temperature")
         return Request(
-            prompt=prompt,
-            max_new_tokens=int(payload.get("max_new_tokens", 16)),
-            temperature=optional("temperature", float),
-            top_k=optional("top_k", int),
-            stop_token=optional("stop_token", int),
-            seed=optional("seed", int),
+            prompt=tuple(payload["prompt"]),
+            max_new_tokens=payload.get("max_new_tokens", 16),
+            temperature=None if temperature is None else float(temperature),
+            top_k=payload.get("top_k"),
+            stop_token=payload.get("stop_token"),
+            seed=payload.get("seed"),
         )
 
     async def _handle_generate(self, headers, body, reader, writer):  # loop-thread-only

@@ -9,6 +9,7 @@ analyze clean modulo the committed baseline -- the same gate CI applies.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.analysis import (
     repo_root,
 )
 from repro.analysis.cli import main
+from repro.analysis.dtypeflow import _ROUND_TRIP_NAMES
 from repro.quant.dtypes import code_storage_dtype
 from repro.quant.pot import (
     alignment_multiplier,
@@ -218,6 +220,18 @@ def test_dtype_bad_fixture_fires_every_dtype_rule():
 def test_dtype_ok_fixture_is_quiet():
     """Sanctioned quant-points and unregistered functions produce nothing."""
     assert analyze_paths([FIXTURES / "dtype_ok.py"]) == []
+
+
+def test_round_trip_names_are_functions_in_src():
+    """Every fake-quant round trip DT203 looks for is a function defined under
+    ``src/``: a name left behind by a rename would watch nothing."""
+    defined = {
+        node.name
+        for path in (repo_root() / "src").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert sorted(_ROUND_TRIP_NAMES - defined) == []
 
 
 # ----------------------------------------------------------------------

@@ -166,6 +166,17 @@ class TestWireProtocol:
                 ({"prompt": [1, 2, 3], "temperature": inf, "seed": 1}, None),
                 ({"prompt": [1, 2, 3]}, {"X-Deadline-S": "nan"}),
                 ({"prompt": [1, 2, 3], "deadline_s": inf}, None),
+                # Integers only: a float id, an object, a bool budget or stop
+                # token, a string seed are bad bodies, never truncated.
+                ({"prompt": [1.9]}, None),
+                ({"prompt": {"1": 2}}, None),
+                ({"prompt": "12"}, None),
+                ({"prompt": [1, True]}, None),
+                ({"prompt": [1, 2], "max_new_tokens": True}, None),
+                ({"prompt": [1, 2], "max_new_tokens": 2.5}, None),
+                ({"prompt": [1, 2], "stop_token": -3}, None),
+                ({"prompt": [1, 2], "stop_token": False}, None),
+                ({"prompt": [1, 2], "temperature": 0.8, "seed": "7"}, None),
             ):
                 status, payload = _request_json(
                     handle.host, handle.port, "POST", "/v1/generate", payload=body, headers=headers

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.mamba import greedy_decode, sample_decode
 from repro.mamba.sampling import greedy_select, log_softmax, sample_select, top_k_filter
@@ -62,6 +65,38 @@ class TestSamplingPrimitives:
         np.testing.assert_allclose(
             logprobs, lp[np.arange(4), tokens], atol=1e-12
         )
+
+    @given(
+        logits=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 24)),
+            elements=st.one_of(st.sampled_from([-np.inf, -2.0, 0.0, 3.5]),
+                               st.floats(-1e3, 1e3), st.floats(-800.0, -700.0)),
+        ),
+        batched=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_select_equals_log_softmax_at_the_argmax(self, logits, batched):
+        """The lean log-prob is ``log_softmax`` gathered at the argmax, to the
+        bit, on finite logits with ties and ``-inf`` entries; a row without a
+        finite logit (all ``-inf``) is NaN in both."""
+        logits = logits if batched else logits[0]
+        want_tokens = np.argmax(logits, axis=-1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf in an all -inf row
+            tokens, logprobs = greedy_select(logits)
+            want = np.take_along_axis(log_softmax(logits), want_tokens[..., None], axis=-1)[..., 0]
+        assert np.shape(logprobs) == np.shape(want)
+        np.testing.assert_array_equal(tokens, want_tokens)
+        finite = np.isfinite(np.max(logits, axis=-1))
+        assert np.array_equal(np.isnan(logprobs), ~finite)
+        assert np.asarray(logprobs)[finite].tobytes() == np.asarray(want)[finite].tobytes()
+
+    def test_greedy_select_nan_rows_stay_nan(self):
+        logits = np.array([[0.5, np.nan, 2.0], [1.0, 2.0, 3.0], [np.inf, 0.0, 1.0]])
+        with np.errstate(invalid="ignore"):  # nan - nan, inf - inf
+            tokens, logprobs = greedy_select(logits)
+        assert list(tokens) == [1, 2, 0]
+        assert np.isnan(logprobs[0]) and np.isfinite(logprobs[1]) and np.isnan(logprobs[2])
 
     def test_sample_select_respects_top_k(self):
         rng = np.random.default_rng(3)
@@ -256,3 +291,24 @@ class TestInferenceEngine:
         # A rejected submit must not consume a request id (ids drive the
         # default per-request sampling seeds).
         assert engine.submit(Request(prompt=(1,), max_new_tokens=1)) == 0
+
+    def test_request_takes_integers_only(self):
+        """Token ids, the budget, ``top_k``, ``stop_token`` and ``seed`` are
+        integers: numpy's are stored as ``int``; a float, a bool or a string
+        is a ``TypeError`` (never truncated); a negative stop token is a
+        ``ValueError``."""
+        request = Request(prompt=np.array([3, 1], dtype=np.int32), max_new_tokens=np.int64(4),
+                          temperature=0.7, top_k=np.int16(5), stop_token=np.uint8(2),
+                          seed=np.int64(9))
+        assert request.prompt == (3, 1)
+        fields = (*request.prompt, request.max_new_tokens, request.top_k, request.stop_token,
+                  request.seed)
+        assert all(type(value) is int for value in fields)
+        for bad in (dict(prompt=(1.9,)), dict(prompt=(1, True)), dict(prompt="12"),
+                    dict(prompt=np.array([1.0])), dict(max_new_tokens=True),
+                    dict(max_new_tokens=2.0), dict(stop_token=False), dict(stop_token=1.5),
+                    dict(temperature=0.7, top_k=2.0), dict(temperature=0.7, seed="7")):
+            with pytest.raises(TypeError):
+                Request(**{"prompt": (1,), "max_new_tokens": 1, **bad})
+        with pytest.raises(ValueError):
+            Request(prompt=(1,), max_new_tokens=1, stop_token=-3)

@@ -533,15 +533,16 @@ def test_cache_directory_writable_by_others_is_refused(monkeypatch, fresh_loader
 
 
 # ----------------------------------------------------------------------
-# (g) INT16 codes never reach the kernel
+# (g) INT16 codes never reach the kernel: the compiled step declines them
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bits,reaches", [(4, True), (8, True), (9, False), (16, False)])
 def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
     calls = []
 
     def spy(*operands):
-        calls.append(operands[7].codes.dtype)                      # the resident state
-        return COMPILED.step(*operands) if COMPILED is not None else None
+        done = COMPILED.step(*operands) if COMPILED is not None else None
+        calls.append((operands[7].codes.dtype, isinstance(done, tuple)))  # the resident state
+        return done
 
     monkeypatch.setattr(native, "_load", lambda: (_with_step(spy), "compiled"))
     heads, dim, n = 2, 4, 24
@@ -558,7 +559,8 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
     y_oracle, state_oracle = step._step_oracle(params, x, B, C, dt, state)
     np.testing.assert_array_equal(y, y_oracle)
     assert new_state.exact_equal(state_oracle)
-    assert calls == ([np.dtype(np.int8)] if reaches else [])
+    codes = np.dtype(np.int8 if reaches else np.int16)
+    assert calls == [(codes, reaches and COMPILED is not None)]
 
 
 # ----------------------------------------------------------------------

@@ -253,7 +253,6 @@ def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
     bit-identical."""
     step = QuantizedSSMStep(SSMQuantConfig(bits=bits, group_size=8))
     assert shift_accumulator_dtype(bits) is acc_dtype
-    assert step._code_int is code_storage_dtype(bits)
     h, p, n = 4, 8, 24
     config = Mamba2Config(d_model=16, n_layer=1, vocab_size=8, d_state=n, headdim=p)
     if acc_dtype is None:
@@ -262,6 +261,7 @@ def _check_accumulator_width_follows_bits(rng, bits, acc_dtype):
     assert type(step.zeros_cache(config)) is QuantizedLayerCache
     params = _params(rng, h)
     state_int = step.quantize_state_codes(rng.normal(size=(2, h, p, n)))
+    assert state_int.codes.dtype == code_storage_dtype(bits)
     state_orc = state_int.copy()
     for _ in range(4):
         x, B, C, dt = _inputs(rng, (2,), h, p, n)
