@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.mamba import ByteTokenizer, InitConfig, Mamba2Model, get_preset, greedy_decode
+from repro.mamba import InitConfig, Mamba2Model, get_preset, greedy_decode
 from repro.serving import (
     InferenceEngine,
     PagedScheduler,
@@ -35,17 +35,24 @@ from repro.serving import (
 )
 
 
+#: The token id that ends a generation early in the demo's greedy requests.
+EOS = 1
+
+
+def ids(length: int, seed: int) -> tuple:
+    """A prompt of ``length`` token ids, drawn per ``seed``."""
+    return tuple(int(t) for t in np.random.default_rng(seed).integers(3, 512, size=length))
+
+
 def main() -> None:
-    tokenizer = ByteTokenizer()
-    config = get_preset("mamba2-tiny").with_overrides(vocab_size=tokenizer.vocab_size)
+    config = get_preset("mamba2-tiny")
     model = Mamba2Model.from_config(config, InitConfig(seed=0))
     print(f"model: {config.name}, {model.num_parameters():,} parameters")
 
     # ------------------------------------------------------------------
     # 1. Batched generation over ragged prompts.
     # ------------------------------------------------------------------
-    texts = ["LightMamba ", "FPGA acceleration: ", "Quantized SSM ", "Batch "]
-    prompts = [tuple(tokenizer.encode(t)) for t in texts]
+    prompts = [ids(length, seed) for seed, length in enumerate((11, 19, 14, 6))]
 
     def decode_batch(requests):
         """One fixed batch: an engine with a slot per request, drained."""
@@ -53,13 +60,13 @@ def main() -> None:
         return [completion.result for completion in done]
 
     results = decode_batch(
-        [Request(prompt=p, max_new_tokens=12, stop_token=tokenizer.eos_id) for p in prompts]
+        [Request(prompt=p, max_new_tokens=12, stop_token=EOS) for p in prompts]
     )
     print("\nbatched greedy generation:")
-    for text, result in zip(texts, results):
-        solo = greedy_decode(model, tokenizer.encode(text), 12, stop_token=tokenizer.eos_id)
+    for i, (prompt, result) in enumerate(zip(prompts, results)):
+        solo = greedy_decode(model, prompt, 12, stop_token=EOS)
         match = "matches" if solo.tokens == result.tokens else "MISMATCH vs"
-        print(f"  {text!r:24s} -> {tokenizer.decode(result.tokens)!r}  "
+        print(f"  prompt {i} ({len(prompt):2d} ids) -> {list(result.tokens)}  "
               f"({match} single-sequence decode)")
 
     sampled = decode_batch(
@@ -69,8 +76,8 @@ def main() -> None:
         ]
     )
     print("\nbatched sampling (temperature 0.9, exact top-32, per-request seeds):")
-    for text, result in zip(texts, sampled):
-        print(f"  {text!r:24s} -> {tokenizer.decode(result.tokens)!r} "
+    for i, result in enumerate(sampled):
+        print(f"  prompt {i} -> {list(result.tokens)} "
               f"(mean logprob {np.mean(result.logprobs):.2f})")
 
     # ------------------------------------------------------------------
@@ -79,9 +86,8 @@ def main() -> None:
     engine = InferenceEngine(model, max_batch_size=3)
     rng = np.random.default_rng(0)
     for i in range(8):
-        prompt = tokenizer.encode("request %d: " % i)
         engine.submit(
-            Request(prompt=tuple(prompt), max_new_tokens=int(rng.integers(4, 14)))
+            Request(prompt=ids(10 + i, 100 + i), max_new_tokens=int(rng.integers(4, 14)))
         )
     streamed = []
     completions = engine.run(
@@ -93,12 +99,12 @@ def main() -> None:
     print(f"  decode calls           : {stats.decode_calls}")
     print(f"  tokens per decode call : {stats.tokens_per_decode_call:.2f} "
           f"(batching efficiency)")
-    print(f"  request 0 streamed     : {tokenizer.decode(streamed)!r} "
+    print(f"  request 0 streamed     : {streamed} "
           f"(token-by-token, via on_token)")
     for completion in completions[:3]:
         lat = completion.latency
         print(f"  request {completion.request_id}: "
-              f"{tokenizer.decode(completion.result.tokens)!r} "
+              f"{list(completion.result.tokens)} "
               f"[{completion.finish_reason}; waited {lat.queue_wait_iterations} iters, "
               f"ttft {lat.ttft_iterations} iters, {lat.decode_iterations} decode iters]")
 
@@ -107,13 +113,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\npriority scheduling (1 slot, urgent request front-runs the queue):")
     engine = InferenceEngine(model, max_batch_size=1, scheduler=PriorityScheduler())
-    running = engine.submit(Request(prompt=tuple(tokenizer.encode("running ")),
-                                    max_new_tokens=6))
+    running = engine.submit(Request(prompt=ids(8, 200), max_new_tokens=6))
     engine.step()
-    batch_id = engine.submit(Request(prompt=tuple(tokenizer.encode("batch job ")),
-                                     max_new_tokens=4), priority=0)
-    urgent_id = engine.submit(Request(prompt=tuple(tokenizer.encode("URGENT ")),
-                                      max_new_tokens=4), priority=10)
+    batch_id = engine.submit(Request(prompt=ids(10, 201), max_new_tokens=4), priority=0)
+    urgent_id = engine.submit(Request(prompt=ids(7, 202), max_new_tokens=4), priority=10)
     latency = {c.request_id: c.latency for c in engine.run()}
     order = sorted((running, batch_id, urgent_id),
                    key=lambda rid: latency[rid].first_token_step)
@@ -123,10 +126,9 @@ def main() -> None:
     print("\npaged admission (page = 16 tokens: a 160-token prompt cannot stall decodes):")
     engine = InferenceEngine(model, max_batch_size=2,
                              scheduler=PagedScheduler(page_tokens=16))
-    engine.submit(Request(prompt=tuple(tokenizer.encode("interactive ")),
-                          max_new_tokens=12))
+    engine.submit(Request(prompt=ids(12, 300), max_new_tokens=12))
     engine.step()
-    long_prompt = tuple(tokenizer.encode("x" * 160))
+    long_prompt = ids(160, 301)
     engine.submit(Request(prompt=long_prompt, max_new_tokens=2))
     max_prefill_per_step = 0
     while engine.has_work:
@@ -140,13 +142,10 @@ def main() -> None:
 
     print("\ncancellation and deadlines:")
     engine = InferenceEngine(model, max_batch_size=1)
-    busy = engine.submit(Request(prompt=tuple(tokenizer.encode("busy ")),
-                                 max_new_tokens=10))
+    busy = engine.submit(Request(prompt=ids(5, 400), max_new_tokens=10))
     engine.step()
-    doomed = engine.submit(Request(prompt=tuple(tokenizer.encode("never runs ")),
-                                   max_new_tokens=5), timeout=0.0)
-    unwanted = engine.submit(Request(prompt=tuple(tokenizer.encode("cancel me ")),
-                                     max_new_tokens=5))
+    doomed = engine.submit(Request(prompt=ids(11, 401), max_new_tokens=5), timeout=0.0)
+    unwanted = engine.submit(Request(prompt=ids(10, 402), max_new_tokens=5))
     engine.cancel(unwanted)
     done = {c.request_id: c.finish_reason for c in engine.run()}
     print(f"  busy request           : {done[busy]}")
@@ -156,7 +155,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Throughput: batched vs looping the single-sequence decoder.
     # ------------------------------------------------------------------
-    bench_prompts = [tokenizer.encode("throughput %d" % i) for i in range(8)]
+    bench_prompts = [ids(13, 500 + i) for i in range(8)]
     start = time.perf_counter()
     for prompt in bench_prompts:
         greedy_decode(model, prompt, 32)

@@ -31,7 +31,6 @@ from repro.mamba.model import Mamba2Model
 from repro.mamba.generation import greedy_decode, sample_decode, GenerationResult
 from repro.mamba.sampling import log_softmax, top_k_filter, greedy_select, sample_select
 from repro.mamba.init import InitConfig, OutlierProfile
-from repro.mamba.tokenizer import ByteTokenizer
 
 __all__ = [
     "Mamba2Config",
@@ -64,5 +63,4 @@ __all__ = [
     "sample_select",
     "InitConfig",
     "OutlierProfile",
-    "ByteTokenizer",
 ]

@@ -19,11 +19,12 @@ The SSM state comes in two forms, and :class:`LayerCache` implements each of
 these operations once for both.  A float model's state is a float array.
 Quantized lightmamba* models keep it integer-resident (the FPGA keeps ``h``
 on-chip as INT codes, Sec. V of the paper): a :class:`QuantizedSSMState` --
-integer codes plus per-group scales -- inside a :class:`QuantizedLayerCache`,
-so admission / eviction move the codes directly and never round-trip the
-state through floats.  The resident state owns only what differs from an
-array: taking and putting rows, its layout, codes + scales equality and its
-packed byte count.  One check refuses to mix forms, layouts or row counts
+integer codes plus one signed exponent byte per power-of-two group scale --
+inside a :class:`QuantizedLayerCache`, so admission / eviction move those
+bytes directly and never round-trip the state through floats.  The resident
+state owns only what differs from an array: taking and putting rows, its
+layout, turning float scales into exponents, codes + exponents equality and
+its byte count.  One check refuses to mix forms, layouts or row counts
 before anything is written.  The quantization logic itself lives in
 :mod:`repro.quant.ssm_quant`; this module only defines the mechanical
 containers (pure numpy, no quant imports).
@@ -87,47 +88,74 @@ def _channel_minor(logical: np.ndarray) -> np.ndarray:
 
 
 class QuantizedSSMState:
-    """The SSM hidden state ``h`` resident as integer codes + scales.
+    """The SSM hidden state ``h`` resident as integer codes + scale exponents.
 
     This is the software twin of the FPGA's on-chip state buffer: between
-    decode steps the state exists only as ``codes`` (INT ``bits`` values
-    stored at their true width: the narrowest signed integer array that
-    holds ``bits``, ``int8`` for the INT8 SSM -- see
-    :func:`repro.quant.dtypes.code_storage_dtype`) and ``scales`` (one
-    power-of-two scale per ``group_size`` run along the trailing ``d_state``
-    axis, shaped ``(..., nheads, headdim, n_groups, 1)`` so it multiplies the
-    group-reshaped view of ``codes``).  The container is purely mechanical --
-    producing codes from floats is the quantizer's job
-    (:class:`repro.quant.ssm_quant.QuantizedSSMStep`); here we only hold,
-    copy, and row-shuffle them for the serving engine's admission / eviction.
+    decode steps the state exists only as INT ``bits`` codes (stored at their
+    true width, :func:`repro.quant.dtypes.code_storage_dtype`: ``int8`` for
+    the INT8 SSM) and one power-of-two scale per ``group_size`` run along the
+    trailing ``d_state`` axis, held as its exponent in one signed byte
+    (re-quantization between PoT grids is a shift: no mantissa is needed).
+    The container is purely mechanical -- producing codes from floats is the
+    quantizer's job (:class:`repro.quant.ssm_quant.QuantizedSSMStep`); here we
+    only hold, copy, and row-shuffle them for the serving engine.
 
-    ``codes`` has the exact shape a float ``ssm_state`` would have
-    (``(nheads, headdim, d_state)``, plus an optional leading batch axis), so
-    rows are taken and put like an array's: ``state[rows]`` and
-    ``state[rows] = src``, the latter checked like every row write.
+    The constructor takes float PoT ``scales`` shaped ``(..., nheads,
+    headdim, n_groups, 1)``, as the quantizer and the oracle produce them,
+    and is the one place they become exponents; the read-only :attr:`scales`
+    gives them back as float64 ``2**e``, so the oracle, :meth:`dequantize`
+    and the numerics fingerprint read the bytes a float store would hold.  A
+    finite scale that is not a positive power of two raises ``ValueError``.
+    Two contracts come with the byte:
+
+    - **Poison.**  A non-finite scale -- a non-finite value reached the
+      state -- is stored as :data:`POISON` and reads back as NaN, so its row
+      dequantizes to NaN and the serving supervisor's health check flags
+      exactly that row; grids are per row, so healthy rows stay
+      byte-identical.
+    - **Range.**  A grid lies in ``[-GRID_MAX, GRID_MAX]`` (``2**127``: a
+      state near ``2.2e40``; the quantizer's ``1e-12`` floor keeps grids at
+      or above ``-39``).  One past it is poison: the compiled step hands such
+      a batch to the oracle, whose state then poisons that group.
+
+    ``codes`` has the shape a float ``ssm_state`` would have (``(nheads,
+    headdim, d_state)``, plus an optional leading batch axis), so rows are
+    taken and put like an array's: ``state[rows]`` and ``state[rows] =
+    src``, the latter checked like every row write.
 
     **Storage order** is channel-minor: :attr:`storage` holds the codes as
-    ``(..., nheads, d_state, headdim)`` and the scales as ``(..., nheads,
+    ``(..., nheads, d_state, headdim)`` and the exponents as ``(..., nheads,
     n_groups, headdim)``, both C-contiguous, so a head's channels lie side by
-    side -- the vector lanes the compiled decode step runs them in
-    (``native.c``'s head tile), read and written in place.  ``codes`` and
-    ``scales`` are views of that storage in the shapes above (writes go
-    through; assigning either stores the new values channel-minor).  Every
-    row operation keeps the order, so no step transposes the state.
+    side -- the vector lanes of the compiled decode step's head tile, read
+    and written in place.  ``codes`` is a view of it in the logical shape
+    (writes go through; assigning it stores channel-minor).  Every row
+    operation keeps the order, so no step transposes the state.
     """
 
+    #: The exponent byte of a poisoned group (what a NaN scale was).
+    POISON = -128
+    #: The largest grid magnitude a byte holds.
+    GRID_MAX = 127
+
     def __init__(self, codes: np.ndarray, scales: np.ndarray, group_size: int, bits: int = 8):
-        self.storage = (_channel_minor(codes), _channel_minor(scales[..., 0]))
+        scales = _channel_minor(scales[..., 0])
+        finite = np.isfinite(scales)
+        mantissa, grids = np.frexp(np.where(finite, scales, 1.0))
+        if not np.all(mantissa == 0.5):
+            raise ValueError("resident state scales must be positive powers of two")
+        grids -= 1
+        grids[~finite | (np.abs(grids) > self.GRID_MAX)] = self.POISON
+        self.storage = (_channel_minor(codes), grids.astype(np.int8))
         self.group_size = group_size
         self.bits = bits
 
     @classmethod
-    def _stored(cls, codes: np.ndarray, scales: np.ndarray, group_size: int, bits: int):
-        """A state around channel-minor storage (made C-contiguous if it is not)."""
+    def _stored(cls, codes: np.ndarray, grids: np.ndarray, group_size: int, bits: int):
+        """A state around channel-minor codes and ``int8`` exponents (made C-contiguous if not)."""
         state = cls.__new__(cls)
-        if not (codes.flags.c_contiguous and scales.flags.c_contiguous):
-            codes, scales = np.ascontiguousarray(codes), np.ascontiguousarray(scales)
-        state.storage, state.group_size, state.bits = (codes, scales), group_size, bits
+        if not (codes.flags.c_contiguous and grids.flags.c_contiguous):
+            codes, grids = np.ascontiguousarray(codes), np.ascontiguousarray(grids)
+        state.storage, state.group_size, state.bits = (codes, grids), group_size, bits
         return state
 
     @property
@@ -140,11 +168,11 @@ class QuantizedSSMState:
 
     @property
     def scales(self) -> np.ndarray:
-        return np.swapaxes(self.storage[1], -1, -2)[..., None]
-
-    @scales.setter
-    def scales(self, scales: np.ndarray) -> None:
-        self.storage = (self.storage[0], _channel_minor(scales[..., 0]))
+        """The float64 scales ``2**e`` (NaN where poisoned), ``(..., headdim, n_groups, 1)``."""
+        grids = self.storage[1]
+        values = np.ldexp(1.0, grids)
+        values[grids == self.POISON] = np.nan
+        return np.swapaxes(values, -1, -2)[..., None]
 
     @property
     def shape(self) -> tuple:
@@ -153,7 +181,7 @@ class QuantizedSSMState:
 
     @property
     def size(self) -> int:
-        """Scalars held by the resident state (codes plus scales)."""
+        """Scalars held by the resident state (codes plus scale exponents)."""
         return int(self.storage[0].size + self.storage[1].size)
 
     @property
@@ -167,7 +195,8 @@ class QuantizedSSMState:
         This is the cheap direction -- a multiply, no absmax / rounding -- and
         the only numeric operation the container performs itself.  The
         floats come out in the logical order, C-contiguous (a view of that
-        when the last group is padded), as prefill takes its entry state.
+        when the last group is padded), as prefill takes its entry state; a
+        poisoned group comes out NaN.
         """
         d_state = self.storage[0].shape[-2]
         group = min(self.group_size, d_state)
@@ -184,13 +213,13 @@ class QuantizedSSMState:
         return values
 
     def copy(self) -> "QuantizedSSMState":
-        codes, scales = self.storage
-        return self._stored(codes.copy(), scales.copy(), self.group_size, self.bits)
+        codes, grids = self.storage
+        return self._stored(codes.copy(), grids.copy(), self.group_size, self.bits)
 
     def __getitem__(self, index) -> "QuantizedSSMState":
         """Rows ``index``, as an array indexes them: an index array copies, an int gives views."""
-        codes, scales = self.storage
-        return self._stored(codes[index], scales[index], self.group_size, self.bits)
+        codes, grids = self.storage
+        return self._stored(codes[index], grids[index], self.group_size, self.bits)
 
     def __setitem__(self, indices, src: "QuantizedSSMState") -> None:
         """Write the rows of batched ``src`` into rows ``indices``, checked first."""
@@ -214,11 +243,13 @@ class QuantizedSSMState:
     def exact_equal(self, other: "QuantizedSSMState") -> bool:
         """Bit-exact equality of the *resident* representation.
 
-        Compares the integer codes and the stored scales directly -- never
+        Compares the integer codes and the scale exponents directly -- never
         the dequantized floats -- so two states compare equal iff the
         hardware state buffer would hold identical bits.  This is the
         comparison the serving supervisor's rollback verification uses: a
-        restored snapshot must reproduce codes and scales exactly.
+        restored snapshot must reproduce codes and exponents exactly.  A
+        poisoned group is one exponent like any other, so two states poisoned
+        alike (with equal codes) compare equal; neither equals a healthy one.
         """
         return (
             self.group_size == other.group_size
@@ -228,13 +259,13 @@ class QuantizedSSMState:
         )
 
     def resident_bytes(self) -> float:
-        """Resident footprint: packed codes plus one exponent byte per scale.
+        """Resident footprint: packed codes plus the exponent bytes.
 
-        PoT scales are stored as a signed power-of-two exponent, one byte
-        each -- the hardware representation the paper's on-chip state buffer
-        uses (re-quantization is a shift, so no mantissa is ever needed).
+        The exponents are held as the paper's on-chip state buffer holds
+        them, one signed byte per scale; at ``bits=8`` this is the storage's
+        ``nbytes``.
         """
-        return self.storage[0].size * self.bits / 8.0 + self.storage[1].size * 1.0
+        return self.storage[0].size * self.bits / 8.0 + self.storage[1].nbytes
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(shape={self.shape}, dtype={self.storage[0].dtype}, "
@@ -323,9 +354,10 @@ class LayerCache:
         """Exact value equality of the recurrent state (no tolerance).
 
         Float arrays compare with :func:`numpy.array_equal`; a resident state
-        compares codes + scales (:meth:`QuantizedSSMState.exact_equal`), never
-        dequantized floats.  ``NaN`` never compares equal, so a corrupted
-        state is never "equal" to a healthy snapshot.
+        compares codes + exponents (:meth:`QuantizedSSMState.exact_equal`),
+        never dequantized floats.  A corrupted state is never "equal" to a
+        healthy snapshot: ``NaN`` never compares equal, and a poisoned
+        exponent differs from every grid.
         """
         mine, theirs = self.ssm_state, other.ssm_state
         if type(other) is not type(self) or _form(mine) != _form(theirs):
@@ -343,8 +375,8 @@ class LayerCache:
 
         Matches the accounting of
         :class:`repro.hardware.memory.QuantizedStateMemoryModel`: the conv
-        window and a float state are stored at FP16 (2 bytes per element); a
-        resident state as packed codes plus one PoT exponent byte per scale
+        window and a float state are counted at FP16 (2 bytes per element); a
+        resident state as packed codes plus the exponent bytes it holds
         (:meth:`QuantizedSSMState.resident_bytes`).
         """
         state = self.ssm_state

@@ -103,8 +103,13 @@ class Mamba2Model:
         return self.embedding
 
     def embed(self, tokens: np.ndarray) -> np.ndarray:
-        """Look up token embeddings; ``tokens`` is an int array of any shape."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        """Look up token embeddings; ``tokens`` is an integer array of any shape.
+
+        Any other dtype (floats, bools) is a ``TypeError``, never truncated.
+        """
+        tokens = np.asarray(tokens)
+        if tokens.dtype.kind not in "iu":
+            raise TypeError(f"token ids must be integers, got an array of {tokens.dtype}")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise ValueError("token id out of range")
         return self.embedding[tokens]
@@ -143,7 +148,7 @@ class Mamba2Model:
         -------
         Logits of shape ``(seq_len, vocab_size)``.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         if tokens.ndim != 1:
             raise ValueError("tokens must be a 1-d integer array")
         hidden = self.embed(tokens)
@@ -208,9 +213,11 @@ class Mamba2Model:
             path chunk-parallel and the sequential one with its decode step,
             on the cache's state as it is (integer codes stay codes).
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
             raise ValueError("tokens must have shape (seq_len,) or (batch, seq_len)")
+        if tokens.ndim == 2 and tokens.shape[0] == 0:
+            raise ValueError("prefill needs at least one prompt; a (0, seq_len) batch has none")
         if tokens.shape[-1] == 0:
             # Guard the zero-length prompt here so callers get a clear error
             # instead of an index error from the last-token logit extraction
@@ -246,7 +253,7 @@ class Mamba2Model:
         batched cache by one token in lock-step.  Returns next-token logits of
         shape ``(vocab,)`` (scalar input) or ``(batch, vocab)``.
         """
-        token = np.asarray(token, dtype=np.int64)
+        token = np.asarray(token)
         if token.ndim == 0:
             hidden = self.embed(token[None])[0]
         elif token.ndim == 1:

@@ -14,7 +14,6 @@ buffer instead of allocating a prompt-sized temporary.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from typing import Callable, Iterator, Optional
 
@@ -130,16 +129,6 @@ def _row_stride(a: np.ndarray) -> Optional[int]:
     return stride if not partial and stride >= cols else None
 
 
-def _pointer(a: np.ndarray):
-    """``a``'s first element as a ctypes pointer argument: a ``c_char`` over a
-    writable C-contiguous buffer (about a fifth of ``.ctypes.data``, which
-    builds a ctypes view), else that address."""
-    try:
-        return ctypes.byref(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):
-        return ctypes.c_void_p(a.ctypes.data)
-
-
 _C_INT_MAX = 2**31 - 1
 
 
@@ -154,8 +143,11 @@ def _compiled_silu(entry: Callable) -> Callable:
     pointers and C ints as they are, where declared types cost a conversion
     object per argument (≈ 0.1 µs each; the whole decode-sized call is a few
     µs).  ctypes would wrap a size past a C int, so such a call runs the
-    reference.
+    reference.  Only the library's loader calls this, so ``repro.quant`` is
+    imported here, not when ``repro.mamba`` is.
     """
+    from repro.quant.native import pointer
+
     entry.restype = None
 
     def silu(x: np.ndarray, out: Optional[np.ndarray], gate_only: bool) -> np.ndarray:
@@ -182,8 +174,8 @@ def _compiled_silu(entry: Callable) -> Callable:
             cols = x.shape[-1] if x.ndim else 1
             rows = x.size // cols if cols else 0
         if x.size:
-            at = _pointer(x)
-            entry(at, rows, cols, src, gate_only, at if result is x else _pointer(result), dst)
+            at = pointer(x)
+            entry(at, rows, cols, src, gate_only, at if result is x else pointer(result), dst)
         return result if out is not None or x.ndim else result[()]
 
     return silu

@@ -245,7 +245,8 @@ def _compiled_fwht(entry: Callable) -> Callable:
         out = np.empty(x.shape)
         if out.size:
             n = x.shape[-1]
-            entry(x.ctypes.data, out.size // n, n, 1 if normalized else 0, out.ctypes.data)
+            entry(native.pointer(x), out.size // n, n, 1 if normalized else 0,
+                  native.pointer(out))
         return out
 
     return fwht

@@ -6,10 +6,11 @@
  * - ssmu_step: the whole integer SSM decode step of a batch -- from the float
  *   x / B / C of the in-projection and the per-head Delta / A_bar of the
  *   non-linear units to the readout y, the new INT8 state codes and their PoT
- *   scales -- with the state-sized middle (B_bar (.) x, A_bar (.) h + add,
- *   state re-quantization, h (.) C + readout) as one pipeline per head.  Its
- *   reference, and the fallback wherever it does not run, is the fake-quant
- *   oracle QuantizedSSMStep._step_oracle.
+ *   grids, one signed exponent byte per group, read and written as the
+ *   resident state holds them -- with the state-sized middle (B_bar (.) x,
+ *   A_bar (.) h + add, state re-quantization, h (.) C + readout) as one
+ *   pipeline per head.  Its reference, and the fallback wherever it does not
+ *   run, is the fake-quant oracle QuantizedSSMStep._step_oracle.
  * - fwht: the fast Walsh-Hadamard transform of the HTU.  Its reference and
  *   fallback is the textbook butterfly repro.quant.hadamard._fwht_numpy.
  * - quantize_groups: the symmetric quantizer's round trip over groups of a
@@ -46,13 +47,16 @@
  *
  * The integer step has a range: every destination exponent must keep 2**e a
  * normal double (at most MAX_EXPONENT; the 1e-12 scale floor bounds it below
- * at -39).  A batch that would leave it -- or that carries a non-finite
- * operand -- is the float oracle's, and the step says so (STEP_ORACLE)
- * instead of computing on infinite grids.  The quantizer declines the same
- * two cases (QUANT_DECLINED) before writing anything, and numpy runs them.
+ * at -39), and the new state's grid must fit its byte (at most GRID_MAX).  A
+ * batch that would leave either -- or that carries a non-finite operand or a
+ * poisoned state group (POISON_GRID) -- is the float oracle's, and the step
+ * says so (STEP_ORACLE) instead of computing on grids it cannot hold; the
+ * oracle's state then poisons the groups concerned.  The quantizer declines
+ * a non-finite group or a grid past MAX_EXPONENT (QUANT_DECLINED) before
+ * writing anything, and numpy runs it.
  *
- * The state is stored channel-minor -- codes (rows, heads, n, dim), scales
- * (rows, heads, groups, dim) -- and the step's tile is a head: each stage
+ * The state is stored channel-minor -- codes (rows, heads, n, dim), grid
+ * bytes (rows, heads, groups, dim) -- and the step's tile is a head: each stage
  * runs across all of a head's channels at once, one channel per vector lane,
  * a group of state rows at a time.  The per-group exponent derivations are
  * vector code too; a lane calls libm only in the rare band and range above.
@@ -65,13 +69,13 @@
 #define MIN_SCALE 1e-12   /* pot._MIN_SCALE: the scale floor of an all-zero group */
 #define EXACT_POW2 1000   /* |e| up to which 2**e is built from the exponent bits */
 #define MAX_EXPONENT 1023 /* the largest e whose 2**e is a normal double */
+#define GRID_MAX 127      /* QuantizedSSMState.GRID_MAX: the largest resident grid */
+#define POISON_GRID -128  /* QuantizedSSMState.POISON: a poisoned resident group */
 
 enum {
     STEP_DONE = 0,
-    STEP_ORACLE = 1, /* a non-finite operand or a grid past MAX_EXPONENT */
-    STEP_NOT_POT = 2, /* a state scale that is not a normal power of two: the
-                       * caller raises for a finite one that is no positive
-                       * power of two, the oracle runs the rest */
+    STEP_ORACLE = 1, /* a non-finite operand, a poisoned state group or a grid
+                      * past its range */
     NO_MEMORY = -1,  /* scratch allocation failed; nothing usable written */
 };
 
@@ -444,7 +448,7 @@ static void tile_close(tile_t *t)
     free(t->m5), free(t->e5), free(t->amax8), pairwise_close(&t->sum);
 }
 
-enum { GRID_SLOW = 1, GRID_PAST = 2 }; /* a lane needs libm; a grid past MAX_EXPONENT */
+enum { GRID_SLOW = 1, GRID_PAST = 2 }; /* a lane needs libm; a grid past its range */
 
 /* The grids of a group's state add: A_bar (.) h's absmax runs on the stored
  * codes (the per-head scalar folds into the multiplier); B_bar (.) x's
@@ -483,7 +487,7 @@ state_grids(tile_t *t, const int64_t lanes, const int32_t *restrict e_h, double 
     return slow ? GRID_SLOW : past ? GRID_PAST : 0;
 }
 
-/* The new state grid e6, which the resident scales record. */
+/* The new state grid e6, which the resident exponent bytes record. */
 static inline __attribute__((always_inline)) int
 new_state_grid(tile_t *t, const int64_t lanes, const int fast)
 {
@@ -495,7 +499,7 @@ new_state_grid(tile_t *t, const int64_t lanes, const int fast)
     uint64_t slow = 0, past = 0, inexact = 0;
     for (int64_t j = 0; j < lanes; j++) {
         e6[j] = requant_lane(ldexp_lane(wmax[j], e5[j], &slow, fast), qmax, &slow, fast);
-        past |= (uint64_t)(e6[j] > MAX_EXPONENT);
+        past |= (uint64_t)(e6[j] > GRID_MAX);
         shift[j] = clamp_exponent((int64_t)e5[j] - e6[j]);
         factor[j] = factor_lane(shift[j], &inexact);
     }
@@ -594,20 +598,20 @@ readout_terms(tile_t *t, const int64_t lanes, int64_t rows, const int exact)
 
 /* One (row, head), its channels side by side: the resident codes h (state
  * row i of channel j at i * lanes + j) and their grids e_h (group k at
- * k * lanes + j) in, the new codes and their scales out, the readout added
- * to y[j].  The head's Delta (.) B codes c3 with grids e3 and group maxima
+ * k * lanes + j) in, the new codes and their grid bytes out, the readout
+ * added to y[j].  The head's Delta (.) B codes c3 with grids e3 and group maxima
  * amax3, the x codes cx at ex, the row's C codes cc at e_c.  A group at a
  * time, each stage across the lanes: a group's grids depend on its own rows
  * only, so they stay in cache from stage to stage.  Rows past n of a short
  * last group are zero codes (the oracle zero-pads), which move no absmax
- * and no sum: the tile skips them.  STEP_ORACLE when a grid would pass
- * MAX_EXPONENT (outputs then partial).  Inlined into tile with glen a
+ * and no sum: the tile skips them.  STEP_ORACLE when a grid would pass its
+ * range (outputs then partial).  Inlined into tile with glen a
  * constant where it is the default group length. */
 static inline __attribute__((always_inline)) int
 tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restrict h,
         const int32_t *restrict e_h, double a_bar, const int8_t *c3, const int32_t *e3,
         const int32_t *amax3, const int8_t *cx, const int32_t *ex, const int8_t *cc,
-        const int32_t *e_c, int8_t *restrict out, double *restrict scales_out, double *restrict y)
+        const int32_t *e_c, int8_t *restrict out, int8_t *restrict grids_out, double *restrict y)
 {
     const int64_t groups = t->groups, n = t->n;
     for (int64_t k = 0; k < groups; k++) {
@@ -636,7 +640,7 @@ tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restri
         if (grid)
             return STEP_ORACLE;
         for (int64_t j = 0; j < lanes; j++)
-            scales_out[k * lanes + j] = pow2(t->e6[j]);
+            grids_out[k * lanes + j] = (int8_t)t->e6[j];
         if (t->exact)
             requantize(t, lanes, rows, cc + lo, out + lo * lanes, 1);
         else
@@ -663,17 +667,17 @@ tile_at(tile_t *t, const int64_t glen, const int64_t lanes, const int8_t *restri
 
 static int tile(tile_t *t, const int8_t *h, const int32_t *e_h, double a_bar, const int8_t *c3,
                 const int32_t *e3, const int32_t *amax3, const int8_t *cx, const int32_t *ex,
-                const int8_t *cc, const int32_t *e_c, int8_t *out, double *scales_out, double *y)
+                const int8_t *cc, const int32_t *e_c, int8_t *out, int8_t *grids_out, double *y)
 {
     if (t->glen == DEFAULT_GLEN && t->lanes == DEFAULT_LANES)
         return tile_at(t, DEFAULT_GLEN, DEFAULT_LANES, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc,
-                       e_c, out, scales_out, y);
+                       e_c, out, grids_out, y);
     return tile_at(t, t->glen, t->lanes, h, e_h, a_bar, c3, e3, amax3, cx, ex, cc, e_c, out,
-                   scales_out, y);
+                   grids_out, y);
 }
 
 /* ------------------------------------------------------------------------
- * The step: entry quantizations, scalar folds, the tile, the new scales
+ * The step: entry quantizations, scalar folds, the tile, the new grids
  * ------------------------------------------------------------------------ */
 static int all_finite(const double *v, int64_t count)
 {
@@ -686,19 +690,15 @@ static int all_finite(const double *v, int64_t count)
     return !nonfinite;
 }
 
-/* pot.pot_exponent for scales that are normal powers of two; 0 when one is
- * anything else (STEP_NOT_POT). */
-static int pot_exponents(const double *scales, int64_t count, int32_t *e)
+/* The resident grid bytes widened to the tile's int32; 0 when one is poisoned. */
+static int widen_grids(const int8_t *grids, int64_t count, int32_t *e)
 {
-    uint64_t other = 0;
+    uint64_t poisoned = 0;
     for (int64_t i = 0; i < count; i++) {
-        uint64_t bits;
-        memcpy(&bits, &scales[i], sizeof bits);
-        const uint64_t field = bits >> 52; /* the sign is bit 11 of it */
-        other |= (uint64_t)((bits & ((UINT64_C(1) << 52) - 1)) != 0) | (uint64_t)(field - 1 > 2045);
-        e[i] = (int32_t)field - 1023;
+        poisoned |= (uint64_t)(grids[i] == POISON_GRID);
+        e[i] = grids[i];
     }
-    return !other;
+    return !poisoned;
 }
 
 /* The oracle's entry quantization of one run of len values in groups of glen
@@ -742,18 +742,17 @@ static inline int32_t fold_exponent(double scalar_abs, int32_t amax, int32_t e, 
 
 /* Shapes (C order): x, y (rows, heads, dim); B, C (rows, n); dt, delta,
  * a_bar (rows, heads); D (heads); the state channel-minor: ch, codes_out
- * (rows, heads, n, dim) int8, scales, scales_out (rows, heads, groups, dim)
- * with the state's groups of min(group_size, n) along n.  Writes y, the new
- * codes and their scales (exact powers of two) and returns STEP_DONE; or
- * returns STEP_ORACLE (a non-finite operand, a grid past MAX_EXPONENT),
- * STEP_NOT_POT (a scale that is not a normal power of two) or NO_MEMORY, the
- * outputs then undefined. */
+ * (rows, heads, n, dim) int8, grids, grids_out (rows, heads, groups, dim)
+ * int8 exponents with the state's groups of min(group_size, n) along n.
+ * Writes y, the new codes and their grids and returns STEP_DONE; or returns
+ * STEP_ORACLE (a non-finite operand, a poisoned state group, a grid past its
+ * range) or NO_MEMORY, the outputs then undefined. */
 int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group_size,
               int32_t bits,
               const double *x, const double *B, const double *C, const double *dt,
               const double *delta, const double *a_bar, const double *D,
-              const int8_t *ch, const double *scales,
-              double *y, int8_t *codes_out, double *scales_out)
+              const int8_t *ch, const int8_t *grids,
+              double *y, int8_t *codes_out, int8_t *grids_out)
 {
     const int64_t glen = group_size < n ? (group_size > 1 ? group_size : 1) : n;
     const int64_t groups = (n + glen - 1) / glen, line = groups * glen;
@@ -765,8 +764,7 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
     /* The guard: a poisoned operand has no integer code. */
     if (!all_finite(x, lines) || !all_finite(B, rows * n) || !all_finite(C, rows * n)
         || !all_finite(dt, rows * heads) || !all_finite(delta, rows * heads)
-        || !all_finite(a_bar, rows * heads) || !all_finite(D, heads)
-        || !all_finite(scales, lines * groups))
+        || !all_finite(a_bar, rows * heads) || !all_finite(D, heads))
         return STEP_ORACLE;
 
     tile_t t;
@@ -783,8 +781,8 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
     int32_t *amax_x = e_x + xgroups, *ex = amax_x + xgroups;
     int8_t *cb = codes, *cc = cb + line, *c3 = cc + line, *cx = c3 + line;
 
-    if (!pot_exponents(scales, lines * groups, e_h))
-        status = STEP_NOT_POT;
+    if (!widen_grids(grids, lines * groups, e_h))
+        status = STEP_ORACLE;
     for (int64_t row = 0; !status && row < rows; row++) {
         status = entry_codes(B + row * n, n, glen, groups, qmax, cb, e_b, amax_b);
         if (!status)
@@ -830,7 +828,7 @@ int ssmu_step(int64_t rows, int64_t heads, int64_t dim, int64_t n, int64_t group
             if (!status)
                 status = tile(&t, ch + rh * n * dim, e_h + rh * groups * dim, a_bar[rh], c3, e3,
                               amax3, cx, ex, cc, e_c, codes_out + rh * n * dim,
-                              scales_out + rh * groups * dim, y + rh * dim);
+                              grids_out + rh * groups * dim, y + rh * dim);
         }
     }
     free(e_h), free(codes), tile_close(&t);

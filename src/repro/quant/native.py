@@ -4,10 +4,12 @@
 checked against the code it stands in for:
 
 - ``step`` -- the whole integer SSM decode step of a batch, float ``x`` /
-  ``B`` / ``C`` (and the per-head ``Delta`` / ``A_bar``) in, the readout ``y``,
-  the new INT8 state codes and their PoT scales out
-  (``repro.quant.ssm_quant._compiled_step``).  Its reference and fallback is
-  the fake-quant oracle ``QuantizedSSMStep._step_oracle``;
+  ``B`` / ``C`` (and the per-head ``Delta`` / ``A_bar``) and the resident
+  INT8 codes and ``int8`` PoT exponents in, ``y`` and the new codes and
+  exponents out (``repro.quant.ssm_quant._compiled_step``).  Its reference
+  and fallback is the fake-quant oracle ``QuantizedSSMStep._step_oracle``,
+  which also runs a poisoned state or a new grid past the exponent byte
+  (the poison and range contracts of ``repro.mamba.cache.QuantizedSSMState``);
 - ``fwht`` -- the HTU's fast Walsh-Hadamard transform (``_compiled_fwht``).
   Its reference and fallback is the textbook butterfly
   ``repro.quant.hadamard._fwht_numpy``;
@@ -25,7 +27,7 @@ checked against the code it stands in for:
 
 Each reference is the plain math with its entry's signature: nothing in it
 is tuned, since it runs only in the self-test, in the tests and where no
-library loads.
+library loads.  Every wrapper hands its buffers over through :func:`pointer`.
 
 :func:`kernel` returns the four behind those wrappers, or ``None`` -- the
 references then run -- and :func:`status` says which and why.
@@ -105,6 +107,19 @@ def _build(cc: str, target: Path) -> Optional[str]:
     return None
 
 
+def pointer(a: np.ndarray):
+    """``a``'s first byte as a ctypes pointer argument, with or without ``argtypes``.
+
+    A ``c_char`` over a writable buffer costs about a third of
+    ``.ctypes.data`` (which builds a ctypes view); a read-only buffer takes
+    that address, wrapped so that no call narrows it to a C int.
+    """
+    try:
+        return ctypes.byref(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return ctypes.c_void_p(a.ctypes.data)
+
+
 def _same_bytes(got, want) -> bool:
     return len(got) == len(want) and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
@@ -112,14 +127,15 @@ def _same_bytes(got, want) -> bool:
 def _step_agrees(step) -> bool:
     """The compiled step against the oracle: full and padded state groups, a
     padded x group, an all-zero row, the default layout's tile (64-channel
-    heads, 32-long groups), and a batch past the exponent range (which the
-    step must hand to the oracle)."""
+    heads, 32-long groups), and two batches the step must hand to the
+    oracle: one whose new state grid passes the exponent byte's ``2**127``,
+    one past the exponent range."""
     from repro.mamba.ssm import SSMParams
     from repro.quant import ssm_quant
 
     rng = np.random.default_rng(1)
     for bits, group, heads, dim, n, big in ((8, 32, 2, 64, 64, 1.0), (4, 16, 3, 12, 24, 1.0),
-                                            (8, 32, 2, 8, 24, 1e200)):
+                                            (8, 32, 2, 8, 24, 1e25), (8, 32, 2, 8, 24, 1e200)):
         quant = ssm_quant.QuantizedSSMStep(ssm_quant.SSMQuantConfig(bits=bits, group_size=group))
         params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
                            dt_bias=rng.normal(size=heads))
@@ -134,7 +150,8 @@ def _step_agrees(step) -> bool:
                 return False
             continue
         y, want = quant._step_oracle(params, x, B, C, dt, state)
-        if not isinstance(got, tuple) or not _same_bytes(got, (y, want.codes, want.scales)):
+        if not isinstance(got, tuple) or not _same_bytes((got[0], *got[1].storage),
+                                                         (y, *want.storage)):
             return False
     return True
 

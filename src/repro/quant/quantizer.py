@@ -289,12 +289,12 @@ def _compiled_quantize(entry: Callable) -> Callable:
         else:
             length = group = last
             scales_shape = shape[:-1] + (1,)
-        x_at = x.ctypes.data
+        x_at = native.pointer(x)
         if out is None:
             codes, scales = np.empty(shape, dtype=np.int8), np.empty(scales_shape)
-            outputs = (None, codes.ctypes.data, scales.ctypes.data)
+            outputs = (None, native.pointer(codes), native.pointer(scales))
         else:
-            outputs = (x_at if out is x else out.ctypes.data, None, None)
+            outputs = (x_at if out is x else native.pointer(out), None, None)
         done = entry(x_at, x.size // length, length, group, config.clip_ratio, bits,
                      config.pot_scale, *outputs)
         if done < 0:

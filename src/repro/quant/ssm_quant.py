@@ -52,8 +52,9 @@ numpy's -- and everything after it is **one call for the whole batch** into
 ``native.c``'s ``ssmu_step``, built and loaded by :mod:`repro.quant.native`
 (:func:`repro.quant.native.status` says whether it loaded).  The compiled
 step runs the three entry quantizations, the ``Delta (.) B`` and ``D (.) x``
-scalar folds, the exponent extraction from the resident scales, the fused
-state tile and the new power-of-two scales, and is *narrow, fused, tiled*:
+scalar folds, the fused state tile and the new power-of-two grids -- it
+reads and writes the resident state's ``int8`` exponents as they are held --
+and is *narrow, fused, tiled*:
 
 - **narrow**: every value lives at the width its bound proves
   (:func:`repro.quant.dtypes.code_storage_dtype`).  The entry codes, the
@@ -88,9 +89,11 @@ Two executors, one arithmetic: the compiled step, and the fake-quant oracle as
 its reference and fallback.  The library's load-time self-test checks the
 compiled step against the oracle byte for byte; the oracle advances a
 resident state wherever the compiled step does not -- no C compiler, codes
-wider than INT8, a batch with a non-finite operand or one whose grids would
-pass ``2**1023`` (past which ``2**e`` is no normal double), a subnormal
-power-of-two scale -- and returns codes, so the caller never sees which ran.
+wider than INT8, a batch with a non-finite operand or a poisoned state
+group, one whose new state grid would pass the exponent byte's ``2**127``
+or another grid ``2**1023`` -- and returns codes, so the caller never sees
+which ran.  The state's poison and range contracts
+(:class:`~repro.mamba.cache.QuantizedSSMState`) hold on both.
 
 Shifts round half-to-even, so shifted codes land exactly where the oracle's
 ``np.round`` would put them; the DT2xx dtype-flow lint enforces the rest
@@ -121,7 +124,7 @@ from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _scan_entry, ssm_decay, ssm_scan
 from repro.quant import native
 from repro.quant.dtypes import Granularity, IntSpec
-from repro.quant.pot import pot_exponent, shift_accumulator_dtype
+from repro.quant.pot import shift_accumulator_dtype
 from repro.quant.quantizer import (
     QuantizerConfig,
     _fake_quant_into,
@@ -180,39 +183,27 @@ class SSMQuantConfig:
 _ORACLE = "oracle"
 
 
-def _address(array: np.ndarray) -> int:
-    """The address of a C-contiguous array's first byte.
-
-    A ``c_char`` over the buffer costs about a quarter of ``.ctypes.data``
-    (which builds a ctypes view); a read-only buffer takes the latter.
-    """
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    except (TypeError, ValueError):
-        return array.ctypes.data
-
-
 def _compiled_step(entry: Callable) -> Callable:  # integer-resident
     """``native.c``'s ``ssmu_step``: the integer step of :meth:`QuantizedSSMStep._step_integer`.
 
     ``step(x, B, C, dt, delta, a_bar, D, state, group_size, bits)`` returns
-    ``(y, codes, scales)`` -- ``codes`` and ``scales`` views of a new
-    channel-minor storage, the order the entry reads and writes (see
+    ``(y, new_state)`` -- the state around the codes and ``int8`` grids the
+    entry wrote, channel-minor as it reads them (see
     :class:`~repro.mamba.cache.QuantizedSSMState`) -- :data:`_ORACLE` for a
-    batch with a non-finite operand or a grid past ``2**1023``, or ``None``
-    when the batch is outside the kernel's contract: codes other than INT8 of
-    at most 8 bits, storage that is not C-contiguous or scales not float64,
-    an operand not shaped for the state's one leading batch shape (as the
-    decode path passes them), or a state scale that is not a normal power of
-    two.  The oracle runs the batch in both cases.
+    batch with a non-finite operand, a poisoned state group or a grid past
+    its range, or ``None`` when the batch is outside the kernel's contract:
+    codes other than INT8 of at most 8 bits, storage that is not
+    C-contiguous, an operand not shaped for the state's one leading batch
+    shape (as the decode path passes them).  The oracle runs the batch in
+    both cases.
     """
     entry.restype = ctypes.c_int
     entry.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_int32] + [ctypes.c_void_p] * 12
 
     def step(x, B, C, dt, delta, a_bar, D, state, group_size, bits):
-        if state.codes.dtype != np.int8 or not 2 <= bits <= 8:
+        codes, grids = state.storage
+        if codes.dtype != np.int8 or not 2 <= bits <= 8:
             return None
-        codes, scales = state.storage
         lead, (heads, n, dim) = codes.shape[:-3], codes.shape[-3:]
         floats = [np.ascontiguousarray(a, dtype=np.float64) for a in (x, B, C, dt, delta, a_bar, D)]
         groups = -(-n // max(1, min(group_size, n))) if n else 0
@@ -220,25 +211,23 @@ def _compiled_step(entry: Callable) -> Callable:  # integer-resident
         in_contract = (
             min(heads, dim, n) > 0
             and codes.flags.c_contiguous
-            and scales.flags.c_contiguous
-            and scales.dtype == np.float64
-            and scales.shape == per_head + (groups, dim)
+            and grids.flags.c_contiguous
+            and grids.shape == per_head + (groups, dim)
             and [a.shape for a in floats] == [
                 per_head + (dim,), lead + (n,), lead + (n,), per_head, per_head, per_head,
                 (heads,)]
         )
         if not in_contract:
             return None
-        # quant-point: the kernel's outputs: the float readout, the PoT scales
-        y, new_scales = np.empty(floats[0].shape), np.empty(scales.shape)
-        new_codes = np.empty(codes.shape, dtype=np.int8)
+        y = np.empty(floats[0].shape)  # quant-point: the kernel's float readout
+        new_codes, new_grids = (np.empty(a.shape, dtype=np.int8) for a in (codes, grids))
         done = entry(math.prod(lead), heads, dim, n, group_size, bits,
-                     *[_address(a) for a in (*floats, codes, scales, y, new_codes, new_scales)])
+                     *[native.pointer(a) for a in (*floats, codes, grids, y, new_codes, new_grids)])
         if done < 0:
             raise MemoryError("ssmu_step: scratch allocation failed")
         if done:
-            return _ORACLE if done == 1 else None
-        return y, np.swapaxes(new_codes, -1, -2), np.swapaxes(new_scales, -1, -2)[..., None]
+            return _ORACLE
+        return y, QuantizedSSMState._stored(new_codes, new_grids, group_size, bits)
 
     return step
 
@@ -468,21 +457,21 @@ class QuantizedSSMStep:
 
         Everything after the decay pair is one call for the whole batch into
         ``native.c``'s ``ssmu_step`` (:func:`repro.quant.native.kernel`) --
-        entry quantizations, scalar folds, exponent extraction, the four tile
-        stages and the new power-of-two scales in C -- for INT8 codes on an
-        INT32 accumulator when this machine has built it.  Otherwise the
-        oracle runs, its state re-quantized into codes at the exit: with no
-        compiler, for wider codes, for a subnormal power-of-two scale, and
-        for a batch the kernel answers is the oracle's -- a non-finite
-        operand (fault-injected conv taps, say) has no integer code, and a
-        grid past ``2**1023`` has no normal power-of-two scale.  The oracle
-        carries a poison through row-independent arithmetic, so the serving
-        supervisor's health check attributes the corruption to exactly the
-        affected rows -- healthy rows stay bit-identical.  A poisoned row's
-        resident codes are undefined (it is its NaN scales that mark it
-        corrupt), hence the silenced NaN -> int cast.  A finite scale that
-        is not a positive power of two is no resident state: ``ValueError``
-        on either path.
+        entry quantizations, scalar folds, the four tile stages and the new
+        grids in C, on the state's ``int8`` exponents as held -- for INT8
+        codes on an INT32 accumulator when this machine has built it.
+        Otherwise the oracle runs, its state re-quantized into codes at the
+        exit: with no compiler, for wider codes, and for a batch the kernel
+        answers is the oracle's -- a non-finite operand (fault-injected conv
+        taps, say) or a poisoned group has no integer code, a new state grid
+        past ``2**127`` no exponent byte, a grid past ``2**1023`` no normal
+        double.  Those are the state's two contracts
+        (:class:`~repro.mamba.cache.QuantizedSSMState`): the oracle carries a
+        poison through row-independent arithmetic into the poison exponent,
+        so the serving supervisor's health check attributes it to exactly
+        the affected rows -- healthy rows stay bit-identical -- and a grid
+        past the byte poisons its group.  A poisoned row's codes are
+        undefined, hence the silenced NaN -> int cast.
         """
         library = native.kernel()
         bits, gsz = self.config.bits, self.config.group_size
@@ -490,9 +479,7 @@ class QuantizedSSMStep:
             delta, a_bar = ssm_decay(params, dt)  # the non-linear units: numpy's exp / log1p
             done = library.step(x, B, C, dt, delta, a_bar, params.D, state, gsz, bits)
             if isinstance(done, tuple):
-                y, codes, scales = done
-                return y, QuantizedSSMState(codes, scales, group_size=gsz, bits=bits)
-        pot_exponent(state.scales[np.isfinite(state.scales)])  # ValueError off the PoT grid
+                return done
         with np.errstate(invalid="ignore"):
             return self._step_oracle(params, x, B, C, dt, state)
 

@@ -46,6 +46,7 @@ only applies its verdicts.  See ``src/repro/serving/README.md``.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -82,6 +83,13 @@ def _integral(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``: Python and numpy real numbers only, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Request:
     """One generation request submitted to the engine.
@@ -90,7 +98,8 @@ class Request:
     top-k sampling with the request's own RNG stream (``seed``).  Token ids,
     ``max_new_tokens``, ``top_k``, ``stop_token`` and ``seed`` are integers
     (numpy's too, stored as ``int``): a float, a bool or a string is a
-    ``TypeError``, never truncated.
+    ``TypeError``, never truncated.  ``temperature`` is a real number
+    (stored as ``float``), never a bool or a string.
     """
 
     prompt: Tuple[int, ...]
@@ -106,6 +115,8 @@ class Request:
         for name in ("top_k", "stop_token", "seed"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        if self.temperature is not None:
+            object.__setattr__(self, "temperature", _real("temperature", self.temperature))
         if not self.prompt:
             raise ValueError(
                 "prompt must be non-empty; encode an empty or whitespace-only "

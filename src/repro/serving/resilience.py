@@ -727,20 +727,20 @@ def unhealthy_rows(
 
     The supervisor's corruption detector: a poisoned row keeps non-finite
     values in its logits or in its post-call state (the conv window rolls the
-    poison along for ``d_conv`` steps; quantized states surface it through
-    their float scales).  Quantization grids are per-row, so poison cannot
-    leak across rows -- attribution is exact.  ``logits`` has one row per
-    checked state row: ``rows`` of a batched ``cache`` (every row when
-    ``None``); a single-sequence cache with its ``(vocab,)`` logits is one row.
+    poison along for ``d_conv`` steps; a resident state holds it as poisoned
+    exponents, :attr:`QuantizedSSMState.POISON`).  Quantization grids are
+    per-row, so poison cannot leak across rows -- attribution is exact.
+    ``logits`` has one row per checked state row: ``rows`` of a batched
+    ``cache`` (every row when ``None``); a single-sequence cache with its
+    ``(vocab,)`` logits is one row.
     """
     logits = np.atleast_2d(logits)
     n = logits.shape[0]
     good = np.isfinite(logits).all(axis=1)
     for layer in cache.layers:
         state = layer.ssm_state
-        # Codes are integers (always finite); poison shows in the scales.
-        floats = state.scales if isinstance(state, QuantizedSSMState) else state
-        for values in (layer.conv_state, floats):
-            picked = values if rows is None else values[rows]
-            good &= np.isfinite(picked.reshape(n, -1)).all(axis=1)
+        held = (state.storage[1] != state.POISON if isinstance(state, QuantizedSSMState)
+                else np.isfinite(state))
+        for ok in (np.isfinite(layer.conv_state), held):
+            good &= (ok if rows is None else ok[rows]).reshape(n, -1).all(axis=1)
     return [int(i) for i in np.nonzero(~good)[0]]

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.quant import native
-from repro.serving.engine import Completion, InferenceEngine, Request
+from repro.serving.engine import Completion, InferenceEngine, Request, _integral, _real
 
 __all__ = ["MambaServer", "ServerConfig", "serve_in_thread"]
 
@@ -462,13 +462,12 @@ class MambaServer:
     def _build_request(self, payload: Dict[str, Any]) -> Request:
         if "prompt" not in payload:
             raise ValueError('body must carry "prompt" (token ids)')
-        # Integers go to Request as sent: it rejects a float, a bool or a
-        # string instead of truncating it.
-        temperature = payload.get("temperature")
+        # Numbers go to Request as sent: it rejects a bool, a string or (for
+        # an integer field) a float instead of converting it.
         return Request(
             prompt=tuple(payload["prompt"]),
             max_new_tokens=payload.get("max_new_tokens", 16),
-            temperature=None if temperature is None else float(temperature),
+            temperature=payload.get("temperature"),
             top_k=payload.get("top_k"),
             stop_token=payload.get("stop_token"),
             seed=payload.get("seed"),
@@ -482,10 +481,17 @@ class MambaServer:
         try:
             payload = json.loads(body or b"{}")
             request = self._build_request(payload)
-            priority = int(headers.get("x-priority", payload.get("priority", 0)))
-            deadline_s = headers.get("x-deadline-s", payload.get("deadline_s"))
-            timeout = float(deadline_s) if deadline_s is not None else None
-            streamed = bool(payload.get("stream", True))
+            # Headers are strings and parse as such; body fields keep their JSON types.
+            priority = headers.get("x-priority")
+            priority = (_integral("priority", payload.get("priority", 0)) if priority is None
+                        else int(priority))
+            deadline_s = headers.get("x-deadline-s")
+            timeout = float(deadline_s) if deadline_s is not None else payload.get("deadline_s")
+            if timeout is not None:
+                timeout = _real("deadline_s", timeout)
+            streamed = payload.get("stream", True)
+            if not isinstance(streamed, bool):
+                raise TypeError(f'"stream" must be a JSON bool, got {streamed!r}')
             request_id = self.engine.submit(request, priority=priority, timeout=timeout)
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
             await self._send_json(writer, 400, {"error": str(exc)})

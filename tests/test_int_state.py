@@ -13,6 +13,10 @@ Pins the contracts:
   matmul and trips its overflow guard on unsafe widths;
 - all-zero quantization groups are well-defined everywhere (no warnings,
   exact-zero reconstruction);
+- the resident state holds its scales as one signed exponent byte each:
+  power-of-two scales round-trip, non-finite and out-of-range ones poison,
+  others raise; the bytes held are the bytes the cache and the memory
+  model count;
 - the quantized-state memory model sizes the URAM/BRAM residency;
 - the serving edge cases (empty prompts, cancel racing the final decode
   iteration) behave.
@@ -24,8 +28,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.mamba import InitConfig, Mamba2Model, greedy_decode
+from repro.mamba import InitConfig, Mamba2Config, Mamba2Model, greedy_decode
 from repro.mamba.cache import (
     InferenceCache,
     LayerCache,
@@ -344,20 +350,22 @@ class TestQuantizedCacheLifecycle:
 
 class TestChannelMinorStorage:
     """The resident state is stored channel-minor -- codes ``(..., heads,
-    d_state, headdim)``, scales ``(..., heads, groups, headdim)``, both
-    C-contiguous: the order the compiled step's head tile reads and writes in
-    place -- and every producer and row operation keeps it, while ``codes`` /
-    ``scales`` keep the logical shapes and the logical bytes of the
-    head-major layout they replace."""
+    d_state, headdim)``, ``int8`` scale exponents ``(..., heads, groups,
+    headdim)``, both C-contiguous: the order the compiled step's head tile
+    reads and writes in place -- and every producer and row operation keeps
+    it, while ``codes`` (a view) and ``scales`` (read from the exponents)
+    keep the logical shapes and the logical bytes of the head-major float
+    layout they replace."""
 
     @staticmethod
     def _assert_channel_minor(state):
-        codes, scales = state.storage
+        codes, grids = state.storage
         *lead, heads, headdim, d_state = state.codes.shape
         groups = state.scales.shape[-2]
         assert codes.shape == (*lead, heads, d_state, headdim) and codes.flags.c_contiguous
-        assert scales.shape == (*lead, heads, groups, headdim) and scales.flags.c_contiguous
-        assert np.shares_memory(codes, state.codes) and np.shares_memory(scales, state.scales)
+        assert grids.shape == (*lead, heads, groups, headdim) and grids.flags.c_contiguous
+        assert grids.dtype == np.int8 and np.shares_memory(codes, state.codes)
+        assert np.array_equal(np.ldexp(1.0, np.swapaxes(grids, -1, -2)), state.scales[..., 0])
 
     @staticmethod
     def _logical_bytes(state):
@@ -410,6 +418,86 @@ class TestChannelMinorStorage:
         # are quantized into, in place: the compiled quantizer needs it
         # C-contiguous (a strided one sends every hand-off to numpy).
         assert stepped.dequantize().flags.c_contiguous
+
+
+#: The e2e benchmark's dims: 8 heads of 64 channels, d_state 128 in 4 groups of 32.
+E2E = Mamba2Config(d_model=256, n_layer=2, vocab_size=64, d_state=128, headdim=64)
+
+
+def _one_group_state(scales):
+    """A state of one head, one channel per scale, one 4-long group each."""
+    scales = np.asarray(scales, dtype=np.float64).reshape(1, -1, 1, 1)
+    codes = np.zeros((1, scales.shape[1], 4), dtype=np.int8)
+    return QuantizedSSMState(codes, scales, group_size=4, bits=8)
+
+
+class TestExponentStorage:
+    """The resident state holds each power-of-two scale as its exponent, one
+    signed byte: what the constructor takes, what reads back, and what the
+    bytes add up to."""
+
+    @given(
+        grids=st.lists(st.integers(-127, 127), min_size=1, max_size=16),
+        bad=st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, 2.0**128, 2.0**-128, 2.0**1023,
+                             2.0**-1074]),
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pot_scales_round_trip_and_the_rest_poison(self, grids, bad, seed):
+        """Power-of-two scales in ``[2**-127, 2**127]`` read back exactly;
+        NaN, infinite and out-of-range ones (subnormal included) are the
+        poison exponent, which reads back as NaN and dequantizes to NaN."""
+        scales = np.concatenate([np.ldexp(1.0, np.array(grids)), bad])
+        order = np.random.default_rng(seed).permutation(scales.size)
+        scales = scales[order]
+        state = _one_group_state(scales)
+        held = state.storage[1].reshape(-1)
+        poisoned = np.isin(order, np.arange(len(grids), scales.size))
+        assert held.dtype == np.int8
+        assert (held[poisoned] == QuantizedSSMState.POISON).all()
+        np.testing.assert_array_equal(held[~poisoned], np.array(grids)[order[~poisoned]])
+        back = state.scales.reshape(-1)
+        assert back[~poisoned].tobytes() == scales[~poisoned].tobytes()
+        assert np.isnan(back[poisoned]).all()
+        assert np.isnan(state.dequantize()[0][poisoned]).all()
+
+    @given(
+        scale=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda v: v <= 0.0 or np.frexp(v)[0] != 0.5),
+            st.sampled_from([0.0, -0.0, -1.0, -(2.0**-40), 3.0 * 2.0**-20]),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scales_off_the_power_of_two_grid_raise(self, scale):
+        """A finite scale that is not a positive power of two -- zero and
+        negative ones included -- is no resident state."""
+        with pytest.raises(ValueError, match="positive powers of two"):
+            _one_group_state([0.5, scale])
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_bytes_held_equal_bytes_reported(self, batch):
+        """At the e2e dims and ``bits=8``, after a decode step: a layer's
+        resident state holds 67 584 B per row (65 536 codes, 2 048 exponent
+        bytes), what ``resident_bytes()`` reports and what the memory model's
+        state terms give."""
+        from repro.hardware import QuantizedStateMemoryModel
+
+        model = quantize_model(Mamba2Model.from_config(E2E, InitConfig(seed=0)),
+                               QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR))
+        cache = model.new_cache(batch)
+        model.step(np.arange(batch), cache)
+        for layer in cache.layers:
+            state = layer.ssm_state
+            assert state.bits == 8
+            assert sum(a.nbytes for a in state.storage) == state.resident_bytes()
+            assert state.resident_bytes() == 67_584 * batch
+        footprint = QuantizedStateMemoryModel().quantized_footprint(E2E, batch_size=batch)
+        held = sum(layer.ssm_state.resident_bytes() for layer in cache.layers)
+        assert footprint.ssm_state_bytes + footprint.ssm_scale_bytes == held
 
 
 class TestZeroGroups:
@@ -551,7 +639,8 @@ class TestQuantizedStateMemoryModel:
             footprint = memory.quantized_footprint(config, batch_size=3)
             assert held == footprint.ssm_state_bytes
             conv = sum(layer.conv_state.size for layer in cache.layers) * 2.0
-            scales = sum(layer.ssm_state.scales.size for layer in cache.layers) * 1.0
+            scales = sum(layer.ssm_state.storage[1].nbytes for layer in cache.layers)
+            assert scales == footprint.ssm_scale_bytes
             assert held == cache.resident_state_bytes() - conv - scales
             assert cache.resident_state_bytes() == footprint.total_bytes
 
@@ -610,18 +699,27 @@ class TestEmptyPrompts:
             Request(prompt=(), max_new_tokens=2)
 
     def test_prefill_rejects_zero_length_with_clear_error(self, tiny_model):
-        with pytest.raises(ValueError, match="BOS"):
-            tiny_model.prefill(np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError, match="BOS"):
-            tiny_model.prefill(np.zeros((2, 0), dtype=np.int64))
+        """Zero-length prompts, a batch of no prompts and token ids that are
+        not integers: each a stated error, on the FP and the quantized model
+        alike (never a numpy error from inside the SSM, never truncated)."""
+        for model in (tiny_model, _star(tiny_model, 4, 4)):
+            with pytest.raises(ValueError, match="BOS"):
+                model.prefill(np.zeros(0, dtype=np.int64))
+            with pytest.raises(ValueError, match="BOS"):
+                model.prefill(np.zeros((2, 0), dtype=np.int64))
+            with pytest.raises(ValueError, match="BOS"):
+                model.prefill([])
+            with pytest.raises(ValueError, match="at least one prompt"):
+                model.prefill(np.zeros((0, 3), dtype=np.int64))
+            for tokens in ([1.9, 2.2], np.array([[1.0, 2.0]]), [True, False]):
+                with pytest.raises(TypeError, match="integers"):
+                    model.prefill(tokens)
+            with pytest.raises(TypeError, match="integers"):
+                model.step(np.array([1.5]), model.new_cache(1))
 
     def test_bos_only_prompt_flows_through_serving(self, tiny_model):
         """A whitespace-only input encoded as BOS-only decodes normally."""
-        from repro.mamba.tokenizer import ByteTokenizer
-
-        tokenizer = ByteTokenizer()
-        prompt = tokenizer.encode("")  # add_bos=True -> [bos]
-        assert prompt == [tokenizer.bos_id]
+        prompt = [0]  # a BOS-only prompt: the one token id 0
         engine = InferenceEngine(tiny_model, max_batch_size=1)
         engine.submit(Request(prompt=tuple(prompt), max_new_tokens=3))
         completions = engine.run()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.mamba import (
-    ByteTokenizer,
     CausalConv1d,
     GatedRMSNorm,
     InferenceCache,
@@ -432,17 +431,3 @@ class TestCache:
         )
         assert cache.num_elements() == expected
         assert cache.resident_state_bytes() == expected * 2  # FP16
-
-
-class TestTokenizer:
-    def test_round_trip(self):
-        tok = ByteTokenizer()
-        text = "LightMamba on FPGA!"
-        ids = tok.encode(text, add_bos=True, add_eos=True)
-        assert ids[0] == tok.bos_id and ids[-1] == tok.eos_id
-        assert tok.decode(ids) == text
-
-    def test_vocab_size(self):
-        tok = ByteTokenizer()
-        assert len(tok) == 259
-        assert max(tok.encode("\xff")) < len(tok)

@@ -106,7 +106,8 @@ class TestWireProtocol:
                 handle.port,
                 "POST",
                 "/v1/generate",
-                payload={"prompt": PROMPT, "max_new_tokens": 6, "stream": False},
+                payload={"prompt": PROMPT, "max_new_tokens": 6, "stream": False,
+                         "priority": 2, "deadline_s": 30},
             )
         assert status == 200
         assert payload["finish_reason"] == "length"
@@ -177,6 +178,17 @@ class TestWireProtocol:
                 ({"prompt": [1, 2], "stop_token": -3}, None),
                 ({"prompt": [1, 2], "stop_token": False}, None),
                 ({"prompt": [1, 2], "temperature": 0.8, "seed": "7"}, None),
+                # Each body field keeps its JSON type: a bool or string
+                # temperature, a float or bool priority, a bool or string
+                # deadline, a stream flag that is no JSON bool.
+                ({"prompt": [1, 2], "temperature": True}, None),
+                ({"prompt": [1, 2], "temperature": "0.8", "seed": 1}, None),
+                ({"prompt": [1, 2], "priority": 1.5}, None),
+                ({"prompt": [1, 2], "priority": True}, None),
+                ({"prompt": [1, 2], "deadline_s": True}, None),
+                ({"prompt": [1, 2], "deadline_s": "5"}, None),
+                ({"prompt": [1, 2], "stream": "false"}, None),
+                ({"prompt": [1, 2], "stream": 0}, None),
             ):
                 status, payload = _request_json(
                     handle.host, handle.port, "POST", "/v1/generate", payload=body, headers=headers

@@ -312,3 +312,13 @@ class TestInferenceEngine:
                 Request(**{"prompt": (1,), "max_new_tokens": 1, **bad})
         with pytest.raises(ValueError):
             Request(prompt=(1,), max_new_tokens=1, stop_token=-3)
+
+    def test_request_temperature_is_a_real_number(self):
+        """``temperature`` takes Python and numpy reals, stored as ``float``;
+        a bool or a string is a ``TypeError``, never read as 1.0 or parsed."""
+        for value in (0.7, 2, np.float32(0.5), np.int64(3)):
+            request = Request(prompt=(1,), max_new_tokens=1, temperature=value)
+            assert type(request.temperature) is float and request.temperature == float(value)
+        for bad in (True, False, "0.8", b"1", [0.7]):
+            with pytest.raises(TypeError, match="temperature"):
+                Request(prompt=(1,), max_new_tokens=1, temperature=bad)

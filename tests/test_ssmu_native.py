@@ -1,14 +1,16 @@
 """Tests of the compiled SSM step and quantizer (``native.c`` behind ``repro.quant.native``).
 
 The fake-quant oracle ``QuantizedSSMStep._step_oracle`` is the reference: the
-compiled ``step`` must return its bytes (``y``, codes, scales) on the same
+compiled ``step`` must return its bytes (``y``, codes, exponents) on the same
 operands, and it is also what runs where no library loads -- the "numpy"
 executor below, the one ``--no-kernel`` selects.  Beyond those direct
 comparisons the file pins the two derivations whose numpy originals are easy
 to get wrong in C (the destination exponent is ``ceil(log2(.))`` in float64,
 not the binary exponent; the readout is numpy's pairwise sum), the step's
-range (a grid past ``2**1023``, a non-finite operand or a scale that is not a
-normal power of two hands the batch to the oracle), that a default model
+range and the resident state's two contracts (a grid past ``2**1023``, a new
+state grid past the exponent byte's ``2**127``, a non-finite operand or a
+poisoned state group hands the batch to the oracle, whose state poisons the
+row concerned and no other), that a default model
 really decodes through the compiled step, and the build / cache / fallback
 machinery: no compiler, concurrent first builds, a cache directory somebody
 else can write, code widths the kernel is not written for.  Everything except
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mamba import InitConfig, Mamba2Config, Mamba2Model
+from repro.mamba import InitConfig, Mamba2Config, Mamba2Model, QuantizedSSMState
 from repro.mamba.generation import greedy_decode
 from repro.mamba.ssm import SSMParams, ssm_decay
 from repro.quant import (
@@ -51,6 +53,7 @@ from repro.quant.quantizer import (
     quantize,
     quantize_dequantize,
 )
+from repro.quant.native import _same_bytes
 from repro.quant.ssm_quant import _ORACLE
 
 #: The library as loaded at collection, before any test patches the loader.
@@ -97,8 +100,10 @@ def _on_numpy(call, *args):
 
 def _step_case(rng, bits, lead, layout):
     """A step and in-range operands whose group grids lie far apart: values
-    spread over 16 binary decades, a scale per operand, zero groups, and (in a
-    batch) an all-zero row of x, B and state."""
+    spread over 16 decades, a scale per operand, zero groups, and (in a
+    batch) an all-zero row of x, B and state.  The operands that reach the
+    new state (x, B and the state) keep its grid within the exponent byte:
+    at most ``1e14``, so ``Delta (.) B (.) x`` stays below ``2**127``."""
     groups, glen, n = layout
     # Channels are the compiled tile's vector lanes: short heads, full vectors
     # and a remainder either side of the benchmark's 64.
@@ -110,13 +115,13 @@ def _step_case(rng, bits, lead, layout):
         dt_bias=rng.normal(size=heads),
     )
 
-    def spread(shape):
+    def spread(shape, most=20):
         values = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
         values *= rng.random(shape[:-1] + (1,)) > 0.1                 # zero rows of groups
-        return values * 10.0 ** rng.integers(-20, 21)
+        return values * 10.0 ** rng.integers(-20, most + 1)
 
-    state = step.quantize_state_codes(spread(lead + (heads, dim, n)))
-    x, B, C = spread(lead + (heads, dim)), spread(lead + (n,)), spread(lead + (n,))
+    state = step.quantize_state_codes(spread(lead + (heads, dim, n), 6))
+    x, B, C = spread(lead + (heads, dim), 6), spread(lead + (n,), 6), spread(lead + (n,))
     dt = rng.normal(size=lead + (heads,)) * 3.0
     if lead and rng.random() < 0.5:
         x[0], B[0], state.codes[0] = 0.0, 0.0, 0
@@ -135,17 +140,22 @@ def _compiled_answer(step, args, **change):
     return COMPILED.step(*operands.values())
 
 
+def _assert_same_step(got, want):
+    """Two ``(y, state)`` answers hold the same bytes: ``y``, the INT8 codes,
+    the ``int8`` exponents and the float scales read from them."""
+    (y, state), (y_want, state_want) = got, want
+    assert y.tobytes() == y_want.tobytes()
+    assert [a.dtype for a in state.storage] == [np.int8, np.int8]
+    assert [a.tobytes() for a in state.storage] == [a.tobytes() for a in state_want.storage]
+    assert state.scales.tobytes() == state_want.scales.tobytes()
+
+
 def _assert_compiled_equals_oracle(step, args):
     """The compiled entry runs the batch (no decline, no hand-off) and
-    returns the oracle's ``y``, INT8 codes and scales, byte for byte."""
+    returns the oracle's ``y``, INT8 codes and exponents, byte for byte."""
     answer = _compiled_answer(step, args)
     assert isinstance(answer, tuple), answer
-    y, codes, scales = answer
-    y_oracle, state_oracle = step._step_oracle(*args)
-    assert y.tobytes() == y_oracle.tobytes()
-    assert codes.dtype == state_oracle.codes.dtype == np.int8
-    assert codes.tobytes() == state_oracle.codes.tobytes()
-    assert scales.tobytes() == state_oracle.scales.tobytes()
+    _assert_same_step(answer, step._step_oracle(*args))
 
 
 @needs_kernel
@@ -178,8 +188,9 @@ def test_tile_readout_with_far_apart_group_grids(rng, layout):
     params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
                        dt_bias=rng.normal(size=heads))
     for _ in range(5):
-        state = step.quantize_state_codes(rng.normal(size=(2, heads, dim, n)))
-        state.scales *= 2.0 ** rng.integers(-45, 46, size=state.scales.shape)
+        held = step.quantize_state_codes(rng.normal(size=(2, heads, dim, n)))
+        scales = held.scales * 2.0 ** rng.integers(-45, 46, size=held.scales.shape)
+        state = QuantizedSSMState(held.codes, scales, glen, held.bits)
         x, B, C = rng.normal(size=(2, heads, dim)), rng.normal(size=(2, n)), rng.normal(size=(2, n))
         dt = rng.normal(size=(2, heads))
         _assert_compiled_equals_oracle(step, (params, x, B, C, dt, state))
@@ -187,31 +198,29 @@ def test_tile_readout_with_far_apart_group_grids(rng, layout):
 
 @needs_kernel
 def test_exponents_past_the_exact_multiply_range(rng):
-    """Source grids more than 1000 binades from the destination, where the
-    kernel leaves its ``2**e``-from-exponent-bits multiply for libm ``ldexp``.
-    Destinations floor at ``2**-39``, so without overflowing float64 only the
-    ends of its range get there.  Rows 0 and 1 hold a state scaled ``2**985``
-    beside an all-zero group at the floor; row 0's x / B near ``1e-180`` quantize
-    to zero codes at the floor, row 1's near ``1e-5`` give a ``B_bar (.) x``
-    product near ``2**-40``, ~1020 binades below the state's grid.  Row 2 is
-    an all-zero state (its grid at the floor) under x / B near ``1e146``, a
-    product near ``2**970``."""
+    """A grid more than 1000 binades from zero, where the kernel leaves its
+    ``2**e``-from-exponent-bits multiply for libm ``ldexp``.  A resident
+    state's grids lie within ``2**-39 .. 2**127``, so a step the kernel
+    completes gets there only through a huge ``C``: the ``h (.) C`` readout
+    grid is the state's plus ``C``'s.  Row 0's ``C`` near ``1e305`` puts it
+    past ``2**1000`` (still below ``2**1023``), row 1's near ``1e-180``
+    quantizes to zero codes at the floor, row 2 holds an all-zero state."""
     heads, dim, n, group = 2, 3, 24, 16
     step = QuantizedSSMStep(SSMQuantConfig(group_size=group))
     for _ in range(4):
         params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
                            dt_bias=rng.normal(size=heads))
         values = rng.normal(size=(3, heads, dim, n))
-        values[:2] *= 2.0**985
-        values[:2, ..., group:] = 0.0
         values[2] = 0.0
         state = step.quantize_state_codes(values)
-        magnitude = np.array([1e-180, 1e-5, 1e146])
-        x = rng.normal(size=(3, heads, dim)) * magnitude[:, None, None]
-        B = rng.normal(size=(3, n)) * magnitude[:, None]
-        C, dt = rng.normal(size=(3, n)), rng.normal(size=(3, heads))
+        x, B = rng.normal(size=(3, heads, dim)), rng.normal(size=(3, n))
+        dt = rng.normal(size=(3, heads))
+        C = rng.normal(size=(3, n)) * np.array([1e305, 1e-180, 1.0])[:, None]
         with np.errstate(over="raise", invalid="raise"):
             _assert_compiled_equals_oracle(step, (params, x, B, C, dt, state))
+        _, new_state = step._step_oracle(params, x, B, C, dt, state)
+        products = np.abs(new_state.dequantize()[0] * C[0])
+        assert products.max() > 2.0**1008  # a readout grid past 2**1000
 
 
 @needs_kernel
@@ -221,7 +230,7 @@ def test_kernel_rejects_operands_out_of_contract(rng):
     step, args = _step_case(rng, 8, (2,), (2, 16, 24))
     params, x, B, _, _, state = args
     assert isinstance(_compiled_answer(step, args), tuple)
-    wide = SimpleNamespace(codes=state.codes.astype(np.int16), scales=state.scales)
+    wide = SimpleNamespace(storage=(state.storage[0].astype(np.int16), state.storage[1]))
     for change in (
         {"bits": 9},                                # wider than INT8 codes
         {"state": wide},                            # codes stored wider than INT8
@@ -296,7 +305,7 @@ def test_default_model_step_calls_the_compiled_step(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (a'') The step's range: grids past 2**1023 and scales off the grid
+# (a'') The step's range and the resident state's two contracts
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def e2e_layer():
@@ -322,42 +331,58 @@ def e2e_layer():
 @pytest.mark.parametrize(
     "scale,to_oracle",
     [
-        ({"dt": 1e298}, True),                        # Delta near 1e298: Delta (.) B past the range
-        ({"x": 1e150, "B": 1e150}, True),             # B_bar (.) x past the range
-        ({"x": 1e100, "B": 1e100}, False),            # still in range: the integer path
-        ({"x": 1e100, "C": 1e100}, False),
-        ({"B": 1e100, "C": 1e100}, False),
+        # Row 0's operands scaled (dt set): a grid past 2**1023.
+        ({"dt": 1e298}, True),                        # Delta near 1e298: Delta (.) B past it
+        ({"x": 1e150, "B": 1e150}, True),             # B_bar (.) x past it
+        # Still in range, new state grids of 94: the integer path.
+        ({"x": 1e15, "B": 1e15}, False),
+        ({"x": 1e30, "C": 1e100}, False),
+        ({"B": 1e30, "C": 1e100}, False),
         # One group scale of row 0 of the resident state: a subnormal power
-        # of two is the oracle's, a finite scale off the power-of-two grid is
-        # no resident state, a non-finite one poisons its row only.
+        # of two (grid -1040) has no exponent byte and a non-finite one is
+        # poison, each poisoning its row only; a finite scale off the
+        # power-of-two grid is no resident state.
         ({"scale_to": 2.0**-1040}, True),
         ({"scale_times": 1.5}, ValueError),
         ({"scale_times": 0.0}, ValueError),
         ({"scale_times": -1.0}, ValueError),
         ({"scale_times": np.inf}, True),
+        # New state grids of 659 and 326, past the exponent byte: row 0 poisons.
+        ({"x": 1e100, "B": 1e100}, True),
+        ({"x": 1e100, "C": 1e100}, True),
+        ({"B": 1e100, "C": 1e100}, True),
     ],
 )
 def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, executor,
                                                       scale, to_oracle):
     """Large finite operands: once a destination exponent would pass the
-    range in which ``2**e`` is a normal double, the compiled step hands the
-    batch to the oracle (the integer step used to return ``inf`` scales and
-    a ``y`` of its own); up to there it stays on the integer path, and
-    either way it equals the oracle -- which is all the numpy executor
-    runs.  A state scale the kernel cannot read as a normal power of two
-    goes the same way, except a finite one that is no positive power of two
-    at all: ``ValueError`` on both executors."""
+    range in which ``2**e`` is a normal double, or the new state grid the
+    exponent byte's ``127``, the compiled step hands the batch to the oracle;
+    up to there it stays on the integer path, and either way it equals the
+    oracle -- which is all the numpy executor runs.  The resident state's two
+    contracts, on both executors: a state grid past the byte poisons its
+    group, and a poisoned group (a non-finite scale's) poisons its row's ``y``
+    and state and no other row's -- row 1 holds the bytes it holds stepped
+    alone.  A finite scale that is no positive power of two cannot be held:
+    building the state raises ``ValueError``."""
     step, params, (x, B, C, dt), state = e2e_layer
     if executor == "compiled" and COMPILED is None:
         pytest.skip(native.status())
     operands = {"x": x, "B": B, "C": C, "dt": dt}
-    for name in scale.keys() & operands.keys():  # dt is set, the others scaled
-        value = scale[name]
-        operands[name] = np.full_like(dt, value) if name == "dt" else operands[name] * value
+    for name in scale.keys() & operands.keys():  # row 0's dt is set, the others scaled
+        operands[name] = operands[name].copy()
+        operands[name][0] = scale[name] if name == "dt" else operands[name][0] * scale[name]
     if scale.keys() & {"scale_to", "scale_times"}:
-        state = state.copy()
-        first = state.scales[0, 0, 0, 0]
+        scales = state.scales.copy()
+        first = scales[0, 0, 0, 0]
         first[...] = scale.get("scale_to", first * scale.get("scale_times", 1.0))
+        if to_oracle is ValueError:
+            with pytest.raises(ValueError, match="positive powers of two"):
+                QuantizedSSMState(state.codes, scales, state.group_size, state.bits)
+            return
+        state = QuantizedSSMState(state.codes, scales, state.group_size, state.bits)
+        assert state.storage[1][0, 0, 0, 0] == QuantizedSSMState.POISON
+        assert np.isnan(state.scales[0, 0, 0, 0]).all() and np.isnan(state.dequantize()[0]).any()
     operands["state"] = state
     oracle_calls, entry_answers = [], []
     oracle = QuantizedSSMStep._step_oracle
@@ -377,28 +402,24 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
         loaded = (_with_step(counting_entry), "compiled")
     monkeypatch.setattr(native, "_load", lambda: loaded)
     args = tuple(operands[name] for name in ("x", "B", "C", "dt", "state"))
-    if to_oracle is ValueError:
-        with pytest.raises(ValueError, match="positive powers of two"):
-            step._step_integer(params, *args)
-        assert entry_answers == ([None] if executor == "compiled" else []) and not oracle_calls
-        return
     y, new_state = step._step_integer(params, *args)
     if executor == "compiled":
         assert len(entry_answers) == 1
-        assert isinstance(entry_answers[0], tuple) != to_oracle
-        # A subnormal scale is outside the kernel's contract, the rest its guard's.
-        assert not to_oracle or entry_answers[0] is (None if "scale_to" in scale else _ORACLE)
+        assert entry_answers[0] is _ORACLE if to_oracle else isinstance(entry_answers[0], tuple)
     assert len(oracle_calls) == int(to_oracle or executor == "numpy")
     with np.errstate(all="ignore"):
-        y_oracle, state_oracle = oracle(step, params, *args)
-    assert y.tobytes() == y_oracle.tobytes()
-    assert new_state.scales.tobytes() == state_oracle.scales.tobytes()
-    finite = np.repeat(np.isfinite(new_state.scales[..., 0]), state.group_size, axis=-1)
-    np.testing.assert_array_equal(new_state.codes[finite], state_oracle.codes[finite])
-    assert to_oracle or np.isfinite(new_state.scales).all()
-    if scale.get("scale_times") == np.inf:  # the poison stays in its row
-        assert not np.isfinite(new_state.scales[0]).all() and not np.isfinite(y[0]).all()
-        assert np.isfinite(new_state.scales[1]).all() and np.isfinite(y[1]).all()
+        want = oracle(step, params, *args)
+    _assert_same_step((y, new_state), want)
+    grids = new_state.storage[1].reshape(2, -1)
+    if not to_oracle:
+        assert grids.max() == 94 and (grids != QuantizedSSMState.POISON).all()
+        return
+    # Row 1 is untouched by row 0's poison: the bytes of it stepped alone.
+    alone = step._step_integer(params, *(a[1:] for a in args))
+    _assert_same_step((y[1:], new_state[1:]), alone)
+    assert (grids[1] != QuantizedSSMState.POISON).all() and np.isfinite(y[1]).all()
+    assert (grids[0] == QuantizedSSMState.POISON).any() and np.isnan(y[0]).any()
+    assert np.isnan(new_state.scales[0]).any() and np.isnan(new_state.dequantize()[0]).any()
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +582,46 @@ def test_only_int8_codes_reach_the_kernel(monkeypatch, rng, bits, reaches):
     assert new_state.exact_equal(state_oracle)
     codes = np.dtype(np.int8 if reaches else np.int16)
     assert calls == [(codes, reaches and COMPILED is not None)]
+
+
+# ----------------------------------------------------------------------
+# (g') Read-only buffers: every entry takes them through the one pointer helper
+# ----------------------------------------------------------------------
+def _read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+@needs_kernel
+@pytest.mark.parametrize("entry", ["step", "fwht", "quantize", "silu"])
+def test_read_only_inputs_reach_each_entry(rng, entry):
+    """No ``c_char`` lies over a read-only buffer, so ``native.pointer``
+    hands over its address instead; each compiled entry, fed only read-only
+    inputs, still runs and gives its reference's bytes."""
+    from repro.mamba import ops
+    from repro.quant import hadamard
+    from repro.quant.quantizer import _quantize_numpy
+
+    x = _read_only(rng.normal(size=(3, 64)) * 100.0)
+    if entry == "step":
+        step, (params, x, B, C, dt, state) = _step_case(rng, 8, (3,), (4, 32, 128))
+        held = QuantizedSSMState._stored(*map(_read_only, state.storage), 32, 8)
+        args = (params, *map(_read_only, (x, B, C, dt)), held)
+        _assert_compiled_equals_oracle(step, args)
+    elif entry == "fwht":
+        assert COMPILED.fwht(x, True).tobytes() == hadamard._fwht_numpy(x, True).tobytes()
+    elif entry == "quantize":
+        config = QuantizerConfig(IntSpec(4), Granularity.PER_GROUP, 32, pot_scale=True)
+        out = np.empty(x.shape)
+        assert COMPILED.quantize(x, config, out) is out
+        assert out.tobytes() == _quantize_numpy(x, config, np.empty(x.shape)).tobytes()
+        codes, scales = COMPILED.quantize(x, config)
+        assert _same_bytes((codes, scales), _quantize_numpy(x, config))
+    else:
+        for gate_only in (True, False):
+            want = ops._silu_reference(x, None, gate_only)
+            assert COMPILED.silu(x, None, gate_only).tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
