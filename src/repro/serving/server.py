@@ -482,13 +482,12 @@ class MambaServer:
             payload = json.loads(body or b"{}")
             request = self._build_request(payload)
             # Headers are strings and parse as such; body fields keep their JSON types.
-            priority = headers.get("x-priority")
-            priority = (_integral("priority", payload.get("priority", 0)) if priority is None
-                        else int(priority))
-            deadline_s = headers.get("x-deadline-s")
-            timeout = float(deadline_s) if deadline_s is not None else payload.get("deadline_s")
-            if timeout is not None:
-                timeout = _real("deadline_s", timeout)
+            header = headers.get("x-priority")
+            priority = (int(header) if header is not None
+                        else _integral("priority", payload.get("priority", 0)))
+            header = headers.get("x-deadline-s")
+            deadline_s = float(header) if header is not None else payload.get("deadline_s")
+            timeout = None if deadline_s is None else _real("deadline_s", deadline_s)
             streamed = payload.get("stream", True)
             if not isinstance(streamed, bool):
                 raise TypeError(f'"stream" must be a JSON bool, got {streamed!r}')

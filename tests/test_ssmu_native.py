@@ -102,8 +102,8 @@ def _step_case(rng, bits, lead, layout):
     """A step and in-range operands whose group grids lie far apart: values
     spread over 16 decades, a scale per operand, zero groups, and (in a
     batch) an all-zero row of x, B and state.  The operands that reach the
-    new state (x, B and the state) keep its grid within the exponent byte:
-    at most ``1e14``, so ``Delta (.) B (.) x`` stays below ``2**127``."""
+    new state (x, B and the state) stay below about ``1e15``, so its grid
+    fits the exponent byte (``Delta (.) B (.) x`` below ``2**127``)."""
     groups, glen, n = layout
     # Channels are the compiled tile's vector lanes: short heads, full vectors
     # and a remainder either side of the benchmark's 64.
