@@ -18,7 +18,10 @@ the same cases:
   greedy steps, each a gather -> step -> scatter of the live slots, as the
   serving engine runs them;
 - ``prefill/sequential/solo/L`` (L = 1, 65) and ``prefill/sequential/batch3/9``: prompts
-  prefilled with ``scan_impl="sequential"``, the per-token recurrence.
+  prefilled with ``scan_impl="sequential"``, the per-token recurrence;
+- ``prefill/long/solo/L`` (L = 520, 577) and ``prefill/long/batch3/300``:
+  prompts past several 128-token prefill segments, ending in a short tail
+  (8 tokens past 512, 44 past 256) or a long one (65 past 512).
 
 The record is computed twice, on the compiled library and under
 ``no_kernel`` (the fake-quant oracle and the numpy references), and each
@@ -59,6 +62,8 @@ CONFIG = Mamba2Config(
 PROMPT_LENGTHS = (1, 63, 64, 65, 512)
 #: ``(rows, length)`` of the sequential-prefill cases.
 SEQUENTIAL_PROMPTS = ((1, 1), (1, 65), (3, 9))
+#: ``(rows, length)`` of the prompts that cross prefill segment edges.
+LONG_PROMPTS = ((1, 520), (1, 577), (3, 300))
 DECODE_STEPS = 32
 #: ``(case-name prefix, method)``; lightmamba*'s cases keep their first names.
 METHODS = (
@@ -145,6 +150,12 @@ def _cases(model):
         yield f"prefill/sequential/{name}", _digest(
             *model.prefill(prompts[0] if rows == 1 else prompts, scan_impl="sequential")
         )
+
+    rng = np.random.default_rng(2027)
+    for rows, length in LONG_PROMPTS:
+        prompts = _prompts(rng, rows, length)
+        name = f"solo/{length}" if rows == 1 else f"batch{rows}/{length}"
+        yield f"prefill/long/{name}", _digest(*model.prefill(prompts[0] if rows == 1 else prompts))
 
 
 def fingerprint() -> dict:
