@@ -27,6 +27,14 @@ from repro.mamba.rmsnorm import RMSNorm
 
 __all__ = ["Mamba2Model"]
 
+#: Tokens per piece of a prefill (rounded up to a multiple of ``chunk_size``):
+#: every block runs one piece before the next piece enters the stack, so the
+#: activations are segment-sized whatever the prompt length.  Half of it, 64
+#: rows, is the shortest piece of a longer prompt: OpenBLAS sums a GEMM of a
+#: few rows (<= 4 at K = 512, 1 at K = 256) in another order than a taller
+#: one, so a piece that short would move the last bit of the projections.
+PREFILL_SEGMENT_TOKENS = 128
+
 
 @dataclass
 class Mamba2Model:
@@ -107,12 +115,16 @@ class Mamba2Model:
 
         Any other dtype (floats, bools) is a ``TypeError``, never truncated.
         """
+        return self.embedding[self._token_ids(tokens)]
+
+    def _token_ids(self, tokens) -> np.ndarray:
+        """``tokens`` as an array, checked as :meth:`embed` checks them."""
         tokens = np.asarray(tokens)
         if tokens.dtype.kind not in "iu":
             raise TypeError(f"token ids must be integers, got an array of {tokens.dtype}")
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise ValueError("token id out of range")
-        return self.embedding[tokens]
+        return tokens
 
     def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
         """Apply the final norm and LM head to residual-stream activations."""
@@ -200,12 +212,25 @@ class Mamba2Model:
         ``(batch, seq_len)`` returns logits ``(batch, vocab)`` and a batched
         cache (leading ``(batch, ...)`` axis on every state tensor).
 
+        The prompt goes through the whole layer stack one segment at a time
+        (:meth:`_segments`: chunk-aligned pieces of about
+        :data:`PREFILL_SEGMENT_TOKENS` tokens), each segment continuing the
+        cache the one before it left, so the activations alive at once are a
+        few segment-sized buffers whatever the prompt length.  The bytes are
+        a one-shot prefill's: the chunked scan hands off at the same chunk
+        boundaries, and every other stage works row by row.
+
         Parameters
         ----------
         cache:
             Optional warm cache to continue from (e.g. the next segment of a
             long prompt processed in chunks); a fresh zero cache is created
-            when omitted.  Must match the batch shape of ``tokens``.
+            when omitted.  Must match the batch shape of ``tokens``.  A
+            continuation at chunk-aligned boundaries gives the bytes of a
+            one-shot prefill, except where a piece is only a few tokens long:
+            OpenBLAS sums a GEMM of <= 4 rows at K = 512 (and of 1 row at
+            K = 256) in another order, which can move the last bit of the
+            logits (about 1e-13).
         scan_impl:
             ``"chunked"`` (the default, at ``config.chunk_size``) or
             ``"sequential"``, the per-token recurrence.  Applies to quantized
@@ -226,6 +251,7 @@ class Mamba2Model:
                 "prefill needs at least one token per prompt; encode an empty "
                 "prompt as a single BOS token instead"
             )
+        tokens = self._token_ids(tokens)  # every id checked before the cache moves
         batch_size = tokens.shape[0] if tokens.ndim == 2 else None
         if cache is None:
             cache = self.new_cache(batch_size=batch_size)
@@ -234,11 +260,28 @@ class Mamba2Model:
                 f"cache batch size {cache.batch_size} does not match tokens batch "
                 f"size {batch_size}"
             )
-        hidden = self.embed(tokens)
-        for i, block in enumerate(self.blocks):
-            hidden = block.forward(hidden, cache=cache.layers[i], scan_impl=scan_impl)
+        for segment in self._segments(tokens.shape[-1]):
+            hidden = self.embedding[tokens[..., segment]]
+            for layer, block in zip(cache.layers, self.blocks):
+                hidden = block.forward(hidden, cache=layer, scan_impl=scan_impl)
         logits = self.logits_from_hidden(hidden[..., -1, :])
         return logits, cache
+
+    def _segments(self, length: int) -> List[slice]:
+        """The pieces :meth:`prefill` runs a ``length``-token prompt in.
+
+        Boundaries fall every :data:`PREFILL_SEGMENT_TOKENS` rounded up to a
+        multiple of ``config.chunk_size``, counted from the prompt's first
+        token, so the chunked scan hands off where a one-shot prefill would.
+        A remainder shorter than half a segment joins the piece before it:
+        no piece but a whole prompt is shorter than half a segment.
+        """
+        chunk = self.config.chunk_size
+        size = chunk * -(-PREFILL_SEGMENT_TOKENS // chunk)
+        starts = list(range(0, length, size))
+        if len(starts) > 1 and 2 * (length - starts[-1]) < size:
+            starts.pop()
+        return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [length])]
 
     def step(
         self,

@@ -9,7 +9,12 @@ The prefill datapath runs its element-wise stages the way the paper's
 accelerator does -- tiled and fused: a prompt-sized activation is walked in
 *token tiles* small enough to stay cache-resident (:data:`TILE_ELEMS`,
 :func:`row_tiles`) and each stage writes into a caller-provided ``out``
-buffer instead of allocating a prompt-sized temporary.
+buffer instead of allocating a prompt-sized temporary.  Above the
+operators, ``Mamba2Model.prefill`` segments the served prefill itself: a
+prompt goes through the whole layer stack in chunk-aligned segments of about
+128 tokens (``repro.mamba.model.PREFILL_SEGMENT_TOKENS``), so no stage of a
+prefill is handed a prompt-sized input (the full-sequence ``forward`` of
+evaluation and calibration still is).
 """
 
 from __future__ import annotations

@@ -585,11 +585,15 @@ class QuantizedSSMStep:
         chunk = min(chunk_size, seq_len)
         # quant-point: the causal mask is a float constant, not a tensor operand
         causal = np.tril(np.ones((chunk, chunk), dtype=np.float64))
-        full_tile = self._chunk_scratch(chunk, *dims)
+        tile = self._chunk_scratch(chunk, *dims)
         for start in range(0, seq_len, chunk):
             window = slice(start, min(start + chunk, seq_len))
             q_len = window.stop - start
-            tile = full_tile if q_len == chunk else self._chunk_scratch(q_len, *dims)
+            if q_len < chunk:
+                # The ragged last chunk: its own scratch replaces the full
+                # one, never beside it.
+                del tile
+                tile = self._chunk_scratch(q_len, *dims)
             self._chunk_body(params, tile, state, x, B, C, delta, log_decay, causal, window)
             y[..., window, :, :] = np.moveaxis(tile.out, -3, -2)
 
