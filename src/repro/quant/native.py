@@ -127,25 +127,38 @@ def _same_bytes(got, want) -> bool:
 def _step_agrees(step) -> bool:
     """The compiled step against the oracle: full and padded state groups, a
     padded x group, an all-zero row, the default layout's tile (64-channel
-    heads, 32-long groups), and two batches the step must hand to the
-    oracle: one whose new state grid passes the exponent byte's ``2**127``,
-    one past the exponent range."""
+    heads, 32-long groups), a readout grid past ``2**1000`` (a ``C`` near
+    ``1e305``: the libm ``ldexp`` path), and three batches the step must hand
+    to the oracle: one whose new state grid passes the exponent byte's
+    ``2**127``, one past the exponent range, one holding a poisoned group."""
+    from repro.mamba.cache import QuantizedSSMState
     from repro.mamba.ssm import SSMParams
     from repro.quant import ssm_quant
 
     rng = np.random.default_rng(1)
-    for bits, group, heads, dim, n, big in ((8, 32, 2, 64, 64, 1.0), (4, 16, 3, 12, 24, 1.0),
-                                            (8, 32, 2, 8, 24, 1e25), (8, 32, 2, 8, 24, 1e200)):
+    for bits, group, heads, dim, n, case in ((8, 32, 2, 64, 64, None), (4, 16, 3, 12, 24, None),
+                                             (8, 16, 2, 3, 24, "ldexp"),
+                                             (8, 32, 2, 8, 24, "byte"), (8, 32, 2, 8, 24, "range"),
+                                             (8, 32, 2, 8, 24, "poison")):
         quant = ssm_quant.QuantizedSSMStep(ssm_quant.SSMQuantConfig(bits=bits, group_size=group))
         params = SSMParams(A_log=rng.normal(size=heads), D=rng.normal(size=heads),
                            dt_bias=rng.normal(size=heads))
         state = quant.quantize_state_codes(rng.normal(size=(3, heads, dim, n)))
         x, B, C = rng.normal(size=(3, heads, dim)), rng.normal(size=(3, n)), rng.normal(size=(3, n))
-        x[0], B[0], x[1], B[1] = x[0] * big, B[0] * big, 0.0, 0.0
+        x[1], B[1] = 0.0, 0.0
+        if case in ("byte", "range"):
+            big = 1e25 if case == "byte" else 1e200
+            x[0], B[0] = x[0] * big, B[0] * big
+        elif case == "poison":
+            scales = state.scales.copy()
+            scales[0, 0, 0, 0] = np.nan
+            state = QuantizedSSMState(state.codes, scales, group, bits)
+        elif case == "ldexp":
+            C[0] *= 1e305
         dt = rng.normal(size=(3, heads))
         delta, a_bar = ssm_quant.ssm_decay(params, dt)
         got = step(x, B, C, dt, delta, a_bar, params.D, state, group, bits)
-        if big > 1.0:
+        if case in ("byte", "range", "poison"):
             if got is not ssm_quant._ORACLE:
                 return False
             continue

@@ -461,11 +461,12 @@ class QuantizedSSMStep:
         grids in C, on the state's ``int8`` exponents as held -- for INT8
         codes on an INT32 accumulator when this machine has built it.
         Otherwise the oracle runs, its state re-quantized into codes at the
-        exit: with no compiler, for wider codes, and for a batch the kernel
-        answers is the oracle's -- a non-finite operand (fault-injected conv
-        taps, say) or a poisoned group has no integer code, a new state grid
-        past ``2**127`` no exponent byte, a grid past ``2**1023`` no normal
-        double.  Those are the state's two contracts
+        exit: with no compiler, for wider codes, and for a row the kernel
+        answers is the oracle's (a batch it declines is stepped again row by
+        row, so only the declined rows go to the oracle) -- a non-finite
+        operand (fault-injected conv taps, say) or a poisoned group has no
+        integer code, a new state grid past ``2**127`` no exponent byte, a
+        grid past ``2**1023`` no normal double.  Those are the state's two contracts
         (:class:`~repro.mamba.cache.QuantizedSSMState`): the oracle carries a
         poison through row-independent arithmetic into the poison exponent,
         so the serving supervisor's health check attributes it to exactly
@@ -480,6 +481,19 @@ class QuantizedSSMStep:
             done = library.step(x, B, C, dt, delta, a_bar, params.D, state, gsz, bits)
             if isinstance(done, tuple):
                 return done
+            if done is _ORACLE and x.ndim == 3 and len(x) > 1:
+                # One row's poison or range need not send its batch to the
+                # oracle: the entry steps each row alone, and the oracle takes
+                # only the rows it still declines (rows step independently).
+                rows = []
+                for i in range(len(x)):
+                    row = library.step(x[i], B[i], C[i], dt[i], delta[i], a_bar[i], params.D,
+                                       state[i], gsz, bits)
+                    if not isinstance(row, tuple):
+                        with np.errstate(invalid="ignore"):
+                            row = self._step_oracle(params, x[i], B[i], C[i], dt[i], state[i])
+                    rows.append(row)
+                return np.stack([y for y, _ in rows]), QuantizedSSMState.stack([h for _, h in rows])
         with np.errstate(invalid="ignore"):
             return self._step_oracle(params, x, B, C, dt, state)
 

@@ -9,8 +9,8 @@ to get wrong in C (the destination exponent is ``ceil(log2(.))`` in float64,
 not the binary exponent; the readout is numpy's pairwise sum), the step's
 range and the resident state's two contracts (a grid past ``2**1023``, a new
 state grid past the exponent byte's ``2**127``, a non-finite operand or a
-poisoned state group hands the batch to the oracle, whose state poisons the
-row concerned and no other), that a default model
+poisoned state group hands the rows concerned to the oracle, whose state
+poisons the row concerned and no other), that a default model
 really decodes through the compiled step, and the build / cache / fallback
 machinery: no compiler, concurrent first builds, a cache directory somebody
 else can write, code widths the kernel is not written for.  Everything except
@@ -363,7 +363,8 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
     contracts, on both executors: a state grid past the byte poisons its
     group, and a poisoned group (a non-finite scale's) poisons its row's ``y``
     and state and no other row's -- row 1 holds the bytes it holds stepped
-    alone.  A finite scale that is no positive power of two cannot be held:
+    alone, and the compiled step, handed the batch back, runs it on the
+    entry (only row 0 goes to the oracle).  A finite scale that is no positive power of two cannot be held:
     building the state raises ``ValueError``."""
     step, params, (x, B, C, dt), state = e2e_layer
     if executor == "compiled" and COMPILED is None:
@@ -404,8 +405,9 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
     args = tuple(operands[name] for name in ("x", "B", "C", "dt", "state"))
     y, new_state = step._step_integer(params, *args)
     if executor == "compiled":
-        assert len(entry_answers) == 1
-        assert entry_answers[0] is _ORACLE if to_oracle else isinstance(entry_answers[0], tuple)
+        # A declined batch is stepped again row by row: row 0 declined, row 1 done.
+        kinds = [answer if answer is _ORACLE else type(answer) for answer in entry_answers]
+        assert kinds == ([_ORACLE, _ORACLE, tuple] if to_oracle else [tuple])
     assert len(oracle_calls) == int(to_oracle or executor == "numpy")
     with np.errstate(all="ignore"):
         want = oracle(step, params, *args)
@@ -420,6 +422,43 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
     assert (grids[1] != QuantizedSSMState.POISON).all() and np.isfinite(y[1]).all()
     assert (grids[0] == QuantizedSSMState.POISON).any() and np.isnan(y[0]).any()
     assert np.isnan(new_state.scales[0]).any() and np.isnan(new_state.dequantize()[0]).any()
+
+
+@needs_kernel
+def test_one_poisoned_row_sends_only_itself_to_the_oracle(monkeypatch):
+    """An 8-row batch whose row 5 holds one poisoned group: the entry
+    declines the batch, steps every row alone, and the oracle runs once, on
+    row 5 only.  Each healthy row's ``y`` and state are the bytes of that row
+    stepped alone; row 5's are the oracle's."""
+    config = Mamba2Config(d_model=256, n_layer=1, vocab_size=64, d_state=128, headdim=64)
+    model = quantize_model(Mamba2Model.from_config(config, InitConfig(seed=0)),
+                           QuantConfig.w4a4(QuantMethod.LIGHTMAMBA_STAR))
+    cache = model.new_cache(8)
+    for token in range(2):
+        model.step(np.arange(8) + token, cache)
+    block, state = model.blocks[0], cache.layers[0].ssm_state
+    scales = state.scales.copy()
+    scales[5, 1, 2, 0] = np.nan
+    state = QuantizedSSMState(state.codes, scales, state.group_size, state.bits)
+    rng = np.random.default_rng(6)
+    args = (rng.normal(size=(8, config.nheads, config.headdim)), rng.normal(size=(8, 128)),
+            rng.normal(size=(8, 128)), rng.normal(size=(8, config.nheads)), state)
+    oracle, oracle_rows = QuantizedSSMStep._step_oracle, []
+
+    def counting_oracle(self, params, x, *rest):
+        oracle_rows.append(x.shape)
+        return oracle(self, params, x, *rest)
+
+    monkeypatch.setattr(QuantizedSSMStep, "_step_oracle", counting_oracle)
+    monkeypatch.setattr(native, "_load", lambda: (_with_step(COMPILED.step), "compiled"))
+    y, new_state = block.ssm_impl._step_integer(block.ssm, *args)
+    assert oracle_rows == [(config.nheads, config.headdim)]  # one unbatched row
+    for i in range(8):
+        with np.errstate(invalid="ignore"):
+            alone = block.ssm_impl._step_integer(block.ssm, *(a[i] for a in args))
+        _assert_same_step((y[i], new_state[i]), alone)
+    assert np.isnan(y[5]).any() and not np.isnan(np.delete(y, 5, axis=0)).any()
+    assert (new_state.storage[1][5] == QuantizedSSMState.POISON).any()
 
 
 # ----------------------------------------------------------------------
