@@ -45,7 +45,6 @@ from repro.quant.hadamard import (
 from repro.quant.pot import (
     pot_quantize_scale,
     pot_quantize_dequantize,
-    pot_exponent,
     absmax_requant_exponents,
     shift_requantize,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "randomized_hadamard",
     "pot_quantize_scale",
     "pot_quantize_dequantize",
-    "pot_exponent",
     "absmax_requant_exponents",
     "shift_requantize",
     "RotationConfig",

@@ -38,7 +38,6 @@ __all__ = [
     "pot_quantize_scale",
     "pot_quantizer_config",
     "pot_quantize_dequantize",
-    "pot_exponent",
     "absmax_requant_exponents",
     "shift_requantize",
     "requantize_reference",
@@ -95,24 +94,6 @@ def pot_quantize_dequantize(
     )
 
 
-def pot_exponent(scales: np.ndarray | float) -> np.ndarray:
-    """Exact integer exponents of power-of-two scales (``scales == 2.0**e``).
-
-    The integer-resident decode path threads these exponents instead of the
-    float scales themselves: with every scale a power of two, the exponent is
-    the complete description of the grid, and re-quantization between grids is
-    a shift by the exponent difference (:func:`shift_requantize`).  Extraction
-    via ``frexp`` is exact for every representable power of two -- no ``log2``
-    rounding is involved.  The exponents come back as INT32 (``frexp``'s own
-    type): numpy's ``ldexp`` loop for INT64 exponents is several times slower.
-    """
-    scales = np.asarray(scales, dtype=np.float64)
-    mantissa, exponent = np.frexp(scales)
-    if not np.all(mantissa == 0.5):
-        raise ValueError("scales must be positive powers of two")
-    return exponent - 1
-
-
 def absmax_requant_exponents(absmax: np.ndarray, bits: int = 8) -> np.ndarray:
     """Destination PoT exponents for values bounded by ``absmax`` per group.
 
@@ -128,7 +109,7 @@ def absmax_requant_exponents(absmax: np.ndarray, bits: int = 8) -> np.ndarray:
     ``absmax`` is the per-group maximum magnitude as a *float* (for integer
     codes at a known exponent, ``ldexp(int_absmax, src_exponent)`` -- exact,
     powers of two only rescale the mantissa's exponent field).  The result is
-    INT32, like :func:`pot_exponent`.
+    INT32: numpy's ``ldexp`` loop for INT64 exponents is several times slower.
     """
     qmax = float(IntSpec(bits).qmax)
     absmax = np.asarray(absmax, dtype=np.float64)

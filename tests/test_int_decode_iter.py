@@ -27,7 +27,6 @@ from repro.mamba.ssm import SSMParams
 from repro.quant import QuantizedSSMStep, SSMQuantConfig
 from repro.quant.pot import (
     absmax_requant_exponents,
-    pot_exponent,
     requantize_reference,
     shift_requantize,
 )
@@ -106,15 +105,6 @@ class TestShiftRequantizeEdgeCases:
                 np.round(values / 2.0 ** (dst - src)), -127, 127
             ).astype(np.int64)
             np.testing.assert_array_equal(via_shift, expected)
-
-    def test_pot_exponent_validation(self):
-        np.testing.assert_array_equal(
-            pot_exponent(np.array([2.0**-39, 0.5, 1.0, 2.0])), [-39, -1, 0, 1]
-        )
-        with pytest.raises(ValueError, match="powers of two"):
-            pot_exponent(np.array([3.0]))
-        with pytest.raises(ValueError, match="powers of two"):
-            pot_exponent(np.array([0.0]))
 
 
 # ----------------------------------------------------------------------
