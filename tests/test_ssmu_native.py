@@ -363,9 +363,10 @@ def test_grids_past_the_normal_range_go_to_the_oracle(monkeypatch, e2e_layer, ex
     contracts, on both executors: a state grid past the byte poisons its
     group, and a poisoned group (a non-finite scale's) poisons its row's ``y``
     and state and no other row's -- row 1 holds the bytes it holds stepped
-    alone, and the compiled step, handed the batch back, runs it on the
-    entry (only row 0 goes to the oracle).  A finite scale that is no positive power of two cannot be held:
-    building the state raises ``ValueError``."""
+    alone, and the compiled step, handed the batch back, steps it row by row
+    on the entry (only row 0 goes to the oracle).  A finite scale that is no
+    positive power of two cannot be held: building the state raises
+    ``ValueError``."""
     step, params, (x, B, C, dt), state = e2e_layer
     if executor == "compiled" and COMPILED is None:
         pytest.skip(native.status())
