@@ -1,6 +1,6 @@
 /* The compiled units of the quantized datapath (LightMamba Sec. IV, Fig. 4a).
  *
- * One library, four entries, built, self-tested and loaded together by
+ * One library, six entries, built, self-tested and loaded together by
  * repro.quant.native:
  *
  * - ssmu_step: the whole integer SSM decode step of a batch -- from the float
@@ -16,13 +16,25 @@
  * - quantize_groups: the symmetric quantizer's round trip over groups of a
  *   trailing axis -- every granularity is such groups -- to fake-quantized
  *   values or INT8 codes: every activation re-quantization at an MMU
- *   boundary and every SSMU operand prefill stages, the resident state's
- *   codes and weight RTN.  Its reference and fallback is the numpy quantizer
- *   repro.quant.quantizer._quantize_numpy, which has this entry's contract.
+ *   boundary and every SSMU operand prefill stages, read where its rows lie,
+ *   each product by a per-row scalar (D (.) x, Delta (.) B) formed in the
+ *   same pass, the resident state's codes and weight RTN.  Its reference and
+ *   fallback is the numpy quantizer repro.quant.quantizer._quantize_numpy,
+ *   which has this entry's contract.
  * - silu: the non-linear unit's sigmoid and SiLU, 1 / (1 + exp(-v)) with
- *   libm's exp (and times v), over strided rows: the conv's activation and
- *   the gated norm's gate.  Its reference and fallback is
- *   repro.mamba.ops._silu_reference, the same formula with math.exp.
+ *   libm's exp (and times v), over strided rows: the gated norm's gate.  Its
+ *   reference and fallback is repro.mamba.ops._silu_reference, the same
+ *   formula with math.exp.
+ * - conv: the causal depthwise conv of prefill and of the decode step --
+ *   taps in a fixed order, bias, SiLU (silu's definition) in one pass that
+ *   writes each output once, reading the in-projection's strided xBC view.
+ *   Its reference and fallback is repro.mamba.conv1d._conv_reference.
+ * - scan_decay / scan_gate / scan_out / scan_handoff: the chunk scan's
+ *   element-wise stages between its BLAS contractions and numpy's exp (the
+ *   decay difference and clamp, gate * decay * causal, the output epilogue
+ *   written token-major with the hand-off's weighted inputs, the hand-off
+ *   add).  Their references and fallback are the numpy stages
+ *   repro.quant.ssm_quant._SCAN_STAGES.
  *
  * Every float operation here is the one the numpy reference performs, in
  * numpy's order, so the outputs are byte-equal.  The rules that
@@ -43,7 +55,10 @@
  *   of each channel (np.einsum's order is not bit-identical);
  * - the butterflies pair and order as the textbook in-place network (span 1,
  *   2, 4, ...), then divide by sqrt(n);
- * - exp is libm's, the one Python's math.exp calls, never a vector variant.
+ * - exp is libm's, the one Python's math.exp calls, never a vector variant;
+ * - where two NaN operands meet, which one an add or a multiply passes on is
+ *   the compiler's choice, so an entry that must keep a NaN's payload and
+ *   sign names one (silu_value, conv_nan), here and in its reference.
  *
  * The integer step has a range: every destination exponent must keep 2**e a
  * normal double (at most MAX_EXPONENT; the 1e-12 scale floor bounds it below
@@ -889,15 +904,19 @@ static inline double group_scale(double absmax, double clip, double qmax, int32_
     return e > MAX_EXPONENT ? 0.0 : pow2(e);
 }
 
-/* The scale of one group of count values; 0.0 declines it (a non-finite
- * value, a grid past MAX_EXPONENT). */
+/* The scale of one group of count values, each times by when scaled; 0.0
+ * declines it (a non-finite value or product, a grid past MAX_EXPONENT).
+ * Rounding is monotone, so the products' absmax is |by| times the values'. */
 static inline __attribute__((always_inline)) double
-run_scale(const double *v, int64_t count, double clip, double qmax, int32_t pot)
+run_scale(const double *v, int64_t count, double by, const int scaled, double clip, double qmax,
+          int32_t pot)
 {
     const uint64_t bits_max = magnitude_max(v, count);
     double absmax;
     memcpy(&absmax, &bits_max, sizeof absmax);
-    return bits_max < INF_BITS ? group_scale(absmax, clip, qmax, pot) : 0.0;
+    if (scaled && bits_max < INF_BITS)
+        absmax = fabs(by) * absmax;
+    return isfinite(absmax) ? group_scale(absmax, clip, qmax, pot) : 0.0;
 }
 
 /* 1 / scale for a power-of-two scale 2**e, exact from the exponent bits while
@@ -912,14 +931,16 @@ static inline double pot_inverse(double scale)
 
 /* quantizer._quantize_numpy on one group: clip(rint(v / scale)) + 0.0 (codes
  * have no signed zero), times scale into out (which may be v) or cast into
- * codes.  inv, when not 0.0, is 1 / scale held exactly, and the divide is the
+ * codes; v the product by * v when scaled, formed here and stored nowhere.
+ * inv, when not 0.0, is 1 / scale held exactly, and the divide is the
  * multiply by it. */
 static inline __attribute__((always_inline)) void
-round_trip_at(const double *v, int64_t count, double scale, double inv, double qmax,
-              double *out, int8_t *codes)
+round_trip_at(const double *v, int64_t count, double by, const int scaled, double scale,
+              double inv, double qmax, double *out, int8_t *codes)
 {
     for (int64_t i = 0; i < count; i++) {
-        const double q = rint_clip(inv != 0.0 ? v[i] * inv : v[i] / scale, qmax) + 0.0;
+        const double value = scaled ? by * v[i] : v[i];
+        const double q = rint_clip(inv != 0.0 ? value * inv : value / scale, qmax) + 0.0;
         if (out)
             out[i] = q * scale;
         else
@@ -929,81 +950,142 @@ round_trip_at(const double *v, int64_t count, double scale, double inv, double q
 
 /* round_trip_at with its branches constant, one loop per combination. */
 static inline __attribute__((always_inline)) void
-round_trip(const double *v, int64_t count, double scale, double inv, double qmax, double *out,
-           int8_t *codes)
+round_trip(const double *v, int64_t count, double by, const int scaled, double scale, double inv,
+           double qmax, double *out, int8_t *codes)
 {
     if (out && inv != 0.0)
-        round_trip_at(v, count, scale, inv, qmax, out, NULL);
+        round_trip_at(v, count, by, scaled, scale, inv, qmax, out, NULL);
     else if (out)
-        round_trip_at(v, count, scale, 0.0, qmax, out, NULL);
+        round_trip_at(v, count, by, scaled, scale, 0.0, qmax, out, NULL);
     else if (inv != 0.0)
-        round_trip_at(v, count, scale, inv, qmax, NULL, codes);
+        round_trip_at(v, count, by, scaled, scale, inv, qmax, NULL, codes);
     else
-        round_trip_at(v, count, scale, 0.0, qmax, NULL, codes);
+        round_trip_at(v, count, by, scaled, scale, 0.0, qmax, NULL, codes);
+}
+
+/* Where each row of x starts and its scalar lies, from layout: row r = (i0 *
+ * d1 + i1) * d2 + i2 starts at i0 * layout[2] + i1 * layout[3] + i2 *
+ * layout[4] values into x, its scalar at i0 * layout[5] + i1 * layout[6] +
+ * i2 * layout[7]; layout[0] = d1, layout[1] = d2.  Into at (rows x 2),
+ * walked without a divide. */
+static void row_offsets(const int64_t *layout, int64_t rows, int64_t *at)
+{
+    const int64_t d1 = layout[0], d2 = layout[1];
+    for (int64_t r = 0, i0 = 0; r < rows; i0++)
+        for (int64_t i1 = 0; i1 < d1; i1++)
+            for (int64_t i2 = 0; i2 < d2 && r < rows; i2++, r++) {
+                at[2 * r] = i0 * layout[2] + i1 * layout[3] + i2 * layout[4];
+                at[2 * r + 1] = i0 * layout[5] + i1 * layout[6] + i2 * layout[7];
+            }
+}
+
+/* One row's scales (into s), 0 when a group declines. */
+static inline __attribute__((always_inline)) int
+row_scales(const double *row, double by, const int scaled, int64_t full, int64_t tail,
+           const int64_t glen, double clip, double qmax, int32_t pot, double *s)
+{
+    int finite = 1;
+    for (int64_t k = 0; k < full; k++)
+        s[k] = run_scale(row + k * glen, glen, by, scaled, clip, qmax, pot);
+    if (tail)
+        s[full] = run_scale(row + full * glen, tail, by, scaled, clip, qmax, pot);
+    for (int64_t k = 0; k < full + (tail > 0); k++)
+        finite &= s[k] != 0.0;
+    return finite;
+}
+
+/* One row's round trip at its scales s into out or codes (row r of them). */
+static inline __attribute__((always_inline)) void
+row_trip(const double *row, double by, const int scaled, int64_t r, int64_t len, int64_t full,
+         int64_t tail, const int64_t glen, double qmax, int32_t pot, const double *s, double *out,
+         int8_t *codes)
+{
+    for (int64_t k = 0; k < full + (tail > 0); k++) {
+        const int64_t to = r * len + k * glen;
+        const double inv = pot ? pot_inverse(s[k]) : 0.0;
+        if (k < full)
+            round_trip(row + k * glen, glen, by, scaled, s[k], inv, qmax, out ? out + to : NULL,
+                       out ? NULL : codes + to);
+        else
+            round_trip(row + k * glen, tail, by, scaled, s[k], inv, qmax, out ? out + to : NULL,
+                       out ? NULL : codes + to);
+    }
 }
 
 /* Both passes over rows of len values, full groups of glen then a short tail
  * group; inlined into quantize_groups with glen a constant where it is the
- * default group length.  Every scale is taken before the first write: a
- * decline leaves an x that is also out as it was. */
+ * default group length.  In place (out is x), every scale is taken before
+ * the first write, so a decline leaves x as it was; otherwise a row's round
+ * trip follows its scales while it is in cache, and a decline leaves out
+ * partly written (the numpy reference then writes all of it).  out and codes
+ * are C-contiguous (rows, len). */
 static inline __attribute__((always_inline)) int
-quantize_rows_at(const double *x, int64_t rows, int64_t len, const int64_t glen, double clip,
-                 double qmax, int32_t pot, double *out, int8_t *codes, double *scales)
+quantize_rows_at(const double *x, const int64_t *at, const double *scalar, const int scaled,
+                 int64_t rows, int64_t len, const int64_t glen, double clip, double qmax,
+                 int32_t pot, double *out, int8_t *codes, double *scales)
 {
     const int64_t full = len / glen, tail = len - full * glen, groups = full + (tail > 0);
+    const int in_place = out == x;
     int finite = 1;
     for (int64_t r = 0; r < rows; r++) {
-        const double *row = x + r * len;
+        const double *row = x + (at ? at[2 * r] : r * len);
+        const double by = scaled ? scalar[at[2 * r + 1]] : 1.0;
         double *s = scales + r * groups;
-        for (int64_t k = 0; k < full; k++)
-            s[k] = run_scale(row + k * glen, glen, clip, qmax, pot);
-        if (tail)
-            s[full] = run_scale(row + full * glen, tail, clip, qmax, pot);
-        for (int64_t k = 0; k < groups; k++)
-            finite &= s[k] != 0.0;
+        finite &= row_scales(row, by, scaled, full, tail, glen, clip, qmax, pot, s);
+        if (!finite)
+            return QUANT_DECLINED;
+        if (!in_place)
+            row_trip(row, by, scaled, r, len, full, tail, glen, qmax, pot, s, out, codes);
     }
-    if (!finite)
-        return QUANT_DECLINED;
-    for (int64_t r = 0; r < rows; r++) {
-        const double *s = scales + r * groups;
-        for (int64_t k = 0; k < groups; k++) {
-            const int64_t at = r * len + k * glen;
-            const double inv = pot ? pot_inverse(s[k]) : 0.0;
-            if (k < full)
-                round_trip(x + at, glen, s[k], inv, qmax, out ? out + at : NULL,
-                           out ? NULL : codes + at);
-            else
-                round_trip(x + at, tail, s[k], inv, qmax, out ? out + at : NULL,
-                           out ? NULL : codes + at);
-        }
-    }
+    for (int64_t r = 0; in_place && r < rows; r++)
+        row_trip(x + r * len, 1.0, 0, r, len, full, tail, glen, qmax, pot, scales + r * groups,
+                 out, codes);
     return QUANT_DONE;
 }
 
 /* rows runs of len values from x, each in groups of glen (a short last group
- * reads as zero-padded: padding moves no group absmax), through the symmetric
- * quantizer of bits with clip ratio clip, its scale snapped up to a power of
- * two when pot.  Writes every group's scale into scales (rows, groups; NULL:
- * scratch), then the fake-quantized values into out (which may be x) or,
- * when out is NULL, the codes into codes (bits <= 8), and returns QUANT_DONE;
- * or returns QUANT_DECLINED -- a group with a non-finite value, or a
- * power-of-two scale past 2**MAX_EXPONENT -- before writing out or codes, and
+ * reads as zero-padded: padding moves no group absmax), each value times its
+ * row's scalar when scalar is not NULL -- the product formed where it is
+ * used and stored nowhere -- through the symmetric quantizer of bits with
+ * clip ratio clip, its scale snapped up to a power of two when pot.  x's
+ * rows lie as layout says (row_offsets; NULL: C-contiguous, and no scalar).
+ * Writes every group's scale into scales (rows, groups; NULL: scratch), then
+ * the fake-quantized values into out (which may be x when layout is NULL)
+ * or, when out is NULL, the codes into codes (bits <= 8), both (rows, len),
+ * and returns QUANT_DONE; or returns QUANT_DECLINED -- a group with a
+ * non-finite value or product, or a power-of-two scale past
+ * 2**MAX_EXPONENT -- with x as it was, out or codes partly written, and
  * numpy runs the call; or NO_MEMORY. */
 int quantize_groups(const double *x, int64_t rows, int64_t len, int64_t glen, double clip,
-                    int32_t bits, int32_t pot, double *out, int8_t *codes, double *scales)
+                    int32_t bits, int32_t pot, double *out, int8_t *codes, double *scales,
+                    const int64_t *layout, const double *scalar)
 {
+    if (scalar && !layout)
+        return QUANT_DECLINED;
     const int64_t groups = (len + glen - 1) / glen;
     const double qmax = (double)((INT64_C(1) << (bits - 1)) - 1);
     double *scratch = scales ? NULL : malloc((size_t)(rows * groups) * sizeof *scratch);
-    if (!scales && !scratch)
+    int64_t *at = layout ? malloc((size_t)(2 * rows) * sizeof *at) : NULL;
+    if ((!scales && !scratch) || (layout && !at)) {
+        free(scratch), free(at);
         return NO_MEMORY;
-    const int status =
-        glen == DEFAULT_GLEN
-            ? quantize_rows_at(x, rows, len, DEFAULT_GLEN, clip, qmax, pot, out, codes,
-                               scales ? scales : scratch)
-            : quantize_rows_at(x, rows, len, glen, clip, qmax, pot, out, codes,
-                               scales ? scales : scratch);
-    free(scratch);
+    }
+    if (layout)
+        row_offsets(layout, rows, at);
+    double *s = scales ? scales : scratch;
+    int status;
+    if (scalar && glen == DEFAULT_GLEN)
+        status = quantize_rows_at(x, at, scalar, 1, rows, len, DEFAULT_GLEN, clip, qmax, pot, out,
+                                  codes, s);
+    else if (scalar)
+        status = quantize_rows_at(x, at, scalar, 1, rows, len, glen, clip, qmax, pot, out, codes,
+                                  s);
+    else if (glen == DEFAULT_GLEN)
+        status = quantize_rows_at(x, at, NULL, 0, rows, len, DEFAULT_GLEN, clip, qmax, pot, out,
+                                  codes, s);
+    else
+        status = quantize_rows_at(x, at, NULL, 0, rows, len, glen, clip, qmax, pot, out, codes, s);
+    free(scratch), free(at);
     return status;
 }
 
@@ -1011,23 +1093,240 @@ int quantize_groups(const double *x, int64_t rows, int64_t len, int64_t glen, do
  * The non-linear unit: sigmoid and SiLU
  * ------------------------------------------------------------------------ */
 
+/* The sigmoid g = 1 / (1 + exp(-v)) -- libm's exp. */
+static inline double sigmoid_value(double v)
+{
+    return 1.0 / (1.0 + exp(-v));
+}
+
+/* SiLU, v * g.  Where v is a NaN, so is g, and a product of two NaNs is
+ * either one by how it is compiled (numpy's vector tail gives the second's):
+ * SiLU gives v's NaN, quieted, as v + v, here and in the reference. */
+static inline double silu_value(double v)
+{
+    const double g = sigmoid_value(v);
+    return isnan(v) ? v + v : v * g;
+}
+
 /* rows runs of cols values, x's rows x_stride values apart and out's
- * out_stride apart, each value v through g = 1 / (1 + exp(-v)) -- libm's exp
- * -- into out as g when gate_only, else as v * g (SiLU).  out may be x.
- * Where v is a NaN, so is g, and a product of two NaNs is either one by how
- * it is compiled (numpy's vector tail gives the second's): SiLU gives v's
- * NaN, quieted, as v + v, here and in the reference.  The sizes are C ints: the
- * wrapper passes them without argtypes, which cost a conversion object per
- * argument per call. */
+ * out_stride apart, each value v through sigmoid_value into out as g when
+ * gate_only, else through silu_value.  out may be x.  The sizes are C ints:
+ * the wrapper passes them without argtypes, which cost a conversion object
+ * per argument per call. */
 void silu(const double *x, int32_t rows, int32_t cols, int32_t x_stride, int32_t gate_only,
           double *out, int32_t out_stride)
 {
     for (int64_t r = 0; r < rows; r++) {
         const double *v = x + r * (int64_t)x_stride;
         double *o = out + r * (int64_t)out_stride;
-        for (int64_t j = 0; j < cols; j++) {
-            const double g = 1.0 / (1.0 + exp(-v[j]));
-            o[j] = gate_only ? g : isnan(v[j]) ? v[j] + v[j] : v[j] * g;
+        for (int64_t j = 0; j < cols; j++)
+            o[j] = gate_only ? sigmoid_value(v[j]) : silu_value(v[j]);
+    }
+}
+
+/* ------------------------------------------------------------------------
+ * The conv: causal depthwise taps, bias and SiLU, prefill and decode
+ * ------------------------------------------------------------------------ */
+#define QUIET_NAN UINT64_C(0x7ff8000000000000) /* np.nan */
+
+/* A NaN tap sum's value.  Which of two NaN operands an add or a multiply
+ * passes on is the compiler's choice, so the rule names one: the first NaN
+ * among the taps in tap order -- a tap's window value before its weight --
+ * then the bias, quieted as v + v; np.nan when no operand is a NaN (inf * 0,
+ * inf - inf). */
+static double conv_nan(const double *const *src, const double *taps, int64_t channels,
+                       int32_t k, int64_t c, double bias)
+{
+    for (int32_t j = 0; j < k; j++) {
+        const double v = src[j][c], w = taps[j * channels + c];
+        if (isnan(v))
+            return v + v;
+        if (isnan(w))
+            return w + w;
+    }
+    if (isnan(bias))
+        return bias + bias;
+    double nan;
+    const uint64_t bits = QUIET_NAN;
+    memcpy(&nan, &bits, sizeof nan);
+    return nan;
+}
+
+/* One token's channels: the taps summed into o, in tap order or paired
+ * (odd: scratch for the odd taps' sum); k a constant where it is 4. */
+static inline __attribute__((always_inline)) void
+conv_taps(const double *const *src, const double *restrict taps, int64_t channels, const int32_t k,
+          int32_t paired, double *restrict o, double *restrict odd)
+{
+    const double *s0 = src[0], *w0 = taps;
+    if (k == 4 && !paired) {
+        const double *s1 = src[1], *s2 = src[2], *s3 = src[3];
+        const double *w1 = taps + channels, *w2 = w1 + channels, *w3 = w2 + channels;
+        DISJOINT for (int64_t c = 0; c < channels; c++)
+            o[c] = ((s0[c] * w0[c] + s1[c] * w1[c]) + s2[c] * w2[c]) + s3[c] * w3[c];
+        return;
+    }
+    const int32_t step = paired ? 2 : 1;
+    DISJOINT for (int64_t c = 0; c < channels; c++)
+        o[c] = s0[c] * w0[c];
+    for (int32_t j = step; j < k; j += step) {
+        const double *s = src[j], *w = taps + j * channels;
+        DISJOINT for (int64_t c = 0; c < channels; c++)
+            o[c] = o[c] + s[c] * w[c];
+    }
+    if (!paired || k < 2)
+        return;
+    DISJOINT for (int64_t c = 0; c < channels; c++)
+        odd[c] = src[1][c] * taps[channels + c];
+    for (int32_t j = 3; j < k; j += 2) {
+        const double *s = src[j], *w = taps + j * channels;
+        DISJOINT for (int64_t c = 0; c < channels; c++)
+            odd[c] = odd[c] + s[c] * w[c];
+    }
+    DISJOINT for (int64_t c = 0; c < channels; c++)
+        o[c] = o[c] + odd[c];
+}
+
+/* rows sequences of len tokens of channels values through the causal
+ * depthwise conv of k taps -- x's sequences x_seq values apart, its tokens
+ * x_tok apart, a token's channels contiguous -- after the k - 1 samples
+ * before token 0, the last k - 1 of window's (rows, channels, k) as the step
+ * keeps it (NULL: zeros).  weight is (channels, k), tap k - 1 on the current
+ * token.  Each output is the taps summed in tap order, ((v0 w0 + v1 w1) +
+ * v2 w2) + v3 w3, or, paired, the even taps' sum plus the odd taps' sum,
+ * (v0 w0 + v2 w2) + (v1 w1 + v3 w3); then plus the bias (a NaN by conv_nan);
+ * then, when activation, through silu_value; into out, (rows, len,
+ * channels), written once.  window_out, when not NULL, gets each sequence's
+ * last k samples in window's layout (the decode step: len 1, paired).
+ * NO_MEMORY when scratch allocation fails, else 0.  The sizes are C ints, as
+ * silu's. */
+int conv(const double *x, int32_t rows, int32_t len, int32_t channels, int32_t x_seq,
+         int32_t x_tok, const double *window, const double *weight, const double *bias,
+         int32_t k, int32_t paired, int32_t activation, double *out, double *window_out)
+{
+    const int64_t C = channels;
+    /* The taps channel-minor, then k - 1 context rows, then the odd sums. */
+    double *taps = malloc((size_t)((2 * k) * C + 1) * sizeof *taps);
+    const double **src = malloc((size_t)k * sizeof *src);
+    if (!taps || !src) {
+        free(taps), free(src);
+        return NO_MEMORY;
+    }
+    double *context = taps + k * C, *odd = context + (k - 1) * C;
+    for (int64_t c = 0; c < C; c++)
+        for (int32_t j = 0; j < k; j++)
+            taps[j * C + c] = weight[c * k + j];
+    for (int64_t r = 0; r < rows; r++) {
+        const double *xs = x + r * (int64_t)x_seq;
+        const double *w_in = window ? window + r * C * k : NULL;
+        for (int32_t i = 0; i + 1 < k; i++)
+            for (int64_t c = 0; c < C; c++)
+                context[i * C + c] = w_in ? w_in[c * k + 1 + i] : 0.0;
+        for (int64_t t = 0; t < len; t++) {
+            for (int32_t j = 0; j < k; j++) {
+                const int64_t at = t - (k - 1) + j; /* the token tap j reads */
+                src[j] = at >= 0 ? xs + at * x_tok : context + (k - 1 + at) * C;
+            }
+            double *o = out + (r * len + t) * C;
+            if (k == 4)
+                conv_taps(src, taps, C, 4, paired, o, odd);
+            else
+                conv_taps(src, taps, C, k, paired, o, odd);
+            for (int64_t c = 0; c < C; c++) {
+                double v = o[c] + bias[c];
+                if (isnan(v))
+                    v = conv_nan(src, taps, C, k, c, bias[c]);
+                o[c] = activation ? silu_value(v) : v;
+            }
         }
+        if (window_out)
+            for (int64_t c = 0; c < C; c++)
+                for (int32_t j = 0; j < k; j++) {
+                    const int64_t at = len - k + j; /* the sample window slot j holds */
+                    window_out[(r * C + c) * k + j] =
+                        at >= 0 ? xs[at * x_tok + c] : w_in ? w_in[c * k + k + at] : 0.0;
+                }
+    }
+    free(taps), free(src);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * The chunk scan's element-wise stages (QuantizedSSMStep._chunk_body)
+ * ------------------------------------------------------------------------
+ * Each a pass over a chunk's mats head matrices (rows x heads) of q tokens,
+ * between the BLAS contractions and numpy's exp, which stay numpy's: they fix
+ * the summation order and the exp.  Every value is the one its numpy
+ * statements compute, operation for operation in their order; a NaN operand
+ * passes through as that arithmetic carries it (one NaN source, such as a
+ * poisoned state, lands on the reference's bytes).  The sizes are C ints. */
+
+/* decay[m, t, s] = np.minimum(lc[m, t] - lc[m, s], 0.0): the NaN kept, a
+ * zero difference +0.0 (numpy's minimum gives the second operand of a tie). */
+void scan_decay(const double *lc, int32_t mats, int32_t q, double *decay)
+{
+    for (int64_t m = 0; m < mats; m++) {
+        const double *l = lc + m * q;
+        for (int64_t t = 0; t < q; t++) {
+            double *restrict d = decay + (m * q + t) * q;
+            for (int64_t s = 0; s < q; s++) {
+                const double v = l[t] - l[s];
+                d[s] = v < 0.0 || isnan(v) ? v : 0.0;
+            }
+        }
+    }
+}
+
+/* gate[m, t, s] = (gate * decay) * causal, causal[t, s] 1.0 on and below the
+ * diagonal, 0.0 above. */
+void scan_gate(double *gate, const double *decay, int32_t mats, int32_t q)
+{
+    for (int64_t m = 0; m < mats; m++)
+        for (int64_t t = 0; t < q; t++) {
+            double *restrict g = gate + (m * q + t) * q;
+            const double *restrict d = decay + (m * q + t) * q;
+            DISJOINT for (int64_t s = 0; s < q; s++)
+                g[s] = (g[s] * d[s]) * (s <= t ? 1.0 : 0.0);
+        }
+}
+
+/* The chunk's output and the hand-off's weighted inputs, over m = (row,
+ * head) of rows x heads, token t, channel j of p:
+ * y[row, t, head, j] = skip[m, t, j] + (out[m, t, j] + exp_l[m, t] * readout[m, j, t]),
+ * y's rows y_row values apart and its tokens y_tok (token-major, as the
+ * caller's output holds them); work[m, t, j] = carry[m, t] * xq[m, t, j]. */
+void scan_out(const double *skip, const double *out, const double *exp_l, const double *readout,
+              const double *carry, const double *xq, int32_t rows, int32_t heads, int32_t q,
+              int32_t p, double *y, int32_t y_row, int32_t y_tok, double *work)
+{
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t h = 0; h < heads; h++) {
+            const int64_t m = r * heads + h;
+            const double *rd = readout + m * p * q;
+            for (int64_t t = 0; t < q; t++) {
+                const int64_t at = (m * q + t) * p;
+                const double e = exp_l[m * q + t], c = carry[m * q + t];
+                double *restrict yt = y + r * (int64_t)y_row + t * y_tok + h * p;
+                double *restrict wt = work + at;
+                for (int64_t j = 0; j < p; j++)
+                    yt[j] = skip[at + j] + (out[at + j] + e * rd[j * q + t]);
+                DISJOINT for (int64_t j = 0; j < p; j++)
+                    wt[j] = c * xq[at + j];
+            }
+        }
+}
+
+/* handoff[m, i] = state[m, i] * exp_last[m] + handoff[m, i] over mats runs
+ * of size values: the carried state decayed across the chunk, plus the
+ * chunk's own contribution. */
+void scan_handoff(const double *state, const double *exp_last, int32_t mats, int32_t size,
+                  double *handoff)
+{
+    for (int64_t m = 0; m < mats; m++) {
+        const double e = exp_last[m];
+        const double *restrict s = state + m * size;
+        double *restrict h = handoff + m * size;
+        DISJOINT for (int64_t i = 0; i < size; i++)
+            h[i] = s[i] * e + h[i];
     }
 }

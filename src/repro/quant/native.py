@@ -1,6 +1,6 @@
 """The compiled units of the quantized datapath: find ``cc``, build, cache, load, self-test, report.
 
-``native.c`` beside this file is one library with four entries, each
+``native.c`` beside this file is one library with six entries, each
 checked against the code it stands in for:
 
 - ``step`` -- the whole integer SSM decode step of a batch, float ``x`` /
@@ -16,20 +16,30 @@ checked against the code it stands in for:
 - ``quantize`` -- the symmetric quantizer's round trip over groups of the
   trailing axis, to fake-quantized values (in place or not) or INT8 codes and
   scales (``repro.quant.quantizer._compiled_quantize``): the activation
-  quantizations of decode and prefill, prefill's staged tiles, the resident
-  state's codes, weight RTN.  Its reference and fallback is
+  quantizations of decode and prefill, prefill's staged tiles (read where
+  their rows lie) and its ``D (.) x`` / ``Delta (.) B`` products (a per-row
+  scalar, the product formed in the quantizer's pass), the resident state's
+  codes, weight RTN.  Its reference and fallback is
   ``repro.quant.quantizer._quantize_numpy``, the same contract in numpy;
 - ``silu`` -- the sigmoid ``1 / (1 + exp(-x))`` with libm's ``exp``, and
   SiLU ``x`` times it, over rows at a stride, in place or not
-  (``repro.mamba.ops._compiled_silu``): the conv's activation and the gated
-  norm's gate, decode and prefill.  Its reference and fallback is
-  ``repro.mamba.ops._silu_reference``, the same formula with ``math.exp``.
+  (``repro.mamba.ops._compiled_silu``): the gated norm's gate, decode and
+  prefill.  Its reference and fallback is
+  ``repro.mamba.ops._silu_reference``, the same formula with ``math.exp``;
+- ``conv`` -- the causal depthwise conv, prefill and decode step: taps in
+  their fixed order, bias and SiLU in one pass
+  (``repro.mamba.conv1d._compiled_conv``).  Its reference and fallback is
+  ``repro.mamba.conv1d._conv_reference``;
+- ``scan`` -- the chunk scan's element-wise stages between its BLAS
+  contractions and numpy's ``exp``: ``decay``, ``gate``, ``out`` and
+  ``handoff`` (``repro.quant.ssm_quant._compiled_scan_stages``).  Their
+  references and fallback are ``repro.quant.ssm_quant._SCAN_STAGES``.
 
 Each reference is the plain math with its entry's signature: nothing in it
 is tuned, since it runs only in the self-test, in the tests and where no
 library loads.  Every wrapper hands its buffers over through :func:`pointer`.
 
-:func:`kernel` returns the four behind those wrappers, or ``None`` -- the
+:func:`kernel` returns the six behind those wrappers, or ``None`` -- the
 references then run -- and :func:`status` says which and why.
 Nothing selects an executor but what this module observes, once per process:
 a C compiler on ``PATH``, a build that succeeds, a load-time self-test in
@@ -110,14 +120,13 @@ def _build(cc: str, target: Path) -> Optional[str]:
 def pointer(a: np.ndarray):
     """``a``'s first byte as a ctypes pointer argument, with or without ``argtypes``.
 
-    A ``c_char`` over a writable buffer costs about a third of
-    ``.ctypes.data`` (which builds a ctypes view); a read-only buffer takes
-    that address, wrapped so that no call narrows it to a C int.
+    A ``c_char`` over a writable C-contiguous buffer costs about a third of
+    ``.ctypes.data`` (which builds a ctypes view); a read-only or strided
+    array takes that address, wrapped so that no call narrows it to a C int.
     """
-    try:
+    if a.flags.writeable and a.flags.c_contiguous:
         return ctypes.byref(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):
-        return ctypes.c_void_p(a.ctypes.data)
+    return ctypes.c_void_p(a.ctypes.data)
 
 
 def _same_bytes(got, want) -> bool:
@@ -206,10 +215,38 @@ def _quantize_agrees(quantize) -> bool:
             found = quantize(x, config)
             if found is None or not _same_bytes(found, quantizer._quantize_numpy(x, config)):
                 return False
-    # 2-bit codes (qmax 1): a group absmax past 2**1023 is a scale past it.
+    # Rows where they lie and per-row scalars (the chunk scan's staging and
+    # its D (.) x / Delta (.) B products), PoT and not, full and ragged groups.
+    wide = rng.normal(size=(2, 3, 5, 52)) * 10.0 ** rng.integers(-3, 4, size=(2, 3, 5, 1))
+    for group, bits, pot in ((32, 8, True), (16, 4, False), (12, 8, True)):
+        config = quantizer.QuantizerConfig(IntSpec(bits), Granularity.PER_GROUP, group, 1.0, pot)
+        d = rng.normal(size=(3, 1))
+        delta = np.abs(rng.normal(size=(2, 3, 8)))[..., 2:7]
+        for values, scalar in ((np.swapaxes(wide, 1, 2)[..., 3:43], None),
+                               (wide[..., :40], d), (wide[:, :1, :, 5:45], delta)):
+            shape = values.shape if scalar is None else np.broadcast_shapes(
+                values.shape, scalar.shape + (1,))
+            want = quantizer._quantize_numpy(values, config, np.empty(shape), scalar)
+            got = np.empty(shape)
+            if quantize(values, config, got, scalar) is not got or got.tobytes() != want.tobytes():
+                return False
+    # Products that land within an ulp of a rounding boundary, where forming
+    # them in another order moves a code: 8-bit groups of (k + 0.5) / 127
+    # under a 1.0, the group maximum, non-PoT scales.
+    half = np.concatenate([np.ones((4, 1)), (rng.integers(0, 126, size=(4, 31)) + 0.5) / 127], 1)
+    by = np.array([1.4099536636507697, 0.5041077502552221, 1.7947683835248298, 1.1])
+    config = quantizer.QuantizerConfig(IntSpec(8), Granularity.PER_GROUP, 32)
+    want = quantizer._quantize_numpy(half, config, np.empty(half.shape), by)
+    got = np.empty(half.shape)
+    if quantize(half, config, got, by) is not got or got.tobytes() != want.tobytes():
+        return False
+    # 2-bit codes (qmax 1): a group absmax past 2**1023 is a scale past it;
+    # a non-finite scalar declines its product's groups.
     pot = quantizer.QuantizerConfig(IntSpec(2), Granularity.PER_GROUP, 16, pot_scale=True)
     poisoned, huge = x.copy(), x.copy()
     poisoned[2, 20], huge[2, 20] = np.nan, 1.5e308
+    if quantize(x, pot, np.empty(x.shape), np.array([1.0, np.inf, 1.0])) is not None:
+        return False
     return all(quantize(bad.copy(), pot, np.empty(x.shape)) is None for bad in (poisoned, huge))
 
 
@@ -243,6 +280,82 @@ def _silu_agrees(silu) -> bool:
     return True
 
 
+def _nan(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _conv_agrees(conv) -> bool:
+    """The compiled conv against its numpy reference, prefill and decode:
+    kernels of 4, 3 and 1 taps, one sequence and a batch, a strided input,
+    a zero and a warm window, a segment shorter than the kernel's reach, no
+    activation; and the NaN rule -- NaN payloads of both signs in the input,
+    the window, a weight and the bias, and the NaN an ``inf - inf`` or
+    ``inf * 0`` makes."""
+    from repro.mamba import conv1d
+
+    rng = np.random.default_rng(5)
+    for k, lead, seq_len, warm, activation in ((4, (), 9, False, True), (4, (3,), 2, True, True),
+                                               (3, (2,), 6, True, False), (1, (), 3, True, True)):
+        channels = 24
+        weight, bias = rng.normal(size=(channels, k)), rng.normal(size=channels)
+        x = rng.normal(size=lead + (seq_len, channels + 7))[..., 2 : 2 + channels]
+        window = rng.normal(size=lead + (channels, k))
+        x_t, weight_nan, bias_nan = x[..., 0, :].copy(), weight.copy(), bias.copy()
+        x[..., 0, 1], x[..., -1, 2] = _nan(0x7FF8000000000123), _nan(0xFFF8000000000456)
+        x[..., 0, 3], window[..., 3, -1] = np.inf, -np.inf                # inf - inf
+        x[..., -1, 4], weight[4, -1] = np.inf, 0.0                        # inf * 0
+        window[..., 5, -1], weight_nan[5, 0] = _nan(0x7FF800000000BEEF), _nan(0xFFF8000000000001)
+        bias_nan[6] = _nan(0xFFF8000000000777)
+        x_t[..., 1], x_t[..., 3] = _nan(0xFFF80000000000AB), np.inf
+        for w, b in ((weight, bias), (weight_nan, bias_nan)):
+            cases = [(x, window if warm else None, False), (x_t, window, True)]
+            for values, held, step in cases:
+                want = conv1d._conv_reference(values, held, w, b, activation, step)
+                got = conv(values, held, w, b, activation, step)
+                if not _same_bytes(got if step else (got,), want if step else (want,)):
+                    return False
+    return True
+
+
+def _scan_agrees(scan) -> bool:
+    """The compiled chunk-scan stages against their numpy references: a batch
+    of two, three heads, a ragged chunk, a difference of zero and a NaN in
+    the decay chain, a poisoned state and readout."""
+    from repro.quant import ssm_quant
+
+    rng = np.random.default_rng(6)
+    ref = ssm_quant._SCAN_STAGES
+    lead, heads, q_len, dim, n = (2,), 3, 5, 4, 6
+    per_head = lead + (heads, q_len)
+    lc = np.cumsum(-np.abs(rng.normal(size=per_head)), axis=-1)
+    lc[0, 0, 1:3], lc[1, 2, 4] = lc[0, 0, 0], np.nan
+    got, want = np.empty(per_head + (q_len,)), np.empty(per_head + (q_len,))
+    scan.decay(lc, got)
+    ref.decay(lc, want)
+    gate = rng.normal(size=per_head + (q_len,))
+    decay = np.exp(want)
+    gates = [gate.copy(), gate.copy()]
+    scan.gate(gates[0], decay)
+    ref.gate(gates[1], decay)
+    skip, out, xq = (rng.normal(size=per_head + (dim,)) for _ in range(3))
+    readout = rng.normal(size=lead + (heads, dim, q_len))
+    readout[1, 0, 2, 3] = np.nan
+    exp_l, carry = np.exp(rng.normal(size=per_head)), np.exp(rng.normal(size=per_head))
+    ys = [np.empty(lead + (q_len + 2, heads, dim))[:, 1:-1] for _ in range(2)]
+    works = [np.empty(per_head + (dim,)) for _ in range(2)]
+    scan.out(skip, out.copy(), exp_l, readout, carry, xq, ys[0], works[0])
+    ref.out(skip, out.copy(), exp_l, readout, carry, xq, ys[1], works[1])
+    state = rng.normal(size=lead + (heads, dim, n))
+    state[0, 1, 2, 3] = np.nan
+    handoff = rng.normal(size=state.shape)
+    handoffs = [handoff.copy(), handoff.copy()]
+    exp_last = np.exp(rng.normal(size=lead + (heads,)))
+    scan.handoff(state, exp_last, handoffs[0])
+    ref.handoff(state, exp_last, handoffs[1])
+    return _same_bytes((got, gates[0], ys[0], works[0], handoffs[0]),
+                       (want, gates[1], ys[1], works[1], handoffs[1]))
+
+
 @functools.lru_cache(maxsize=None)
 def _load() -> Tuple[Optional[SimpleNamespace], str]:
     """``(entries or None, status)``, decided once per process."""
@@ -256,7 +369,7 @@ def _load() -> Tuple[Optional[SimpleNamespace], str]:
             return None, f"numpy: build failed: {error}"
         library = ctypes.CDLL(str(target))
         # The wrappers' modules read kernel() at call time: imported here, not at the top.
-        from repro.mamba import ops
+        from repro.mamba import conv1d, ops
         from repro.quant import hadamard, quantizer, ssm_quant
 
         entries = SimpleNamespace(
@@ -264,20 +377,23 @@ def _load() -> Tuple[Optional[SimpleNamespace], str]:
             fwht=hadamard._compiled_fwht(library.fwht),
             quantize=quantizer._compiled_quantize(library.quantize_groups),
             silu=ops._compiled_silu(library.silu),
+            conv=conv1d._compiled_conv(library.conv),
+            scan=ssm_quant._compiled_scan_stages(library),
         )
     except (OSError, AttributeError) as exc:
         return None, f"numpy: {exc}"
     _self_test.running = True  # the references call kernel(): they run on numpy
     try:
         agree = (_step_agrees(entries.step) and _fwht_agrees(entries.fwht)
-                 and _quantize_agrees(entries.quantize) and _silu_agrees(entries.silu))
+                 and _quantize_agrees(entries.quantize) and _silu_agrees(entries.silu)
+                 and _conv_agrees(entries.conv) and _scan_agrees(entries.scan))
     finally:
         _self_test.running = False
     return (entries, "compiled") if agree else (None, "numpy: self-test mismatch")
 
 
 def kernel() -> Optional[SimpleNamespace]:
-    """The compiled ``step``, ``fwht``, ``quantize`` and ``silu``, or ``None``: references run."""
+    """The compiled ``step``, ``fwht``, ``quantize``, ``silu``, ``conv`` and ``scan``, or ``None``."""
     return None if getattr(_self_test, "running", False) else _load()[0]
 
 

@@ -29,6 +29,7 @@ nothing else selects between them, and the two give the same bytes.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -180,17 +181,24 @@ def quantize(x: np.ndarray, config: QuantizerConfig) -> QuantizedTensor:
     return QuantizedTensor(codes=codes, scales=scales, config=config, shape=x.shape)
 
 
-def _quantize_numpy(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None):
+def _quantize_numpy(
+    x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None,
+    scalar: Optional[np.ndarray] = None,
+):
     """The compiled quantizer's contract in numpy: its reference and fallback.
 
     ``clip(rint(x / s)) + 0.0`` with ``s`` from :func:`compute_scales`, on
     the group-reshaped ``x`` for per-group grids (a ragged last group is
-    zero-padded).  With ``out``, the fake-quantized values ``codes * s`` are
-    written into it (which may be ``x``) and ``out`` is returned; without,
-    ``(codes, scales)`` with codes shaped like ``x`` at their storage width
+    zero-padded).  With ``scalar``, ``x`` is first the product
+    ``scalar[..., None] * x`` (broadcast; formed in ``out`` when given).
+    With ``out``, the fake-quantized values ``codes * s`` are written into it
+    (which may be ``x``) and ``out`` is returned; without, ``(codes,
+    scales)`` with codes shaped like ``x`` at their storage width
     (:func:`~repro.quant.dtypes.code_storage_dtype`).  A non-finite value
     poisons its group: NaN values, and codes from the cast of NaN.
     """
+    if scalar is not None:
+        x = np.multiply(np.asarray(scalar, dtype=np.float64)[..., None], x, out=out)
     scales = compute_scales(x, config)
     spec = config.spec
     per_group = config.granularity is Granularity.PER_GROUP
@@ -218,17 +226,21 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     return values
 
 
-def _fake_quant_into(x: np.ndarray, config: QuantizerConfig, out: np.ndarray) -> np.ndarray:
+def _fake_quant_into(
+    x: np.ndarray, config: QuantizerConfig, out: np.ndarray, scalar: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Fake-quantize float64 ``x`` into the C-contiguous float64 ``out`` (which may be ``x``).
 
-    One call into the compiled quantizer (:func:`_compiled_quantize`) where
-    it runs and takes the call; :func:`_quantize_numpy`, its reference,
-    otherwise.
+    With ``scalar`` the quantized values are the products ``scalar[...,
+    None] * x`` (broadcast to ``out``): an element-wise product and its
+    re-quantization in one pass.  One call into the compiled quantizer
+    (:func:`_compiled_quantize`) where it runs and takes the call;
+    :func:`_quantize_numpy`, its reference, otherwise.
     """
     library = native.kernel()
-    if library is not None and library.quantize(x, config, out) is not None:
+    if library is not None and library.quantize(x, config, out, scalar) is not None:
         return out
-    return _quantize_numpy(x, config, out)
+    return _quantize_numpy(x, config, out, scalar)
 
 
 def quantize_dequantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
@@ -247,44 +259,96 @@ def quantize_dequantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
     return _fake_quant_into(x, config, np.empty(x.shape))
 
 
+def _broadcast_strides(a: np.ndarray, shape: tuple) -> Optional[tuple]:
+    """``a``'s strides broadcast to ``shape`` (0 along a broadcast axis), or ``None``."""
+    pad = len(shape) - a.ndim
+    if pad < 0 or any(n not in (1, m) for n, m in zip(a.shape, shape[pad:])):
+        return None
+    return (0,) * pad + tuple(0 if n == 1 else st for n, st in zip(a.shape, a.strides))
+
+
+def _row_layout(x: np.ndarray, scalar: Optional[np.ndarray], shape: tuple):
+    """``quantize_groups``' row layout of ``x`` (and ``scalar``) broadcast to ``shape``.
+
+    ``(layout, scalar)``: the rows of the trailing axis, at most three
+    leading axes, each at one stride in values -- a strided view such as a
+    chunk window of the in-projection's split, or a broadcast axis (stride
+    0); ``None`` when they do not lie so.
+    """
+    lead = shape[:-1]
+    if scalar is not None:
+        scalar = np.asarray(scalar, dtype=np.float64)
+    x_strides = _broadcast_strides(x, shape)
+    s_strides = (0,) * len(lead) if scalar is None else _broadcast_strides(scalar, lead)
+    if len(lead) > 3 or x_strides is None or s_strides is None:
+        return None
+    if shape[-1] > 1 and x_strides[-1] != 8:
+        return None
+    pad = (0,) * (3 - len(lead))
+    strides = pad + x_strides[:-1] + pad + s_strides
+    if any(v % 8 for v in strides):
+        return None
+    dims = (1,) * len(pad) + lead
+    return np.array((dims[1], dims[2], *(v // 8 for v in strides)), dtype=np.int64), scalar
+
+
 def _compiled_quantize(entry: Callable) -> Callable:
     """``native.c``'s ``quantize_groups`` behind :func:`_fake_quant_into` and :func:`quantize`.
 
     Every granularity is groups along the trailing axis: ``group_size``-long
     ones (the last may be short) per group, the whole trailing axis per token
     or channel, the whole tensor per tensor and for a 1-D ``x``.
-    ``quantize(x, config, out)`` fake-quantizes float64 ``x`` into the
-    C-contiguous float64 ``out`` (which may be ``x``; any other overlap
-    copies ``x``) and returns it; ``quantize(x, config)`` returns INT8 codes
-    shaped like ``x`` and the scales shaped as :func:`compute_scales` gives
-    them.  ``None`` leaves the call to numpy: the entry declined it before
-    writing (a group with a non-finite value, a power-of-two scale past
-    ``2**1023``), or it is outside the entry's contract (codes wider than 8
-    bits, an empty or 0-d ``x``, an ``out`` -- ``x`` itself included -- that is not a C-contiguous
-    float64 array shaped like ``x``).
+    ``quantize(x, config, out, scalar=None)`` fake-quantizes float64 ``x``
+    -- times ``scalar[..., None]`` when given, both broadcast to ``out`` --
+    into the C-contiguous float64 ``out`` (which may be ``x``) and returns
+    it.  Per group or token, a strided or broadcast ``x`` and the scalars go
+    in where they lie (:func:`_row_layout`); otherwise, or overlapping
+    ``out``, they are staged in ``out`` first.  ``quantize(x, config)``
+    returns INT8 codes shaped like ``x`` and the scales shaped as
+    :func:`compute_scales` gives them.  ``None`` leaves the call to numpy:
+    the entry declined it before writing (a group with a non-finite value or
+    product, a power-of-two scale past ``2**1023``), or it is outside the
+    entry's contract (codes wider than 8 bits, an empty or 0-d ``x``, an
+    ``out`` -- ``x`` itself included -- that is not a C-contiguous float64
+    array shaped like ``x``, or like ``x`` broadcast with the scalars).
     """
     entry.restype = ctypes.c_int
     entry.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3
-                      + [ctypes.c_double, ctypes.c_int32, ctypes.c_int32] + [ctypes.c_void_p] * 3)
+                      + [ctypes.c_double, ctypes.c_int32, ctypes.c_int32] + [ctypes.c_void_p] * 5)
 
-    def run(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None):
-        shape, bits, gran = x.shape, config.spec.bits, config.granularity
-        if not x.size or not shape or (out is None and bits > 8):
+    def run(x: np.ndarray, config: QuantizerConfig, out: Optional[np.ndarray] = None,
+            scalar: Optional[np.ndarray] = None):
+        shape = x.shape if out is None else out.shape
+        bits, gran = config.spec.bits, config.granularity
+        if not x.size or not x.shape or (out is None and bits > 8):
             return None
+        layout = None
         if out is not None:
-            if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            if out.dtype != np.float64 or not out.flags.c_contiguous:
                 return None
-            if out is not x and (x.dtype != np.float64 or not x.flags.c_contiguous
-                                 or np.may_share_memory(x, out)):
+            if scalar is None and out.shape != x.shape:
+                return None
+            if (out is not x and (scalar is not None or not x.flags.c_contiguous)
+                    and x.dtype == np.float64 and not np.may_share_memory(x, out)
+                    and gran is not Granularity.PER_TENSOR and len(shape) > 1):
+                layout = _row_layout(x, scalar, shape)
+            if layout is not None:
+                layout, scalar = layout
+            elif scalar is not None:  # the product staged in out, quantized in place
+                x = np.multiply(np.asarray(scalar, dtype=np.float64)[..., None], x, out=out)
+                scalar = None
+            elif out is not x and (x.dtype != np.float64 or not x.flags.c_contiguous
+                                   or np.may_share_memory(x, out)):
                 np.copyto(out, x)  # staged in out (a copy if they overlap), quantized in place
                 x = out
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        if layout is None:
+            x = np.ascontiguousarray(x, dtype=np.float64)
         last = shape[-1]
         if gran is Granularity.PER_GROUP:
             length, group = last, min(config.group_size, last)
             scales_shape = shape[:-1] + (-(-last // group), 1)
         elif gran is Granularity.PER_TENSOR or len(shape) == 1:
-            length = group = x.size
+            length = group = math.prod(shape)
             scales_shape = ()
         else:
             length = group = last
@@ -295,8 +359,10 @@ def _compiled_quantize(entry: Callable) -> Callable:
             outputs = (None, native.pointer(codes), native.pointer(scales))
         else:
             outputs = (x_at if out is x else native.pointer(out), None, None)
-        done = entry(x_at, x.size // length, length, group, config.clip_ratio, bits,
-                     config.pot_scale, *outputs)
+        rows = (None, None) if layout is None else (
+            native.pointer(layout), None if scalar is None else native.pointer(scalar))
+        done = entry(x_at, math.prod(shape) // length, length, group, config.clip_ratio, bits,
+                     config.pot_scale, *outputs, *rows)
         if done < 0:
             raise MemoryError("quantize_groups: scratch allocation failed")
         if done:

@@ -20,9 +20,10 @@ block:
   :func:`repro.mamba.ssm.ssd_chunked_scan`, with the quantization points
   kept at the same operator interfaces; like the decode step it is tiled and
   fused: the chunk is the tile, operands are staged per chunk through reused
-  head-major scratch, and every element-wise stage is one fused fake-quant
-  pass.  At chunk size 1 (``scan_impl="sequential"``) it is the decode step
-  itself, driven token by token.
+  head-major scratch, and between the BLAS contractions every element-wise
+  stage is one fused pass (compiled where the library loads).  At chunk size
+  1 (``scan_impl="sequential"``) it is the decode step itself, driven token
+  by token.
 
 One datapath: the state's type selects the arithmetic
 -----------------------------------------------------
@@ -123,8 +124,8 @@ from repro.mamba.config import Mamba2Config
 from repro.mamba.ops import softplus
 from repro.mamba.ssm import SSMParams, _scan_entry, ssm_decay, ssm_scan
 from repro.quant import native
-from repro.quant.dtypes import Granularity, IntSpec
-from repro.quant.pot import shift_accumulator_dtype
+from repro.quant.dtypes import Granularity, IntSpec, code_storage_dtype
+from repro.quant.pot import absmax_requant_exponents, shift_accumulator_dtype
 from repro.quant.quantizer import (
     QuantizerConfig,
     _fake_quant_into,
@@ -232,6 +233,107 @@ def _compiled_step(entry: Callable) -> Callable:  # integer-resident
     return step
 
 
+def _decay_reference(lc: np.ndarray, decay: np.ndarray) -> None:  # integer-resident
+    """``native.c``'s ``scan_decay``: ``decay = min(L_t - L_s, 0)`` per head, ``(..., Q, Q)``.
+
+    ``lc`` is the chunk's cumulative log decay ``(..., Q)``; ``L`` is
+    decreasing, so causal entries have a difference ``<= 0`` and the clamp
+    keeps the masked upper triangle's ``exp`` finite.
+    """
+    np.subtract(lc[..., :, None], lc[..., None, :], out=decay)
+    np.minimum(decay, 0.0, out=decay)
+
+
+def _gate_reference(gate: np.ndarray, decay: np.ndarray) -> None:  # integer-resident
+    """``native.c``'s ``scan_gate``: ``gate = (gate * decay) * causal``, ``decay`` exp'd.
+
+    The causal mask is 1 on and below the diagonal, 0 above.
+    """
+    np.multiply(gate, decay, out=gate)
+    np.multiply(gate, np.tri(gate.shape[-1], dtype=np.int8), out=gate)
+
+
+def _out_reference(  # integer-resident
+    skip: np.ndarray, out: np.ndarray, exp_l: np.ndarray, readout: np.ndarray,
+    carry: np.ndarray, xq: np.ndarray, y: np.ndarray, work: np.ndarray,
+) -> None:
+    """``native.c``'s ``scan_out``: the chunk's output and the hand-off's weighted inputs.
+
+    ``y`` -- the caller's token-major ``(..., Q, h, p)`` window -- gets
+    ``skip + (out + exp(L) * readout^T)`` from the head-major ``(..., h, Q,
+    p)`` skip term and intra-chunk output, ``exp_l`` ``(..., h, Q)`` and the
+    carried-state readout ``(..., h, p, Q)``; ``work`` gets ``carry * xq``,
+    the inputs weighted by their decay to the chunk's end.  ``out`` is
+    scratch afterwards.
+    """
+    np.multiply(exp_l[..., None], np.swapaxes(readout, -1, -2), out=work)
+    np.add(out, work, out=out)
+    np.add(skip, out, out=out)
+    y[...] = np.moveaxis(out, -3, -2)
+    np.multiply(carry[..., None], xq, out=work)
+
+
+def _handoff_reference(  # integer-resident
+    state: np.ndarray, exp_last: np.ndarray, handoff: np.ndarray
+) -> None:
+    """``native.c``'s ``scan_handoff``: ``handoff = state * exp(L_last) + handoff`` per head."""
+    np.add(state * exp_last[..., None, None], handoff, out=handoff)
+
+
+#: The chunk scan's element-wise stages in numpy: the compiled ones' references and fallback.
+_SCAN_STAGES = SimpleNamespace(
+    decay=_decay_reference, gate=_gate_reference, out=_out_reference, handoff=_handoff_reference
+)
+
+
+def _compiled_scan_stages(library) -> SimpleNamespace:  # integer-resident
+    """``native.c``'s ``scan_decay`` / ``scan_gate`` / ``scan_out`` / ``scan_handoff``.
+
+    Behind the references' signatures, for C-contiguous float64 tiles (and a
+    ``y`` window whose heads and channels are contiguous, as
+    :meth:`QuantizedSSMStep.prefill_scan` holds it); any other layout runs
+    the reference.  No ``argtypes``: the sizes are C ints (see
+    :func:`repro.mamba.ops._compiled_silu`).  Only the library's loader
+    calls this.
+    """
+    entries = (library.scan_decay, library.scan_gate, library.scan_out, library.scan_handoff)
+    for entry in entries:
+        entry.restype = None
+    at = native.pointer
+
+    def tiles(*arrays) -> bool:
+        return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+
+    def decay(lc, out):
+        if not tiles(lc, out):
+            return _decay_reference(lc, out)
+        q_len = lc.shape[-1]
+        library.scan_decay(at(lc), lc.size // q_len, q_len, at(out))
+
+    def gate(values, decay):
+        if not tiles(values, decay):
+            return _gate_reference(values, decay)
+        q_len = values.shape[-1]
+        library.scan_gate(at(values), at(decay), values.size // (q_len * q_len), q_len)
+
+    def epilogue(skip, out, exp_l, readout, carry, xq, y, work):
+        *lead, q_len, heads, dim = y.shape
+        if (len(lead) > 1 or not tiles(skip, out, exp_l, readout, carry, xq, work)
+                or y.strides[-2:] != (dim * 8, 8) or any(v % 8 for v in y.strides)):
+            return _out_reference(skip, out, exp_l, readout, carry, xq, y, work)
+        library.scan_out(at(skip), at(out), at(exp_l), at(readout), at(carry), at(xq),
+                         math.prod(lead), heads, q_len, dim, at(y),
+                         y.strides[0] // 8 if lead else 0, y.strides[-3] // 8, at(work))
+
+    def handoff(state, exp_last, into):
+        if not tiles(state, exp_last, into):
+            return _handoff_reference(state, exp_last, into)
+        library.scan_handoff(at(state), at(exp_last), exp_last.size,
+                             into.size // max(exp_last.size, 1), at(into))
+
+    return SimpleNamespace(decay=decay, gate=gate, out=epilogue, handoff=handoff)
+
+
 class QuantizedSSMStep:
     """The quantized SSM layer: the decode step and the prefill scan.
 
@@ -289,16 +391,28 @@ class QuantizedSSMStep:
         )
 
     def _stage(  # integer-resident
-        self, values: np.ndarray, out: Optional[np.ndarray] = None
+        self, values: np.ndarray, out: Optional[np.ndarray] = None,
+        scalar: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Fake-quantize float64 ``values`` on the configured grid, one fused round trip.
 
         Into ``out`` (which may be ``values``) when given, else into a new
-        array; returns the result.  No integer codes are materialized.
+        array; returns the result.  No integer codes are materialized.  With
+        ``scalar`` the values are the products ``scalar[..., None] *
+        values``, broadcast to ``out`` and formed in the same pass.
         """
         return _fake_quant_into(
-            values, self._qcfg, np.empty(values.shape) if out is None else out  # quant-point: fused
+            values, self._qcfg, np.empty(values.shape) if out is None else out, scalar  # quant-point: fused
         )
+
+    def _stage_product(  # integer-resident
+        self, scalar: np.ndarray, values: np.ndarray, out: np.ndarray
+    ) -> None:
+        """``out <- requant(scalar[..., None] * values)``, re-quantized when ``quantize_products``."""
+        if self.config.quantize_products:
+            self._stage(values, out, scalar)
+        else:
+            np.multiply(scalar[..., None], values, out=out)
 
     def _qp(self, x: np.ndarray) -> np.ndarray:
         """Re-quantize an element-wise product (if enabled)."""
@@ -348,16 +462,30 @@ class QuantizedSSMStep:
         codes too wide for an integer accumulator).  This is the one place
         the execution is chosen; :meth:`__call__` only follows the state.
 
-        An all-zero state quantizes to all-zero codes with the quantizer's
-        well-defined minimum scale (see :func:`repro.quant.quantizer.compute_scales`
-        and the all-zero-group handling of :func:`repro.quant.pot.pot_quantize_scale`),
-        so the zero cache decodes back to exact zeros.
+        The resident zero state is built as the quantizer would leave an
+        all-zero float state -- zero codes, every group at the grid of the
+        scale floor (:func:`repro.quant.pot.absmax_requant_exponents` of a
+        zero absmax; see :func:`repro.quant.quantizer.compute_scales` and
+        :func:`repro.quant.pot.pot_quantize_scale`) -- without making or
+        quantizing one, so it decodes back to exact zeros.
         """
-        # quant-point: float zeros (the conv taps stay float; the state is quantized below)
-        zeros = LayerCache.zeros(config, batch_size)
         if not self._resident:
-            return zeros
-        return QuantizedLayerCache(zeros.conv_state, self.quantize_state_codes(zeros.ssm_state))
+            return LayerCache.zeros(config, batch_size)  # quant-point: a float state
+        lead = () if batch_size is None else (batch_size,)
+        conv_state = np.zeros(lead + (config.conv_dim, config.d_conv))  # quant-point: float taps
+        return QuantizedLayerCache(conv_state, self._zero_state(config, lead))
+
+    def _zero_state(  # integer-resident
+        self, config: Mamba2Config, lead: Tuple[int, ...]
+    ) -> QuantizedSSMState:
+        """The resident all-zero state: zero codes, every group's exponent the scale floor's."""
+        bits, group_size = self.config.bits, self.config.group_size
+        groups = -(-config.d_state // max(1, min(group_size, config.d_state)))
+        floor = absmax_requant_exponents(0.0, bits).item()  # the grid of an all-zero group
+        per_head, int_codes = lead + (config.nheads,), code_storage_dtype(bits)
+        codes = np.zeros(per_head + (config.d_state, config.headdim), dtype=int_codes)
+        grids = np.full(per_head + (groups, config.headdim), floor, dtype=np.int8)
+        return QuantizedSSMState._stored(codes, grids, group_size, bits)
 
     def __call__(  # integer-resident
         self,
@@ -546,13 +674,19 @@ class QuantizedSSMStep:
         an operand chunk by chunk is bit-identical to quantizing the whole
         sequence (or each token alone).  The tile is kept head-major
         ``(nheads, chunk, .)``: the contractions then read and write
-        contiguous per-head matrices, and the output is transposed into the
-        caller's token-major layout once per chunk.  Every element-wise
-        stage is one fused round trip (:func:`repro.quant.quantizer._fake_quant_into`:
-        one call into the compiled quantizer where it runs), the products
-        ``D (.) x`` and ``Delta (.) B`` re-quantized in place: the float
-        chunk body reads no integer codes, so none are materialized -- only
-        the final resident state is quantized to codes.
+        contiguous per-head matrices, and the output epilogue writes the
+        caller's token-major layout directly.  Only the four contractions
+        (BLAS: their summation order) and the decay chain's ``exp`` (numpy's)
+        stay numpy passes; every other element-wise stage is one fused pass:
+        the operands staged by one quantizer call each, read where they lie
+        in the projection output, the products ``D (.) x`` and ``Delta (.)
+        B`` formed inside their re-quantization
+        (:func:`repro.quant.quantizer._fake_quant_into` with a per-row
+        scalar), and the decay, gate, output and hand-off stages
+        (:data:`_SCAN_STAGES`) -- each one call into the compiled library
+        where it loads.  The float chunk body reads no integer codes, so none
+        are materialized -- only the final resident state is quantized to
+        codes.
 
         Unlike :func:`repro.mamba.ssm.ssd_chunked_scan`, whose FP body
         contracts one head-independent ``C B^T`` matrix per chunk, every
@@ -597,8 +731,6 @@ class QuantizedSSMStep:
 
         y = np.empty(x.shape)  # quant-point: the float output the gated norm consumes
         chunk = min(chunk_size, seq_len)
-        # quant-point: the causal mask is a float constant, not a tensor operand
-        causal = np.tril(np.ones((chunk, chunk), dtype=np.float64))
         tile = self._chunk_scratch(chunk, *dims)
         for start in range(0, seq_len, chunk):
             window = slice(start, min(start + chunk, seq_len))
@@ -608,8 +740,7 @@ class QuantizedSSMStep:
                 # one, never beside it.
                 del tile
                 tile = self._chunk_scratch(q_len, *dims)
-            self._chunk_body(params, tile, state, x, B, C, delta, log_decay, causal, window)
-            y[..., window, :, :] = np.moveaxis(tile.out, -3, -2)
+            self._chunk_body(params, tile, state, x, B, C, delta, log_decay, window, y)
 
             # Hand-off / exit: the chunk-boundary state quantization is a
             # fused fake-quant between chunks, while the last chunk's state
@@ -628,29 +759,32 @@ class QuantizedSSMStep:
     # ------------------------------------------------------------------
     def _chunk_body(  # integer-resident
         self, params: SSMParams, tile: SimpleNamespace, state: np.ndarray, x: np.ndarray,
-        B: np.ndarray, C: np.ndarray, delta: np.ndarray, log_decay: np.ndarray,
-        causal: np.ndarray, window: slice,
+        B: np.ndarray, C: np.ndarray, delta: np.ndarray, log_decay: np.ndarray, window: slice,
+        y: np.ndarray,
     ) -> None:
-        """One chunk: its output into ``tile.out``, its final state into ``tile.handoff``.
+        """One chunk: its output into ``y[..., window, :, :]``, its final state into ``tile.handoff``.
 
         Stages the ``window`` tokens of the whole-prompt operands (``x`` /
-        ``B`` / ``C`` token-major, the decay chain ``delta`` / ``log_decay``
-        head-major ``(..., h, T)``) into the tile and contracts them with the
-        carried-in ``state`` under the full chunk's ``causal`` mask: the
-        output head-major ``(..., h, Q, p)``, the hand-off
-        ``exp(L_last) h_in + sum_q exp(L_last - L_q) x_q qdB_q^T`` per head
-        (``state`` is decayed in place on the way).
+        ``B`` / ``C`` token-major, read where they lie; the decay chain
+        ``delta`` / ``log_decay`` head-major ``(..., h, T)``) into the tile
+        and contracts them with the carried-in ``state``: the output
+        token-major into ``y``, the hand-off ``exp(L_last) h_in + sum_q
+        exp(L_last - L_q) x_q qdB_q^T`` per head.  Between the four BLAS
+        contractions and numpy's ``exp`` -- which fix the summation order and
+        the decay bits -- every element-wise stage is one pass: each
+        re-quantized product is formed in the quantizer's pass
+        (:meth:`_stage_product`), the rest are the scan stages
+        (:data:`_SCAN_STAGES`, compiled where the library loads).
         """
+        library = native.kernel()
+        stages = library.scan if library is not None else _SCAN_STAGES
         xq, bq, cq, db = tile.xq, tile.bq, tile.cq, tile.db
-        q_len = xq.shape[-2]
         # Operand quantization at the SSMU interfaces, on this chunk's tile.
         self._stage(np.moveaxis(x[..., window, :, :], -3, -2), xq)  # (..., h, Q, p)
         self._stage(B[..., window, :], bq)                  # (..., Q, n)
         self._stage(C[..., window, :], cq)                  # (..., Q, n)
         # D (.) x skip path, re-quantized exactly as the step's x_mul_d.
-        np.multiply(params.D[:, None, None], xq, out=tile.skip)
-        if self.config.quantize_products:
-            self._stage(tile.skip, tile.skip)
+        self._stage_product(params.D[:, None], xq, tile.skip)
         # Delta (.) B, re-quantized exactly as the step's delta_mul_b.
         self._stage_delta_b(delta[..., window], bq, db)
         lc = np.cumsum(log_decay[..., window], axis=-1)     # (..., h, Q)
@@ -658,28 +792,23 @@ class QuantizedSSMStep:
         # Dense decay-weighted interaction on the quantized operands:
         #   G[head, t, s] = exp(L_t - L_s) * (qC_t . qdB_s[head]), s <= t.
         # The d_state contraction runs on the MMU-style wide accumulator
-        # (the float64 matmul).  L is decreasing so causal entries have
-        # diff <= 0, and clamping keeps the masked upper triangle finite.
+        # (the float64 matmul).
         np.matmul(cq[..., None, :, :], np.swapaxes(db, -1, -2), out=tile.gate)
-        np.subtract(lc[..., :, None], lc[..., None, :], out=tile.decay)
-        np.minimum(tile.decay, 0.0, out=tile.decay)
+        stages.decay(lc, tile.decay)
         np.exp(tile.decay, out=tile.decay)
-        np.multiply(tile.gate, tile.decay, out=tile.gate)
-        np.multiply(tile.gate, causal[:q_len, :q_len], out=tile.gate)
+        stages.gate(tile.gate, tile.decay)
         np.matmul(tile.gate, xq, out=tile.out)              # (..., h, Q, p)
-        # Carried-in state readout (h_in . C per head, decayed to t).
+        # Carried-in state readout (h_in . C per head, decayed to t), the
+        # skip term and the output; the inputs weighted for the hand-off.
         np.matmul(state, np.swapaxes(cq, -1, -2)[..., None, :, :], out=tile.readout)
-        np.multiply(np.exp(lc)[..., None], np.swapaxes(tile.readout, -1, -2), out=tile.work)
-        np.add(tile.out, tile.work, out=tile.out)
-        np.add(tile.skip, tile.out, out=tile.out)
+        last = lc[..., -1]                                  # (..., h)
+        stages.out(tile.skip, tile.out, np.exp(lc), tile.readout, np.exp(last[..., None] - lc),
+                   xq, y[..., window, :, :], tile.work)
 
         # Chunk hand-off (the boundary quantization is the caller's).
-        last = lc[..., -1]                                  # (..., h)
-        np.multiply(np.exp(last[..., None] - lc)[..., None], xq, out=tile.work)
         wx = np.swapaxes(tile.work, -1, -2)                 # (..., h, p, Q)
         np.matmul(wx, db, out=tile.handoff)                 # (..., h, p, n)
-        np.multiply(state, np.exp(last)[..., None, None], out=state)
-        np.add(state, tile.handoff, out=tile.handoff)
+        stages.handoff(state, np.exp(last), tile.handoff)
 
     @staticmethod
     def _chunk_scratch(  # integer-resident
@@ -689,9 +818,9 @@ class QuantizedSSMStep:
 
         Registers of the chunk datapath, reused by every chunk of a scan:
         the staged operands (``xq``, ``bq``, ``cq``, ``db``), the ``D (.) x``
-        skip term, the interaction matrix and its decay mask, the chunk
-        output, the carried-state readout, the hand-off product and one
-        ``(h, Q, p)`` work tile.
+        skip term, the interaction matrix and its decay mask, the intra-chunk
+        output, the carried-state readout, the hand-off product and the
+        hand-off's weighted inputs (``work``).
         """
         per_head = lead + (nheads, q_len)
         shapes = {
@@ -716,15 +845,12 @@ class QuantizedSSMStep:
         """``out <- requant(Delta (.) qB)``, head-major ``(..., h, Q, n)``.
 
         ``delta`` is ``(..., h, Q)`` and ``bq`` the staged ``(..., Q, n)``
-        tile: the product, then one fused re-quantization in place.  Its
-        grids are the step's: ``Delta`` is a positive per-(head, token)
-        scalar and floating-point multiplication by it is monotone, so the
-        product's group absmax is ``Delta * max_j |b_j|``, the absmax the
-        step folds.
+        tile: the product and its re-quantization in one pass.  Its grids are
+        the step's: ``Delta`` is a positive per-(head, token) scalar and
+        floating-point multiplication by it is monotone, so the product's
+        group absmax is ``Delta * max_j |b_j|``, the absmax the step folds.
         """
-        np.multiply(delta[..., None], bq[..., None, :, :], out=out)
-        if self.config.quantize_products:
-            self._stage(out, out)
+        self._stage_product(delta, bq[..., None, :, :], out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
