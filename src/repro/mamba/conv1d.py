@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,17 +274,19 @@ def _compiled_conv(entry: Callable) -> Callable:
         new = np.empty(window.shape) if step else None
         if not out.size:
             return (out, new) if step else out
-        if channels > 1 and x.strides[-1] != 8 or any(s % 8 or s < 0 for s in x.strides):
+        if not x.flags.c_contiguous and (channels > 1 and x.strides[-1] != 8
+                                         or any(s % 8 or s < 0 for s in x.strides)):
             x = np.ascontiguousarray(x)
         if len(lead) > 1 or max(x.size * k, *x.strides) > _C_INT_MAX:
             return _conv_reference(x, window, weight, bias, activation, step)
+        held = [np.ascontiguousarray(a) for a in (weight, bias)]
         if window is not None:
-            window = np.ascontiguousarray(window, dtype=np.float64)
-        done = entry(pointer(x), math.prod(lead), 1 if step else x.shape[-2], channels,
+            held.append(np.ascontiguousarray(window, dtype=np.float64))
+        done = entry(pointer(x), lead[0] if lead else 1, 1 if step else x.shape[-2], channels,
                      x.strides[0] // 8 if lead else 0, 0 if step else x.strides[-2] // 8,
-                     None if window is None else pointer(window),
-                     pointer(np.ascontiguousarray(weight)), pointer(np.ascontiguousarray(bias)),
-                     k, step, activation, pointer(out), None if new is None else pointer(new))
+                     None if window is None else pointer(held[2]), pointer(held[0]),
+                     pointer(held[1]), k, step, activation, pointer(out),
+                     None if new is None else pointer(new))
         if done < 0:
             raise MemoryError("conv: scratch allocation failed")
         return (out, new) if step else out

@@ -963,20 +963,21 @@ round_trip(const double *v, int64_t count, double by, const int scaled, double s
         round_trip_at(v, count, by, scaled, scale, 0.0, qmax, NULL, codes);
 }
 
-/* Where each row of x starts and its scalar lies, from layout: row r = (i0 *
- * d1 + i1) * d2 + i2 starts at i0 * layout[2] + i1 * layout[3] + i2 *
- * layout[4] values into x, its scalar at i0 * layout[5] + i1 * layout[6] +
- * i2 * layout[7]; layout[0] = d1, layout[1] = d2.  Into at (rows x 2),
- * walked without a divide. */
+/* Where each row of x starts, where its scalar lies and where its output
+ * goes, in the order the rows are walked, from layout: walk step (i0, i1,
+ * i2), i2 fastest over layout[1] and i1 over layout[0], reads x at i0 *
+ * layout[2] + i1 * layout[3] + i2 * layout[4] values, its scalar at i0 *
+ * layout[5] + i1 * layout[6] + i2 * layout[7], and writes output row i0 *
+ * layout[8] + i1 * layout[9] + i2 * layout[10].  Into at (rows x 3). */
 static void row_offsets(const int64_t *layout, int64_t rows, int64_t *at)
 {
     const int64_t d1 = layout[0], d2 = layout[1];
     for (int64_t r = 0, i0 = 0; r < rows; i0++)
         for (int64_t i1 = 0; i1 < d1; i1++)
-            for (int64_t i2 = 0; i2 < d2 && r < rows; i2++, r++) {
-                at[2 * r] = i0 * layout[2] + i1 * layout[3] + i2 * layout[4];
-                at[2 * r + 1] = i0 * layout[5] + i1 * layout[6] + i2 * layout[7];
-            }
+            for (int64_t i2 = 0; i2 < d2 && r < rows; i2++, r++)
+                for (int64_t k = 0; k < 3; k++)
+                    at[3 * r + k] = i0 * layout[2 + 3 * k] + i1 * layout[3 + 3 * k]
+                                    + i2 * layout[4 + 3 * k];
 }
 
 /* One row's scales (into s), 0 when a group declines. */
@@ -1017,8 +1018,9 @@ row_trip(const double *row, double by, const int scaled, int64_t r, int64_t len,
  * default group length.  In place (out is x), every scale is taken before
  * the first write, so a decline leaves x as it was; otherwise a row's round
  * trip follows its scales while it is in cache, and a decline leaves out
- * partly written (the numpy reference then writes all of it).  out and codes
- * are C-contiguous (rows, len). */
+ * partly written (the numpy reference then writes all of it).  out, codes
+ * and scales are C-contiguous, row at[3 r + 2] of them the r-th walked
+ * (row_offsets; at NULL: row r). */
 static inline __attribute__((always_inline)) int
 quantize_rows_at(const double *x, const int64_t *at, const double *scalar, const int scaled,
                  int64_t rows, int64_t len, const int64_t glen, double clip, double qmax,
@@ -1026,16 +1028,15 @@ quantize_rows_at(const double *x, const int64_t *at, const double *scalar, const
 {
     const int64_t full = len / glen, tail = len - full * glen, groups = full + (tail > 0);
     const int in_place = out == x;
-    int finite = 1;
     for (int64_t r = 0; r < rows; r++) {
-        const double *row = x + (at ? at[2 * r] : r * len);
-        const double by = scaled ? scalar[at[2 * r + 1]] : 1.0;
-        double *s = scales + r * groups;
-        finite &= row_scales(row, by, scaled, full, tail, glen, clip, qmax, pot, s);
-        if (!finite)
+        const double *row = x + (at ? at[3 * r] : r * len);
+        const double by = scaled ? scalar[at[3 * r + 1]] : 1.0;
+        const int64_t to = at ? at[3 * r + 2] : r;
+        double *s = scales + to * groups;
+        if (!row_scales(row, by, scaled, full, tail, glen, clip, qmax, pot, s))
             return QUANT_DECLINED;
         if (!in_place)
-            row_trip(row, by, scaled, r, len, full, tail, glen, qmax, pot, s, out, codes);
+            row_trip(row, by, scaled, to, len, full, tail, glen, qmax, pot, s, out, codes);
     }
     for (int64_t r = 0; in_place && r < rows; r++)
         row_trip(x + r * len, 1.0, 0, r, len, full, tail, glen, qmax, pot, scales + r * groups,
@@ -1048,7 +1049,8 @@ quantize_rows_at(const double *x, const int64_t *at, const double *scalar, const
  * row's scalar when scalar is not NULL -- the product formed where it is
  * used and stored nowhere -- through the symmetric quantizer of bits with
  * clip ratio clip, its scale snapped up to a power of two when pot.  x's
- * rows lie as layout says (row_offsets; NULL: C-contiguous, and no scalar).
+ * rows lie, and are walked, as layout says (row_offsets; NULL: in order,
+ * C-contiguous, and no scalar).
  * Writes every group's scale into scales (rows, groups; NULL: scratch), then
  * the fake-quantized values into out (which may be x when layout is NULL)
  * or, when out is NULL, the codes into codes (bits <= 8), both (rows, len),
@@ -1065,7 +1067,7 @@ int quantize_groups(const double *x, int64_t rows, int64_t len, int64_t glen, do
     const int64_t groups = (len + glen - 1) / glen;
     const double qmax = (double)((INT64_C(1) << (bits - 1)) - 1);
     double *scratch = scales ? NULL : malloc((size_t)(rows * groups) * sizeof *scratch);
-    int64_t *at = layout ? malloc((size_t)(2 * rows) * sizeof *at) : NULL;
+    int64_t *at = layout ? malloc((size_t)(3 * rows) * sizeof *at) : NULL;
     if ((!scales && !scratch) || (layout && !at)) {
         free(scratch), free(at);
         return NO_MEMORY;
@@ -1129,20 +1131,18 @@ void silu(const double *x, int32_t rows, int32_t cols, int32_t x_stride, int32_t
  * ------------------------------------------------------------------------ */
 #define QUIET_NAN UINT64_C(0x7ff8000000000000) /* np.nan */
 
-/* A NaN tap sum's value.  Which of two NaN operands an add or a multiply
- * passes on is the compiler's choice, so the rule names one: the first NaN
- * among the taps in tap order -- a tap's window value before its weight --
- * then the bias, quieted as v + v; np.nan when no operand is a NaN (inf * 0,
- * inf - inf). */
-static double conv_nan(const double *const *src, const double *taps, int64_t channels,
-                       int32_t k, int64_t c, double bias)
+/* A NaN tap sum's value, from the k window values v and weights w of its
+ * channel.  Which of two NaN operands an add or a multiply passes on is the
+ * compiler's choice, so the rule names one: the first NaN among the taps in
+ * tap order -- a tap's window value before its weight -- then the bias,
+ * quieted as v + v; np.nan when no operand is a NaN (inf * 0, inf - inf). */
+static double conv_nan(const double *v, const double *w, int32_t k, double bias)
 {
     for (int32_t j = 0; j < k; j++) {
-        const double v = src[j][c], w = taps[j * channels + c];
-        if (isnan(v))
-            return v + v;
-        if (isnan(w))
-            return w + w;
+        if (isnan(v[j]))
+            return v[j] + v[j];
+        if (isnan(w[j]))
+            return w[j] + w[j];
     }
     if (isnan(bias))
         return bias + bias;
@@ -1152,39 +1152,97 @@ static double conv_nan(const double *const *src, const double *taps, int64_t cha
     return nan;
 }
 
-/* One token's channels: the taps summed into o, in tap order or paired
- * (odd: scratch for the odd taps' sum); k a constant where it is 4. */
+/* The taps of one channel summed in tap order or paired. */
+static inline double tap_sum(const double *v, const double *w, int32_t k, int32_t paired)
+{
+    const int32_t step = paired ? 2 : 1;
+    double sum = v[0] * w[0];
+    for (int32_t j = step; j < k; j += step)
+        sum = sum + v[j] * w[j];
+    if (!paired || k < 2)
+        return sum;
+    double odd = v[1] * w[1];
+    for (int32_t j = 3; j < k; j += 2)
+        odd = odd + v[j] * w[j];
+    return sum + odd;
+}
+
+/* The bias, the NaN rule and the activation of one output. */
+static inline double conv_finish(double sum, double bias, const double *v, const double *w,
+                                 int32_t k, int32_t activation)
+{
+    double value = sum + bias;
+    if (isnan(value))
+        value = conv_nan(v, w, k, bias);
+    return activation ? silu_value(value) : value;
+}
+
+/* One token per sequence (the decode step, or a one-token segment): each
+ * channel's k values -- the window's last k - 1 samples, then the token --
+ * and its weight row read where they lie; the values written to window_out
+ * when not NULL.  The sums first, across the channels (vector code where k
+ * is 4), then the bias, the NaN rule (v: scratch for a channel's values)
+ * and the activation. */
+static void conv_token(const double *restrict x, const double *restrict window,
+                       const double *restrict weight, const double *restrict bias,
+                       int64_t channels, int32_t k, int32_t paired, int32_t activation,
+                       double *restrict v, double *restrict out, double *restrict window_out)
+{
+    const double *w = weight;
+    if (k == 4 && window) {
+        DISJOINT for (int64_t c = 0; c < channels; c++) {
+            const double v0 = window[4 * c + 1], v1 = window[4 * c + 2], v2 = window[4 * c + 3];
+            const double v3 = x[c];
+            const double *wc = w + 4 * c;
+            out[c] = paired ? (v0 * wc[0] + v2 * wc[2]) + (v1 * wc[1] + v3 * wc[3])
+                            : ((v0 * wc[0] + v1 * wc[1]) + v2 * wc[2]) + v3 * wc[3];
+        }
+        if (window_out)
+            DISJOINT for (int64_t c = 0; c < channels; c++) {
+                window_out[4 * c] = window[4 * c + 1], window_out[4 * c + 1] = window[4 * c + 2];
+                window_out[4 * c + 2] = window[4 * c + 3], window_out[4 * c + 3] = x[c];
+            }
+    } else
+        for (int64_t c = 0; c < channels; c++) {
+            for (int32_t j = 0; j + 1 < k; j++)
+                v[j] = window ? window[c * k + j + 1] : 0.0;
+            v[k - 1] = x[c];
+            out[c] = tap_sum(v, w + c * k, k, paired);
+            for (int32_t j = 0; window_out && j < k; j++)
+                window_out[c * k + j] = v[j];
+        }
+    for (int64_t c = 0; c < channels; c++) {
+        if (isnan(out[c] + bias[c])) {
+            for (int32_t j = 0; j + 1 < k; j++)
+                v[j] = window ? window[c * k + j + 1] : 0.0;
+            v[k - 1] = x[c];
+        }
+        out[c] = conv_finish(out[c], bias[c], v, w + c * k, k, activation);
+    }
+}
+
+/* One token of a segment, its channels side by side: the taps (src[j] the
+ * token tap j reads, taps channel-minor) summed into o in tap order; k a
+ * constant where it is 4. */
 static inline __attribute__((always_inline)) void
 conv_taps(const double *const *src, const double *restrict taps, int64_t channels, const int32_t k,
-          int32_t paired, double *restrict o, double *restrict odd)
+          double *restrict o)
 {
-    const double *s0 = src[0], *w0 = taps;
-    if (k == 4 && !paired) {
+    const double *s0 = src[0];
+    if (k == 4) {
         const double *s1 = src[1], *s2 = src[2], *s3 = src[3];
-        const double *w1 = taps + channels, *w2 = w1 + channels, *w3 = w2 + channels;
+        const double *w0 = taps, *w1 = w0 + channels, *w2 = w1 + channels, *w3 = w2 + channels;
         DISJOINT for (int64_t c = 0; c < channels; c++)
             o[c] = ((s0[c] * w0[c] + s1[c] * w1[c]) + s2[c] * w2[c]) + s3[c] * w3[c];
         return;
     }
-    const int32_t step = paired ? 2 : 1;
     DISJOINT for (int64_t c = 0; c < channels; c++)
-        o[c] = s0[c] * w0[c];
-    for (int32_t j = step; j < k; j += step) {
+        o[c] = s0[c] * taps[c];
+    for (int32_t j = 1; j < k; j++) {
         const double *s = src[j], *w = taps + j * channels;
         DISJOINT for (int64_t c = 0; c < channels; c++)
             o[c] = o[c] + s[c] * w[c];
     }
-    if (!paired || k < 2)
-        return;
-    DISJOINT for (int64_t c = 0; c < channels; c++)
-        odd[c] = src[1][c] * taps[channels + c];
-    for (int32_t j = 3; j < k; j += 2) {
-        const double *s = src[j], *w = taps + j * channels;
-        DISJOINT for (int64_t c = 0; c < channels; c++)
-            odd[c] = odd[c] + s[c] * w[c];
-    }
-    DISJOINT for (int64_t c = 0; c < channels; c++)
-        o[c] = o[c] + odd[c];
 }
 
 /* rows sequences of len tokens of channels values through the causal
@@ -1193,26 +1251,38 @@ conv_taps(const double *const *src, const double *restrict taps, int64_t channel
  * before token 0, the last k - 1 of window's (rows, channels, k) as the step
  * keeps it (NULL: zeros).  weight is (channels, k), tap k - 1 on the current
  * token.  Each output is the taps summed in tap order, ((v0 w0 + v1 w1) +
- * v2 w2) + v3 w3, or, paired, the even taps' sum plus the odd taps' sum,
- * (v0 w0 + v2 w2) + (v1 w1 + v3 w3); then plus the bias (a NaN by conv_nan);
- * then, when activation, through silu_value; into out, (rows, len,
- * channels), written once.  window_out, when not NULL, gets each sequence's
- * last k samples in window's layout (the decode step: len 1, paired).
- * NO_MEMORY when scratch allocation fails, else 0.  The sizes are C ints, as
- * silu's. */
+ * v2 w2) + v3 w3, or -- paired, for one token (the decode step) -- the even
+ * taps' sum plus the odd taps' sum, (v0 w0 + v2 w2) + (v1 w1 + v3 w3); then
+ * plus the bias (a NaN by conv_nan); then, when activation, through
+ * silu_value; into out, (rows, len, channels), written once.  For one token,
+ * window_out, when not NULL, gets the shifted window, window's samples 1 to
+ * k - 1 and the token.  NO_MEMORY when scratch allocation fails, else 0.
+ * The sizes are C ints, as silu's. */
 int conv(const double *x, int32_t rows, int32_t len, int32_t channels, int32_t x_seq,
          int32_t x_tok, const double *window, const double *weight, const double *bias,
          int32_t k, int32_t paired, int32_t activation, double *out, double *window_out)
 {
     const int64_t C = channels;
-    /* The taps channel-minor, then k - 1 context rows, then the odd sums. */
-    double *taps = malloc((size_t)((2 * k) * C + 1) * sizeof *taps);
+    if (len == 1) {
+        double *v = malloc((size_t)k * sizeof *v);
+        if (!v)
+            return NO_MEMORY;
+        for (int64_t r = 0; r < rows; r++)
+            conv_token(x + r * (int64_t)x_seq, window ? window + r * C * k : NULL, weight, bias,
+                       C, k, paired, activation, v, out + r * C,
+                       window_out ? window_out + r * C * k : NULL);
+        free(v);
+        return 0;
+    }
+    /* The taps channel-minor, k - 1 context rows, one channel's values and
+     * weights for the NaN rule. */
+    double *taps = malloc((size_t)((2 * k - 1) * C + 2 * k) * sizeof *taps);
     const double **src = malloc((size_t)k * sizeof *src);
     if (!taps || !src) {
         free(taps), free(src);
         return NO_MEMORY;
     }
-    double *context = taps + k * C, *odd = context + (k - 1) * C;
+    double *context = taps + k * C, *v = context + (k - 1) * C, *w = v + k;
     for (int64_t c = 0; c < C; c++)
         for (int32_t j = 0; j < k; j++)
             taps[j * C + c] = weight[c * k + j];
@@ -1229,23 +1299,16 @@ int conv(const double *x, int32_t rows, int32_t len, int32_t channels, int32_t x
             }
             double *o = out + (r * len + t) * C;
             if (k == 4)
-                conv_taps(src, taps, C, 4, paired, o, odd);
+                conv_taps(src, taps, C, 4, o);
             else
-                conv_taps(src, taps, C, k, paired, o, odd);
+                conv_taps(src, taps, C, k, o);
             for (int64_t c = 0; c < C; c++) {
-                double v = o[c] + bias[c];
-                if (isnan(v))
-                    v = conv_nan(src, taps, C, k, c, bias[c]);
-                o[c] = activation ? silu_value(v) : v;
+                if (isnan(o[c] + bias[c]))
+                    for (int32_t j = 0; j < k; j++)
+                        v[j] = src[j][c], w[j] = taps[j * C + c];
+                o[c] = conv_finish(o[c], bias[c], v, w, k, activation);
             }
         }
-        if (window_out)
-            for (int64_t c = 0; c < C; c++)
-                for (int32_t j = 0; j < k; j++) {
-                    const int64_t at = len - k + j; /* the sample window slot j holds */
-                    window_out[(r * C + c) * k + j] =
-                        at >= 0 ? xs[at * x_tok + c] : w_in ? w_in[c * k + k + at] : 0.0;
-                }
     }
     free(taps), free(src);
     return 0;

@@ -273,7 +273,9 @@ def _row_layout(x: np.ndarray, scalar: Optional[np.ndarray], shape: tuple):
     ``(layout, scalar)``: the rows of the trailing axis, at most three
     leading axes, each at one stride in values -- a strided view such as a
     chunk window of the in-projection's split, or a broadcast axis (stride
-    0); ``None`` when they do not lie so.
+    0) -- walked in ``x``'s memory order (its longest stride outermost) and
+    written to their places in the C-contiguous output; ``None`` when they
+    do not lie so.
     """
     lead = shape[:-1]
     if scalar is not None:
@@ -282,14 +284,15 @@ def _row_layout(x: np.ndarray, scalar: Optional[np.ndarray], shape: tuple):
     s_strides = (0,) * len(lead) if scalar is None else _broadcast_strides(scalar, lead)
     if len(lead) > 3 or x_strides is None or s_strides is None:
         return None
-    if shape[-1] > 1 and x_strides[-1] != 8:
+    if shape[-1] > 1 and x_strides[-1] != 8 or any(v % 8 for v in x_strides + s_strides):
         return None
-    pad = (0,) * (3 - len(lead))
-    strides = pad + x_strides[:-1] + pad + s_strides
-    if any(v % 8 for v in strides):
-        return None
-    dims = (1,) * len(pad) + lead
-    return np.array((dims[1], dims[2], *(v // 8 for v in strides)), dtype=np.int64), scalar
+    out_rows = [math.prod(lead[i + 1:]) for i in range(len(lead))]
+    walk = sorted(zip(lead, x_strides, s_strides, out_rows), key=lambda axis: -axis[1])
+    walk = [(1, 0, 0, 0)] * (3 - len(lead)) + walk
+    layout = [walk[1][0], walk[2][0]]
+    layout += [axis[1] // 8 for axis in walk] + [axis[2] // 8 for axis in walk]
+    layout += [axis[3] for axis in walk]
+    return np.array(layout, dtype=np.int64), scalar
 
 
 def _compiled_quantize(entry: Callable) -> Callable:
@@ -306,8 +309,9 @@ def _compiled_quantize(entry: Callable) -> Callable:
     ``out``, they are staged in ``out`` first.  ``quantize(x, config)``
     returns INT8 codes shaped like ``x`` and the scales shaped as
     :func:`compute_scales` gives them.  ``None`` leaves the call to numpy:
-    the entry declined it before writing (a group with a non-finite value or
-    product, a power-of-two scale past ``2**1023``), or it is outside the
+    the entry declined it (a group with a non-finite value or product, a
+    power-of-two scale past ``2**1023``; ``x`` as it was, ``out`` partly
+    written unless it is ``x``), or it is outside the
     entry's contract (codes wider than 8 bits, an empty or 0-d ``x``, an
     ``out`` -- ``x`` itself included -- that is not a C-contiguous float64
     array shaped like ``x``, or like ``x`` broadcast with the scalars).
