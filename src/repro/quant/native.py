@@ -393,7 +393,7 @@ def _load() -> Tuple[Optional[SimpleNamespace], str]:
 
 
 def kernel() -> Optional[SimpleNamespace]:
-    """The compiled ``step``, ``fwht``, ``quantize``, ``silu``, ``conv`` and ``scan``, or ``None``."""
+    """The six compiled entries (``step`` ... ``scan``), or ``None``: references run."""
     return None if getattr(_self_test, "running", False) else _load()[0]
 
 

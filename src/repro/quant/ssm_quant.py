@@ -402,13 +402,14 @@ class QuantizedSSMStep:
         values``, broadcast to ``out`` and formed in the same pass.
         """
         return _fake_quant_into(
-            values, self._qcfg, np.empty(values.shape) if out is None else out, scalar  # quant-point: fused
+            values, self._qcfg,
+            np.empty(values.shape) if out is None else out, scalar,  # quant-point: fused
         )
 
     def _stage_product(  # integer-resident
         self, scalar: np.ndarray, values: np.ndarray, out: np.ndarray
     ) -> None:
-        """``out <- requant(scalar[..., None] * values)``, re-quantized when ``quantize_products``."""
+        """``out <- requant(scalar[..., None] * values)``; requant only if ``quantize_products``."""
         if self.config.quantize_products:
             self._stage(values, out, scalar)
         else:
@@ -762,7 +763,7 @@ class QuantizedSSMStep:
         B: np.ndarray, C: np.ndarray, delta: np.ndarray, log_decay: np.ndarray, window: slice,
         y: np.ndarray,
     ) -> None:
-        """One chunk: its output into ``y[..., window, :, :]``, its final state into ``tile.handoff``.
+        """One chunk: its output into ``y``'s ``window``, its final state into ``tile.handoff``.
 
         Stages the ``window`` tokens of the whole-prompt operands (``x`` /
         ``B`` / ``C`` token-major, read where they lie; the decay chain
