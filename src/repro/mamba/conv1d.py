@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.mamba.ops import row_tiles, silu, tile_rows
+from repro.mamba.ops import silu
 
 __all__ = ["CausalConv1d"]
 
@@ -191,62 +191,32 @@ def _conv_reference(x, window, weight, bias, activation: bool, step: bool):
     order -- and ``(output, new window)`` is returned.  A NaN sum takes
     :func:`_nan_rule`'s value on both, silently (as in C).
     """
-    with np.errstate(invalid="ignore"):
-        return _conv_numpy(x, window, weight, bias, activation, step)
-
-
-def _conv_numpy(x, window, weight, bias, activation: bool, step: bool):
     k = weight.shape[1]
     if step:
         new = np.empty_like(window)
         new[..., :-1] = window[..., 1:]
         new[..., -1] = x
         values = [new[..., j] for j in range(k)]
+    else:
+        if window is None:
+            context = np.zeros(x.shape[:-2] + (k - 1, x.shape[-1]))
+        else:
+            context = np.swapaxes(window[..., 1:], -1, -2)  # the last k-1 samples before token 0
+        padded = np.concatenate([context, x], axis=-2)
+        values = [padded[..., j : j + x.shape[-2], :] for j in range(k)]
+    with np.errstate(invalid="ignore"):
         products = [v * weight[:, j] for j, v in enumerate(values)]
-        total = functools.reduce(np.add, products[::2])
-        if k > 1:
-            total = total + functools.reduce(np.add, products[1::2])
+        if step:
+            total = functools.reduce(np.add, products[::2])
+            if k > 1:
+                total = total + functools.reduce(np.add, products[1::2])
+        else:
+            total = functools.reduce(np.add, products)
         total = total + bias
         _nan_rule(total, values, list(weight.T), bias)
         if activation:
             silu(total, out=total)
-        return total, new
-    seq_len, channels = x.shape[-2:]
-    if window is None:
-        context = np.zeros(x.shape[:-2] + (k - 1, channels))
-    else:
-        context = np.swapaxes(window[..., 1:], -1, -2)  # the last k-1 samples before token 0
-    out = np.empty(x.shape)
-    if not x.size:
-        return out
-    # One token tile at a time: k tap multiply-adds (tap j reads the tile
-    # shifted back by k-1-j tokens, summed in tap order), the bias and the
-    # SiLU, all into cache-resident buffers -- no padded copy of the
-    # sequence, no window view.  Only a tile that reaches back past token 0
-    # needs the left context joined on.
-    taps = weight.T                                        # (k, channels)
-    row_elems = x.size // seq_len
-    work = np.empty(x.shape[:-2] + (min(seq_len, tile_rows(row_elems)), channels))
-    acc = np.empty_like(work) if activation else None
-    for rows in row_tiles(seq_len, row_elems):
-        count = rows.stop - rows.start
-        reach = rows.start - (k - 1)
-        if reach < 0:
-            window_rows = np.concatenate([context[..., reach:, :], x[..., : rows.stop, :]], axis=-2)
-        else:
-            window_rows = x[..., reach : rows.stop, :]
-        dest = out[..., rows, :]
-        total = acc[..., :count, :] if activation else dest
-        product = work[..., :count, :]
-        np.multiply(window_rows[..., :count, :], taps[0], out=total)
-        for j in range(1, k):
-            np.multiply(window_rows[..., j : j + count, :], taps[j], out=product)
-            np.add(total, product, out=total)
-        np.add(total, bias, out=total)
-        _nan_rule(total, [window_rows[..., j : j + count, :] for j in range(k)], list(taps), bias)
-        if activation:
-            silu(total, out=dest)
-    return out
+    return (total, new) if step else total
 
 
 _C_INT_MAX = 2**31 - 1

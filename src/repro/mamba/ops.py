@@ -40,7 +40,7 @@ __all__ = [
 #: Elements of one token tile of the prefill datapath: 64 Ki float64 values
 #: (512 KiB), so a stage's source tile, destination tile and one work tile
 #: fit the L2 together.  The one tile constant of the block-level kernels
-#: (fake-quant, FWHT, conv, gated norm); the SSM scan tiles by ``chunk_size``.
+#: (fake-quant, FWHT, gated norm); the SSM scan tiles by ``chunk_size``.
 TILE_ELEMS = 1 << 16
 
 

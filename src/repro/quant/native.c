@@ -31,7 +31,7 @@
  *   Its reference and fallback is repro.mamba.conv1d._conv_reference.
  * - scan_decay / scan_gate / scan_out / scan_handoff: the chunk scan's
  *   element-wise stages between its BLAS contractions and numpy's exp (the
- *   decay difference and clamp, gate * decay * causal, the output epilogue
+ *   decay difference and clamp, the causal gate * decay, the output epilogue
  *   written token-major with the hand-off's weighted inputs, the hand-off
  *   add).  Their references and fallback are the numpy stages
  *   repro.quant.ssm_quant._SCAN_STAGES.
@@ -1340,16 +1340,18 @@ void scan_decay(const double *lc, int32_t mats, int32_t q, double *decay)
     }
 }
 
-/* gate[m, t, s] = (gate * decay) * causal, causal[t, s] 1.0 on and below the
- * diagonal, 0.0 above. */
+/* gate[m, t, s] = gate * decay on and below the diagonal (s <= t), 0.0 written
+ * above it: a NaN in a later token's operands never reaches an earlier token. */
 void scan_gate(double *gate, const double *decay, int32_t mats, int32_t q)
 {
     for (int64_t m = 0; m < mats; m++)
         for (int64_t t = 0; t < q; t++) {
             double *restrict g = gate + (m * q + t) * q;
             const double *restrict d = decay + (m * q + t) * q;
-            DISJOINT for (int64_t s = 0; s < q; s++)
-                g[s] = (g[s] * d[s]) * (s <= t ? 1.0 : 0.0);
+            DISJOINT for (int64_t s = 0; s <= t; s++)
+                g[s] *= d[s];
+            for (int64_t s = t + 1; s < q; s++)
+                g[s] = 0.0;
         }
 }
 

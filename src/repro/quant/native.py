@@ -320,7 +320,8 @@ def _conv_agrees(conv) -> bool:
 def _scan_agrees(scan) -> bool:
     """The compiled chunk-scan stages against their numpy references: a batch
     of two, three heads, a ragged chunk, a difference of zero and a NaN in
-    the decay chain, a poisoned state and readout."""
+    the decay chain, a NaN gate above the diagonal, a poisoned state and
+    readout."""
     from repro.quant import ssm_quant
 
     rng = np.random.default_rng(6)
@@ -333,6 +334,7 @@ def _scan_agrees(scan) -> bool:
     scan.decay(lc, got)
     ref.decay(lc, want)
     gate = rng.normal(size=per_head + (q_len,))
+    gate[0, 1, 0, 3] = np.nan  # a later token's: masked, so written 0
     decay = np.exp(want)
     gates = [gate.copy(), gate.copy()]
     scan.gate(gates[0], decay)

@@ -245,12 +245,13 @@ def _decay_reference(lc: np.ndarray, decay: np.ndarray) -> None:  # integer-resi
 
 
 def _gate_reference(gate: np.ndarray, decay: np.ndarray) -> None:  # integer-resident
-    """``native.c``'s ``scan_gate``: ``gate = (gate * decay) * causal``, ``decay`` exp'd.
+    """``native.c``'s ``scan_gate``: ``gate * decay`` on and below the diagonal, 0 above.
 
-    The causal mask is 1 on and below the diagonal, 0 above.
+    ``decay`` is exp'd.  The masked upper triangle is written, not multiplied
+    by 0, so a NaN in a later token's operands stays out of earlier tokens.
     """
     np.multiply(gate, decay, out=gate)
-    np.multiply(gate, np.tri(gate.shape[-1], dtype=np.int8), out=gate)
+    gate[..., ~np.tri(gate.shape[-1], dtype=bool)] = 0.0
 
 
 def _out_reference(  # integer-resident

@@ -25,16 +25,15 @@ This package is the serving stack built on that property:
   each fact is one :class:`~repro.serving.events.Event` (the kinds are listed
   on it) in a bounded ring per engine (``engine.events``).  The counters
   (``engine.stats``, ``/stats``) and latency records are folds over it; the
-  supervisor's log and the load generator's step work are views of it.
+  supervisor's log and the load harness's per-step prompt work are views of
+  it.
 - :class:`~repro.serving.server.MambaServer` -- an asyncio HTTP + SSE wire
   front-end over the engine (stdlib streams only): ``POST /v1/generate``
   streams tokens as Server-Sent Events, client disconnects become
   ``cancel``, ``X-Priority`` / ``X-Deadline-S`` headers map onto the queue,
   ``/healthz`` + ``/stats`` expose the counters, and shutdown drains
-  in-flight requests exactly-once.  :mod:`~repro.serving.loadgen` is its
-  seeded traffic harness: Poisson/bursty arrivals, heavy-tailed lengths,
-  priority mixes, deadlines and mid-stream disconnects, driven either
-  in-process or over real sockets (see ``benchmarks/bench_serving_load.py``).
+  in-flight requests exactly-once.  Its seeded load harness is
+  ``benchmarks/bench_serving_load.py``.
 - :mod:`~repro.serving.resilience` -- the fault-injection / self-healing
   layer: a deterministic :class:`~repro.serving.resilience.FaultInjector`
   (seeded :class:`~repro.serving.resilience.FaultPlan` schedules addressable
@@ -45,8 +44,8 @@ This package is the serving stack built on that property:
   model call, isolates faulting requests, rolls survivors back bit-exactly,
   retries with capped exponential backoff, degrades repeat offenders to the
   sequential oracle, and quarantines hopeless requests with
-  ``finish_reason="error"``.  :mod:`~repro.serving.chaos` builds randomized
-  chaos-soak runs on top and checks the conservation invariants.
+  ``finish_reason="error"``.  ``benchmarks/chaos_soak.py`` soaks it under
+  randomized fault schedules and checks the conservation invariants.
 
 The engine, and so the server over it, reproduces the single-sequence decoders
 in :mod:`repro.mamba.generation` request for request: token selection shares the
@@ -70,18 +69,8 @@ Example
 ['length', 'length']
 """
 
-from repro.serving.chaos import ChaosReport, build_workload, run_chaos_soak, soak_once
 from repro.serving.engine import Completion, InferenceEngine, Request
 from repro.serving.events import EngineStats, Event, EventLog, RequestLatency
-from repro.serving.loadgen import (
-    HarnessResult,
-    LoadItem,
-    RequestRecord,
-    make_traffic,
-    run_inprocess,
-    run_live,
-    verify_against_solo,
-)
 from repro.serving.queue import QueueEntry, RequestQueue
 from repro.serving.resilience import (
     FaultInjector,
@@ -106,7 +95,6 @@ from repro.serving.server import MambaServer, ServerConfig, serve_in_thread
 
 __all__ = [
     "AdmissionPlan",
-    "ChaosReport",
     "Completion",
     "EngineStats",
     "Event",
@@ -115,10 +103,8 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "HarnessResult",
     "InferenceEngine",
     "IterationTimeout",
-    "LoadItem",
     "MambaServer",
     "ManualClock",
     "PagedScheduler",
@@ -128,19 +114,11 @@ __all__ = [
     "Request",
     "RequestLatency",
     "RequestQueue",
-    "RequestRecord",
     "ResilienceConfig",
     "Scheduler",
     "SchedulerContext",
     "ServerConfig",
     "StateCorruptionError",
     "TokenLedger",
-    "build_workload",
-    "make_traffic",
-    "run_chaos_soak",
-    "run_inprocess",
-    "run_live",
     "serve_in_thread",
-    "soak_once",
-    "verify_against_solo",
 ]

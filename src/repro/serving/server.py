@@ -27,7 +27,7 @@ Endpoints
     exactly one iteration and reports what retired.  The load harness uses
     this to drive the live server in *iteration space*, which is what makes
     its latency metrics deterministic and machine-independent (see
-    :mod:`repro.serving.loadgen`).
+    ``benchmarks/bench_serving_load.py``).
 
 Concurrency model
 -----------------

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.mamba import InitConfig, Mamba2Model, get_preset
 from repro.mamba.cache import InferenceCache, QuantizedSSMState
 from repro.quant import native
+
+# The serving harnesses (bench_serving_load, chaos_soak) are benchmark
+# scripts; tests import them by module name.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 
 def pytest_addoption(parser):

@@ -10,23 +10,15 @@ After a deliberate behaviour change, re-record with
 ``PYTHONPATH=src python benchmarks/bench_serving_load.py``.
 """
 
-import importlib.util
+import importlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+import bench_serving_load
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_script(name):
-    path = ROOT / "benchmarks" / f"bench_{name}.py"
-    spec = importlib.util.spec_from_file_location(f"record_bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def _first_difference(committed, fresh, path="record"):
@@ -46,7 +38,7 @@ def _first_difference(committed, fresh, path="record"):
 
 @pytest.mark.parametrize("name", ["serving_load"])
 def test_smoke_modes_equal_committed_record(name):
-    script = _load_script(name)
+    script = importlib.import_module(f"bench_{name}")
     fresh = json.loads(json.dumps(getattr(script, f"bench_{name}")(script.SMOKE_MODES)))
     committed = json.loads((ROOT / f"BENCH_{name}.json").read_text())
     committed["modes"] = {mode: committed["modes"][mode] for mode in script.SMOKE_MODES}
@@ -61,5 +53,4 @@ def test_committed_record_keeps_its_claims():
     and priority's short-class p99 TTFT is no worse than FIFO's; in every
     mode each policy's finish reasons add up to the request count.
     """
-    script = _load_script("serving_load")
-    script.check_claims(json.loads(script.RECORD.read_text()))
+    bench_serving_load.check_claims(json.loads(bench_serving_load.RECORD.read_text()))

@@ -57,7 +57,6 @@ def test_server_demo_runs(capsys):
     assert "matches single-sequence decode" in out
     assert "MISMATCH" not in out
     assert "observed as cancel" in out
-    assert "all requests bit-identical" in out
 
 
 @pytest.mark.slow

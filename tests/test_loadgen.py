@@ -1,4 +1,4 @@
-"""Tests for the seeded traffic-scale load harness (repro.serving.loadgen)."""
+"""Tests for the seeded traffic-scale load harness (benchmarks/bench_serving_load.py)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import dataclasses
 import pytest
 
 from repro.serving import FIFOScheduler, InferenceEngine, PagedScheduler, PriorityScheduler
-from repro.serving.loadgen import (
+from repro.serving.resilience import ManualClock
+from repro.serving.server import ServerConfig, serve_in_thread
+from bench_serving_load import (
     DEADLINE_MIN_ITERS,
     MAX_OUTPUT_TOKENS,
     MAX_PROMPT_TOKENS,
@@ -16,8 +18,6 @@ from repro.serving.loadgen import (
     run_live,
     verify_against_solo,
 )
-from repro.serving.resilience import ManualClock
-from repro.serving.server import ServerConfig, serve_in_thread
 
 VOCAB = 512
 

@@ -220,6 +220,33 @@ def test_prefill_scan_compiled_is_the_numpy_scan(seq_len, chunk, batch, resident
     assert _same_bytes(*runs)
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("resident", [False, True], ids=["float", "resident"])
+def test_a_nan_token_poisons_only_itself_and_later_tokens(compiled, resident):
+    """One NaN in token 7's ``B`` gives NaN output rows 7-9 of a 10-token
+    prompt, on the chunked scan as on the sequential one: the causal gate
+    keeps it out of the earlier tokens of its chunk."""
+    if compiled and COMPILED is None:
+        pytest.skip(f"no compiled library: {native.status()}")
+    rng = np.random.default_rng(0)
+    h, p, n, seq_len = 3, 16, 32, 10
+    scan = QuantizedSSMStep(SSMQuantConfig(group_size=16))
+    params = SSMParams(A_log=np.log(rng.uniform(1, 8, size=h)), D=rng.normal(1.0, 0.1, size=h),
+                       dt_bias=rng.normal(size=h))
+    x = rng.normal(size=(seq_len, h, p))
+    B, C = rng.normal(size=(2, seq_len, n))
+    dt = rng.normal(size=(seq_len, h))
+    B[7, 0] = np.nan
+    load = (lambda: (COMPILED, "compiled")) if compiled else (lambda: (None, "numpy: references"))
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        patch.setattr(native, "_load", load)
+        for chunk in (64, 1):
+            state = np.zeros((h, p, n))
+            entry = scan.quantize_state_codes(state) if resident else state
+            y, _ = scan.prefill_scan(params, x, B, C, dt, entry, chunk)
+            assert np.flatnonzero(np.isnan(y).any(axis=(1, 2))).tolist() == [7, 8, 9], chunk
+
+
 # ----------------------------------------------------------------------
 # The zero resident state
 # ----------------------------------------------------------------------

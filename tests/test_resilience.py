@@ -27,12 +27,6 @@ import pytest
 
 from repro.mamba.cache import InferenceCache
 from repro.quant import QuantConfig, QuantMethod, SSMQuantConfig, quantize_model
-from repro.serving.chaos import (
-    SCHEDULER_NAMES,
-    build_workload,
-    run_chaos_soak,
-    soak_once,
-)
 from repro.serving.engine import InferenceEngine, Request
 from repro.serving.events import EventLog
 from repro.serving.resilience import (
@@ -42,6 +36,12 @@ from repro.serving.resilience import (
     ManualClock,
     ResilienceConfig,
     Supervisor,
+)
+from chaos_soak import (
+    SCHEDULER_NAMES,
+    build_workload,
+    run_chaos_soak,
+    soak_once,
 )
 from test_lifecycle import replay
 

@@ -13,10 +13,9 @@ from repro.serving import (
     RequestQueue,
     Scheduler,
     TokenLedger,
-    make_traffic,
-    run_inprocess,
 )
 from repro.serving.resilience import ManualClock
+from bench_serving_load import make_traffic, run_inprocess
 from test_lifecycle import replay
 
 

@@ -28,9 +28,9 @@ from repro.mamba.generation import greedy_decode
 from repro.quant import native
 from repro.serving import FIFOScheduler, InferenceEngine, PriorityScheduler
 from repro.serving import server as server_module
-from repro.serving.loadgen import _Conn, _request_json
 from repro.serving.resilience import ManualClock
 from repro.serving.server import MambaServer, ServerConfig, serve_in_thread
+from bench_serving_load import _Conn, _request_json
 
 PROMPT = [3, 1, 4, 1, 5]
 
